@@ -10,6 +10,19 @@ With all bias tables zero this reduces to ordinary multi-head attention.
 Works both as self-attention (feature extraction) and source-target
 attention (edge estimation); the caller supplies the per-pair distance
 indices and the attend mask through an AttentionContext.
+
+The bias tables have only C = cap + 2 rows, one per distance bucket, so no
+(nq, nk, d_S) array of looked-up bias vectors is ever formed.  With
+Q = Wq q, K = Wk k and W = softmax(s) each bias term comes from a small
+table and a gather:
+
+    Q_i . bk[d_ij]              = (Q bk^T)[i, d_ij]
+    bq[d_ij] . K_j              = (K bq^T)[j, d_ij]
+    bq[d_ij] . bk[d_ij]         = c[d_ij],  c = rowwise bq . bk  (a C-vector)
+    sum_j W_ij bv[d_ij]         = (R bv)_i, R[i, c] = sum of W_ij over d_ij = c
+
+so every term costs O(nq * nk) time and memory (Music Transformer's
+relative-attention trick, applied to shortest-path buckets).
 """
 from __future__ import annotations
 
@@ -69,40 +82,25 @@ class GraphAttentionParams:
         return self.bq[0].data.shape[0] - 2
 
 
-def bias_lookup(table: Tensor, dist_index) -> Tensor:
-    """Rows of a bias table for the given distance bucket indices; distances
-    beyond the table's cap must already be clipped to the final bucket."""
-    idx = np.asarray(dist_index, dtype=np.int64).reshape(-1)
-    n_rows = table.data.shape[0]
-    if len(idx) and idx.max() >= n_rows:
-        raise AttentionError(f"distance index {int(idx.max())} exceeds bucket count {n_rows}")
-    if len(idx) and idx.min() < 0:
-        raise AttentionError("negative distance index")
-    return T.rows(table, idx)
-
-
 def _head(q: Tensor, k: Tensor, v: Tensor, h: int, ctx: AttentionContext,
           p: GraphAttentionParams, addmask: np.ndarray, scale: float) -> Tensor:
-    nq, nk = ctx.dist_idx.shape
-    d_s = p.wq[h].data.shape[0]
     qh = T.matmul(q, T.transpose(p.wq[h]))
     kh = T.matmul(k, T.transpose(p.wk[h]))
     vh = T.matmul(v, T.transpose(p.wv[h]))
     scores = T.matmul(qh, T.transpose(kh))
     if p.use_bias:
-        flat = ctx.dist_idx.reshape(-1)
-        bq = T.reshape(bias_lookup(p.bq[h], flat), (nq, nk, d_s))
-        bk = T.reshape(bias_lookup(p.bk[h], flat), (nq, nk, d_s))
-        bv = T.reshape(bias_lookup(p.bv[h], flat), (nq, nk, d_s))
-        s2 = T.sum_along(T.mul(T.reshape(qh, (nq, 1, d_s)), bk), 2)
-        s3 = T.sum_along(T.mul(bq, T.reshape(kh, (1, nk, d_s))), 2)
-        s4 = T.sum_along(T.mul(bq, bk), 2)
-        scores = T.add(T.add(scores, s2), T.add(s3, s4))
+        d = ctx.dist_idx
+        bq, bk, bv = p.bq[h], p.bk[h], p.bv[h]
+        # (nq, C): Q_i . bk[c] + bq[c] . bk[c];  (nk, C): K_j . bq[c]
+        q_table = T.add(T.matmul(qh, T.transpose(bk)), T.sum_along(T.mul(bq, bk), 1))
+        k_table = T.matmul(kh, T.transpose(bq))
+        scores = T.add(T.add(scores, T.gather_last(q_table, d)),
+                       T.transpose(T.gather_last(k_table, d.T)))
     scores = T.mul(scores, T.const(scale))
     weights = T.softmax(scores, additive_mask=addmask)
     out = T.matmul(weights, vh)
     if p.use_bias:
-        out = T.add(out, T.sum_along(T.mul(T.reshape(weights, (nq, nk, 1)), bv), 1))
+        out = T.add(out, T.matmul(T.bucket_sums(weights, d, bv.data.shape[0]), bv))
     return out
 
 
@@ -114,12 +112,20 @@ def g_multi_head(q: Tensor, k: Tensor, v: Tensor, ctx: AttentionContext,
     exactly once per score.  Query rows whose mask admits no key raise an
     AttentionError unless on_empty="zero", in which case those output rows
     are exactly zero (the edge estimator's empty-history convention).
+    Distance indices must lie in [0, cap + 1]; distances beyond the cap are
+    clipped to the final bucket by the caller.
     """
     if k.data.shape[0] != v.data.shape[0]:
         raise AttentionError(f"key rows {k.data.shape[0]} != value rows {v.data.shape[0]}")
     nq, nk = q.data.shape[0], k.data.shape[0]
     if ctx.dist_idx.shape != (nq, nk) or ctx.allowed.shape != (nq, nk):
         raise AttentionError(f"context shape {ctx.dist_idx.shape} does not match ({nq}, {nk})")
+    buckets = p.cap + 2
+    if ctx.dist_idx.size and ctx.dist_idx.max() >= buckets:
+        raise AttentionError(f"distance index {int(ctx.dist_idx.max())} "
+                             f"exceeds bucket count {buckets}")
+    if ctx.dist_idx.size and ctx.dist_idx.min() < 0:
+        raise AttentionError("negative distance index")
     has_key = ctx.allowed.any(axis=1)
     zero_rows = None
     if not has_key.all():

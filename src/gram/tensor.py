@@ -7,6 +7,8 @@ the same operations run eagerly without recording (used for inference).
 """
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 
@@ -87,7 +89,7 @@ class Tape:
         """
         if loss.data.shape != ():
             raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
-        if loss._tape is not self:
+        if loss._tape is None or loss._tape() is not self:
             raise ValueError("loss was not produced on this tape")
         if loss.grad is None:
             loss.grad = np.zeros(())
@@ -111,7 +113,9 @@ def _record(out: Tensor, parents, bw):
         out._parents = tuple(parents)
         out._bw = bw
         tape = _ACTIVE[-1]
-        out._tape = tape
+        # a weak reference: tape -> entries -> tape would be a cycle that keeps
+        # a finished tape's arrays alive until the cyclic collector runs
+        out._tape = weakref.ref(tape)
         tape._entries.append(out)
     return out
 
@@ -279,6 +283,51 @@ def rows(table: Tensor, idx) -> Tensor:
         np.add.at(table.grad, idx, g)
 
     return _record(out, (table,), bw)
+
+
+def _bucket_index(idx, rows: int, buckets: int) -> np.ndarray:
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.ndim != 2 or idx.shape[0] != rows:
+        raise ShapeError(f"bucket index of shape {idx.shape} for {rows} rows")
+    if idx.size and (idx.min() < 0 or idx.max() >= buckets):
+        raise ShapeError(f"bucket index out of range for {buckets} buckets")
+    return idx
+
+
+def _bucket_sums(w: np.ndarray, idx: np.ndarray, buckets: int) -> np.ndarray:
+    flat = (np.arange(w.shape[0])[:, None] * buckets + idx).reshape(-1)
+    return np.bincount(flat, weights=w.reshape(-1),
+                       minlength=w.shape[0] * buckets).reshape(w.shape[0], buckets)
+
+
+def gather_last(table: Tensor, idx) -> Tensor:
+    """Per-row gather along the last axis: out[i, j] = table[i, idx[i, j]].
+
+    table is (n, C) and idx an (n, m) integer array in [0, C).  The
+    backward pass scatters with bucket_sums.
+    """
+    n, buckets = table.data.shape
+    idx = _bucket_index(idx, n, buckets)
+    out = Tensor(np.take_along_axis(table.data, idx, axis=1))
+
+    def bw(g):
+        _accum(table, _bucket_sums(g, idx, buckets))
+
+    return _record(out, (table,), bw)
+
+
+def bucket_sums(w: Tensor, idx, buckets: int) -> Tensor:
+    """Per-row sums of w by bucket: out[i, c] = sum of w[i, j] over the j
+    with idx[i, j] == c.  The adjoint of gather_last."""
+    idx = _bucket_index(idx, w.data.shape[0], buckets)
+    if w.data.shape != idx.shape:
+        raise ShapeError(f"bucket_sums values {w.data.shape} vs index {idx.shape}")
+    out = Tensor(_bucket_sums(w.data, idx, buckets))
+
+    def bw(g):
+        _accum(w, np.take_along_axis(g, idx, axis=1))
+
+    return _record(out, (w,), bw)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

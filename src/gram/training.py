@@ -4,13 +4,17 @@ per-epoch instrumentation.
 Every step's loss is computed from ground-truth conditioning, so the per-step
 terms are independent of each other; the batched edge-attention masking makes
 one step's loss identical to deciding its candidates strictly sequentially.
+Steps share nothing but parameters, so training runs backward once per step
+on a tape of its own: peak memory tracks the largest step of a graph, not
+the sum of its steps.
 """
 from __future__ import annotations
 
 import json
+import os
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +32,10 @@ class SkipGraph(Exception):
 
 class TrainError(ValueError):
     pass
+
+
+class NonFiniteError(RuntimeError):
+    """A loss or gradient norm became NaN or infinite during training."""
 
 
 class CheckpointError(ValueError):
@@ -71,31 +79,33 @@ class LossCounters:
     edge_steps: int = 0
     dropped_edges: int = 0
 
+    def add(self, other: "LossCounters"):
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
-def teacher_forced_loss(model: Model, og: OrderedGraph):
-    """Summed negative log-likelihood of all post-seed steps of one graph.
 
-    Returns (scalar loss tensor, LossCounters).  Steps before the seed size
-    contribute nothing; the final step scores the stop class on the full
-    graph.  Raises SkipGraph when the graph is not larger than the seed.
-    """
+def _steps(model: Model, og: OrderedGraph) -> range:
+    seed = model.config.seed_size
+    if og.n <= seed:
+        raise SkipGraph(f"graph with {og.n} nodes <= seed size {seed}")
+    return range(seed, og.n + 1)
+
+
+def step_loss(model: Model, og: OrderedGraph, s: int):
+    """Negative log-likelihood of step s of one graph: the label of the node
+    at position s (the stop class when s == n) and, below n, its edges to
+    the candidate positions.  Returns (scalar loss tensor, LossCounters)."""
     c = model.config
     n = og.n
-    if n <= c.seed_size:
-        raise SkipGraph(f"graph with {n} nodes <= seed size {c.seed_size}")
-    parts = []
-    counters = LossCounters()
-    for s in range(c.seed_size, n + 1):
-        prefix = og.prefix(s)
-        hv = model.extract_features(prefix)
-        hg = model.graph_pool(hv)
-        target = int(og.labels[s]) if s < n else c.a
-        onehot = np.zeros((1, c.a + 1))
-        onehot[0, target] = 1.0
-        parts.append(T.cross_entropy_logits(model.node_logits(hg), onehot))
-        counters.node_steps += 1
-        if s == n:
-            continue
+    prefix = og.prefix(s)
+    hv = model.extract_features(prefix)
+    hg = model.graph_pool(hv)
+    target = int(og.labels[s]) if s < n else c.a
+    onehot = np.zeros((1, c.a + 1))
+    onehot[0, target] = 1.0
+    parts = [T.cross_entropy_logits(model.node_logits(hg), onehot)]
+    counters = LossCounters(node_steps=1)
+    if s < n:
         plan = edge_candidates(og, s, c.variant)
         key_codes = og.edge_label_codes(s, plan.candidates)
         logits, pairs = model.edge_logits_teacher(
@@ -104,14 +114,50 @@ def teacher_forced_loss(model: Model, og: OrderedGraph):
         tgt[np.arange(len(plan.candidates)), key_codes] = 1.0
         parts.append(T.cross_entropy_logits(logits, tgt))
         alpha = int((key_codes < c.b).sum())
-        counters.edge_decisions += len(plan.candidates)
-        counters.key_pairs += pairs
-        counters.alpha_sum += alpha
-        counters.beta_sum += plan.beta
-        counters.edge_steps += 1
-        counters.dropped_edges += len(og.lower[s]) - alpha
-    total = T.sum_along(T.concat(parts, axis=0), 0)
+        counters.edge_decisions = len(plan.candidates)
+        counters.key_pairs = pairs
+        counters.alpha_sum = alpha
+        counters.beta_sum = plan.beta
+        counters.edge_steps = 1
+        counters.dropped_edges = len(og.lower[s]) - alpha
+    return T.sum_along(T.concat(parts, axis=0), 0), counters
+
+
+def teacher_forced_loss(model: Model, og: OrderedGraph):
+    """Summed negative log-likelihood of all post-seed steps of one graph.
+
+    Returns (scalar loss tensor, LossCounters).  Steps before the seed size
+    contribute nothing; the final step scores the stop class on the full
+    graph.  Raises SkipGraph when the graph is not larger than the seed.
+    """
+    losses = []
+    counters = LossCounters()
+    for s in _steps(model, og):
+        loss, cnt = step_loss(model, og, s)
+        losses.append(T.reshape(loss, (1,)))
+        counters.add(cnt)
+    return T.sum_along(T.concat(losses, axis=0), 0), counters
+
+
+def backward_per_step(model: Model, og: OrderedGraph, weight: float = 1.0):
+    """Accumulate the gradient of weight * teacher_forced_loss(model, og)
+    with one tape and one backward pass per step, so only one step's records
+    are alive at a time.  Returns (summed loss, LossCounters)."""
+    total = 0.0
+    counters = LossCounters()
+    for s in _steps(model, og):
+        nll, cnt = _backward_step(model, og, s, weight)
+        total += nll
+        counters.add(cnt)
     return total, counters
+
+
+def _backward_step(model: Model, og: OrderedGraph, s: int, weight: float):
+    # the step's tape and loss tensor go out of scope on return
+    with Tape() as tape:
+        loss, cnt = step_loss(model, og, s)
+        tape.backward(T.mul(loss, T.const(weight)))
+    return loss.item(), cnt
 
 
 @dataclass
@@ -138,11 +184,14 @@ def train(dataset, model: Model, tconfig: TrainConfig, checkpoint_dir=None,
 
     The model is updated in place.  Given the same seed, dataset, and
     configuration, two runs produce bit-identical parameters and history.
+    A non-finite loss or gradient norm raises NonFiniteError naming the
+    epoch and the dataset index of the graph (or of the batch's graphs).
     """
     if not dataset:
         raise TrainError("dataset is empty")
     c = model.config
-    usable = [g for g in dataset if g.n > c.seed_size]
+    index = [k for k, g in enumerate(dataset) if g.n > c.seed_size]
+    usable = [dataset[k] for k in index]
     if len(usable) < len(dataset):
         warnings.warn(f"skipping {len(dataset) - len(usable)} graphs with "
                       f"<= {c.seed_size} nodes")
@@ -174,15 +223,16 @@ def train(dataset, model: Model, tconfig: TrainConfig, checkpoint_dir=None,
             batch = order[lo:lo + tconfig.batch_size]
             inv = 1.0 / len(batch)
             for i in batch:
-                with Tape() as tape:
-                    loss, cnt = teacher_forced_loss(model, ogs[i])
-                    tape.backward(T.mul(loss, T.const(inv)))
-                total_nll += loss.item()
-                agg.alpha_sum += cnt.alpha_sum
-                agg.beta_sum += cnt.beta_sum
-                agg.edge_steps += cnt.edge_steps
-                agg.dropped_edges += cnt.dropped_edges
-            clip_global_norm(params, tconfig.grad_clip)
+                nll, cnt = backward_per_step(model, ogs[i], inv)
+                if not np.isfinite(nll):
+                    raise NonFiniteError(f"epoch {epoch}: non-finite loss {nll} "
+                                         f"on graph {index[i]}")
+                total_nll += nll
+                agg.add(cnt)
+            norm = clip_global_norm(params, tconfig.grad_clip)
+            if not np.isfinite(norm):
+                raise NonFiniteError(f"epoch {epoch}: non-finite gradient norm {norm} "
+                                     f"on the batch of graphs {sorted(index[i] for i in batch)}")
             adam_step(params, lr=tconfig.lr)
         steps = max(agg.edge_steps, 1)
         stats = EpochStats(epoch, total_nll / len(usable),
@@ -211,29 +261,44 @@ CHECKPOINT_VERSION = 1
 
 
 def save_checkpoint(path, model: Model, epoch: int, rng=None):
-    buf = bytearray()
-    buf += CHECKPOINT_MAGIC
-    buf += struct.pack("<I", CHECKPOINT_VERSION)
+    """Write a checkpoint atomically: the bytes go to a temporary file in the
+    same directory, which then replaces path.  A failure part-way leaves
+    any previous file at path untouched and removes the temporary file."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            _write_checkpoint(f, model, epoch, rng)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_checkpoint(f, model: Model, epoch: int, rng):
+    f.write(CHECKPOINT_MAGIC)
+    f.write(struct.pack("<I", CHECKPOINT_VERSION))
     cfg = json.dumps(model.config.to_json_obj(), sort_keys=True).encode("utf-8")
-    buf += struct.pack("<I", len(cfg)) + cfg
+    f.write(struct.pack("<I", len(cfg)) + cfg)
     params = model.parameters()
-    buf += struct.pack("<I", len(params))
+    f.write(struct.pack("<I", len(params)))
     for p in params:
         name = p.name.encode("utf-8")
-        buf += struct.pack("<H", len(name)) + name
+        f.write(struct.pack("<H", len(name)) + name)
         arr = p.tensor.data
-        buf += struct.pack("<B", arr.ndim)
+        f.write(struct.pack("<B", arr.ndim))
         for ext in arr.shape:
-            buf += struct.pack("<I", ext)
-        buf += arr.astype("<f8").tobytes()
-        buf += struct.pack("<Q", p.step)
-        buf += p.m.astype("<f8").tobytes()
-        buf += p.v.astype("<f8").tobytes()
-    buf += struct.pack("<I", epoch)
+            f.write(struct.pack("<I", ext))
+        f.write(arr.astype("<f8").tobytes())
+        f.write(struct.pack("<Q", p.step))
+        f.write(p.m.astype("<f8").tobytes())
+        f.write(p.v.astype("<f8").tobytes())
+    f.write(struct.pack("<I", epoch))
     state = rng.bit_generator.state if rng is not None else None
     rj = json.dumps(state, sort_keys=True).encode("utf-8")
-    buf += struct.pack("<I", len(rj)) + rj
-    Path(path).write_bytes(bytes(buf))
+    f.write(struct.pack("<I", len(rj)) + rj)
 
 
 class _Reader:

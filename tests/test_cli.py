@@ -138,6 +138,23 @@ def test_config_file_precedence(tmp_path, capsys):
     assert '"variant": "B"' in echoed
 
 
+def test_nonfinite_training_exits_with_runtime_failure(tmp_path, capsys, monkeypatch):
+    """A non-finite gradient norm is a runtime failure (exit code 3) whose
+    message names the epoch, and it leaves no checkpoint behind."""
+    from gram import training
+    monkeypatch.setattr(training, "clip_global_norm", lambda params, max_norm: float("nan"))
+    corpus = tmp_path / "c.jsonl"
+    run(["dataset", "--family", "grid", "--count", "2", "--nmin", "9", "--nmax",
+         "12", "--seed", "1", "--out", str(corpus), "--no-split"])
+    outdir = tmp_path / "run"
+    assert run(["train", "--corpus", str(corpus), "--out", str(outdir), "--epochs", "1",
+                "--dmodel", "16", "--heads", "2", "--blocks", "1", "--dff", "32",
+                "--seed-size", "4"]) == 3
+    err = capsys.readouterr().err
+    assert "NonFiniteError" in err and "epoch 1" in err
+    assert not (outdir / "checkpoint.bin").exists()
+
+
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     corpus = tmp_path / "c.jsonl"
     run(["dataset", "--family", "grid", "--count", "8", "--nmin", "9", "--nmax",

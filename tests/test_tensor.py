@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -134,6 +137,16 @@ def _c_rows(p, q, c1, c2):
     return T.rows(p, [3, 0, 1, 1, 2])
 
 
+@_case("gather_last")
+def _c_gather(p, q, c1, c2):
+    return T.gather_last(p, np.arange(20).reshape(4, 5) * 7 % 6)
+
+
+@_case("bucket_sums")
+def _c_bucket_sums(p, q, c1, c2):
+    return T.bucket_sums(p, np.arange(24).reshape(4, 6) * 5 % 3, 4)
+
+
 @_case("layer_norm")
 def _c_ln(p, q, c1, c2):
     return T.layer_norm(p, c2[0], c2[1])
@@ -144,6 +157,22 @@ def _c_ce(p, q, c1, c2):
     onehot = np.zeros(p.data.shape)
     onehot[np.arange(p.data.shape[0]), np.arange(p.data.shape[0]) % p.data.shape[1]] = 1
     return T.cross_entropy_logits(p, onehot)
+
+
+def test_gather_last_and_bucket_sums_are_adjoint(rng):
+    """<gather_last(A, idx), W> == <A, bucket_sums(W, idx)> for any A, W."""
+    idx = rng.integers(0, 4, size=(3, 7))
+    idx[0, :2] = (0, 3)  # both ends of the range, for the error checks
+    a = rng.normal(size=(3, 4))
+    w = rng.normal(size=(3, 7))
+    gathered = T.gather_last(Tensor(a), idx).data
+    assert np.array_equal(gathered, a[np.arange(3)[:, None], idx])
+    sums = T.bucket_sums(Tensor(w), idx, 4).data
+    assert abs((gathered * w).sum() - (a * sums).sum()) < 1e-12
+    with pytest.raises(ShapeError, match="out of range"):
+        T.gather_last(Tensor(a), idx + 1)
+    with pytest.raises(ShapeError, match="out of range"):
+        T.bucket_sums(Tensor(w), idx - 1, 4)
 
 
 @pytest.mark.parametrize("name", sorted(PRIMITIVE_CASES))
@@ -204,6 +233,22 @@ def test_adam_converges_on_square():
             tape.backward(loss)
         adam_step([w], lr=0.1)
     assert abs(float(w.data[0])) < 0.1
+
+
+def test_finished_tape_is_freed_by_reference_counting(rng):
+    """A tape and its records die with their last reference, without
+    waiting for the cyclic collector (training frees each step's tape)."""
+    p = Parameter("p", rng.normal(size=(3,)))
+    gc.disable()
+    try:
+        with Tape() as tape:
+            loss = T.sum_along(T.mul(p.tensor, p.tensor), 0)
+            tape.backward(loss)
+        ref = weakref.ref(tape)
+        del tape, loss
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_grad_accumulates_across_backwards(rng):

@@ -7,9 +7,11 @@ from gram.model import Model, ModelConfig, OrderedGraph, edge_candidates
 from gram.datasets import CorpusSpec, generate_corpus
 from gram.optim import adam_step
 from gram.tensor import Tape
-from gram.training import (CheckpointError, CheckpointVersionError, SkipGraph,
-                           TrainConfig, TrainError, load_checkpoint,
-                           save_checkpoint, teacher_forced_loss, train)
+from gram import training
+from gram.training import (CheckpointError, CheckpointVersionError, NonFiniteError,
+                           SkipGraph, TrainConfig, TrainError, backward_per_step,
+                           load_checkpoint, save_checkpoint, step_loss,
+                           teacher_forced_loss, train)
 
 from conftest import random_connected_graph, tiny_model
 
@@ -51,6 +53,48 @@ def sequential_loss(model, og):
             total += float(T.cross_entropy_logits(logits, onehot).data[0])
             decided.append((int(t), int(codes[i])))
     return total
+
+
+def randomize_bias_tables(model, rng):
+    """The model starts its bias tables at zero; fill them so that every
+    bias term takes part."""
+    for name, p in model.params.items():
+        if name.split(".")[-1] in ("bq", "bk", "bv"):
+            p.tensor.data[:] = rng.normal(size=p.tensor.data.shape) * 0.3
+
+
+@pytest.mark.parametrize("variant", ["B", "plain"])
+def test_per_step_backward_matches_single_backward(variant, rng):
+    """The gradient train() accumulates with one backward per step equals
+    one backward over the whole teacher-forced loss, to 1e-12 relative."""
+    for trial in range(3):
+        model = tiny_model(variant=variant, seed=trial)
+        randomize_bias_tables(model, rng)
+        og = make_og(random_connected_graph(rng, int(rng.integers(6, 12))), rng)
+        params = model.parameters()
+        with Tape() as tape:
+            loss, cnt = teacher_forced_loss(model, og)
+            tape.backward(T.mul(loss, T.const(0.25)))
+        whole = {p.name: p.grad_array().copy() for p in params}
+        for p in params:
+            p.tensor.grad = None
+        total, cnt_steps = backward_per_step(model, og, 0.25)
+        assert total == pytest.approx(loss.item(), rel=1e-12)
+        assert cnt_steps == cnt
+        for p in params:
+            scale = max(np.abs(whole[p.name]).max(), 1e-300)
+            assert np.abs(p.grad_array() - whole[p.name]).max() <= 1e-12 * scale, p.name
+
+
+def test_step_tape_holds_no_rank3_attention_arrays(rng):
+    """Neither the feature-extraction nor the edge attention records an
+    (nq, nk, d) array: the bias terms are gathered from (n, C) tables."""
+    model = tiny_model(variant="plain", seed=3)
+    og = make_og(random_connected_graph(rng, 10), rng)
+    with Tape() as tape:
+        step_loss(model, og, 8)
+    assert tape._entries
+    assert max(t.data.ndim for t in tape._entries) <= 2
 
 
 def test_uniform_logit_closed_form(rng):
@@ -198,6 +242,49 @@ def test_train_rejects_empty_and_all_small(rng):
     with pytest.raises(TrainError, match="seed size"):
         with pytest.warns(UserWarning, match="skipping"):
             train(small, model, TrainConfig(epochs=1))
+
+
+def test_nonfinite_loss_stops_training(rng):
+    """A NaN parameter stops the run with a runtime error (the CLI's exit
+    code 3, not a data error) naming the epoch and the graph's index."""
+    graphs = [random_connected_graph(rng, 4)] + [random_connected_graph(rng, 7)
+                                                 for _ in range(2)]
+    model = tiny_model(seed_size=5)
+    model.params["node_est.b3"].tensor.data[0] = np.nan
+    with pytest.warns(UserWarning, match="skipping"):
+        with pytest.raises(NonFiniteError, match=r"epoch 1: non-finite loss nan on graph [12]$") \
+                as info:
+            train(graphs, model, TrainConfig(epochs=2, batch_size=1))
+    assert isinstance(info.value, RuntimeError) and not isinstance(info.value, TrainError)
+
+
+def test_nonfinite_gradient_norm_stops_training(rng, monkeypatch):
+    monkeypatch.setattr(training, "clip_global_norm", lambda params, max_norm: float("inf"))
+    graphs = [random_connected_graph(rng, 7) for _ in range(3)]
+    with pytest.raises(NonFiniteError,
+                       match=r"epoch 1: non-finite gradient norm inf on the batch of "
+                             r"graphs \[\d, \d\]$"):
+        train(graphs, tiny_model(), TrainConfig(epochs=1, batch_size=2, seed=0))
+
+
+def test_checkpoint_write_failure_keeps_previous_file(tmp_path):
+    """Serialisation that fails part-way leaves the previous checkpoint
+    byte-identical and no temporary file behind."""
+    model = tiny_model()
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(path, model, epoch=1, rng=np.random.default_rng(0))
+    before = path.read_bytes()
+
+    class BrokenRng:  # the rng state is written last, after the parameters
+        @property
+        def bit_generator(self):
+            raise RuntimeError("serialisation failed")
+
+    model.params["input.b"].tensor.data[:] = 1.0
+    with pytest.raises(RuntimeError, match="serialisation failed"):
+        save_checkpoint(path, model, epoch=2, rng=BrokenRng())
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.bin"]
 
 
 def test_checkpoint_round_trip(tmp_path, rng):
