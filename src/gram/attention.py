@@ -11,6 +11,21 @@ Works both as self-attention (feature extraction) and source-target
 attention (edge estimation); the caller supplies the per-pair distance
 indices and the attend mask through an AttentionContext.
 
+The heads run on one leading batch axis.  A layer's parameters are kept per
+head (their names and checkpoint layout are per head); `stacked()` stacks
+each table once per call into (H, ...) tensors.  Attention is then split in
+two halves:
+
+  project  Q, K and V for all heads, one matmul each: (H, n, d_S) arrays,
+           plus the bias tables that depend only on Q or only on K;
+  attend   scores, bias terms, masked softmax and value bias on (H, nq, nk)
+           arrays, then the heads are concatenated and projected by wo.
+
+`g_multi_head` is project-then-attend.  `attend` is the only attention
+kernel: the edge estimator (model.EdgeStep) projects once per generation
+step and, while sampling, calls `attend` with one query over the keys of
+the decisions kept so far.
+
 The bias tables have only C = cap + 2 rows, one per distance bucket, so no
 (nq, nk, d_S) array of looked-up bias vectors is ever formed.  With
 Q = Wq q, K = Wk k and W = softmax(s) each bias term comes from a small
@@ -21,8 +36,8 @@ table and a gather:
     bq[d_ij] . bk[d_ij]         = c[d_ij],  c = rowwise bq . bk  (a C-vector)
     sum_j W_ij bv[d_ij]         = (R bv)_i, R[i, c] = sum of W_ij over d_ij = c
 
-so every term costs O(nq * nk) time and memory (Music Transformer's
-relative-attention trick, applied to shortest-path buckets).
+so every term costs O(nq * nk) time and memory per head (Music
+Transformer's relative-attention trick, applied to shortest-path buckets).
 """
 from __future__ import annotations
 
@@ -81,26 +96,86 @@ class GraphAttentionParams:
     def cap(self) -> int:
         return self.bq[0].data.shape[0] - 2
 
+    def stacked(self) -> "HeadTables":
+        """The per-head tables stacked on a leading head axis (one recorded
+        op per table); the bias tables only when the layer uses them."""
+        bias = [T.stack(t) if self.use_bias else None for t in (self.bq, self.bk, self.bv)]
+        return HeadTables(T.stack(self.wq), T.stack(self.wk), T.stack(self.wv), *bias,
+                          self.wo, 1.0 / np.sqrt(self.wk[0].data.shape[1]))
 
-def _head(q: Tensor, k: Tensor, v: Tensor, h: int, ctx: AttentionContext,
-          p: GraphAttentionParams, addmask: np.ndarray, scale: float) -> Tensor:
-    qh = T.matmul(q, T.transpose(p.wq[h]))
-    kh = T.matmul(k, T.transpose(p.wk[h]))
-    vh = T.matmul(v, T.transpose(p.wv[h]))
+
+@dataclass
+class HeadTables:
+    """One attention layer with its heads on a leading axis: projections
+    (H, d_S, d_in), bias tables (H, C, d_S) or None without bias, the output
+    projection, and the score scale d_K^(-1/2) of the key input width."""
+    wq: Tensor
+    wk: Tensor
+    wv: Tensor
+    bq: Tensor | None
+    bk: Tensor | None
+    bv: Tensor | None
+    wo: Tensor
+    scale: float
+
+    @property
+    def use_bias(self) -> bool:
+        return self.bq is not None
+
+    def query_table(self, qh: Tensor) -> Tensor | None:
+        """(H, nq, C): Q_i . bk[c] + bq[c] . bk[c]."""
+        if not self.use_bias:
+            return None
+        heads, buckets = self.bq.data.shape[:2]
+        c = T.reshape(T.sum_along(T.mul(self.bq, self.bk), 2), (heads, 1, buckets))
+        return T.add(T.matmul(qh, T.transpose(self.bk)), c)
+
+    def key_table(self, kh: Tensor) -> Tensor | None:
+        """(H, nk, C): K_j . bq[c]."""
+        return T.matmul(kh, T.transpose(self.bq)) if self.use_bias else None
+
+
+def project(x: Tensor, w: Tensor) -> Tensor:
+    """Rows x (n, d_in) through stacked weights w (H, d_S, d_in): (H, n, d_S)."""
+    return T.matmul(x, T.transpose(w))
+
+
+def attend(qh: Tensor, kh: Tensor, vh: Tensor, q_table, k_table,
+           ctx: AttentionContext, ht: HeadTables, on_empty: str = "error") -> Tensor:
+    """Attention of projected queries qh (H, nq, d_S) over projected keys kh
+    and values vh (H, nk, d_S), with the bias tables of HeadTables.query_table
+    and key_table; returns the output rows (nq, d_O).
+
+    Query rows whose mask admits no key raise an AttentionError unless
+    on_empty="zero", in which case those output rows are exactly zero.
+    """
+    has_key = ctx.allowed.any(axis=1)
+    zero_rows = None
+    if not has_key.all():
+        if on_empty != "zero":
+            raise AttentionError("query row with no attendable key")
+        # give empty rows a placeholder key for a well-defined softmax, then
+        # zero their outputs below
+        allowed = ctx.allowed.copy()
+        allowed[~has_key, 0] = True
+        ctx = AttentionContext(ctx.dist_idx, allowed)
+        zero_rows = has_key.astype(np.float64)[:, None]
+    addmask = None if ctx.allowed.all() else ctx.additive_mask()
+    d = ctx.dist_idx
     scores = T.matmul(qh, T.transpose(kh))
-    if p.use_bias:
-        d = ctx.dist_idx
-        bq, bk, bv = p.bq[h], p.bk[h], p.bv[h]
-        # (nq, C): Q_i . bk[c] + bq[c] . bk[c];  (nk, C): K_j . bq[c]
-        q_table = T.add(T.matmul(qh, T.transpose(bk)), T.sum_along(T.mul(bq, bk), 1))
-        k_table = T.matmul(kh, T.transpose(bq))
+    if ht.use_bias:
         scores = T.add(T.add(scores, T.gather_last(q_table, d)),
                        T.transpose(T.gather_last(k_table, d.T)))
-    scores = T.mul(scores, T.const(scale))
-    weights = T.softmax(scores, additive_mask=addmask)
+    weights = T.softmax(T.mul(scores, T.const(ht.scale)), additive_mask=addmask)
     out = T.matmul(weights, vh)
-    if p.use_bias:
-        out = T.add(out, T.matmul(T.bucket_sums(weights, d, bv.data.shape[0]), bv))
+    if ht.use_bias:
+        out = T.add(out, T.matmul(T.bucket_sums(weights, d, ht.bv.data.shape[1]), ht.bv))
+    heads, nq, d_s = out.data.shape
+    # (H, nq, d_S) -> (nq, H * d_S), head h in columns h * d_S ... (h + 1) * d_S - 1
+    merged = T.transpose(T.reshape(T.transpose(out), (heads * d_s, nq)))
+    out = T.matmul(merged, ht.wo)
+    if zero_rows is not None:
+        out = T.mul(out, T.const(zero_rows))
     return out
 
 
@@ -126,24 +201,10 @@ def g_multi_head(q: Tensor, k: Tensor, v: Tensor, ctx: AttentionContext,
                              f"exceeds bucket count {buckets}")
     if ctx.dist_idx.size and ctx.dist_idx.min() < 0:
         raise AttentionError("negative distance index")
-    has_key = ctx.allowed.any(axis=1)
-    zero_rows = None
-    if not has_key.all():
-        if on_empty != "zero":
-            raise AttentionError("query row with no attendable key")
-        # give empty rows a placeholder key for a well-defined softmax, then
-        # zero their outputs below
-        allowed = ctx.allowed.copy()
-        allowed[~has_key, 0] = True
-        ctx = AttentionContext(ctx.dist_idx, allowed)
-        zero_rows = has_key.astype(np.float64)[:, None]
-    addmask = ctx.additive_mask()
-    scale = 1.0 / np.sqrt(k.data.shape[1])
-    heads = [_head(q, k, v, h, ctx, p, addmask, scale) for h in range(p.heads)]
-    out = T.matmul(T.concat(heads, axis=-1), p.wo)
-    if zero_rows is not None:
-        out = T.mul(out, T.const(zero_rows))
-    return out
+    ht = p.stacked()
+    qh, kh = project(q, ht.wq), project(k, ht.wk)
+    return attend(qh, kh, project(v, ht.wv), ht.query_table(qh), ht.key_table(kh),
+                  ctx, ht, on_empty)
 
 
 @dataclass

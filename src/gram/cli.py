@@ -261,6 +261,12 @@ def _cmd_sample(args, cfg_file):
     except CheckpointError as exc:
         raise DataError(f"{args.checkpoint}: {exc}") from exc
     graphs = _read_corpus(args.corpus)
+    if not graphs:
+        raise DataError(f"{args.corpus}: corpus is empty")
+    a, b = _alphabets(graphs, args.corpus)
+    if (a, b) != (model.config.a, model.config.b):
+        raise DataError(f"{args.corpus}: corpus alphabets ({a}, {b}) differ from the "
+                        f"checkpoint's ({model.config.a}, {model.config.b})")
     max_nodes = args.max_nodes if args.max_nodes is not None else \
         max(g.n for g in graphs) * 2
     _echo(args, {"command": "sample", "model": model.config.to_json_obj(),
@@ -272,13 +278,16 @@ def _cmd_sample(args, cfg_file):
     except SamplerError as exc:
         raise DataError(str(exc)) from exc
     samples = []
-    truncated = 0
+    truncated = retries = forced = 0
     for _ in range(args.count):
         res = generate_graph(model, bank, max_nodes, rng, argmax=args.argmax)
         samples.append(res.graph)
         truncated += int(res.truncated)
+        retries += res.retries
+        forced += res.forced
     D.write_corpus(args.out, samples)
-    print(f"wrote {len(samples)} graphs to {args.out} ({truncated} truncated)")
+    print(f"wrote {len(samples)} graphs to {args.out} ({truncated} truncated, "
+          f"{retries} retries, {forced} forced attachments)")
     return 0
 
 

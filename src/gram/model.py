@@ -376,66 +376,6 @@ class Model:
         """Label distribution over a + 1 classes (last class = stop)."""
         return T.softmax(self.node_logits(hg)).data[0]
 
-    def _edge_head(self, hc: Tensor, hg: Tensor, hvs: Tensor, he_hist: Tensor) -> Tensor:
-        t_cnt = hc.data.shape[0]
-        tile = T.const(np.zeros((t_cnt, self.config.d_model)))
-        gin = T.concat([hc, T.add(tile, hg), T.add(tile, hvs), he_hist], axis=-1)
-        h = T.relu(T.add(T.matmul(gin, self.edge_w1), self.edge_b1))
-        h = T.relu(T.add(T.matmul(h, self.edge_w2), self.edge_b2))
-        return T.add(T.matmul(h, self.edge_w3), self.edge_b3)
-
-    def edge_logits_teacher(self, hv: Tensor, hg: Tensor, new_label: int,
-                            plan: CandidatePlan, key_codes: np.ndarray,
-                            dist_idx: np.ndarray):
-        """Edge logits for all candidates of one step at once.
-
-        Candidate i attends over candidates j < i whose ground-truth edge
-        code is key_codes[j] (the A-policy masks keys without an edge);
-        causal masking makes this equal to deciding candidates one by one.
-        Returns (logits (t, b + 1), attended key pair count).
-        """
-        cands = plan.candidates
-        t_cnt = len(cands)
-        hvs = T.rows(self.embed_node, [new_label])
-        hc = T.rows(hv, cands)
-        tile = T.const(np.zeros((t_cnt, self.config.d_model)))
-        hvs_rows = T.add(tile, hvs)
-        q = T.concat([hc, hvs_rows], axis=-1)
-        k = T.concat([hc, hvs_rows, T.rows(self.embed_edge, key_codes)], axis=-1)
-        allowed = np.tril(np.ones((t_cnt, t_cnt), dtype=bool), k=-1)
-        if plan.restrict_keys_to_edges:
-            allowed &= (key_codes < self.config.b)[None, :]
-        ctx = A.AttentionContext(dist_idx[np.ix_(cands, cands)], allowed)
-        he_hist = A.g_multi_head(q, k, k, ctx, self.edge_attn, on_empty="zero")
-        logits = self._edge_head(hc, hg, hvs, he_hist)
-        return logits, int(allowed.sum())
-
-    def edge_distribution_step(self, hv: Tensor, hg: Tensor, new_label: int,
-                               t: int, decided: list, restrict: bool,
-                               dist_idx: np.ndarray) -> Tensor:
-        """Edge-label logits for a single candidate t given the decisions
-        already made this step (list of (position, edge code), code b = no
-        edge), as used during sequential inference."""
-        if restrict:
-            keys = [(tau, code) for tau, code in decided if code < self.config.b]
-        else:
-            keys = list(decided)
-        hvs = T.rows(self.embed_node, [new_label])
-        ht = T.rows(hv, [t])
-        if keys:
-            taus = [tau for tau, _ in keys]
-            codes = [code for _, code in keys]
-            tile = T.const(np.zeros((len(keys), self.config.d_model)))
-            hks = T.rows(hv, taus)
-            k = T.concat([hks, T.add(tile, hvs), T.rows(self.embed_edge, codes)], axis=-1)
-            q = T.concat([ht, hvs], axis=-1)
-            ctx = A.AttentionContext(dist_idx[np.ix_([t], taus)],
-                                     np.ones((1, len(keys)), dtype=bool))
-            he_hist = A.g_multi_head(q, k, k, ctx, self.edge_attn)
-        else:
-            he_hist = T.const(np.zeros((1, self.config.d_model)))
-        return self._edge_head(ht, hg, hvs, he_hist)
-
     # -- one teacher-forced step, for inspection and tests --------------------
 
     def teacher_forced_step(self, og: OrderedGraph, s: int) -> StepOutput:
@@ -451,8 +391,9 @@ class Model:
         if s < og.n:
             plan = edge_candidates(og, s, c.variant)
             key_codes = og.edge_label_codes(s, plan.candidates)
-            logits, pairs = self.edge_logits_teacher(
-                hv, hg, int(og.labels[s]), plan, key_codes, prefix.dist_idx)
+            step = EdgeStep(self, hv, hg, int(og.labels[s]), plan.candidates,
+                            prefix.dist_idx, plan.restrict_keys_to_edges)
+            logits, pairs = step.edge_logits_teacher(key_codes)
             dists = T.softmax(logits).data
             edge_dists = [(int(t), dists[i]) for i, t in enumerate(plan.candidates)]
             counters.candidates = len(plan.candidates)
@@ -461,3 +402,122 @@ class Model:
             counters.beta = plan.beta
             counters.dropped_edges = len(og.lower[s]) - counters.alpha
         return StepOutput(node_dist, edge_dists, counters)
+
+
+class EdgeStep:
+    """The edge estimator of one generation step.
+
+    Built from the node features hv, the graph vector hg, the new node's
+    label, the candidate positions, the prefix's distance buckets and the
+    key policy (restrict: only candidates that receive an edge become
+    attention keys).  Candidate j's key and value input is
+    [hv_j | embed_node(label) | embed_edge(code_j)], so the projections
+    split by input part: a candidate row, the new node's row, and a table
+    over all b + 2 edge codes.  These, the candidates' queries, the query
+    side bias table and the constant part of the edge MLP's first layer,
+    hv_j W1[:d] + hg W1[d:2d] + embed_node(label) W1[2d:3d] + b1, are
+    computed once per step.
+
+    Training scores all candidates at once (edge_logits_teacher, on the
+    tape).  Sampling decides them one by one and runs eagerly: reset()
+    starts an attempt, logits(i) attends with candidate i's query over the
+    keys kept so far, and decide(i, code) adds one key/value row when the
+    key policy keeps the decision.
+    """
+
+    def __init__(self, model: Model, hv: Tensor, hg: Tensor, new_label: int,
+                 candidates, dist_idx: np.ndarray, restrict: bool):
+        c = model.config
+        d = c.d_model
+        cands = np.asarray(candidates, dtype=np.int64)
+        self.model = model
+        self.restrict = restrict
+        self.dist = dist_idx[np.ix_(cands, cands)]
+        self.heads = ht = model.edge_attn.stacked()
+
+        def split(w, parts):  # the input-part blocks of stacked (H, d_S, parts * d) weights
+            return [T.slice_along(w, -1, k * d, (k + 1) * d) for k in range(parts)]
+
+        hc = T.rows(hv, cands)
+        hvs = T.rows(model.embed_node, [new_label])
+        inputs = (hc, hvs, model.embed_edge)
+        wq = split(ht.wq, 2)
+        self.q = T.add(A.project(hc, wq[0]), A.project(hvs, wq[1]))    # (H, t, d_S)
+        kc, kn, self.ke = (A.project(x, w) for x, w in zip(inputs, split(ht.wk, 3)))
+        vc, vn, self.ve = (A.project(x, w) for x, w in zip(inputs, split(ht.wv, 3)))
+        self.kc, self.vc = T.add(kc, kn), T.add(vc, vn)                 # code part missing
+        self.q_table = ht.query_table(self.q)
+        w1 = [T.slice_along(model.edge_w1, 0, k * d, (k + 1) * d) for k in range(4)]
+        self.base = T.add(T.add(T.add(T.matmul(hc, w1[0]), T.matmul(hg, w1[1])),
+                                T.matmul(hvs, w1[2])), model.edge_b1)  # (t, d)
+        self.w1_hist = w1[3]
+        self._rows = None
+
+    def _logits(self, base: Tensor, he_hist: Tensor) -> Tensor:
+        m = self.model
+        h = T.relu(T.add(base, T.matmul(he_hist, self.w1_hist)))
+        h = T.relu(T.add(T.matmul(h, m.edge_w2), m.edge_b2))
+        return T.add(T.matmul(h, m.edge_w3), m.edge_b3)
+
+    def edge_logits_teacher(self, key_codes: np.ndarray):
+        """Edge logits for all candidates at once.
+
+        Candidate i attends over candidates j < i whose ground-truth edge
+        code is key_codes[j] (the A-policy masks keys without an edge);
+        causal masking makes this equal to deciding candidates one by one.
+        Returns (logits (t, b + 1), attended key pair count).
+        """
+        key_codes = np.asarray(key_codes, dtype=np.int64)
+        t = len(key_codes)
+        pick = np.zeros((t, self.ke.data.shape[1]))
+        pick[np.arange(t), key_codes] = 1.0
+        k = T.add(self.kc, T.matmul(T.const(pick), self.ke))
+        v = T.add(self.vc, T.matmul(T.const(pick), self.ve))
+        allowed = np.tril(np.ones((t, t), dtype=bool), k=-1)
+        if self.restrict:
+            allowed &= (key_codes < self.model.config.b)[None, :]
+        ctx = A.AttentionContext(self.dist, allowed)
+        he_hist = A.attend(self.q, k, v, self.q_table, self.heads.key_table(k), ctx,
+                           self.heads, on_empty="zero")
+        return self._logits(self.base, he_hist), int(allowed.sum())
+
+    def reset(self):
+        """Start a sampling attempt with no decision kept."""
+        if self._rows is None:
+            # key, value and key-table rows of every (candidate, code) pair
+            keys = self.kc.data[:, :, None, :] + self.ke.data[:, None, :, :]
+            values = self.vc.data[:, :, None, :] + self.ve.data[:, None, :, :]
+            table = None
+            if self.heads.use_bias:
+                table = keys @ np.swapaxes(self.heads.bq.data, -1, -2)[:, None]
+            self._rows = (keys, values, table)
+            heads, t, d_s = self.q.data.shape
+            self._kept = (np.empty((heads, t, d_s)), np.empty((heads, t, d_s)),
+                          None if table is None else np.empty((heads, t, table.shape[-1])))
+            self._pos = np.empty(t, dtype=np.int64)
+        self._count = 0
+
+    def decide(self, i: int, code: int):
+        """Record candidate i's decision; it becomes a key unless the key
+        policy drops decisions without an edge."""
+        if self.restrict and code >= self.model.config.b:
+            return
+        m = self._count
+        for rows, kept in zip(self._rows, self._kept):
+            if rows is not None:
+                kept[:, m] = rows[:, i, code]
+        self._pos[m] = i
+        self._count = m + 1
+
+    def logits(self, i: int) -> Tensor:
+        """Edge logits (1, b + 1) of candidate i given the kept decisions."""
+        base = T.const(self.base.data[i:i + 1])
+        m = self._count
+        if m == 0:  # empty history: exactly zero
+            return self._logits(base, T.const(np.zeros((1, self.model.config.d_model))))
+        keys, values, table = (None if a is None else T.const(a[:, :m]) for a in self._kept)
+        q_table = None if self.q_table is None else T.const(self.q_table.data[:, i:i + 1])
+        ctx = A.AttentionContext(self.dist[i:i + 1, self._pos[:m]], np.ones((1, m), dtype=bool))
+        he_hist = A.attend(T.const(self.q.data[:, i:i + 1]), keys, values, q_table, table,
+                           ctx, self.heads)
+        return self._logits(base, he_hist)

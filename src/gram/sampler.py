@@ -9,7 +9,7 @@ import numpy as np
 
 from . import graphs as G
 from . import tensor as T
-from .model import Model, build_prefix
+from .model import EdgeStep, Model, build_prefix
 
 
 class SamplerError(ValueError):
@@ -57,6 +57,8 @@ def build_seed_bank(training_graphs, seed_size: int, rng: np.random.Generator,
 class GenerationResult:
     graph: G.LabeledGraph
     truncated: bool
+    retries: int = 0   # edge-sampling attempts beyond the first, over all steps
+    forced: int = 0    # steps resolved by attaching the most edge-confident candidate
 
 
 def _sample(rng: np.random.Generator, dist: np.ndarray, argmax: bool) -> int:
@@ -75,7 +77,10 @@ def generate_graph(model: Model, bank: SeedBank, max_nodes: int,
     candidates in ascending order, feeding each decision into the next one's
     attention history.  A step whose candidates all come out "no edge" is
     resampled up to 5 times and then resolved by attaching the most
-    edge-confident candidate, so the output is always connected.
+    edge-confident candidate, so the output is always connected.  Each
+    step's edge estimator projects once (EdgeStep); every decision then adds
+    at most one attention key.  The result counts the resampled attempts
+    and the forced attachments.
     """
     c = model.config
     if bank.seed_size != c.seed_size:
@@ -86,6 +91,7 @@ def generate_graph(model: Model, bank: SeedBank, max_nodes: int,
     labels = list(seed.node_labels)
     edges = [tuple(e) for e in seed.edges]
     truncated = False
+    retries = forced = 0
     restrict = c.variant in ("A", "AB")
     frontier_only = c.variant in ("B", "AB")
     while True:
@@ -105,29 +111,29 @@ def generate_graph(model: Model, bank: SeedBank, max_nodes: int,
             candidates = range(lo, s)
         else:
             candidates = range(s)
+        step = EdgeStep(model, hv, hg, lab, candidates, prefix.dist_idx, restrict)
         attempts = 1 if argmax else 6
-        decided = []
-        dists = []
-        for _ in range(attempts):
-            decided = []
+        for attempt in range(attempts):
+            step.reset()
+            codes = []
             dists = []
-            for t in candidates:
-                logits = model.edge_distribution_step(
-                    hv, hg, lab, t, decided, restrict, prefix.dist_idx)
-                dist = T.softmax(logits).data[0]
+            for i in range(len(candidates)):
+                dist = T.softmax(step.logits(i)).data[0]
                 dists.append(dist)
-                decided.append((t, _sample(rng, dist, argmax)))
-            if any(code < c.b for _, code in decided):
+                codes.append(_sample(rng, dist, argmax))
+                step.decide(i, codes[-1])
+            if any(code < c.b for code in codes):
                 break
-        if not any(code < c.b for _, code in decided):
+        retries += attempt
+        if not any(code < c.b for code in codes):
             # all candidates declined: attach the one most confident in
             # having some edge, with its most likely edge label
+            forced += 1
             best = int(np.argmax([1.0 - d[c.b] for d in dists]))
-            t_star, d_star = decided[best][0], dists[best]
-            decided[best] = (t_star, int(np.argmax(d_star[:c.b])))
-        for t, code in decided:
+            codes[best] = int(np.argmax(dists[best][:c.b]))
+        for t, code in zip(candidates, codes):
             if code < c.b:
                 edges.append((t, s, code))
         labels.append(lab)
     graph = G.LabeledGraph.create(len(labels), labels, edges, c.a, c.b)
-    return GenerationResult(graph, truncated)
+    return GenerationResult(graph, truncated, retries, forced)

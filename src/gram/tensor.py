@@ -138,13 +138,22 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+    """Matrix product over the last two axes.  Leading (batch) axes broadcast
+    as in np.matmul, so a (n, d) input times stacked (H, d, k) weights gives
+    (H, n, k); each gradient is summed back to its operand's shape."""
+    if a.data.ndim < 2 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul shapes {a.data.shape} x {b.data.shape}")
-    out = Tensor(a.data @ b.data)
+    try:
+        data = a.data @ b.data
+    except ValueError as exc:
+        raise ShapeError(f"matmul shapes {a.data.shape} x {b.data.shape}") from exc
+    out = Tensor(data)
 
     def bw(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     return _record(out, (a, b), bw)
 
@@ -194,6 +203,43 @@ def concat(parts, axis=-1) -> Tensor:
     return _record(out, tuple(parts), bw)
 
 
+def stack(parts) -> Tensor:
+    """Equal-shape tensors stacked on a new leading axis (per-head weights
+    into one (H, ...) tensor, say)."""
+    parts = [_wrap(p) for p in parts]
+    try:
+        data = np.stack([p.data for p in parts])
+    except ValueError as exc:
+        raise ShapeError(f"stack shapes {[p.data.shape for p in parts]}") from exc
+    out = Tensor(data)
+
+    def bw(g):
+        for p, piece in zip(parts, g):
+            _accum(p, piece)
+
+    return _record(out, tuple(parts), bw)
+
+
+def slice_along(a: Tensor, axis: int, lo: int, hi: int) -> Tensor:
+    """Entries lo:hi of one axis (a basic slice, so the output is a view)."""
+    extent = a.data.shape[axis]
+    if not 0 <= lo < hi <= extent:
+        raise ShapeError(f"slice {lo}:{hi} of an axis of extent {extent}")
+    key = [slice(None)] * a.data.ndim
+    key[axis] = slice(lo, hi)
+    key = tuple(key)
+    out = Tensor(a.data[key])
+
+    def bw(g):
+        if not a.requires_grad:
+            return
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        a.grad[key] += g
+
+    return _record(out, (a,), bw)
+
+
 def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor(a.data.reshape(shape))
 
@@ -204,12 +250,13 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose expects rank 2, got {a.data.shape}")
-    out = Tensor(a.data.T)
+    """Swap the last two axes: the matrix transpose of every batch item."""
+    if a.data.ndim < 2:
+        raise ShapeError(f"transpose expects rank >= 2, got {a.data.shape}")
+    out = Tensor(np.swapaxes(a.data, -1, -2))
 
     def bw(g):
-        _accum(a, g.T)
+        _accum(a, np.swapaxes(g, -1, -2))
 
     return _record(out, (a,), bw)
 
@@ -294,21 +341,30 @@ def _bucket_index(idx, rows: int, buckets: int) -> np.ndarray:
     return idx
 
 
+def _gather_last(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    return np.take_along_axis(table, idx.reshape((1,) * (table.ndim - 2) + idx.shape), axis=-1)
+
+
 def _bucket_sums(w: np.ndarray, idx: np.ndarray, buckets: int) -> np.ndarray:
-    flat = (np.arange(w.shape[0])[:, None] * buckets + idx).reshape(-1)
+    lead, n = w.shape[:-2], idx.shape[0]
+    rows = np.arange(int(np.prod(lead, dtype=np.int64)) * n).reshape(lead + (n, 1))
+    flat = (rows * buckets + idx).reshape(-1)
     return np.bincount(flat, weights=w.reshape(-1),
-                       minlength=w.shape[0] * buckets).reshape(w.shape[0], buckets)
+                       minlength=rows.size * buckets).reshape(lead + (n, buckets))
 
 
 def gather_last(table: Tensor, idx) -> Tensor:
-    """Per-row gather along the last axis: out[i, j] = table[i, idx[i, j]].
+    """Per-row gather along the last axis: out[..., i, j] = table[..., i, idx[i, j]].
 
-    table is (n, C) and idx an (n, m) integer array in [0, C).  The
-    backward pass scatters with bucket_sums.
+    table is (..., n, C) and idx an (n, m) integer array in [0, C); leading
+    axes of table (heads, say) share the index.  The backward pass scatters
+    with bucket_sums.
     """
-    n, buckets = table.data.shape
+    if table.data.ndim < 2:
+        raise ShapeError(f"gather_last table of rank {table.data.ndim}")
+    n, buckets = table.data.shape[-2:]
     idx = _bucket_index(idx, n, buckets)
-    out = Tensor(np.take_along_axis(table.data, idx, axis=1))
+    out = Tensor(_gather_last(table.data, idx))
 
     def bw(g):
         _accum(table, _bucket_sums(g, idx, buckets))
@@ -317,15 +373,16 @@ def gather_last(table: Tensor, idx) -> Tensor:
 
 
 def bucket_sums(w: Tensor, idx, buckets: int) -> Tensor:
-    """Per-row sums of w by bucket: out[i, c] = sum of w[i, j] over the j
-    with idx[i, j] == c.  The adjoint of gather_last."""
-    idx = _bucket_index(idx, w.data.shape[0], buckets)
-    if w.data.shape != idx.shape:
-        raise ShapeError(f"bucket_sums values {w.data.shape} vs index {idx.shape}")
+    """Per-row sums of w by bucket: out[..., i, c] = sum of w[..., i, j] over
+    the j with idx[i, j] == c.  w is (..., n, m) and idx (n, m), shared by
+    the leading axes.  The adjoint of gather_last."""
+    if w.data.ndim < 2 or w.data.shape[-2:] != np.shape(idx):
+        raise ShapeError(f"bucket_sums values {w.data.shape} vs index {np.shape(idx)}")
+    idx = _bucket_index(idx, w.data.shape[-2], buckets)
     out = Tensor(_bucket_sums(w.data, idx, buckets))
 
     def bw(g):
-        _accum(w, np.take_along_axis(g, idx, axis=1))
+        _accum(w, _gather_last(g, idx))
 
     return _record(out, (w,), bw)
 

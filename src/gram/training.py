@@ -21,7 +21,7 @@ import numpy as np
 
 from . import tensor as T
 from . import graphs as G
-from .model import Model, ModelConfig, OrderedGraph, edge_candidates
+from .model import EdgeStep, Model, ModelConfig, OrderedGraph, edge_candidates
 from .optim import adam_step, clip_global_norm
 from .tensor import Tape
 
@@ -108,8 +108,9 @@ def step_loss(model: Model, og: OrderedGraph, s: int):
     if s < n:
         plan = edge_candidates(og, s, c.variant)
         key_codes = og.edge_label_codes(s, plan.candidates)
-        logits, pairs = model.edge_logits_teacher(
-            hv, hg, int(og.labels[s]), plan, key_codes, prefix.dist_idx)
+        step = EdgeStep(model, hv, hg, int(og.labels[s]), plan.candidates,
+                        prefix.dist_idx, plan.restrict_keys_to_edges)
+        logits, pairs = step.edge_logits_teacher(key_codes)
         tgt = np.zeros((len(plan.candidates), c.b + 1))
         tgt[np.arange(len(plan.candidates)), key_codes] = 1.0
         parts.append(T.cross_entropy_logits(logits, tgt))

@@ -3,10 +3,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from gram.cli import main
-from gram.datasets import read_corpus
+from gram.datasets import read_corpus, write_corpus
+from gram.training import save_checkpoint
+
+from conftest import random_connected_graph, tiny_model
 
 
 def run(args):
@@ -54,6 +58,7 @@ def test_full_pipeline_and_artifact_determinism(tmp_path, capsys):
 
     out1, s1 = train_and_sample("r1")
     out2, s2 = train_and_sample("r2")
+    assert "retries" in capsys.readouterr().out
     assert (out1 / "checkpoint.bin").read_bytes() == (out2 / "checkpoint.bin").read_bytes()
     assert (out1 / "history.csv").read_bytes() == (out2 / "history.csv").read_bytes()
     assert s1.read_bytes() == s2.read_bytes()
@@ -178,3 +183,34 @@ def test_cli_runs_with_numba_disabled(tmp_path):
     out = subprocess.run(cmd, env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert "mean_beta" in out.stdout
+
+
+def _checkpoint_and_corpus(tmp_path, graphs):
+    ckpt = tmp_path / "model.bin"
+    save_checkpoint(ckpt, tiny_model(a=3, b=2, seed_size=3), 0)
+    corpus = tmp_path / "c.jsonl"
+    write_corpus(corpus, graphs)
+    return ckpt, corpus
+
+
+def test_sample_empty_corpus_is_data_error(tmp_path, capsys):
+    ckpt, corpus = _checkpoint_and_corpus(tmp_path, [])
+    out = tmp_path / "s.jsonl"
+    assert run(["sample", "--checkpoint", str(ckpt), "--corpus", str(corpus),
+                "--count", "1", "--out", str(out)]) == 2
+    assert "corpus is empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sample_rejects_corpus_with_other_alphabets(tmp_path, capsys):
+    """A corpus whose label alphabets differ from the checkpoint's is a data
+    error naming both, raised before any sampling."""
+    rng = np.random.default_rng(0)
+    graphs = [random_connected_graph(rng, 8, a=4, b=2) for _ in range(3)]
+    ckpt, corpus = _checkpoint_and_corpus(tmp_path, graphs)
+    out = tmp_path / "s.jsonl"
+    assert run(["sample", "--checkpoint", str(ckpt), "--corpus", str(corpus),
+                "--count", "1", "--max-nodes", "12", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "(4, 2)" in err and "(3, 2)" in err
+    assert not out.exists()

@@ -1,18 +1,53 @@
 import numpy as np
 import pytest
 
+from gram import attention as A
 from gram import graphs as G
 from gram import tensor as T
-from gram.model import (Model, ModelConfig, ModelError, OrderedGraph,
-                        build_prefix, edge_candidates)
+from gram.model import (VARIANTS, EdgeStep, Model, ModelConfig, ModelError,
+                        OrderedGraph, build_prefix, edge_candidates)
 from gram.optim import Parameter
 from gram.tensor import Tape, Tensor, finite_difference_check
 
 from conftest import random_connected_graph, tiny_model
+from test_training import randomize_bias_tables
 
 
 def identity_ordered(g, radius=2):
     return OrderedGraph(g, G.NodeOrdering.create(range(g.n)), radius)
+
+
+def edge_distribution_step(model, hv, hg, new_label, t, decided, restrict, dist_idx):
+    """Reference edge logits (1, b + 1) of candidate position t given the
+    decisions already made this step (list of (position, edge code), code
+    b = no edge): the per-candidate estimator that EdgeStep replaced.  It
+    rebuilds and projects every key of the history for each candidate and
+    runs the edge MLP on the concatenated input."""
+    c = model.config
+    keys = [(tau, code) for tau, code in decided if not restrict or code < c.b]
+    hvs = T.rows(model.embed_node, [new_label])
+    ht = T.rows(hv, [t])
+    if keys:
+        taus = [tau for tau, _ in keys]
+        tile = T.const(np.zeros((len(keys), c.d_model)))
+        k = T.concat([T.rows(hv, taus), T.add(tile, hvs),
+                      T.rows(model.embed_edge, [code for _, code in keys])], axis=-1)
+        ctx = A.AttentionContext(dist_idx[np.ix_([t], taus)],
+                                 np.ones((1, len(keys)), dtype=bool))
+        he_hist = A.g_multi_head(T.concat([ht, hvs], axis=-1), k, k, ctx, model.edge_attn)
+    else:
+        he_hist = T.const(np.zeros((1, c.d_model)))
+    gin = T.concat([ht, hg, hvs, he_hist], axis=-1)
+    h = T.relu(T.add(T.matmul(gin, model.edge_w1), model.edge_b1))
+    h = T.relu(T.add(T.matmul(h, model.edge_w2), model.edge_b2))
+    return T.add(T.matmul(h, model.edge_w3), model.edge_b3)
+
+
+def randomize_edge_estimator(model, rng):
+    """Random edge MLP weights and biases (the biases start at zero)."""
+    for name, p in model.params.items():
+        if name.startswith("edge_est."):
+            p.tensor.data[:] = rng.normal(size=p.tensor.data.shape) * 0.5
 
 
 def test_config_validation():
@@ -149,9 +184,11 @@ def test_edge_distribution_uniform_with_zero_final_layer(rng):
     prefix = og.prefix(4)
     hv = model.extract_features(prefix)
     hg = model.graph_pool(hv)
-    logits = model.edge_distribution_step(hv, hg, 0, 2, [(0, 1), (1, 3)], False,
-                                          prefix.dist_idx)
-    dist = T.softmax(logits).data[0]
+    step = EdgeStep(model, hv, hg, 0, range(3), prefix.dist_idx, False)
+    step.reset()
+    step.decide(0, 1)
+    step.decide(1, 3)
+    dist = T.softmax(step.logits(2)).data[0]
     assert np.allclose(dist, 0.25)
 
 
@@ -181,11 +218,55 @@ def test_variant_a_empty_key_set_gives_zero_history(rng):
     hv = model.extract_features(prefix)
     hg = model.graph_pool(hv)
     b = model.config.b
-    decided = [(0, b), (1, b)]  # everything declined so far
-    logits = model.edge_distribution_step(hv, hg, 1, 2, decided, True, prefix.dist_idx)
+    step = EdgeStep(model, hv, hg, 1, range(3), prefix.dist_idx, True)
+    step.reset()
+    step.decide(0, b)  # everything declined so far
+    step.decide(1, b)
+    logits = step.logits(2)
     he = T.const(np.zeros((1, model.config.d_model)))
-    manual = model._edge_head(T.rows(hv, [2]), hg, T.rows(model.embed_node, [1]), he)
+    manual = step._logits(T.const(step.base.data[2:3]), he)
     assert np.array_equal(logits.data, manual.data)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_edge_step_matches_per_candidate_oracle(variant, rng):
+    """EdgeStep's sequential distributions equal the per-candidate oracle's
+    to 1e-12, with random bias tables and edge MLP weights, over several
+    attempts of one step (reset between them reuses the projections).  The
+    first attempt declines every candidate, which leaves the A-policy with
+    no key at all; edge_logits_teacher given an attempt's codes reproduces
+    that attempt's distributions."""
+    for trial in range(3):
+        model = tiny_model(variant=variant, seed=trial)
+        randomize_bias_tables(model, rng)
+        randomize_edge_estimator(model, rng)
+        b = model.config.b
+        g = random_connected_graph(rng, int(rng.integers(7, 12)))
+        og = OrderedGraph(g, G.bfs_ordering(g, int(rng.integers(g.n)), rng), 2)
+        s = int(rng.integers(3, g.n))
+        prefix = og.prefix(s)
+        hv = model.extract_features(prefix)
+        hg = model.graph_pool(hv)
+        plan = edge_candidates(og, s, variant)
+        label = int(og.labels[s])
+        step = EdgeStep(model, hv, hg, label, plan.candidates, prefix.dist_idx,
+                        plan.restrict_keys_to_edges)
+        for attempt in range(3):
+            step.reset()
+            decided, ours = [], []
+            for i, t in enumerate(plan.candidates):
+                dist = T.softmax(step.logits(i)).data[0]
+                ref = T.softmax(edge_distribution_step(
+                    model, hv, hg, label, int(t), decided, plan.restrict_keys_to_edges,
+                    prefix.dist_idx)).data[0]
+                assert np.abs(dist - ref).max() <= 1e-12
+                code = b if attempt == 0 else int(rng.integers(b + 1))
+                step.decide(i, code)
+                decided.append((int(t), code))
+                ours.append(dist)
+            codes = np.array([code for _, code in decided])
+            teacher = T.softmax(step.edge_logits_teacher(codes)[0]).data
+            assert np.abs(teacher - np.array(ours)).max() <= 1e-12
 
 
 def test_step_distributions_well_formed_1000_random_graphs(rng):

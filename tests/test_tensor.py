@@ -147,6 +147,36 @@ def _c_bucket_sums(p, q, c1, c2):
     return T.bucket_sums(p, np.arange(24).reshape(4, 6) * 5 % 3, 4)
 
 
+@_case("matmul_batched")
+def _c_matmul_batched(p, q, c1, c2):
+    return T.matmul(q, T.transpose(T.reshape(p, (2, 2, 6))))
+
+
+@_case("transpose_batched")
+def _c_transpose_batched(p, q, c1, c2):
+    return T.transpose(T.reshape(p, (2, 2, 6)))
+
+
+@_case("stack")
+def _c_stack(p, q, c1, c2):
+    return T.matmul(T.stack([p, T.mul(p, p)]), T.transpose(T.stack([q, q])))
+
+
+@_case("slice_along")
+def _c_slice(p, q, c1, c2):
+    return T.slice_along(T.slice_along(q, 0, 1, 4), -1, 2, 6)
+
+
+@_case("gather_last_heads")
+def _c_gather_heads(p, q, c1, c2):
+    return T.gather_last(T.reshape(p, (2, 2, 6)), np.arange(10).reshape(2, 5) * 7 % 6)
+
+
+@_case("bucket_sums_heads")
+def _c_bucket_sums_heads(p, q, c1, c2):
+    return T.bucket_sums(T.reshape(p, (2, 2, 6)), np.arange(12).reshape(2, 6) * 5 % 3, 4)
+
+
 @_case("layer_norm")
 def _c_ln(p, q, c1, c2):
     return T.layer_norm(p, c2[0], c2[1])
@@ -160,19 +190,30 @@ def _c_ce(p, q, c1, c2):
 
 
 def test_gather_last_and_bucket_sums_are_adjoint(rng):
-    """<gather_last(A, idx), W> == <A, bucket_sums(W, idx)> for any A, W."""
-    idx = rng.integers(0, 4, size=(3, 7))
-    idx[0, :2] = (0, 3)  # both ends of the range, for the error checks
-    a = rng.normal(size=(3, 4))
-    w = rng.normal(size=(3, 7))
-    gathered = T.gather_last(Tensor(a), idx).data
-    assert np.array_equal(gathered, a[np.arange(3)[:, None], idx])
-    sums = T.bucket_sums(Tensor(w), idx, 4).data
-    assert abs((gathered * w).sum() - (a * sums).sum()) < 1e-12
-    with pytest.raises(ShapeError, match="out of range"):
-        T.gather_last(Tensor(a), idx + 1)
-    with pytest.raises(ShapeError, match="out of range"):
-        T.bucket_sums(Tensor(w), idx - 1, 4)
+    """<gather_last(A, idx), W> == <A, bucket_sums(W, idx)> for any A, W,
+    with or without a leading (head) axis sharing the index."""
+    for lead in ((), (2,)):
+        idx = rng.integers(0, 4, size=(3, 7))
+        idx[0, :2] = (0, 3)  # both ends of the range, for the error checks
+        a = rng.normal(size=lead + (3, 4))
+        w = rng.normal(size=lead + (3, 7))
+        gathered = T.gather_last(Tensor(a), idx).data
+        assert np.array_equal(gathered, a[..., np.arange(3)[:, None], idx])
+        sums = T.bucket_sums(Tensor(w), idx, 4).data
+        assert abs((gathered * w).sum() - (a * sums).sum()) < 1e-12
+        with pytest.raises(ShapeError, match="out of range"):
+            T.gather_last(Tensor(a), idx + 1)
+        with pytest.raises(ShapeError, match="out of range"):
+            T.bucket_sums(Tensor(w), idx - 1, 4)
+
+
+def test_batched_shape_errors():
+    with pytest.raises(ShapeError, match="matmul"):
+        T.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
+    with pytest.raises(ShapeError, match="slice"):
+        T.slice_along(Tensor(np.zeros((2, 3))), -1, 2, 4)
+    with pytest.raises(ShapeError, match="stack"):
+        T.stack([Tensor(np.zeros(2)), Tensor(np.zeros(3))])
 
 
 @pytest.mark.parametrize("name", sorted(PRIMITIVE_CASES))

@@ -3,7 +3,7 @@ import pytest
 
 from gram import graphs as G
 from gram import tensor as T
-from gram.model import Model, ModelConfig, OrderedGraph, edge_candidates
+from gram.model import EdgeStep, Model, ModelConfig, OrderedGraph, edge_candidates
 from gram.datasets import CorpusSpec, generate_corpus
 from gram.optim import adam_step
 from gram.tensor import Tape
@@ -28,7 +28,8 @@ def zero_final_layers(model):
 
 def sequential_loss(model, og):
     """Oracle: every step evaluated on its own, each edge candidate decided
-    one at a time through the single-candidate path."""
+    one at a time through the sampler's path (EdgeStep.logits, then
+    EdgeStep.decide with the ground-truth code)."""
     c = model.config
     total = 0.0
     for s in range(c.seed_size, og.n + 1):
@@ -43,15 +44,14 @@ def sequential_loss(model, og):
             continue
         plan = edge_candidates(og, s, c.variant)
         codes = og.edge_label_codes(s, plan.candidates)
-        decided = []
-        for i, t in enumerate(plan.candidates):
-            logits = model.edge_distribution_step(
-                hv, hg, int(og.labels[s]), int(t), decided,
-                plan.restrict_keys_to_edges, prefix.dist_idx)
+        step = EdgeStep(model, hv, hg, int(og.labels[s]), plan.candidates,
+                        prefix.dist_idx, plan.restrict_keys_to_edges)
+        step.reset()
+        for i, code in enumerate(codes):
             onehot = np.zeros((1, c.b + 1))
-            onehot[0, codes[i]] = 1.0
-            total += float(T.cross_entropy_logits(logits, onehot).data[0])
-            decided.append((int(t), int(codes[i])))
+            onehot[0, code] = 1.0
+            total += float(T.cross_entropy_logits(step.logits(i), onehot).data[0])
+            step.decide(i, int(code))
     return total
 
 
@@ -86,15 +86,18 @@ def test_per_step_backward_matches_single_backward(variant, rng):
             assert np.abs(p.grad_array() - whole[p.name]).max() <= 1e-12 * scale, p.name
 
 
-def test_step_tape_holds_no_rank3_attention_arrays(rng):
+def test_step_tape_holds_no_per_pair_bias_arrays(rng):
     """Neither the feature-extraction nor the edge attention records an
-    (nq, nk, d) array: the bias terms are gathered from (n, C) tables."""
+    (nq, nk, d) array per head: the bias terms are gathered from (n, C)
+    tables.  Arrays of rank 3 carry the heads on their leading axis."""
     model = tiny_model(variant="plain", seed=3)
     og = make_og(random_connected_graph(rng, 10), rng)
     with Tape() as tape:
         step_loss(model, og, 8)
     assert tape._entries
-    assert max(t.data.ndim for t in tape._entries) <= 2
+    assert max(t.data.ndim for t in tape._entries) <= 3
+    heads = model.config.heads
+    assert all(t.data.shape[0] == heads for t in tape._entries if t.data.ndim == 3)
 
 
 def test_uniform_logit_closed_form(rng):
