@@ -46,7 +46,6 @@ def _build_parser() -> _Parser:
 
     p = _Parser(prog="gram", description=__doc__, parents=[shared],
                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.set_defaults(config=None, threads=None, verbose=False)
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name, **kw):
@@ -338,16 +337,30 @@ _COMMANDS = {"dataset": _cmd_dataset, "train": _cmd_train, "sample": _cmd_sample
              "eval": _cmd_eval, "stats": _cmd_stats}
 
 
+def _resolve_threads(flag) -> int:
+    """--threads if given, else GRAM_THREADS, else 1; at least 1."""
+    source, threads = "--threads", flag
+    if threads is None:
+        source, raw = "GRAM_THREADS", os.environ.get("GRAM_THREADS", "1")
+        try:
+            threads = int(raw)
+        except ValueError:
+            raise UsageError(f"GRAM_THREADS must be an integer, got {raw!r}") from None
+    if threads < 1:
+        raise UsageError(f"{source} must be >= 1")
+    return threads
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        threads = args.threads
-        if threads is None:
-            threads = int(os.environ.get("GRAM_THREADS", "1"))
-        if threads < 1:
-            raise UsageError("--threads must be >= 1")
-        args.threads_resolved = threads
+        # Not parser.set_defaults: the parser and its subcommands share the
+        # flag actions, so a default set there would reset a flag given
+        # before the subcommand.
+        for key, value in (("config", None), ("threads", None), ("verbose", False)):
+            vars(args).setdefault(key, value)
+        args.threads_resolved = _resolve_threads(args.threads)
         cfg_file = _load_config_file(args.config)
         return _COMMANDS[args.command](args, cfg_file)
     except UsageError as exc:

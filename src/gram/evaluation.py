@@ -2,13 +2,20 @@
 kernel feeding a squared maximum mean discrepancy, topological MMDs over
 degree/clustering/orbit statistics, and uniqueness/novelty ratios.
 
-All graph hashes use a keyed 64-bit digest, so feature keys and fingerprints
-are stable across processes.  Hash collisions between non-isomorphic
-structures are accepted as an approximation.
+Every graph hash is a splitmix64 mix over uint64 arrays with wrapping
+arithmetic, so feature keys and fingerprints are stable across processes,
+and a multiset is hashed as the wrapping sum of its mixed elements.  Hash
+collisions between non-isomorphic structures are accepted as an
+approximation.
+
+The NSPDK kernel is a dot product of per-cell-normalized count vectors
+phi(G), so the biased squared GK-MMD equals the squared distance between the
+two corpora's mean feature vectors (a kernel mean embedding):
+MMD^2 = sum over cells of ||mean_P phi_c - mean_Q phi_c||^2.  `gk_mmd2`
+featurizes each graph once and computes that, with no kernel pair.
 """
 from __future__ import annotations
 
-import hashlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -23,15 +30,48 @@ NSPDK_DISTANCE = 4
 SUBSAMPLE_LIMIT = 200
 SUBSAMPLE_SIZE = 100
 SUBSAMPLE_DRAWS = 10
+REFINEMENTS = 3  # label-refinement rounds of a rooted neighborhood hash
 
 
 class EvalError(ValueError):
     pass
 
 
-def _h64(*parts) -> int:
-    digest = hashlib.blake2b(repr(parts).encode("ascii"), digest_size=8).digest()
-    return int.from_bytes(digest, "little", signed=True)
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
+_MUL2 = np.uint64(0x94D049BB133111EB)
+
+
+def _mix(x) -> np.ndarray:
+    """splitmix64 of each element as a uint64 array; the products wrap.  At
+    least one-dimensional, because numpy scalar products warn on overflow."""
+    z = np.atleast_1d(np.asarray(x, dtype=np.uint64)) + _GOLDEN
+    z = (z ^ (z >> np.uint64(30))) * _MUL1
+    z = (z ^ (z >> np.uint64(27))) * _MUL2
+    return z ^ (z >> np.uint64(31))
+
+
+def _mix2(a, b) -> np.ndarray:
+    """Hash of the ordered pair (a, b), elementwise."""
+    return _mix(_mix(a) ^ np.asarray(b, dtype=np.uint64))
+
+
+def _unique_counts(a: np.ndarray):
+    """(sorted distinct values, their counts) of a 1-d array.  Spelled out
+    with a sort because np.unique imports numpy.ma, a few MB of resident
+    memory that nothing else here needs."""
+    a = np.sort(a)
+    new = np.ones(len(a), dtype=bool)
+    new[1:] = a[1:] != a[:-1]
+    first = np.flatnonzero(new)
+    return a[first], np.diff(np.append(first, len(a)))
+
+
+def _directed_edges(g: LabeledGraph):
+    """(source, target, edge label) arrays holding each edge both ways."""
+    e = np.array(g.edges, dtype=np.int64).reshape(-1, 3)
+    return (np.concatenate([e[:, 0], e[:, 1]]), np.concatenate([e[:, 1], e[:, 0]]),
+            np.concatenate([e[:, 2], e[:, 2]]))
 
 
 # ---------------------------------------------------------------------------
@@ -47,22 +87,26 @@ class FeatureMap:
     cells: dict  # (r', d') -> (sorted int64 keys, float64 counts, self dot)
 
 
-def _rooted_neighborhood_hash(adj, node_labels, edge_label, dist_row, rr):
-    """Canonical hash of the radius-rr neighborhood of a root node by
-    iterative label refinement; initial colors carry the distance from the
-    root, so the root is distinguished."""
-    members = np.flatnonzero(dist_row <= rr)
-    inside = set(members.tolist())
-    colors = {int(v): _h64(int(dist_row[v]), int(node_labels[v])) for v in members}
-    nbrs = {int(v): [w for w in adj[v] if w in inside] for v in members}
-    for _ in range(3):
-        new = {}
-        for v in members:
-            v = int(v)
-            ring = sorted((edge_label[(min(v, w), max(v, w))], colors[w]) for w in nbrs[v])
-            new[v] = _h64(colors[v], tuple(ring))
-        colors = new
-    return _h64(rr, tuple(sorted(colors.values())))
+def _root_hashes(dist, node_labels, edges, rr) -> np.ndarray:
+    """Hash of every node's radius-rr neighborhood, all roots at once, by
+    label refinement inside each ball.  Members are the (root, node) pairs
+    within rr; a member's initial color carries its distance from the root,
+    so the root is distinguished, and each round mixes a color with the
+    multiset of (edge label, neighbor color) over the edges inside the ball."""
+    src, dst, elab = edges
+    inside = dist <= rr
+    root, node = np.nonzero(inside)  # grouped by root; every root is its own member
+    member = np.zeros(dist.shape, dtype=np.int64)
+    member[root, node] = np.arange(len(root))
+    ball, e = np.nonzero(inside[:, src] & inside[:, dst])
+    at, nbr, elab = member[ball, src[e]], member[ball, dst[e]], elab[e]
+    color = _mix2(dist[root, node], node_labels[node])
+    for _ in range(REFINEMENTS):
+        ring = np.zeros(len(color), dtype=np.uint64)
+        np.add.at(ring, at, _mix2(elab, color[nbr]))
+        color = _mix2(color, ring)
+    starts = np.searchsorted(root, np.arange(len(dist)))
+    return _mix2(rr, np.add.reduceat(color, starts))
 
 
 def nspdk_features(g: LabeledGraph, r_max: int = NSPDK_RADIUS,
@@ -72,36 +116,25 @@ def nspdk_features(g: LabeledGraph, r_max: int = NSPDK_RADIUS,
     subgraphs (node and edge labels included)."""
     if r_max < 0 or d_max < 0:
         raise EvalError("radius and distance bounds must be >= 0")
+    if g.n == 0:
+        return FeatureMap(r_max, d_max, {})
     indptr, indices = g.csr()
-    cap = max(r_max, d_max, 1)
-    dist = kernels.capped_distances(indptr, indices, g.n, cap)
-    adj = g.adjacency()
-    elab = g.edge_label_map()
-    node_labels = g.node_labels
-    hashes = np.empty((g.n, r_max + 1), dtype=np.int64)
-    for u in range(g.n):
-        for rr in range(r_max + 1):
-            hashes[u, rr] = _rooted_neighborhood_hash(adj, node_labels, elab, dist[u], rr)
-    counts: dict = {}
-    for u in range(g.n):
-        for v in range(u, g.n):
-            d = int(dist[u, v])
-            if d > d_max:
-                continue
-            hu = hashes[u]
-            hv = hashes[v]
-            for rr in range(r_max + 1):
-                lo, hi = (int(hu[rr]), int(hv[rr]))
-                if lo > hi:
-                    lo, hi = hi, lo
-                cell = counts.setdefault((rr, d), {})
-                key = _h64(lo, hi)
-                cell[key] = cell.get(key, 0) + 1
+    dist = kernels.capped_distances(indptr, indices, g.n, max(r_max, d_max, 1))
+    node_labels = np.array(g.node_labels, dtype=np.uint64)
+    edges = _directed_edges(g)
+    u, v = np.nonzero(np.triu(dist <= d_max))
+    at_distance = [dist[u, v] == d for d in range(d_max + 1)]
     cells = {}
-    for cd, bag in counts.items():
-        keys = np.array(sorted(bag), dtype=np.int64)
-        vals = np.array([bag[k] for k in sorted(bag)], dtype=np.float64)
-        cells[cd] = (keys, vals, float((vals * vals).sum()))
+    for rr in range(r_max + 1):
+        hashes = _root_hashes(dist, node_labels, edges, rr)
+        hu, hv = hashes[u], hashes[v]
+        keys = _mix2(np.minimum(hu, hv), np.maximum(hu, hv)).view(np.int64)
+        for d, mask in enumerate(at_distance):
+            if not mask.any():
+                continue
+            uniq, counts = _unique_counts(keys[mask])
+            vals = counts.astype(np.float64)
+            cells[(rr, d)] = (uniq, vals, float((vals * vals).sum()))
     return FeatureMap(r_max, d_max, cells)
 
 
@@ -140,6 +173,43 @@ def mmd_squared(set_p, set_q, kernel) -> float:
     return kxx - 2.0 * kxy + kyy
 
 
+def _cell_entries(feats, cd):
+    """(keys, phi values) of cell cd over a list of feature maps, where
+    phi = counts / sqrt(self dot * number of cells of the graph)."""
+    keys, vals = [], []
+    for f in feats:
+        cell = f.cells.get(cd)
+        if cell is not None:
+            keys.append(cell[0])
+            vals.append(cell[1] / np.sqrt(cell[2] * len(f.cells)))
+    if not keys:
+        return np.empty(0, dtype=np.int64), np.empty(0)
+    return np.concatenate(keys), np.concatenate(vals)
+
+
+def feature_mmd2(feats_p, feats_q) -> float:
+    """mmd_squared(feats_p, feats_q, nspdk_kernel) as the squared distance
+    between the mean embeddings, reduced one cell at a time over the union
+    of the cell's keys.  Identical lists give exactly 0."""
+    if not feats_p or not feats_q:
+        raise EvalError("MMD needs non-empty sample sets")
+    bounds = {(f.r_max, f.d_max) for f in feats_p + feats_q}
+    if len(bounds) > 1:
+        raise EvalError(f"feature maps built with different bounds: {sorted(bounds)}")
+    total = 0.0
+    for cd in sorted(set().union(*(f.cells for f in feats_p + feats_q))):
+        keys_p, phi_p = _cell_entries(feats_p, cd)
+        keys_q, phi_q = _cell_entries(feats_q, cd)
+        vocab, _ = _unique_counts(np.concatenate([keys_p, keys_q]))
+        mean_p = np.bincount(np.searchsorted(vocab, keys_p), phi_p,
+                             minlength=len(vocab)) / len(feats_p)
+        mean_q = np.bincount(np.searchsorted(vocab, keys_q), phi_q,
+                             minlength=len(vocab)) / len(feats_q)
+        diff = mean_p - mean_q
+        total += float(diff @ diff)
+    return total
+
+
 def _featurize_all(graph_list, r_max, d_max, threads=1):
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -151,26 +221,28 @@ def gk_mmd2(set_p, set_q, r_max: int = NSPDK_RADIUS, d_max: int = NSPDK_DISTANCE
             seed: int = 0, threads: int = 1) -> float:
     """Squared MMD under the graph kernel.  Corpora larger than
     SUBSAMPLE_LIMIT are evaluated on seeded subsamples of SUBSAMPLE_SIZE,
-    averaged over SUBSAMPLE_DRAWS draws; the subsampled estimate carries
-    sampling noise (identical corpora come out exactly 0 only on the
-    direct path)."""
+    averaged over SUBSAMPLE_DRAWS draws; each drawn graph is featurized
+    once.  The subsampled estimate carries sampling noise (identical
+    corpora come out exactly 0 only on the direct path)."""
     if not set_p or not set_q:
         raise EvalError("MMD needs non-empty sample sets")
-    if max(len(set_p), len(set_q)) > SUBSAMPLE_LIMIT:
-        rng = np.random.default_rng(seed)
-        vals = []
-        for _ in range(SUBSAMPLE_DRAWS):
-            sub_p = [set_p[i] for i in rng.choice(len(set_p), min(SUBSAMPLE_SIZE, len(set_p)),
-                                                  replace=False)]
-            sub_q = [set_q[i] for i in rng.choice(len(set_q), min(SUBSAMPLE_SIZE, len(set_q)),
-                                                  replace=False)]
-            fp = _featurize_all(sub_p, r_max, d_max, threads)
-            fq = _featurize_all(sub_q, r_max, d_max, threads)
-            vals.append(mmd_squared(fp, fq, nspdk_kernel))
-        return float(np.mean(vals))
-    fp = _featurize_all(set_p, r_max, d_max, threads)
-    fq = _featurize_all(set_q, r_max, d_max, threads)
-    return mmd_squared(fp, fq, nspdk_kernel)
+    if max(len(set_p), len(set_q)) <= SUBSAMPLE_LIMIT:
+        return feature_mmd2(_featurize_all(set_p, r_max, d_max, threads),
+                            _featurize_all(set_q, r_max, d_max, threads))
+    rng = np.random.default_rng(seed)
+    draws = [(rng.choice(len(set_p), min(SUBSAMPLE_SIZE, len(set_p)), replace=False),
+              rng.choice(len(set_q), min(SUBSAMPLE_SIZE, len(set_q)), replace=False))
+             for _ in range(SUBSAMPLE_DRAWS)]
+
+    def featurized(graphs, picks):
+        used = sorted(set(np.concatenate(picks).tolist()))
+        return dict(zip(used, _featurize_all([graphs[i] for i in used], r_max, d_max,
+                                             threads)))
+
+    feats_p = featurized(set_p, [p for p, _ in draws])
+    feats_q = featurized(set_q, [q for _, q in draws])
+    return float(np.mean([feature_mmd2([feats_p[i] for i in p], [feats_q[i] for i in q])
+                          for p, q in draws]))
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +283,13 @@ def _stat_histograms(set_p, set_q, statistic):
     raise EvalError(f"unknown statistic {statistic!r}; choose from {STATISTICS}")
 
 
-def _wasserstein1(h1: np.ndarray, h2: np.ndarray) -> float:
-    return float(np.abs(np.cumsum(h1 - h2)).sum())
-
-
-def _gaussian_emd(h1, h2) -> float:
-    w = _wasserstein1(h1, h2)
-    return float(np.exp(-w * w / (2.0 * STAT_SIGMA * STAT_SIGMA)))
+def _gaussian_emd_gram(hists: np.ndarray) -> np.ndarray:
+    """Gram matrix exp(-W1^2 / (2 sigma^2)) over the rows of `hists`, where
+    W1 between two histograms is the L1 distance between their cumulative
+    sums.  One row at a time, so no (rows, rows, bins) temporary is held."""
+    cum = np.cumsum(hists, axis=1)
+    w = np.array([np.abs(cum - row).sum(axis=1) for row in cum])
+    return np.exp(-w * w / (2.0 * STAT_SIGMA * STAT_SIGMA))
 
 
 def statistic_mmd(set_p, set_q, statistic: str) -> float:
@@ -226,8 +298,10 @@ def statistic_mmd(set_p, set_q, statistic: str) -> float:
     if not set_p or not set_q:
         raise EvalError("MMD needs non-empty sample sets")
     hp, hq = _stat_histograms(set_p, set_q, statistic)
-    val = mmd_squared(hp, hq, _gaussian_emd)
-    return max(0.0, val)  # numerical floor; identical sets cancel exactly
+    gram = _gaussian_emd_gram(np.vstack(hp + hq))
+    n = len(hp)
+    val = gram[:n, :n].mean() - 2.0 * gram[:n, n:].mean() + gram[n:, n:].mean()
+    return max(0.0, float(val))  # numerical floor; identical sets cancel exactly
 
 
 # ---------------------------------------------------------------------------
@@ -237,19 +311,19 @@ def statistic_mmd(set_p, set_q, statistic: str) -> float:
 def graph_fingerprint(g: LabeledGraph) -> int:
     """Whole-graph hash by iterative neighborhood-label refinement, with
     node and edge labels folded in."""
-    adj = g.adjacency()
-    elab = g.edge_label_map()
-    colors = [_h64(lab) for lab in g.node_labels]
-    distinct = len(set(colors))
+    src, dst, elab = _directed_edges(g)
+    colors = _mix(np.array(g.node_labels, dtype=np.uint64))
+    distinct = len(_unique_counts(colors)[0])
     for _ in range(max(1, g.n)):
-        colors = [_h64(colors[v], tuple(sorted(
-            (elab[(min(v, w), max(v, w))], colors[w]) for w in adj[v])))
-            for v in range(g.n)]
-        now = len(set(colors))
+        ring = np.zeros(g.n, dtype=np.uint64)
+        np.add.at(ring, src, _mix2(elab, colors[dst]))
+        colors = _mix2(colors, ring)
+        now = len(_unique_counts(colors)[0])
         if now == distinct:
             break
         distinct = now
-    return _h64(g.n, g.a, g.b, tuple(sorted(colors)))
+    head = _mix2(_mix2(g.n, g.a), g.b)
+    return int(_mix2(head, colors.sum(dtype=np.uint64)).view(np.int64)[0])
 
 
 def uniqueness_novelty(samples, train_set):

@@ -115,6 +115,25 @@ def test_exit_codes(tmp_path, capsys):
     assert not (tmp_path / "x.jsonl").exists()
 
 
+def test_bad_thread_counts_are_usage_errors(tmp_path, capsys, monkeypatch):
+    """A non-integer or non-positive GRAM_THREADS is a usage error naming the
+    variable, as a bad --threads value is."""
+    corpus = tmp_path / "c.jsonl"
+    write_corpus(corpus, [random_connected_graph(np.random.default_rng(0), 5)])
+    stats = ["stats", "--corpus", str(corpus)]
+    assert run(["--threads", "abc"] + stats) == 1
+    assert "--threads" in capsys.readouterr().err
+    assert run(["--threads", "0"] + stats) == 1
+    assert "--threads must be >= 1" in capsys.readouterr().err
+    monkeypatch.setenv("GRAM_THREADS", "abc")
+    assert run(stats) == 1
+    assert "GRAM_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
+    monkeypatch.setenv("GRAM_THREADS", "0")
+    assert run(stats) == 1
+    assert "GRAM_THREADS must be >= 1" in capsys.readouterr().err
+    assert run(["--threads", "2"] + stats) == 0  # the flag wins over the variable
+
+
 def test_eval_validates_before_writing(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("not json\n")

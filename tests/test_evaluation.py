@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import warnings
 
 import networkx as nx
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 
 from gram import evaluation as E
 from gram import graphs as G
+from gram import kernels
 from gram.datasets import CorpusSpec, generate_corpus
 from gram.graphs import LabeledGraph, NodeOrdering
 
@@ -163,6 +166,163 @@ def test_featurize_threads_match_serial(rng):
     assert serial == threaded
 
 
+# -- array hashing and mean embedding vs the blake2b / pairwise reference -----------
+
+def _blake2b(*parts) -> int:
+    digest = hashlib.blake2b(repr(parts).encode("ascii"), digest_size=8).digest()
+    return int.from_bytes(digest, "little", signed=True)
+
+
+def _blake2b_ball_hash(adj, node_labels, edge_label, dist_row, rr):
+    members = np.flatnonzero(dist_row <= rr)
+    inside = set(members.tolist())
+    colors = {int(v): _blake2b(int(dist_row[v]), int(node_labels[v])) for v in members}
+    nbrs = {int(v): [w for w in adj[v] if w in inside] for v in members}
+    for _ in range(3):
+        new = {}
+        for v in members:
+            v = int(v)
+            ring = sorted((edge_label[(min(v, w), max(v, w))], colors[w]) for w in nbrs[v])
+            new[v] = _blake2b(colors[v], tuple(ring))
+        colors = new
+    return _blake2b(rr, tuple(sorted(colors.values())))
+
+
+def blake2b_features(g, r_max=E.NSPDK_RADIUS, d_max=E.NSPDK_DISTANCE):
+    """The per-root, per-radius featurizer with keyed-digest hashes and
+    sorted-tuple multisets that the array featurizer replaced."""
+    indptr, indices = g.csr()
+    dist = kernels.capped_distances(indptr, indices, g.n, max(r_max, d_max, 1))
+    adj, elab = g.adjacency(), g.edge_label_map()
+    hashes = np.array([[_blake2b_ball_hash(adj, g.node_labels, elab, dist[u], rr)
+                        for rr in range(r_max + 1)] for u in range(g.n)], dtype=np.int64)
+    counts = {}
+    for u in range(g.n):
+        for v in range(u, g.n):
+            d = int(dist[u, v])
+            if d > d_max:
+                continue
+            for rr in range(r_max + 1):
+                pair = tuple(sorted((int(hashes[u, rr]), int(hashes[v, rr]))))
+                cell = counts.setdefault((rr, d), {})
+                key = _blake2b(*pair)
+                cell[key] = cell.get(key, 0) + 1
+    cells = {}
+    for cd, bag in counts.items():
+        keys = np.array(sorted(bag), dtype=np.int64)
+        vals = np.array([bag[k] for k in sorted(bag)], dtype=np.float64)
+        cells[cd] = (keys, vals, float((vals * vals).sum()))
+    return E.FeatureMap(r_max, d_max, cells)
+
+
+def blake2b_fingerprint(g):
+    adj, elab = g.adjacency(), g.edge_label_map()
+    colors = [_blake2b(lab) for lab in g.node_labels]
+    distinct = len(set(colors))
+    for _ in range(max(1, g.n)):
+        colors = [_blake2b(colors[v], tuple(sorted(
+            (elab[(min(v, w), max(v, w))], colors[w]) for w in adj[v])))
+            for v in range(g.n)]
+        now = len(set(colors))
+        if now == distinct:
+            break
+        distinct = now
+    return _blake2b(g.n, g.a, g.b, tuple(sorted(colors)))
+
+
+def labelled_graphs(rng, count=30):
+    return [random_connected_graph(rng, int(rng.integers(1, 13)), a=int(rng.integers(1, 4)),
+                                   b=int(rng.integers(1, 4)), extra_edge_prob=0.2)
+            for _ in range(count)]
+
+
+def test_array_features_match_blake2b_features(rng):
+    graphs = labelled_graphs(rng)
+    new = [E.nspdk_features(g) for g in graphs]
+    old = [blake2b_features(g) for g in graphs]
+    for f_new, f_old in zip(new, old):
+        assert sorted(f_new.cells) == sorted(f_old.cells)
+        for cd, (_, counts, self_dot) in f_new.cells.items():
+            assert np.array_equal(np.sort(counts), np.sort(f_old.cells[cd][1]))
+            assert self_dot == f_old.cells[cd][2]
+    worst = max(abs(E.nspdk_kernel(new[i], new[j]) - E.nspdk_kernel(old[i], old[j]))
+                for i in range(len(graphs)) for j in range(len(graphs)))
+    assert worst <= 1e-12
+
+
+def test_fingerprint_partition_matches_blake2b(rng):
+    graphs = labelled_graphs(rng, 40)
+    graphs += [G.apply_ordering(g, NodeOrdering.create(rng.permutation(g.n)))
+               for g in graphs[:10]]
+    new = [E.graph_fingerprint(g) for g in graphs]
+    old = [blake2b_fingerprint(g) for g in graphs]
+    for i, j in itertools.combinations(range(len(graphs)), 2):
+        assert (new[i] == new[j]) == (old[i] == old[j])
+
+
+def test_feature_keys_are_pinned():
+    """splitmix64 over fixed-width arrays: the same keys in every process."""
+    assert int(E._mix(0)[0]) == 0xE220A8397B1DCDAF  # splitmix64's first output from seed 0
+    g = LabeledGraph.create(3, [0, 1, 0], [(0, 1, 0), (1, 2, 1)], 2, 2)
+    f = E.nspdk_features(g, r_max=1, d_max=1)
+    expected = {
+        (0, 0): ([-6541758635767229163, -800457903803167979], [2.0, 1.0]),
+        (0, 1): ([440446603547797933], [2.0]),
+        (1, 0): ([-2315966349090174603, 3987071199784193990, 7117077969086097456],
+                 [1.0, 1.0, 1.0]),
+        (1, 1): ([-1751388453088578419, 6300500255449590927], [1.0, 1.0]),
+    }
+    assert list(f.cells) == list(expected)
+    for cd, (keys, counts) in expected.items():
+        assert f.cells[cd][0].dtype == np.int64
+        assert f.cells[cd][0].tolist() == keys and f.cells[cd][1].tolist() == counts
+    assert E.graph_fingerprint(g) == 5872166033545908019
+
+
+def test_hashing_raises_no_overflow_warning(rng):
+    g = random_connected_graph(rng, 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        E.nspdk_features(g)
+        E.graph_fingerprint(g)
+
+
+def test_gk_mmd_equals_pairwise_mmd_direct(rng):
+    graphs = labelled_graphs(rng)
+    set_p, set_q = graphs[:13], graphs[13:]
+    feats_p = [E.nspdk_features(g) for g in set_p]
+    feats_q = [E.nspdk_features(g) for g in set_q]
+    want = E.mmd_squared(feats_p, feats_q, E.nspdk_kernel)
+    assert want > 0.0
+    assert abs(E.gk_mmd2(set_p, set_q) - want) <= 1e-12
+    assert abs(E.feature_mmd2(feats_p, feats_q) - want) <= 1e-12
+    assert E.gk_mmd2(set_p, list(set_p)) == 0.0
+
+
+def test_gk_mmd_equals_pairwise_mmd_subsampled(rng, monkeypatch):
+    monkeypatch.setattr(E, "SUBSAMPLE_LIMIT", 12)
+    monkeypatch.setattr(E, "SUBSAMPLE_SIZE", 8)
+    monkeypatch.setattr(E, "SUBSAMPLE_DRAWS", 3)
+    graphs = labelled_graphs(rng)
+    set_p, set_q = graphs[:16], graphs[16:]
+    feats_p = [E.nspdk_features(g) for g in set_p]
+    feats_q = [E.nspdk_features(g) for g in set_q]
+    draws = np.random.default_rng(5)
+    vals = []
+    for _ in range(3):
+        p = draws.choice(len(set_p), 8, replace=False)
+        q = draws.choice(len(set_q), 8, replace=False)
+        vals.append(E.mmd_squared([feats_p[i] for i in p], [feats_q[i] for i in q],
+                                  E.nspdk_kernel))
+    assert abs(E.gk_mmd2(set_p, set_q, seed=5) - float(np.mean(vals))) <= 1e-12
+
+
+def test_feature_mmd_bounds_mismatch_rejected(rng):
+    g = random_connected_graph(rng, 5)
+    with pytest.raises(E.EvalError, match="bounds"):
+        E.feature_mmd2([E.nspdk_features(g, 2, 3)], [E.nspdk_features(g, 3, 4)])
+
+
 # -- statistic mmds -----------------------------------------------------------------
 
 def path_graph(n):
@@ -177,6 +337,23 @@ def test_statistic_mmd_identical_sets_zero(rng):
     graphs = [random_connected_graph(rng, 8) for _ in range(6)]
     for stat in E.STATISTICS:
         assert E.statistic_mmd(graphs, list(graphs), stat) == pytest.approx(0.0, abs=1e-12)
+
+
+def pairwise_gaussian_emd(h1, h2):
+    """The per-pair kernel that the broadcast Gram matrix replaced."""
+    w = float(np.abs(np.cumsum(h1 - h2)).sum())
+    return float(np.exp(-w * w / (2.0 * E.STAT_SIGMA * E.STAT_SIGMA)))
+
+
+def test_statistic_mmd_matches_pairwise_kernel(rng):
+    set_p = [random_connected_graph(rng, int(rng.integers(4, 12)), extra_edge_prob=0.3)
+             for _ in range(7)]
+    set_q = [random_connected_graph(rng, int(rng.integers(4, 12))) for _ in range(5)]
+    for stat in E.STATISTICS:
+        hp, hq = E._stat_histograms(set_p, set_q, stat)
+        want = max(0.0, E.mmd_squared(hp, hq, pairwise_gaussian_emd))
+        assert abs(E.statistic_mmd(set_p, set_q, stat) - want) <= 1e-12
+        assert E.statistic_mmd(set_p, list(set_p), stat) == 0.0
 
 
 def test_statistic_mmd_paths_vs_stars():
