@@ -16,6 +16,7 @@ featurizes each graph once and computes that, with no kernel pair.
 """
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -118,8 +119,7 @@ def nspdk_features(g: LabeledGraph, r_max: int = NSPDK_RADIUS,
         raise EvalError("radius and distance bounds must be >= 0")
     if g.n == 0:
         return FeatureMap(r_max, d_max, {})
-    indptr, indices = g.csr()
-    dist = kernels.capped_distances(indptr, indices, g.n, max(r_max, d_max, 1))
+    dist = kernels.capped_distances(g.adjacency_matrix(), max(r_max, d_max, 1))
     node_labels = np.array(g.node_labels, dtype=np.uint64)
     edges = _directed_edges(g)
     u, v = np.nonzero(np.triu(dist <= d_max))
@@ -163,14 +163,18 @@ def nspdk_kernel(f1: FeatureMap, f2: FeatureMap) -> float:
 
 def mmd_squared(set_p, set_q, kernel) -> float:
     """Biased (V-statistic) squared MMD: diagonal terms included, so the
-    value is nonnegative for a positive-definite kernel."""
+    value is nonnegative for a positive-definite kernel.  The kernel must be
+    symmetric: each unordered pair within a set is evaluated once."""
     if not set_p or not set_q:
         raise EvalError("MMD needs non-empty sample sets")
-    n, m = len(set_p), len(set_q)
-    kxx = sum(kernel(x, x2) for x in set_p for x2 in set_p) / (n * n)
-    kyy = sum(kernel(y, y2) for y in set_q for y2 in set_q) / (m * m)
-    kxy = sum(kernel(x, y) for x in set_p for y in set_q) / (n * m)
-    return kxx - 2.0 * kxy + kyy
+
+    def within(xs):
+        diag = sum(kernel(x, x) for x in xs)
+        off = sum(kernel(x, x2) for x, x2 in itertools.combinations(xs, 2))
+        return (diag + 2.0 * off) / (len(xs) * len(xs))
+
+    kxy = sum(kernel(x, y) for x in set_p for y in set_q) / (len(set_p) * len(set_q))
+    return within(set_p) - 2.0 * kxy + within(set_q)
 
 
 def _cell_entries(feats, cd):
@@ -269,8 +273,7 @@ def _stat_histograms(set_p, set_q, statistic):
         return [mk(d) for d in degs_p], [mk(d) for d in degs_q]
     if statistic == "clustering":
         def mk(g):
-            from .graphs import graph_statistics
-            clus = graph_statistics(g).clustering
+            clus = kernels.clustering(g.adjacency_matrix())
             hist, _ = np.histogram(clus, bins=CLUSTERING_BINS, range=(0.0, 1.0))
             return hist / max(len(clus), 1)
         return [mk(g) for g in set_p], [mk(g) for g in set_q]

@@ -89,22 +89,6 @@ class LabeledGraph:
             mat[v, u] = 1
         return mat
 
-    def csr(self):
-        """(indptr, indices) of the symmetric adjacency."""
-        deg = np.zeros(self.n + 1, dtype=np.int64)
-        for u, v, _ in self.edges:
-            deg[u + 1] += 1
-            deg[v + 1] += 1
-        indptr = np.cumsum(deg)
-        indices = np.empty(2 * self.m, dtype=np.int64)
-        fill = indptr[:-1].copy()
-        for u, v, _ in self.edges:
-            indices[fill[u]] = v
-            fill[u] += 1
-            indices[fill[v]] = u
-            fill[v] += 1
-        return indptr, indices
-
     def edge_label_map(self) -> dict:
         return {(u, v): lab for u, v, lab in self.edges}
 
@@ -318,21 +302,9 @@ def shortest_paths(g: LabeledGraph, cap: int) -> np.ndarray:
     value cap + 1 is the shared beyond-cap/unreachable bucket."""
     if cap < 1:
         raise GraphError("cap must be >= 1")
-    indptr, indices = g.csr()
-    return kernels.capped_distances(indptr, indices, g.n, cap)
+    return kernels.capped_distances(g.adjacency_matrix(), cap)
 
 
 def graph_statistics(g: LabeledGraph) -> GraphStats:
     """Per-node degree and local clustering coefficient."""
-    deg = g.degrees()
-    clus = np.zeros(g.n, dtype=np.float64)
-    if g.n > 0 and g.m > 0:
-        mat = g.adjacency_matrix()
-        for v in range(g.n):
-            d = deg[v]
-            if d < 2:
-                continue
-            nbrs = np.flatnonzero(mat[v])
-            links = int(mat[np.ix_(nbrs, nbrs)].sum()) // 2
-            clus[v] = 2.0 * links / (d * (d - 1))
-    return GraphStats(deg, clus)
+    return GraphStats(g.degrees(), kernels.clustering(g.adjacency_matrix()))

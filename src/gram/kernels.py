@@ -1,241 +1,152 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Dense graph kernels whose hot loops are float64 matrix products: all-pairs
+capped BFS distances, per-node clustering, and per-node counts of the 11
+orbits of the connected 4-node graphlets.  Every kernel takes a dense 0/1
+adjacency matrix.
 
-By default the loop-heavy kernels (all-pairs capped BFS distances and
-connected 4-node graphlet enumeration) are compiled with numba's @njit on
-first use.  Setting the environment variable ``GRAM_NUMBA=0`` before import
-(or running without numba installed) selects pure numpy/python fallbacks.
-``python benchmarks/bench_kernels.py`` times both paths side by side.
+Counts are held in float64 while they are computed.  Each product of 0/1
+matrices and integer vectors here is an integer below 2**53, so it is exact
+in any summation order, and BLAS can do the work.
+
+Orbits (the position of a node inside a graphlet), by edge count:
+
+    graphlet   edges   orbits
+    P4         3       0 end, 1 middle
+    star       3       2 leaf, 3 center
+    C4         4       4
+    paw        4       5 tail, 6 triangle node of degree 2, 7 center
+    diamond    5       8 rim (degree 2), 9 hub (degree 3)
+    K4         6       10
+
+Non-induced counts N_k(v), the copies of a graphlet as a subgraph (induced
+or not) with node v in orbit k, come from A, d = A 1, A², the triangles on
+each edge T = A² ∘ A and the triangles at each node t = T 1 / 2.  Sums run
+over u ≠ v, and C(x, k) is the binomial coefficient:
+
+    N0  = (A² (d - 1))_v - d_v (d_v - 1) - 2 t_v
+    N1  = (d_v - 1) (A (d - 1))_v - 2 t_v
+    N2  = (A C(d - 1, 2))_v
+    N3  = C(d_v, 3)
+    N4  = sum_u C(A²_vu, 2)
+    N5  = (A t)_v - 2 t_v
+    N6  = (T (d - 2))_v
+    N7  = t_v (d_v - 2)
+    N8  = sum_u A_vu ((T - A) A)_uv / 2
+    N9  = sum_u C(T_vu, 2)
+    N10 = the triangles among the neighbours of v
+
+An induced graphlet holds non-induced copies only of graphlets with fewer
+edges, so N(v) = M O(v) for the induced counts O(v) and a unit
+upper-triangular 11 x 11 integer matrix M.  Column j of M is N at a node in
+orbit j of graphlet j alone, and O follows from N by integer back
+substitution (ORCA: Hočevar & Demšar 2014, Bioinformatics 30(4)).
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FLAG = os.environ.get("GRAM_NUMBA", "1").strip().lower()
-_WANT_NUMBA = _FLAG not in ("0", "false", "no", "off")
 
-try:
-    if _WANT_NUMBA:
-        from numba import njit as _njit
-    else:
-        _njit = None
-except ImportError:  # pragma: no cover - depends on install
-    _njit = None
-
-
-def backend() -> str:
-    """Name of the active kernel backend: ``"numba"`` or ``"numpy"``."""
-    return "numba" if _njit is not None else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# All-pairs shortest path lengths, capped.
-#
-# Entries hold min(bfs_distance, cap + 1); cap + 1 is the shared bucket for
-# "farther than cap or unreachable".  Diagonal is 0.
-# ---------------------------------------------------------------------------
-
-def _capped_distances_csr(indptr, indices, n, cap):
-    out = np.full((n, n), cap + 1, dtype=np.int64)
-    queue = np.empty(n, dtype=np.int64)
-    for src in range(n):
-        row = out[src]
-        row[src] = 0
-        queue[0] = src
-        head = 0
-        tail = 1
-        while head < tail:
-            u = queue[head]
-            head += 1
-            du = row[u]
-            if du >= cap:
-                continue
-            for k in range(indptr[u], indptr[u + 1]):
-                v = indices[k]
-                if row[v] > du + 1:
-                    row[v] = du + 1
-                    queue[tail] = v
-                    tail += 1
-    return out
-
-
-def capped_distances_numpy(indptr, indices, n, cap):
-    """Fallback: level-synchronous frontier expansion with dense matrices."""
+def capped_distances(adj, cap: int) -> np.ndarray:
+    """All-pairs BFS distances as min(distance, cap + 1), one frontier
+    product per level; cap + 1 is the shared bucket for "farther than cap
+    or unreachable", and the diagonal is 0."""
+    adj = np.asarray(adj, dtype=np.float64)
+    n = len(adj)
     dist = np.full((n, n), cap + 1, dtype=np.int64)
     np.fill_diagonal(dist, 0)
-    if n == 0 or len(indices) == 0:
-        return dist
-    adj = np.zeros((n, n), dtype=np.uint8)
-    src = np.repeat(np.arange(n), np.diff(indptr))
-    adj[src, indices] = 1
     reached = np.eye(n, dtype=bool)
-    frontier = np.eye(n, dtype=bool)
+    frontier = adj
     for d in range(1, cap + 1):
-        frontier = ((frontier.astype(np.uint8) @ adj) > 0) & ~reached
-        if not frontier.any():
+        new = (frontier > 0) & ~reached
+        if not new.any():
             break
-        dist[frontier] = d
-        reached |= frontier
+        dist[new] = d
+        reached |= new
+        if d < cap:
+            frontier = new.astype(np.float64) @ adj
     return dist
 
 
-if _njit is not None:
-    _capped_distances_jit = _njit(cache=True)(_capped_distances_csr)
-else:
-    _capped_distances_jit = None
+def clustering(adj) -> np.ndarray:
+    """Local clustering coefficient 2 L / (d (d - 1)) of every node, where
+    L = (A² ∘ A) 1 / 2 counts the links among its d neighbours; 0 where
+    d < 2."""
+    adj = np.asarray(adj, dtype=np.float64)
+    deg = adj.sum(axis=1)
+    links = (((adj @ adj) * adj).sum(axis=1) // 2).astype(np.int64)
+    clus = np.zeros(len(adj))
+    ok = deg >= 2
+    clus[ok] = 2.0 * links[ok] / (deg[ok] * (deg[ok] - 1))
+    return clus
 
 
-def capped_distances(indptr, indices, n, cap):
-    """All-pairs capped BFS distances from CSR adjacency (both directions)."""
-    indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-    indices = np.ascontiguousarray(indices, dtype=np.int64)
-    if _capped_distances_jit is not None:
-        return _capped_distances_jit(indptr, indices, n, cap)
-    return capped_distances_numpy(indptr, indices, n, cap)
+def _c2(x):
+    return x * (x - 1) / 2
 
 
-# ---------------------------------------------------------------------------
-# Per-node orbit counts over the 11 orbits of the 6 connected 4-node
-# graphlets.  Orbit indices (position of a node inside the graphlet):
-#   0 path end        1 path middle
-#   2 star leaf       3 star center
-#   4 cycle
-#   5 paw tail        6 paw triangle edge   7 paw center
-#   8 diamond rim     9 diamond hub
-#  10 clique
-# A 4-set with e induced edges is connected iff e >= 4, or e == 3 with no
-# isolated vertex; the (edge count, within-set degree) pair then fixes the
-# orbit of each vertex.
-# ---------------------------------------------------------------------------
+def _noninduced_orbits(adj: np.ndarray) -> np.ndarray:
+    """(n, 11) int64 non-induced orbit counts N (module docstring)."""
+    d = adj.sum(axis=1)
+    a2 = adj @ adj
+    tri = a2 * adj
+    t = tri.sum(axis=1) / 2
+    k4 = np.zeros(len(adj))
+    for v in np.flatnonzero(t >= 3):  # a K4 puts 3 triangles on each of its nodes
+        nbrs = np.flatnonzero(adj[v])
+        sub = adj[np.ix_(nbrs, nbrs)]
+        k4[v] = ((sub @ sub) * sub).sum() / 6
+    counts = np.stack([
+        a2 @ (d - 1) - d * (d - 1) - 2 * t,
+        (d - 1) * (adj @ (d - 1)) - 2 * t,
+        adj @ _c2(d - 1),
+        d * (d - 1) * (d - 2) / 6,
+        _c2(a2).sum(axis=1) - _c2(d),
+        adj @ t - 2 * t,
+        tri @ (d - 2),
+        t * (d - 2),
+        (((tri - adj) @ adj) * adj).sum(axis=0) / 2,
+        _c2(tri).sum(axis=1),
+        k4,
+    ], axis=1)
+    return counts.astype(np.int64)
 
-def _orbit_counts_dense(adj, counts):
-    n = adj.shape[0]
-    for a in range(n - 3):
-        for b in range(a + 1, n - 2):
-            eab = adj[a, b]
-            for c in range(b + 1, n - 1):
-                eac = adj[a, c]
-                ebc = adj[b, c]
-                e3 = eab + eac + ebc
-                for d in range(c + 1, n):
-                    ead = adj[a, d]
-                    ebd = adj[b, d]
-                    ecd = adj[c, d]
-                    e = e3 + ead + ebd + ecd
-                    if e < 3:
-                        continue
-                    da = eab + eac + ead
-                    db = eab + ebc + ebd
-                    dc = eac + ebc + ecd
-                    dd = ead + ebd + ecd
-                    if e == 3 and (da == 0 or db == 0 or dc == 0 or dd == 0):
-                        continue
-                    if e == 6:
-                        counts[a, 10] += 1
-                        counts[b, 10] += 1
-                        counts[c, 10] += 1
-                        counts[d, 10] += 1
-                        continue
-                    if e == 5:
-                        base = 8
-                        off = 1
-                        lo = 2
-                    elif e == 4:
-                        if da == 2 and db == 2 and dc == 2 and dd == 2:
-                            counts[a, 4] += 1
-                            counts[b, 4] += 1
-                            counts[c, 4] += 1
-                            counts[d, 4] += 1
-                            continue
-                        base = 5
-                        off = 1
-                        lo = 1
-                    else:
-                        mx = max(max(da, db), max(dc, dd))
-                        if mx == 3:
-                            base = 2
-                            off = 2
-                            lo = 1
-                        else:
-                            base = 0
-                            off = 1
-                            lo = 1
-                    counts[a, base + (da - lo) // off] += 1
-                    counts[b, base + (db - lo) // off] += 1
-                    counts[c, base + (dc - lo) // off] += 1
-                    counts[d, base + (dd - lo) // off] += 1
+
+# Each graphlet on nodes 0..3: its edges and the orbit of each node.
+GRAPHLETS = (
+    ("P4", ((0, 1), (1, 2), (2, 3)), (0, 1, 1, 0)),
+    ("star", ((0, 1), (0, 2), (0, 3)), (3, 2, 2, 2)),
+    ("C4", ((0, 1), (1, 2), (2, 3), (0, 3)), (4, 4, 4, 4)),
+    ("paw", ((0, 1), (0, 2), (1, 2), (0, 3)), (7, 6, 6, 5)),
+    ("diamond", ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3)), (9, 9, 8, 8)),
+    ("K4", ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)), (10, 10, 10, 10)),
+)
+
+
+def graphlet_adjacency(edges) -> np.ndarray:
+    """4 x 4 float64 adjacency matrix of a graphlet's edge list."""
+    adj = np.zeros((4, 4))
+    for u, v in edges:
+        adj[u, v] = adj[v, u] = 1.0
+    return adj
+
+
+def _orbit_matrix() -> np.ndarray:
+    """M with N(v) = M O(v): column j holds N at a node in orbit j of its
+    graphlet alone."""
+    m = np.zeros((11, 11), dtype=np.int64)
+    for _, edges, orbits in GRAPHLETS:
+        for orbit, counts in zip(orbits, _noninduced_orbits(graphlet_adjacency(edges))):
+            m[:, orbit] = counts
+    return m
+
+
+ORBIT_MATRIX = _orbit_matrix()
+
+
+def orbit_counts_matrix(adj) -> np.ndarray:
+    """(n, 11) int64 per-node counts of the induced connected 4-node
+    graphlets by orbit, from a dense 0/1 adjacency matrix."""
+    noninduced = _noninduced_orbits(np.asarray(adj, dtype=np.float64))
+    counts = np.zeros_like(noninduced)
+    for k in range(10, -1, -1):
+        counts[:, k] = noninduced[:, k] - counts[:, k + 1:] @ ORBIT_MATRIX[k, k + 1:]
     return counts
-
-
-if _njit is not None:
-    _orbit_counts_jit = _njit(cache=True)(_orbit_counts_dense)
-else:
-    _orbit_counts_jit = None
-
-
-def orbit_counts_esu(adj_sets, n):
-    """Fallback enumeration of connected induced 4-sets (ESU), sparse-friendly.
-
-    adj_sets: list of neighbor sets.  Returns (n, 11) int64 counts.
-    """
-    counts = np.zeros((n, 11), dtype=np.int64)
-
-    def record(q):
-        a, b, c, d = q
-        sa, sb, sc, sd = adj_sets[a], adj_sets[b], adj_sets[c], adj_sets[d]
-        da = (b in sa) + (c in sa) + (d in sa)
-        db = (a in sb) + (c in sb) + (d in sb)
-        dc = (a in sc) + (b in sc) + (d in sc)
-        dd = (a in sd) + (b in sd) + (c in sd)
-        e = (da + db + dc + dd) // 2
-        degs = (da, db, dc, dd)
-        if e == 3:
-            star = max(degs) == 3
-            orbits = [(2 if deg == 1 else 3) if star else (0 if deg == 1 else 1)
-                      for deg in degs]
-        elif e == 4:
-            if max(degs) == 2:
-                orbits = [4, 4, 4, 4]
-            else:
-                orbits = [5 if deg == 1 else (6 if deg == 2 else 7) for deg in degs]
-        elif e == 5:
-            orbits = [8 if deg == 2 else 9 for deg in degs]
-        else:
-            orbits = [10, 10, 10, 10]
-        for node, orb in zip(q, orbits):
-            counts[node, orb] += 1
-
-    def extend(sub, ext, v):
-        if len(sub) == 4:
-            record(sub)
-            return
-        ext = set(ext)
-        while ext:
-            w = ext.pop()
-            if len(sub) == 3:
-                record(sub + [w])
-                continue
-            in_sub_nbrs = set()
-            for u in sub:
-                in_sub_nbrs |= adj_sets[u]
-            ext2 = ext | {u for u in adj_sets[w]
-                          if u > v and u not in in_sub_nbrs and u not in sub}
-            extend(sub + [w], ext2, v)
-
-    for v in range(n):
-        extend([v], {u for u in adj_sets[v] if u > v}, v)
-    return counts
-
-
-def orbit_counts_matrix(adj):
-    """Per-node graphlet orbit counts from a dense 0/1 adjacency matrix."""
-    n = adj.shape[0]
-    counts = np.zeros((n, 11), dtype=np.int64)
-    if n < 4:
-        return counts
-    if _orbit_counts_jit is not None:
-        adj = np.ascontiguousarray(adj, dtype=np.int64)
-        return _orbit_counts_jit(adj, counts)
-    adj_sets = [set(np.flatnonzero(adj[i]).tolist()) for i in range(n)]
-    return orbit_counts_esu(adj_sets, n)

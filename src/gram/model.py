@@ -18,7 +18,7 @@ import numpy as np
 from . import attention as A
 from . import tensor as T
 from . import graphs as G
-from .kernels import capped_distances
+from .kernels import capped_distances, clustering
 from .optim import Parameter, glorot
 from .tensor import Tensor
 
@@ -107,32 +107,11 @@ def build_prefix(labels, edges, radius: int) -> Prefix:
     labels = np.asarray(labels, dtype=np.int64)
     s = len(labels)
     edge_array = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
-    deg = np.zeros(s, dtype=np.int64)
-    indptr = np.zeros(s + 1, dtype=np.int64)
-    for i, j, _ in edge_array:
-        deg[i] += 1
-        deg[j] += 1
-    indptr[1:] = np.cumsum(deg)
-    indices = np.empty(int(indptr[-1]), dtype=np.int64)
-    fill = indptr[:-1].copy()
-    for i, j, _ in edge_array:
-        indices[fill[i]] = j
-        fill[i] += 1
-        indices[fill[j]] = i
-        fill[j] += 1
-    dist = capped_distances(indptr, indices, s, radius)
-    clus = np.zeros(s, dtype=np.float64)
-    if len(edge_array):
-        mat = np.zeros((s, s), dtype=np.uint8)
-        mat[edge_array[:, 0], edge_array[:, 1]] = 1
-        mat[edge_array[:, 1], edge_array[:, 0]] = 1
-        for v in range(s):
-            if deg[v] < 2:
-                continue
-            nbrs = np.flatnonzero(mat[v])
-            links = int(mat[np.ix_(nbrs, nbrs)].sum()) // 2
-            clus[v] = 2.0 * links / (deg[v] * (deg[v] - 1))
-    return Prefix(labels, edge_array, dist, deg, clus)
+    adj = np.zeros((s, s))
+    adj[edge_array[:, 0], edge_array[:, 1]] = 1.0
+    adj[edge_array[:, 1], edge_array[:, 0]] = 1.0
+    return Prefix(labels, edge_array, capped_distances(adj, radius),
+                  adj.sum(axis=1).astype(np.int64), clustering(adj))
 
 
 class OrderedGraph:

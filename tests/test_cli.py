@@ -1,7 +1,4 @@
 import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -187,21 +184,6 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg.write_text(json.dumps({"model": {"d_modell": 32}}))
     assert run(["train", "--corpus", str(corpus), "--out", str(tmp_path / "r"),
                 "--config", str(cfg)]) == 2
-
-
-def test_cli_runs_with_numba_disabled(tmp_path):
-    """The whole dataset->stats path must work on the fallback backend."""
-    env = dict(os.environ, GRAM_NUMBA="0")
-    corpus = tmp_path / "c.jsonl"
-    cmd = [sys.executable, "-m", "gram.cli", "dataset", "--family", "grid",
-           "--count", "4", "--nmin", "9", "--nmax", "16", "--seed", "1",
-           "--out", str(corpus), "--no-split"]
-    out = subprocess.run(cmd, env=env, capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    cmd = [sys.executable, "-m", "gram.cli", "stats", "--corpus", str(corpus)]
-    out = subprocess.run(cmd, env=env, capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert "mean_beta" in out.stdout
 
 
 def _checkpoint_and_corpus(tmp_path, graphs):

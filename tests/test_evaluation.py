@@ -191,8 +191,7 @@ def _blake2b_ball_hash(adj, node_labels, edge_label, dist_row, rr):
 def blake2b_features(g, r_max=E.NSPDK_RADIUS, d_max=E.NSPDK_DISTANCE):
     """The per-root, per-radius featurizer with keyed-digest hashes and
     sorted-tuple multisets that the array featurizer replaced."""
-    indptr, indices = g.csr()
-    dist = kernels.capped_distances(indptr, indices, g.n, max(r_max, d_max, 1))
+    dist = kernels.capped_distances(g.adjacency_matrix(), max(r_max, d_max, 1))
     adj, elab = g.adjacency(), g.edge_label_map()
     hashes = np.array([[_blake2b_ball_hash(adj, g.node_labels, elab, dist[u], rr)
                         for rr in range(r_max + 1)] for u in range(g.n)], dtype=np.int64)

@@ -1,3 +1,4 @@
+import networkx as nx
 import numpy as np
 import pytest
 import scipy.sparse.csgraph as csgraph
@@ -6,6 +7,7 @@ from gram import graphs as G
 from gram.graphs import GraphError, LabeledGraph, NodeOrdering
 
 from conftest import random_connected_graph
+from test_evaluation import to_nx
 
 
 def test_to_tensors_two_node_example():
@@ -212,3 +214,5 @@ def test_graph_statistics_vs_triangle_enumeration(rng):
                         if mat[nbrs[i], nbrs[j]])
             expect = 2 * links / (deg * (deg - 1)) if deg >= 2 else 0.0
             assert st.clustering[v] == pytest.approx(expect, abs=1e-12)
+        via_nx = nx.clustering(to_nx(g))
+        assert np.abs(st.clustering - [via_nx[v] for v in range(n)]).max() <= 1e-12

@@ -1,7 +1,4 @@
 import itertools
-import os
-import subprocess
-import sys
 
 import networkx as nx
 import numpy as np
@@ -10,78 +7,153 @@ from gram import kernels
 from gram.graphs import LabeledGraph
 
 from conftest import random_connected_graph
+from test_evaluation import to_nx
 
 
 def test_backends_agree_on_distances(rng):
+    """Capped distances equal networkx BFS lengths with cutoff=cap, and
+    cap + 1 for every pair the cutoff leaves out."""
     for _ in range(30):
         n = int(rng.integers(2, 40))
-        g = random_connected_graph(rng, n)
-        indptr, indices = g.csr()
+        g = random_connected_graph(rng, n, extra_edge_prob=float(rng.uniform(0.0, 0.3)))
         cap = int(rng.integers(1, 6))
-        via_csr = kernels._capped_distances_csr(indptr, indices, n, cap)
-        via_numpy = kernels.capped_distances_numpy(indptr, indices, n, cap)
-        assert np.array_equal(via_csr, via_numpy)
-        assert np.array_equal(kernels.capped_distances(indptr, indices, n, cap), via_csr)
+        nxg = to_nx(g)
+        expect = np.full((n, n), cap + 1, dtype=np.int64)
+        for src in range(n):
+            for dst, d in nx.single_source_shortest_path_length(nxg, src, cutoff=cap).items():
+                expect[src, dst] = d
+        assert np.array_equal(kernels.capped_distances(g.adjacency_matrix(), cap), expect)
+
+
+def test_distances_count_past_255_common_neighbours():
+    """K_{2,256}: the two hubs share 256 neighbours and sit at distance 2; a
+    uint8 frontier product wrapped to 0 there and gave cap + 1."""
+    hubs, leaves = 2, 256
+    adj = np.zeros((hubs + leaves, hubs + leaves), dtype=np.uint8)
+    adj[:hubs, hubs:] = 1
+    adj[hubs:, :hubs] = 1
+    dist = kernels.capped_distances(adj, 3)
+    assert dist[0, 1] == dist[1, 0] == 2
+    assert dist[hubs, hubs + 1] == 2
+    assert (dist[:hubs, hubs:] == 1).all()
+
+
+def _orbit_of(e, degree, max_degree):
+    """Orbit of a node of within-set degree `degree` in a connected 4-set
+    with e induced edges and largest degree max_degree."""
+    if e == 3:
+        return (0 if degree == 1 else 1) if max_degree == 2 else (2 if degree == 1 else 3)
+    if e == 4:
+        return 4 if max_degree == 2 else (5 if degree == 1 else 6 if degree == 2 else 7)
+    if e == 5:
+        return 8 if degree == 2 else 9
+    return 10
 
 
 def _orbit_via_networkx(g):
     """Independent recount: enumerate 4-subsets, classify with networkx."""
-    nxg = nx.Graph()
-    nxg.add_nodes_from(range(g.n))
-    nxg.add_edges_from((u, v) for u, v, _ in g.edges)
+    nxg = to_nx(g)
     counts = np.zeros((g.n, 11), dtype=np.int64)
     for quad in itertools.combinations(range(g.n), 4):
         sub = nxg.subgraph(quad)
         if not nx.is_connected(sub):
             continue
-        e = sub.number_of_edges()
         degs = dict(sub.degree())
         mx = max(degs.values())
         for v in quad:
-            d = degs[v]
-            if e == 3:
-                orb = (0 if d == 1 else 1) if mx == 2 else (2 if d == 1 else 3)
-            elif e == 4:
-                orb = 4 if mx == 2 else (5 if d == 1 else 6 if d == 2 else 7)
-            elif e == 5:
-                orb = 8 if d == 2 else 9
-            else:
-                orb = 10
-            counts[v, orb] += 1
+            counts[v, _orbit_of(sub.number_of_edges(), degs[v], mx)] += 1
+    return counts
+
+
+def _orbit_counts_dense(adj, counts):
+    """The O(n^4) loop over all 4-sets that the closed form replaced: a 4-set
+    with e induced edges is connected iff e >= 4, or e == 3 with no isolated
+    node, and (e, within-set degree) fixes each node's orbit."""
+    n = adj.shape[0]
+    for a in range(n - 3):
+        for b in range(a + 1, n - 2):
+            eab = adj[a, b]
+            for c in range(b + 1, n - 1):
+                eac = adj[a, c]
+                ebc = adj[b, c]
+                e3 = eab + eac + ebc
+                for d in range(c + 1, n):
+                    ead = adj[a, d]
+                    ebd = adj[b, d]
+                    ecd = adj[c, d]
+                    e = e3 + ead + ebd + ecd
+                    if e < 3:
+                        continue
+                    da = eab + eac + ead
+                    db = eab + ebc + ebd
+                    dc = eac + ebc + ecd
+                    dd = ead + ebd + ecd
+                    if e == 3 and (da == 0 or db == 0 or dc == 0 or dd == 0):
+                        continue
+                    if e == 6:
+                        counts[a, 10] += 1
+                        counts[b, 10] += 1
+                        counts[c, 10] += 1
+                        counts[d, 10] += 1
+                        continue
+                    if e == 5:
+                        base = 8
+                        off = 1
+                        lo = 2
+                    elif e == 4:
+                        if da == 2 and db == 2 and dc == 2 and dd == 2:
+                            counts[a, 4] += 1
+                            counts[b, 4] += 1
+                            counts[c, 4] += 1
+                            counts[d, 4] += 1
+                            continue
+                        base = 5
+                        off = 1
+                        lo = 1
+                    else:
+                        mx = max(max(da, db), max(dc, dd))
+                        if mx == 3:
+                            base = 2
+                            off = 2
+                            lo = 1
+                        else:
+                            base = 0
+                            off = 1
+                            lo = 1
+                    counts[a, base + (da - lo) // off] += 1
+                    counts[b, base + (db - lo) // off] += 1
+                    counts[c, base + (dc - lo) // off] += 1
+                    counts[d, base + (dd - lo) // off] += 1
     return counts
 
 
 def test_orbit_backends_and_oracle(rng):
-    for _ in range(15):
-        n = int(rng.integers(4, 21))
-        g = random_connected_graph(rng, n, extra_edge_prob=0.3)
-        mat = g.adjacency_matrix()
-        main = kernels.orbit_counts_matrix(mat)
-        adj_sets = [set(np.flatnonzero(mat[i]).tolist()) for i in range(n)]
-        esu = kernels.orbit_counts_esu(adj_sets, n)
-        brute = kernels._orbit_counts_dense(mat.astype(np.int64),
-                                            np.zeros((n, 11), dtype=np.int64))
-        oracle = _orbit_via_networkx(g)
-        assert np.array_equal(main, oracle)
-        assert np.array_equal(esu, oracle)
-        assert np.array_equal(brute, oracle)
+    """Closed-form orbit counts equal two enumerations of every 4-set, as
+    integers; dense graphs make diamonds and K4s common."""
+    seen = np.zeros(11, dtype=bool)
+    for i in range(60):
+        n = int(rng.integers(4, 15))
+        g = random_connected_graph(rng, n, extra_edge_prob=0.9 * i / 59)
+        main = kernels.orbit_counts_matrix(g.adjacency_matrix())
+        assert main.dtype == np.int64
+        assert np.array_equal(main, _orbit_via_networkx(g))
+        brute = _orbit_counts_dense(g.adjacency_matrix().astype(np.int64),
+                                    np.zeros((n, 11), dtype=np.int64))
+        assert np.array_equal(main, brute)
+        seen |= main.any(axis=0)
+    assert seen.all()
+
+
+def test_each_graphlet_counts_itself_once():
+    """A graphlet alone puts each node once in its own orbit and nowhere
+    else; the non-induced-to-induced matrix is unit upper-triangular."""
+    for name, edges, orbits in kernels.GRAPHLETS:
+        counts = kernels.orbit_counts_matrix(kernels.graphlet_adjacency(edges))
+        assert np.array_equal(counts, np.eye(11, dtype=np.int64)[list(orbits)]), name
+    assert np.array_equal(np.tril(kernels.ORBIT_MATRIX), np.eye(11, dtype=np.int64))
 
 
 def test_orbit_small_graphs_zero():
     g = LabeledGraph.create(3, [0] * 3, [(0, 1, 0), (1, 2, 0)], a=1, b=1)
     assert not kernels.orbit_counts_matrix(g.adjacency_matrix()).any()
-
-
-def test_numba_flag_selects_fallback():
-    """GRAM_NUMBA=0 must import cleanly and report the numpy backend."""
-    env = dict(os.environ, GRAM_NUMBA="0")
-    code = ("from gram import kernels; import numpy as np\n"
-            "assert kernels.backend() == 'numpy'\n"
-            "indptr = np.array([0, 1, 2]); indices = np.array([1, 0])\n"
-            "d = kernels.capped_distances(indptr, indices, 2, 3)\n"
-            "assert d[0, 1] == 1 and d[0, 0] == 0\n"
-            "print('fallback-ok')\n")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert "fallback-ok" in out.stdout
+    assert kernels.orbit_counts_matrix(np.zeros((0, 0))).shape == (0, 11)

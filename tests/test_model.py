@@ -57,6 +57,61 @@ def test_config_validation():
         ModelConfig(a=2, b=2, variant="C")
 
 
+def loop_prefix_stats(s, edge_array, radius):
+    """Distances and clustering of a prefix as build_prefix computed them
+    before its matrix form: CSR lists, one BFS queue per source and one
+    neighbour submatrix per node."""
+    deg = np.zeros(s, dtype=np.int64)
+    for i, j, _ in edge_array:
+        deg[i] += 1
+        deg[j] += 1
+    indptr = np.concatenate([[0], np.cumsum(deg)])
+    indices = np.empty(int(indptr[-1]), dtype=np.int64)
+    fill = indptr[:-1].copy()
+    for i, j, _ in edge_array:
+        indices[fill[i]] = j
+        fill[i] += 1
+        indices[fill[j]] = i
+        fill[j] += 1
+    dist = np.full((s, s), radius + 1, dtype=np.int64)
+    for src in range(s):
+        dist[src, src] = 0
+        queue = [src]
+        for u in queue:
+            if dist[src, u] >= radius:
+                continue
+            for v in indices[indptr[u]:indptr[u + 1]]:
+                if dist[src, v] > dist[src, u] + 1:
+                    dist[src, v] = dist[src, u] + 1
+                    queue.append(v)
+    clus = np.zeros(s, dtype=np.float64)
+    mat = np.zeros((s, s), dtype=np.uint8)
+    for i, j, _ in edge_array:
+        mat[i, j] = mat[j, i] = 1
+    for v in range(s):
+        if deg[v] < 2:
+            continue
+        nbrs = np.flatnonzero(mat[v])
+        links = int(mat[np.ix_(nbrs, nbrs)].sum()) // 2
+        clus[v] = 2.0 * links / (deg[v] * (deg[v] - 1))
+    return dist, deg, clus
+
+
+def test_build_prefix_matches_loop_version(rng):
+    """The matrix-product prefix statistics are bit-identical to the loops."""
+    for _ in range(30):
+        n = int(rng.integers(1, 25))
+        g = random_connected_graph(rng, n, extra_edge_prob=float(rng.uniform(0.0, 0.8)))
+        s = int(rng.integers(1, n + 1))
+        edges = [(u, v, lab) for u, v, lab in g.edges if v < s]
+        radius = int(rng.integers(1, 5))
+        prefix = build_prefix(g.node_labels[:s], edges, radius)
+        dist, deg, clus = loop_prefix_stats(s, prefix.edge_array, radius)
+        assert np.array_equal(prefix.dist_idx, dist)
+        assert np.array_equal(prefix.degrees, deg) and prefix.degrees.dtype == np.int64
+        assert np.array_equal(prefix.clustering.view(np.int64), clus.view(np.int64))
+
+
 def test_conv_single_isolated_node_uses_self_transform(rng):
     model = tiny_model()
     prefix = build_prefix([1], [], radius=2)
