@@ -23,8 +23,8 @@ two halves:
 
 `g_multi_head` is project-then-attend.  `attend` is the only attention
 kernel: the edge estimator (model.EdgeStep) projects once per generation
-step and, while sampling, calls `attend` with one query over the keys of
-the decisions kept so far.
+step and then calls `attend` with all candidates as queries under a causal
+mask, in training and in sampling alike.
 
 The bias tables have only C = cap + 2 rows, one per distance bucket, so no
 (nq, nk, d_S) array of looked-up bias vectors is ever formed.  With

@@ -40,8 +40,6 @@ def _build_parser() -> _Parser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", default=argparse.SUPPRESS,
                         help="JSON config file (sections: model, train, dataset)")
-    shared.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="worker cap for parallel sections (default: GRAM_THREADS or 1)")
     shared.add_argument("--verbose", "-v", action="store_true", default=argparse.SUPPRESS)
 
     p = _Parser(prog="gram", description=__doc__, parents=[shared],
@@ -277,16 +275,17 @@ def _cmd_sample(args, cfg_file):
     except SamplerError as exc:
         raise DataError(str(exc)) from exc
     samples = []
-    truncated = retries = forced = 0
+    truncated = retries = forced = edge_passes = 0
     for _ in range(args.count):
         res = generate_graph(model, bank, max_nodes, rng, argmax=args.argmax)
         samples.append(res.graph)
         truncated += int(res.truncated)
         retries += res.retries
         forced += res.forced
+        edge_passes += res.edge_passes
     D.write_corpus(args.out, samples)
     print(f"wrote {len(samples)} graphs to {args.out} ({truncated} truncated, "
-          f"{retries} retries, {forced} forced attachments)")
+          f"{retries} retries, {edge_passes} edge passes, {forced} forced attachments)")
     return 0
 
 
@@ -302,9 +301,8 @@ def _cmd_eval(args, cfg_file):
         raise DataError("eval needs non-empty corpora")
     _echo(args, {"command": "eval", "generated": str(args.generated),
                  "reference": str(args.reference), "train": args.train,
-                 "seed": args.seed, "threads": args.threads_resolved})
-    report = E.evaluate_corpora(generated, reference, train_set,
-                                seed=args.seed, threads=args.threads_resolved)
+                 "seed": args.seed})
+    report = E.evaluate_corpora(generated, reference, train_set, seed=args.seed)
     for key in EVAL_TABLE_ORDER:
         val = getattr(report, key)
         print(f"{key:>16}: " + ("-" if val is None else f"{val:.6f}"))
@@ -337,20 +335,6 @@ _COMMANDS = {"dataset": _cmd_dataset, "train": _cmd_train, "sample": _cmd_sample
              "eval": _cmd_eval, "stats": _cmd_stats}
 
 
-def _resolve_threads(flag) -> int:
-    """--threads if given, else GRAM_THREADS, else 1; at least 1."""
-    source, threads = "--threads", flag
-    if threads is None:
-        source, raw = "GRAM_THREADS", os.environ.get("GRAM_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise UsageError(f"GRAM_THREADS must be an integer, got {raw!r}") from None
-    if threads < 1:
-        raise UsageError(f"{source} must be >= 1")
-    return threads
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -358,9 +342,8 @@ def main(argv=None) -> int:
         # Not parser.set_defaults: the parser and its subcommands share the
         # flag actions, so a default set there would reset a flag given
         # before the subcommand.
-        for key, value in (("config", None), ("threads", None), ("verbose", False)):
+        for key, value in (("config", None), ("verbose", False)):
             vars(args).setdefault(key, value)
-        args.threads_resolved = _resolve_threads(args.threads)
         cfg_file = _load_config_file(args.config)
         return _COMMANDS[args.command](args, cfg_file)
     except UsageError as exc:

@@ -17,7 +17,6 @@ featurizes each graph once and computes that, with no kernel pair.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -214,15 +213,12 @@ def feature_mmd2(feats_p, feats_q) -> float:
     return total
 
 
-def _featurize_all(graph_list, r_max, d_max, threads=1):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda g: nspdk_features(g, r_max, d_max), graph_list))
+def _featurize_all(graph_list, r_max, d_max):
     return [nspdk_features(g, r_max, d_max) for g in graph_list]
 
 
 def gk_mmd2(set_p, set_q, r_max: int = NSPDK_RADIUS, d_max: int = NSPDK_DISTANCE,
-            seed: int = 0, threads: int = 1) -> float:
+            seed: int = 0) -> float:
     """Squared MMD under the graph kernel.  Corpora larger than
     SUBSAMPLE_LIMIT are evaluated on seeded subsamples of SUBSAMPLE_SIZE,
     averaged over SUBSAMPLE_DRAWS draws; each drawn graph is featurized
@@ -231,8 +227,8 @@ def gk_mmd2(set_p, set_q, r_max: int = NSPDK_RADIUS, d_max: int = NSPDK_DISTANCE
     if not set_p or not set_q:
         raise EvalError("MMD needs non-empty sample sets")
     if max(len(set_p), len(set_q)) <= SUBSAMPLE_LIMIT:
-        return feature_mmd2(_featurize_all(set_p, r_max, d_max, threads),
-                            _featurize_all(set_q, r_max, d_max, threads))
+        return feature_mmd2(_featurize_all(set_p, r_max, d_max),
+                            _featurize_all(set_q, r_max, d_max))
     rng = np.random.default_rng(seed)
     draws = [(rng.choice(len(set_p), min(SUBSAMPLE_SIZE, len(set_p)), replace=False),
               rng.choice(len(set_q), min(SUBSAMPLE_SIZE, len(set_q)), replace=False))
@@ -240,8 +236,7 @@ def gk_mmd2(set_p, set_q, r_max: int = NSPDK_RADIUS, d_max: int = NSPDK_DISTANCE
 
     def featurized(graphs, picks):
         used = sorted(set(np.concatenate(picks).tolist()))
-        return dict(zip(used, _featurize_all([graphs[i] for i in used], r_max, d_max,
-                                             threads)))
+        return dict(zip(used, _featurize_all([graphs[i] for i in used], r_max, d_max)))
 
     feats_p = featurized(set_p, [p for p, _ in draws])
     feats_q = featurized(set_q, [q for _, q in draws])
@@ -375,13 +370,12 @@ class EvalReport:
         return ",".join(vals)
 
 
-def evaluate_corpora(generated, reference, train_set=None, seed: int = 0,
-                     threads: int = 1) -> EvalReport:
+def evaluate_corpora(generated, reference, train_set=None, seed: int = 0) -> EvalReport:
     """Full evaluation of a generated corpus against a reference corpus;
     novelty needs the training corpus and is omitted without it."""
     if not generated or not reference:
         raise EvalError("corpora must be non-empty")
-    gk = float(gk_mmd2(generated, reference, seed=seed, threads=threads))
+    gk = float(gk_mmd2(generated, reference, seed=seed))
     deg = float(statistic_mmd(generated, reference, "degree"))
     clus = float(statistic_mmd(generated, reference, "clustering"))
     orb = float(statistic_mmd(generated, reference, "orbit"))

@@ -83,21 +83,18 @@ class LabeledGraph:
         return adj
 
     def adjacency_matrix(self) -> np.ndarray:
+        u, v, _ = np.array(self.edges, dtype=np.int64).reshape(-1, 3).T
         mat = np.zeros((self.n, self.n), dtype=np.uint8)
-        for u, v, _ in self.edges:
-            mat[u, v] = 1
-            mat[v, u] = 1
+        mat[u, v] = 1
+        mat[v, u] = 1
         return mat
 
     def edge_label_map(self) -> dict:
         return {(u, v): lab for u, v, lab in self.edges}
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        for u, v, _ in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 3)[:, :2].reshape(-1)
+        return np.bincount(ends, minlength=self.n).astype(np.int64, copy=False)
 
     def is_connected(self) -> bool:
         if self.n <= 1:

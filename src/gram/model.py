@@ -278,36 +278,46 @@ class Model:
     # -- feature extraction -------------------------------------------------
 
     def graph_convolution(self, hv: Tensor, he: Tensor, prefix: Prefix, conv) -> tuple:
-        """One conv layer: every edge pushes a transformed (node, edge, node)
-        triple through an FNN; nodes average the candidate vectors of their
-        incident edges (both directions), isolated nodes take a learned
-        self-transform; edges keep the middle candidate."""
+        """One conv layer.  Every edge (i, j) with features e reads its node
+        triple in both directions, x1 = [h_i | e | h_j] and
+        x2 = [h_j | e | h_i], as hid = relu(x W1 + b1).  The edge keeps the
+        mean of its two candidates hid wedge + bedge.  A node averages, over
+        its incident edges and both directions, the candidate of the end it
+        reads: hid wsrc + bsrc where it comes first, hid wdst + bdst where it
+        comes last.  Isolated nodes take a learned self-transform.
+
+        The work is split so that only gathers and scatters are per edge.
+        By input part, x1 W1 = h_i W1[:d] + e W1[d:2d] + h_j W1[2d:], so the
+        node blocks are computed once per node and gathered into both
+        directions.  The edge candidate is (hid1 + hid2)/2 wedge + bedge.
+        The output projections are linear, so they run after the scatter:
+        with S and S' the one-hot (node, direction-edge) incidence of the
+        first and the last end, a node's candidate sum is
+        (S hid) wsrc + (S' hid) wdst + deg (bsrc + bdst), where
+        S hid = S_i hid1 + S_j hid2 and S' hid = S_i hid2 + S_j hid1."""
         iso = T.relu(T.add(T.matmul(hv, conv["wiso"]), conv["biso"]))
-        t_cnt = len(prefix.edge_array)
-        if t_cnt == 0:
+        t = len(prefix.edge_array)
+        if t == 0:
             return iso, he
-        ii = prefix.edge_array[:, 0]
-        jj = prefix.edge_array[:, 1]
-        hi = T.rows(hv, ii)
-        hj = T.rows(hv, jj)
-        x1 = T.concat([hi, he, hj], axis=-1)
-        x2 = T.concat([hj, he, hi], axis=-1)
-        hid1 = T.relu(T.add(T.matmul(x1, conv["w1"]), conv["b1"]))
-        hid2 = T.relu(T.add(T.matmul(x2, conv["w1"]), conv["b1"]))
-        f1_src = T.add(T.matmul(hid1, conv["wsrc"]), conv["bsrc"])
-        f1_edge = T.add(T.matmul(hid1, conv["wedge"]), conv["bedge"])
-        f1_dst = T.add(T.matmul(hid1, conv["wdst"]), conv["bdst"])
-        f2_src = T.add(T.matmul(hid2, conv["wsrc"]), conv["bsrc"])
-        f2_edge = T.add(T.matmul(hid2, conv["wedge"]), conv["bedge"])
-        f2_dst = T.add(T.matmul(hid2, conv["wdst"]), conv["bdst"])
-        he_new = T.mul(T.add(f1_edge, f2_edge), T.const(0.5))
-        s = prefix.n
-        scat_i = np.zeros((s, t_cnt))
-        scat_j = np.zeros((s, t_cnt))
-        scat_i[ii, np.arange(t_cnt)] = 1.0
-        scat_j[jj, np.arange(t_cnt)] = 1.0
-        sums = T.add(T.matmul(T.const(scat_i), T.add(f1_src, f2_dst)),
-                     T.matmul(T.const(scat_j), T.add(f1_dst, f2_src)))
+        s, d = hv.data.shape
+        ii, jj = prefix.edge_array[:, 0], prefix.edge_array[:, 1]
+        w1 = conv["w1"]
+        first = T.matmul(hv, T.slice_along(w1, 0, 0, d))              # (s, 3d)
+        last = T.matmul(hv, T.slice_along(w1, 0, 2 * d, 3 * d))       # (s, 3d)
+        mid = T.add(T.matmul(he, T.slice_along(w1, 0, d, 2 * d)), conv["b1"])  # (t, 3d)
+        # direction 0 reads (i, e, j), direction 1 reads (j, e, i)
+        first_end, last_end = np.concatenate([ii, jj]), np.concatenate([jj, ii])
+        pre = T.add(T.rows(first, first_end), T.rows(last, last_end))  # (2t, 3d)
+        hid = T.relu(T.add(T.reshape(pre, (2, t, 3 * d)), mid))
+        he_new = T.add(T.matmul(T.mul(T.sum_along(hid, 0), T.const(0.5)), conv["wedge"]),
+                       conv["bedge"])
+        hid = T.reshape(hid, (2 * t, 3 * d))
+        scatter = np.zeros((2, s, 2 * t))
+        scatter[0, first_end, np.arange(2 * t)] = 1.0
+        scatter[1, last_end, np.arange(2 * t)] = 1.0
+        sums = T.add(T.add(T.matmul(T.matmul(T.const(scatter[0]), hid), conv["wsrc"]),
+                           T.matmul(T.matmul(T.const(scatter[1]), hid), conv["wdst"])),
+                     T.mul(T.const(prefix.degrees[:, None]), T.add(conv["bsrc"], conv["bdst"])))
         counts = 2.0 * prefix.degrees
         recip = np.zeros(s)
         np.divide(1.0, counts, out=recip, where=counts > 0)
@@ -397,11 +407,10 @@ class EdgeStep:
     hv_j W1[:d] + hg W1[d:2d] + embed_node(label) W1[2d:3d] + b1, are
     computed once per step.
 
-    Training scores all candidates at once (edge_logits_teacher, on the
-    tape).  Sampling decides them one by one and runs eagerly: reset()
-    starts an attempt, logits(i) attends with candidate i's query over the
-    keys kept so far, and decide(i, code) adds one key/value row when the
-    key policy keeps the decision.
+    edge_logits_teacher(codes) is the one edge-logit method: it scores all
+    candidates at once, and row i depends on codes[:i] only.  Training
+    passes the ground-truth codes on the tape; the sampler runs it eagerly
+    on drafted codes (sampler.generate_graph).
     """
 
     def __init__(self, model: Model, hv: Tensor, hg: Tensor, new_label: int,
@@ -430,22 +439,17 @@ class EdgeStep:
         self.base = T.add(T.add(T.add(T.matmul(hc, w1[0]), T.matmul(hg, w1[1])),
                                 T.matmul(hvs, w1[2])), model.edge_b1)  # (t, d)
         self.w1_hist = w1[3]
-        self._rows = None
-
-    def _logits(self, base: Tensor, he_hist: Tensor) -> Tensor:
-        m = self.model
-        h = T.relu(T.add(base, T.matmul(he_hist, self.w1_hist)))
-        h = T.relu(T.add(T.matmul(h, m.edge_w2), m.edge_b2))
-        return T.add(T.matmul(h, m.edge_w3), m.edge_b3)
 
     def edge_logits_teacher(self, key_codes: np.ndarray):
         """Edge logits for all candidates at once.
 
-        Candidate i attends over candidates j < i whose ground-truth edge
-        code is key_codes[j] (the A-policy masks keys without an edge);
-        causal masking makes this equal to deciding candidates one by one.
+        Candidate i attends over the candidates j < i with edge code
+        key_codes[j] (the A-policy masks keys without an edge).  The mask
+        is causal, so row i depends on key_codes[:i] only and equals the
+        logits of deciding the candidates one by one.
         Returns (logits (t, b + 1), attended key pair count).
         """
+        m = self.model
         key_codes = np.asarray(key_codes, dtype=np.int64)
         t = len(key_codes)
         pick = np.zeros((t, self.ke.data.shape[1]))
@@ -454,49 +458,10 @@ class EdgeStep:
         v = T.add(self.vc, T.matmul(T.const(pick), self.ve))
         allowed = np.tril(np.ones((t, t), dtype=bool), k=-1)
         if self.restrict:
-            allowed &= (key_codes < self.model.config.b)[None, :]
+            allowed &= (key_codes < m.config.b)[None, :]
         ctx = A.AttentionContext(self.dist, allowed)
         he_hist = A.attend(self.q, k, v, self.q_table, self.heads.key_table(k), ctx,
                            self.heads, on_empty="zero")
-        return self._logits(self.base, he_hist), int(allowed.sum())
-
-    def reset(self):
-        """Start a sampling attempt with no decision kept."""
-        if self._rows is None:
-            # key, value and key-table rows of every (candidate, code) pair
-            keys = self.kc.data[:, :, None, :] + self.ke.data[:, None, :, :]
-            values = self.vc.data[:, :, None, :] + self.ve.data[:, None, :, :]
-            table = None
-            if self.heads.use_bias:
-                table = keys @ np.swapaxes(self.heads.bq.data, -1, -2)[:, None]
-            self._rows = (keys, values, table)
-            heads, t, d_s = self.q.data.shape
-            self._kept = (np.empty((heads, t, d_s)), np.empty((heads, t, d_s)),
-                          None if table is None else np.empty((heads, t, table.shape[-1])))
-            self._pos = np.empty(t, dtype=np.int64)
-        self._count = 0
-
-    def decide(self, i: int, code: int):
-        """Record candidate i's decision; it becomes a key unless the key
-        policy drops decisions without an edge."""
-        if self.restrict and code >= self.model.config.b:
-            return
-        m = self._count
-        for rows, kept in zip(self._rows, self._kept):
-            if rows is not None:
-                kept[:, m] = rows[:, i, code]
-        self._pos[m] = i
-        self._count = m + 1
-
-    def logits(self, i: int) -> Tensor:
-        """Edge logits (1, b + 1) of candidate i given the kept decisions."""
-        base = T.const(self.base.data[i:i + 1])
-        m = self._count
-        if m == 0:  # empty history: exactly zero
-            return self._logits(base, T.const(np.zeros((1, self.model.config.d_model))))
-        keys, values, table = (None if a is None else T.const(a[:, :m]) for a in self._kept)
-        q_table = None if self.q_table is None else T.const(self.q_table.data[:, i:i + 1])
-        ctx = A.AttentionContext(self.dist[i:i + 1, self._pos[:m]], np.ones((1, m), dtype=bool))
-        he_hist = A.attend(T.const(self.q.data[:, i:i + 1]), keys, values, q_table, table,
-                           ctx, self.heads)
-        return self._logits(base, he_hist)
+        h = T.relu(T.add(self.base, T.matmul(he_hist, self.w1_hist)))
+        h = T.relu(T.add(T.matmul(h, m.edge_w2), m.edge_b2))
+        return T.add(T.matmul(h, m.edge_w3), m.edge_b3), int(allowed.sum())

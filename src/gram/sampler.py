@@ -59,6 +59,7 @@ class GenerationResult:
     truncated: bool
     retries: int = 0   # edge-sampling attempts beyond the first, over all steps
     forced: int = 0    # steps resolved by attaching the most edge-confident candidate
+    edge_passes: int = 0  # batched edge-estimator passes (edge_logits_teacher calls)
 
 
 def _sample(rng: np.random.Generator, dist: np.ndarray, argmax: bool) -> int:
@@ -68,19 +69,54 @@ def _sample(rng: np.random.Generator, dist: np.ndarray, argmax: bool) -> int:
     return int(rng.choice(len(p), p=p))
 
 
+def _edge_dists(step: EdgeStep, codes: np.ndarray) -> np.ndarray:
+    """Edge distributions (t, b + 1) of every candidate given the codes."""
+    return T.softmax(step.edge_logits_teacher(codes)[0]).data
+
+
+def _draw_edges(step: EdgeStep, draft: np.ndarray, rng: np.random.Generator,
+                argmax: bool) -> tuple:
+    """One attempt at a step's edge codes, drawn candidate by candidate.
+
+    draft holds the step's distributions when no candidate gets an edge.
+    Row i of a batched pass depends only on the codes before i, so the
+    draft stays exact until a candidate draws an edge; the rows after it
+    are then recomputed from the codes drawn so far, the rest still "no
+    edge".  Returns (codes, the distribution each code was drawn from,
+    the number of passes run).
+    """
+    t, b = len(draft), step.model.config.b
+    codes = np.full(t, b, dtype=np.int64)
+    dists = draft.copy()
+    passes = 0
+    for i in range(t):
+        codes[i] = _sample(rng, dists[i], argmax)
+        if codes[i] < b and i + 1 < t:
+            dists[i + 1:] = _edge_dists(step, codes)[i + 1:]
+            passes += 1
+    return codes, dists, passes
+
+
 def generate_graph(model: Model, bank: SeedBank, max_nodes: int,
                    rng: np.random.Generator, argmax: bool = False) -> GenerationResult:
     """Sample one graph.
 
     Starts from a uniformly drawn seed, then repeats: sample the next node's
     label (stop class terminates), then sample edge labels over the variant's
-    candidates in ascending order, feeding each decision into the next one's
-    attention history.  A step whose candidates all come out "no edge" is
-    resampled up to 5 times and then resolved by attaching the most
-    edge-confident candidate, so the output is always connected.  Each
-    step's edge estimator projects once (EdgeStep); every decision then adds
-    at most one attention key.  The result counts the resampled attempts
-    and the forced attachments.
+    candidates in ascending order, each conditioned on the decisions before
+    it.  A step whose candidates all come out "no edge" is resampled up to
+    5 times and then resolved by attaching the most edge-confident
+    candidate, so the output is always connected.
+
+    Edges are decoded speculatively.  One batched pass of the step's edge
+    estimator (EdgeStep.edge_logits_teacher) scores every candidate under
+    the draft "no candidate gets an edge"; the decisions are then drawn in
+    order from its rows, and a pass is run again only after a drawn edge
+    (_draw_edges).  The mask is causal, so every row is exact when drawn,
+    and with one draw per candidate in the same order the graph is the one
+    that deciding each candidate on its own would sample.  An attempt that
+    draws no edge leaves the draft untouched for the next.  The result
+    counts the resampled attempts, the forced attachments and the passes.
     """
     c = model.config
     if bank.seed_size != c.seed_size:
@@ -91,9 +127,12 @@ def generate_graph(model: Model, bank: SeedBank, max_nodes: int,
     labels = list(seed.node_labels)
     edges = [tuple(e) for e in seed.edges]
     truncated = False
-    retries = forced = 0
+    retries = forced = edge_passes = 0
     restrict = c.variant in ("A", "AB")
     frontier_only = c.variant in ("B", "AB")
+    # the frontier of the next node starts at the smallest lower neighbour of
+    # the last one: from the seed's edges first, then from the last step's
+    lo = min((u for u, v, _ in seed.edges if v == seed.n - 1), default=seed.n - 1)
     while True:
         s = len(labels)
         if s >= max_nodes:
@@ -105,35 +144,25 @@ def generate_graph(model: Model, bank: SeedBank, max_nodes: int,
         lab = _sample(rng, model.node_distribution(hg), argmax)
         if lab == c.a:
             break
-        if frontier_only:
-            lows = [u for u, v, _ in edges if v == s - 1]
-            lo = min(lows) if lows else s - 1
-            candidates = range(lo, s)
-        else:
-            candidates = range(s)
+        candidates = range(lo, s) if frontier_only else range(s)
         step = EdgeStep(model, hv, hg, lab, candidates, prefix.dist_idx, restrict)
-        attempts = 1 if argmax else 6
-        for attempt in range(attempts):
-            step.reset()
-            codes = []
-            dists = []
-            for i in range(len(candidates)):
-                dist = T.softmax(step.logits(i)).data[0]
-                dists.append(dist)
-                codes.append(_sample(rng, dist, argmax))
-                step.decide(i, codes[-1])
-            if any(code < c.b for code in codes):
+        draft = _edge_dists(step, np.full(len(candidates), c.b))
+        edge_passes += 1
+        for attempt in range(1 if argmax else 6):
+            codes, dists, passes = _draw_edges(step, draft, rng, argmax)
+            edge_passes += passes
+            if (codes < c.b).any():
                 break
         retries += attempt
-        if not any(code < c.b for code in codes):
+        if not (codes < c.b).any():
             # all candidates declined: attach the one most confident in
             # having some edge, with its most likely edge label
             forced += 1
-            best = int(np.argmax([1.0 - d[c.b] for d in dists]))
-            codes[best] = int(np.argmax(dists[best][:c.b]))
-        for t, code in zip(candidates, codes):
-            if code < c.b:
-                edges.append((t, s, code))
+            best = int(np.argmax(1.0 - dists[:, c.b]))
+            codes[best] = int(np.argmax(dists[best, :c.b]))
+        hits = np.flatnonzero(codes < c.b)
+        edges += [(candidates[k], s, int(codes[k])) for k in hits]
+        lo = candidates[hits[0]]
         labels.append(lab)
     graph = G.LabeledGraph.create(len(labels), labels, edges, c.a, c.b)
-    return GenerationResult(graph, truncated, retries, forced)
+    return GenerationResult(graph, truncated, retries, forced, edge_passes)

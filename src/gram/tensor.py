@@ -314,7 +314,9 @@ def softmax(a: Tensor, additive_mask=None) -> Tensor:
 
 
 def rows(table: Tensor, idx) -> Tensor:
-    """Row lookup (embedding gather): out[k] = table[idx[k]]."""
+    """Row lookup (embedding gather): out[k] = table[idx[k]].  The backward
+    scatter-adds the output rows with one one-hot (n, k) GEMM, which BLAS
+    runs several times faster than np.add.at."""
     idx = np.asarray(idx, dtype=np.int64)
     if idx.ndim != 1:
         raise ShapeError(f"row index must be 1-D, got shape {idx.shape}")
@@ -325,9 +327,10 @@ def rows(table: Tensor, idx) -> Tensor:
     def bw(g):
         if not table.requires_grad:
             return
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, idx, g)
+        n, width = table.data.shape[0], int(np.prod(table.data.shape[1:], dtype=np.int64))
+        onehot = np.zeros((n, len(idx)))
+        onehot[idx, np.arange(len(idx))] = 1.0
+        _accum(table, (onehot @ g.reshape(len(idx), width)).reshape(table.data.shape))
 
     return _record(out, (table,), bw)
 

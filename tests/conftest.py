@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from gram import attention as A
+from gram import tensor as T
 from gram.graphs import LabeledGraph
 from gram.model import Model, ModelConfig
 
@@ -27,6 +29,32 @@ def tiny_model(a=3, b=2, variant="plain", seed=0, **kw):
     kw.setdefault("radius", 2)
     kw.setdefault("seed_size", 2)
     return Model(ModelConfig(a=a, b=b, variant=variant, **kw), init_seed=seed)
+
+
+def edge_distribution_step(model, hv, hg, new_label, t, decided, restrict, dist_idx):
+    """Reference edge logits (1, b + 1) of candidate position t given the
+    decisions already made this step (list of (position, edge code), code
+    b = no edge): the per-candidate estimator that EdgeStep replaced.  It
+    rebuilds and projects every key of the history for each candidate and
+    runs the edge MLP on the concatenated input."""
+    c = model.config
+    keys = [(tau, code) for tau, code in decided if not restrict or code < c.b]
+    hvs = T.rows(model.embed_node, [new_label])
+    ht = T.rows(hv, [t])
+    if keys:
+        taus = [tau for tau, _ in keys]
+        tile = T.const(np.zeros((len(keys), c.d_model)))
+        k = T.concat([T.rows(hv, taus), T.add(tile, hvs),
+                      T.rows(model.embed_edge, [code for _, code in keys])], axis=-1)
+        ctx = A.AttentionContext(dist_idx[np.ix_([t], taus)],
+                                 np.ones((1, len(keys)), dtype=bool))
+        he_hist = A.g_multi_head(T.concat([ht, hvs], axis=-1), k, k, ctx, model.edge_attn)
+    else:
+        he_hist = T.const(np.zeros((1, c.d_model)))
+    gin = T.concat([ht, hg, hvs, he_hist], axis=-1)
+    h = T.relu(T.add(T.matmul(gin, model.edge_w1), model.edge_b1))
+    h = T.relu(T.add(T.matmul(h, model.edge_w2), model.edge_b2))
+    return T.add(T.matmul(h, model.edge_w3), model.edge_b3)
 
 
 @pytest.fixture

@@ -112,23 +112,22 @@ def test_exit_codes(tmp_path, capsys):
     assert not (tmp_path / "x.jsonl").exists()
 
 
-def test_bad_thread_counts_are_usage_errors(tmp_path, capsys, monkeypatch):
-    """A non-integer or non-positive GRAM_THREADS is a usage error naming the
-    variable, as a bad --threads value is."""
+def test_shared_flags_before_the_subcommand_are_kept(tmp_path, capsys):
+    """--config and -v given before the subcommand take effect, as they do
+    after it: the parser and its subcommands share the flag actions, so a
+    default filled in on the wrong parser would reset them."""
     corpus = tmp_path / "c.jsonl"
-    write_corpus(corpus, [random_connected_graph(np.random.default_rng(0), 5)])
-    stats = ["stats", "--corpus", str(corpus)]
-    assert run(["--threads", "abc"] + stats) == 1
-    assert "--threads" in capsys.readouterr().err
-    assert run(["--threads", "0"] + stats) == 1
-    assert "--threads must be >= 1" in capsys.readouterr().err
-    monkeypatch.setenv("GRAM_THREADS", "abc")
-    assert run(stats) == 1
-    assert "GRAM_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
-    monkeypatch.setenv("GRAM_THREADS", "0")
-    assert run(stats) == 1
-    assert "GRAM_THREADS must be >= 1" in capsys.readouterr().err
-    assert run(["--threads", "2"] + stats) == 0  # the flag wins over the variable
+    write_corpus(corpus, [random_connected_graph(np.random.default_rng(k), 6)
+                          for k in range(3)])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"d_model": 8, "heads": 2, "blocks": 1, "d_ff": 8,
+                                         "seed_size": 3},
+                               "train": {"epochs": 1, "seed": 3}}))
+    assert run(["--config", str(cfg), "-v", "train", "--corpus", str(corpus),
+                "--out", str(tmp_path / "run")]) == 0
+    out = capsys.readouterr().out
+    assert '"d_model": 8' in out
+    assert "epoch 1: nll=" in out
 
 
 def test_eval_validates_before_writing(tmp_path):

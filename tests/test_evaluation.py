@@ -159,13 +159,6 @@ def test_gk_mmd_subsamples_large_corpora(rng):
     assert 0.0 <= v1 < 0.05
 
 
-def test_featurize_threads_match_serial(rng):
-    graphs = [random_connected_graph(rng, 6) for _ in range(8)]
-    serial = E.gk_mmd2(graphs[:4], graphs[4:], threads=1)
-    threaded = E.gk_mmd2(graphs[:4], graphs[4:], threads=3)
-    assert serial == threaded
-
-
 # -- array hashing and mean embedding vs the blake2b / pairwise reference -----------
 
 def _blake2b(*parts) -> int:

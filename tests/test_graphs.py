@@ -216,3 +216,20 @@ def test_graph_statistics_vs_triangle_enumeration(rng):
             assert st.clustering[v] == pytest.approx(expect, abs=1e-12)
         via_nx = nx.clustering(to_nx(g))
         assert np.abs(st.clustering - [via_nx[v] for v in range(n)]).max() <= 1e-12
+
+
+def test_adjacency_and_degrees_match_edge_loops(rng):
+    """The array forms equal the per-edge loops, dtype included, for random
+    graphs, an edgeless graph and the empty graph."""
+    cases = [random_connected_graph(rng, int(rng.integers(1, 30))) for _ in range(20)]
+    cases += [LabeledGraph.create(4, [0] * 4, [], 1, 1), LabeledGraph.create(0, [], [], 1, 1)]
+    for g in cases:
+        mat = np.zeros((g.n, g.n), dtype=np.uint8)
+        deg = np.zeros(g.n, dtype=np.int64)
+        for u, v, _ in g.edges:
+            mat[u, v] = mat[v, u] = 1
+            deg[u] += 1
+            deg[v] += 1
+        adj = g.adjacency_matrix()
+        assert adj.dtype == np.uint8 and np.array_equal(adj, mat)
+        assert g.degrees().dtype == np.int64 and np.array_equal(g.degrees(), deg)

@@ -1,46 +1,20 @@
 import numpy as np
 import pytest
 
-from gram import attention as A
 from gram import graphs as G
 from gram import tensor as T
 from gram.model import (VARIANTS, EdgeStep, Model, ModelConfig, ModelError,
                         OrderedGraph, build_prefix, edge_candidates)
 from gram.optim import Parameter
+from gram.sampler import _draw_edges, _edge_dists
 from gram.tensor import Tape, Tensor, finite_difference_check
 
-from conftest import random_connected_graph, tiny_model
+from conftest import edge_distribution_step, random_connected_graph, tiny_model
 from test_training import randomize_bias_tables
 
 
 def identity_ordered(g, radius=2):
     return OrderedGraph(g, G.NodeOrdering.create(range(g.n)), radius)
-
-
-def edge_distribution_step(model, hv, hg, new_label, t, decided, restrict, dist_idx):
-    """Reference edge logits (1, b + 1) of candidate position t given the
-    decisions already made this step (list of (position, edge code), code
-    b = no edge): the per-candidate estimator that EdgeStep replaced.  It
-    rebuilds and projects every key of the history for each candidate and
-    runs the edge MLP on the concatenated input."""
-    c = model.config
-    keys = [(tau, code) for tau, code in decided if not restrict or code < c.b]
-    hvs = T.rows(model.embed_node, [new_label])
-    ht = T.rows(hv, [t])
-    if keys:
-        taus = [tau for tau, _ in keys]
-        tile = T.const(np.zeros((len(keys), c.d_model)))
-        k = T.concat([T.rows(hv, taus), T.add(tile, hvs),
-                      T.rows(model.embed_edge, [code for _, code in keys])], axis=-1)
-        ctx = A.AttentionContext(dist_idx[np.ix_([t], taus)],
-                                 np.ones((1, len(keys)), dtype=bool))
-        he_hist = A.g_multi_head(T.concat([ht, hvs], axis=-1), k, k, ctx, model.edge_attn)
-    else:
-        he_hist = T.const(np.zeros((1, c.d_model)))
-    gin = T.concat([ht, hg, hvs, he_hist], axis=-1)
-    h = T.relu(T.add(T.matmul(gin, model.edge_w1), model.edge_b1))
-    h = T.relu(T.add(T.matmul(h, model.edge_w2), model.edge_b2))
-    return T.add(T.matmul(h, model.edge_w3), model.edge_b3)
 
 
 def randomize_edge_estimator(model, rng):
@@ -153,6 +127,79 @@ def test_conv_gradients(rng):
     assert report.max_rel_error <= 1e-5, report
 
 
+def reference_graph_convolution(hv, he, prefix, conv):
+    """graph_convolution as it was before the split by input part: both
+    directions' full (t, 3d) x (3d, 3d) products, six per-edge output
+    projections and an (s, t) scatter of their sums."""
+    iso = T.relu(T.add(T.matmul(hv, conv["wiso"]), conv["biso"]))
+    t_cnt = len(prefix.edge_array)
+    if t_cnt == 0:
+        return iso, he
+    ii, jj = prefix.edge_array[:, 0], prefix.edge_array[:, 1]
+    hi, hj = T.rows(hv, ii), T.rows(hv, jj)
+    hid1 = T.relu(T.add(T.matmul(T.concat([hi, he, hj], axis=-1), conv["w1"]), conv["b1"]))
+    hid2 = T.relu(T.add(T.matmul(T.concat([hj, he, hi], axis=-1), conv["w1"]), conv["b1"]))
+    f1_src, f1_edge, f1_dst, f2_src, f2_edge, f2_dst = (
+        T.add(T.matmul(hid, conv[f"w{part}"]), conv[f"b{part}"])
+        for hid in (hid1, hid2) for part in ("src", "edge", "dst"))
+    he_new = T.mul(T.add(f1_edge, f2_edge), T.const(0.5))
+    s = prefix.n
+    scat_i, scat_j = np.zeros((s, t_cnt)), np.zeros((s, t_cnt))
+    scat_i[ii, np.arange(t_cnt)] = 1.0
+    scat_j[jj, np.arange(t_cnt)] = 1.0
+    sums = T.add(T.matmul(T.const(scat_i), T.add(f1_src, f2_dst)),
+                 T.matmul(T.const(scat_j), T.add(f1_dst, f2_src)))
+    counts = 2.0 * prefix.degrees
+    recip = np.zeros(s)
+    np.divide(1.0, counts, out=recip, where=counts > 0)
+    agg = T.relu(T.mul(sums, T.const(recip[:, None])))
+    has_edge = (prefix.degrees > 0).astype(np.float64)[:, None]
+    return T.add(T.mul(agg, T.const(has_edge)), T.mul(iso, T.const(1.0 - has_edge))), he_new
+
+
+def test_conv_split_matches_reference(rng):
+    """The split convolution equals the reference one in its outputs and in
+    the gradients of every conv parameter and both inputs, to 1e-12
+    relative, with random non-zero biases, on prefixes with an isolated
+    node and with no edge at all."""
+    model = tiny_model(d_model=8, heads=2)
+    conv = model.blocks[0][0]
+    for name, p in model.params.items():
+        if ".conv.b" in name:
+            p.tensor.data[:] = rng.normal(size=p.tensor.data.shape)
+    g = random_connected_graph(rng, 7, extra_edge_prob=0.4)
+    cases = [build_prefix(g.node_labels, g.edges, 2),
+             build_prefix(list(g.node_labels) + [0], g.edges, 2),  # node 7 isolated
+             build_prefix(g.node_labels[:3], [], 2)]
+    params = [p for name, p in model.params.items() if name.startswith("block0.conv.")]
+    for prefix in cases:
+        s, t, d = prefix.n, len(prefix.edge_array), 8
+        x = rng.normal(size=(s, d))
+        e = rng.normal(size=(t, d))
+        wv, we = rng.normal(size=(s, d)), rng.normal(size=(t, d))
+        results = []
+        for conv_fn in (model.graph_convolution, reference_graph_convolution):
+            for p in params:
+                p.tensor.grad = None
+            hv, he = Tensor(x, requires_grad=True), Tensor(e, requires_grad=True)
+            with Tape() as tape:
+                out_v, out_e = conv_fn(hv, he, prefix, conv)
+                loss = T.add(T.sum_along(T.reshape(T.mul(out_v, T.const(wv)), (s * d,)), 0),
+                             T.sum_along(T.reshape(T.mul(out_e, T.const(we)), (t * d,)), 0))
+                tape.backward(loss)
+            grads = {p.name: p.grad_array().copy() for p in params}
+            grads["hv"] = np.zeros((s, d)) if hv.grad is None else hv.grad
+            grads["he"] = np.zeros((t, d)) if he.grad is None else he.grad
+            results.append((out_v.data, out_e.data, grads))
+        (v_new, e_new, g_new), (v_ref, e_ref, g_ref) = results
+        assert np.abs(v_new - v_ref).max() <= 1e-12 * np.abs(v_ref).max()
+        assert np.abs(e_new - e_ref).max(initial=0.0) <= 1e-12 * np.abs(e_ref).max(initial=1.0)
+        assert any(np.abs(gr).max() > 0 for gr in g_ref.values())
+        for key, ref in g_ref.items():
+            scale = max(np.abs(ref).max(initial=0.0), 1e-300)
+            assert np.abs(g_new[key] - ref).max(initial=0.0) <= 1e-12 * scale, key
+
+
 def test_extract_features_zeroed_branches_reduce_to_projection(rng):
     """With conv, attention projection, and sublayer FNN all zeroed, each
     block reduces to projecting the residual-normalized input."""
@@ -240,10 +287,7 @@ def test_edge_distribution_uniform_with_zero_final_layer(rng):
     hv = model.extract_features(prefix)
     hg = model.graph_pool(hv)
     step = EdgeStep(model, hv, hg, 0, range(3), prefix.dist_idx, False)
-    step.reset()
-    step.decide(0, 1)
-    step.decide(1, 3)
-    dist = T.softmax(step.logits(2)).data[0]
+    dist = T.softmax(step.edge_logits_teacher([1, 3, 3])[0]).data[2]
     assert np.allclose(dist, 0.25)
 
 
@@ -274,23 +318,23 @@ def test_variant_a_empty_key_set_gives_zero_history(rng):
     hg = model.graph_pool(hv)
     b = model.config.b
     step = EdgeStep(model, hv, hg, 1, range(3), prefix.dist_idx, True)
-    step.reset()
-    step.decide(0, b)  # everything declined so far
-    step.decide(1, b)
-    logits = step.logits(2)
-    he = T.const(np.zeros((1, model.config.d_model)))
-    manual = step._logits(T.const(step.base.data[2:3]), he)
-    assert np.array_equal(logits.data, manual.data)
+    logits, pairs = step.edge_logits_teacher([b, b, 0])  # everything declined before 2
+    assert pairs == 0
+    p = {k: model.params[f"edge_est.{k}"].tensor.data for k in ("w2", "b2", "w3", "b3")}
+    h = np.maximum(step.base.data + np.zeros((3, model.config.d_model)) @ step.w1_hist.data, 0.0)
+    h = np.maximum(h @ p["w2"] + p["b2"], 0.0)
+    assert np.array_equal(logits.data, h @ p["w3"] + p["b3"])
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_edge_step_matches_per_candidate_oracle(variant, rng):
-    """EdgeStep's sequential distributions equal the per-candidate oracle's
-    to 1e-12, with random bias tables and edge MLP weights, over several
-    attempts of one step (reset between them reuses the projections).  The
-    first attempt declines every candidate, which leaves the A-policy with
-    no key at all; edge_logits_teacher given an attempt's codes reproduces
-    that attempt's distributions."""
+    """The speculative decoder's distributions equal the per-candidate
+    oracle's to 1e-12, with random bias tables and edge MLP weights, over
+    several attempts of one step that reuse one draft.  The draft, every
+    candidate declining, leaves the A-policy with no key at all; each row
+    of an attempt is checked against the oracle given the codes drawn
+    before it, and edge_logits_teacher given the attempt's codes
+    reproduces the attempt's distributions."""
     for trial in range(3):
         model = tiny_model(variant=variant, seed=trial)
         randomize_bias_tables(model, rng)
@@ -306,22 +350,24 @@ def test_edge_step_matches_per_candidate_oracle(variant, rng):
         label = int(og.labels[s])
         step = EdgeStep(model, hv, hg, label, plan.candidates, prefix.dist_idx,
                         plan.restrict_keys_to_edges)
+
+        def oracle(i, codes):
+            decided = [(int(t), int(code)) for t, code in zip(plan.candidates[:i], codes)]
+            return T.softmax(edge_distribution_step(
+                model, hv, hg, label, int(plan.candidates[i]), decided,
+                plan.restrict_keys_to_edges, prefix.dist_idx)).data[0]
+
+        t = len(plan.candidates)
+        draft = _edge_dists(step, np.full(t, b))
+        for i in range(t):
+            assert np.abs(draft[i] - oracle(i, [b] * i)).max() <= 1e-12
         for attempt in range(3):
-            step.reset()
-            decided, ours = [], []
-            for i, t in enumerate(plan.candidates):
-                dist = T.softmax(step.logits(i)).data[0]
-                ref = T.softmax(edge_distribution_step(
-                    model, hv, hg, label, int(t), decided, plan.restrict_keys_to_edges,
-                    prefix.dist_idx)).data[0]
-                assert np.abs(dist - ref).max() <= 1e-12
-                code = b if attempt == 0 else int(rng.integers(b + 1))
-                step.decide(i, code)
-                decided.append((int(t), code))
-                ours.append(dist)
-            codes = np.array([code for _, code in decided])
+            codes, dists, passes = _draw_edges(step, draft, rng, False)
+            assert passes == int((codes[:-1] < b).sum())
+            for i in range(t):
+                assert np.abs(dists[i] - oracle(i, codes[:i])).max() <= 1e-12
             teacher = T.softmax(step.edge_logits_teacher(codes)[0]).data
-            assert np.abs(teacher - np.array(ours)).max() <= 1e-12
+            assert np.abs(teacher - dists).max() <= 1e-12
 
 
 def test_step_distributions_well_formed_1000_random_graphs(rng):

@@ -10,8 +10,8 @@ from gram.model import build_prefix
 from gram.sampler import (GenerationResult, SamplerError, _sample, build_seed_bank,
                           generate_graph)
 
-from conftest import random_connected_graph, tiny_model
-from test_model import edge_distribution_step, randomize_edge_estimator
+from conftest import edge_distribution_step, random_connected_graph, tiny_model
+from test_model import randomize_edge_estimator
 from test_training import randomize_bias_tables
 
 
@@ -198,6 +198,34 @@ def test_generation_counts_retries_and_forced_attachments(rng):
         assert res.graph.is_connected()
         ref = reference_generate(model, bank, 10, np.random.default_rng(i))
         assert (res.graph, res.truncated, res.retries, res.forced) == ref
+
+
+def test_edge_passes_with_a_no_edge_head(rng):
+    """With an always-"no edge" head every attempt draws from the step's
+    first batched pass, so the retries add no pass: one pass per step."""
+    model = tiny_model(a=3, b=2, seed_size=3, seed=8)
+    model.params["edge_est.b3"].tensor.data[model.config.b] = 60.0
+    model.params["node_est.b3"].tensor.data[model.config.a] = -50.0  # never stop
+    bank = build_seed_bank([random_connected_graph(rng, 8) for _ in range(3)], 3, rng)
+    res = generate_graph(model, bank, 10, np.random.default_rng(0))
+    assert res.retries == 5 * res.forced > 0
+    assert res.edge_passes == res.graph.n - 3
+
+
+def test_edge_passes_count_one_per_drawn_edge_before_the_last_candidate(rng):
+    """A step runs one pass, plus one after each edge drawn on a candidate
+    other than the last one, s - 1.  With no retry there is no forced edge,
+    so those are the generated edges (u, s) with u < s - 1."""
+    model = tiny_model(a=3, b=2, seed_size=3, seed=2, variant="B")
+    model.params["edge_est.b3"].tensor.data[:model.config.b] = 2.0  # edges likely
+    model.params["node_est.b3"].tensor.data[model.config.a] = -50.0
+    bank = build_seed_bank([random_connected_graph(rng, 8) for _ in range(3)], 3, rng)
+    for i in range(5):
+        res = generate_graph(model, bank, 12, np.random.default_rng(i))
+        assert res.retries == 0
+        g = res.graph
+        extra = sum(1 for u, v, _ in g.edges if v >= 3 and u < v - 1)
+        assert res.edge_passes == (g.n - 3) + extra
 
 
 def test_generation_argument_validation(rng):

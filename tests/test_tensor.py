@@ -207,6 +207,24 @@ def test_gather_last_and_bucket_sums_are_adjoint(rng):
             T.bucket_sums(Tensor(w), idx - 1, 4)
 
 
+def test_rows_backward_matches_add_at(rng):
+    """The one-hot GEMM scatter of rows' backward equals np.add.at, with
+    repeated indices, rows never picked, a gradient already accumulated,
+    tables of rank 1 to 3 and an empty index."""
+    for shape, idx in (((6, 5), [4, 0, 4, 4, 2, 0, 5]), ((4,), [1, 1, 3]),
+                       ((5, 2, 3), [0, 3, 3, 0]), ((3, 4), [])):
+        table = Tensor(rng.normal(size=shape), requires_grad=True)
+        prior = rng.normal(size=shape)
+        table.grad = prior.copy()
+        g = rng.normal(size=(len(idx),) + shape[1:])
+        with Tape() as tape:
+            out = T.rows(table, idx)
+            tape.backward(T.sum_along(T.reshape(T.mul(out, T.const(g)), (g.size,)), 0))
+        want = prior.copy()
+        np.add.at(want, np.asarray(idx, dtype=np.int64), g)
+        assert np.abs(table.grad - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def test_batched_shape_errors():
     with pytest.raises(ShapeError, match="matmul"):
         T.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))

@@ -3,7 +3,7 @@ import pytest
 
 from gram import graphs as G
 from gram import tensor as T
-from gram.model import EdgeStep, Model, ModelConfig, OrderedGraph, edge_candidates
+from gram.model import Model, ModelConfig, OrderedGraph, edge_candidates
 from gram.datasets import CorpusSpec, generate_corpus
 from gram.optim import adam_step
 from gram.tensor import Tape
@@ -13,7 +13,7 @@ from gram.training import (CheckpointError, CheckpointVersionError, NonFiniteErr
                            load_checkpoint, save_checkpoint, step_loss,
                            teacher_forced_loss, train)
 
-from conftest import random_connected_graph, tiny_model
+from conftest import edge_distribution_step, random_connected_graph, tiny_model
 
 
 def make_og(g, rng, radius=2):
@@ -27,9 +27,9 @@ def zero_final_layers(model):
 
 
 def sequential_loss(model, og):
-    """Oracle: every step evaluated on its own, each edge candidate decided
-    one at a time through the sampler's path (EdgeStep.logits, then
-    EdgeStep.decide with the ground-truth code)."""
+    """Oracle: every step evaluated on its own, each edge candidate scored
+    on its own by the per-candidate estimator edge_distribution_step, given
+    the ground-truth codes of the candidates before it."""
     c = model.config
     total = 0.0
     for s in range(c.seed_size, og.n + 1):
@@ -44,14 +44,14 @@ def sequential_loss(model, og):
             continue
         plan = edge_candidates(og, s, c.variant)
         codes = og.edge_label_codes(s, plan.candidates)
-        step = EdgeStep(model, hv, hg, int(og.labels[s]), plan.candidates,
-                        prefix.dist_idx, plan.restrict_keys_to_edges)
-        step.reset()
-        for i, code in enumerate(codes):
+        decided = []
+        for t, code in zip(plan.candidates, codes):
             onehot = np.zeros((1, c.b + 1))
             onehot[0, code] = 1.0
-            total += float(T.cross_entropy_logits(step.logits(i), onehot).data[0])
-            step.decide(i, int(code))
+            logits = edge_distribution_step(model, hv, hg, int(og.labels[s]), int(t), decided,
+                                            plan.restrict_keys_to_edges, prefix.dist_idx)
+            total += float(T.cross_entropy_logits(logits, onehot).data[0])
+            decided.append((int(t), int(code)))
     return total
 
 
