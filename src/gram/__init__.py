@@ -2,9 +2,8 @@
 attention, synthetic corpus generators, and graph-kernel MMD evaluation."""
 
 from .graphs import (GraphError, GraphStats, LabeledGraph, NodeOrdering,
-                     TensorPair, apply_ordering, bfs_ordering, from_tensors,
-                     frontier_nodes, graph_statistics, shortest_paths,
-                     to_tensors)
+                     apply_ordering, bfs_ordering, frontier_nodes,
+                     graph_statistics, shortest_paths)
 from .model import Model, ModelConfig, OrderedGraph, StepOutput, edge_candidates
 from .training import TrainConfig, load_checkpoint, save_checkpoint, teacher_forced_loss, train
 from .sampler import SeedBank, build_seed_bank, generate_graph
@@ -16,9 +15,9 @@ from .evaluation import (EvalReport, evaluate_corpora, gk_mmd2, mmd_squared,
 __version__ = "0.1.0"
 
 __all__ = [
-    "GraphError", "GraphStats", "LabeledGraph", "NodeOrdering", "TensorPair",
-    "apply_ordering", "bfs_ordering", "from_tensors", "frontier_nodes",
-    "graph_statistics", "shortest_paths", "to_tensors",
+    "GraphError", "GraphStats", "LabeledGraph", "NodeOrdering",
+    "apply_ordering", "bfs_ordering", "frontier_nodes",
+    "graph_statistics", "shortest_paths",
     "Model", "ModelConfig", "OrderedGraph", "StepOutput", "edge_candidates",
     "TrainConfig", "load_checkpoint", "save_checkpoint", "teacher_forced_loss", "train",
     "SeedBank", "build_seed_bank", "generate_graph",

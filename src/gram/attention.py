@@ -11,10 +11,10 @@ Works both as self-attention (feature extraction) and source-target
 attention (edge estimation); the caller supplies the per-pair distance
 indices and the attend mask through an AttentionContext.
 
-The heads run on one leading batch axis.  A layer's parameters are kept per
-head (their names and checkpoint layout are per head); `stacked()` stacks
-each table once per call into (H, ...) tensors.  Attention is then split in
-two halves:
+The heads run on one leading batch axis, and a layer's parameters are
+stored that way: GraphAttentionParams holds Wq, Wk and Wv as (H, d_S, d_in)
+tensors and the bias tables as (H, C, d_S) tensors, and attention reads them
+as they are, with no per-call copy.  Attention is split in two halves:
 
   project  Q, K and V for all heads, one matmul each: (H, n, d_S) arrays,
            plus the bias tables that depend only on Q or only on K;
@@ -76,51 +76,31 @@ def context_from_distances(dist_idx: np.ndarray, max_attend: int | None = None) 
 
 @dataclass
 class GraphAttentionParams:
-    """Per-head projections (d_S x d_in), per-head bias tables
-    ((cap + 2) x d_S) indexed by distance bucket, and the shared output
-    projection (H * d_S x d_O)."""
-    wq: list
-    wk: list
-    wv: list
-    bq: list
-    bk: list
-    bv: list
+    """One attention layer with its heads on a leading axis: projections
+    (H, d_S, d_in), bias tables (H, C, d_S) indexed by distance bucket,
+    C = cap + 2, and the shared output projection (H * d_S, d_O).  Without
+    use_bias the bias tables are never read."""
+    wq: Tensor
+    wk: Tensor
+    wv: Tensor
+    bq: Tensor
+    bk: Tensor
+    bv: Tensor
     wo: Tensor
     use_bias: bool = True
 
     @property
     def heads(self) -> int:
-        return len(self.wq)
+        return self.wq.data.shape[0]
 
     @property
     def cap(self) -> int:
-        return self.bq[0].data.shape[0] - 2
-
-    def stacked(self) -> "HeadTables":
-        """The per-head tables stacked on a leading head axis (one recorded
-        op per table); the bias tables only when the layer uses them."""
-        bias = [T.stack(t) if self.use_bias else None for t in (self.bq, self.bk, self.bv)]
-        return HeadTables(T.stack(self.wq), T.stack(self.wk), T.stack(self.wv), *bias,
-                          self.wo, 1.0 / np.sqrt(self.wk[0].data.shape[1]))
-
-
-@dataclass
-class HeadTables:
-    """One attention layer with its heads on a leading axis: projections
-    (H, d_S, d_in), bias tables (H, C, d_S) or None without bias, the output
-    projection, and the score scale d_K^(-1/2) of the key input width."""
-    wq: Tensor
-    wk: Tensor
-    wv: Tensor
-    bq: Tensor | None
-    bk: Tensor | None
-    bv: Tensor | None
-    wo: Tensor
-    scale: float
+        return self.bq.data.shape[1] - 2
 
     @property
-    def use_bias(self) -> bool:
-        return self.bq is not None
+    def scale(self) -> float:
+        """The score scale d_K^(-1/2) of the key input width."""
+        return 1.0 / np.sqrt(self.wk.data.shape[-1])
 
     def query_table(self, qh: Tensor) -> Tensor | None:
         """(H, nq, C): Q_i . bk[c] + bq[c] . bk[c]."""
@@ -136,15 +116,15 @@ class HeadTables:
 
 
 def project(x: Tensor, w: Tensor) -> Tensor:
-    """Rows x (n, d_in) through stacked weights w (H, d_S, d_in): (H, n, d_S)."""
+    """Rows x (n, d_in) through head-batched weights w (H, d_S, d_in): (H, n, d_S)."""
     return T.matmul(x, T.transpose(w))
 
 
 def attend(qh: Tensor, kh: Tensor, vh: Tensor, q_table, k_table,
-           ctx: AttentionContext, ht: HeadTables, on_empty: str = "error") -> Tensor:
+           ctx: AttentionContext, p: GraphAttentionParams, on_empty: str = "error") -> Tensor:
     """Attention of projected queries qh (H, nq, d_S) over projected keys kh
-    and values vh (H, nk, d_S), with the bias tables of HeadTables.query_table
-    and key_table; returns the output rows (nq, d_O).
+    and values vh (H, nk, d_S), with the bias tables of p.query_table and
+    p.key_table; returns the output rows (nq, d_O).
 
     Query rows whose mask admits no key raise an AttentionError unless
     on_empty="zero", in which case those output rows are exactly zero.
@@ -163,17 +143,17 @@ def attend(qh: Tensor, kh: Tensor, vh: Tensor, q_table, k_table,
     addmask = None if ctx.allowed.all() else ctx.additive_mask()
     d = ctx.dist_idx
     scores = T.matmul(qh, T.transpose(kh))
-    if ht.use_bias:
+    if p.use_bias:
         scores = T.add(T.add(scores, T.gather_last(q_table, d)),
                        T.transpose(T.gather_last(k_table, d.T)))
-    weights = T.softmax(T.mul(scores, T.const(ht.scale)), additive_mask=addmask)
+    weights = T.softmax(T.mul(scores, T.const(p.scale)), additive_mask=addmask)
     out = T.matmul(weights, vh)
-    if ht.use_bias:
-        out = T.add(out, T.matmul(T.bucket_sums(weights, d, ht.bv.data.shape[1]), ht.bv))
+    if p.use_bias:
+        out = T.add(out, T.matmul(T.bucket_sums(weights, d, p.bv.data.shape[1]), p.bv))
     heads, nq, d_s = out.data.shape
     # (H, nq, d_S) -> (nq, H * d_S), head h in columns h * d_S ... (h + 1) * d_S - 1
     merged = T.transpose(T.reshape(T.transpose(out), (heads * d_s, nq)))
-    out = T.matmul(merged, ht.wo)
+    out = T.matmul(merged, p.wo)
     if zero_rows is not None:
         out = T.mul(out, T.const(zero_rows))
     return out
@@ -201,10 +181,9 @@ def g_multi_head(q: Tensor, k: Tensor, v: Tensor, ctx: AttentionContext,
                              f"exceeds bucket count {buckets}")
     if ctx.dist_idx.size and ctx.dist_idx.min() < 0:
         raise AttentionError("negative distance index")
-    ht = p.stacked()
-    qh, kh = project(q, ht.wq), project(k, ht.wk)
-    return attend(qh, kh, project(v, ht.wv), ht.query_table(qh), ht.key_table(kh),
-                  ctx, ht, on_empty)
+    qh, kh = project(q, p.wq), project(k, p.wk)
+    return attend(qh, kh, project(v, p.wv), p.query_table(qh), p.key_table(kh),
+                  ctx, p, on_empty)
 
 
 @dataclass

@@ -162,75 +162,9 @@ class NodeOrdering:
 
 
 @dataclass(frozen=True)
-class TensorPair:
-    """One-hot node matrix X (n, a) and one-hot-or-zero edge tensor
-    A (n, n, b) for a graph under a fixed ordering."""
-    x: np.ndarray
-    adj: np.ndarray
-
-
-@dataclass(frozen=True)
 class GraphStats:
     degrees: np.ndarray
     clustering: np.ndarray
-
-
-def to_tensors(g: LabeledGraph, ordering: NodeOrdering) -> TensorPair:
-    """Encode (graph, ordering) as the one-hot tensor pair."""
-    if len(ordering) != g.n:
-        raise GraphError("ordering length differs from node count")
-    x = np.zeros((g.n, g.a), dtype=np.float64)
-    for pos, orig in enumerate(ordering.perm):
-        lab = g.node_labels[orig]
-        if not 0 <= lab < g.a:
-            raise GraphError(f"node label {lab} outside alphabet")
-        x[pos, lab] = 1.0
-    adj = np.zeros((g.n, g.n, g.b), dtype=np.float64)
-    inv = ordering.inverse()
-    for u, v, lab in g.edges:
-        i, j = inv[u], inv[v]
-        adj[i, j, lab] = 1.0
-        adj[j, i, lab] = 1.0
-    return TensorPair(x, adj)
-
-
-def from_tensors(t: TensorPair):
-    """Decode a tensor pair into (graph, ordering).
-
-    Node identities are positions in the encoding, so the returned ordering
-    is the identity; relabeling by the original permutation recovers the
-    encoded (graph, ordering) pair exactly.
-    """
-    x, adj = t.x, t.adj
-    if x.ndim != 2 or adj.ndim != 3:
-        raise GraphError("tensor ranks must be 2 and 3")
-    n, a = x.shape
-    if adj.shape[0] != n or adj.shape[1] != n:
-        raise GraphError("edge tensor does not match node count")
-    b = adj.shape[2]
-    labels = []
-    for i in range(n):
-        row = x[i]
-        hot = np.flatnonzero(row == 1.0)
-        if len(hot) != 1 or row.sum() != 1.0:
-            raise GraphError(f"row {i} of node matrix is not one-hot")
-        labels.append(int(hot[0]))
-    if not np.array_equal(adj, adj.transpose(1, 0, 2)):
-        raise GraphError("edge tensor is not symmetric")
-    edges = []
-    for i in range(n):
-        if adj[i, i].any():
-            raise GraphError(f"edge tensor has nonzero diagonal at {i}")
-        for j in range(i + 1, n):
-            cell = adj[i, j]
-            hot = np.flatnonzero(cell == 1.0)
-            if len(hot) == 0 and not cell.any():
-                continue
-            if len(hot) != 1 or cell.sum() != 1.0:
-                raise GraphError(f"edge cell ({i}, {j}) is not one-hot")
-            edges.append((i, j, int(hot[0])))
-    g = LabeledGraph.create(n, labels, edges, a, b)
-    return g, NodeOrdering.create(range(n))
 
 
 def apply_ordering(g: LabeledGraph, ordering: NodeOrdering) -> LabeledGraph:

@@ -11,7 +11,7 @@ Four variants control the edge estimation work per step:
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,6 +86,18 @@ class StepOutput:
     node_dist: np.ndarray                 # (a + 1,), index a is the stop class
     edge_dists: list                      # [(candidate, (b + 1,) array)], index b = no edge
     counters: StepCounters
+
+
+@dataclass
+class TeacherForced:
+    """One teacher-forced step: node logits (1, a + 1) and, unless the step
+    scores the stop class on the full graph, the candidate positions, their
+    ground-truth edge codes (b = no edge) and their edge logits (t, b + 1)."""
+    node_logits: Tensor
+    candidates: np.ndarray | None = None
+    edge_codes: np.ndarray | None = None
+    edge_logits: Tensor | None = None
+    counters: StepCounters = field(default_factory=StepCounters)
 
 
 @dataclass
@@ -211,12 +223,12 @@ class Model:
 
         def attn_params(prefix, dq, dk, dv, use_bias):
             return A.GraphAttentionParams(
-                wq=[w(f"{prefix}.h{i}.wq", (ds, dq)) for i in range(h)],
-                wk=[w(f"{prefix}.h{i}.wk", (ds, dk)) for i in range(h)],
-                wv=[w(f"{prefix}.h{i}.wv", (ds, dv)) for i in range(h)],
-                bq=[zeros(f"{prefix}.h{i}.bq", (buckets, ds)) for i in range(h)],
-                bk=[zeros(f"{prefix}.h{i}.bk", (buckets, ds)) for i in range(h)],
-                bv=[zeros(f"{prefix}.h{i}.bv", (buckets, ds)) for i in range(h)],
+                wq=w(f"{prefix}.wq", (h, ds, dq)),
+                wk=w(f"{prefix}.wk", (h, ds, dk)),
+                wv=w(f"{prefix}.wv", (h, ds, dv)),
+                bq=zeros(f"{prefix}.bq", (h, buckets, ds)),
+                bk=zeros(f"{prefix}.bk", (h, buckets, ds)),
+                bv=zeros(f"{prefix}.bv", (h, buckets, ds)),
                 wo=w(f"{prefix}.wo", (h * ds, d)),
                 use_bias=use_bias,
             )
@@ -365,32 +377,37 @@ class Model:
         """Label distribution over a + 1 classes (last class = stop)."""
         return T.softmax(self.node_logits(hg)).data[0]
 
-    # -- one teacher-forced step, for inspection and tests --------------------
+    # -- one teacher-forced step ----------------------------------------------
 
-    def teacher_forced_step(self, og: OrderedGraph, s: int) -> StepOutput:
-        """Distributions the model assigns at step s when conditioned on the
-        ground truth (no sampled feedback)."""
+    def teacher_forced(self, og: OrderedGraph, s: int) -> TeacherForced:
+        """The logits the model assigns at step s when conditioned on the
+        ground truth (no sampled feedback): the next node's label and, below
+        n, the edges to its candidates, decided in order."""
         c = self.config
         prefix = og.prefix(s)
         hv = self.extract_features(prefix)
         hg = self.graph_pool(hv)
-        node_dist = T.softmax(self.node_logits(hg)).data[0]
-        counters = StepCounters()
+        node_logits = self.node_logits(hg)
+        if s == og.n:
+            return TeacherForced(node_logits)
+        plan = edge_candidates(og, s, c.variant)
+        codes = og.edge_label_codes(s, plan.candidates)
+        step = EdgeStep(self, hv, hg, int(og.labels[s]), plan.candidates,
+                        prefix.dist_idx, plan.restrict_keys_to_edges)
+        logits, pairs = step.edge_logits_teacher(codes)
+        alpha = int((codes < c.b).sum())
+        return TeacherForced(node_logits, plan.candidates, codes, logits,
+                             StepCounters(len(plan.candidates), pairs, alpha, plan.beta,
+                                          len(og.lower[s]) - alpha))
+
+    def teacher_forced_step(self, og: OrderedGraph, s: int) -> StepOutput:
+        """The distributions of teacher_forced(og, s), for inspection and tests."""
+        out = self.teacher_forced(og, s)
         edge_dists = []
-        if s < og.n:
-            plan = edge_candidates(og, s, c.variant)
-            key_codes = og.edge_label_codes(s, plan.candidates)
-            step = EdgeStep(self, hv, hg, int(og.labels[s]), plan.candidates,
-                            prefix.dist_idx, plan.restrict_keys_to_edges)
-            logits, pairs = step.edge_logits_teacher(key_codes)
-            dists = T.softmax(logits).data
-            edge_dists = [(int(t), dists[i]) for i, t in enumerate(plan.candidates)]
-            counters.candidates = len(plan.candidates)
-            counters.key_pairs = pairs
-            counters.alpha = int((key_codes < c.b).sum())
-            counters.beta = plan.beta
-            counters.dropped_edges = len(og.lower[s]) - counters.alpha
-        return StepOutput(node_dist, edge_dists, counters)
+        if out.edge_logits is not None:
+            dists = T.softmax(out.edge_logits).data
+            edge_dists = [(int(t), dists[i]) for i, t in enumerate(out.candidates)]
+        return StepOutput(T.softmax(out.node_logits).data[0], edge_dists, out.counters)
 
 
 class EdgeStep:
@@ -421,20 +438,20 @@ class EdgeStep:
         self.model = model
         self.restrict = restrict
         self.dist = dist_idx[np.ix_(cands, cands)]
-        self.heads = ht = model.edge_attn.stacked()
+        attn = model.edge_attn
 
-        def split(w, parts):  # the input-part blocks of stacked (H, d_S, parts * d) weights
+        def split(w, parts):  # the input-part blocks of (H, d_S, parts * d) weights
             return [T.slice_along(w, -1, k * d, (k + 1) * d) for k in range(parts)]
 
         hc = T.rows(hv, cands)
         hvs = T.rows(model.embed_node, [new_label])
         inputs = (hc, hvs, model.embed_edge)
-        wq = split(ht.wq, 2)
+        wq = split(attn.wq, 2)
         self.q = T.add(A.project(hc, wq[0]), A.project(hvs, wq[1]))    # (H, t, d_S)
-        kc, kn, self.ke = (A.project(x, w) for x, w in zip(inputs, split(ht.wk, 3)))
-        vc, vn, self.ve = (A.project(x, w) for x, w in zip(inputs, split(ht.wv, 3)))
+        kc, kn, self.ke = (A.project(x, w) for x, w in zip(inputs, split(attn.wk, 3)))
+        vc, vn, self.ve = (A.project(x, w) for x, w in zip(inputs, split(attn.wv, 3)))
         self.kc, self.vc = T.add(kc, kn), T.add(vc, vn)                 # code part missing
-        self.q_table = ht.query_table(self.q)
+        self.q_table = attn.query_table(self.q)
         w1 = [T.slice_along(model.edge_w1, 0, k * d, (k + 1) * d) for k in range(4)]
         self.base = T.add(T.add(T.add(T.matmul(hc, w1[0]), T.matmul(hg, w1[1])),
                                 T.matmul(hvs, w1[2])), model.edge_b1)  # (t, d)
@@ -460,8 +477,8 @@ class EdgeStep:
         if self.restrict:
             allowed &= (key_codes < m.config.b)[None, :]
         ctx = A.AttentionContext(self.dist, allowed)
-        he_hist = A.attend(self.q, k, v, self.q_table, self.heads.key_table(k), ctx,
-                           self.heads, on_empty="zero")
+        he_hist = A.attend(self.q, k, v, self.q_table, m.edge_attn.key_table(k), ctx,
+                           m.edge_attn, on_empty="zero")
         h = T.relu(T.add(self.base, T.matmul(he_hist, self.w1_hist)))
         h = T.relu(T.add(T.matmul(h, m.edge_w2), m.edge_b2))
         return T.add(T.matmul(h, m.edge_w3), m.edge_b3), int(allowed.sum())

@@ -33,9 +33,9 @@ class Parameter:
 
 
 def glorot(rng: np.random.Generator, shape) -> np.ndarray:
-    """Uniform Glorot init; fan counts from the first two extents."""
-    fan_in = shape[0]
-    fan_out = shape[1] if len(shape) > 1 else shape[0]
+    """Uniform Glorot init; fan counts from the last two extents, so a
+    leading (head) axis draws its matrices one after another."""
+    fan_in, fan_out = shape[-2:] if len(shape) > 1 else (shape[0], shape[0])
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)
 

@@ -139,7 +139,7 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes.  Leading (batch) axes broadcast
-    as in np.matmul, so a (n, d) input times stacked (H, d, k) weights gives
+    as in np.matmul, so a (n, d) input times head-batched (H, d, k) weights gives
     (H, n, k); each gradient is summed back to its operand's shape."""
     if a.data.ndim < 2 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul shapes {a.data.shape} x {b.data.shape}")
@@ -198,23 +198,6 @@ def concat(parts, axis=-1) -> Tensor:
 
     def bw(g):
         for p, piece in zip(parts, np.split(g, splits, axis=axis)):
-            _accum(p, piece)
-
-    return _record(out, tuple(parts), bw)
-
-
-def stack(parts) -> Tensor:
-    """Equal-shape tensors stacked on a new leading axis (per-head weights
-    into one (H, ...) tensor, say)."""
-    parts = [_wrap(p) for p in parts]
-    try:
-        data = np.stack([p.data for p in parts])
-    except ValueError as exc:
-        raise ShapeError(f"stack shapes {[p.data.shape for p in parts]}") from exc
-    out = Tensor(data)
-
-    def bw(g):
-        for p, piece in zip(parts, g):
             _accum(p, piece)
 
     return _record(out, tuple(parts), bw)

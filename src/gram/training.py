@@ -21,7 +21,7 @@ import numpy as np
 
 from . import tensor as T
 from . import graphs as G
-from .model import EdgeStep, Model, ModelConfig, OrderedGraph, edge_candidates
+from .model import Model, ModelConfig, OrderedGraph
 from .optim import adam_step, clip_global_norm
 from .tensor import Tape
 
@@ -96,32 +96,22 @@ def step_loss(model: Model, og: OrderedGraph, s: int):
     at position s (the stop class when s == n) and, below n, its edges to
     the candidate positions.  Returns (scalar loss tensor, LossCounters)."""
     c = model.config
-    n = og.n
-    prefix = og.prefix(s)
-    hv = model.extract_features(prefix)
-    hg = model.graph_pool(hv)
-    target = int(og.labels[s]) if s < n else c.a
-    onehot = np.zeros((1, c.a + 1))
-    onehot[0, target] = 1.0
-    parts = [T.cross_entropy_logits(model.node_logits(hg), onehot)]
+    out = model.teacher_forced(og, s)
+    target = int(og.labels[s]) if s < og.n else c.a
+    parts = [T.cross_entropy_logits(out.node_logits, _onehot([target], c.a + 1))]
     counters = LossCounters(node_steps=1)
-    if s < n:
-        plan = edge_candidates(og, s, c.variant)
-        key_codes = og.edge_label_codes(s, plan.candidates)
-        step = EdgeStep(model, hv, hg, int(og.labels[s]), plan.candidates,
-                        prefix.dist_idx, plan.restrict_keys_to_edges)
-        logits, pairs = step.edge_logits_teacher(key_codes)
-        tgt = np.zeros((len(plan.candidates), c.b + 1))
-        tgt[np.arange(len(plan.candidates)), key_codes] = 1.0
-        parts.append(T.cross_entropy_logits(logits, tgt))
-        alpha = int((key_codes < c.b).sum())
-        counters.edge_decisions = len(plan.candidates)
-        counters.key_pairs = pairs
-        counters.alpha_sum = alpha
-        counters.beta_sum = plan.beta
-        counters.edge_steps = 1
-        counters.dropped_edges = len(og.lower[s]) - alpha
+    if out.edge_logits is not None:
+        parts.append(T.cross_entropy_logits(out.edge_logits, _onehot(out.edge_codes, c.b + 1)))
+        cnt = out.counters
+        counters = LossCounters(1, cnt.candidates, cnt.key_pairs, cnt.alpha, cnt.beta, 1,
+                                cnt.dropped_edges)
     return T.sum_along(T.concat(parts, axis=0), 0), counters
+
+
+def _onehot(codes, width: int) -> np.ndarray:
+    out = np.zeros((len(codes), width))
+    out[np.arange(len(codes)), codes] = 1.0
+    return out
 
 
 def teacher_forced_loss(model: Model, og: OrderedGraph):
@@ -254,11 +244,14 @@ def train(dataset, model: Model, tconfig: TrainConfig, checkpoint_dir=None,
 # checkpoint format: 8-byte magic, u32 version, length-prefixed config JSON,
 # parameter table (length-prefixed name, rank, u32 extents, little-endian
 # f64 values, then u64 step count and the two moment arrays), u32 epoch,
-# length-prefixed rng-state JSON.
+# length-prefixed rng-state JSON.  Version 2 stores each attention table
+# head-batched as one entry X.wq of shape (H, ...); version 1 stored one
+# entry per head, X.h{i}.wq, and still loads.
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"GRAMCKPT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+HEAD_TABLES = ("wq", "wk", "wv", "bq", "bk", "bv")
 
 
 def save_checkpoint(path, model: Model, epoch: int, rng=None):
@@ -318,18 +311,34 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))[0]
 
 
+def _stored_entries(model: Model, version: int) -> dict:
+    """Stored parameter name -> (parameter, head index or None) of a file
+    of the given version."""
+    entries = {}
+    for name, p in model.params.items():
+        prefix, _, table = name.rpartition(".")
+        if version == 1 and table in HEAD_TABLES:
+            for h in range(model.config.heads):
+                entries[f"{prefix}.h{h}.{table}"] = (p, h)
+        else:
+            entries[name] = (p, None)
+    return entries
+
+
 def load_checkpoint(path):
-    """Rebuild (model, epoch, rng) from a checkpoint file.
+    """Rebuild (model, epoch, rng) from a checkpoint file of version 1 or 2.
 
     The model configuration is embedded; stored tensor shapes must match the
-    shapes that configuration implies.
+    shapes that configuration implies.  A version-1 file's per-head entries
+    are stacked into the head-batched parameters; the heads of one table
+    must all be present and agree on their step count.
     """
     blob = Path(path).read_bytes()
     r = _Reader(blob)
     if r.take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
         raise CheckpointError("not a checkpoint file (bad magic)")
     version = r.unpack("<I")
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         raise CheckpointVersionError(
             f"checkpoint format version {version}, expected {CHECKPOINT_VERSION}")
     try:
@@ -338,25 +347,33 @@ def load_checkpoint(path):
     except (ValueError, TypeError) as exc:
         raise CheckpointError(f"bad embedded config: {exc}") from exc
     model = Model(config, init_seed=0)
+    entries = _stored_entries(model, version)
     count = r.unpack("<I")
-    if count != len(model.params):
+    if count != len(entries):
         raise CheckpointError(f"parameter count {count} does not match config "
-                              f"({len(model.params)} expected)")
+                              f"({len(entries)} expected)")
+    steps = {}
     for _ in range(count):
         name = r.take(r.unpack("<H")).decode("utf-8")
         rank = r.unpack("<B")
         shape = tuple(r.unpack("<I") for _ in range(rank))
-        if name not in model.params:
-            raise CheckpointError(f"unknown parameter {name!r}")
-        p = model.params[name]
-        if shape != p.tensor.data.shape:
-            raise CheckpointError(f"parameter {name!r} has shape {shape}, "
-                                  f"config implies {p.tensor.data.shape}")
+        if name not in entries:
+            raise CheckpointError(f"unknown or repeated parameter {name!r}")
+        p, head = entries.pop(name)
+        key = ... if head is None else head
+        want = p.tensor.data[key].shape
+        if shape != want:
+            raise CheckpointError(f"parameter {name!r} has shape {shape}, config implies {want}")
         size = int(np.prod(shape)) if shape else 1
-        p.tensor.data = np.frombuffer(r.take(8 * size), dtype="<f8").reshape(shape).copy()
-        p.step = r.unpack("<Q")
-        p.m = np.frombuffer(r.take(8 * size), dtype="<f8").reshape(shape).copy()
-        p.v = np.frombuffer(r.take(8 * size), dtype="<f8").reshape(shape).copy()
+        p.tensor.data[key] = np.frombuffer(r.take(8 * size), dtype="<f8").reshape(shape)
+        steps.setdefault(p.name, set()).add(r.unpack("<Q"))
+        p.m[key] = np.frombuffer(r.take(8 * size), dtype="<f8").reshape(shape)
+        p.v[key] = np.frombuffer(r.take(8 * size), dtype="<f8").reshape(shape)
+    for name, counts in steps.items():
+        if len(counts) > 1:
+            raise CheckpointError(f"the heads of {name!r} disagree on their step "
+                                  f"count: {sorted(counts)}")
+        model.params[name].step = counts.pop()
     epoch = r.unpack("<I")
     state = json.loads(r.take(r.unpack("<I")).decode("utf-8"))
     if r.off != len(blob):

@@ -13,14 +13,11 @@ CAP = 2
 def make_attn(seed, d_q=D, d_k=D, d_v=D, d_o=D, zero_bias=False, scale=0.3):
     rg = np.random.default_rng(seed)
     mk = lambda shape: Tensor(glorot(rg, shape))
-    tb = lambda: Tensor(np.zeros((CAP + 2, D_S)) if zero_bias
-                        else rg.normal(size=(CAP + 2, D_S)) * scale)
+    tb = lambda: Tensor(np.zeros((H, CAP + 2, D_S)) if zero_bias
+                        else rg.normal(size=(H, CAP + 2, D_S)) * scale)
     return A.GraphAttentionParams(
-        wq=[mk((D_S, d_q)) for _ in range(H)],
-        wk=[mk((D_S, d_k)) for _ in range(H)],
-        wv=[mk((D_S, d_v)) for _ in range(H)],
-        bq=[tb() for _ in range(H)], bk=[tb() for _ in range(H)],
-        bv=[tb() for _ in range(H)],
+        wq=mk((H, D_S, d_q)), wk=mk((H, D_S, d_k)), wv=mk((H, D_S, d_v)),
+        bq=tb(), bk=tb(), bv=tb(),
         wo=mk((H * D_S, d_o)))
 
 
@@ -36,9 +33,9 @@ def vanilla_multi_head(q, k, v, p, addmask):
     scale = 1.0 / np.sqrt(k.shape[1])
     heads = []
     for h in range(p.heads):
-        qh = q @ p.wq[h].data.T
-        kh = k @ p.wk[h].data.T
-        vh = v @ p.wv[h].data.T
+        qh = q @ p.wq.data[h].T
+        kh = k @ p.wk.data[h].T
+        vh = v @ p.wv.data[h].T
         s = (qh @ kh.T) * scale + addmask
         e = np.exp(s - s.max(axis=-1, keepdims=True))
         c = e / e.sum(axis=-1, keepdims=True)
@@ -68,7 +65,7 @@ def test_single_key_weight_is_one(rng):
     out = A.g_multi_head(q, k, k, ctx, p).data
     # softmax over a singleton is exactly 1, so the output is the projected
     # value plus its distance bias, identical for all queries sharing d_ij
-    expected_head = [k.data @ p.wv[h].data.T + p.bv[h].data[1] for h in range(H)]
+    expected_head = [k.data @ p.wv.data[h].T + p.bv.data[h, 1] for h in range(H)]
     expected = np.concatenate([e for e in expected_head], axis=-1) @ p.wo.data
     assert np.abs(out - expected).max() < 1e-12
 
@@ -121,13 +118,18 @@ def test_bias_lookup_rows_and_errors(rng):
     ctx = A.AttentionContext(dist, np.ones((CAP + 2, 1), dtype=bool))
     out = A.g_multi_head(q, k, k, ctx, p).data
     for c in range(CAP + 2):
-        heads = [k.data[0] @ p.wv[h].data.T + p.bv[h].data[c] for h in range(H)]
+        heads = [k.data[0] @ p.wv.data[h].T + p.bv.data[h, c] for h in range(H)]
         assert np.abs(out[c] - np.concatenate(heads) @ p.wo.data).max() < 1e-12
     for bad, match in ((CAP + 2, "exceeds bucket count"), (-1, "negative distance index")):
         dist_bad = dist.copy()
         dist_bad[1, 0] = bad
         with pytest.raises(A.AttentionError, match=match):
             A.g_multi_head(q, k, k, A.AttentionContext(dist_bad, ctx.allowed), p)
+
+
+def head(t, h):
+    """Head h of a head-batched tensor, on the tape."""
+    return T.reshape(T.slice_along(t, 0, h, h + 1), t.data.shape[1:])
 
 
 def gathered_multi_head(q, k, v, ctx, p, on_empty="error"):
@@ -142,10 +144,10 @@ def gathered_multi_head(q, k, v, ctx, p, on_empty="error"):
     flat = ctx.dist_idx.reshape(-1)
     heads = []
     for h in range(p.heads):
-        qh = T.matmul(q, T.transpose(p.wq[h]))
-        kh = T.matmul(k, T.transpose(p.wk[h]))
-        vh = T.matmul(v, T.transpose(p.wv[h]))
-        bq, bk, bv = (T.reshape(T.rows(table[h], flat), (nq, nk, D_S))
+        qh = T.matmul(q, T.transpose(head(p.wq, h)))
+        kh = T.matmul(k, T.transpose(head(p.wk, h)))
+        vh = T.matmul(v, T.transpose(head(p.wv, h)))
+        bq, bk, bv = (T.reshape(T.rows(head(table, h), flat), (nq, nk, D_S))
                       for table in (p.bq, p.bk, p.bv))
         s2 = T.sum_along(T.mul(T.reshape(qh, (nq, 1, D_S)), bk), 2)
         s3 = T.sum_along(T.mul(bq, T.reshape(kh, (1, nk, D_S))), 2)
@@ -159,24 +161,20 @@ def gathered_multi_head(q, k, v, ctx, p, on_empty="error"):
 
 
 def _attn_tensors(p):
-    named = {"wo": [p.wo]}
-    for name in ("wq", "wk", "wv", "bq", "bk", "bv"):
-        named[name] = getattr(p, name)
-    for group in named.values():
-        for t in group:
-            t.requires_grad = True
+    named = {name: getattr(p, name) for name in ("wq", "wk", "wv", "bq", "bk", "bv", "wo")}
+    for t in named.values():
+        t.requires_grad = True
     return named
 
 
 def _output_and_grads(fn, named, weight):
-    for group in named.values():
-        for t in group:
-            t.grad = None
+    for t in named.values():
+        t.grad = None
     with T.Tape() as tape:
         out = fn()
         loss = T.sum_along(T.reshape(T.mul(out, T.const(weight)), (out.data.size,)), 0)
         tape.backward(loss)
-    return out.data, {name: [t.grad.copy() for t in group] for name, group in named.items()}
+    return out.data, {name: t.grad.copy() for name, t in named.items()}
 
 
 @pytest.mark.parametrize("shape", ["square", "rectangular"])
@@ -203,7 +201,7 @@ def test_factorised_bias_matches_gathered(shape, rng):
             ctx = A.AttentionContext(rng.integers(0, CAP + 2, size=(nq, nk)), allowed)
             p = make_attn(trial, d_q=2 * D, d_k=3 * D, d_v=3 * D, scale=1.0)
             on_empty = "zero"
-        assert all(np.abs(t.data).min() > 0 for t in p.bq + p.bk + p.bv)
+        assert all(np.abs(t.data).min() > 0 for t in (p.bq, p.bk, p.bv))
         named = _attn_tensors(p)
         weight = rng.normal(size=(q.data.shape[0], D))
         ours, g_ours = _output_and_grads(
@@ -212,8 +210,8 @@ def test_factorised_bias_matches_gathered(shape, rng):
             lambda: gathered_multi_head(q, k, k, ctx, p, on_empty=on_empty), named, weight)
         assert np.abs(ours - ref).max() <= 1e-12
         for name in named:
-            for a, b in zip(g_ours[name], g_ref[name]):
-                assert np.abs(a - b).max() <= 1e-10 * max(np.abs(b).max(), 1e-3), name
+            a, b = g_ours[name], g_ref[name]
+            assert np.abs(a - b).max() <= 1e-10 * max(np.abs(b).max(), 1e-3), name
 
 
 def _sublayer_params(seed, zero_proj=False, zero_fnn=False):
@@ -226,12 +224,12 @@ def _sublayer_params(seed, zero_proj=False, zero_fnn=False):
         return p.tensor
 
     attn = A.GraphAttentionParams(
-        wq=[reg(f"wq{h}", glorot(rg, (D_S, D))) for h in range(H)],
-        wk=[reg(f"wk{h}", glorot(rg, (D_S, D))) for h in range(H)],
-        wv=[reg(f"wv{h}", glorot(rg, (D_S, D))) for h in range(H)],
-        bq=[reg(f"bq{h}", rg.normal(size=(CAP + 2, D_S)) * 0.3) for h in range(H)],
-        bk=[reg(f"bk{h}", rg.normal(size=(CAP + 2, D_S)) * 0.3) for h in range(H)],
-        bv=[reg(f"bv{h}", rg.normal(size=(CAP + 2, D_S)) * 0.3) for h in range(H)],
+        wq=reg("wq", glorot(rg, (H, D_S, D))),
+        wk=reg("wk", glorot(rg, (H, D_S, D))),
+        wv=reg("wv", glorot(rg, (H, D_S, D))),
+        bq=reg("bq", rg.normal(size=(H, CAP + 2, D_S)) * 0.3),
+        bk=reg("bk", rg.normal(size=(H, CAP + 2, D_S)) * 0.3),
+        bv=reg("bv", rg.normal(size=(H, CAP + 2, D_S)) * 0.3),
         wo=reg("wo", np.zeros((H * D_S, D)) if zero_proj else glorot(rg, (H * D_S, D))))
     sub = A.SublayerParams(
         attn,
@@ -269,7 +267,8 @@ def test_sublayer_gradients(rng):
         out = A.attention_sublayer(x, ctx, sub)
         return T.sum_along(T.mul(T.reshape(out, (5 * D,)), T.const(weight)), 0)
 
-    report = finite_difference_check(f, params, eps=1e-6, samples_per_param=4, rng=rng)
+    # each attention table holds H heads: sample 4 coordinates per head
+    report = finite_difference_check(f, params, eps=1e-6, samples_per_param=4 * H, rng=rng)
     assert report.max_rel_error <= 1e-5, report
 
 

@@ -10,69 +10,6 @@ from conftest import random_connected_graph
 from test_evaluation import to_nx
 
 
-def test_to_tensors_two_node_example():
-    g = LabeledGraph.create(2, [0, 1], [(0, 1, 0)], a=2, b=2)
-    t = G.to_tensors(g, NodeOrdering.create([0, 1]))
-    assert np.array_equal(t.x, [[1, 0], [0, 1]])
-    assert np.array_equal(t.adj[0, 1], [1, 0])
-    assert np.array_equal(t.adj[1, 0], [1, 0])
-    assert not t.adj[0, 0].any() and not t.adj[1, 1].any()
-
-
-def test_to_tensors_single_node():
-    g = LabeledGraph.create(1, [0], [], a=1, b=1)
-    t = G.to_tensors(g, NodeOrdering.create([0]))
-    assert np.array_equal(t.x, [[1.0]])
-    assert not t.adj.any()
-
-
-def test_round_trip_1000_random_graphs(rng):
-    for _ in range(1000):
-        n = int(rng.integers(2, 9))
-        g = random_connected_graph(rng, n)
-        ordering = NodeOrdering.create(rng.permutation(n))
-        t = G.to_tensors(g, ordering)
-        g2, ord2 = G.from_tensors(t)
-        # positions become node ids, so the decoded pair equals the encoded
-        # graph relabeled by the ordering, with the identity order
-        assert ord2.perm == tuple(range(n))
-        assert g2 == G.apply_ordering(g, ordering)
-        assert np.array_equal(G.to_tensors(g2, ord2).x, t.x)
-        assert np.array_equal(G.to_tensors(g2, ord2).adj, t.adj)
-
-
-def test_from_tensors_two_node_inverse():
-    g = LabeledGraph.create(2, [0, 1], [(0, 1, 0)], a=2, b=2)
-    t = G.to_tensors(g, NodeOrdering.create([0, 1]))
-    g2, ord2 = G.from_tensors(t)
-    assert g2 == g and ord2.perm == (0, 1)
-
-
-def test_from_tensors_all_zero_adjacency_gives_isolated_nodes():
-    x = np.eye(3)
-    adj = np.zeros((3, 3, 2))
-    g, _ = G.from_tensors(G.TensorPair(x, adj))
-    assert g.n == 3 and g.m == 0 and g.node_labels == (0, 1, 2)
-
-
-def test_from_tensors_rejects_asymmetric():
-    x = np.eye(2)
-    adj = np.zeros((2, 2, 1))
-    adj[0, 1, 0] = 1.0
-    with pytest.raises(GraphError, match="symmetric"):
-        G.from_tensors(G.TensorPair(x, adj))
-
-
-def test_from_tensors_rejects_bad_rows_and_diagonal():
-    adj = np.zeros((2, 2, 1))
-    with pytest.raises(GraphError, match="one-hot"):
-        G.from_tensors(G.TensorPair(np.array([[1.0, 1.0], [0.0, 1.0]]), adj))
-    adj2 = np.zeros((2, 2, 1))
-    adj2[0, 0, 0] = 1.0
-    with pytest.raises(GraphError, match="diagonal"):
-        G.from_tensors(G.TensorPair(np.eye(2), adj2))
-
-
 def test_to_tensors_label_out_of_alphabet():
     with pytest.raises(GraphError, match="label"):
         LabeledGraph.create(2, [0, 5], [(0, 1, 0)], a=2, b=1)

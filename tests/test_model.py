@@ -31,6 +31,41 @@ def test_config_validation():
         ModelConfig(a=2, b=2, variant="C")
 
 
+def per_head_init(model, init_seed):
+    """Replay of the per-head initialisation: every matrix parameter drawn by
+    Glorot with its fans from the first two extents, in parameter order,
+    and each attention table as one (d_S, d_in) draw per head, head 0
+    first.  The bias tables, biases and gains draw nothing."""
+    rng = np.random.default_rng(init_seed)
+
+    def glorot(shape):
+        bound = np.sqrt(6.0 / (shape[0] + shape[1]))
+        return rng.uniform(-bound, bound, size=shape)
+
+    out = {}
+    for name, p in model.params.items():
+        shape = p.data.shape
+        if name.rpartition(".")[2] in ("wq", "wk", "wv"):
+            out[name] = np.stack([glorot(shape[1:]) for _ in range(shape[0])])
+        elif name.rpartition(".")[2] in ("bq", "bk", "bv"):
+            out[name] = np.stack([np.zeros(shape[1:]) for _ in range(shape[0])])
+        elif len(shape) == 2:
+            out[name] = glorot(shape)
+    return out
+
+
+@pytest.mark.parametrize("kw", [{}, {"heads": 4, "blocks": 2, "variant": "B", "radius": 3}])
+def test_attention_init_matches_per_head_draws(kw):
+    """Every head-batched attention table, and every other drawn matrix,
+    equals np.stack of the per-head draws exactly."""
+    for seed in (0, 5):
+        model = tiny_model(seed=seed, **kw)
+        replay = per_head_init(model, seed)
+        assert sum(name.endswith((".wq", ".bv")) for name in replay) == 2 * (model.config.blocks + 1)
+        for name, want in replay.items():
+            assert np.array_equal(model.params[name].data, want), name
+
+
 def loop_prefix_stats(s, edge_array, radius):
     """Distances and clustering of a prefix as build_prefix computed them
     before its matrix form: CSR lists, one BFS queue per source and one

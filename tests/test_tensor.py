@@ -157,11 +157,6 @@ def _c_transpose_batched(p, q, c1, c2):
     return T.transpose(T.reshape(p, (2, 2, 6)))
 
 
-@_case("stack")
-def _c_stack(p, q, c1, c2):
-    return T.matmul(T.stack([p, T.mul(p, p)]), T.transpose(T.stack([q, q])))
-
-
 @_case("slice_along")
 def _c_slice(p, q, c1, c2):
     return T.slice_along(T.slice_along(q, 0, 1, 4), -1, 2, 6)
@@ -230,8 +225,6 @@ def test_batched_shape_errors():
         T.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
     with pytest.raises(ShapeError, match="slice"):
         T.slice_along(Tensor(np.zeros((2, 3))), -1, 2, 4)
-    with pytest.raises(ShapeError, match="stack"):
-        T.stack([Tensor(np.zeros(2)), Tensor(np.zeros(3))])
 
 
 @pytest.mark.parametrize("name", sorted(PRIMITIVE_CASES))

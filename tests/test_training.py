@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -305,6 +308,9 @@ def test_checkpoint_round_trip(tmp_path, rng):
     save_checkpoint(path, model, epoch=17, rng=gen)
 
     loaded, epoch, gen2 = load_checkpoint(path)
+    # the file is byte-stable (saved again before either generator draws)
+    save_checkpoint(tmp_path / "ckpt2.bin", loaded, epoch=17, rng=gen2)
+    assert (tmp_path / "ckpt.bin").read_bytes() == (tmp_path / "ckpt2.bin").read_bytes()
     assert epoch == 17
     assert gen2.integers(0, 1000) == gen.integers(0, 1000)
     for name, p in model.params.items():
@@ -316,8 +322,6 @@ def test_checkpoint_round_trip(tmp_path, rng):
         l1, _ = teacher_forced_loss(model, og)
         l2, _ = teacher_forced_loss(loaded, og)
     assert l1.item() == l2.item()
-    # and the file is byte-stable
-    save_checkpoint(tmp_path / "ckpt2.bin", loaded, epoch=17, rng=gen2)
 
 
 def test_checkpoint_truncation_and_version_and_magic(tmp_path):
@@ -332,7 +336,7 @@ def test_checkpoint_truncation_and_version_and_magic(tmp_path):
 
     bad_version = blob[:8] + (99).to_bytes(4, "little") + blob[12:]
     (tmp_path / "ver.bin").write_bytes(bad_version)
-    with pytest.raises(CheckpointVersionError, match="99.*expected 1"):
+    with pytest.raises(CheckpointVersionError, match="99.*expected 2"):
         load_checkpoint(tmp_path / "ver.bin")
 
     (tmp_path / "magic.bin").write_bytes(b"NOTMAGIC" + blob[8:])
@@ -342,3 +346,108 @@ def test_checkpoint_truncation_and_version_and_magic(tmp_path):
     (tmp_path / "trail.bin").write_bytes(blob + b"x")
     with pytest.raises(CheckpointError, match="trailing"):
         load_checkpoint(tmp_path / "trail.bin")
+
+
+def v1_entries(model):
+    """The parameter entries of a version-1 file, (name, values, step, m, v),
+    with every attention table split into one entry X.h{i}.wq per head."""
+    entries = []
+    for name, p in model.params.items():
+        prefix, _, table = name.rpartition(".")
+        if table in training.HEAD_TABLES:
+            entries += [(f"{prefix}.h{h}.{table}", p.data[h], p.step, p.m[h], p.v[h])
+                        for h in range(p.data.shape[0])]
+        else:
+            entries.append((name, p.data, p.step, p.m, p.v))
+    return entries
+
+
+def write_v1_checkpoint(path, model, epoch, entries, rng=None):
+    """The version-1 writer: the byte layout of save_checkpoint with the
+    given parameter entries."""
+    with open(path, "wb") as f:
+        f.write(training.CHECKPOINT_MAGIC + struct.pack("<I", 1))
+        cfg = json.dumps(model.config.to_json_obj(), sort_keys=True).encode("utf-8")
+        f.write(struct.pack("<I", len(cfg)) + cfg)
+        f.write(struct.pack("<I", len(entries)))
+        for name, arr, step, m, v in entries:
+            raw = name.encode("utf-8")
+            f.write(struct.pack("<H", len(raw)) + raw)
+            f.write(struct.pack("<B", arr.ndim))
+            for ext in arr.shape:
+                f.write(struct.pack("<I", ext))
+            f.write(arr.astype("<f8").tobytes())
+            f.write(struct.pack("<Q", step))
+            f.write(m.astype("<f8").tobytes())
+            f.write(v.astype("<f8").tobytes())
+        f.write(struct.pack("<I", epoch))
+        state = rng.bit_generator.state if rng is not None else None
+        rj = json.dumps(state, sort_keys=True).encode("utf-8")
+        f.write(struct.pack("<I", len(rj)) + rj)
+
+
+def trained_model(rng, variant="plain"):
+    """A model with random bias tables and optimizer state off zero."""
+    model = tiny_model(variant=variant, seed=8)
+    randomize_bias_tables(model, rng)
+    og = make_og(random_connected_graph(rng, 7), rng)
+    for _ in range(2):
+        backward_per_step(model, og)
+        adam_step(model.parameters())
+    return model, og
+
+
+def test_version_1_checkpoint_loads_bit_identical(tmp_path, rng):
+    """A version-1 file (one entry per head) loads into the head-batched
+    parameters with the same values, moments, steps and NLL, and saves
+    again as version 2."""
+    model, og = trained_model(rng)
+    gen = np.random.default_rng(5)
+    path = tmp_path / "v1.bin"
+    write_v1_checkpoint(path, model, 3, v1_entries(model), gen)
+    loaded, epoch, gen2 = load_checkpoint(path)
+    assert epoch == 3 and gen2.bit_generator.state == gen.bit_generator.state
+    for name, p in model.params.items():
+        q = loaded.params[name]
+        assert np.array_equal(p.data, q.data), name
+        assert np.array_equal(p.m, q.m) and np.array_equal(p.v, q.v), name
+        assert p.step == q.step, name
+    assert all(loaded.params[f"edge_attn.{t}"].step == 2 for t in training.HEAD_TABLES)
+    with Tape():
+        assert teacher_forced_loss(model, og)[0].item() == teacher_forced_loss(loaded, og)[0].item()
+    save_checkpoint(tmp_path / "v2.bin", loaded, 3, gen2)
+    save_checkpoint(tmp_path / "v2_direct.bin", model, 3, gen)
+    blob = (tmp_path / "v2.bin").read_bytes()
+    assert blob[8:12] == (2).to_bytes(4, "little")
+    assert blob == (tmp_path / "v2_direct.bin").read_bytes()
+
+
+def test_version_1_checkpoint_missing_head_rejected(tmp_path, rng):
+    model, _ = trained_model(rng)
+    entries = v1_entries(model)
+    names = [e[0] for e in entries]
+    k = names.index("edge_attn.h1.bk")
+    write_v1_checkpoint(tmp_path / "missing.bin", model, 1, entries[:k] + entries[k + 1:])
+    with pytest.raises(CheckpointError, match="parameter count"):
+        load_checkpoint(tmp_path / "missing.bin")
+    # the same count, with head 0 written twice in place of head 1
+    entries[k] = entries[names.index("edge_attn.h0.bk")]
+    write_v1_checkpoint(tmp_path / "repeated.bin", model, 1, entries)
+    with pytest.raises(CheckpointError, match="repeated parameter 'edge_attn.h0.bk'"):
+        load_checkpoint(tmp_path / "repeated.bin")
+
+
+def test_version_1_checkpoint_bad_shape_or_steps_rejected(tmp_path, rng):
+    model, _ = trained_model(rng)
+    entries = v1_entries(model)
+    k = [e[0] for e in entries].index("block0.attn.h1.wv")
+    name, arr, step, m, v = entries[k]
+    bad = list(entries)
+    bad[k] = (name, arr[:, :-1], step, m[:, :-1], v[:, :-1])
+    write_v1_checkpoint(tmp_path / "shape.bin", model, 1, bad)
+    with pytest.raises(CheckpointError, match="'block0.attn.h1.wv' has shape"):
+        load_checkpoint(tmp_path / "shape.bin")
+    bad[k] = (name, arr, step + 1, m, v)
+    write_v1_checkpoint(tmp_path / "steps.bin", model, 1, bad)
+    with pytest.raises(CheckpointError, match="heads of 'block0.attn.wv' disagree"):
+        load_checkpoint(tmp_path / "steps.bin")
