@@ -194,15 +194,27 @@ class Model:
     forward computations for feature extraction and both estimators."""
 
     def __init__(self, config: ModelConfig, init_seed: int = 0):
+        rng = np.random.default_rng(init_seed)
+        self._build(config, lambda shape: glorot(rng, shape))
+
+    @classmethod
+    def _unset(cls, config: ModelConfig) -> "Model":
+        """A model whose weight matrices are allocated but not drawn, for a
+        loader that overwrites every entry (training.load_checkpoint)."""
+        model = cls.__new__(cls)
+        model._build(config, np.empty)
+        return model
+
+    def _build(self, config: ModelConfig, draw):
+        """Create every parameter; draw(shape) gives a weight matrix's values."""
         self.config = config
         self.params: dict[str, Parameter] = {}
-        rng = np.random.default_rng(init_seed)
         c = config
         d, ds, h = c.d_model, c.d_s, c.heads
         buckets = c.radius + 2
 
         def w(name, shape):
-            p = Parameter(name, glorot(rng, shape))
+            p = Parameter(name, draw(shape))
             self.params[name] = p
             return p.tensor
 

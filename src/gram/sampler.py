@@ -63,19 +63,33 @@ class GenerationResult:
 
 
 def _sample(rng: np.random.Generator, dist: np.ndarray, argmax: bool) -> int:
+    """One index drawn in proportion to dist (finite, non-negative, with a
+    positive sum).  This is the inverse-CDF draw that rng.choice(len(p), p=p)
+    makes, without its per-call validation: the same random number and the
+    same index."""
     if argmax:
         return int(np.argmax(dist))
-    p = dist / dist.sum()
-    return int(rng.choice(len(p), p=p))
+    cdf = np.cumsum(dist / dist.sum())
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def _edge_dists(step: EdgeStep, codes: np.ndarray) -> np.ndarray:
-    """Edge distributions (t, b + 1) of every candidate given the codes."""
-    return T.softmax(step.edge_logits_teacher(codes)[0]).data
+def _finite(dist: np.ndarray, what: str, s: int) -> np.ndarray:
+    """dist, checked once per pass: a NaN would make _sample return an
+    out-of-range index."""
+    if not np.isfinite(dist).all():
+        raise SamplerError(f"non-finite {what} distribution at step {s}")
+    return dist
+
+
+def _edge_dists(step: EdgeStep, codes: np.ndarray, s: int) -> np.ndarray:
+    """Edge distributions (t, b + 1) of every candidate of step s given the
+    codes."""
+    return _finite(T.softmax(step.edge_logits_teacher(codes)[0]).data, "edge", s)
 
 
 def _draw_edges(step: EdgeStep, draft: np.ndarray, rng: np.random.Generator,
-                argmax: bool) -> tuple:
+                argmax: bool, s: int) -> tuple:
     """One attempt at a step's edge codes, drawn candidate by candidate.
 
     draft holds the step's distributions when no candidate gets an edge.
@@ -92,7 +106,7 @@ def _draw_edges(step: EdgeStep, draft: np.ndarray, rng: np.random.Generator,
     for i in range(t):
         codes[i] = _sample(rng, dists[i], argmax)
         if codes[i] < b and i + 1 < t:
-            dists[i + 1:] = _edge_dists(step, codes)[i + 1:]
+            dists[i + 1:] = _edge_dists(step, codes, s)[i + 1:]
             passes += 1
     return codes, dists, passes
 
@@ -141,15 +155,15 @@ def generate_graph(model: Model, bank: SeedBank, max_nodes: int,
         prefix = build_prefix(labels, edges, c.radius)
         hv = model.extract_features(prefix)
         hg = model.graph_pool(hv)
-        lab = _sample(rng, model.node_distribution(hg), argmax)
+        lab = _sample(rng, _finite(model.node_distribution(hg), "node", s), argmax)
         if lab == c.a:
             break
         candidates = range(lo, s) if frontier_only else range(s)
         step = EdgeStep(model, hv, hg, lab, candidates, prefix.dist_idx, restrict)
-        draft = _edge_dists(step, np.full(len(candidates), c.b))
+        draft = _edge_dists(step, np.full(len(candidates), c.b), s)
         edge_passes += 1
         for attempt in range(1 if argmax else 6):
-            codes, dists, passes = _draw_edges(step, draft, rng, argmax)
+            codes, dists, passes = _draw_edges(step, draft, rng, argmax, s)
             edge_passes += passes
             if (codes < c.b).any():
                 break

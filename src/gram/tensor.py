@@ -4,6 +4,17 @@ Everything is float64.  Operations executed inside a ``with Tape():`` block
 are recorded; ``tape.backward(loss)`` replays the records in reverse and
 accumulates gradients additively on every reachable tensor.  Outside a tape,
 the same operations run eagerly without recording (used for inference).
+
+Gradient buffers have owners.  A *leaf* is a tensor with no backward
+closure (parameters and user inputs): its first gradient is copied into a
+private buffer and later ones are added into it in place, so callers may
+scale a leaf's ``.grad`` in place (``optim.clip_global_norm`` does).  An
+*intermediate* (a recorded result) borrows the first array it receives;
+later contributions add out of place, so no intermediate gradient is
+zero-filled or written into, and ``Tape.backward`` drops it as soon as its
+closure has run.  The invariant that makes borrowing safe: a backward
+closure never writes into the array it was given, and it computes nothing
+for an operand that does not require a gradient.
 """
 from __future__ import annotations
 
@@ -82,10 +93,11 @@ class Tape:
         return False
 
     def backward(self, loss: Tensor):
-        """Populate d(loss)/d(x) on every tensor reachable from loss.
+        """Populate d(loss)/d(x) on every leaf reachable from loss.
 
-        Gradients add onto whatever is already stored, so repeated backward
-        calls accumulate (cleared by the optimizer step).
+        Leaf gradients add onto whatever is already stored, so repeated
+        backward calls accumulate (cleared by the optimizer step).  Each
+        recorded result's gradient is dropped once its closure has run.
         """
         if loss.data.shape != ():
             raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
@@ -95,16 +107,25 @@ class Tape:
             loss.grad = np.zeros(())
         loss.grad = loss.grad + 1.0
         for t in reversed(self._entries):
-            if t.grad is not None and t._bw is not None:
+            if t.grad is not None:
                 t._bw(t.grad)
+                t.grad = None
 
 
 def _accum(t: Tensor, g: np.ndarray):
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    """Add g to t's gradient under the ownership rules of the module
+    docstring: a leaf copies its first gradient and adds in place, an
+    intermediate borrows its first and adds out of place.  Callers skip
+    operands that need no gradient."""
+    if t._bw is None:
+        if t.grad is None:
+            t.grad = np.array(g)
+        else:
+            t.grad += g
+    elif t.grad is None:
+        t.grad = g
+    else:
+        t.grad = t.grad + g
 
 
 def _record(out: Tensor, parents, bw):
@@ -166,8 +187,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(data)
 
     def bw(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.data.shape))
 
     return _record(out, (a, b), bw)
 
@@ -180,8 +203,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(data)
 
     def bw(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _record(out, (a, b), bw)
 
@@ -198,7 +223,8 @@ def concat(parts, axis=-1) -> Tensor:
 
     def bw(g):
         for p, piece in zip(parts, np.split(g, splits, axis=axis)):
-            _accum(p, piece)
+            if p.requires_grad:
+                _accum(p, piece)
 
     return _record(out, tuple(parts), bw)
 
@@ -214,11 +240,14 @@ def slice_along(a: Tensor, axis: int, lo: int, hi: int) -> Tensor:
     out = Tensor(a.data[key])
 
     def bw(g):
-        if not a.requires_grad:
-            return
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[key] += g
+        if a._bw is None:  # a leaf owns its buffer: add into the slice
+            if a.grad is None:
+                a.grad = np.zeros_like(a.data)
+            a.grad[key] += g
+        else:
+            full = np.zeros_like(a.data)
+            full[key] = g
+            _accum(a, full)
 
     return _record(out, (a,), bw)
 
@@ -308,8 +337,6 @@ def rows(table: Tensor, idx) -> Tensor:
     out = Tensor(table.data[idx])
 
     def bw(g):
-        if not table.requires_grad:
-            return
         n, width = table.data.shape[0], int(np.prod(table.data.shape[1:], dtype=np.int64))
         onehot = np.zeros((n, len(idx)))
         onehot[idx, np.arange(len(idx))] = 1.0
@@ -328,7 +355,10 @@ def _bucket_index(idx, rows: int, buckets: int) -> np.ndarray:
 
 
 def _gather_last(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    return np.take_along_axis(table, idx.reshape((1,) * (table.ndim - 2) + idx.shape), axis=-1)
+    """table[..., i, idx[i, j]] as one flat take from the (..., n*C) view."""
+    n, buckets = table.shape[-2:]
+    flat = np.arange(n)[:, None] * buckets + idx
+    return np.take(table.reshape(table.shape[:-2] + (n * buckets,)), flat, axis=-1)
 
 
 def _bucket_sums(w: np.ndarray, idx: np.ndarray, buckets: int) -> np.ndarray:
@@ -387,12 +417,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     out = Tensor(xhat * gain.data + bias.data)
 
     def bw(g):
-        _accum(gain, (g * xhat).reshape(-1, d).sum(axis=0))
-        _accum(bias, g.reshape(-1, d).sum(axis=0))
-        dxhat = g * gain.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        _accum(x, inv * (dxhat - m1 - xhat * m2))
+        if gain.requires_grad:
+            _accum(gain, (g * xhat).reshape(-1, d).sum(axis=0))
+        if bias.requires_grad:
+            _accum(bias, g.reshape(-1, d).sum(axis=0))
+        if x.requires_grad:
+            dxhat = g * gain.data
+            m1 = dxhat.mean(axis=-1, keepdims=True)
+            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+            _accum(x, inv * (dxhat - m1 - xhat * m2))
 
     return _record(out, (x, gain, bias), bw)
 

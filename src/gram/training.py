@@ -346,7 +346,7 @@ def load_checkpoint(path):
         config = ModelConfig.from_json_obj(cfg_obj)
     except (ValueError, TypeError) as exc:
         raise CheckpointError(f"bad embedded config: {exc}") from exc
-    model = Model(config, init_seed=0)
+    model = Model._unset(config)  # the count and name checks below see every entry written
     entries = _stored_entries(model, version)
     count = r.unpack("<I")
     if count != len(entries):

@@ -393,11 +393,11 @@ def test_edge_step_matches_per_candidate_oracle(variant, rng):
                 plan.restrict_keys_to_edges, prefix.dist_idx)).data[0]
 
         t = len(plan.candidates)
-        draft = _edge_dists(step, np.full(t, b))
+        draft = _edge_dists(step, np.full(t, b), s)
         for i in range(t):
             assert np.abs(draft[i] - oracle(i, [b] * i)).max() <= 1e-12
         for attempt in range(3):
-            codes, dists, passes = _draw_edges(step, draft, rng, False)
+            codes, dists, passes = _draw_edges(step, draft, rng, False, s)
             assert passes == int((codes[:-1] < b).sum())
             for i in range(t):
                 assert np.abs(dists[i] - oracle(i, codes[:i])).max() <= 1e-12

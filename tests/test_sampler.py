@@ -96,6 +96,39 @@ def test_seed_bank_single_node_seeds_match_label_distribution(rng):
     assert chi2 < 16.27  # chi-square 2 dof, p = 3e-4
 
 
+def test_sample_draws_as_rng_choice(rng):
+    """_sample's inverse-CDF draw gives rng.choice's index and consumes the
+    same random numbers, over distributions with zeros, ties, a single
+    entry and sums far from 1."""
+    ours, theirs = np.random.default_rng(17), np.random.default_rng(17)
+    for k in range(3000):
+        size = int(rng.integers(1, 7))
+        dist = rng.random(size) * 10.0 ** rng.integers(-3, 4)
+        if k % 3 == 0:
+            dist[rng.random(size) < 0.4] = 0.0
+        if k % 5 == 0:
+            dist[:] = dist[0]
+        if not dist.sum() > 0.0:
+            dist[-1] = 1.0
+        p = dist / dist.sum()
+        assert _sample(ours, dist, False) == int(theirs.choice(len(p), p=p))
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("head", ["node", "edge"])
+def test_nan_distribution_raises(head, rng):
+    """A NaN from the model stops sampling with an error naming the step,
+    in place of an out-of-range draw."""
+    model = tiny_model(a=3, b=2, seed_size=3)
+    params = model.params
+    params["node_est.w3"].tensor.data[:] = 0.0
+    params["node_est.b3"].tensor.data[model.config.a] = -50.0
+    params[f"{head}_est.b3"].tensor.data[0] = np.nan
+    bank = build_seed_bank([random_connected_graph(rng, 8) for _ in range(3)], 3, rng)
+    with pytest.raises(SamplerError, match=f"non-finite {head} distribution at step 3"):
+        generate_graph(model, bank, max_nodes=12, rng=np.random.default_rng(1))
+
+
 def test_generation_immediate_stop_returns_seed(rng):
     model = tiny_model(a=3, b=2, seed_size=4)
     # hard-wire the stop class

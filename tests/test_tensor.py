@@ -162,6 +162,14 @@ def _c_slice(p, q, c1, c2):
     return T.slice_along(T.slice_along(q, 0, 1, 4), -1, 2, 6)
 
 
+@_case("slice_intermediate")
+def _c_slice_intermediate(p, q, c1, c2):
+    # overlapping slices of a recorded result that is also used whole, so
+    # its gradient gathers a borrowed piece and two full-size slice arrays
+    x = T.sigmoid(p)
+    return T.concat([T.slice_along(x, 0, 1, 3), T.slice_along(x, 0, 0, 2), x], axis=0)
+
+
 @_case("gather_last_heads")
 def _c_gather_heads(p, q, c1, c2):
     return T.gather_last(T.reshape(p, (2, 2, 6)), np.arange(10).reshape(2, 5) * 7 % 6)
@@ -200,6 +208,69 @@ def test_gather_last_and_bucket_sums_are_adjoint(rng):
             T.gather_last(Tensor(a), idx + 1)
         with pytest.raises(ShapeError, match="out of range"):
             T.bucket_sums(Tensor(w), idx - 1, 4)
+
+
+def _gather_last_reference(table, idx):
+    """The gather as it was written before the flat take."""
+    return np.take_along_axis(table, idx.reshape((1,) * (table.ndim - 2) + idx.shape), axis=-1)
+
+
+def test_gather_last_matches_take_along_axis(rng):
+    """The flat take picks the same elements as np.take_along_axis: tables
+    of rank 2 to 4, transposed (non-contiguous) tables, random indices."""
+    for shape in ((5, 4), (3, 6, 4), (2, 3, 5, 7), (1, 1)):
+        for transposed in (False, True):
+            n, buckets = shape[-2:]
+            table = rng.normal(size=shape)
+            if transposed:
+                table = np.swapaxes(rng.normal(size=shape[:-2] + (buckets, n)), -1, -2)
+            for m in (1, 3, 9):
+                idx = rng.integers(0, buckets, size=(n, m))
+                for index in (idx, np.ascontiguousarray(idx.T).T):
+                    got = T._gather_last(table, index)
+                    assert np.array_equal(got, _gather_last_reference(table, index))
+                    assert np.array_equal(T.gather_last(Tensor(table), index).data, got)
+
+
+def test_leaves_summed_by_add_own_their_gradients(rng):
+    """add hands one array to both operands; each leaf copies it, so
+    clipping scales each gradient exactly once."""
+    w = rng.normal(size=(3, 4))
+    a = Parameter("a", rng.normal(size=(3, 4)))
+    b = Parameter("b", rng.normal(size=(3, 4)))
+    with Tape() as tape:
+        out = T.mul(T.add(a.tensor, b.tensor), T.const(w))
+        tape.backward(T.sum_along(T.reshape(out, (12,)), 0))
+    assert not np.shares_memory(a.tensor.grad, b.tensor.grad)
+    assert np.array_equal(a.tensor.grad, w) and np.array_equal(b.tensor.grad, w)
+    norm = clip_global_norm([a, b], 0.5)
+    scale = 0.5 / norm
+    assert np.array_equal(a.tensor.grad, w * scale)
+    assert np.array_equal(b.tensor.grad, w * scale)
+
+
+def test_backward_frees_intermediate_gradients(rng):
+    """After backward every recorded result's gradient is dropped, while a
+    leaf keeps its gradient, added onto the one it already held."""
+    x = Tensor(rng.normal(size=(3, 2)))  # a constant input: no gradient
+
+    def loss_of(leaf):
+        h = T.matmul(leaf, x)
+        s = T.slice_along(T.sigmoid(T.relu(T.add(h, h))), 0, 1, 3)
+        return T.sum_along(T.reshape(T.mul(s, s), (4,)), 0)
+
+    p = Parameter("p", rng.normal(size=(4, 3)))
+    fresh = Tensor(p.data.copy(), requires_grad=True)
+    with Tape() as tape:
+        tape.backward(loss_of(fresh))
+    prior = rng.normal(size=(4, 3))
+    p.tensor.grad = prior.copy()
+    with Tape() as tape:
+        tape.backward(loss_of(p.tensor))
+    assert len(tape._entries) == 8
+    assert all(t.grad is None for t in tape._entries)
+    assert x.grad is None
+    assert np.array_equal(p.tensor.grad, prior + fresh.grad)
 
 
 def test_rows_backward_matches_add_at(rng):

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+import gram.model
 from gram import graphs as G
 from gram import tensor as T
 from gram.model import Model, ModelConfig, OrderedGraph, edge_candidates
@@ -240,6 +241,41 @@ def test_train_shuffle_determinism_without_resample(tmp_path):
     assert [s.mean_nll for s in hist[0]] == [s.mean_nll for s in hist[1]]
 
 
+def _accum_zero_fill(t, g):
+    """tensor._accum before gradient buffers had owners: every gradient is
+    zero-filled on first use, then added into in place."""
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    t.grad += g
+
+
+@pytest.mark.parametrize("variant", ["B", "plain"])
+def test_borrowed_gradients_train_bit_identical_to_zero_fill(variant, monkeypatch):
+    """Two epochs with random non-zero bias tables give the same parameters,
+    Adam moments and history whether gradients are borrowed and copied
+    (tensor._accum) or zero-filled and added into."""
+    graphs = generate_corpus(CorpusSpec("grid", 3, 9, 16, seed=2,
+                                        params={"min_side": 3, "max_side": 4}))
+    tcfg = TrainConfig(epochs=2, batch_size=2, seed=3)
+
+    def run():
+        model = tiny_model(a=3, b=2, variant=variant, seed_size=3, seed=5)
+        randomize_bias_tables(model, np.random.default_rng(11))
+        return model, train(graphs, model, tcfg)
+
+    new, new_history = run()
+    monkeypatch.setattr(T, "_accum", _accum_zero_fill)
+    old, old_history = run()
+    assert new_history == old_history
+    for name, p in new.params.items():
+        q = old.params[name]
+        assert p.step == q.step, name
+        for a, b in ((p.data, q.data), (p.m, q.m), (p.v, q.v)):
+            assert np.array_equal(a, b), name
+
+
 def test_train_rejects_empty_and_all_small(rng):
     model = tiny_model(seed_size=10)
     with pytest.raises(TrainError, match="empty"):
@@ -293,7 +329,7 @@ def test_checkpoint_write_failure_keeps_previous_file(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.bin"]
 
 
-def test_checkpoint_round_trip(tmp_path, rng):
+def test_checkpoint_round_trip(tmp_path, rng, monkeypatch):
     model = tiny_model(seed=8)
     g = random_connected_graph(rng, 7)
     og = make_og(g, rng)
@@ -307,6 +343,10 @@ def test_checkpoint_round_trip(tmp_path, rng):
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, model, epoch=17, rng=gen)
 
+    def no_draw(*args):
+        raise AssertionError("loading draws weights it overwrites")
+
+    monkeypatch.setattr(gram.model, "glorot", no_draw)
     loaded, epoch, gen2 = load_checkpoint(path)
     # the file is byte-stable (saved again before either generator draws)
     save_checkpoint(tmp_path / "ckpt2.bin", loaded, epoch=17, rng=gen2)
