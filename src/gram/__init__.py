@@ -2,9 +2,9 @@
 attention, synthetic corpus generators, and graph-kernel MMD evaluation."""
 
 from .graphs import (GraphError, GraphStats, LabeledGraph, NodeOrdering,
-                     apply_ordering, bfs_ordering, frontier_nodes,
+                     apply_ordering, bfs_ordering, frontier_starts,
                      graph_statistics, shortest_paths)
-from .model import Model, ModelConfig, OrderedGraph, StepOutput, edge_candidates
+from .model import Model, ModelConfig, OrderedGraph, StepOutput
 from .training import TrainConfig, load_checkpoint, save_checkpoint, teacher_forced_loss, train
 from .sampler import SeedBank, build_seed_bank, generate_graph
 from .datasets import CorpusSpec, corpus_stats, generate_corpus, read_corpus, split_corpus, write_corpus
@@ -16,9 +16,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GraphError", "GraphStats", "LabeledGraph", "NodeOrdering",
-    "apply_ordering", "bfs_ordering", "frontier_nodes",
+    "apply_ordering", "bfs_ordering", "frontier_starts",
     "graph_statistics", "shortest_paths",
-    "Model", "ModelConfig", "OrderedGraph", "StepOutput", "edge_candidates",
+    "Model", "ModelConfig", "OrderedGraph", "StepOutput",
     "TrainConfig", "load_checkpoint", "save_checkpoint", "teacher_forced_loss", "train",
     "SeedBank", "build_seed_bank", "generate_graph",
     "CorpusSpec", "corpus_stats", "generate_corpus", "read_corpus",

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import datasets as D
 from . import evaluation as E
-from .model import Model, ModelConfig, ModelError
+from .model import VARIANTS, Model, ModelConfig, ModelError
 from .sampler import SamplerError, build_seed_bank, generate_graph
 from .training import (CheckpointError, TrainConfig, TrainError,
                        load_checkpoint, train)
@@ -69,7 +69,7 @@ def _build_parser() -> _Parser:
     t.add_argument("--batch-size", type=int, default=None)
     t.add_argument("--lr", type=float, default=None)
     t.add_argument("--seed", type=int, default=None)
-    t.add_argument("--variant", choices=("plain", "A", "B", "AB"), default=None)
+    t.add_argument("--variant", choices=VARIANTS, default=None)
     t.add_argument("--dmodel", type=int, default=None)
     t.add_argument("--heads", type=int, default=None)
     t.add_argument("--blocks", type=int, default=None)
@@ -151,6 +151,20 @@ def _read_corpus(path):
         raise DataError(str(exc)) from exc
 
 
+def _read_training_corpus(path):
+    """A non-empty corpus of connected graphs, checked before any work:
+    training, sampling and the frontier statistics draw BFS orderings,
+    which a disconnected graph has none of."""
+    graphs = _read_corpus(path)
+    if not graphs:
+        raise DataError(f"{path}: corpus is empty")
+    for lineno, g in enumerate(graphs, start=1):  # read_corpus allows no blank lines
+        if not g.is_connected():
+            raise DataError(f"{path}: line {lineno}: graph is disconnected; "
+                            "BFS orderings need connected graphs")
+    return graphs
+
+
 def _alphabets(graphs, path):
     a, b = graphs[0].a, graphs[0].b
     for i, g in enumerate(graphs):
@@ -211,9 +225,7 @@ def _cmd_dataset(args, cfg_file):
 
 
 def _cmd_train(args, cfg_file):
-    graphs = _read_corpus(args.corpus)
-    if not graphs:
-        raise DataError(f"{args.corpus}: corpus is empty")
+    graphs = _read_training_corpus(args.corpus)
     a, b = _alphabets(graphs, args.corpus)
     model_flags = {"d_model": args.dmodel, "heads": args.heads, "blocks": args.blocks,
                    "d_ff": args.dff, "radius": args.radius, "seed_size": args.seed_size,
@@ -257,9 +269,11 @@ def _cmd_sample(args, cfg_file):
         model, epoch, _ = load_checkpoint(args.checkpoint)
     except CheckpointError as exc:
         raise DataError(f"{args.checkpoint}: {exc}") from exc
-    graphs = _read_corpus(args.corpus)
-    if not graphs:
-        raise DataError(f"{args.corpus}: corpus is empty")
+    seed_size = model.config.seed_size
+    if args.max_nodes is not None and args.max_nodes <= seed_size:
+        raise UsageError(f"--max-nodes {args.max_nodes} must exceed the checkpoint's "
+                         f"seed size {seed_size}")
+    graphs = _read_training_corpus(args.corpus)
     a, b = _alphabets(graphs, args.corpus)
     if (a, b) != (model.config.a, model.config.b):
         raise DataError(f"{args.corpus}: corpus alphabets ({a}, {b}) differ from the "
@@ -271,7 +285,7 @@ def _cmd_sample(args, cfg_file):
                  "seed": args.seed, "argmax": args.argmax})
     rng = np.random.default_rng(args.seed)
     try:
-        bank = build_seed_bank(graphs, model.config.seed_size, rng)
+        bank = build_seed_bank(graphs, seed_size, rng)
     except SamplerError as exc:
         raise DataError(str(exc)) from exc
     samples = []
@@ -316,9 +330,7 @@ def _cmd_eval(args, cfg_file):
 
 
 def _cmd_stats(args, cfg_file):
-    graphs = _read_corpus(args.corpus)
-    if not graphs:
-        raise DataError(f"{args.corpus}: corpus is empty")
+    graphs = _read_training_corpus(args.corpus)
     _echo(args, {"command": "stats", "corpus": str(args.corpus),
                  "seed": args.seed, "orderings": args.orderings})
     stats = D.corpus_stats(graphs, seed=args.seed, orderings_per_graph=args.orderings)

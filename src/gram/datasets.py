@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import GraphError, LabeledGraph
+from .graphs import GraphError, LabeledGraph, apply_ordering, bfs_ordering, frontier_starts
 
 
 class CorpusSpecError(ValueError):
@@ -278,7 +278,6 @@ def corpus_stats(graphs, seed: int = 0, orderings_per_graph: int = 1) -> dict:
     """Step-level instrumentation of a corpus under sampled BFS orderings:
     per-step counts of edges back to earlier nodes (alpha) and frontier
     sizes (beta), plus size and degree summaries."""
-    from .graphs import apply_ordering, bfs_ordering
     if not graphs:
         raise CorpusSpecError("corpus is empty")
     rng = np.random.default_rng(seed)
@@ -286,14 +285,10 @@ def corpus_stats(graphs, seed: int = 0, orderings_per_graph: int = 1) -> dict:
     for g in graphs:
         for _ in range(orderings_per_graph):
             start = int(rng.integers(g.n))
-            og = apply_ordering(g, bfs_ordering(g, start, rng))
-            lower = [[] for _ in range(g.n)]
-            for u, v, _ in og.edges:
-                lower[v].append(u)
-            for s in range(1, g.n):
-                alphas.append(len(lower[s]))
-                lo = min(lower[s - 1]) if lower[s - 1] else s - 1
-                betas.append(s - lo)
+            edges = np.asarray(apply_ordering(g, bfs_ordering(g, start, rng)).edges,
+                               dtype=np.int64).reshape(-1, 3)
+            alphas += np.bincount(edges[:, 1], minlength=g.n)[1:].tolist()
+            betas += (np.arange(1, g.n) - frontier_starts(edges, g.n)[:-1]).tolist()
     degs = np.concatenate([g.degrees() for g in graphs]) if graphs else np.zeros(0)
     return {
         "graphs": len(graphs),

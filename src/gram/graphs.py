@@ -205,27 +205,18 @@ def bfs_ordering(g: LabeledGraph, start: int, rng: np.random.Generator) -> NodeO
     return NodeOrdering.create(perm)
 
 
-def frontier_nodes(g: LabeledGraph, ordering: NodeOrdering, s: int) -> np.ndarray:
-    """Positions that may receive an edge from the node generated at
-    position s, assuming ordering is a BFS order of g.
+def frontier_starts(edges, n: int) -> np.ndarray:
+    """Entry v is the smallest position adjacent to position v among the
+    positions before it, or v itself if none is.
 
-    Returns the contiguous index interval [lo, s-1] where lo is the smallest
-    position adjacent to position s-1 (or s-1 itself if none exists).
-    Valid for 1 <= s <= n, with s == n describing a hypothetical next node.
+    edges are rows (i, j, label) with i < j in generation-order positions,
+    as a BFS ordering lays them out.  The node generated at position s can
+    only receive edges from the contiguous frontier [starts[s - 1], s).
     """
-    n = g.n
-    if not 1 <= s <= n:
-        raise GraphError(f"step {s} out of range for {n} nodes")
-    inv = ordering.inverse()
-    prev_orig = ordering.perm[s - 1]
-    lo = s - 1
-    for u, v, _ in g.edges:
-        if u == prev_orig or v == prev_orig:
-            other = v if u == prev_orig else u
-            pos = inv[other]
-            if pos < lo:
-                lo = int(pos)
-    return np.arange(lo, s, dtype=np.int64)
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
+    starts = np.arange(n, dtype=np.int64)
+    np.minimum.at(starts, edges[:, 1], edges[:, 0])
+    return starts
 
 
 def shortest_paths(g: LabeledGraph, cap: int) -> np.ndarray:

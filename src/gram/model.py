@@ -11,7 +11,7 @@ Four variants control the edge estimation work per step:
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -72,12 +72,18 @@ class ModelConfig:
 
 @dataclass
 class StepCounters:
-    """Instrumentation for one generation step."""
-    candidates: int = 0   # edge decisions taken this step
-    key_pairs: int = 0    # (query, key) pairs evaluated in edge attention
-    alpha: int = 0        # candidates that truly receive an edge
-    beta: int = 0         # frontier size
-    dropped_edges: int = 0  # true edges falling outside the candidate set
+    """Instrumentation of teacher-forced steps, one step's or a sum's."""
+    node_steps: int = 0      # node-label decisions
+    edge_steps: int = 0      # steps that decide edges (all but the stop step)
+    edge_decisions: int = 0  # edge candidates scored
+    key_pairs: int = 0       # (query, key) pairs evaluated in edge attention
+    alpha_sum: int = 0       # candidates that truly receive an edge
+    beta_sum: int = 0        # frontier sizes
+    dropped_edges: int = 0   # true edges falling outside the candidate set
+
+    def add(self, other: "StepCounters"):
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 @dataclass
@@ -108,6 +114,7 @@ class Prefix:
     dist_idx: np.ndarray     # (s, s) distance buckets, capped at radius + 1
     degrees: np.ndarray      # (s,) within-prefix degree
     clustering: np.ndarray   # (s,) within-prefix clustering coefficient
+    frontier_lo: int         # the next node's frontier is [frontier_lo, s)
 
     @property
     def n(self) -> int:
@@ -115,15 +122,17 @@ class Prefix:
 
 
 def build_prefix(labels, edges, radius: int) -> Prefix:
-    """Assemble a Prefix from position-space labels and edges."""
+    """Assemble a Prefix from position-space labels and edges (i, j, label),
+    i < j."""
     labels = np.asarray(labels, dtype=np.int64)
     s = len(labels)
     edge_array = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
     adj = np.zeros((s, s))
     adj[edge_array[:, 0], edge_array[:, 1]] = 1.0
     adj[edge_array[:, 1], edge_array[:, 0]] = 1.0
+    lo = int(G.frontier_starts(edge_array, s)[-1]) if s else 0
     return Prefix(labels, edge_array, capped_distances(adj, radius),
-                  adj.sum(axis=1).astype(np.int64), clustering(adj))
+                  adj.sum(axis=1).astype(np.int64), clustering(adj), lo)
 
 
 class OrderedGraph:
@@ -151,38 +160,12 @@ class OrderedGraph:
         k = bisect.bisect_left(self._later, s)
         return build_prefix(self.labels[:s], self._edges[:k], self.radius)
 
-    def frontier_lo(self, s: int) -> int:
-        """Smallest position adjacent to position s - 1 (s - 1 if none)."""
-        lows = self.lower[s - 1]
-        return lows[0][0] if lows else s - 1
-
     def edge_label_codes(self, s: int, positions) -> np.ndarray:
         """Ground-truth edge codes between position s and the given earlier
         positions: the edge label, or b for no edge."""
         lookup = dict(self.lower[s])
         b = self.graph.b
         return np.array([lookup.get(int(t), b) for t in positions], dtype=np.int64)
-
-
-@dataclass
-class CandidatePlan:
-    candidates: np.ndarray
-    restrict_keys_to_edges: bool
-    beta: int
-
-
-def edge_candidates(og: OrderedGraph, s: int, variant: str) -> CandidatePlan:
-    """Edge-candidate positions for the node at position s and the
-    attention-key policy of the given variant."""
-    if variant not in VARIANTS:
-        raise ModelError(f"unknown variant {variant!r}")
-    lo = og.frontier_lo(s)
-    beta = s - lo
-    if variant in ("B", "AB"):
-        cands = np.arange(lo, s, dtype=np.int64)
-    else:
-        cands = np.arange(0, s, dtype=np.int64)
-    return CandidatePlan(cands, variant in ("A", "AB"), beta)
 
 
 # ---------------------------------------------------------------------------
@@ -395,22 +378,20 @@ class Model:
         """The logits the model assigns at step s when conditioned on the
         ground truth (no sampled feedback): the next node's label and, below
         n, the edges to its candidates, decided in order."""
-        c = self.config
         prefix = og.prefix(s)
         hv = self.extract_features(prefix)
         hg = self.graph_pool(hv)
         node_logits = self.node_logits(hg)
         if s == og.n:
-            return TeacherForced(node_logits)
-        plan = edge_candidates(og, s, c.variant)
-        codes = og.edge_label_codes(s, plan.candidates)
-        step = EdgeStep(self, hv, hg, int(og.labels[s]), plan.candidates,
-                        prefix.dist_idx, plan.restrict_keys_to_edges)
+            return TeacherForced(node_logits, counters=StepCounters(node_steps=1))
+        step = EdgeStep(self, hv, hg, int(og.labels[s]), prefix)
+        codes = og.edge_label_codes(s, step.candidates)
         logits, pairs = step.edge_logits_teacher(codes)
-        alpha = int((codes < c.b).sum())
-        return TeacherForced(node_logits, plan.candidates, codes, logits,
-                             StepCounters(len(plan.candidates), pairs, alpha, plan.beta,
-                                          len(og.lower[s]) - alpha))
+        alpha = int((codes < self.config.b).sum())
+        return TeacherForced(node_logits, step.candidates, codes, logits, StepCounters(
+            node_steps=1, edge_steps=1, edge_decisions=len(step.candidates), key_pairs=pairs,
+            alpha_sum=alpha, beta_sum=s - prefix.frontier_lo,
+            dropped_edges=len(og.lower[s]) - alpha))
 
     def teacher_forced_step(self, og: OrderedGraph, s: int) -> StepOutput:
         """The distributions of teacher_forced(og, s), for inspection and tests."""
@@ -423,12 +404,14 @@ class Model:
 
 
 class EdgeStep:
-    """The edge estimator of one generation step.
+    """The edge estimator of one generation step, and the one place that
+    maps the model's variant to its policy.
 
     Built from the node features hv, the graph vector hg, the new node's
-    label, the candidate positions, the prefix's distance buckets and the
-    key policy (restrict: only candidates that receive an edge become
-    attention keys).  Candidate j's key and value input is
+    label and the prefix.  The candidates are the prefix's frontier
+    [prefix.frontier_lo, s) under B and AB and every earlier position
+    otherwise; under A and AB only candidates that receive an edge become
+    attention keys (restrict).  Candidate j's key and value input is
     [hv_j | embed_node(label) | embed_edge(code_j)], so the projections
     split by input part: a candidate row, the new node's row, and a table
     over all b + 2 edge codes.  These, the candidates' queries, the query
@@ -442,14 +425,14 @@ class EdgeStep:
     on drafted codes (sampler.generate_graph).
     """
 
-    def __init__(self, model: Model, hv: Tensor, hg: Tensor, new_label: int,
-                 candidates, dist_idx: np.ndarray, restrict: bool):
+    def __init__(self, model: Model, hv: Tensor, hg: Tensor, new_label: int, prefix: Prefix):
         c = model.config
         d = c.d_model
-        cands = np.asarray(candidates, dtype=np.int64)
+        lo = prefix.frontier_lo if c.variant in ("B", "AB") else 0
+        cands = self.candidates = np.arange(lo, prefix.n, dtype=np.int64)
         self.model = model
-        self.restrict = restrict
-        self.dist = dist_idx[np.ix_(cands, cands)]
+        self.restrict = c.variant in ("A", "AB")
+        self.dist = prefix.dist_idx[lo:, lo:]
         attn = model.edge_attn
 
         def split(w, parts):  # the input-part blocks of (H, d_S, parts * d) weights

@@ -116,11 +116,11 @@ def generate_graph(model: Model, bank: SeedBank, max_nodes: int,
     """Sample one graph.
 
     Starts from a uniformly drawn seed, then repeats: sample the next node's
-    label (stop class terminates), then sample edge labels over the variant's
-    candidates in ascending order, each conditioned on the decisions before
-    it.  A step whose candidates all come out "no edge" is resampled up to
-    5 times and then resolved by attaching the most edge-confident
-    candidate, so the output is always connected.
+    label (stop class terminates), then sample edge labels over the step's
+    candidates (EdgeStep.candidates) in ascending order, each conditioned
+    on the decisions before it.  A step whose candidates all come out "no
+    edge" is resampled up to 5 times and then resolved by attaching the
+    most edge-confident candidate, so the output is always connected.
 
     Edges are decoded speculatively.  One batched pass of the step's edge
     estimator (EdgeStep.edge_logits_teacher) scores every candidate under
@@ -142,11 +142,6 @@ def generate_graph(model: Model, bank: SeedBank, max_nodes: int,
     edges = [tuple(e) for e in seed.edges]
     truncated = False
     retries = forced = edge_passes = 0
-    restrict = c.variant in ("A", "AB")
-    frontier_only = c.variant in ("B", "AB")
-    # the frontier of the next node starts at the smallest lower neighbour of
-    # the last one: from the seed's edges first, then from the last step's
-    lo = min((u for u, v, _ in seed.edges if v == seed.n - 1), default=seed.n - 1)
     while True:
         s = len(labels)
         if s >= max_nodes:
@@ -158,9 +153,8 @@ def generate_graph(model: Model, bank: SeedBank, max_nodes: int,
         lab = _sample(rng, _finite(model.node_distribution(hg), "node", s), argmax)
         if lab == c.a:
             break
-        candidates = range(lo, s) if frontier_only else range(s)
-        step = EdgeStep(model, hv, hg, lab, candidates, prefix.dist_idx, restrict)
-        draft = _edge_dists(step, np.full(len(candidates), c.b), s)
+        step = EdgeStep(model, hv, hg, lab, prefix)
+        draft = _edge_dists(step, np.full(len(step.candidates), c.b), s)
         edge_passes += 1
         for attempt in range(1 if argmax else 6):
             codes, dists, passes = _draw_edges(step, draft, rng, argmax, s)
@@ -175,8 +169,7 @@ def generate_graph(model: Model, bank: SeedBank, max_nodes: int,
             best = int(np.argmax(1.0 - dists[:, c.b]))
             codes[best] = int(np.argmax(dists[best, :c.b]))
         hits = np.flatnonzero(codes < c.b)
-        edges += [(candidates[k], s, int(codes[k])) for k in hits]
-        lo = candidates[hits[0]]
+        edges += [(int(step.candidates[k]), s, int(codes[k])) for k in hits]
         labels.append(lab)
     graph = G.LabeledGraph.create(len(labels), labels, edges, c.a, c.b)
     return GenerationResult(graph, truncated, retries, forced, edge_passes)

@@ -14,14 +14,14 @@ import json
 import os
 import struct
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
 from . import graphs as G
-from .model import Model, ModelConfig, OrderedGraph
+from .model import Model, ModelConfig, OrderedGraph, StepCounters
 from .optim import adam_step, clip_global_norm
 from .tensor import Tape
 
@@ -69,21 +69,6 @@ class TrainConfig:
         return TrainConfig(**obj)
 
 
-@dataclass
-class LossCounters:
-    node_steps: int = 0
-    edge_decisions: int = 0
-    key_pairs: int = 0
-    alpha_sum: int = 0
-    beta_sum: int = 0
-    edge_steps: int = 0
-    dropped_edges: int = 0
-
-    def add(self, other: "LossCounters"):
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-
-
 def _steps(model: Model, og: OrderedGraph) -> range:
     seed = model.config.seed_size
     if og.n <= seed:
@@ -94,18 +79,14 @@ def _steps(model: Model, og: OrderedGraph) -> range:
 def step_loss(model: Model, og: OrderedGraph, s: int):
     """Negative log-likelihood of step s of one graph: the label of the node
     at position s (the stop class when s == n) and, below n, its edges to
-    the candidate positions.  Returns (scalar loss tensor, LossCounters)."""
+    the candidate positions.  Returns (scalar loss tensor, StepCounters)."""
     c = model.config
     out = model.teacher_forced(og, s)
     target = int(og.labels[s]) if s < og.n else c.a
     parts = [T.cross_entropy_logits(out.node_logits, _onehot([target], c.a + 1))]
-    counters = LossCounters(node_steps=1)
     if out.edge_logits is not None:
         parts.append(T.cross_entropy_logits(out.edge_logits, _onehot(out.edge_codes, c.b + 1)))
-        cnt = out.counters
-        counters = LossCounters(1, cnt.candidates, cnt.key_pairs, cnt.alpha, cnt.beta, 1,
-                                cnt.dropped_edges)
-    return T.sum_along(T.concat(parts, axis=0), 0), counters
+    return T.sum_along(T.concat(parts, axis=0), 0), out.counters
 
 
 def _onehot(codes, width: int) -> np.ndarray:
@@ -117,12 +98,12 @@ def _onehot(codes, width: int) -> np.ndarray:
 def teacher_forced_loss(model: Model, og: OrderedGraph):
     """Summed negative log-likelihood of all post-seed steps of one graph.
 
-    Returns (scalar loss tensor, LossCounters).  Steps before the seed size
+    Returns (scalar loss tensor, StepCounters).  Steps before the seed size
     contribute nothing; the final step scores the stop class on the full
     graph.  Raises SkipGraph when the graph is not larger than the seed.
     """
     losses = []
-    counters = LossCounters()
+    counters = StepCounters()
     for s in _steps(model, og):
         loss, cnt = step_loss(model, og, s)
         losses.append(T.reshape(loss, (1,)))
@@ -133,9 +114,9 @@ def teacher_forced_loss(model: Model, og: OrderedGraph):
 def backward_per_step(model: Model, og: OrderedGraph, weight: float = 1.0):
     """Accumulate the gradient of weight * teacher_forced_loss(model, og)
     with one tape and one backward pass per step, so only one step's records
-    are alive at a time.  Returns (summed loss, LossCounters)."""
+    are alive at a time.  Returns (summed loss, StepCounters)."""
     total = 0.0
-    counters = LossCounters()
+    counters = StepCounters()
     for s in _steps(model, og):
         nll, cnt = _backward_step(model, og, s, weight)
         total += nll
@@ -209,7 +190,7 @@ def train(dataset, model: Model, tconfig: TrainConfig, checkpoint_dir=None,
             ogs = sample_orderings()
         order = rng.permutation(len(usable))
         total_nll = 0.0
-        agg = LossCounters()
+        agg = StepCounters()
         for lo in range(0, len(order), tconfig.batch_size):
             batch = order[lo:lo + tconfig.batch_size]
             inv = 1.0 / len(batch)

@@ -5,6 +5,7 @@ import pytest
 
 from gram.cli import main
 from gram.datasets import read_corpus, write_corpus
+from gram.graphs import LabeledGraph
 from gram.training import save_checkpoint
 
 from conftest import random_connected_graph, tiny_model
@@ -214,3 +215,44 @@ def test_sample_rejects_corpus_with_other_alphabets(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "(4, 2)" in err and "(3, 2)" in err
     assert not out.exists()
+
+
+def _disconnected_corpus(tmp_path):
+    """A connected graph on line 1 and, on line 2, 14 nodes with one edge."""
+    rng = np.random.default_rng(0)
+    corpus = tmp_path / "split.jsonl"
+    write_corpus(corpus, [random_connected_graph(rng, 8),
+                          LabeledGraph.create(14, [0] * 14, [(0, 1, 0)], 3, 2)])
+    return corpus
+
+
+@pytest.mark.parametrize("command", ["train", "sample", "stats"])
+def test_disconnected_graph_is_data_error(command, tmp_path, capsys):
+    """Commands that draw BFS orderings reject a corpus with a disconnected
+    graph before any work, naming the file and the line, and write nothing."""
+    corpus = _disconnected_corpus(tmp_path)
+    out = tmp_path / "out"
+    args = {"train": ["--epochs", "1"],
+            "sample": ["--checkpoint", str(_checkpoint_and_corpus(tmp_path, [])[0]),
+                       "--count", "1"],
+            "stats": []}[command]
+    assert run([command, "--corpus", str(corpus), "--out", str(out)] + args) == 2
+    err = capsys.readouterr().err
+    assert f"{corpus}: line 2: graph is disconnected" in err
+    assert not out.exists()
+
+
+def test_sample_max_nodes_within_seed_is_usage_error(tmp_path, capsys):
+    """--max-nodes must exceed the checkpoint's seed size (3 here); the
+    message names both numbers."""
+    rng = np.random.default_rng(0)
+    ckpt, corpus = _checkpoint_and_corpus(tmp_path, [random_connected_graph(rng, 8)])
+    out = tmp_path / "s.jsonl"
+    for max_nodes in ("2", "3"):
+        assert run(["sample", "--checkpoint", str(ckpt), "--corpus", str(corpus),
+                    "--count", "1", "--max-nodes", max_nodes, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"--max-nodes {max_nodes}" in err and "seed size 3" in err
+    assert not out.exists()
+    assert run(["sample", "--checkpoint", str(ckpt), "--corpus", str(corpus),
+                "--count", "1", "--max-nodes", "4", "--out", str(out)]) == 0

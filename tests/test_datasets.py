@@ -8,7 +8,7 @@ from gram.datasets import (CorpusFormatError, CorpusSpec, CorpusSpecError,
                            community_graph, corpus_stats, default_split_counts,
                            generate_corpus, read_corpus, split_corpus,
                            write_corpus)
-from gram.graphs import LabeledGraph, shortest_paths
+from gram.graphs import LabeledGraph, apply_ordering, bfs_ordering, shortest_paths
 
 from conftest import random_connected_graph
 
@@ -201,6 +201,44 @@ def test_corpus_stats_paper_scale_values():
     assert 6.8 <= st["mean_beta"] <= 11.2
     assert 65 <= st["mean_n"] <= 80
     assert 1.3 <= st["mean_alpha"] <= 2.3
+
+
+def loop_corpus_stats(graphs, seed=0, orderings_per_graph=1):
+    """The per-node loop corpus_stats used before frontier_starts, kept as
+    the reference: alpha counts each node's lower neighbours and beta the
+    frontier from the smallest lower neighbour of the node before."""
+    rng = np.random.default_rng(seed)
+    alphas, betas = [], []
+    for g in graphs:
+        for _ in range(orderings_per_graph):
+            start = int(rng.integers(g.n))
+            og = apply_ordering(g, bfs_ordering(g, start, rng))
+            lower = [[] for _ in range(g.n)]
+            for u, v, _ in og.edges:
+                lower[v].append(u)
+            for s in range(1, g.n):
+                alphas.append(len(lower[s]))
+                lo = min(lower[s - 1]) if lower[s - 1] else s - 1
+                betas.append(s - lo)
+    degs = np.concatenate([g.degrees() for g in graphs])
+    return {
+        "graphs": len(graphs),
+        "mean_n": float(np.mean([g.n for g in graphs])),
+        "mean_m": float(np.mean([g.m for g in graphs])),
+        "mean_alpha": float(np.mean(alphas)) if alphas else 0.0,
+        "mean_beta": float(np.mean(betas)) if betas else 0.0,
+        "mean_degree": float(degs.mean()) if len(degs) else 0.0,
+        "max_degree": int(degs.max()) if len(degs) else 0,
+    }
+
+
+@pytest.mark.parametrize("family,orderings", [("grid", 1), ("lobster", 3)])
+def test_corpus_stats_matches_loop_version(family, orderings):
+    graphs = generate_corpus(CorpusSpec(family, 25, 20, 60, seed=5))
+    for seed in (0, 1):
+        assert corpus_stats(graphs, seed, orderings) == loop_corpus_stats(graphs, seed, orderings)
+    single = [LabeledGraph.create(1, [0], [], 3, 2)]  # no steps: both means are 0.0
+    assert corpus_stats(single) == loop_corpus_stats(single)
 
 
 # -- splitting / io ------------------------------------------------------------

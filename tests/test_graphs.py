@@ -68,14 +68,15 @@ def test_bfs_prefix_connectivity_1000(rng):
 
 def test_frontier_path_example():
     g = LabeledGraph.create(4, [0] * 4, [(0, 1, 0), (1, 2, 0), (2, 3, 0)], a=1, b=1)
-    f = G.frontier_nodes(g, NodeOrdering.create([0, 1, 2, 3]), 3)
-    assert list(f) == [1, 2]
+    starts = G.frontier_starts(g.edges, 4)
+    assert list(starts) == [0, 0, 1, 2]
+    assert list(range(starts[2], 3)) == [1, 2]  # the frontier of position 3
 
 
 def test_frontier_star_example():
     g = LabeledGraph.create(4, [0] * 4, [(0, 1, 0), (0, 2, 0), (0, 3, 0)], a=1, b=1)
-    f = G.frontier_nodes(g, NodeOrdering.create([0, 1, 2, 3]), 2)
-    assert list(f) == [0, 1]
+    starts = G.frontier_starts(g.edges, 4)
+    assert list(range(starts[1], 2)) == [0, 1]  # the frontier of position 2
 
 
 def test_frontier_is_contiguous_and_sound(rng):
@@ -86,22 +87,26 @@ def test_frontier_is_contiguous_and_sound(rng):
         g = random_connected_graph(rng, n)
         ordering = G.bfs_ordering(g, int(rng.integers(n)), rng)
         og = G.apply_ordering(g, ordering)
-        ident = NodeOrdering.create(range(n))
+        starts = G.frontier_starts(og.edges, n)
         for s in range(1, n):
-            f = set(G.frontier_nodes(og, ident, s).tolist())
+            f = set(range(starts[s - 1], s))
             assert f == set(range(min(f), s))  # contiguous, ends at s-1
             for u, v, _ in og.edges:
                 if v == s:
                     assert u in f, f"edge ({u}, {s}) outside frontier {sorted(f)}"
 
 
-def test_frontier_range_errors():
-    g = LabeledGraph.create(3, [0] * 3, [(0, 1, 0), (1, 2, 0)], a=1, b=1)
-    ident = NodeOrdering.create(range(3))
-    with pytest.raises(GraphError):
-        G.frontier_nodes(g, ident, 0)
-    with pytest.raises(GraphError):
-        G.frontier_nodes(g, ident, 4)
+def test_frontier_starts_matches_brute_force(rng):
+    """Entry v is the minimum over v's lower neighbours, taken one position
+    at a time, or v itself; over random connected graphs under random BFS
+    orders."""
+    for _ in range(300):
+        n = int(rng.integers(1, 31))
+        g = random_connected_graph(rng, n, extra_edge_prob=float(rng.uniform(0.0, 0.5)))
+        og = G.apply_ordering(g, G.bfs_ordering(g, int(rng.integers(n)), rng))
+        starts = G.frontier_starts(og.edges, n)
+        brute = [min([u for u, w, _ in og.edges if w == v], default=v) for v in range(n)]
+        assert starts.dtype == np.int64 and starts.tolist() == brute
 
 
 def test_shortest_paths_path_graph():

@@ -4,7 +4,7 @@ import pytest
 from gram import graphs as G
 from gram import tensor as T
 from gram.model import (VARIANTS, EdgeStep, Model, ModelConfig, ModelError,
-                        OrderedGraph, build_prefix, edge_candidates)
+                        OrderedGraph, build_prefix)
 from gram.optim import Parameter
 from gram.sampler import _draw_edges, _edge_dists
 from gram.tensor import Tape, Tensor, finite_difference_check
@@ -318,27 +318,29 @@ def test_edge_distribution_uniform_with_zero_final_layer(rng):
     model.params["edge_est.b3"].tensor.data[:] = 0.0
     g = random_connected_graph(rng, 5, b=3)
     og = identity_ordered(g)
-    prefix = og.prefix(4)
+    prefix = og.prefix(3)
     hv = model.extract_features(prefix)
     hg = model.graph_pool(hv)
-    step = EdgeStep(model, hv, hg, 0, range(3), prefix.dist_idx, False)
+    step = EdgeStep(model, hv, hg, 0, prefix)
+    assert list(step.candidates) == [0, 1, 2]
     dist = T.softmax(step.edge_logits_teacher([1, 3, 3])[0]).data[2]
     assert np.allclose(dist, 0.25)
 
 
-def test_edge_candidates_variants():
+def test_edge_candidates_variants(rng):
     # path 0-1-2-3(-4...): at step s=3 the frontier is {1, 2}
     g = G.LabeledGraph.create(4, [0] * 4, [(0, 1, 0), (1, 2, 0), (2, 3, 0)], a=1, b=1)
-    og = identity_ordered(g)
-    plan_b = edge_candidates(og, 3, "B")
-    assert list(plan_b.candidates) == [1, 2] and plan_b.beta == 2
-    plan_plain = edge_candidates(og, 3, "plain")
-    assert list(plan_plain.candidates) == [0, 1, 2]
-    assert not plan_plain.restrict_keys_to_edges
-    assert edge_candidates(og, 3, "A").restrict_keys_to_edges
-    assert list(edge_candidates(og, 3, "AB").candidates) == [1, 2]
+    prefix = identity_ordered(g).prefix(3)
+    hv = Tensor(rng.normal(size=(3, 16)))
+    hg = Tensor(rng.normal(size=(1, 16)))
+    steps = {v: EdgeStep(tiny_model(a=1, b=1, variant=v), hv, hg, 0, prefix) for v in VARIANTS}
+    assert list(steps["B"].candidates) == [1, 2] and 3 - prefix.frontier_lo == 2
+    assert list(steps["plain"].candidates) == [0, 1, 2]
+    assert not steps["plain"].restrict and not steps["B"].restrict
+    assert steps["A"].restrict and list(steps["A"].candidates) == [0, 1, 2]
+    assert steps["AB"].restrict and list(steps["AB"].candidates) == [1, 2]
     # B candidates are always a subset of plain candidates
-    assert set(plan_b.candidates) <= set(plan_plain.candidates)
+    assert set(steps["B"].candidates) <= set(steps["plain"].candidates)
 
 
 def test_variant_a_empty_key_set_gives_zero_history(rng):
@@ -348,11 +350,12 @@ def test_variant_a_empty_key_set_gives_zero_history(rng):
     model = tiny_model(variant="A")
     g = random_connected_graph(rng, 5)
     og = identity_ordered(g)
-    prefix = og.prefix(4)
+    prefix = og.prefix(3)
     hv = model.extract_features(prefix)
     hg = model.graph_pool(hv)
     b = model.config.b
-    step = EdgeStep(model, hv, hg, 1, range(3), prefix.dist_idx, True)
+    step = EdgeStep(model, hv, hg, 1, prefix)
+    assert step.restrict and list(step.candidates) == [0, 1, 2]
     logits, pairs = step.edge_logits_teacher([b, b, 0])  # everything declined before 2
     assert pairs == 0
     p = {k: model.params[f"edge_est.{k}"].tensor.data for k in ("w2", "b2", "w3", "b3")}
@@ -381,18 +384,17 @@ def test_edge_step_matches_per_candidate_oracle(variant, rng):
         prefix = og.prefix(s)
         hv = model.extract_features(prefix)
         hg = model.graph_pool(hv)
-        plan = edge_candidates(og, s, variant)
         label = int(og.labels[s])
-        step = EdgeStep(model, hv, hg, label, plan.candidates, prefix.dist_idx,
-                        plan.restrict_keys_to_edges)
+        step = EdgeStep(model, hv, hg, label, prefix)
+        candidates = step.candidates
 
         def oracle(i, codes):
-            decided = [(int(t), int(code)) for t, code in zip(plan.candidates[:i], codes)]
+            decided = [(int(t), int(code)) for t, code in zip(candidates[:i], codes)]
             return T.softmax(edge_distribution_step(
-                model, hv, hg, label, int(plan.candidates[i]), decided,
-                plan.restrict_keys_to_edges, prefix.dist_idx)).data[0]
+                model, hv, hg, label, int(candidates[i]), decided,
+                variant in ("A", "AB"), prefix.dist_idx)).data[0]
 
-        t = len(plan.candidates)
+        t = len(candidates)
         draft = _edge_dists(step, np.full(t, b), s)
         for i in range(t):
             assert np.abs(draft[i] - oracle(i, [b] * i)).max() <= 1e-12
@@ -435,10 +437,10 @@ def test_alpha_bounded_by_degree_and_counters(rng):
         model = tiny_model(d_model=8, heads=2, variant="B")
         s = int(rng.integers(2, n))
         step = model.teacher_forced_step(og, s)
-        assert step.counters.alpha <= deg[s]
+        assert step.counters.alpha_sum <= deg[s]
         assert step.counters.dropped_edges == 0
-        assert step.counters.beta == len(G.frontier_nodes(
-            og.graph, G.NodeOrdering.create(range(n)), s))
+        lo = min([u for u, v, _ in og.graph.edges if v == s - 1], default=s - 1)
+        assert step.counters.beta_sum == s - lo
 
 
 def test_counter_ordering_across_variants(rng):

@@ -181,9 +181,9 @@ def test_generation_respects_frontier_under_variant_b(rng):
     for i in range(10):
         res = generate_graph(model, bank, max_nodes=12, rng=np.random.default_rng(100 + i))
         og = res.graph
-        ident = G.NodeOrdering.create(range(og.n))
+        starts = G.frontier_starts(og.edges, og.n)
         for s in range(bank.seed_size, og.n):
-            frontier = set(G.frontier_nodes(og, ident, s).tolist())
+            frontier = set(range(starts[s - 1], s))
             for u, v, _ in og.edges:
                 if v == s:
                     assert u in frontier

@@ -7,7 +7,7 @@ import pytest
 import gram.model
 from gram import graphs as G
 from gram import tensor as T
-from gram.model import Model, ModelConfig, OrderedGraph, edge_candidates
+from gram.model import Model, ModelConfig, OrderedGraph
 from gram.datasets import CorpusSpec, generate_corpus
 from gram.optim import adam_step
 from gram.tensor import Tape
@@ -33,7 +33,8 @@ def zero_final_layers(model):
 def sequential_loss(model, og):
     """Oracle: every step evaluated on its own, each edge candidate scored
     on its own by the per-candidate estimator edge_distribution_step, given
-    the ground-truth codes of the candidates before it."""
+    the ground-truth codes of the candidates before it.  The variant's
+    candidates and key policy are spelled out here, apart from EdgeStep."""
     c = model.config
     total = 0.0
     for s in range(c.seed_size, og.n + 1):
@@ -46,14 +47,15 @@ def sequential_loss(model, og):
         total += float(T.cross_entropy_logits(model.node_logits(hg), onehot).data[0])
         if s == og.n:
             continue
-        plan = edge_candidates(og, s, c.variant)
-        codes = og.edge_label_codes(s, plan.candidates)
+        lo = min([u for u, v, _ in og.graph.edges if v == s - 1], default=s - 1)
+        candidates = range(lo if c.variant in ("B", "AB") else 0, s)
+        codes = og.edge_label_codes(s, candidates)
         decided = []
-        for t, code in zip(plan.candidates, codes):
+        for t, code in zip(candidates, codes):
             onehot = np.zeros((1, c.b + 1))
             onehot[0, code] = 1.0
             logits = edge_distribution_step(model, hv, hg, int(og.labels[s]), int(t), decided,
-                                            plan.restrict_keys_to_edges, prefix.dist_idx)
+                                            c.variant in ("A", "AB"), prefix.dist_idx)
             total += float(T.cross_entropy_logits(logits, onehot).data[0])
             decided.append((int(t), int(code)))
     return total
