@@ -14,17 +14,22 @@ indices and the attend mask through an AttentionContext.
 The heads run on one leading batch axis, and a layer's parameters are
 stored that way: GraphAttentionParams holds Wq, Wk and Wv as (H, d_S, d_in)
 tensors and the bias tables as (H, C, d_S) tensors, and attention reads them
-as they are, with no per-call copy.  Attention is split in two halves:
+as they are, with no per-call copy.  A call runs K independent problems at
+once (the steps of a chunk in training, K = 1 in sampling): their query and
+key rows come packed, and a Segments lays each problem's rows out on a grid
+padded to the largest problem.  Attention is split in two halves:
 
-  project  Q, K and V for all heads, one matmul each: (H, n, d_S) arrays,
-           plus the bias tables that depend only on Q or only on K;
-  attend   scores, bias terms, masked softmax and value bias on (H, nq, nk)
-           arrays, then the heads are concatenated and projected by wo.
+  project  Q, K and V for all heads, one 2-D product each, laid out as
+           (H, K, n, d_S) grids, plus the bias tables that depend only on Q
+           or only on K;
+  attend   scores, bias terms, masked softmax and value bias on
+           (H, K, nq, nk) arrays, then the heads of the real (unpadded) rows
+           are concatenated and projected by wo.
 
 `g_multi_head` is project-then-attend.  `attend` is the only attention
-kernel: the edge estimator (model.EdgeStep) projects once per generation
-step and then calls `attend` with all candidates as queries under a causal
-mask, in training and in sampling alike.
+kernel: the edge estimator (model.EdgeStep) projects once per batch of
+steps and then calls `attend` with every step's candidates as queries
+under a causal mask, in training and in sampling alike.
 
 The bias tables have only C = cap + 2 rows, one per distance bucket, so no
 (nq, nk, d_S) array of looked-up bias vectors is ever formed.  With
@@ -41,6 +46,7 @@ Transformer's relative-attention trick, applied to shortest-path buckets).
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,25 +59,87 @@ class AttentionError(ValueError):
     """Contract violation in an attention call."""
 
 
+class Segments:
+    """K runs of packed rows and their places in a padded (K, width) grid.
+
+    Run k is the packed rows offsets[k]:offsets[k + 1], and it fills the
+    first sizes[k] places of grid row k; width is the largest size.  The
+    row-wise work of a batch of steps runs on the packed rows, and only
+    work that pairs rows within a run (attention scores, pooling) runs on
+    the grid."""
+
+    def __init__(self, sizes):
+        sizes = [int(size) for size in sizes]
+        self.count = len(sizes)
+        self.width = max(sizes, default=0)
+        self.offsets = np.array([0, *itertools.accumulate(sizes)])
+        self.total = int(self.offsets[-1])
+        self.owner = np.repeat(np.arange(self.count), sizes)       # run of each packed row
+        self.real = np.arange(self.width) < np.array(sizes)[:, None]  # (K, width) places in use
+        # flat grid place of each packed row; None when every run fills its row
+        self.index = None if self.total == self.count * self.width \
+            else np.flatnonzero(self.real)
+
+    def pad(self, x: Tensor) -> Tensor:
+        """Packed rows (N, ...) -> the flattened grid (K * width, ...), zero
+        in unused places."""
+        if self.index is None:
+            return x
+        return T.scatter_rows(x, self.index, self.count * self.width)
+
+    def unpad(self, x: Tensor) -> Tensor:
+        """The flattened grid (K * width, ...) -> the packed rows (N, ...)."""
+        return x if self.index is None else T.rows(x, self.index)
+
+    def grid(self, blocks, fill) -> np.ndarray:
+        """Run k's (sizes[k], sizes[k]) array in the corner of a (K, width,
+        width) array filled with fill elsewhere."""
+        out = np.full((self.count, self.width, self.width), fill, dtype=np.int64)
+        for k, block in enumerate(blocks):
+            out[k, :len(block), :len(block)] = block
+        return out
+
+
 @dataclass
 class AttentionContext:
-    """Per-(query, key) distance bucket indices and attend mask."""
-    dist_idx: np.ndarray   # (nq, nk) int, values in [0, cap + 1]
-    allowed: np.ndarray    # (nq, nk) bool
+    """Distance bucket indices and attend mask of K attention problems side
+    by side, each padded to nq queries and nk keys: arrays (K, nq, nk), or
+    (nq, nk) for one problem.  queries and keys place the packed query and
+    key rows in those grids (None: every place holds a row, no padding)."""
+    dist_idx: np.ndarray   # (K, nq, nk) or (nq, nk) int, values in [0, cap + 1]
+    allowed: np.ndarray    # same shape, bool
+    queries: Segments | None = None
+    keys: Segments | None = None
 
     def additive_mask(self) -> np.ndarray:
         return np.where(self.allowed, 0.0, T.MASK_NEG)
 
+    def grids(self) -> tuple:
+        """dist_idx and allowed as (K, nq, nk) arrays."""
+        shape = (-1,) + self.dist_idx.shape[-2:]
+        return self.dist_idx.reshape(shape), self.allowed.reshape(shape)
 
-def context_from_distances(dist_idx: np.ndarray, max_attend: int | None = None) -> AttentionContext:
+    def query_rows(self) -> Segments:
+        count, nq, _ = self.grids()[0].shape
+        return self.queries if self.queries is not None else Segments([nq] * count)
+
+    def key_rows(self) -> Segments:
+        count, _, nk = self.grids()[0].shape
+        return self.keys if self.keys is not None else Segments([nk] * count)
+
+
+def context_from_distances(dist_idx: np.ndarray, max_attend: int | None = None,
+                           rows: Segments | None = None) -> AttentionContext:
     """Self-attention context: attend where the distance bucket does not
-    exceed max_attend (everything when None)."""
+    exceed max_attend (everything when None).  With rows, dist_idx is the
+    (K, n, n) grid of K problems and its unused places hold a bucket above
+    max_attend."""
     dist_idx = np.asarray(dist_idx, dtype=np.int64)
     if max_attend is None:
         allowed = np.ones(dist_idx.shape, dtype=bool)
     else:
         allowed = dist_idx <= max_attend
-    return AttentionContext(dist_idx, allowed)
+    return AttentionContext(dist_idx, allowed, rows, rows)
 
 
 @dataclass
@@ -102,58 +170,77 @@ class GraphAttentionParams:
         """The score scale d_K^(-1/2) of the key input width."""
         return 1.0 / np.sqrt(self.wk.data.shape[-1])
 
+    def _per_step(self, table: Tensor) -> Tensor:
+        """An (H, C, d_S) table as (H, 1, d_S, C), to multiply (H, K, n, d_S)."""
+        heads, buckets, d_s = table.data.shape
+        return T.reshape(T.transpose(table), (heads, 1, d_s, buckets))
+
     def query_table(self, qh: Tensor) -> Tensor | None:
-        """(H, nq, C): Q_i . bk[c] + bq[c] . bk[c]."""
+        """(H, K, nq, C): Q_i . bk[c] + bq[c] . bk[c]."""
         if not self.use_bias:
             return None
         heads, buckets = self.bq.data.shape[:2]
-        c = T.reshape(T.sum_along(T.mul(self.bq, self.bk), 2), (heads, 1, buckets))
-        return T.add(T.matmul(qh, T.transpose(self.bk)), c)
+        c = T.reshape(T.sum_along(T.mul(self.bq, self.bk), 2), (heads, 1, 1, buckets))
+        return T.add(T.matmul(qh, self._per_step(self.bk)), c)
 
     def key_table(self, kh: Tensor) -> Tensor | None:
-        """(H, nk, C): K_j . bq[c]."""
-        return T.matmul(kh, T.transpose(self.bq)) if self.use_bias else None
+        """(H, K, nk, C): K_j . bq[c]."""
+        return T.matmul(kh, self._per_step(self.bq)) if self.use_bias else None
 
 
-def project(x: Tensor, w: Tensor) -> Tensor:
-    """Rows x (n, d_in) through head-batched weights w (H, d_S, d_in): (H, n, d_S)."""
-    return T.matmul(x, T.transpose(w))
+def project(x: Tensor, w: Tensor, rows: Segments | None = None) -> Tensor:
+    """Rows x (N, d_in) through head-batched weights w (H, d_S, d_in):
+    (H, N, d_S), or with rows the (H, K, width, d_S) grid of those runs,
+    zero in unused places.  w is read as one (H * d_S, d_in) matrix, so
+    this is one 2-D product, whose columns are then split by head."""
+    heads, d_s, d_in = w.data.shape
+    y = T.matmul(x, T.transpose(T.reshape(w, (heads * d_s, d_in))))
+    if rows is not None:
+        y = rows.pad(y)
+    y = T.transpose(T.reshape(y, (y.data.shape[0], heads, d_s)), 0, 1)
+    return y if rows is None else T.reshape(y, (heads, rows.count, rows.width, d_s))
 
 
 def attend(qh: Tensor, kh: Tensor, vh: Tensor, q_table, k_table,
            ctx: AttentionContext, p: GraphAttentionParams, on_empty: str = "error") -> Tensor:
-    """Attention of projected queries qh (H, nq, d_S) over projected keys kh
-    and values vh (H, nk, d_S), with the bias tables of p.query_table and
-    p.key_table; returns the output rows (nq, d_O).
+    """Attention of projected queries qh (H, K, nq, d_S) over projected keys
+    kh and values vh (H, K, nk, d_S), K problems padded to a common size as
+    ctx lays them out, with the bias tables of p.query_table and
+    p.key_table; returns the packed output rows (N_q, d_O).
 
     Query rows whose mask admits no key raise an AttentionError unless
     on_empty="zero", in which case those output rows are exactly zero.
+    Padding rows are dropped from the output.
     """
-    has_key = ctx.allowed.any(axis=1)
+    d, allowed = ctx.grids()
+    queries = ctx.query_rows()
+    has_key = allowed.any(axis=-1)
     zero_rows = None
     if not has_key.all():
-        if on_empty != "zero":
-            raise AttentionError("query row with no attendable key")
-        # give empty rows a placeholder key for a well-defined softmax, then
-        # zero their outputs below
-        allowed = ctx.allowed.copy()
+        real_has_key = has_key[queries.real]  # in packed row order
+        if not real_has_key.all():
+            if on_empty != "zero":
+                raise AttentionError("query row with no attendable key")
+            zero_rows = real_has_key.astype(np.float64)[:, None]
+        # give empty rows a placeholder key for a well-defined softmax; their
+        # outputs are zeroed below or dropped as padding
+        allowed = allowed.copy()
         allowed[~has_key, 0] = True
-        ctx = AttentionContext(ctx.dist_idx, allowed)
-        zero_rows = has_key.astype(np.float64)[:, None]
-    addmask = None if ctx.allowed.all() else ctx.additive_mask()
-    d = ctx.dist_idx
+    addmask = None if allowed.all() else np.where(allowed, 0.0, T.MASK_NEG)
     scores = T.matmul(qh, T.transpose(kh))
     if p.use_bias:
         scores = T.add(T.add(scores, T.gather_last(q_table, d)),
-                       T.transpose(T.gather_last(k_table, d.T)))
+                       T.transpose(T.gather_last(k_table, np.swapaxes(d, -1, -2))))
     weights = T.softmax(T.mul(scores, T.const(p.scale)), additive_mask=addmask)
     out = T.matmul(weights, vh)
     if p.use_bias:
-        out = T.add(out, T.matmul(T.bucket_sums(weights, d, p.bv.data.shape[1]), p.bv))
-    heads, nq, d_s = out.data.shape
-    # (H, nq, d_S) -> (nq, H * d_S), head h in columns h * d_S ... (h + 1) * d_S - 1
-    merged = T.transpose(T.reshape(T.transpose(out), (heads * d_s, nq)))
-    out = T.matmul(merged, p.wo)
+        heads, buckets, d_s = p.bv.data.shape
+        out = T.add(out, T.matmul(T.bucket_sums(weights, d, buckets),
+                                  T.reshape(p.bv, (heads, 1, buckets, d_s))))
+    # (H, K, nq, d_S) -> (N_q, H * d_S), head h in columns h * d_S ... (h + 1) * d_S - 1
+    heads, count, nq, d_s = out.data.shape
+    out = T.transpose(T.reshape(out, (heads, count * nq, d_s)), 0, 1)
+    out = T.matmul(queries.unpad(T.reshape(out, (count * nq, heads * d_s))), p.wo)
     if zero_rows is not None:
         out = T.mul(out, T.const(zero_rows))
     return out
@@ -163,26 +250,32 @@ def g_multi_head(q: Tensor, k: Tensor, v: Tensor, ctx: AttentionContext,
                  p: GraphAttentionParams, on_empty: str = "error") -> Tensor:
     """Multi-head graph attention; heads are concatenated and projected.
 
-    The scale factor is d_K^(-1/2) with d_K the key input width, applied
-    exactly once per score.  Query rows whose mask admits no key raise an
-    AttentionError unless on_empty="zero", in which case those output rows
-    are exactly zero (the edge estimator's empty-history convention).
-    Distance indices must lie in [0, cap + 1]; distances beyond the cap are
-    clipped to the final bucket by the caller.
+    q, k and v hold packed rows, laid out by ctx: K problems whose queries
+    and keys are runs of those rows (one problem when ctx's arrays are
+    (nq, nk)).  The scale factor is d_K^(-1/2) with d_K the key input
+    width, applied exactly once per score.  Query rows whose mask admits
+    no key raise an AttentionError unless on_empty="zero", in which case
+    those output rows are exactly zero (the edge estimator's
+    empty-history convention).  Distance indices must lie in [0, cap + 1];
+    distances beyond the cap are clipped to the final bucket by the caller.
     """
     if k.data.shape[0] != v.data.shape[0]:
         raise AttentionError(f"key rows {k.data.shape[0]} != value rows {v.data.shape[0]}")
-    nq, nk = q.data.shape[0], k.data.shape[0]
-    if ctx.dist_idx.shape != (nq, nk) or ctx.allowed.shape != (nq, nk):
-        raise AttentionError(f"context shape {ctx.dist_idx.shape} does not match ({nq}, {nk})")
+    dist = ctx.grids()[0]
+    queries, keys = ctx.query_rows(), ctx.key_rows()
+    if (ctx.dist_idx.shape != ctx.allowed.shape
+            or (queries.count, queries.width, keys.width) != dist.shape
+            or (queries.total, keys.total) != (q.data.shape[0], k.data.shape[0])):
+        raise AttentionError(f"context shape {ctx.dist_idx.shape} does not match "
+                             f"({q.data.shape[0]}, {k.data.shape[0]}) rows")
     buckets = p.cap + 2
-    if ctx.dist_idx.size and ctx.dist_idx.max() >= buckets:
-        raise AttentionError(f"distance index {int(ctx.dist_idx.max())} "
+    if dist.size and dist.max() >= buckets:
+        raise AttentionError(f"distance index {int(dist.max())} "
                              f"exceeds bucket count {buckets}")
-    if ctx.dist_idx.size and ctx.dist_idx.min() < 0:
+    if dist.size and dist.min() < 0:
         raise AttentionError("negative distance index")
-    qh, kh = project(q, p.wq), project(k, p.wk)
-    return attend(qh, kh, project(v, p.wv), p.query_table(qh), p.key_table(kh),
+    qh, kh = project(q, p.wq, queries), project(k, p.wk, keys)
+    return attend(qh, kh, project(v, p.wv, keys), p.query_table(qh), p.key_table(kh),
                   ctx, p, on_empty)
 
 

@@ -36,6 +36,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive(text: str) -> int:
+    """An argparse type: an integer of at least 1 (a count)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", default=argparse.SUPPRESS,
@@ -88,7 +99,7 @@ def _build_parser() -> _Parser:
     s = add("sample", help="generate graphs from a checkpoint")
     s.add_argument("--checkpoint", required=True)
     s.add_argument("--corpus", required=True, help="training corpus for the seed bank")
-    s.add_argument("--count", type=int, required=True)
+    s.add_argument("--count", type=_positive, required=True)
     s.add_argument("--max-nodes", type=int, default=None)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--argmax", action="store_true", help="greedy decoding (debug)")
@@ -105,7 +116,7 @@ def _build_parser() -> _Parser:
     st = add("stats", help="corpus size/frontier instrumentation")
     st.add_argument("--corpus", required=True)
     st.add_argument("--seed", type=int, default=0)
-    st.add_argument("--orderings", type=int, default=1)
+    st.add_argument("--orderings", type=_positive, default=1)
     st.add_argument("--out", default=None, help="stats JSON path")
     return p
 

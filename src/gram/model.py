@@ -7,6 +7,12 @@ Four variants control the edge estimation work per step:
   A     - attention keys restricted to nodes that actually received an edge
   B     - candidates restricted to the BFS frontier
   AB    - both reductions combined
+
+Every forward computation takes a batch of prefixes (Prefixes): the
+teacher-forced steps of a chunk in training, one prefix in sampling.  Row
+work (every weight product, elementwise op, layer norm and the conv's
+gathers and scatters) runs on the prefixes' packed rows; only attention
+and pooling lay the rows out per prefix, padded to the largest.
 """
 from __future__ import annotations
 
@@ -96,9 +102,11 @@ class StepOutput:
 
 @dataclass
 class TeacherForced:
-    """One teacher-forced step: node logits (1, a + 1) and, unless the step
-    scores the stop class on the full graph, the candidate positions, their
-    ground-truth edge codes (b = no edge) and their edge logits (t, b + 1)."""
+    """Teacher-forced steps evaluated in one pass: node logits (K, a + 1),
+    one row per step, and, for the steps below n (all but a final step that
+    scores the stop class on the full graph), every step's candidate
+    positions in turn, their ground-truth edge codes (b = no edge) and their
+    edge logits (t, b + 1)."""
     node_logits: Tensor
     candidates: np.ndarray | None = None
     edge_codes: np.ndarray | None = None
@@ -133,6 +141,31 @@ def build_prefix(labels, edges, radius: int) -> Prefix:
     lo = int(G.frontier_starts(edge_array, s)[-1]) if s else 0
     return Prefix(labels, edge_array, capped_distances(adj, radius),
                   adj.sum(axis=1).astype(np.int64), clustering(adj), lo)
+
+
+class Prefixes:
+    """K prefixes side by side, the batch that one forward pass evaluates.
+
+    Their nodes are packed rows in order (nodes, an attention.Segments):
+    prefix k owns rows nodes.offsets[k]:nodes.offsets[k + 1].  Their edges
+    are packed the same way, with endpoints as packed node rows."""
+
+    def __init__(self, items):
+        self.items = list(items)
+        self.nodes = A.Segments([p.n for p in self.items])
+        offsets = self.nodes.offsets
+        edges = np.concatenate([p.edge_array for p in self.items])
+        shift = np.repeat(offsets[:-1], [len(p.edge_array) for p in self.items])
+        self.ends = (edges[:, 0] + shift, edges[:, 1] + shift)  # packed rows of the ends
+        self.edge_labels = edges[:, 2]
+        self.degrees = np.concatenate([p.degrees for p in self.items])
+
+    @staticmethod
+    def of(prefixes) -> "Prefixes":
+        """A Prefixes from itself, one Prefix or a sequence of them."""
+        if isinstance(prefixes, Prefixes):
+            return prefixes
+        return Prefixes([prefixes] if isinstance(prefixes, Prefix) else prefixes)
 
 
 class OrderedGraph:
@@ -284,8 +317,10 @@ class Model:
 
     # -- feature extraction -------------------------------------------------
 
-    def graph_convolution(self, hv: Tensor, he: Tensor, prefix: Prefix, conv) -> tuple:
-        """One conv layer.  Every edge (i, j) with features e reads its node
+    def graph_convolution(self, hv: Tensor, he: Tensor, prefixes, conv,
+                          update_edges: bool = True) -> tuple:
+        """One conv layer over the packed node rows hv and edge rows he of a
+        batch of prefixes.  Every edge (i, j) with features e reads its node
         triple in both directions, x1 = [h_i | e | h_j] and
         x2 = [h_j | e | h_i], as hid = relu(x W1 + b1).  The edge keeps the
         mean of its two candidates hid wedge + bedge.  A node averages, over
@@ -298,16 +333,20 @@ class Model:
         node blocks are computed once per node and gathered into both
         directions.  The edge candidate is (hid1 + hid2)/2 wedge + bedge.
         The output projections are linear, so they run after the scatter:
-        with S and S' the one-hot (node, direction-edge) incidence of the
-        first and the last end, a node's candidate sum is
+        with S and S' the (node, direction-edge) incidence of the first and
+        the last end, a node's candidate sum is
         (S hid) wsrc + (S' hid) wdst + deg (bsrc + bdst), where
-        S hid = S_i hid1 + S_j hid2 and S' hid = S_i hid2 + S_j hid1."""
+        S hid = S_i hid1 + S_j hid2 and S' hid = S_i hid2 + S_j hid1.  Edges
+        only join nodes of one prefix, so every product runs on the packed
+        rows of the whole batch.  Without update_edges (the last block,
+        whose edge features nothing reads) the edge output is None."""
+        batch = Prefixes.of(prefixes)
         iso = T.relu(T.add(T.matmul(hv, conv["wiso"]), conv["biso"]))
-        t = len(prefix.edge_array)
+        t = len(batch.edge_labels)
         if t == 0:
-            return iso, he
+            return iso, (he if update_edges else None)
         s, d = hv.data.shape
-        ii, jj = prefix.edge_array[:, 0], prefix.edge_array[:, 1]
+        ii, jj = batch.ends
         w1 = conv["w1"]
         first = T.matmul(hv, T.slice_along(w1, 0, 0, d))              # (s, 3d)
         last = T.matmul(hv, T.slice_along(w1, 0, 2 * d, 3 * d))       # (s, 3d)
@@ -316,54 +355,65 @@ class Model:
         first_end, last_end = np.concatenate([ii, jj]), np.concatenate([jj, ii])
         pre = T.add(T.rows(first, first_end), T.rows(last, last_end))  # (2t, 3d)
         hid = T.relu(T.add(T.reshape(pre, (2, t, 3 * d)), mid))
-        he_new = T.add(T.matmul(T.mul(T.sum_along(hid, 0), T.const(0.5)), conv["wedge"]),
-                       conv["bedge"])
+        he_new = None
+        if update_edges:
+            he_new = T.add(T.matmul(T.mul(T.sum_along(hid, 0), T.const(0.5)), conv["wedge"]),
+                           conv["bedge"])
         hid = T.reshape(hid, (2 * t, 3 * d))
-        scatter = np.zeros((2, s, 2 * t))
-        scatter[0, first_end, np.arange(2 * t)] = 1.0
-        scatter[1, last_end, np.arange(2 * t)] = 1.0
-        sums = T.add(T.add(T.matmul(T.matmul(T.const(scatter[0]), hid), conv["wsrc"]),
-                           T.matmul(T.matmul(T.const(scatter[1]), hid), conv["wdst"])),
-                     T.mul(T.const(prefix.degrees[:, None]), T.add(conv["bsrc"], conv["bdst"])))
-        counts = 2.0 * prefix.degrees
+        degrees = batch.degrees
+        sums = T.add(T.add(T.matmul(T.scatter_rows(hid, first_end, s), conv["wsrc"]),
+                           T.matmul(T.scatter_rows(hid, last_end, s), conv["wdst"])),
+                     T.mul(T.const(degrees[:, None]), T.add(conv["bsrc"], conv["bdst"])))
+        counts = 2.0 * degrees
         recip = np.zeros(s)
         np.divide(1.0, counts, out=recip, where=counts > 0)
         agg = T.relu(T.mul(sums, T.const(recip[:, None])))
-        has_edge = (prefix.degrees > 0).astype(np.float64)[:, None]
+        has_edge = (degrees > 0).astype(np.float64)[:, None]
         hv_new = T.add(T.mul(agg, T.const(has_edge)), T.mul(iso, T.const(1.0 - has_edge)))
         return hv_new, he_new
 
-    def extract_features(self, prefix: Prefix) -> Tensor:
-        """Node feature matrix of the prefix: one-hot labels plus normalized
-        degree and clustering, projected, then refined by parallel
-        conv/attention blocks combined per block by a linear projection."""
+    def extract_features(self, prefixes) -> Tensor:
+        """Node feature rows of a batch of prefixes (or of one), packed in
+        order: one-hot labels plus degree normalized within the prefix and
+        clustering, projected, then refined by parallel conv/attention
+        blocks combined per block by a linear projection.  Attention runs on
+        each prefix's rows padded to the batch's largest prefix."""
         c = self.config
-        s = prefix.n
-        x = np.zeros((s, c.a + 2))
-        x[np.arange(s), prefix.labels] = 1.0
-        maxdeg = prefix.degrees.max() if s else 0
-        if maxdeg > 0:
-            x[:, c.a] = prefix.degrees / maxdeg
-        x[:, c.a + 1] = prefix.clustering
+        batch = Prefixes.of(prefixes)
+        nodes = batch.nodes
+        x = np.zeros((nodes.total, c.a + 2))
+        x[np.arange(nodes.total), np.concatenate([p.labels for p in batch.items])] = 1.0
+        maxdeg = np.maximum.reduceat(batch.degrees, nodes.offsets[:-1])[nodes.owner] \
+            if nodes.total else np.zeros(0, dtype=np.int64)
+        np.divide(batch.degrees, maxdeg, out=x[:, c.a], where=maxdeg > 0)
+        x[:, c.a + 1] = np.concatenate([p.clustering for p in batch.items])
         hv = T.add(T.matmul(T.const(x), self.input_w), self.input_b)
-        he = T.rows(self.embed_edge, prefix.edge_array[:, 2]) if len(prefix.edge_array) \
+        he = T.rows(self.embed_edge, batch.edge_labels) if len(batch.edge_labels) \
             else T.const(np.zeros((0, c.d_model)))
-        ctx = A.context_from_distances(prefix.dist_idx, max_attend=c.radius)
-        for conv, sub, combine_w, combine_b in self.blocks:
-            conv_out, he = self.graph_convolution(hv, he, prefix, conv)
+        # unused grid places get a bucket beyond the attended radius
+        dist = nodes.grid([p.dist_idx for p in batch.items], c.radius + 1)
+        ctx = A.context_from_distances(dist, max_attend=c.radius, rows=nodes)
+        for l, (conv, sub, combine_w, combine_b) in enumerate(self.blocks):
+            conv_out, he = self.graph_convolution(hv, he, batch, conv,
+                                                  update_edges=l + 1 < len(self.blocks))
             att_out = A.attention_sublayer(hv, ctx, sub)
             hv = T.add(T.matmul(T.concat([conv_out, att_out], axis=-1), combine_w), combine_b)
         return hv
 
-    def graph_pool(self, hv: Tensor) -> Tensor:
-        """Gated sum of node features: sum_i sigmoid(gate(h_i)) * h_i."""
+    def graph_pool(self, hv: Tensor, nodes: A.Segments | None = None) -> Tensor:
+        """Gated sum of node features, sum_i sigmoid(gate(h_i)) * h_i, over
+        each run of nodes (all rows of hv as one run when None): (K, d)."""
+        if nodes is None:
+            nodes = A.Segments([hv.data.shape[0]])
         hidden = T.relu(T.add(T.matmul(hv, self.pool_w1), self.pool_b1))
         gate = T.sigmoid(T.add(T.matmul(hidden, self.pool_w2), self.pool_b2))
-        return T.sum_along(T.mul(gate, hv), 0, keepdims=True)
+        gated = nodes.pad(T.mul(gate, hv))
+        return T.sum_along(T.reshape(gated, (nodes.count, nodes.width, hv.data.shape[1])), 1)
 
     # -- estimators ----------------------------------------------------------
 
     def node_logits(self, hg: Tensor) -> Tensor:
+        """Node-label logits (K, a + 1) of K graph vectors hg (K, d)."""
         h = T.relu(T.add(T.matmul(hg, self.node_w1), self.node_b1))
         h = T.relu(T.add(T.matmul(h, self.node_w2), self.node_b2))
         return T.add(T.matmul(h, self.node_w3), self.node_b3)
@@ -372,30 +422,36 @@ class Model:
         """Label distribution over a + 1 classes (last class = stop)."""
         return T.softmax(self.node_logits(hg)).data[0]
 
-    # -- one teacher-forced step ----------------------------------------------
+    # -- teacher-forced steps ---------------------------------------------------
 
-    def teacher_forced(self, og: OrderedGraph, s: int) -> TeacherForced:
-        """The logits the model assigns at step s when conditioned on the
-        ground truth (no sampled feedback): the next node's label and, below
+    def teacher_forced(self, og: OrderedGraph, steps) -> TeacherForced:
+        """The logits the model assigns at the given ascending steps when
+        conditioned on the ground truth (no sampled feedback), all in one
+        pass: each step's next-node label (K rows) and, for the steps below
         n, the edges to its candidates, decided in order."""
-        prefix = og.prefix(s)
-        hv = self.extract_features(prefix)
-        hg = self.graph_pool(hv)
+        steps = [int(s) for s in steps]
+        batch = Prefixes([og.prefix(s) for s in steps])
+        hv = self.extract_features(batch)
+        hg = self.graph_pool(hv, batch.nodes)
         node_logits = self.node_logits(hg)
-        if s == og.n:
-            return TeacherForced(node_logits, counters=StepCounters(node_steps=1))
-        step = EdgeStep(self, hv, hg, int(og.labels[s]), prefix)
-        codes = og.edge_label_codes(s, step.candidates)
+        edge_steps = [s for s in steps if s < og.n]
+        if not edge_steps:
+            return TeacherForced(node_logits, counters=StepCounters(node_steps=len(steps)))
+        step = EdgeStep(self, hv, hg, og.labels[edge_steps], batch)
+        runs = step.runs.offsets
+        codes = np.concatenate([og.edge_label_codes(s, step.candidates[runs[k]:runs[k + 1]])
+                                for k, s in enumerate(edge_steps)])
         logits, pairs = step.edge_logits_teacher(codes)
         alpha = int((codes < self.config.b).sum())
         return TeacherForced(node_logits, step.candidates, codes, logits, StepCounters(
-            node_steps=1, edge_steps=1, edge_decisions=len(step.candidates), key_pairs=pairs,
-            alpha_sum=alpha, beta_sum=s - prefix.frontier_lo,
-            dropped_edges=len(og.lower[s]) - alpha))
+            node_steps=len(steps), edge_steps=len(edge_steps), edge_decisions=len(codes),
+            key_pairs=pairs, alpha_sum=alpha,
+            beta_sum=sum(s - p.frontier_lo for s, p in zip(edge_steps, batch.items)),
+            dropped_edges=sum(len(og.lower[s]) for s in edge_steps) - alpha))
 
     def teacher_forced_step(self, og: OrderedGraph, s: int) -> StepOutput:
-        """The distributions of teacher_forced(og, s), for inspection and tests."""
-        out = self.teacher_forced(og, s)
+        """The distributions of teacher_forced(og, [s]), for inspection and tests."""
+        out = self.teacher_forced(og, [s])
         edge_dists = []
         if out.edge_logits is not None:
             dists = T.softmax(out.edge_logits).data
@@ -404,74 +460,93 @@ class Model:
 
 
 class EdgeStep:
-    """The edge estimator of one generation step, and the one place that
-    maps the model's variant to its policy.
+    """The edge estimator of a batch of generation steps, and the one place
+    that maps the model's variant to its policy.
 
-    Built from the node features hv, the graph vector hg, the new node's
-    label and the prefix.  The candidates are the prefix's frontier
-    [prefix.frontier_lo, s) under B and AB and every earlier position
-    otherwise; under A and AB only candidates that receive an edge become
-    attention keys (restrict).  Candidate j's key and value input is
-    [hv_j | embed_node(label) | embed_edge(code_j)], so the projections
-    split by input part: a candidate row, the new node's row, and a table
-    over all b + 2 edge codes.  These, the candidates' queries, the query
-    side bias table and the constant part of the edge MLP's first layer,
-    hv_j W1[:d] + hg W1[d:2d] + embed_node(label) W1[2d:3d] + b1, are
-    computed once per step.
+    Built from the packed node features hv and graph vectors hg (K, d) of
+    a batch of prefixes, and the new nodes' labels: K' labels for the
+    first K' prefixes (the sampler passes one label and one prefix).  A
+    step's candidates are its prefix's frontier [prefix.frontier_lo, s)
+    under B and AB and every earlier position otherwise; under A and AB
+    only candidates that receive an edge become attention keys
+    (restrict).  candidates holds every step's positions in turn, and runs
+    (an attention.Segments) says which are whose.  Candidate j's key and
+    value input is [hv_j | embed_node(label) | embed_edge(code_j)], so the
+    projections split by input part: a candidate row, the new node's row,
+    and a table over all b + 2 edge codes.  These, the candidates' queries,
+    the query side bias table and the constant part of the edge MLP's first
+    layer, hv_j W1[:d] + hg W1[d:2d] + embed_node(label) W1[2d:3d] + b1,
+    are computed once per batch.  Queries, keys and values are kept on the
+    (H, K', width, d_S) grid that attention pads the steps to.
 
     edge_logits_teacher(codes) is the one edge-logit method: it scores all
-    candidates at once, and row i depends on codes[:i] only.  Training
-    passes the ground-truth codes on the tape; the sampler runs it eagerly
-    on drafted codes (sampler.generate_graph).
+    candidates at once, and a candidate's row depends only on the codes of
+    the candidates before it in its own step.  Training passes the
+    ground-truth codes on the tape; the sampler runs it eagerly on drafted
+    codes (sampler.generate_graph).
     """
 
-    def __init__(self, model: Model, hv: Tensor, hg: Tensor, new_label: int, prefix: Prefix):
+    def __init__(self, model: Model, hv: Tensor, hg: Tensor, new_labels, prefixes):
         c = model.config
         d = c.d_model
-        lo = prefix.frontier_lo if c.variant in ("B", "AB") else 0
-        cands = self.candidates = np.arange(lo, prefix.n, dtype=np.int64)
+        labels = np.asarray(new_labels, dtype=np.int64).reshape(-1)
+        batch = Prefixes.of(prefixes)
+        items = batch.items[:len(labels)]
+        starts = [p.frontier_lo if c.variant in ("B", "AB") else 0 for p in items]
+        self.candidates = np.concatenate(
+            [np.arange(lo, p.n, dtype=np.int64) for lo, p in zip(starts, items)])
+        runs = self.runs = A.Segments([p.n - lo for lo, p in zip(starts, items)])
         self.model = model
         self.restrict = c.variant in ("A", "AB")
-        self.dist = prefix.dist_idx[lo:, lo:]
+        self.dist = runs.grid([p.dist_idx[lo:, lo:] for lo, p in zip(starts, items)], 0)
         attn = model.edge_attn
+        heads, d_s = attn.heads, c.d_s
 
         def split(w, parts):  # the input-part blocks of (H, d_S, parts * d) weights
             return [T.slice_along(w, -1, k * d, (k + 1) * d) for k in range(parts)]
 
-        hc = T.rows(hv, cands)
-        hvs = T.rows(model.embed_node, [new_label])
-        inputs = (hc, hvs, model.embed_edge)
-        wq = split(attn.wq, 2)
-        self.q = T.add(A.project(hc, wq[0]), A.project(hvs, wq[1]))    # (H, t, d_S)
-        kc, kn, self.ke = (A.project(x, w) for x, w in zip(inputs, split(attn.wk, 3)))
-        vc, vn, self.ve = (A.project(x, w) for x, w in zip(inputs, split(attn.wv, 3)))
-        self.kc, self.vc = T.add(kc, kn), T.add(vc, vn)                 # code part missing
+        def per_step(x):  # (H, K', d_S) -> (H, K', 1, d_S), one row per step
+            return T.reshape(x, (heads, runs.count, 1, d_s))
+
+        hc = T.rows(hv, batch.nodes.offsets[runs.owner] + self.candidates)
+        hvs = T.rows(model.embed_node, labels)
+        wq, wk, wv = split(attn.wq, 2), split(attn.wk, 3), split(attn.wv, 3)
+        self.q = T.add(A.project(hc, wq[0], runs), per_step(A.project(hvs, wq[1])))
+        self.kc = T.add(A.project(hc, wk[0], runs), per_step(A.project(hvs, wk[1])))
+        self.vc = T.add(A.project(hc, wv[0], runs), per_step(A.project(hvs, wv[1])))
+        codes = c.b + 2
+        self.ke = T.reshape(A.project(model.embed_edge, wk[2]), (heads, 1, codes, d_s))
+        self.ve = T.reshape(A.project(model.embed_edge, wv[2]), (heads, 1, codes, d_s))
         self.q_table = attn.query_table(self.q)
         w1 = [T.slice_along(model.edge_w1, 0, k * d, (k + 1) * d) for k in range(4)]
-        self.base = T.add(T.add(T.add(T.matmul(hc, w1[0]), T.matmul(hg, w1[1])),
-                                T.matmul(hvs, w1[2])), model.edge_b1)  # (t, d)
+        step_base = T.add(T.add(T.matmul(T.slice_along(hg, 0, 0, runs.count), w1[1]),
+                                T.matmul(hvs, w1[2])), model.edge_b1)   # (K', d)
+        self.base = T.add(T.matmul(hc, w1[0]), T.rows(step_base, runs.owner))  # (t, d)
         self.w1_hist = w1[3]
 
     def edge_logits_teacher(self, key_codes: np.ndarray):
         """Edge logits for all candidates at once.
 
-        Candidate i attends over the candidates j < i with edge code
-        key_codes[j] (the A-policy masks keys without an edge).  The mask
-        is causal, so row i depends on key_codes[:i] only and equals the
-        logits of deciding the candidates one by one.
+        Candidate i of a step attends over the candidates j < i of the same
+        step with edge code key_codes[j] (the A-policy masks keys without
+        an edge).  The mask is causal, so row i depends on the codes before
+        it only and equals the logits of deciding the candidates one by one.
         Returns (logits (t, b + 1), attended key pair count).
         """
         m = self.model
+        runs = self.runs
         key_codes = np.asarray(key_codes, dtype=np.int64)
-        t = len(key_codes)
-        pick = np.zeros((t, self.ke.data.shape[1]))
-        pick[np.arange(t), key_codes] = 1.0
+        grid = np.full(runs.real.shape, m.config.b, dtype=np.int64)  # "no edge" when unused
+        grid[runs.real] = key_codes
+        pick = np.zeros(grid.shape + (self.ke.data.shape[-2],))
+        pick[np.arange(runs.count)[:, None], np.arange(runs.width), grid] = 1.0
         k = T.add(self.kc, T.matmul(T.const(pick), self.ke))
         v = T.add(self.vc, T.matmul(T.const(pick), self.ve))
-        allowed = np.tril(np.ones((t, t), dtype=bool), k=-1)
+        allowed = np.tril(np.ones((runs.width, runs.width), dtype=bool), k=-1) \
+            & runs.real[:, :, None]
         if self.restrict:
-            allowed &= (key_codes < m.config.b)[None, :]
-        ctx = A.AttentionContext(self.dist, allowed)
+            allowed &= (grid < m.config.b)[:, None, :]
+        ctx = A.AttentionContext(self.dist, allowed, runs, runs)
         he_hist = A.attend(self.q, k, v, self.q_table, m.edge_attn.key_table(k), ctx,
                            m.edge_attn, on_empty="zero")
         h = T.relu(T.add(self.base, T.matmul(he_hist, self.w1_hist)))

@@ -5,7 +5,16 @@ are recorded; ``tape.backward(loss)`` replays the records in reverse and
 accumulates gradients additively on every reachable tensor.  Outside a tape,
 the same operations run eagerly without recording (used for inference).
 
-Gradient buffers have owners.  A *leaf* is a tensor with no backward
+A tensor that requires a gradient has a *node*: its gradient buffer and
+backward closure.  The tape and the closures hold nodes, not tensors, and
+a closure keeps only the arrays its gradient formula reads (a product's
+operands, a softmax's output, a relu's sign mask).  So the value of a
+recorded result that no backward formula reads, the output of an add, a
+gather or a relu, say, is freed as soon as the forward code drops the
+tensor, and a tape holds little more than the activations the weight
+gradients need.
+
+Gradient buffers have owners.  A *leaf* is a node with no backward
 closure (parameters and user inputs): its first gradient is copied into a
 private buffer and later ones are added into it in place, so callers may
 scale a leaf's ``.grad`` in place (``optim.clip_global_norm`` does).  An
@@ -18,6 +27,7 @@ for an operand that does not require a gradient.
 """
 from __future__ import annotations
 
+import math
 import weakref
 
 import numpy as np
@@ -33,16 +43,46 @@ MASK_NEG = -1.0e9  # additive stand-in for -inf in masked softmax
 _ACTIVE: list = []
 
 
+class _Node:
+    """The gradient side of a tensor: its buffer, its backward closure
+    (None for a leaf), its shape and, once recorded, its tape."""
+    __slots__ = ("grad", "bw", "shape", "tape")
+
+    def __init__(self, shape, bw=None, tape=None):
+        self.grad = None
+        self.bw = bw
+        self.shape = shape
+        self.tape = tape
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_bw", "_parents", "_tape")
+    __slots__ = ("data", "node")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
-        self.requires_grad = requires_grad
-        self._bw = None
-        self._parents = ()
-        self._tape = None
+        self.node = _Node(self.data.shape) if requires_grad else None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.node is not None
+
+    @requires_grad.setter
+    def requires_grad(self, flag: bool):
+        if not flag:
+            self.node = None
+        elif self.node is None:
+            self.node = _Node(self.data.shape)
+
+    @property
+    def grad(self):
+        return None if self.node is None else self.node.grad
+
+    @grad.setter
+    def grad(self, value):
+        if self.node is not None:
+            self.node.grad = value
+        elif value is not None:
+            raise ValueError("tensor does not require a gradient")
 
     @property
     def shape(self):
@@ -69,6 +109,15 @@ class Tensor:
         return matmul(self, _wrap(other))
 
 
+def _result(data) -> Tensor:
+    """A primitive's output: data is the float64 array (or numpy scalar) it
+    computed, so the conversion in Tensor() is skipped for arrays."""
+    t = Tensor.__new__(Tensor)
+    t.data = data if type(data) is np.ndarray else np.asarray(data, dtype=np.float64)
+    t.node = None
+    return t
+
+
 def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -81,7 +130,7 @@ class Tape:
     """Ordered record of operations for one forward/backward pass."""
 
     def __init__(self):
-        self._entries: list[Tensor] = []
+        self._entries: list[_Node] = []
 
     def __enter__(self):
         _ACTIVE.append(self)
@@ -101,43 +150,41 @@ class Tape:
         """
         if loss.data.shape != ():
             raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
-        if loss._tape is None or loss._tape() is not self:
+        node = loss.node
+        if node is None or node.tape is None or node.tape() is not self:
             raise ValueError("loss was not produced on this tape")
-        if loss.grad is None:
-            loss.grad = np.zeros(())
-        loss.grad = loss.grad + 1.0
-        for t in reversed(self._entries):
-            if t.grad is not None:
-                t._bw(t.grad)
-                t.grad = None
+        node.grad = (np.zeros(()) if node.grad is None else node.grad) + 1.0
+        for n in reversed(self._entries):
+            if n.grad is not None:
+                n.bw(n.grad)
+                n.grad = None
 
 
-def _accum(t: Tensor, g: np.ndarray):
-    """Add g to t's gradient under the ownership rules of the module
+def _accum(n: _Node, g: np.ndarray):
+    """Add g to a node's gradient under the ownership rules of the module
     docstring: a leaf copies its first gradient and adds in place, an
     intermediate borrows its first and adds out of place.  Callers skip
     operands that need no gradient."""
-    if t._bw is None:
-        if t.grad is None:
-            t.grad = np.array(g)
+    if n.bw is None:
+        if n.grad is None:
+            n.grad = np.array(g)
         else:
-            t.grad += g
-    elif t.grad is None:
-        t.grad = g
+            n.grad += g
+    elif n.grad is None:
+        n.grad = g
     else:
-        t.grad = t.grad + g
+        n.grad = n.grad + g
 
 
 def _record(out: Tensor, parents, bw):
-    if _ACTIVE and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._bw = bw
+    """Give out a node on the active tape when an operand requires a
+    gradient.  bw(g) adds g's share to each operand's node."""
+    if _ACTIVE and any(p.node is not None for p in parents):
         tape = _ACTIVE[-1]
         # a weak reference: tape -> entries -> tape would be a cycle that keeps
         # a finished tape's arrays alive until the cyclic collector runs
-        out._tape = weakref.ref(tape)
-        tape._entries.append(out)
+        out.node = _Node(out.data.shape, bw, weakref.ref(tape))
+        tape._entries.append(out.node)
     return out
 
 
@@ -155,7 +202,8 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# primitives
+# primitives: each backward closure holds its operands' nodes and only the
+# arrays its formula reads
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -168,15 +216,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         data = a.data @ b.data
     except ValueError as exc:
         raise ShapeError(f"matmul shapes {a.data.shape} x {b.data.shape}") from exc
-    out = Tensor(data)
+    an, bn = a.node, b.node
+    ad = a.data if bn is not None else None  # b's gradient reads a, and a's reads b
+    bd = b.data if an is not None else None
 
     def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+        if an is not None:
+            _accum(an, _unbroadcast(g @ np.swapaxes(bd, -1, -2), an.shape))
+        if bn is not None:
+            _accum(bn, _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bn.shape))
 
-    return _record(out, (a, b), bw)
+    return _record(_result(data), (a, b), bw)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -184,15 +234,15 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         data = a.data + b.data
     except ValueError as exc:
         raise ShapeError(f"add shapes {a.data.shape} + {b.data.shape}") from exc
-    out = Tensor(data)
+    an, bn = a.node, b.node
 
     def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.data.shape))
+        if an is not None:
+            _accum(an, _unbroadcast(g, an.shape))
+        if bn is not None:
+            _accum(bn, _unbroadcast(g, bn.shape))
 
-    return _record(out, (a, b), bw)
+    return _record(_result(data), (a, b), bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -200,15 +250,17 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         data = a.data * b.data
     except ValueError as exc:
         raise ShapeError(f"mul shapes {a.data.shape} * {b.data.shape}") from exc
-    out = Tensor(data)
+    an, bn = a.node, b.node
+    ad = a.data if bn is not None else None
+    bd = b.data if an is not None else None
 
     def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        if an is not None:
+            _accum(an, _unbroadcast(g * bd, an.shape))
+        if bn is not None:
+            _accum(bn, _unbroadcast(g * ad, bn.shape))
 
-    return _record(out, (a, b), bw)
+    return _record(_result(data), (a, b), bw)
 
 
 def concat(parts, axis=-1) -> Tensor:
@@ -217,16 +269,15 @@ def concat(parts, axis=-1) -> Tensor:
         data = np.concatenate([p.data for p in parts], axis=axis)
     except ValueError as exc:
         raise ShapeError(f"concat shapes {[p.data.shape for p in parts]}") from exc
-    out = Tensor(data)
-    sizes = [p.data.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
+    nodes = [p.node for p in parts]
+    splits = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
 
     def bw(g):
-        for p, piece in zip(parts, np.split(g, splits, axis=axis)):
-            if p.requires_grad:
-                _accum(p, piece)
+        for n, piece in zip(nodes, np.split(g, splits, axis=axis)):
+            if n is not None:
+                _accum(n, piece)
 
-    return _record(out, tuple(parts), bw)
+    return _record(_result(data), tuple(parts), bw)
 
 
 def slice_along(a: Tensor, axis: int, lo: int, hi: int) -> Tensor:
@@ -237,72 +288,73 @@ def slice_along(a: Tensor, axis: int, lo: int, hi: int) -> Tensor:
     key = [slice(None)] * a.data.ndim
     key[axis] = slice(lo, hi)
     key = tuple(key)
-    out = Tensor(a.data[key])
+    an = a.node
 
     def bw(g):
-        if a._bw is None:  # a leaf owns its buffer: add into the slice
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[key] += g
+        if an.bw is None:  # a leaf owns its buffer: add into the slice
+            if an.grad is None:
+                an.grad = np.zeros(an.shape)
+            an.grad[key] += g
         else:
-            full = np.zeros_like(a.data)
+            full = np.zeros(an.shape)
             full[key] = g
-            _accum(a, full)
+            _accum(an, full)
 
-    return _record(out, (a,), bw)
+    return _record(_result(a.data[key]), (a,), bw)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    out = Tensor(a.data.reshape(shape))
+    an = a.node
 
     def bw(g):
-        _accum(a, g.reshape(a.data.shape))
+        _accum(an, g.reshape(an.shape))
 
-    return _record(out, (a,), bw)
+    return _record(_result(a.data.reshape(shape)), (a,), bw)
 
 
-def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes: the matrix transpose of every batch item."""
+def transpose(a: Tensor, i: int = -2, j: int = -1) -> Tensor:
+    """Swap axes i and j, by default the last two: the matrix transpose of
+    every batch item."""
     if a.data.ndim < 2:
         raise ShapeError(f"transpose expects rank >= 2, got {a.data.shape}")
-    out = Tensor(np.swapaxes(a.data, -1, -2))
+    an = a.node
 
     def bw(g):
-        _accum(a, np.swapaxes(g, -1, -2))
+        _accum(an, np.swapaxes(g, i, j))
 
-    return _record(out, (a,), bw)
+    return _record(_result(np.swapaxes(a.data, i, j)), (a,), bw)
 
 
 def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0.0))
     pos = a.data > 0.0
+    an = a.node
 
     def bw(g):
-        _accum(a, g * pos)
+        _accum(an, g * pos)
 
-    return _record(out, (a,), bw)
+    return _record(_result(np.maximum(a.data, 0.0)), (a,), bw)
 
 
 def sigmoid(a: Tensor) -> Tensor:
     with np.errstate(over="ignore"):  # saturated tail overflows to inf -> 0
         y = 1.0 / (1.0 + np.exp(-a.data))
-    out = Tensor(y)
+    an = a.node
 
     def bw(g):
-        _accum(a, g * y * (1.0 - y))
+        _accum(an, g * y * (1.0 - y))
 
-    return _record(out, (a,), bw)
+    return _record(_result(y), (a,), bw)
 
 
 def sum_along(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
+    an = a.node
 
     def bw(g):
         if not keepdims:
             g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.data.shape).copy())
+        _accum(an, np.broadcast_to(g, an.shape).copy())
 
-    return _record(out, (a,), bw)
+    return _record(_result(a.data.sum(axis=axis, keepdims=keepdims)), (a,), bw)
 
 
 def softmax(a: Tensor, additive_mask=None) -> Tensor:
@@ -316,91 +368,153 @@ def softmax(a: Tensor, additive_mask=None) -> Tensor:
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(y)
+    an = a.node
 
     def bw(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
-        _accum(a, (g - dot) * y)
+        _accum(an, (g - dot) * y)
 
-    return _record(out, (a,), bw)
+    return _record(_result(y), (a,), bw)
 
 
-def rows(table: Tensor, idx) -> Tensor:
-    """Row lookup (embedding gather): out[k] = table[idx[k]].  The backward
-    scatter-adds the output rows with one one-hot (n, k) GEMM, which BLAS
-    runs several times faster than np.add.at."""
+def _row_index(idx, n: int) -> np.ndarray:
     idx = np.asarray(idx, dtype=np.int64)
     if idx.ndim != 1:
         raise ShapeError(f"row index must be 1-D, got shape {idx.shape}")
-    if len(idx) and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
-        raise ShapeError(f"row index out of range for table {table.data.shape}")
-    out = Tensor(table.data[idx])
-
-    def bw(g):
-        n, width = table.data.shape[0], int(np.prod(table.data.shape[1:], dtype=np.int64))
-        onehot = np.zeros((n, len(idx)))
-        onehot[idx, np.arange(len(idx))] = 1.0
-        _accum(table, (onehot @ g.reshape(len(idx), width)).reshape(table.data.shape))
-
-    return _record(out, (table,), bw)
-
-
-def _bucket_index(idx, rows: int, buckets: int) -> np.ndarray:
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.ndim != 2 or idx.shape[0] != rows:
-        raise ShapeError(f"bucket index of shape {idx.shape} for {rows} rows")
-    if idx.size and (idx.min() < 0 or idx.max() >= buckets):
-        raise ShapeError(f"bucket index out of range for {buckets} buckets")
+    if len(idx) and (idx.min() < 0 or idx.max() >= n):
+        raise ShapeError(f"row index out of range for {n} rows")
     return idx
 
 
+# Up to this many output rows a scatter is a one-hot product; above it one
+# np.bincount, whose cost per scattered element is about that of 64 one-hot
+# rows (measured at widths 128 and 384).
+ONEHOT_ROWS = 64
+
+
+def _scatter_rows(x: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
+    """out[i] = sum of x[k] over the k with idx[k] == i, for n output rows.
+    Distinct indices are a plain assignment.  Repeated ones are an (n, k)
+    one-hot product for a few output rows and otherwise one np.bincount
+    over (row, column) cells, which costs the size of x and not n times it."""
+    k = len(idx)
+    if k == 0:
+        return np.zeros((n,) + x.shape[1:])
+    if np.bincount(idx, minlength=n).max() == 1:
+        out = np.zeros((n,) + x.shape[1:])
+        out[idx] = x
+        return out
+    width = x.size // k
+    if n <= ONEHOT_ROWS:
+        onehot = np.zeros((n, k))
+        onehot[idx, np.arange(k)] = 1.0
+        return (onehot @ x.reshape(k, width)).reshape((n,) + x.shape[1:])
+    cells = (idx[:, None] * width + np.arange(width)).reshape(-1)
+    return np.bincount(cells, weights=x.reshape(-1),
+                       minlength=n * width).reshape((n,) + x.shape[1:])
+
+
+def rows(table: Tensor, idx) -> Tensor:
+    """Row lookup (embedding gather): out[k] = table[idx[k]].  Indices may
+    repeat; the backward pass is scatter_rows."""
+    n = table.data.shape[0]
+    idx = _row_index(idx, n)
+    tn = table.node
+
+    def bw(g):
+        _accum(tn, _scatter_rows(g, idx, n))
+
+    return _record(_result(table.data[idx]), (table,), bw)
+
+
+def scatter_rows(x: Tensor, idx, n: int) -> Tensor:
+    """The adjoint of rows: n rows, row i the sum of the rows x[k] with
+    idx[k] == i (zero when there is none).  With distinct indices this
+    places rows into a zero-padded array."""
+    if x.data.ndim < 1 or np.shape(idx) != x.data.shape[:1]:
+        raise ShapeError(f"scatter of rows {x.data.shape} by index {np.shape(idx)}")
+    idx = _row_index(idx, n)
+    xn = x.node
+
+    def bw(g):
+        _accum(xn, g[idx])
+
+    return _record(_result(_scatter_rows(x.data, idx, n)), (x,), bw)
+
+
+def _bucket_index(idx, shape) -> np.ndarray:
+    """idx as the index of gather_last / bucket_sums over a (..., n, C)
+    table or (..., n, m) values of the given shape (its last axis skipped):
+    shape (..., n, m), the axes before n matching the trailing axes of
+    shape before its last one."""
+    idx = np.asarray(idx, dtype=np.int64)
+    lead = shape[:-1]
+    if idx.ndim < 2 or idx.ndim > len(shape) or idx.shape[:-1] != lead[len(lead) - idx.ndim + 1:]:
+        raise ShapeError(f"bucket index of shape {idx.shape} for an array of shape {shape}")
+    return idx
+
+
+def _check_buckets(idx: np.ndarray, buckets: int):
+    if idx.size and (idx.min() < 0 or idx.max() >= buckets):
+        raise ShapeError(f"bucket index out of range for {buckets} buckets")
+
+
 def _gather_last(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """table[..., i, idx[i, j]] as one flat take from the (..., n*C) view."""
-    n, buckets = table.shape[-2:]
-    flat = np.arange(n)[:, None] * buckets + idx
-    return np.take(table.reshape(table.shape[:-2] + (n * buckets,)), flat, axis=-1)
+    """table[..., i, idx[..., i, j]] as one flat take: idx (..., n, m) covers
+    the trailing axes of table before its last, and the axes in front of
+    those share it."""
+    buckets = table.shape[-1]
+    shared = table.shape[:table.ndim - idx.ndim]
+    rows = math.prod(idx.shape[:-1])
+    cells = np.arange(rows).reshape(idx.shape[:-1] + (1,)) * buckets + idx
+    return np.take(table.reshape(shared + (-1,)), cells, axis=-1)
 
 
 def _bucket_sums(w: np.ndarray, idx: np.ndarray, buckets: int) -> np.ndarray:
-    lead, n = w.shape[:-2], idx.shape[0]
-    rows = np.arange(int(np.prod(lead, dtype=np.int64)) * n).reshape(lead + (n, 1))
-    flat = (rows * buckets + idx).reshape(-1)
-    return np.bincount(flat, weights=w.reshape(-1),
-                       minlength=rows.size * buckets).reshape(lead + (n, buckets))
+    lead = w.shape[:-1]
+    rows = math.prod(lead)
+    cells = np.arange(rows).reshape(lead + (1,)) * buckets + idx
+    return np.bincount(cells.reshape(-1), weights=w.reshape(-1),
+                       minlength=rows * buckets).reshape(lead + (buckets,))
 
 
 def gather_last(table: Tensor, idx) -> Tensor:
-    """Per-row gather along the last axis: out[..., i, j] = table[..., i, idx[i, j]].
+    """Per-row gather along the last axis: out[..., i, j] = table[..., i, idx[..., i, j]].
 
-    table is (..., n, C) and idx an (n, m) integer array in [0, C); leading
-    axes of table (heads, say) share the index.  The backward pass scatters
-    with bucket_sums.
+    table is (..., n, C) and idx an integer array (..., n, m) in [0, C)
+    whose axes before n match the trailing axes of table before n: one
+    (n, m) index shared by every leading axis (heads, say), or one per
+    step, (K, n, m), shared by the heads of an (H, K, n, C) table.  The
+    backward pass scatters with bucket_sums.
     """
     if table.data.ndim < 2:
         raise ShapeError(f"gather_last table of rank {table.data.ndim}")
-    n, buckets = table.data.shape[-2:]
-    idx = _bucket_index(idx, n, buckets)
-    out = Tensor(_gather_last(table.data, idx))
+    buckets = table.data.shape[-1]
+    idx = _bucket_index(idx, table.data.shape)
+    _check_buckets(idx, buckets)
+    tn = table.node
 
     def bw(g):
-        _accum(table, _bucket_sums(g, idx, buckets))
+        _accum(tn, _bucket_sums(g, idx, buckets))
 
-    return _record(out, (table,), bw)
+    return _record(_result(_gather_last(table.data, idx)), (table,), bw)
 
 
 def bucket_sums(w: Tensor, idx, buckets: int) -> Tensor:
     """Per-row sums of w by bucket: out[..., i, c] = sum of w[..., i, j] over
-    the j with idx[i, j] == c.  w is (..., n, m) and idx (n, m), shared by
-    the leading axes.  The adjoint of gather_last."""
-    if w.data.ndim < 2 or w.data.shape[-2:] != np.shape(idx):
+    the j with idx[..., i, j] == c.  w is (..., n, m) and idx's shape is a
+    trailing part of w's, shared by the axes in front of it.  The adjoint
+    of gather_last."""
+    if w.data.ndim < 2 or np.shape(idx) != w.data.shape[w.data.ndim - np.ndim(idx):]:
         raise ShapeError(f"bucket_sums values {w.data.shape} vs index {np.shape(idx)}")
-    idx = _bucket_index(idx, w.data.shape[-2], buckets)
-    out = Tensor(_bucket_sums(w.data, idx, buckets))
+    idx = _bucket_index(idx, w.data.shape)
+    _check_buckets(idx, buckets)
+    wn = w.node
 
     def bw(g):
-        _accum(w, _gather_last(g, idx))
+        _accum(wn, _gather_last(g, idx))
 
-    return _record(out, (w,), bw)
+    return _record(_result(_bucket_sums(w.data, idx, buckets)), (w,), bw)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -414,20 +528,20 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = Tensor(xhat * gain.data + bias.data)
+    xn, gn, bn, gain_data = x.node, gain.node, bias.node, gain.data
 
     def bw(g):
-        if gain.requires_grad:
-            _accum(gain, (g * xhat).reshape(-1, d).sum(axis=0))
-        if bias.requires_grad:
-            _accum(bias, g.reshape(-1, d).sum(axis=0))
-        if x.requires_grad:
-            dxhat = g * gain.data
+        if gn is not None:
+            _accum(gn, (g * xhat).reshape(-1, d).sum(axis=0))
+        if bn is not None:
+            _accum(bn, g.reshape(-1, d).sum(axis=0))
+        if xn is not None:
+            dxhat = g * gain_data
             m1 = dxhat.mean(axis=-1, keepdims=True)
             m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            _accum(x, inv * (dxhat - m1 - xhat * m2))
+            _accum(xn, inv * (dxhat - m1 - xhat * m2))
 
-    return _record(out, (x, gain, bias), bw)
+    return _record(_result(xhat * gain.data + bias.data), (x, gain, bias), bw)
 
 
 def cross_entropy_logits(logits: Tensor, onehot) -> Tensor:
@@ -438,14 +552,14 @@ def cross_entropy_logits(logits: Tensor, onehot) -> Tensor:
     z = logits.data - logits.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=-1)) + logits.data.max(axis=-1)
     nll = lse - (logits.data * target).sum(axis=-1)
-    out = Tensor(nll)
     e = np.exp(z)
     sm = e / e.sum(axis=-1, keepdims=True)
+    ln = logits.node
 
     def bw(g):
-        _accum(logits, (sm - target) * g[..., None])
+        _accum(ln, (sm - target) * g[..., None])
 
-    return _record(out, (logits,), bw)
+    return _record(_result(nll), (logits,), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Teacher-forced maximum-likelihood training, checkpoint serialization, and
 per-epoch instrumentation.
 
-Every step's loss is computed from ground-truth conditioning, so the per-step
-terms are independent of each other; the batched edge-attention masking makes
-one step's loss identical to deciding its candidates strictly sequentially.
-Steps share nothing but parameters, so training runs backward once per step
-on a tape of its own: peak memory tracks the largest step of a graph, not
-the sum of its steps.
+Every step's loss is computed from ground-truth conditioning, so the
+steps are independent of each other; the batched edge-attention masking
+makes one step's loss identical to deciding its candidates strictly
+sequentially.  Training runs the steps of a graph in chunks: runs of
+consecutive steps whose prefixes hold at most CHUNK_ROWS nodes together.
+A chunk is one batched forward pass (Model.teacher_forced) and one
+backward pass on a tape of its own, so peak memory tracks the largest
+chunk of a graph, not the sum of its steps.
 """
 from __future__ import annotations
 
@@ -69,6 +71,13 @@ class TrainConfig:
         return TrainConfig(**obj)
 
 
+# Prefix nodes (the sum of s over a chunk's steps) that one batched pass
+# evaluates.  At the default model size a chunk's tape keeps about 90 KB per
+# prefix node, the arrays that backward reads: about 23 MB for a full chunk
+# of a 49-node grid.
+CHUNK_ROWS = 256
+
+
 def _steps(model: Model, og: OrderedGraph) -> range:
     seed = model.config.seed_size
     if og.n <= seed:
@@ -76,14 +85,31 @@ def _steps(model: Model, og: OrderedGraph) -> range:
     return range(seed, og.n + 1)
 
 
-def step_loss(model: Model, og: OrderedGraph, s: int):
-    """Negative log-likelihood of step s of one graph: the label of the node
-    at position s (the stop class when s == n) and, below n, its edges to
-    the candidate positions.  Returns (scalar loss tensor, StepCounters)."""
+def step_chunks(steps: range) -> list:
+    """The steps cut into runs of consecutive steps (ranges) whose prefix
+    sizes, s for step s, sum to at most CHUNK_ROWS; a step larger than that
+    is a run of its own."""
+    chunks = []
+    lo, rows = steps.start, 0
+    for s in steps:
+        if rows and rows + s > CHUNK_ROWS:
+            chunks.append(range(lo, s))
+            lo, rows = s, 0
+        rows += s
+    if rows:
+        chunks.append(range(lo, steps.stop))
+    return chunks
+
+
+def chunk_loss(model: Model, og: OrderedGraph, steps):
+    """Negative log-likelihood of the given steps of one graph, in one
+    batched pass: each step's label of the node at position s (the stop
+    class when s == n) and, below n, its edges to the candidate positions.
+    Returns (scalar loss tensor, StepCounters)."""
     c = model.config
-    out = model.teacher_forced(og, s)
-    target = int(og.labels[s]) if s < og.n else c.a
-    parts = [T.cross_entropy_logits(out.node_logits, _onehot([target], c.a + 1))]
+    out = model.teacher_forced(og, steps)
+    targets = [int(og.labels[s]) if s < og.n else c.a for s in steps]
+    parts = [T.cross_entropy_logits(out.node_logits, _onehot(targets, c.a + 1))]
     if out.edge_logits is not None:
         parts.append(T.cross_entropy_logits(out.edge_logits, _onehot(out.edge_codes, c.b + 1)))
     return T.sum_along(T.concat(parts, axis=0), 0), out.counters
@@ -104,30 +130,31 @@ def teacher_forced_loss(model: Model, og: OrderedGraph):
     """
     losses = []
     counters = StepCounters()
-    for s in _steps(model, og):
-        loss, cnt = step_loss(model, og, s)
+    for steps in step_chunks(_steps(model, og)):
+        loss, cnt = chunk_loss(model, og, steps)
         losses.append(T.reshape(loss, (1,)))
         counters.add(cnt)
     return T.sum_along(T.concat(losses, axis=0), 0), counters
 
 
-def backward_per_step(model: Model, og: OrderedGraph, weight: float = 1.0):
+def backward_per_chunk(model: Model, og: OrderedGraph, weight: float = 1.0):
     """Accumulate the gradient of weight * teacher_forced_loss(model, og)
-    with one tape and one backward pass per step, so only one step's records
-    are alive at a time.  Returns (summed loss, StepCounters)."""
+    with one tape and one backward pass per chunk of steps, so only one
+    chunk's records are alive at a time.  Returns (summed loss,
+    StepCounters)."""
     total = 0.0
     counters = StepCounters()
-    for s in _steps(model, og):
-        nll, cnt = _backward_step(model, og, s, weight)
+    for steps in step_chunks(_steps(model, og)):
+        nll, cnt = _backward_chunk(model, og, steps, weight)
         total += nll
         counters.add(cnt)
     return total, counters
 
 
-def _backward_step(model: Model, og: OrderedGraph, s: int, weight: float):
-    # the step's tape and loss tensor go out of scope on return
+def _backward_chunk(model: Model, og: OrderedGraph, steps, weight: float):
+    # the chunk's tape and loss tensor go out of scope on return
     with Tape() as tape:
-        loss, cnt = step_loss(model, og, s)
+        loss, cnt = chunk_loss(model, og, steps)
         tape.backward(T.mul(loss, T.const(weight)))
     return loss.item(), cnt
 
@@ -195,7 +222,7 @@ def train(dataset, model: Model, tconfig: TrainConfig, checkpoint_dir=None,
             batch = order[lo:lo + tconfig.batch_size]
             inv = 1.0 / len(batch)
             for i in batch:
-                nll, cnt = backward_per_step(model, ogs[i], inv)
+                nll, cnt = backward_per_chunk(model, ogs[i], inv)
                 if not np.isfinite(nll):
                     raise NonFiniteError(f"epoch {epoch}: non-finite loss {nll} "
                                          f"on graph {index[i]}")
@@ -277,19 +304,24 @@ def _write_checkpoint(f, model: Model, epoch: int, rng):
 
 
 class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.off = 0
+    """Reads a checkpoint from an open file, as many bytes as each field
+    needs, so loading never holds more than one entry's bytes besides the
+    parameters."""
+
+    def __init__(self, f):
+        self.f = f
 
     def take(self, k: int) -> bytes:
-        if self.off + k > len(self.blob):
+        out = self.f.read(k)
+        if len(out) != k:
             raise CheckpointError("truncated checkpoint file")
-        out = self.blob[self.off:self.off + k]
-        self.off += k
         return out
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))[0]
+
+    def at_end(self) -> bool:
+        return not self.f.read(1)
 
 
 def _stored_entries(model: Model, version: int) -> dict:
@@ -312,10 +344,14 @@ def load_checkpoint(path):
     The model configuration is embedded; stored tensor shapes must match the
     shapes that configuration implies.  A version-1 file's per-head entries
     are stacked into the head-batched parameters; the heads of one table
-    must all be present and agree on their step count.
+    must all be present and agree on their step count.  The file is read
+    one entry at a time into the parameters.
     """
-    blob = Path(path).read_bytes()
-    r = _Reader(blob)
+    with open(path, "rb") as f:
+        return _read_checkpoint(_Reader(f))
+
+
+def _read_checkpoint(r: _Reader):
     if r.take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
         raise CheckpointError("not a checkpoint file (bad magic)")
     version = r.unpack("<I")
@@ -357,7 +393,7 @@ def load_checkpoint(path):
         model.params[name].step = counts.pop()
     epoch = r.unpack("<I")
     state = json.loads(r.take(r.unpack("<I")).decode("utf-8"))
-    if r.off != len(blob):
+    if not r.at_end():
         raise CheckpointError("trailing bytes after checkpoint payload")
     rng = None
     if state is not None:

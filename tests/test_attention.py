@@ -298,3 +298,36 @@ def test_scale_factor_applied_once(rng):
     # reference recomputation with explicit single scaling
     ref = vanilla_multi_head(x, x, x, p, np.zeros((n, n)))
     assert np.abs(out - ref).max() <= 1e-12
+
+
+def broadcast_project(x, w):
+    """attention.project before it was one 2-D product: the rows times every
+    head's (d_S, d_in) weights by a broadcast product."""
+    return T.matmul(x, T.transpose(w))
+
+
+def test_project_matches_broadcast_reference(rng):
+    """The 2-D product equals the broadcast one in its output and in the
+    gradients of both inputs, to 1e-12 relative; with Segments it lays the
+    same rows out on the (H, K, width, d_S) grid, zero in unused places."""
+    for n in (1, 5, 49):
+        x = Tensor(rng.normal(size=(n, D)), requires_grad=True)
+        w = Tensor(glorot(rng, (H, D_S, D)), requires_grad=True)
+        weight = rng.normal(size=(H, n, D_S))
+        results = []
+        for fn in (A.project, broadcast_project):
+            x.grad = w.grad = None
+            with T.Tape() as tape:
+                out = fn(x, w)
+                tape.backward(T.sum_along(T.reshape(T.mul(out, T.const(weight)),
+                                                    (out.data.size,)), 0))
+            results.append((out.data, x.grad.copy(), w.grad.copy()))
+        for new, ref in zip(*results):
+            assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
+    runs = A.Segments([2, 3])
+    x = Tensor(rng.normal(size=(5, D)))
+    grid = A.project(x, w, runs).data
+    ref = broadcast_project(x, w).data
+    assert grid.shape == (H, 2, 3, D_S)
+    assert np.array_equal(grid[:, 0, :2], ref[:, :2]) and not grid[:, 0, 2].any()
+    assert np.array_equal(grid[:, 1], ref[:, 2:])

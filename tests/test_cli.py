@@ -256,3 +256,25 @@ def test_sample_max_nodes_within_seed_is_usage_error(tmp_path, capsys):
     assert not out.exists()
     assert run(["sample", "--checkpoint", str(ckpt), "--corpus", str(corpus),
                 "--count", "1", "--max-nodes", "4", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("command,flag", [("stats", "--orderings"), ("sample", "--count")])
+def test_counts_below_one_are_usage_errors(command, flag, tmp_path, capsys):
+    """A count of 0 or below would report statistics of no ordering, or write
+    an empty corpus, and exit 0; it is a usage error naming the flag."""
+    rng = np.random.default_rng(0)
+    ckpt, corpus = _checkpoint_and_corpus(tmp_path, [random_connected_graph(rng, 8)])
+    out = tmp_path / "out.jsonl"
+    args = {"stats": ["stats", "--corpus", str(corpus), "--out", str(out)],
+            "sample": ["sample", "--checkpoint", str(ckpt), "--corpus", str(corpus),
+                       "--out", str(out)]}[command]
+    if command == "stats":
+        args = args + ["--orderings"]
+    for value in ("0", "-2"):
+        argv = args + ([value] if command == "stats" else ["--count", value])
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err and f"got {value}" in err
+    assert not out.exists()
+    argv = args + (["1"] if command == "stats" else ["--count", "1"])
+    assert run(argv) == 0

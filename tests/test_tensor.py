@@ -180,6 +180,37 @@ def _c_bucket_sums_heads(p, q, c1, c2):
     return T.bucket_sums(T.reshape(p, (2, 2, 6)), np.arange(12).reshape(2, 6) * 5 % 3, 4)
 
 
+@_case("gather_last_steps")
+def _c_gather_steps(p, q, c1, c2):
+    # (H, K, n, C) = (2, 2, 2, 3) with one (n, m) index per step
+    return T.gather_last(T.reshape(p, (2, 2, 2, 3)), np.arange(20).reshape(2, 2, 5) * 7 % 3)
+
+
+@_case("bucket_sums_steps")
+def _c_bucket_sums_steps(p, q, c1, c2):
+    return T.bucket_sums(T.reshape(p, (2, 2, 2, 3)), np.arange(12).reshape(2, 2, 3) * 5 % 4, 4)
+
+
+@_case("scatter_rows")
+def _c_scatter_rows(p, q, c1, c2):
+    return T.scatter_rows(p, [3, 0, 3, 5], 6)
+
+
+@_case("scatter_rows_distinct")
+def _c_scatter_rows_distinct(p, q, c1, c2):
+    return T.scatter_rows(q, [6, 1, 0, 3, 4], 7)
+
+
+@_case("rows_distinct")
+def _c_rows_distinct(p, q, c1, c2):
+    return T.rows(q, [4, 1, 2])
+
+
+@_case("transpose_axes")
+def _c_transpose_axes(p, q, c1, c2):
+    return T.transpose(T.reshape(p, (2, 3, 4)), 0, 2)
+
+
 @_case("layer_norm")
 def _c_ln(p, q, c1, c2):
     return T.layer_norm(p, c2[0], c2[1])
@@ -208,6 +239,41 @@ def test_gather_last_and_bucket_sums_are_adjoint(rng):
             T.gather_last(Tensor(a), idx + 1)
         with pytest.raises(ShapeError, match="out of range"):
             T.bucket_sums(Tensor(w), idx - 1, 4)
+
+
+def test_step_indexed_gather_and_bucket_sums(rng):
+    """A per-step index (K, n, m) over an (H, K, n, C) table picks, for every
+    head, the entries that step's (n, m) index picks from its own (n, C)
+    table, and bucket_sums stays the adjoint."""
+    heads, steps, n, buckets, m = 3, 4, 5, 4, 6
+    idx = rng.integers(0, buckets, size=(steps, n, m))
+    table = rng.normal(size=(heads, steps, n, buckets))
+    w = rng.normal(size=(heads, steps, n, m))
+    gathered = T.gather_last(Tensor(table), idx).data
+    sums = T.bucket_sums(Tensor(w), idx, buckets).data
+    for k in range(steps):
+        assert np.array_equal(gathered[:, k], T.gather_last(Tensor(table[:, k]), idx[k]).data)
+        assert np.array_equal(sums[:, k], T.bucket_sums(Tensor(w[:, k]), idx[k], buckets).data)
+    assert abs((gathered * w).sum() - (table * sums).sum()) < 1e-12
+    with pytest.raises(ShapeError, match="bucket index"):
+        T.gather_last(Tensor(table), idx[:2])
+    with pytest.raises(ShapeError, match="bucket_sums"):
+        T.bucket_sums(Tensor(w), idx[:, :, :2], buckets)
+
+
+def test_scatter_rows_is_the_adjoint_of_rows(rng):
+    """<rows(A, idx), X> == <A, scatter_rows(X, idx, n)>, with repeated and
+    with distinct indices, and distinct indices place rows exactly."""
+    for idx in ([4, 0, 4, 4, 2, 0, 5], [5, 2, 0, 3]):
+        a = rng.normal(size=(6, 3))
+        x = rng.normal(size=(len(idx), 3))
+        gathered = T.rows(Tensor(a), idx).data
+        scattered = T.scatter_rows(Tensor(x), idx, 6).data
+        assert abs((gathered * x).sum() - (a * scattered).sum()) < 1e-12
+    assert np.array_equal(scattered[[5, 2, 0, 3]], x)
+    assert not scattered[[1, 4]].any()
+    with pytest.raises(ShapeError, match="out of range"):
+        T.scatter_rows(Tensor(x), [5, 2, 0, 6], 6)
 
 
 def _gather_last_reference(table, idx):

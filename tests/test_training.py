@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,14 +8,14 @@ import pytest
 import gram.model
 from gram import graphs as G
 from gram import tensor as T
-from gram.model import Model, ModelConfig, OrderedGraph
+from gram.model import VARIANTS, EdgeStep, Model, ModelConfig, OrderedGraph
 from gram.datasets import CorpusSpec, generate_corpus
 from gram.optim import adam_step
 from gram.tensor import Tape
 from gram import training
 from gram.training import (CheckpointError, CheckpointVersionError, NonFiniteError,
-                           SkipGraph, TrainConfig, TrainError, backward_per_step,
-                           load_checkpoint, save_checkpoint, step_loss,
+                           SkipGraph, TrainConfig, TrainError, backward_per_chunk,
+                           chunk_loss, load_checkpoint, save_checkpoint, step_chunks,
                            teacher_forced_loss, train)
 
 from conftest import edge_distribution_step, random_connected_graph, tiny_model
@@ -70,13 +71,16 @@ def randomize_bias_tables(model, rng):
 
 
 @pytest.mark.parametrize("variant", ["B", "plain"])
-def test_per_step_backward_matches_single_backward(variant, rng):
-    """The gradient train() accumulates with one backward per step equals
-    one backward over the whole teacher-forced loss, to 1e-12 relative."""
+def test_per_step_backward_matches_single_backward(variant, rng, monkeypatch):
+    """The gradient train() accumulates with one backward per chunk of steps
+    equals one backward over the whole teacher-forced loss, to 1e-12
+    relative.  The chunk budget is cut so that every graph has several."""
+    monkeypatch.setattr(training, "CHUNK_ROWS", 12)
     for trial in range(3):
         model = tiny_model(variant=variant, seed=trial)
         randomize_bias_tables(model, rng)
         og = make_og(random_connected_graph(rng, int(rng.integers(6, 12))), rng)
+        assert len(step_chunks(range(model.config.seed_size, og.n + 1))) > 1
         params = model.parameters()
         with Tape() as tape:
             loss, cnt = teacher_forced_loss(model, og)
@@ -84,7 +88,7 @@ def test_per_step_backward_matches_single_backward(variant, rng):
         whole = {p.name: p.grad_array().copy() for p in params}
         for p in params:
             p.tensor.grad = None
-        total, cnt_steps = backward_per_step(model, og, 0.25)
+        total, cnt_steps = backward_per_chunk(model, og, 0.25)
         assert total == pytest.approx(loss.item(), rel=1e-12)
         assert cnt_steps == cnt
         for p in params:
@@ -92,18 +96,120 @@ def test_per_step_backward_matches_single_backward(variant, rng):
             assert np.abs(p.grad_array() - whole[p.name]).max() <= 1e-12 * scale, p.name
 
 
+def per_step_teacher_forced(model, og, s):
+    """Model.teacher_forced before step batching: step s alone, its prefix
+    through extract_features, graph_pool and an EdgeStep of its own.
+    Returns (node logits, edge codes, edge logits); no edge part at s == n."""
+    prefix = og.prefix(s)
+    hv = model.extract_features(prefix)
+    hg = model.graph_pool(hv)
+    node_logits = model.node_logits(hg)
+    if s == og.n:
+        return node_logits, None, None
+    step = EdgeStep(model, hv, hg, int(og.labels[s]), prefix)
+    codes = og.edge_label_codes(s, step.candidates)
+    return node_logits, codes, step.edge_logits_teacher(codes)[0]
+
+
+def per_step_loss(model, og, s):
+    """training.step_loss before step batching: the loss of step s alone."""
+    c = model.config
+    node_logits, codes, edge_logits = per_step_teacher_forced(model, og, s)
+    target = int(og.labels[s]) if s < og.n else c.a
+    parts = [T.cross_entropy_logits(node_logits, training._onehot([target], c.a + 1))]
+    if edge_logits is not None:
+        parts.append(T.cross_entropy_logits(edge_logits, training._onehot(codes, c.b + 1)))
+    return T.sum_along(T.concat(parts, axis=0), 0)
+
+
+def loss_and_grads(model, backward):
+    """(loss, {name: gradient}) after backward() accumulates from zero."""
+    params = model.parameters()
+    for p in params:
+        p.tensor.grad = None
+    loss = backward()
+    return loss, {p.name: p.grad_array().copy() for p in params}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_chunked_steps_match_per_step_oracle(variant, rng):
+    """One batched pass over a chunk of steps gives the loss and every
+    parameter gradient of running its steps one by one, to 1e-12 relative
+    (with a floor of 1e-3 under the gradient scale), with random non-zero
+    bias tables.  Seed size 1 puts the one-node,
+    no-edge prefix in the chunk with larger ones, and under A and AB its
+    step (one candidate) has an empty key set."""
+    for trial in range(3):
+        model = tiny_model(variant=variant, seed=trial, seed_size=1)
+        randomize_bias_tables(model, rng)
+        og = make_og(random_connected_graph(rng, int(rng.integers(6, 11))), rng)
+        steps = range(1, og.n + 1)
+
+        def per_step():
+            total = 0.0
+            for s in steps:
+                with Tape() as tape:
+                    loss = per_step_loss(model, og, s)
+                    tape.backward(loss)
+                total += loss.item()
+            return total
+
+        def chunked():
+            with Tape() as tape:
+                loss, _ = chunk_loss(model, og, steps)
+                tape.backward(loss)
+            return loss.item()
+
+        want, oracle = loss_and_grads(model, per_step)
+        got, grads = loss_and_grads(model, chunked)
+        assert got == pytest.approx(want, rel=1e-12)
+        for name, ref in oracle.items():
+            # as in finite_difference_check, a floor of 1e-3 in the denominator:
+            # some bias-table gradients are zero in exact arithmetic and carry
+            # only rounding noise
+            scale = max(np.abs(ref).max(), 1e-3)
+            assert np.abs(grads[name] - ref).max() <= 1e-12 * scale, name
+
+
+def test_step_chunks_partition():
+    """Every step is covered once and in order; a chunk's prefix sizes sum
+    to at most the budget, and adding the next step would break it; a step
+    larger than the budget is a chunk of its own."""
+    budget = training.CHUNK_ROWS
+    for steps in (range(10, 50), range(1, 2), range(2, 30), range(100, 400),
+                  range(budget - 2, budget + 3)):
+        chunks = step_chunks(steps)
+        assert [s for chunk in chunks for s in chunk] == list(steps)
+        assert all(isinstance(chunk, range) and len(chunk) >= 1 for chunk in chunks)
+        for chunk in chunks:
+            assert sum(chunk) <= budget or len(chunk) == 1
+        for chunk, following in zip(chunks, chunks[1:]):
+            assert sum(chunk) + following[0] > budget
+    assert [list(c) for c in step_chunks(range(budget, budget + 2))] == \
+        [[budget], [budget + 1]]
+
+
 def test_step_tape_holds_no_per_pair_bias_arrays(rng):
     """Neither the feature-extraction nor the edge attention records an
-    (nq, nk, d) array per head: the bias terms are gathered from (n, C)
-    tables.  Arrays of rank 3 carry the heads on their leading axis."""
-    model = tiny_model(variant="plain", seed=3)
+    array that holds a d_S vector per (query, key) pair: the bias terms are
+    gathered from (n, C) tables.  On a chunk of three steps, arrays of rank
+    4 are (H, K, n, .) grids of the steps, or parameters shaped to
+    broadcast over them, (H, 1, ., .), and no array ends in (n, n, d_S) for
+    a padded width n."""
+    model = tiny_model(variant="plain", seed=3, d_model=24)
+    heads, d_s = model.config.heads, model.config.d_s
     og = make_og(random_connected_graph(rng, 10), rng)
+    steps = [6, 7, 8]
     with Tape() as tape:
-        step_loss(model, og, 8)
+        chunk_loss(model, og, steps)
     assert tape._entries
-    assert max(t.data.ndim for t in tape._entries) <= 3
-    heads = model.config.heads
-    assert all(t.data.shape[0] == heads for t in tape._entries if t.data.ndim == 3)
+    shapes = [n.shape for n in tape._entries]
+    assert max(len(shape) for shape in shapes) <= 4
+    assert all(shape[0] == heads and shape[1] in (1, len(steps))
+               for shape in shapes if len(shape) == 4)
+    widths = {max(steps)}  # the prefixes' and (plain) the candidates' padded width
+    assert not any(len(shape) >= 3 and shape[-1] == d_s and shape[-3] == shape[-2] in widths
+                   for shape in shapes)
 
 
 def test_uniform_logit_closed_form(rng):
@@ -243,14 +349,12 @@ def test_train_shuffle_determinism_without_resample(tmp_path):
     assert [s.mean_nll for s in hist[0]] == [s.mean_nll for s in hist[1]]
 
 
-def _accum_zero_fill(t, g):
+def _accum_zero_fill(n, g):
     """tensor._accum before gradient buffers had owners: every gradient is
     zero-filled on first use, then added into in place."""
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    if n.grad is None:
+        n.grad = np.zeros(n.shape)
+    n.grad += g
 
 
 @pytest.mark.parametrize("variant", ["B", "plain"])
@@ -366,6 +470,23 @@ def test_checkpoint_round_trip(tmp_path, rng, monkeypatch):
     assert l1.item() == l2.item()
 
 
+def test_checkpoint_load_streams_its_entries(tmp_path):
+    """Loading reads one entry at a time into the parameters: at the default
+    model size its traced allocations peak at no more than 1.2 times the
+    parameter arrays (values and both moments) it fills."""
+    path = tmp_path / "c.bin"
+    save_checkpoint(path, Model(ModelConfig(a=3, b=2), init_seed=0), epoch=1)
+    tracemalloc.start()
+    try:
+        model = load_checkpoint(path)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    live = sum(p.data.nbytes + p.m.nbytes + p.v.nbytes for p in model.parameters())
+    assert live > 30e6
+    assert peak <= 1.2 * live
+
+
 def test_checkpoint_truncation_and_version_and_magic(tmp_path):
     model = tiny_model()
     path = tmp_path / "c.bin"
@@ -434,7 +555,7 @@ def trained_model(rng, variant="plain"):
     randomize_bias_tables(model, rng)
     og = make_og(random_connected_graph(rng, 7), rng)
     for _ in range(2):
-        backward_per_step(model, og)
+        backward_per_chunk(model, og)
         adam_step(model.parameters())
     return model, og
 
