@@ -9,11 +9,25 @@ consecutive steps whose prefixes hold at most CHUNK_ROWS nodes together.
 A chunk is one batched forward pass (Model.teacher_forced) and one
 backward pass on a tape of its own, so peak memory tracks the largest
 chunk of a graph, not the sum of its steps.
+
+Because the steps are independent, a batch's gradient is a sum of chunk
+gradients.  train() lists a batch's (graph, chunk) pairs in batch order and
+cuts the list once into SHARDS = 2 runs of consecutive chunks (shard_cut):
+shard 0 runs in the training process, shard 1 in a child process forked
+for the batch, which sees the current parameters by copy-on-write, writes
+its leaf gradients into a shared buffer and pipes back its chunk NLLs and
+counters.  The parent adds shard 1's gradients to its own.  With one CPU
+the parent computes shard 1 itself, from no gradient, and combines it by
+the same rule, so the results do not depend on the number of CPUs.
 """
 from __future__ import annotations
 
 import json
+import math
+import mmap
 import os
+import pickle
+import signal
 import struct
 import warnings
 from dataclasses import dataclass
@@ -58,8 +72,13 @@ class TrainConfig:
     grad_clip: float = 1.0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.lr <= 0:
-            raise TrainError("epochs, batch_size must be >= 1 and lr > 0")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise TrainError("epochs and batch_size must be >= 1")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise TrainError(f"lr must be finite and > 0, got {self.lr}")
+        if not (math.isfinite(self.grad_clip) and self.grad_clip >= 0):
+            raise TrainError(f"grad_clip must be finite and >= 0 (0 turns clipping off), "
+                             f"got {self.grad_clip}")
 
     def to_json_obj(self) -> dict:
         return {"epochs": self.epochs, "batch_size": self.batch_size, "lr": self.lr,
@@ -76,6 +95,10 @@ class TrainConfig:
 # prefix node, the arrays that backward reads: about 23 MB for a full chunk
 # of a 49-node grid.
 CHUNK_ROWS = 256
+
+# Shards a batch's chunks are cut into; shard 1 runs in a forked child when
+# the process may use more than one CPU.
+SHARDS = 2
 
 
 def _steps(model: Model, og: OrderedGraph) -> range:
@@ -137,26 +160,174 @@ def teacher_forced_loss(model: Model, og: OrderedGraph):
     return T.sum_along(T.concat(losses, axis=0), 0), counters
 
 
-def backward_per_chunk(model: Model, og: OrderedGraph, weight: float = 1.0):
-    """Accumulate the gradient of weight * teacher_forced_loss(model, og)
-    with one tape and one backward pass per chunk of steps, so only one
-    chunk's records are alive at a time.  Returns (summed loss,
-    StepCounters)."""
-    total = 0.0
-    counters = StepCounters()
-    for steps in step_chunks(_steps(model, og)):
-        nll, cnt = _backward_chunk(model, og, steps, weight)
-        total += nll
-        counters.add(cnt)
-    return total, counters
-
-
 def _backward_chunk(model: Model, og: OrderedGraph, steps, weight: float):
     # the chunk's tape and loss tensor go out of scope on return
     with Tape() as tape:
         loss, cnt = chunk_loss(model, og, steps)
         tape.backward(T.mul(loss, T.const(weight)))
     return loss.item(), cnt
+
+
+def shard_cut(rows) -> int:
+    """The cut k of a batch's chunks, rows[i] prefix rows each, into the
+    shards [:k] and [k:] whose larger one holds the fewest rows; the
+    largest such k, so that a single chunk is shard 0 and shard 1 is
+    empty."""
+    total, tail = sum(rows), 0
+    best, cut = total, len(rows)
+    for k in range(len(rows) - 1, -1, -1):
+        tail += rows[k]
+        larger = max(total - tail, tail)
+        if larger < best:
+            best, cut = larger, k
+    return cut
+
+
+def run_shard(model: Model, work, weight: float):
+    """Accumulate the gradient of weight times the loss of each (graph,
+    steps) pair of work, in order, one backward pass per chunk.  Returns
+    (the chunks' NLLs, summed StepCounters)."""
+    nlls, counters = [], StepCounters()
+    for og, steps in work:
+        nll, cnt = _backward_chunk(model, og, steps, weight)
+        nlls.append(nll)
+        counters.add(cnt)
+    return nlls, counters
+
+
+class _SharedGradients:
+    """One shared anonymous mapping, made once per train() call, with a
+    view per parameter: a forked child writes its gradients into the views
+    and its parent adds them to its own."""
+
+    def __init__(self, params):
+        sizes = [p.data.size for p in params]
+        self.map = mmap.mmap(-1, 8 * sum(sizes))
+        flat = np.frombuffer(self.map, dtype=np.float64)
+        offsets = np.cumsum([0] + sizes)
+        self.views = [flat[lo:hi].reshape(p.data.shape)
+                      for p, lo, hi in zip(params, offsets, offsets[1:])]
+
+    def release(self):
+        """Free the pages once the parent has added them; the next child
+        writes into fresh ones.  So between batches the buffer holds no
+        memory, in the parent or anywhere else."""
+        self.map.madvise(mmap.MADV_REMOVE)
+
+
+class _ShardChild:
+    """Shard 1 of a batch, run in a child process forked for it.  The child
+    starts from no gradient, writes each leaf gradient into its shared view
+    and pipes back (chunk NLLs, StepCounters, names of the parameters left
+    without a gradient), or the error it raised; no array is pickled."""
+
+    def __init__(self, model: Model, work, weight: float, shared):
+        read, write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            raise
+        if self.pid == 0:
+            status = 1  # an interrupt ends the child with no result
+            try:
+                os.close(read)
+                with os.fdopen(write, "wb") as f:
+                    pickle.dump(self._compute(model, work, weight, shared), f)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write)
+        self.read = read
+
+    @staticmethod
+    def _compute(model, work, weight, shared):
+        try:
+            params = model.parameters()
+            for p in params:
+                p.tensor.grad = None
+            nlls, counters = run_shard(model, work, weight)
+            missing = []
+            for p, view in zip(params, shared.views):
+                if p.tensor.grad is None:
+                    missing.append(p.name)
+                else:
+                    view[...] = p.tensor.grad
+            return "done", nlls, counters, missing
+        except Exception as exc:  # noqa: BLE001 - reported to the parent, which raises
+            return "error", f"{type(exc).__name__}: {exc}"
+
+    def result(self, params, shared):
+        """Wait for the child; returns (NLLs, counters, gradients) with None
+        for a parameter left without one.  Raises RuntimeError when the
+        child failed or died."""
+        with os.fdopen(self.read, "rb") as f:
+            self.read = None
+            blob = f.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if not blob:
+            code = os.waitstatus_to_exitcode(status)
+            how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+            raise RuntimeError(f"training shard 1: the child process ended without a result ({how})")
+        msg = pickle.loads(blob)
+        if msg[0] == "error":
+            raise RuntimeError(f"training shard 1 failed in the child process: {msg[1]}")
+        _, nlls, counters, missing = msg
+        missing = set(missing)
+        return nlls, counters, [None if p.name in missing else view
+                                for p, view in zip(params, shared.views)]
+
+    def close(self):
+        """Kill and reap a child whose result was not read."""
+        if self.read is not None:
+            os.close(self.read)
+            self.read = None
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
+def batch_backward(model: Model, work, weight: float, shared=None):
+    """Accumulate the gradient of weight times the loss of every (graph,
+    steps) pair of work, cut into two shards by shard_cut.  Shard 1 runs in
+    a forked child when shared (a _SharedGradients) is given, else here
+    after shard 0, from no gradient; either way its gradients are then added
+    to shard 0's.  Returns (the chunks' NLLs in work order, StepCounters)."""
+    cut = shard_cut([sum(steps) for _, steps in work])
+    head, tail = work[:cut], work[cut:]
+    if not tail:
+        return run_shard(model, head, weight)
+    params = model.parameters()
+    if shared is None:
+        nlls, counters = run_shard(model, head, weight)
+        own = [p.tensor.grad for p in params]
+        for p in params:
+            p.tensor.grad = None
+        tail_nlls, tail_counters = run_shard(model, tail, weight)
+        tail_grads = [p.tensor.grad for p in params]
+        for p, g in zip(params, own):
+            p.tensor.grad = g
+    else:
+        child = _ShardChild(model, tail, weight, shared)
+        try:
+            nlls, counters = run_shard(model, head, weight)
+            tail_nlls, tail_counters, tail_grads = child.result(params, shared)
+        finally:
+            child.close()
+    for p, g in zip(params, tail_grads):
+        if g is None:
+            continue
+        if p.tensor.grad is None:
+            p.tensor.grad = np.array(g)
+        else:
+            p.tensor.grad += g
+    if shared is not None:
+        shared.release()
+    counters.add(tail_counters)
+    return nlls + tail_nlls, counters
 
 
 @dataclass
@@ -182,7 +353,10 @@ def train(dataset, model: Model, tconfig: TrainConfig, checkpoint_dir=None,
     """Run the full training loop; returns the per-epoch history.
 
     The model is updated in place.  Given the same seed, dataset, and
-    configuration, two runs produce bit-identical parameters and history.
+    configuration, two runs produce bit-identical parameters and history,
+    whether a batch's second shard runs in a forked child (two or more
+    usable CPUs) or in this process.  A failed or killed child raises
+    RuntimeError.
     A non-finite loss or gradient norm raises NonFiniteError naming the
     epoch and the dataset index of the graph (or of the batch's graphs).
     """
@@ -209,6 +383,8 @@ def train(dataset, model: Model, tconfig: TrainConfig, checkpoint_dir=None,
         return ogs
 
     ogs = sample_orderings()
+    workers = min(SHARDS, len(os.sched_getaffinity(0)))
+    shared = _SharedGradients(params) if workers > 1 else None
     ckpt_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
     if ckpt_dir is not None:
         ckpt_dir.mkdir(parents=True, exist_ok=True)
@@ -220,14 +396,18 @@ def train(dataset, model: Model, tconfig: TrainConfig, checkpoint_dir=None,
         agg = StepCounters()
         for lo in range(0, len(order), tconfig.batch_size):
             batch = order[lo:lo + tconfig.batch_size]
-            inv = 1.0 / len(batch)
-            for i in batch:
-                nll, cnt = backward_per_chunk(model, ogs[i], inv)
+            work = [(i, steps) for i in batch for steps in step_chunks(_steps(model, ogs[i]))]
+            nlls, cnt = batch_backward(model, [(ogs[i], steps) for i, steps in work],
+                                       1.0 / len(batch), shared)
+            agg.add(cnt)
+            graph_nll = dict.fromkeys(batch, 0.0)
+            for (i, _), nll in zip(work, nlls):
+                graph_nll[i] += nll
+            for i, nll in graph_nll.items():
                 if not np.isfinite(nll):
                     raise NonFiniteError(f"epoch {epoch}: non-finite loss {nll} "
                                          f"on graph {index[i]}")
                 total_nll += nll
-                agg.add(cnt)
             norm = clip_global_norm(params, tconfig.grad_clip)
             if not np.isfinite(norm):
                 raise NonFiniteError(f"epoch {epoch}: non-finite gradient norm {norm} "
@@ -253,13 +433,11 @@ def train(dataset, model: Model, tconfig: TrainConfig, checkpoint_dir=None,
 # parameter table (length-prefixed name, rank, u32 extents, little-endian
 # f64 values, then u64 step count and the two moment arrays), u32 epoch,
 # length-prefixed rng-state JSON.  Version 2 stores each attention table
-# head-batched as one entry X.wq of shape (H, ...); version 1 stored one
-# entry per head, X.h{i}.wq, and still loads.
+# head-batched as one entry X.wq of shape (H, ...).
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"GRAMCKPT"
 CHECKPOINT_VERSION = 2
-HEAD_TABLES = ("wq", "wk", "wv", "bq", "bk", "bv")
 
 
 def save_checkpoint(path, model: Model, epoch: int, rng=None):
@@ -324,28 +502,12 @@ class _Reader:
         return not self.f.read(1)
 
 
-def _stored_entries(model: Model, version: int) -> dict:
-    """Stored parameter name -> (parameter, head index or None) of a file
-    of the given version."""
-    entries = {}
-    for name, p in model.params.items():
-        prefix, _, table = name.rpartition(".")
-        if version == 1 and table in HEAD_TABLES:
-            for h in range(model.config.heads):
-                entries[f"{prefix}.h{h}.{table}"] = (p, h)
-        else:
-            entries[name] = (p, None)
-    return entries
-
-
 def load_checkpoint(path):
-    """Rebuild (model, epoch, rng) from a checkpoint file of version 1 or 2.
+    """Rebuild (model, epoch, rng) from a checkpoint file.
 
     The model configuration is embedded; stored tensor shapes must match the
-    shapes that configuration implies.  A version-1 file's per-head entries
-    are stacked into the head-batched parameters; the heads of one table
-    must all be present and agree on their step count.  The file is read
-    one entry at a time into the parameters.
+    shapes that configuration implies.  The file is read one entry at a
+    time into the parameters.
     """
     with open(path, "rb") as f:
         return _read_checkpoint(_Reader(f))
@@ -355,7 +517,7 @@ def _read_checkpoint(r: _Reader):
     if r.take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
         raise CheckpointError("not a checkpoint file (bad magic)")
     version = r.unpack("<I")
-    if version not in (1, CHECKPOINT_VERSION):
+    if version != CHECKPOINT_VERSION:
         raise CheckpointVersionError(
             f"checkpoint format version {version}, expected {CHECKPOINT_VERSION}")
     try:
@@ -364,33 +526,26 @@ def _read_checkpoint(r: _Reader):
     except (ValueError, TypeError) as exc:
         raise CheckpointError(f"bad embedded config: {exc}") from exc
     model = Model._unset(config)  # the count and name checks below see every entry written
-    entries = _stored_entries(model, version)
+    entries = dict(model.params)
     count = r.unpack("<I")
     if count != len(entries):
         raise CheckpointError(f"parameter count {count} does not match config "
                               f"({len(entries)} expected)")
-    steps = {}
     for _ in range(count):
         name = r.take(r.unpack("<H")).decode("utf-8")
         rank = r.unpack("<B")
         shape = tuple(r.unpack("<I") for _ in range(rank))
         if name not in entries:
             raise CheckpointError(f"unknown or repeated parameter {name!r}")
-        p, head = entries.pop(name)
-        key = ... if head is None else head
-        want = p.tensor.data[key].shape
-        if shape != want:
-            raise CheckpointError(f"parameter {name!r} has shape {shape}, config implies {want}")
+        p = entries.pop(name)
+        if shape != p.data.shape:
+            raise CheckpointError(f"parameter {name!r} has shape {shape}, "
+                                  f"config implies {p.data.shape}")
         size = int(np.prod(shape)) if shape else 1
-        p.tensor.data[key] = np.frombuffer(r.take(8 * size), dtype="<f8").reshape(shape)
-        steps.setdefault(p.name, set()).add(r.unpack("<Q"))
-        p.m[key] = np.frombuffer(r.take(8 * size), dtype="<f8").reshape(shape)
-        p.v[key] = np.frombuffer(r.take(8 * size), dtype="<f8").reshape(shape)
-    for name, counts in steps.items():
-        if len(counts) > 1:
-            raise CheckpointError(f"the heads of {name!r} disagree on their step "
-                                  f"count: {sorted(counts)}")
-        model.params[name].step = counts.pop()
+        p.tensor.data[...] = np.frombuffer(r.take(8 * size), dtype="<f8").reshape(shape)
+        p.step = r.unpack("<Q")
+        p.m[...] = np.frombuffer(r.take(8 * size), dtype="<f8").reshape(shape)
+        p.v[...] = np.frombuffer(r.take(8 * size), dtype="<f8").reshape(shape)
     epoch = r.unpack("<I")
     state = json.loads(r.take(r.unpack("<I")).decode("utf-8"))
     if not r.at_end():

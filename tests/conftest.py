@@ -1,8 +1,12 @@
+import os
+import signal
+
 import numpy as np
 import pytest
 
 from gram import attention as A
 from gram import tensor as T
+from gram import training
 from gram.graphs import LabeledGraph
 from gram.model import Model, ModelConfig
 
@@ -55,6 +59,27 @@ def edge_distribution_step(model, hv, hg, new_label, t, decided, restrict, dist_
     h = T.relu(T.add(T.matmul(gin, model.edge_w1), model.edge_b1))
     h = T.relu(T.add(T.matmul(h, model.edge_w2), model.edge_b2))
     return T.add(T.matmul(h, model.edge_w3), model.edge_b3)
+
+
+def set_cpus(monkeypatch, n):
+    """Let training see n CPUs, so it computes shard 1 of a batch in a
+    forked child (n >= 2) or in the process itself (n == 1)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def fail_in_child(monkeypatch, how):
+    """Make every training chunk that runs in a child process fail: raise
+    (how == "raise") or be killed by SIGKILL."""
+    parent, real = os.getpid(), training._backward_chunk
+
+    def backward_chunk(*args):
+        if os.getpid() != parent:
+            if how == "raise":
+                raise ValueError("chunk failed on purpose")
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args)
+
+    monkeypatch.setattr(training, "_backward_chunk", backward_chunk)
 
 
 @pytest.fixture

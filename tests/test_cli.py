@@ -8,7 +8,7 @@ from gram.datasets import read_corpus, write_corpus
 from gram.graphs import LabeledGraph
 from gram.training import save_checkpoint
 
-from conftest import random_connected_graph, tiny_model
+from conftest import fail_in_child, random_connected_graph, set_cpus, tiny_model
 
 
 def run(args):
@@ -174,6 +174,34 @@ def test_nonfinite_training_exits_with_runtime_failure(tmp_path, capsys, monkeyp
     err = capsys.readouterr().err
     assert "NonFiniteError" in err and "epoch 1" in err
     assert not (outdir / "checkpoint.bin").exists()
+
+
+@pytest.mark.parametrize("flags, train_cfg", [
+    (["--lr", "nan"], {}), (["--lr", "inf"], {}),
+    ([], {"grad_clip": -1}), ([], {"grad_clip": float("nan")})])
+def test_bad_optimiser_settings_are_configuration_errors(tmp_path, capsys, flags, train_cfg):
+    corpus = tmp_path / "c.jsonl"
+    write_corpus(corpus, [random_connected_graph(np.random.default_rng(k), 6)
+                          for k in range(3)])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"train": train_cfg}))
+    assert run(["train", "--corpus", str(corpus), "--out", str(tmp_path / "r"),
+                "--config", str(cfg), *flags]) == 2
+    assert "bad configuration" in capsys.readouterr().err
+
+
+def test_training_child_failure_exits_with_runtime_failure(tmp_path, capsys, monkeypatch):
+    """An error in the child process that computes half of each batch is a
+    runtime failure (exit code 3) that carries the child's message."""
+    set_cpus(monkeypatch, 2)
+    fail_in_child(monkeypatch, "raise")
+    corpus = tmp_path / "c.jsonl"
+    run(["dataset", "--family", "grid", "--count", "2", "--nmin", "9", "--nmax",
+         "12", "--seed", "1", "--out", str(corpus), "--no-split"])
+    assert run(["train", "--corpus", str(corpus), "--out", str(tmp_path / "run"),
+                "--epochs", "1", "--dmodel", "16", "--heads", "2", "--blocks", "1",
+                "--dff", "32", "--seed-size", "4"]) == 3
+    assert "ValueError: chunk failed on purpose" in capsys.readouterr().err
 
 
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):

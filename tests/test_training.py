@@ -1,5 +1,4 @@
-import json
-import struct
+import os
 import tracemalloc
 
 import numpy as np
@@ -14,11 +13,12 @@ from gram.optim import adam_step
 from gram.tensor import Tape
 from gram import training
 from gram.training import (CheckpointError, CheckpointVersionError, NonFiniteError,
-                           SkipGraph, TrainConfig, TrainError, backward_per_chunk,
-                           chunk_loss, load_checkpoint, save_checkpoint, step_chunks,
-                           teacher_forced_loss, train)
+                           SkipGraph, TrainConfig, TrainError, batch_backward, chunk_loss,
+                           load_checkpoint, run_shard, save_checkpoint, shard_cut,
+                           step_chunks, teacher_forced_loss, train)
 
-from conftest import edge_distribution_step, random_connected_graph, tiny_model
+from conftest import (edge_distribution_step, fail_in_child, random_connected_graph,
+                      set_cpus, tiny_model)
 
 
 def make_og(g, rng, radius=2):
@@ -62,6 +62,11 @@ def sequential_loss(model, og):
     return total
 
 
+def chunks_of(model, og):
+    """The (graph, steps) pairs of one graph's teacher-forced chunks."""
+    return [(og, steps) for steps in step_chunks(range(model.config.seed_size, og.n + 1))]
+
+
 def randomize_bias_tables(model, rng):
     """The model starts its bias tables at zero; fill them so that every
     bias term takes part."""
@@ -88,8 +93,8 @@ def test_per_step_backward_matches_single_backward(variant, rng, monkeypatch):
         whole = {p.name: p.grad_array().copy() for p in params}
         for p in params:
             p.tensor.grad = None
-        total, cnt_steps = backward_per_chunk(model, og, 0.25)
-        assert total == pytest.approx(loss.item(), rel=1e-12)
+        nlls, cnt_steps = run_shard(model, chunks_of(model, og), 0.25)
+        assert sum(nlls) == pytest.approx(loss.item(), rel=1e-12)
         assert cnt_steps == cnt
         for p in params:
             scale = max(np.abs(whole[p.name]).max(), 1e-300)
@@ -497,10 +502,11 @@ def test_checkpoint_truncation_and_version_and_magic(tmp_path):
     with pytest.raises(CheckpointError, match="truncated"):
         load_checkpoint(tmp_path / "trunc.bin")
 
-    bad_version = blob[:8] + (99).to_bytes(4, "little") + blob[12:]
-    (tmp_path / "ver.bin").write_bytes(bad_version)
-    with pytest.raises(CheckpointVersionError, match="99.*expected 2"):
-        load_checkpoint(tmp_path / "ver.bin")
+    for version in (1, 99):  # version 1 (one entry per attention head) no longer loads
+        bad_version = blob[:8] + version.to_bytes(4, "little") + blob[12:]
+        (tmp_path / "ver.bin").write_bytes(bad_version)
+        with pytest.raises(CheckpointVersionError, match=f"version {version}, expected 2"):
+            load_checkpoint(tmp_path / "ver.bin")
 
     (tmp_path / "magic.bin").write_bytes(b"NOTMAGIC" + blob[8:])
     with pytest.raises(CheckpointError, match="magic"):
@@ -511,106 +517,151 @@ def test_checkpoint_truncation_and_version_and_magic(tmp_path):
         load_checkpoint(tmp_path / "trail.bin")
 
 
-def v1_entries(model):
-    """The parameter entries of a version-1 file, (name, values, step, m, v),
-    with every attention table split into one entry X.h{i}.wq per head."""
-    entries = []
-    for name, p in model.params.items():
-        prefix, _, table = name.rpartition(".")
-        if table in training.HEAD_TABLES:
-            entries += [(f"{prefix}.h{h}.{table}", p.data[h], p.step, p.m[h], p.v[h])
-                        for h in range(p.data.shape[0])]
-        else:
-            entries.append((name, p.data, p.step, p.m, p.v))
-    return entries
-
-
-def write_v1_checkpoint(path, model, epoch, entries, rng=None):
-    """The version-1 writer: the byte layout of save_checkpoint with the
-    given parameter entries."""
-    with open(path, "wb") as f:
-        f.write(training.CHECKPOINT_MAGIC + struct.pack("<I", 1))
-        cfg = json.dumps(model.config.to_json_obj(), sort_keys=True).encode("utf-8")
-        f.write(struct.pack("<I", len(cfg)) + cfg)
-        f.write(struct.pack("<I", len(entries)))
-        for name, arr, step, m, v in entries:
-            raw = name.encode("utf-8")
-            f.write(struct.pack("<H", len(raw)) + raw)
-            f.write(struct.pack("<B", arr.ndim))
-            for ext in arr.shape:
-                f.write(struct.pack("<I", ext))
-            f.write(arr.astype("<f8").tobytes())
-            f.write(struct.pack("<Q", step))
-            f.write(m.astype("<f8").tobytes())
-            f.write(v.astype("<f8").tobytes())
-        f.write(struct.pack("<I", epoch))
-        state = rng.bit_generator.state if rng is not None else None
-        rj = json.dumps(state, sort_keys=True).encode("utf-8")
-        f.write(struct.pack("<I", len(rj)) + rj)
-
-
 def trained_model(rng, variant="plain"):
     """A model with random bias tables and optimizer state off zero."""
     model = tiny_model(variant=variant, seed=8)
     randomize_bias_tables(model, rng)
     og = make_og(random_connected_graph(rng, 7), rng)
     for _ in range(2):
-        backward_per_chunk(model, og)
+        run_shard(model, chunks_of(model, og), 1.0)
         adam_step(model.parameters())
     return model, og
 
 
-def test_version_1_checkpoint_loads_bit_identical(tmp_path, rng):
-    """A version-1 file (one entry per head) loads into the head-batched
-    parameters with the same values, moments, steps and NLL, and saves
-    again as version 2."""
-    model, og = trained_model(rng)
-    gen = np.random.default_rng(5)
-    path = tmp_path / "v1.bin"
-    write_v1_checkpoint(path, model, 3, v1_entries(model), gen)
-    loaded, epoch, gen2 = load_checkpoint(path)
-    assert epoch == 3 and gen2.bit_generator.state == gen.bit_generator.state
-    for name, p in model.params.items():
-        q = loaded.params[name]
-        assert np.array_equal(p.data, q.data), name
-        assert np.array_equal(p.m, q.m) and np.array_equal(p.v, q.v), name
-        assert p.step == q.step, name
-    assert all(loaded.params[f"edge_attn.{t}"].step == 2 for t in training.HEAD_TABLES)
-    with Tape():
-        assert teacher_forced_loss(model, og)[0].item() == teacher_forced_loss(loaded, og)[0].item()
-    save_checkpoint(tmp_path / "v2.bin", loaded, 3, gen2)
-    save_checkpoint(tmp_path / "v2_direct.bin", model, 3, gen)
-    blob = (tmp_path / "v2.bin").read_bytes()
-    assert blob[8:12] == (2).to_bytes(4, "little")
-    assert blob == (tmp_path / "v2_direct.bin").read_bytes()
+def test_config_rejects_bad_optimiser_settings():
+    """A NaN or infinite learning rate would train every parameter to NaN,
+    and a negative or NaN clip norm would silently turn clipping off."""
+    for bad in ({"lr": float("nan")}, {"lr": float("inf")}, {"lr": 0.0},
+                {"grad_clip": -1.0}, {"grad_clip": float("nan")},
+                {"grad_clip": float("inf")}):
+        with pytest.raises(TrainError, match=next(iter(bad))):
+            TrainConfig(**bad)
+    assert TrainConfig(grad_clip=0.0).grad_clip == 0.0  # 0: no clipping
 
 
-def test_version_1_checkpoint_missing_head_rejected(tmp_path, rng):
-    model, _ = trained_model(rng)
-    entries = v1_entries(model)
-    names = [e[0] for e in entries]
-    k = names.index("edge_attn.h1.bk")
-    write_v1_checkpoint(tmp_path / "missing.bin", model, 1, entries[:k] + entries[k + 1:])
-    with pytest.raises(CheckpointError, match="parameter count"):
-        load_checkpoint(tmp_path / "missing.bin")
-    # the same count, with head 0 written twice in place of head 1
-    entries[k] = entries[names.index("edge_attn.h0.bk")]
-    write_v1_checkpoint(tmp_path / "repeated.bin", model, 1, entries)
-    with pytest.raises(CheckpointError, match="repeated parameter 'edge_attn.h0.bk'"):
-        load_checkpoint(tmp_path / "repeated.bin")
+def test_shard_cut_is_balanced_and_ordered(rng):
+    """The cut keeps every chunk once and in batch order, and its larger
+    shard holds the fewest rows of any cut; a single chunk stays in shard 0."""
+    for _ in range(200):
+        rows = [int(r) for r in rng.integers(1, 300, size=int(rng.integers(1, 9)))]
+        items = list(range(len(rows)))
+        k = shard_cut(rows)
+        assert items[:k] + items[k:] == items
+        larger = max(sum(rows[:k]), sum(rows[k:]))
+        assert larger == min(max(sum(rows[:j]), sum(rows[j:])) for j in range(len(rows) + 1))
+    assert shard_cut([40]) == 1
+    assert shard_cut([763, 697]) == 1
 
 
-def test_version_1_checkpoint_bad_shape_or_steps_rejected(tmp_path, rng):
-    model, _ = trained_model(rng)
-    entries = v1_entries(model)
-    k = [e[0] for e in entries].index("block0.attn.h1.wv")
-    name, arr, step, m, v = entries[k]
-    bad = list(entries)
-    bad[k] = (name, arr[:, :-1], step, m[:, :-1], v[:, :-1])
-    write_v1_checkpoint(tmp_path / "shape.bin", model, 1, bad)
-    with pytest.raises(CheckpointError, match="'block0.attn.h1.wv' has shape"):
-        load_checkpoint(tmp_path / "shape.bin")
-    bad[k] = (name, arr, step + 1, m, v)
-    write_v1_checkpoint(tmp_path / "steps.bin", model, 1, bad)
-    with pytest.raises(CheckpointError, match="heads of 'block0.attn.wv' disagree"):
-        load_checkpoint(tmp_path / "steps.bin")
+def sequential_batch(model, ogs, weight):
+    """train()'s batch before sharding: each graph's chunks in batch order,
+    one backward pass each, its NLL summed in chunk order."""
+    nlls = []
+    for og in ogs:
+        total = 0.0
+        for _, steps in chunks_of(model, og):
+            total += training._backward_chunk(model, og, steps, weight)[0]
+        nlls.append(total)
+    return nlls
+
+
+@pytest.mark.parametrize("variant", ["B", "plain"])
+def test_sharded_batch_gradient_matches_sequential(variant, rng, monkeypatch):
+    """A batch cut into two shards gives the gradient of the old sequential
+    accumulation to 1e-12 relative, on a model with random non-zero bias
+    tables, and the same gradient bit for bit whether shard 1 runs in a
+    forked child or in this process.  A parameter that no shard reaches
+    (the last block's edge update) keeps no gradient."""
+    monkeypatch.setattr(training, "CHUNK_ROWS", 12)
+    model, _ = trained_model(rng, variant)
+    ogs = [make_og(random_connected_graph(rng, int(rng.integers(6, 11))), rng) for _ in range(3)]
+    work = [pair for og in ogs for pair in chunks_of(model, og)]
+    cut = shard_cut([sum(steps) for _, steps in work])
+    assert 0 < cut < len(work)
+    want_nlls, oracle = loss_and_grads(model, lambda: sequential_batch(model, ogs, 1 / 3))
+    last = f"block{model.config.blocks - 1}.conv"
+    results = []
+    for shared in (None, training._SharedGradients(model.parameters())):
+        nlls, grads = loss_and_grads(model, lambda: batch_backward(model, work, 1 / 3, shared)[0])
+        assert model.params[f"{last}.wedge"].tensor.grad is None
+        assert model.params[f"{last}.bedge"].tensor.grad is None
+        results.append((nlls, grads))
+    (nlls, grads), (forked_nlls, forked_grads) = results
+    assert nlls == forked_nlls
+    assert all(np.array_equal(grads[name], forked_grads[name]) for name in grads)
+    graph_nlls = [sum(nll for (og, _), nll in zip(work, nlls) if og is g) for g in ogs]
+    assert graph_nlls == pytest.approx(want_nlls, rel=1e-12)
+    for name, ref in oracle.items():
+        scale = max(np.abs(ref).max(), 1e-300)
+        assert np.abs(grads[name] - ref).max() <= 1e-12 * scale, name
+
+
+def small_grids():
+    return generate_corpus(CorpusSpec("grid", 5, 9, 16, seed=1,
+                                      params={"min_side": 3, "max_side": 4}))
+
+
+def test_one_and_two_workers_train_byte_identical(tmp_path, monkeypatch):
+    """Every batch of two or more chunks forks once at two CPUs and never
+    at one, and both write byte-identical checkpoints and histories."""
+    real_fork, forks = os.fork, []
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    for cpus in (1, 2):
+        set_cpus(monkeypatch, cpus)
+        model = tiny_model(a=3, b=2, seed_size=3, seed=4)
+        randomize_bias_tables(model, np.random.default_rng(11))
+        out = tmp_path / str(cpus)
+        train(small_grids(), model, TrainConfig(epochs=2, batch_size=3, seed=9),
+              checkpoint_dir=out, history_path=out / "history.csv")
+        assert len(forks) == (0 if cpus == 1 else 4)  # 2 epochs of batches of 3 and 2 graphs
+    for name in ("history.csv", "checkpoint.bin"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+def test_no_fork_for_one_chunk_or_one_cpu(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    set_cpus(monkeypatch, 2)
+    train(small_grids(), tiny_model(seed_size=3), TrainConfig(epochs=1, batch_size=1))
+    set_cpus(monkeypatch, 1)
+    train(small_grids(), tiny_model(seed_size=3), TrainConfig(epochs=1, batch_size=5))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("how, message", [
+    ("raise", "failed in the child process: ValueError: chunk failed on purpose$"),
+    ("kill", r"ended without a result \(killed by signal 9\)$")])
+def test_child_failure_stops_training(how, message, monkeypatch):
+    set_cpus(monkeypatch, 2)
+    fail_in_child(monkeypatch, how)
+    with pytest.raises(RuntimeError, match=message):
+        train(small_grids(), tiny_model(seed_size=3), TrainConfig(epochs=1, batch_size=2))
+    assert_no_child_left()
+
+
+def test_nonfinite_loss_in_child_names_the_graph(rng, monkeypatch):
+    """A NaN loss on a graph whose chunks all run in the child stops the run
+    naming that graph; the other graph, without the label of the NaN
+    embedding row (which the edge estimator reads for each new node),
+    stays finite."""
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(training, "shard_cut", lambda rows: 0)
+    g = random_connected_graph(rng, 7)
+    clean = G.LabeledGraph.create(g.n, np.zeros(g.n, dtype=int), g.edges, 3, 2)
+    tainted = G.LabeledGraph.create(g.n, np.full(g.n, 2), g.edges, 3, 2)
+    model = tiny_model(seed_size=3)
+    model.params["embed.node"].tensor.data[2] = np.nan
+    with pytest.raises(NonFiniteError, match=r"epoch 1: non-finite loss nan on graph 1$"):
+        train([clean, tainted], model, TrainConfig(epochs=1, batch_size=2))
+    assert_no_child_left()
