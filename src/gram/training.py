@@ -356,9 +356,9 @@ def train(dataset, model: Model, tconfig: TrainConfig, checkpoint_dir=None,
     configuration, two runs produce bit-identical parameters and history,
     whether a batch's second shard runs in a forked child (two or more
     usable CPUs) or in this process.  A failed or killed child raises
-    RuntimeError.
-    A non-finite loss or gradient norm raises NonFiniteError naming the
-    epoch and the dataset index of the graph (or of the batch's graphs).
+    RuntimeError.  A non-finite loss or gradient norm raises NonFiniteError
+    naming the epoch and the dataset index of the graph (or of the batch's
+    graphs).
     """
     if not dataset:
         raise TrainError("dataset is empty")

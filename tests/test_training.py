@@ -9,7 +9,7 @@ from gram import graphs as G
 from gram import tensor as T
 from gram.model import VARIANTS, EdgeStep, Model, ModelConfig, OrderedGraph
 from gram.datasets import CorpusSpec, generate_corpus
-from gram.optim import adam_step
+from gram.optim import Parameter, adam_step
 from gram.tensor import Tape
 from gram import training
 from gram.training import (CheckpointError, CheckpointVersionError, NonFiniteError,
@@ -515,6 +515,26 @@ def test_checkpoint_truncation_and_version_and_magic(tmp_path):
     (tmp_path / "trail.bin").write_bytes(blob + b"x")
     with pytest.raises(CheckpointError, match="trailing"):
         load_checkpoint(tmp_path / "trail.bin")
+
+
+def test_checkpoint_parameter_table_checks(tmp_path, monkeypatch):
+    """A parameter table with an entry missing, an entry written twice or
+    an entry of the wrong shape is rejected, naming the entry."""
+    model = tiny_model()
+    params = model.parameters()
+    k = [p.name for p in params].index("edge_attn.bk")
+    wrong = Parameter("edge_attn.bk", params[k].data[..., :-1])
+    tables = {"missing.bin": params[:k] + params[k + 1:],
+              "repeated.bin": params[:k] + [params[k - 1]] + params[k + 1:],
+              "shape.bin": params[:k] + [wrong] + params[k + 1:]}
+    for name, table in tables.items():
+        monkeypatch.setattr(model, "parameters", lambda table=table: table)
+        save_checkpoint(tmp_path / name, model, epoch=1)
+    for name, message in (("missing.bin", "parameter count"),
+                          ("repeated.bin", f"repeated parameter '{params[k - 1].name}'"),
+                          ("shape.bin", "'edge_attn.bk' has shape")):
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(tmp_path / name)
 
 
 def trained_model(rng, variant="plain"):
