@@ -1,10 +1,9 @@
 """Autoregressive labeled-graph generation with distance-biased graph
 attention, synthetic corpus generators, and graph-kernel MMD evaluation."""
 
-from .graphs import (GraphError, GraphStats, LabeledGraph, NodeOrdering,
-                     apply_ordering, bfs_ordering, frontier_starts,
-                     graph_statistics, shortest_paths)
-from .model import Model, ModelConfig, OrderedGraph, StepOutput
+from .graphs import (GraphError, LabeledGraph, NodeOrdering, apply_ordering,
+                     bfs_ordering, frontier_starts)
+from .model import Model, ModelConfig, OrderedGraph
 from .training import TrainConfig, load_checkpoint, save_checkpoint, teacher_forced_loss, train
 from .sampler import SeedBank, build_seed_bank, generate_graph
 from .datasets import CorpusSpec, corpus_stats, generate_corpus, read_corpus, split_corpus, write_corpus
@@ -15,10 +14,9 @@ from .evaluation import (EvalReport, evaluate_corpora, gk_mmd2, mmd_squared,
 __version__ = "0.1.0"
 
 __all__ = [
-    "GraphError", "GraphStats", "LabeledGraph", "NodeOrdering",
+    "GraphError", "LabeledGraph", "NodeOrdering",
     "apply_ordering", "bfs_ordering", "frontier_starts",
-    "graph_statistics", "shortest_paths",
-    "Model", "ModelConfig", "OrderedGraph", "StepOutput",
+    "Model", "ModelConfig", "OrderedGraph",
     "TrainConfig", "load_checkpoint", "save_checkpoint", "teacher_forced_loss", "train",
     "SeedBank", "build_seed_bank", "generate_graph",
     "CorpusSpec", "corpus_stats", "generate_corpus", "read_corpus",

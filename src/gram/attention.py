@@ -111,9 +111,6 @@ class AttentionContext:
     queries: Segments | None = None
     keys: Segments | None = None
 
-    def additive_mask(self) -> np.ndarray:
-        return np.where(self.allowed, 0.0, T.MASK_NEG)
-
     def grids(self) -> tuple:
         """dist_idx and allowed as (K, nq, nk) arrays."""
         shape = (-1,) + self.dist_idx.shape[-2:]
@@ -128,18 +125,13 @@ class AttentionContext:
         return self.keys if self.keys is not None else Segments([nk] * count)
 
 
-def context_from_distances(dist_idx: np.ndarray, max_attend: int | None = None,
+def context_from_distances(dist_idx: np.ndarray, max_attend: int,
                            rows: Segments | None = None) -> AttentionContext:
     """Self-attention context: attend where the distance bucket does not
-    exceed max_attend (everything when None).  With rows, dist_idx is the
-    (K, n, n) grid of K problems and its unused places hold a bucket above
-    max_attend."""
+    exceed max_attend.  With rows, dist_idx is the (K, n, n) grid of K
+    problems and its unused places hold a bucket above max_attend."""
     dist_idx = np.asarray(dist_idx, dtype=np.int64)
-    if max_attend is None:
-        allowed = np.ones(dist_idx.shape, dtype=bool)
-    else:
-        allowed = dist_idx <= max_attend
-    return AttentionContext(dist_idx, allowed, rows, rows)
+    return AttentionContext(dist_idx, dist_idx <= max_attend, rows, rows)
 
 
 @dataclass

@@ -257,6 +257,8 @@ def split_corpus(graphs, counts, seed: int = 0):
     sizes are exactly the given counts."""
     if len(counts) != 3:
         raise CorpusSpecError("counts must be (train, test, validation)")
+    if min(counts) < 0:
+        raise CorpusSpecError(f"split {tuple(counts)} has a negative count")
     if sum(counts) != len(graphs):
         raise CorpusSpecError(f"split {tuple(counts)} does not sum to corpus size {len(graphs)}")
     rng = np.random.default_rng(seed)
@@ -289,7 +291,7 @@ def corpus_stats(graphs, seed: int = 0, orderings_per_graph: int = 1) -> dict:
                                dtype=np.int64).reshape(-1, 3)
             alphas += np.bincount(edges[:, 1], minlength=g.n)[1:].tolist()
             betas += (np.arange(1, g.n) - frontier_starts(edges, g.n)[:-1]).tolist()
-    degs = np.concatenate([g.degrees() for g in graphs]) if graphs else np.zeros(0)
+    degs = np.concatenate([g.degrees() for g in graphs])
     return {
         "graphs": len(graphs),
         "mean_n": float(np.mean([g.n for g in graphs])),

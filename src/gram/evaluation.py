@@ -213,10 +213,6 @@ def feature_mmd2(feats_p, feats_q) -> float:
     return total
 
 
-def _featurize_all(graph_list, r_max, d_max):
-    return [nspdk_features(g, r_max, d_max) for g in graph_list]
-
-
 def gk_mmd2(set_p, set_q, r_max: int = NSPDK_RADIUS, d_max: int = NSPDK_DISTANCE,
             seed: int = 0) -> float:
     """Squared MMD under the graph kernel.  Corpora larger than
@@ -227,8 +223,8 @@ def gk_mmd2(set_p, set_q, r_max: int = NSPDK_RADIUS, d_max: int = NSPDK_DISTANCE
     if not set_p or not set_q:
         raise EvalError("MMD needs non-empty sample sets")
     if max(len(set_p), len(set_q)) <= SUBSAMPLE_LIMIT:
-        return feature_mmd2(_featurize_all(set_p, r_max, d_max),
-                            _featurize_all(set_q, r_max, d_max))
+        return feature_mmd2([nspdk_features(g, r_max, d_max) for g in set_p],
+                            [nspdk_features(g, r_max, d_max) for g in set_q])
     rng = np.random.default_rng(seed)
     draws = [(rng.choice(len(set_p), min(SUBSAMPLE_SIZE, len(set_p)), replace=False),
               rng.choice(len(set_q), min(SUBSAMPLE_SIZE, len(set_q)), replace=False))
@@ -236,7 +232,7 @@ def gk_mmd2(set_p, set_q, r_max: int = NSPDK_RADIUS, d_max: int = NSPDK_DISTANCE
 
     def featurized(graphs, picks):
         used = sorted(set(np.concatenate(picks).tolist()))
-        return dict(zip(used, _featurize_all([graphs[i] for i in used], r_max, d_max)))
+        return {i: nspdk_features(graphs[i], r_max, d_max) for i in used}
 
     feats_p = featurized(set_p, [p for p, _ in draws])
     feats_q = featurized(set_q, [q for _, q in draws])

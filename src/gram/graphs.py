@@ -1,5 +1,5 @@
-"""Core labeled-graph machinery: representation, tensor encoding, BFS
-orderings, frontier computation, shortest paths, and low-level statistics.
+"""Core labeled-graph machinery: representation, validation, JSON form,
+BFS orderings and frontier computation.
 
 Graphs are undirected, without self-loops or multi-edges.  Node labels live
 in [0, a), edge labels in [0, b).  All indexing is 0-based.
@@ -10,11 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-
 
 class GraphError(ValueError):
-    """A graph, ordering, or tensor encoding violates an invariant."""
+    """A graph or ordering violates an invariant."""
 
 
 @dataclass(frozen=True)
@@ -89,9 +87,6 @@ class LabeledGraph:
         mat[v, u] = 1
         return mat
 
-    def edge_label_map(self) -> dict:
-        return {(u, v): lab for u, v, lab in self.edges}
-
     def degrees(self) -> np.ndarray:
         ends = np.array(self.edges, dtype=np.int64).reshape(-1, 3)[:, :2].reshape(-1)
         return np.bincount(ends, minlength=self.n).astype(np.int64, copy=False)
@@ -161,12 +156,6 @@ class NodeOrdering:
         return inv
 
 
-@dataclass(frozen=True)
-class GraphStats:
-    degrees: np.ndarray
-    clustering: np.ndarray
-
-
 def apply_ordering(g: LabeledGraph, ordering: NodeOrdering) -> LabeledGraph:
     """Relabel nodes so that position i under the ordering becomes node i."""
     if len(ordering) != g.n:
@@ -217,16 +206,3 @@ def frontier_starts(edges, n: int) -> np.ndarray:
     starts = np.arange(n, dtype=np.int64)
     np.minimum.at(starts, edges[:, 1], edges[:, 0])
     return starts
-
-
-def shortest_paths(g: LabeledGraph, cap: int) -> np.ndarray:
-    """All-pairs BFS distance matrix with entries min(dist, cap + 1); the
-    value cap + 1 is the shared beyond-cap/unreachable bucket."""
-    if cap < 1:
-        raise GraphError("cap must be >= 1")
-    return kernels.capped_distances(g.adjacency_matrix(), cap)
-
-
-def graph_statistics(g: LabeledGraph) -> GraphStats:
-    """Per-node degree and local clustering coefficient."""
-    return GraphStats(g.degrees(), kernels.clustering(g.adjacency_matrix()))

@@ -52,8 +52,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.a < 1 or self.b < 1:
             raise ModelError("label alphabets must be >= 1")
-        if self.blocks < 1 or self.radius < 1 or self.seed_size < 1:
-            raise ModelError("blocks, radius, and seed_size must be >= 1")
+        sizes = ("d_model", "heads", "d_ff", "blocks", "radius", "seed_size")
+        small = [f"{name} {getattr(self, name)}" for name in sizes if getattr(self, name) < 1]
+        if small:
+            raise ModelError(f"{', '.join(small)}: must be >= 1")
         if self.d_model % self.heads != 0:
             raise ModelError(f"d_model {self.d_model} not divisible by heads {self.heads}")
         if self.variant not in VARIANTS:
@@ -90,14 +92,6 @@ class StepCounters:
     def add(self, other: "StepCounters"):
         for f in fields(self):
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-
-
-@dataclass
-class StepOutput:
-    """Distributions produced at one step under teacher forcing."""
-    node_dist: np.ndarray                 # (a + 1,), index a is the stop class
-    edge_dists: list                      # [(candidate, (b + 1,) array)], index b = no edge
-    counters: StepCounters
 
 
 @dataclass
@@ -448,15 +442,6 @@ class Model:
             key_pairs=pairs, alpha_sum=alpha,
             beta_sum=sum(s - p.frontier_lo for s, p in zip(edge_steps, batch.items)),
             dropped_edges=sum(len(og.lower[s]) for s in edge_steps) - alpha))
-
-    def teacher_forced_step(self, og: OrderedGraph, s: int) -> StepOutput:
-        """The distributions of teacher_forced(og, [s]), for inspection and tests."""
-        out = self.teacher_forced(og, [s])
-        edge_dists = []
-        if out.edge_logits is not None:
-            dists = T.softmax(out.edge_logits).data
-            edge_dists = [(int(t), dists[i]) for i, t in enumerate(out.candidates)]
-        return StepOutput(T.softmax(out.node_logits).data[0], edge_dists, out.counters)
 
 
 class EdgeStep:

@@ -24,10 +24,6 @@ class Parameter:
     def data(self) -> np.ndarray:
         return self.tensor.data
 
-    def grad_array(self) -> np.ndarray:
-        g = self.tensor.grad
-        return np.zeros_like(self.tensor.data) if g is None else g
-
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.tensor.data.shape})"
 
@@ -40,18 +36,15 @@ def glorot(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
-def global_grad_norm(params) -> float:
+def clip_global_norm(params, max_norm: float) -> float:
+    """Scale all gradients so their joint L2 norm is at most max_norm, and
+    return that norm before clipping."""
     total = 0.0
     for p in params:
         g = p.tensor.grad
         if g is not None:
             total += float((g * g).sum())
-    return float(np.sqrt(total))
-
-
-def clip_global_norm(params, max_norm: float) -> float:
-    """Scale all gradients so their joint L2 norm is at most max_norm."""
-    norm = global_grad_norm(params)
+    norm = float(np.sqrt(total))
     if norm > max_norm > 0.0:
         scale = max_norm / norm
         for p in params:

@@ -66,13 +66,6 @@ class Tensor:
     def requires_grad(self) -> bool:
         return self.node is not None
 
-    @requires_grad.setter
-    def requires_grad(self, flag: bool):
-        if not flag:
-            self.node = None
-        elif self.node is None:
-            self.node = _Node(self.data.shape)
-
     @property
     def grad(self):
         return None if self.node is None else self.node.grad
@@ -93,20 +86,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar; constants are wrapped automatically
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __sub__(self, other):
-        other = _wrap(other)
-        return add(self, mul(other, Tensor(-1.0)))
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
 
 
 def _result(data) -> Tensor:
@@ -560,64 +539,3 @@ def cross_entropy_logits(logits: Tensor, onehot) -> Tensor:
         _accum(ln, (sm - target) * g[..., None])
 
     return _record(_result(nll), (logits,), bw)
-
-
-# ---------------------------------------------------------------------------
-# gradient verification
-# ---------------------------------------------------------------------------
-
-class FiniteDifferenceReport:
-    def __init__(self):
-        self.max_rel_error = 0.0
-        self.worst = None
-        self.per_param = {}
-
-    def __repr__(self):
-        return f"FiniteDifferenceReport(max_rel_error={self.max_rel_error:.3e}, worst={self.worst})"
-
-
-def finite_difference_check(f, params, eps=1e-6, floor=1e-3, samples_per_param=None,
-                            rng=None) -> FiniteDifferenceReport:
-    """Compare analytic gradients of the scalar f() against central
-    differences over the given parameters.
-
-    Relative error uses max(|analytic|, |numeric|, floor) as denominator so
-    that coordinates whose true gradient is below the finite-difference noise
-    floor do not report spurious mismatches.  samples_per_param limits the
-    checked coordinates per tensor (all when None).
-    """
-    for p in params:
-        p.tensor.grad = None
-    with Tape() as tape:
-        loss = f()
-        tape.backward(loss)
-    report = FiniteDifferenceReport()
-    rng = rng or np.random.default_rng(0)
-    for p in params:
-        analytic = np.zeros_like(p.tensor.data) if p.tensor.grad is None else p.tensor.grad
-        flat = p.tensor.data.reshape(-1)
-        size = flat.shape[0]
-        if samples_per_param is None or samples_per_param >= size:
-            coords = np.arange(size)
-        else:
-            coords = rng.choice(size, size=samples_per_param, replace=False)
-        worst_here = 0.0
-        aflat = analytic.reshape(-1)
-        for c in coords:
-            orig = flat[c]
-            flat[c] = orig + eps
-            hi = float(f().data)
-            flat[c] = orig - eps
-            lo = float(f().data)
-            flat[c] = orig
-            numeric = (hi - lo) / (2.0 * eps)
-            denom = max(abs(aflat[c]), abs(numeric), floor)
-            rel = abs(aflat[c] - numeric) / denom
-            if rel > worst_here:
-                worst_here = rel
-            if rel > report.max_rel_error:
-                report.max_rel_error = rel
-                report.worst = (p.name, int(c))
-        report.per_param[p.name] = worst_here
-        p.tensor.grad = None
-    return report

@@ -1,5 +1,6 @@
 import os
 import signal
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from gram import tensor as T
 from gram import training
 from gram.graphs import LabeledGraph
 from gram.model import Model, ModelConfig
+from gram.tensor import Tape
 
 
 def random_connected_graph(rng, n, a=3, b=2, extra_edge_prob=0.15):
@@ -59,6 +61,82 @@ def edge_distribution_step(model, hv, hg, new_label, t, decided, restrict, dist_
     h = T.relu(T.add(T.matmul(gin, model.edge_w1), model.edge_b1))
     h = T.relu(T.add(T.matmul(h, model.edge_w2), model.edge_b2))
     return T.add(T.matmul(h, model.edge_w3), model.edge_b3)
+
+
+def teacher_forced_step(model, og, s):
+    """The distributions of model.teacher_forced(og, [s]): node_dist (a + 1,),
+    index a the stop class; edge_dists [(candidate, (b + 1,) array)], index
+    b no edge; and the step's counters."""
+    out = model.teacher_forced(og, [s])
+    edge_dists = []
+    if out.edge_logits is not None:
+        dists = T.softmax(out.edge_logits).data
+        edge_dists = [(int(t), dists[i]) for i, t in enumerate(out.candidates)]
+    return SimpleNamespace(node_dist=T.softmax(out.node_logits).data[0],
+                           edge_dists=edge_dists, counters=out.counters)
+
+
+class FiniteDifferenceReport:
+    def __init__(self):
+        self.max_rel_error = 0.0
+        self.worst = None
+        self.per_param = {}
+
+    def __repr__(self):
+        return f"FiniteDifferenceReport(max_rel_error={self.max_rel_error:.3e}, worst={self.worst})"
+
+
+def finite_difference_check(f, params, eps=1e-6, floor=1e-3, samples_per_param=None,
+                            rng=None) -> FiniteDifferenceReport:
+    """Compare analytic gradients of the scalar f() against central
+    differences over the given parameters.
+
+    Relative error uses max(|analytic|, |numeric|, floor) as denominator so
+    that coordinates whose true gradient is below the finite-difference noise
+    floor do not report spurious mismatches.  samples_per_param limits the
+    checked coordinates per tensor (all when None).
+    """
+    for p in params:
+        p.tensor.grad = None
+    with Tape() as tape:
+        loss = f()
+        tape.backward(loss)
+    report = FiniteDifferenceReport()
+    rng = rng or np.random.default_rng(0)
+    for p in params:
+        analytic = np.zeros_like(p.tensor.data) if p.tensor.grad is None else p.tensor.grad
+        flat = p.tensor.data.reshape(-1)
+        size = flat.shape[0]
+        if samples_per_param is None or samples_per_param >= size:
+            coords = np.arange(size)
+        else:
+            coords = rng.choice(size, size=samples_per_param, replace=False)
+        worst_here = 0.0
+        aflat = analytic.reshape(-1)
+        for c in coords:
+            orig = flat[c]
+            flat[c] = orig + eps
+            hi = float(f().data)
+            flat[c] = orig - eps
+            lo = float(f().data)
+            flat[c] = orig
+            numeric = (hi - lo) / (2.0 * eps)
+            denom = max(abs(aflat[c]), abs(numeric), floor)
+            rel = abs(aflat[c] - numeric) / denom
+            if rel > worst_here:
+                worst_here = rel
+            if rel > report.max_rel_error:
+                report.max_rel_error = rel
+                report.worst = (p.name, int(c))
+        report.per_param[p.name] = worst_here
+        p.tensor.grad = None
+    return report
+
+
+def gradients(params):
+    """{name: a copy of the parameter's gradient}, zeros where it has none."""
+    return {p.name: np.zeros_like(p.data) if p.tensor.grad is None else p.tensor.grad.copy()
+            for p in params}
 
 
 def set_cpus(monkeypatch, n):

@@ -19,10 +19,10 @@ from gram.datasets import CorpusSpec, corpus_stats, generate_corpus
 from gram.model import Model, ModelConfig, OrderedGraph
 from gram.optim import adam_step
 from gram.sampler import build_seed_bank, generate_graph
-from gram.tensor import Tape, Tensor, finite_difference_check
+from gram.tensor import Tape, Tensor
 from gram.training import TrainConfig, teacher_forced_loss, train
 
-from conftest import random_connected_graph, tiny_model
+from conftest import finite_difference_check, random_connected_graph, tiny_model
 from test_attention import make_attn, rand_ctx, vanilla_multi_head
 from test_tensor import PRIMITIVE_CASES
 from test_training import sequential_loss, zero_final_layers
@@ -95,8 +95,7 @@ def test_criterion_03_alpha_bound_and_reproduction():
         og = OrderedGraph(g, G.bfs_ordering(g, int(rng.integers(n)), rng), 2)
         deg = og.graph.degrees()
         for s in range(2, n):
-            step = model.teacher_forced_step(og, s)
-            if step.counters.alpha_sum > deg[s]:
+            if model.teacher_forced(og, [s]).counters.alpha_sum > deg[s]:
                 violations += 1
     # corpus-scale mean from the teacher-forced loss instrumentation
     grid = generate_corpus(CorpusSpec("grid", 12, 50, 100, seed=11))
@@ -185,7 +184,7 @@ def test_criterion_06_zero_bias_reduction():
         ctx = rand_ctx(rng, n)
         p = make_attn(trial, zero_bias=True)
         ours = A.g_multi_head(Tensor(x), Tensor(x), Tensor(x), ctx, p).data
-        ref = vanilla_multi_head(x, x, x, p, ctx.additive_mask())
+        ref = vanilla_multi_head(x, x, x, p, np.where(ctx.allowed, 0.0, T.MASK_NEG))
         worst = max(worst, np.abs(ours - ref).max())
     report(6, worst <= 1e-12, f"(worst abs diff {worst:.2e})")
 
@@ -332,7 +331,7 @@ def test_criterion_12_variant_consistency():
         g = random_connected_graph(rng, n)
         og = OrderedGraph(g, G.bfs_ordering(g, int(rng.integers(n)), rng), 2)
         s = int(rng.integers(2, n))
-        pairs = {v: models[v].teacher_forced_step(og, s).counters.key_pairs
+        pairs = {v: models[v].teacher_forced(og, [s]).counters.key_pairs
                  for v in models}
         counter_ok &= pairs["AB"] <= pairs["A"] and pairs["B"] <= pairs["plain"]
     sample_ok = True

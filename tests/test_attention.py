@@ -4,17 +4,21 @@ import pytest
 from gram import attention as A
 from gram import tensor as T
 from gram.optim import Parameter, glorot
-from gram.tensor import Tensor, finite_difference_check
+from gram.tensor import Tensor
+
+from conftest import finite_difference_check
 
 H, D_S, D = 3, 4, 12
 CAP = 2
 
 
-def make_attn(seed, d_q=D, d_k=D, d_v=D, d_o=D, zero_bias=False, scale=0.3):
+def make_attn(seed, d_q=D, d_k=D, d_v=D, d_o=D, zero_bias=False, scale=0.3,
+              requires_grad=False):
     rg = np.random.default_rng(seed)
-    mk = lambda shape: Tensor(glorot(rg, shape))
+    mk = lambda shape: Tensor(glorot(rg, shape), requires_grad=requires_grad)
     tb = lambda: Tensor(np.zeros((H, CAP + 2, D_S)) if zero_bias
-                        else rg.normal(size=(H, CAP + 2, D_S)) * scale)
+                        else rg.normal(size=(H, CAP + 2, D_S)) * scale,
+                        requires_grad=requires_grad)
     return A.GraphAttentionParams(
         wq=mk((H, D_S, d_q)), wk=mk((H, D_S, d_k)), wv=mk((H, D_S, d_v)),
         bq=tb(), bk=tb(), bv=tb(),
@@ -25,7 +29,7 @@ def rand_ctx(rng, n):
     dist = rng.integers(0, CAP + 2, size=(n, n))
     dist = np.minimum(dist, dist.T)
     np.fill_diagonal(dist, 0)
-    return A.context_from_distances(dist)
+    return A.context_from_distances(dist, CAP + 1)
 
 
 def vanilla_multi_head(q, k, v, p, addmask):
@@ -52,7 +56,7 @@ def test_zero_bias_reduces_to_vanilla(rng):
         ctx = rand_ctx(rng, n)
         p = make_attn(trial, zero_bias=True)
         ours = A.g_multi_head(Tensor(x), Tensor(x), Tensor(x), ctx, p).data
-        ref = vanilla_multi_head(x, x, x, p, ctx.additive_mask())
+        ref = vanilla_multi_head(x, x, x, p, np.where(ctx.allowed, 0.0, T.MASK_NEG))
         assert np.abs(ours - ref).max() <= 1e-12
 
 
@@ -160,13 +164,6 @@ def gathered_multi_head(q, k, v, ctx, p, on_empty="error"):
     return T.mul(out, T.const(has_key.astype(np.float64)[:, None]))
 
 
-def _attn_tensors(p):
-    named = {name: getattr(p, name) for name in ("wq", "wk", "wv", "bq", "bk", "bv", "wo")}
-    for t in named.values():
-        t.requires_grad = True
-    return named
-
-
 def _output_and_grads(fn, named, weight):
     for t in named.values():
         t.grad = None
@@ -190,7 +187,7 @@ def test_factorised_bias_matches_gathered(shape, rng):
             x = Tensor(rng.normal(size=(n, D)))
             q = k = x
             ctx = rand_ctx(rng, n)
-            p = make_attn(trial, scale=1.0)
+            p = make_attn(trial, scale=1.0, requires_grad=True)
             on_empty = "error"
         else:
             nq, nk = int(rng.integers(1, 7)), int(rng.integers(1, 9))
@@ -199,10 +196,11 @@ def test_factorised_bias_matches_gathered(shape, rng):
             allowed = rng.random((nq, nk)) < 0.5
             allowed[0] = False  # at least one empty row
             ctx = A.AttentionContext(rng.integers(0, CAP + 2, size=(nq, nk)), allowed)
-            p = make_attn(trial, d_q=2 * D, d_k=3 * D, d_v=3 * D, scale=1.0)
+            p = make_attn(trial, d_q=2 * D, d_k=3 * D, d_v=3 * D, scale=1.0,
+                          requires_grad=True)
             on_empty = "zero"
         assert all(np.abs(t.data).min() > 0 for t in (p.bq, p.bk, p.bv))
-        named = _attn_tensors(p)
+        named = {name: getattr(p, name) for name in ("wq", "wk", "wv", "bq", "bk", "bv", "wo")}
         weight = rng.normal(size=(q.data.shape[0], D))
         ours, g_ours = _output_and_grads(
             lambda: A.g_multi_head(q, k, k, ctx, p, on_empty=on_empty), named, weight)

@@ -28,6 +28,14 @@ def test_dataset_writes_corpus_and_default_split(tmp_path, capsys):
     assert '"seed": 7' in echoed  # resolved config is echoed
 
 
+def test_dataset_negative_split_is_data_error(tmp_path, capsys):
+    out = tmp_path / "grid.jsonl"
+    assert run(["dataset", "--family", "grid", "--count", "7", "--nmin", "9", "--nmax", "16",
+                "--out", str(out), "--split", "9,-1,-1"]) == 2
+    assert "split (9, -1, -1) has a negative count" in capsys.readouterr().err
+    assert not (tmp_path / "grid.train.jsonl").exists()
+
+
 def test_dataset_byte_determinism(tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     for out in (a, b):
@@ -178,7 +186,9 @@ def test_nonfinite_training_exits_with_runtime_failure(tmp_path, capsys, monkeyp
 
 @pytest.mark.parametrize("flags, train_cfg", [
     (["--lr", "nan"], {}), (["--lr", "inf"], {}),
-    ([], {"grad_clip": -1}), ([], {"grad_clip": float("nan")})])
+    ([], {"grad_clip": -1}), ([], {"grad_clip": float("nan")}),
+    (["--heads", "0"], {}), (["--dmodel", "0"], {}), (["--dmodel", "-8"], {}),
+    (["--dff", "0"], {})])
 def test_bad_optimiser_settings_are_configuration_errors(tmp_path, capsys, flags, train_cfg):
     corpus = tmp_path / "c.jsonl"
     write_corpus(corpus, [random_connected_graph(np.random.default_rng(k), 6)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from gram import datasets as D
+from gram import kernels
 from gram.datasets import (CorpusFormatError, CorpusSpec, CorpusSpecError,
                            community_graph, corpus_stats, default_split_counts,
                            generate_corpus, read_corpus, split_corpus,
                            write_corpus)
-from gram.graphs import LabeledGraph, apply_ordering, bfs_ordering, shortest_paths
+from gram.graphs import LabeledGraph, apply_ordering, bfs_ordering
 
 from conftest import random_connected_graph
 
@@ -88,7 +89,7 @@ def test_lobster_labels_match_bfs_from_backbone_oracle():
     for g in graphs:
         backbone = [v for v, lab in enumerate(g.node_labels) if lab == D.LOBSTER_BACKBONE]
         assert backbone
-        dist = shortest_paths(g, cap=3)
+        dist = kernels.capped_distances(g.adjacency_matrix(), 3)
         for v in range(g.n):
             d = min(int(dist[b, v]) for b in backbone)
             assert g.node_labels[v] == d
@@ -263,6 +264,8 @@ def test_split_ratio_mismatch(rng):
     graphs = [random_connected_graph(rng, 5) for _ in range(10)]
     with pytest.raises(CorpusSpecError, match="sum"):
         split_corpus(graphs, (5, 3, 3), seed=0)
+    with pytest.raises(CorpusSpecError, match=r"\(12, -1, -1\) has a negative count"):
+        split_corpus(graphs, (12, -1, -1), seed=0)
 
 
 def test_corpus_io_round_trip(tmp_path, rng):

@@ -185,7 +185,7 @@ def blake2b_features(g, r_max=E.NSPDK_RADIUS, d_max=E.NSPDK_DISTANCE):
     """The per-root, per-radius featurizer with keyed-digest hashes and
     sorted-tuple multisets that the array featurizer replaced."""
     dist = kernels.capped_distances(g.adjacency_matrix(), max(r_max, d_max, 1))
-    adj, elab = g.adjacency(), g.edge_label_map()
+    adj, elab = g.adjacency(), {(u, v): lab for u, v, lab in g.edges}
     hashes = np.array([[_blake2b_ball_hash(adj, g.node_labels, elab, dist[u], rr)
                         for rr in range(r_max + 1)] for u in range(g.n)], dtype=np.int64)
     counts = {}
@@ -208,7 +208,7 @@ def blake2b_features(g, r_max=E.NSPDK_RADIUS, d_max=E.NSPDK_DISTANCE):
 
 
 def blake2b_fingerprint(g):
-    adj, elab = g.adjacency(), g.edge_label_map()
+    adj, elab = g.adjacency(), {(u, v): lab for u, v, lab in g.edges}
     colors = [_blake2b(lab) for lab in g.node_labels]
     distinct = len(set(colors))
     for _ in range(max(1, g.n)):

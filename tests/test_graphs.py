@@ -4,6 +4,7 @@ import pytest
 import scipy.sparse.csgraph as csgraph
 
 from gram import graphs as G
+from gram import kernels
 from gram.graphs import GraphError, LabeledGraph, NodeOrdering
 
 from conftest import random_connected_graph
@@ -111,13 +112,13 @@ def test_frontier_starts_matches_brute_force(rng):
 
 def test_shortest_paths_path_graph():
     g = LabeledGraph.create(4, [0] * 4, [(0, 1, 0), (1, 2, 0), (2, 3, 0)], a=1, b=1)
-    d = G.shortest_paths(g, cap=10)
+    d = kernels.capped_distances(g.adjacency_matrix(), 10)
     assert d[0, 3] == 3 and d[3, 0] == 3 and d[0, 0] == 0
 
 
 def test_shortest_paths_unreachable_bucket():
     g = LabeledGraph.create(2, [0, 0], [], a=1, b=1)
-    d = G.shortest_paths(g, cap=5)
+    d = kernels.capped_distances(g.adjacency_matrix(), 5)
     assert d[0, 1] == 6 and d[1, 0] == 6
 
 
@@ -126,7 +127,7 @@ def test_shortest_paths_vs_floyd_warshall(rng):
         n = int(rng.integers(2, 25))
         g = random_connected_graph(rng, n)
         cap = int(rng.integers(1, 6))
-        d = G.shortest_paths(g, cap)
+        d = kernels.capped_distances(g.adjacency_matrix(), cap)
         assert np.array_equal(d, d.T)
         full = csgraph.floyd_warshall(g.adjacency_matrix(), unweighted=True)
         expected = np.minimum(full, cap + 1).astype(np.int64)
@@ -135,29 +136,28 @@ def test_shortest_paths_vs_floyd_warshall(rng):
 
 def test_graph_statistics_triangle_and_path():
     tri = LabeledGraph.create(3, [0] * 3, [(0, 1, 0), (0, 2, 0), (1, 2, 0)], a=1, b=1)
-    st = G.graph_statistics(tri)
-    assert list(st.degrees) == [2, 2, 2]
-    assert np.allclose(st.clustering, 1.0)
+    assert list(tri.degrees()) == [2, 2, 2]
+    assert np.allclose(kernels.clustering(tri.adjacency_matrix()), 1.0)
     path = LabeledGraph.create(3, [0] * 3, [(0, 1, 0), (1, 2, 0)], a=1, b=1)
-    assert np.allclose(G.graph_statistics(path).clustering, 0.0)
+    assert np.allclose(kernels.clustering(path.adjacency_matrix()), 0.0)
 
 
 def test_graph_statistics_vs_triangle_enumeration(rng):
     for _ in range(40):
         n = int(rng.integers(3, 20))
         g = random_connected_graph(rng, n, extra_edge_prob=0.3)
-        st = G.graph_statistics(g)
         mat = g.adjacency_matrix()
+        degrees, clustering = g.degrees(), kernels.clustering(mat)
         for v in range(n):
             nbrs = [u for u in range(n) if mat[v, u]]
             deg = len(nbrs)
-            assert st.degrees[v] == deg
+            assert degrees[v] == deg
             links = sum(1 for i in range(deg) for j in range(i + 1, deg)
                         if mat[nbrs[i], nbrs[j]])
             expect = 2 * links / (deg * (deg - 1)) if deg >= 2 else 0.0
-            assert st.clustering[v] == pytest.approx(expect, abs=1e-12)
+            assert clustering[v] == pytest.approx(expect, abs=1e-12)
         via_nx = nx.clustering(to_nx(g))
-        assert np.abs(st.clustering - [via_nx[v] for v in range(n)]).max() <= 1e-12
+        assert np.abs(clustering - [via_nx[v] for v in range(n)]).max() <= 1e-12
 
 
 def test_adjacency_and_degrees_match_edge_loops(rng):

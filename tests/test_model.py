@@ -7,9 +7,10 @@ from gram.model import (VARIANTS, EdgeStep, Model, ModelConfig, ModelError,
                         OrderedGraph, build_prefix)
 from gram.optim import Parameter
 from gram.sampler import _draw_edges, _edge_dists
-from gram.tensor import Tape, Tensor, finite_difference_check
+from gram.tensor import Tape, Tensor
 
-from conftest import edge_distribution_step, random_connected_graph, tiny_model
+from conftest import (edge_distribution_step, finite_difference_check, gradients,
+                      random_connected_graph, teacher_forced_step, tiny_model)
 from test_training import randomize_bias_tables
 
 
@@ -29,6 +30,10 @@ def test_config_validation():
         ModelConfig(a=2, b=2, d_model=10, heads=4)
     with pytest.raises(ModelError, match="variant"):
         ModelConfig(a=2, b=2, variant="C")
+    with pytest.raises(ModelError, match="heads 0"):
+        ModelConfig(a=2, b=2, heads=0)
+    with pytest.raises(ModelError, match="d_model -8, d_ff 0"):
+        ModelConfig(a=2, b=2, d_model=-8, d_ff=0)
 
 
 def per_head_init(model, init_seed):
@@ -222,7 +227,7 @@ def test_conv_split_matches_reference(rng):
                 loss = T.add(T.sum_along(T.reshape(T.mul(out_v, T.const(wv)), (s * d,)), 0),
                              T.sum_along(T.reshape(T.mul(out_e, T.const(we)), (t * d,)), 0))
                 tape.backward(loss)
-            grads = {p.name: p.grad_array().copy() for p in params}
+            grads = gradients(params)
             grads["hv"] = np.zeros((s, d)) if hv.grad is None else hv.grad
             grads["he"] = np.zeros((t, d)) if he.grad is None else he.grad
             results.append((out_v.data, out_e.data, grads))
@@ -419,7 +424,7 @@ def test_step_distributions_well_formed_1000_random_graphs(rng):
         og = OrderedGraph(g, ordering, 2)
         model = models[("plain", "A", "B", "AB")[i % 4]]
         s = int(rng.integers(2, n))
-        step = model.teacher_forced_step(og, s)
+        step = teacher_forced_step(model, og, s)
         assert np.isfinite(step.node_dist).all()
         assert step.node_dist.sum() == pytest.approx(1.0, abs=1e-9)
         for _, dist in step.edge_dists:
@@ -436,11 +441,11 @@ def test_alpha_bounded_by_degree_and_counters(rng):
         deg = og.graph.degrees()
         model = tiny_model(d_model=8, heads=2, variant="B")
         s = int(rng.integers(2, n))
-        step = model.teacher_forced_step(og, s)
-        assert step.counters.alpha_sum <= deg[s]
-        assert step.counters.dropped_edges == 0
+        counters = model.teacher_forced(og, [s]).counters
+        assert counters.alpha_sum <= deg[s]
+        assert counters.dropped_edges == 0
         lo = min([u for u, v, _ in og.graph.edges if v == s - 1], default=s - 1)
-        assert step.counters.beta_sum == s - lo
+        assert counters.beta_sum == s - lo
 
 
 def test_counter_ordering_across_variants(rng):
@@ -454,6 +459,6 @@ def test_counter_ordering_across_variants(rng):
         pairs = {}
         for variant in ("plain", "A", "B", "AB"):
             model = tiny_model(d_model=8, heads=2, variant=variant)
-            pairs[variant] = model.teacher_forced_step(og, s).counters.key_pairs
+            pairs[variant] = model.teacher_forced(og, [s]).counters.key_pairs
         assert pairs["AB"] <= pairs["A"]
         assert pairs["B"] <= pairs["plain"]

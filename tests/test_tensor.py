@@ -6,8 +6,9 @@ import pytest
 
 from gram import tensor as T
 from gram.optim import Parameter, adam_step, clip_global_norm
-from gram.tensor import (ShapeError, Tape, Tensor, finite_difference_check,
-                         MASK_NEG)
+from gram.tensor import MASK_NEG, ShapeError, Tape, Tensor
+
+from conftest import finite_difference_check
 
 
 def test_softmax_uniform():
@@ -78,7 +79,6 @@ def test_unused_parameter_gets_zero_gradient(rng):
         y = T.sum_along(T.reshape(T.mul(used.tensor, used.tensor), (4,)), 0)
         tape.backward(y)
     assert unused.tensor.grad is None
-    assert not unused.grad_array().any()
 
 
 PRIMITIVE_CASES = {}

@@ -17,8 +17,8 @@ from gram.training import (CheckpointError, CheckpointVersionError, NonFiniteErr
                            load_checkpoint, run_shard, save_checkpoint, shard_cut,
                            step_chunks, teacher_forced_loss, train)
 
-from conftest import (edge_distribution_step, fail_in_child, random_connected_graph,
-                      set_cpus, tiny_model)
+from conftest import (edge_distribution_step, fail_in_child, gradients,
+                      random_connected_graph, set_cpus, teacher_forced_step, tiny_model)
 
 
 def make_og(g, rng, radius=2):
@@ -90,15 +90,16 @@ def test_per_step_backward_matches_single_backward(variant, rng, monkeypatch):
         with Tape() as tape:
             loss, cnt = teacher_forced_loss(model, og)
             tape.backward(T.mul(loss, T.const(0.25)))
-        whole = {p.name: p.grad_array().copy() for p in params}
+        whole = gradients(params)
         for p in params:
             p.tensor.grad = None
         nlls, cnt_steps = run_shard(model, chunks_of(model, og), 0.25)
         assert sum(nlls) == pytest.approx(loss.item(), rel=1e-12)
         assert cnt_steps == cnt
+        chunked = gradients(params)
         for p in params:
             scale = max(np.abs(whole[p.name]).max(), 1e-300)
-            assert np.abs(p.grad_array() - whole[p.name]).max() <= 1e-12 * scale, p.name
+            assert np.abs(chunked[p.name] - whole[p.name]).max() <= 1e-12 * scale, p.name
 
 
 def per_step_teacher_forced(model, og, s):
@@ -133,7 +134,7 @@ def loss_and_grads(model, backward):
     for p in params:
         p.tensor.grad = None
     loss = backward()
-    return loss, {p.name: p.grad_array().copy() for p in params}
+    return loss, gradients(params)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -319,7 +320,7 @@ def test_overfit_drives_node_class_probability(rng):
     start = int(sample_rng.integers(g.n))
     og = OrderedGraph(g, G.bfs_ordering(g, start, sample_rng), 2)
     for s in range(model.config.seed_size, og.n):
-        step = model.teacher_forced_step(og, s)
+        step = teacher_forced_step(model, og, s)
         assert step.node_dist[int(og.labels[s])] > 0.9
 
 
@@ -507,6 +508,10 @@ def test_checkpoint_truncation_and_version_and_magic(tmp_path):
         (tmp_path / "ver.bin").write_bytes(bad_version)
         with pytest.raises(CheckpointVersionError, match=f"version {version}, expected 2"):
             load_checkpoint(tmp_path / "ver.bin")
+
+    (tmp_path / "heads.bin").write_bytes(blob.replace(b'"heads": 2', b'"heads": 0', 1))
+    with pytest.raises(CheckpointError, match="bad embedded config: heads 0"):
+        load_checkpoint(tmp_path / "heads.bin")
 
     (tmp_path / "magic.bin").write_bytes(b"NOTMAGIC" + blob[8:])
     with pytest.raises(CheckpointError, match="magic"):
