@@ -11,7 +11,7 @@ Trains the default model, variant B, for one untimed warm-up epoch and then
 JSON line: seconds per epoch, the final mean NLL, and the peak RSS of this
 process and of the largest child it waited for (RUSAGE_SELF,
 RUSAGE_CHILDREN).  BLAS threads follow the environment
-(OPENBLAS_NUM_THREADS).
+(OPENBLAS_NUM_THREADS); where it leaves them unset, `import gram` sets one.
 """
 from __future__ import annotations
 

@@ -1,5 +1,17 @@
 """Autoregressive labeled-graph generation with distance-biased graph
-attention, synthetic corpus generators, and graph-kernel MMD evaluation."""
+attention, synthetic corpus generators, and graph-kernel MMD evaluation.
+
+Importing gram limits BLAS to one thread per process (OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS and MKL_NUM_THREADS default to 1; a value already set is
+kept).  Training runs two processes on two cores, and a multi-threaded BLAS
+in each would oversubscribe them.  BLAS reads these variables when numpy
+loads, so they take effect only when gram is imported before numpy.
+"""
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
 
 from .graphs import (GraphError, LabeledGraph, NodeOrdering, apply_ordering,
                      bfs_ordering, frontier_starts)

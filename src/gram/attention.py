@@ -105,11 +105,19 @@ class AttentionContext:
     """Distance bucket indices and attend mask of K attention problems side
     by side, each padded to nq queries and nk keys: arrays (K, nq, nk), or
     (nq, nk) for one problem.  queries and keys place the packed query and
-    key rows in those grids (None: every place holds a row, no padding)."""
+    key rows in those grids (None: every place holds a row, no padding).
+
+    The arrays that attention derives from the context (the row layouts,
+    the additive mask and the empty query rows) are built on first use and
+    kept, so the calls that share a context (the feature blocks of a step)
+    build them once; the context's arrays must not change after that."""
     dist_idx: np.ndarray   # (K, nq, nk) or (nq, nk) int, values in [0, cap + 1]
     allowed: np.ndarray    # same shape, bool
     queries: Segments | None = None
     keys: Segments | None = None
+
+    def __post_init__(self):
+        self._derived = None
 
     def grids(self) -> tuple:
         """dist_idx and allowed as (K, nq, nk) arrays."""
@@ -117,12 +125,43 @@ class AttentionContext:
         return self.dist_idx.reshape(shape), self.allowed.reshape(shape)
 
     def query_rows(self) -> Segments:
-        count, nq, _ = self.grids()[0].shape
-        return self.queries if self.queries is not None else Segments([nq] * count)
+        return self.derived().queries
 
     def key_rows(self) -> Segments:
-        count, _, nk = self.grids()[0].shape
-        return self.keys if self.keys is not None else Segments([nk] * count)
+        return self.derived().keys
+
+    def derived(self) -> "_Derived":
+        """What attention reads of this context, built on the first call."""
+        if self._derived is None:
+            self._derived = _Derived(self)
+        return self._derived
+
+
+class _Derived:
+    """What attention reads of an AttentionContext besides its arrays.
+
+    queries, keys: the row layouts (one full run per problem when the
+    context gives none).  A query row whose mask admits no key gets a
+    placeholder key (its first), so that its softmax is well defined;
+    addmask is the additive softmax mask with the placeholders (None when
+    every pair is allowed).  empty is None when every real query row has a
+    key, and otherwise a (N_q, 1) array, 0 on the real query rows without
+    one and 1 elsewhere, in packed row order."""
+
+    def __init__(self, ctx: AttentionContext):
+        d, allowed = ctx.grids()
+        count, nq, nk = d.shape
+        self.queries = ctx.queries if ctx.queries is not None else Segments([nq] * count)
+        self.keys = ctx.keys if ctx.keys is not None else Segments([nk] * count)
+        has_key = allowed.any(axis=-1)
+        self.empty = None
+        if not has_key.all():
+            real_has_key = has_key[self.queries.real]  # in packed row order
+            if not real_has_key.all():
+                self.empty = real_has_key.astype(np.float64)[:, None]
+            allowed = allowed.copy()
+            allowed[~has_key, 0] = True
+        self.addmask = None if allowed.all() else np.where(allowed, 0.0, T.MASK_NEG)
 
 
 def context_from_distances(dist_idx: np.ndarray, max_attend: int,
@@ -202,28 +241,18 @@ def attend(qh: Tensor, kh: Tensor, vh: Tensor, q_table, k_table,
 
     Query rows whose mask admits no key raise an AttentionError unless
     on_empty="zero", in which case those output rows are exactly zero.
-    Padding rows are dropped from the output.
+    Padding rows are dropped from the output.  The masks come from ctx,
+    built on its first call (AttentionContext.derived).
     """
-    d, allowed = ctx.grids()
-    queries = ctx.query_rows()
-    has_key = allowed.any(axis=-1)
-    zero_rows = None
-    if not has_key.all():
-        real_has_key = has_key[queries.real]  # in packed row order
-        if not real_has_key.all():
-            if on_empty != "zero":
-                raise AttentionError("query row with no attendable key")
-            zero_rows = real_has_key.astype(np.float64)[:, None]
-        # give empty rows a placeholder key for a well-defined softmax; their
-        # outputs are zeroed below or dropped as padding
-        allowed = allowed.copy()
-        allowed[~has_key, 0] = True
-    addmask = None if allowed.all() else np.where(allowed, 0.0, T.MASK_NEG)
+    d = ctx.grids()[0]
+    derived = ctx.derived()
+    if derived.empty is not None and on_empty != "zero":
+        raise AttentionError("query row with no attendable key")
     scores = T.matmul(qh, T.transpose(kh))
     if p.use_bias:
         scores = T.add(T.add(scores, T.gather_last(q_table, d)),
                        T.transpose(T.gather_last(k_table, np.swapaxes(d, -1, -2))))
-    weights = T.softmax(T.mul(scores, T.const(p.scale)), additive_mask=addmask)
+    weights = T.softmax(T.mul(scores, T.const(p.scale)), additive_mask=derived.addmask)
     out = T.matmul(weights, vh)
     if p.use_bias:
         heads, buckets, d_s = p.bv.data.shape
@@ -232,9 +261,9 @@ def attend(qh: Tensor, kh: Tensor, vh: Tensor, q_table, k_table,
     # (H, K, nq, d_S) -> (N_q, H * d_S), head h in columns h * d_S ... (h + 1) * d_S - 1
     heads, count, nq, d_s = out.data.shape
     out = T.transpose(T.reshape(out, (heads, count * nq, d_s)), 0, 1)
-    out = T.matmul(queries.unpad(T.reshape(out, (count * nq, heads * d_s))), p.wo)
-    if zero_rows is not None:
-        out = T.mul(out, T.const(zero_rows))
+    out = T.matmul(derived.queries.unpad(T.reshape(out, (count * nq, heads * d_s))), p.wo)
+    if derived.empty is not None:
+        out = T.mul(out, T.const(derived.empty))
     return out
 
 

@@ -208,6 +208,20 @@ def _cmd_dataset(args, cfg_file):
                             merged["n_max"], merged["seed"], params)
     except D.CorpusSpecError as exc:
         raise DataError(str(exc)) from exc
+    counts = None
+    if not args.no_split:
+        # checked before anything is generated, so a bad split writes nothing
+        if args.split is not None:
+            try:
+                counts = tuple(int(x) for x in args.split.split(","))
+            except ValueError as exc:
+                raise UsageError(f"--split expects three integers, got {args.split!r}") from exc
+        else:
+            counts = D.default_split_counts(spec.count)
+        try:
+            D.check_split_counts(counts, spec.count)
+        except D.CorpusSpecError as exc:
+            raise DataError(str(exc)) from exc
     _echo(args, {"command": "dataset", "spec": spec.to_json_obj()})
     try:
         graphs = D.generate_corpus(spec)
@@ -216,18 +230,8 @@ def _cmd_dataset(args, cfg_file):
     out = Path(args.out)
     D.write_corpus(out, graphs)
     print(f"wrote {len(graphs)} graphs to {out}")
-    if not args.no_split:
-        if args.split is not None:
-            try:
-                counts = tuple(int(x) for x in args.split.split(","))
-            except ValueError as exc:
-                raise UsageError(f"--split expects three integers, got {args.split!r}") from exc
-        else:
-            counts = D.default_split_counts(len(graphs))
-        try:
-            parts = D.split_corpus(graphs, counts, seed=spec.seed)
-        except D.CorpusSpecError as exc:
-            raise DataError(str(exc)) from exc
+    if counts is not None:
+        parts = D.split_corpus(graphs, counts, seed=spec.seed)
         for name, part in zip(("train", "test", "val"), parts):
             path = out.with_suffix(f".{name}.jsonl") if out.suffix else Path(f"{out}.{name}.jsonl")
             D.write_corpus(path, part)

@@ -252,15 +252,21 @@ def gen_ba(spec: CorpusSpec) -> list:
 # splitting and I/O
 # ---------------------------------------------------------------------------
 
-def split_corpus(graphs, counts, seed: int = 0):
-    """Seeded shuffle, then contiguous (train, test, validation) split whose
-    sizes are exactly the given counts."""
+def check_split_counts(counts, size: int):
+    """Raise CorpusSpecError unless counts is a (train, test, validation)
+    split of a corpus of the given size."""
     if len(counts) != 3:
         raise CorpusSpecError("counts must be (train, test, validation)")
     if min(counts) < 0:
         raise CorpusSpecError(f"split {tuple(counts)} has a negative count")
-    if sum(counts) != len(graphs):
-        raise CorpusSpecError(f"split {tuple(counts)} does not sum to corpus size {len(graphs)}")
+    if sum(counts) != size:
+        raise CorpusSpecError(f"split {tuple(counts)} does not sum to corpus size {size}")
+
+
+def split_corpus(graphs, counts, seed: int = 0):
+    """Seeded shuffle, then contiguous (train, test, validation) split whose
+    sizes are exactly the given counts."""
+    check_split_counts(counts, len(graphs))
     rng = np.random.default_rng(seed)
     idx = rng.permutation(len(graphs))
     shuffled = [graphs[i] for i in idx]

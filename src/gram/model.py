@@ -320,7 +320,10 @@ class Model:
         mean of its two candidates hid wedge + bedge.  A node averages, over
         its incident edges and both directions, the candidate of the end it
         reads: hid wsrc + bsrc where it comes first, hid wdst + bdst where it
-        comes last.  Isolated nodes take a learned self-transform.
+        comes last.  Isolated nodes (degree 0) take a learned
+        self-transform, computed for those rows only.  A connected prefix
+        has none; the transform then runs on no rows, so wiso and biso
+        still get a gradient, zero, and the optimizer steps them as before.
 
         The work is split so that only gathers and scatters are per edge.
         By input part, x1 W1 = h_i W1[:d] + e W1[d:2d] + h_j W1[2d:], so the
@@ -335,11 +338,14 @@ class Model:
         rows of the whole batch.  Without update_edges (the last block,
         whose edge features nothing reads) the edge output is None."""
         batch = Prefixes.of(prefixes)
-        iso = T.relu(T.add(T.matmul(hv, conv["wiso"]), conv["biso"]))
+        degrees = batch.degrees
+        s, d = hv.data.shape
+        isolated = np.flatnonzero(degrees == 0)
+        h_iso = T.rows(hv, isolated) if len(isolated) else T.const(np.zeros((0, d)))
+        iso = T.relu(T.add(T.matmul(h_iso, conv["wiso"]), conv["biso"]))
         t = len(batch.edge_labels)
         if t == 0:
             return iso, (he if update_edges else None)
-        s, d = hv.data.shape
         ii, jj = batch.ends
         w1 = conv["w1"]
         first = T.matmul(hv, T.slice_along(w1, 0, 0, d))              # (s, 3d)
@@ -354,17 +360,15 @@ class Model:
             he_new = T.add(T.matmul(T.mul(T.sum_along(hid, 0), T.const(0.5)), conv["wedge"]),
                            conv["bedge"])
         hid = T.reshape(hid, (2 * t, 3 * d))
-        degrees = batch.degrees
         sums = T.add(T.add(T.matmul(T.scatter_rows(hid, first_end, s), conv["wsrc"]),
                            T.matmul(T.scatter_rows(hid, last_end, s), conv["wdst"])),
                      T.mul(T.const(degrees[:, None]), T.add(conv["bsrc"], conv["bdst"])))
         counts = 2.0 * degrees
         recip = np.zeros(s)
         np.divide(1.0, counts, out=recip, where=counts > 0)
+        # zero on the isolated rows, which take the self-transform instead
         agg = T.relu(T.mul(sums, T.const(recip[:, None])))
-        has_edge = (degrees > 0).astype(np.float64)[:, None]
-        hv_new = T.add(T.mul(agg, T.const(has_edge)), T.mul(iso, T.const(1.0 - has_edge)))
-        return hv_new, he_new
+        return T.add(agg, T.scatter_rows(iso, isolated, s)), he_new
 
     def extract_features(self, prefixes) -> Tensor:
         """Node feature rows of a batch of prefixes (or of one), packed in
@@ -461,14 +465,18 @@ class EdgeStep:
     and a table over all b + 2 edge codes.  These, the candidates' queries,
     the query side bias table and the constant part of the edge MLP's first
     layer, hv_j W1[:d] + hg W1[d:2d] + embed_node(label) W1[2d:3d] + b1,
-    are computed once per batch.  Queries, keys and values are kept on the
-    (H, K', width, d_S) grid that attention pads the steps to.
+    are computed once per batch, and so is the causal mask.  Queries, keys
+    and values are kept on the (H, K', width, d_S) grid that attention pads
+    the steps to.  The edge-code parts of keys and values are (b + 2,
+    H * d_S) tables, one row per code with the heads side by side, and a
+    pass gathers each candidate's row by its code.
 
     edge_logits_teacher(codes) is the one edge-logit method: it scores all
     candidates at once, and a candidate's row depends only on the codes of
     the candidates before it in its own step.  Training passes the
     ground-truth codes on the tape; the sampler runs it eagerly on drafted
-    codes (sampler.generate_graph).
+    codes, and after drawing an edge rescores only the candidates after it
+    (sampler.generate_graph).
     """
 
     def __init__(self, model: Model, hv: Tensor, hg: Tensor, new_labels, prefixes):
@@ -484,6 +492,9 @@ class EdgeStep:
         self.model = model
         self.restrict = c.variant in ("A", "AB")
         self.dist = runs.grid([p.dist_idx[lo:, lo:] for lo, p in zip(starts, items)], 0)
+        # candidate i attends over the candidates j < i of its own step
+        self.causal = np.tril(np.ones((runs.width, runs.width), dtype=bool), k=-1) \
+            & runs.real[:, :, None]
         attn = model.edge_attn
         heads, d_s = attn.heads, c.d_s
 
@@ -493,15 +504,16 @@ class EdgeStep:
         def per_step(x):  # (H, K', d_S) -> (H, K', 1, d_S), one row per step
             return T.reshape(x, (heads, runs.count, 1, d_s))
 
+        def code_table(w):  # (H, d_S, d) -> (b + 2, H * d_S), one row per edge code
+            return T.matmul(model.embed_edge, T.transpose(T.reshape(w, (heads * d_s, d))))
+
         hc = T.rows(hv, batch.nodes.offsets[runs.owner] + self.candidates)
         hvs = T.rows(model.embed_node, labels)
         wq, wk, wv = split(attn.wq, 2), split(attn.wk, 3), split(attn.wv, 3)
         self.q = T.add(A.project(hc, wq[0], runs), per_step(A.project(hvs, wq[1])))
         self.kc = T.add(A.project(hc, wk[0], runs), per_step(A.project(hvs, wk[1])))
         self.vc = T.add(A.project(hc, wv[0], runs), per_step(A.project(hvs, wv[1])))
-        codes = c.b + 2
-        self.ke = T.reshape(A.project(model.embed_edge, wk[2]), (heads, 1, codes, d_s))
-        self.ve = T.reshape(A.project(model.embed_edge, wv[2]), (heads, 1, codes, d_s))
+        self.ke, self.ve = code_table(wk[2]), code_table(wv[2])
         self.q_table = attn.query_table(self.q)
         w1 = [T.slice_along(model.edge_w1, 0, k * d, (k + 1) * d) for k in range(4)]
         step_base = T.add(T.add(T.matmul(T.slice_along(hg, 0, 0, runs.count), w1[1]),
@@ -509,31 +521,50 @@ class EdgeStep:
         self.base = T.add(T.matmul(hc, w1[0]), T.rows(step_base, runs.owner))  # (t, d)
         self.w1_hist = w1[3]
 
-    def edge_logits_teacher(self, key_codes: np.ndarray):
-        """Edge logits for all candidates at once.
+    def _by_code(self, table: Tensor, grid: np.ndarray) -> Tensor:
+        """The rows of a (b + 2, H * d_S) code table picked by a (K', width)
+        grid of codes, as an (H, K', width, d_S) grid."""
+        heads = self.model.edge_attn.heads
+        count, width = grid.shape
+        x = T.reshape(T.rows(table, grid.reshape(-1)), (count * width, heads, -1))
+        return T.reshape(T.transpose(x, 0, 1), (heads, count, width, -1))
+
+    def edge_logits_teacher(self, key_codes: np.ndarray, first: int = 0):
+        """Edge logits for all candidates at once, or, for a one-step
+        EdgeStep, for the candidates from first on.
 
         Candidate i of a step attends over the candidates j < i of the same
         step with edge code key_codes[j] (the A-policy masks keys without
         an edge).  The mask is causal, so row i depends on the codes before
         it only and equals the logits of deciding the candidates one by one.
-        Returns (logits (t, b + 1), attended key pair count).
+        With first > 0 only rows first, first + 1, ... are scored (their
+        keys are still all candidates), so a pass after a drawn edge skips
+        the rows whose codes are already drawn.  Returns (logits
+        (t - first, b + 1), attended key pair count of those rows).
         """
         m = self.model
         runs = self.runs
+        b = m.config.b
+        if first and not (runs.count == 1 and 0 < first < runs.total):
+            raise ModelError(f"first row {first} needs one step of more than {first} "
+                             f"candidates, not {runs.count} steps of {runs.total}")
         key_codes = np.asarray(key_codes, dtype=np.int64)
-        grid = np.full(runs.real.shape, m.config.b, dtype=np.int64)  # "no edge" when unused
+        grid = np.full(runs.real.shape, b, dtype=np.int64)  # "no edge" when unused
         grid[runs.real] = key_codes
-        pick = np.zeros(grid.shape + (self.ke.data.shape[-2],))
-        pick[np.arange(runs.count)[:, None], np.arange(runs.width), grid] = 1.0
-        k = T.add(self.kc, T.matmul(T.const(pick), self.ke))
-        v = T.add(self.vc, T.matmul(T.const(pick), self.ve))
-        allowed = np.tril(np.ones((runs.width, runs.width), dtype=bool), k=-1) \
-            & runs.real[:, :, None]
+        k = T.add(self.kc, self._by_code(self.ke, grid))
+        v = T.add(self.vc, self._by_code(self.ve, grid))
+        allowed = self.causal[:, first:]
         if self.restrict:
-            allowed &= (grid < m.config.b)[:, None, :]
-        ctx = A.AttentionContext(self.dist, allowed, runs, runs)
-        he_hist = A.attend(self.q, k, v, self.q_table, m.edge_attn.key_table(k), ctx,
+            allowed = allowed & (grid < b)[:, None, :]
+        q, q_table, base, queries = self.q, self.q_table, self.base, runs
+        if first:
+            q = T.slice_along(q, 2, first, runs.width)
+            q_table = q_table if q_table is None else T.slice_along(q_table, 2, first, runs.width)
+            base = T.slice_along(base, 0, first, runs.total)
+            queries = A.Segments([runs.total - first])
+        ctx = A.AttentionContext(self.dist[:, first:], allowed, queries, runs)
+        he_hist = A.attend(q, k, v, q_table, m.edge_attn.key_table(k), ctx,
                            m.edge_attn, on_empty="zero")
-        h = T.relu(T.add(self.base, T.matmul(he_hist, self.w1_hist)))
+        h = T.relu(T.add(base, T.matmul(he_hist, self.w1_hist)))
         h = T.relu(T.add(T.matmul(h, m.edge_w2), m.edge_b2))
         return T.add(T.matmul(h, m.edge_w3), m.edge_b3), int(allowed.sum())

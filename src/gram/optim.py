@@ -16,8 +16,12 @@ class Parameter:
     def __init__(self, name: str, value: np.ndarray):
         self.name = name
         self.tensor = Tensor(np.asarray(value, dtype=np.float64), requires_grad=True)
-        self.m = np.zeros_like(self.tensor.data)
-        self.v = np.zeros_like(self.tensor.data)
+        # np.zeros, unlike np.zeros_like, leaves the pages unwritten until
+        # first use, so a model that is never trained, or whose moments a
+        # checkpoint overwrites, does not fill them
+        shape = self.tensor.data.shape
+        self.m = np.zeros(shape)
+        self.v = np.zeros(shape)
         self.step = 0
 
     @property

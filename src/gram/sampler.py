@@ -62,15 +62,25 @@ class GenerationResult:
     edge_passes: int = 0  # batched edge-estimator passes (edge_logits_teacher calls)
 
 
-def _sample(rng: np.random.Generator, dist: np.ndarray, argmax: bool) -> int:
+def _cdf(dist: np.ndarray) -> np.ndarray:
+    """The normalised cumulative sums along the last axis of dist: the
+    table that rng.choice(len(p), p=p) searches, of one distribution or of
+    a stack of them, row by row the same numbers."""
+    cdf = np.cumsum(dist / dist.sum(axis=-1, keepdims=True), axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
+
+
+def _sample(rng: np.random.Generator, dist: np.ndarray, argmax: bool,
+            cdf: np.ndarray | None = None) -> int:
     """One index drawn in proportion to dist (finite, non-negative, with a
     positive sum).  This is the inverse-CDF draw that rng.choice(len(p), p=p)
     makes, without its per-call validation: the same random number and the
-    same index."""
+    same index.  cdf, when given, is _cdf(dist), computed ahead."""
     if argmax:
         return int(np.argmax(dist))
-    cdf = np.cumsum(dist / dist.sum())
-    cdf /= cdf[-1]
+    if cdf is None:
+        cdf = _cdf(dist)
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
@@ -82,10 +92,10 @@ def _finite(dist: np.ndarray, what: str, s: int) -> np.ndarray:
     return dist
 
 
-def _edge_dists(step: EdgeStep, codes: np.ndarray, s: int) -> np.ndarray:
-    """Edge distributions (t, b + 1) of every candidate of step s given the
-    codes."""
-    return _finite(T.softmax(step.edge_logits_teacher(codes)[0]).data, "edge", s)
+def _edge_dists(step: EdgeStep, codes: np.ndarray, s: int, first: int = 0) -> np.ndarray:
+    """Edge distributions (t - first, b + 1) of step s's candidates from
+    first on, given the codes."""
+    return _finite(T.softmax(step.edge_logits_teacher(codes, first)[0]).data, "edge", s)
 
 
 def _draw_edges(step: EdgeStep, draft: np.ndarray, rng: np.random.Generator,
@@ -94,19 +104,21 @@ def _draw_edges(step: EdgeStep, draft: np.ndarray, rng: np.random.Generator,
 
     draft holds the step's distributions when no candidate gets an edge.
     Row i of a batched pass depends only on the codes before i, so the
-    draft stays exact until a candidate draws an edge; the rows after it
-    are then recomputed from the codes drawn so far, the rest still "no
-    edge".  Returns (codes, the distribution each code was drawn from,
-    the number of passes run).
+    draft stays exact until a candidate draws an edge; a pass then scores
+    only the candidates after it (edge_logits_teacher's first row), from
+    the codes drawn so far, the rest still "no edge".  Returns (codes, the
+    distribution each code was drawn from, the number of passes run).
     """
     t, b = len(draft), step.model.config.b
     codes = np.full(t, b, dtype=np.int64)
     dists = draft.copy()
+    cdfs = _cdf(dists)  # one stacked call per pass, not one per draw
     passes = 0
     for i in range(t):
-        codes[i] = _sample(rng, dists[i], argmax)
+        codes[i] = _sample(rng, dists[i], argmax, cdfs[i])
         if codes[i] < b and i + 1 < t:
-            dists[i + 1:] = _edge_dists(step, codes, s)[i + 1:]
+            dists[i + 1:] = _edge_dists(step, codes, s, i + 1)
+            cdfs[i + 1:] = _cdf(dists[i + 1:])
             passes += 1
     return codes, dists, passes
 
@@ -126,9 +138,11 @@ def generate_graph(model: Model, bank: SeedBank, max_nodes: int,
     estimator (EdgeStep.edge_logits_teacher) scores every candidate under
     the draft "no candidate gets an edge"; the decisions are then drawn in
     order from its rows, and a pass is run again only after a drawn edge
-    (_draw_edges).  The mask is causal, so every row is exact when drawn,
-    and with one draw per candidate in the same order the graph is the one
-    that deciding each candidate on its own would sample.  An attempt that
+    (_draw_edges).  The mask is causal, so a row depends on the codes
+    before it alone: every row is exact when drawn, and the pass after an
+    edge drawn at candidate i scores only the candidates after i.  With
+    one draw per candidate in the same order, the graph is the one that
+    deciding each candidate on its own would sample.  An attempt that
     draws no edge leaves the draft untouched for the next.  The result
     counts the resampled attempts, the forced attachments and the passes.
     """

@@ -341,12 +341,16 @@ def softmax(a: Tensor, additive_mask=None) -> Tensor:
 
     additive_mask, if given, is a constant array added to the scores first
     (0 for allowed entries, MASK_NEG for disallowed ones); fully suppressed
-    entries come out exactly 0 in float64.
+    entries come out exactly 0 in float64.  The shift by the row maximum,
+    the exponentials and the division run in place in one new array.
     """
-    z = a.data if additive_mask is None else a.data + additive_mask
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+    if additive_mask is None:
+        y = a.data - a.data.max(axis=-1, keepdims=True)
+    else:
+        y = a.data + additive_mask
+        y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
     an = a.node
 
     def bw(g):

@@ -2,6 +2,7 @@ import os
 import signal
 from types import SimpleNamespace
 
+import gram  # noqa: F401 - before numpy, so that its one-thread BLAS default holds
 import numpy as np
 import pytest
 

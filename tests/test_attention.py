@@ -100,6 +100,28 @@ def test_all_masked_row_is_contract_violation(rng):
     assert not out[1].any() and out[0].any()
 
 
+def test_reused_context_keeps_the_empty_row_contract(rng):
+    """A context builds its masks once; every later call over it still
+    raises on, or zeroes, the empty query row, whichever comes first, and
+    gives the same output as a fresh context."""
+    p = make_attn(1)
+    q = Tensor(rng.normal(size=(3, D)))
+    dist = rng.integers(0, CAP + 2, size=(3, 3))
+    allowed = np.array([[True, False, True], [False, False, False], [True, True, False]])
+    fresh = lambda: A.AttentionContext(dist, allowed)
+    for first in ("zero", "error"):
+        ctx = fresh()
+        for on_empty in (first, "error", "zero", "zero", "error"):
+            if on_empty == "error":
+                with pytest.raises(A.AttentionError, match="no attendable key"):
+                    A.g_multi_head(q, q, q, ctx, p)
+            else:
+                out = A.g_multi_head(q, q, q, ctx, p, on_empty="zero").data
+                assert not out[1].any() and out[0].any() and out[2].any()
+                assert np.array_equal(
+                    out, A.g_multi_head(q, q, q, fresh(), p, on_empty="zero").data)
+
+
 def test_mismatched_rows_rejected(rng):
     p = make_attn(2)
     q = Tensor(rng.normal(size=(3, D)))

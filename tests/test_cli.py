@@ -32,8 +32,11 @@ def test_dataset_negative_split_is_data_error(tmp_path, capsys):
     out = tmp_path / "grid.jsonl"
     assert run(["dataset", "--family", "grid", "--count", "7", "--nmin", "9", "--nmax", "16",
                 "--out", str(out), "--split", "9,-1,-1"]) == 2
-    assert "split (9, -1, -1) has a negative count" in capsys.readouterr().err
-    assert not (tmp_path / "grid.train.jsonl").exists()
+    captured = capsys.readouterr()
+    assert "split (9, -1, -1) has a negative count" in captured.err
+    # the split is checked before the corpus is generated: nothing is written
+    assert "wrote" not in captured.out
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_dataset_byte_determinism(tmp_path):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from gram import attention as A
 from gram import graphs as G
 from gram import tensor as T
 from gram.model import (VARIANTS, EdgeStep, Model, ModelConfig, ModelError,
-                        OrderedGraph, build_prefix)
+                        OrderedGraph, Prefixes, build_prefix)
 from gram.optim import Parameter
 from gram.sampler import _draw_edges, _edge_dists
 from gram.tensor import Tape, Tensor
@@ -200,8 +201,10 @@ def reference_graph_convolution(hv, he, prefix, conv):
 def test_conv_split_matches_reference(rng):
     """The split convolution equals the reference one in its outputs and in
     the gradients of every conv parameter and both inputs, to 1e-12
-    relative, with random non-zero biases, on prefixes with an isolated
-    node and with no edge at all."""
+    relative, with random non-zero biases, on a connected prefix, on
+    prefixes with an isolated node, with no edge at all and of one node
+    (seed size 1).  The self-transform runs on the isolated rows only, and
+    on a connected prefix wiso and biso get an exactly zero gradient."""
     model = tiny_model(d_model=8, heads=2)
     conv = model.blocks[0][0]
     for name, p in model.params.items():
@@ -210,7 +213,8 @@ def test_conv_split_matches_reference(rng):
     g = random_connected_graph(rng, 7, extra_edge_prob=0.4)
     cases = [build_prefix(g.node_labels, g.edges, 2),
              build_prefix(list(g.node_labels) + [0], g.edges, 2),  # node 7 isolated
-             build_prefix(g.node_labels[:3], [], 2)]
+             build_prefix(g.node_labels[:3], [], 2),
+             build_prefix(g.node_labels[:1], [], 2)]
     params = [p for name, p in model.params.items() if name.startswith("block0.conv.")]
     for prefix in cases:
         s, t, d = prefix.n, len(prefix.edge_array), 8
@@ -230,14 +234,43 @@ def test_conv_split_matches_reference(rng):
             grads = gradients(params)
             grads["hv"] = np.zeros((s, d)) if hv.grad is None else hv.grad
             grads["he"] = np.zeros((t, d)) if he.grad is None else he.grad
-            results.append((out_v.data, out_e.data, grads))
-        (v_new, e_new, g_new), (v_ref, e_ref, g_ref) = results
+            missing = {p.name for p in params if p.tensor.grad is None}
+            results.append((out_v.data, out_e.data, grads, missing))
+        (v_new, e_new, g_new, missing), (v_ref, e_ref, g_ref, _) = results
         assert np.abs(v_new - v_ref).max() <= 1e-12 * np.abs(v_ref).max()
         assert np.abs(e_new - e_ref).max(initial=0.0) <= 1e-12 * np.abs(e_ref).max(initial=1.0)
         assert any(np.abs(gr).max() > 0 for gr in g_ref.values())
         for key, ref in g_ref.items():
             scale = max(np.abs(ref).max(initial=0.0), 1e-300)
             assert np.abs(g_new[key] - ref).max(initial=0.0) <= 1e-12 * scale, key
+        if prefix.degrees.min() > 0:  # a zero gradient, not none: Adam still steps
+            for name in ("block0.conv.wiso", "block0.conv.biso"):
+                assert name not in missing and not g_new[name].any(), name
+
+
+def test_conv_batch_matches_per_prefix_reference(rng):
+    """On a packed batch of training-step prefixes, the first of one node,
+    the conv's rows are the reference conv's of each prefix in turn."""
+    model = tiny_model(d_model=8, heads=2)
+    conv = model.blocks[0][0]
+    for name, p in model.params.items():
+        if ".conv.b" in name:
+            p.tensor.data[:] = rng.normal(size=p.tensor.data.shape)
+    g = random_connected_graph(rng, 8, extra_edge_prob=0.3)
+    og = OrderedGraph(g, G.bfs_ordering(g, 0, rng), 2)
+    items = [og.prefix(s) for s in (1, 2, 5, 8)]
+    batch = Prefixes(items)
+    x = rng.normal(size=(batch.nodes.total, 8))
+    e = rng.normal(size=(len(batch.edge_labels), 8))
+    out_v, out_e = model.graph_convolution(Tensor(x), Tensor(e), batch, conv)
+    rows, edges = batch.nodes.offsets, np.cumsum([0] + [len(p.edge_array) for p in items])
+    for k, prefix in enumerate(items):
+        ref_v, ref_e = reference_graph_convolution(
+            Tensor(x[rows[k]:rows[k + 1]]), Tensor(e[edges[k]:edges[k + 1]]), prefix, conv)
+        assert np.abs(out_v.data[rows[k]:rows[k + 1]] - ref_v.data).max() \
+            <= 1e-12 * np.abs(ref_v.data).max()
+        assert np.abs(out_e.data[edges[k]:edges[k + 1]] - ref_e.data).max(initial=0.0) \
+            <= 1e-12 * np.abs(ref_e.data).max(initial=1.0)
 
 
 def test_extract_features_zeroed_branches_reduce_to_projection(rng):
@@ -410,6 +443,79 @@ def test_edge_step_matches_per_candidate_oracle(variant, rng):
                 assert np.abs(dists[i] - oracle(i, codes[:i])).max() <= 1e-12
             teacher = T.softmax(step.edge_logits_teacher(codes)[0]).data
             assert np.abs(teacher - dists).max() <= 1e-12
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_edge_logits_from_first_row_match_full_pass(variant, rng):
+    """edge_logits_teacher(codes, first) gives rows first, first + 1, ...
+    of the full pass to 1e-12 (not bit for bit: its products run on fewer
+    rows) and counts the key pairs of those rows, for every first of every
+    step with two or more candidates, with random bias tables and edge MLP
+    weights, and codes that include edges."""
+    model = tiny_model(variant=variant)
+    randomize_bias_tables(model, rng)
+    randomize_edge_estimator(model, rng)
+    b = model.config.b
+    g = random_connected_graph(rng, 12, extra_edge_prob=0.3)
+    og = OrderedGraph(g, G.bfs_ordering(g, 0, rng), 2)
+    checked = 0
+    for s in range(2, g.n):
+        prefix = og.prefix(s)
+        hv = model.extract_features(prefix)
+        step = EdgeStep(model, hv, model.graph_pool(hv), int(og.labels[s]), prefix)
+        t = len(step.candidates)
+        codes = rng.integers(0, b + 1, size=t)
+        codes[rng.integers(t)] = 0  # at least one edge
+        full, pairs = step.edge_logits_teacher(codes)
+        keys = np.tril(np.ones((t, t), dtype=bool), k=-1)
+        if step.restrict:
+            keys &= (codes < b)[None, :]
+        assert pairs == keys.sum()
+        for first in range(1, t):
+            part, pairs = step.edge_logits_teacher(codes, first)
+            assert part.data.shape == (t - first, b + 1)
+            assert np.abs(part.data - full.data[first:]).max() <= 1e-12
+            assert pairs == keys[first:].sum()
+            checked += 1
+        for bad in (-1, t):
+            with pytest.raises(ModelError, match="first row"):
+                step.edge_logits_teacher(codes, bad)
+    assert checked >= 10
+
+
+def test_edge_logits_first_row_needs_one_step(rng):
+    model = tiny_model()
+    og = identity_ordered(random_connected_graph(rng, 6))
+    batch = Prefixes([og.prefix(4), og.prefix(5)])
+    hv = model.extract_features(batch)
+    step = EdgeStep(model, hv, model.graph_pool(hv, batch.nodes), og.labels[4:6], batch)
+    b = model.config.b
+    with pytest.raises(ModelError, match="first row 1 needs one step"):
+        step.edge_logits_teacher(np.full(len(step.candidates), b), 1)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_code_gathered_keys_equal_one_hot_product(variant, rng):
+    """The key and value rows that a pass picks by edge code from the
+    (b + 2, H * d_S) code tables equal, bit for bit, the one-hot product
+    with the per-head code projections, on a padded batch of steps."""
+    model = tiny_model(variant=variant, b=3)
+    randomize_bias_tables(model, rng)
+    g = random_connected_graph(rng, 9, b=3, extra_edge_prob=0.3)
+    og = OrderedGraph(g, G.bfs_ordering(g, 0, rng), 2)
+    batch = Prefixes([og.prefix(s) for s in (3, 6, 8)])
+    hv = model.extract_features(batch)
+    step = EdgeStep(model, hv, model.graph_pool(hv, batch.nodes), og.labels[[3, 6, 8]], batch)
+    c, attn = model.config, model.edge_attn
+    heads, d, runs = attn.heads, c.d_model, step.runs
+    grid = np.full(runs.real.shape, c.b, dtype=np.int64)
+    grid[runs.real] = rng.integers(0, c.b + 1, size=runs.total)
+    pick = np.zeros(grid.shape + (c.b + 2,))
+    pick[np.arange(runs.count)[:, None], np.arange(runs.width), grid] = 1.0
+    for table, w in ((step.ke, attn.wk), (step.ve, attn.wv)):
+        per_head = A.project(model.embed_edge, T.slice_along(w, -1, 2 * d, 3 * d))
+        one_hot = pick @ per_head.data.reshape(heads, 1, c.b + 2, c.d_s)
+        assert np.array_equal(step._by_code(table, grid).data, one_hot)
 
 
 def test_step_distributions_well_formed_1000_random_graphs(rng):

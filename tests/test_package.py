@@ -1,4 +1,9 @@
 import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,3 +40,28 @@ def test_test_only_setter_default_and_import_are_gone():
     assert tensor.Tensor.requires_grad.fset is None
     max_attend = inspect.signature(attention.context_from_distances).parameters["max_attend"]
     assert max_attend.default is inspect.Parameter.empty
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def blas_settings_after_import(**env_vars) -> dict:
+    """The BLAS thread variables that a fresh interpreter sees after
+    `import gram`, started with env_vars set and the others unset."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(env_vars)
+    env["PYTHONPATH"] = str(Path(gram.__file__).resolve().parent.parent)
+    code = ("import json, os, gram, numpy; "
+            f"print(json.dumps({{v: os.environ.get(v) for v in {BLAS_VARS!r}}}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    return json.loads(out.stdout)
+
+
+def test_import_limits_blas_to_one_thread_when_unset():
+    assert blas_settings_after_import() == {var: "1" for var in BLAS_VARS}
+
+
+def test_import_keeps_user_blas_settings():
+    got = blas_settings_after_import(OPENBLAS_NUM_THREADS="2", MKL_NUM_THREADS="4")
+    assert got == {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "4"}

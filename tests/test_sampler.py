@@ -7,7 +7,7 @@ from gram import graphs as G
 from gram import tensor as T
 from gram.datasets import CorpusSpec, generate_corpus
 from gram.model import build_prefix
-from gram.sampler import (GenerationResult, SamplerError, _sample, build_seed_bank,
+from gram.sampler import (GenerationResult, SamplerError, _cdf, _sample, build_seed_bank,
                           generate_graph)
 
 from conftest import edge_distribution_step, random_connected_graph, tiny_model
@@ -113,6 +113,18 @@ def test_sample_draws_as_rng_choice(rng):
         p = dist / dist.sum()
         assert _sample(ours, dist, False) == int(theirs.choice(len(p), p=p))
     assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_stacked_cdf_rows_equal_single_row_cdfs(rng):
+    """_draw_edges computes the draw tables of a pass's rows in one stacked
+    _cdf call; row for row they are the numbers of a one-row call, bit for
+    bit, over widths that cover numpy's pairwise summation blocks."""
+    for width in (1, 2, 3, 5, 8, 9, 17, 40):
+        for rows in (1, 2, 7, 60):
+            dists = rng.random((rows, width)) ** 3 * 10.0 ** rng.integers(-4, 4, size=(rows, 1))
+            stacked = _cdf(dists[rng.integers(rows):])  # views that start mid-array too
+            for row, cdf in zip(dists[rows - len(stacked):], stacked):
+                assert np.array_equal(cdf, _cdf(row))
 
 
 @pytest.mark.parametrize("head", ["node", "edge"])
