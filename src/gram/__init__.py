@@ -5,11 +5,20 @@ Importing gram limits BLAS to one thread per process (OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS and MKL_NUM_THREADS default to 1; a value already set is
 kept).  Training runs two processes on two cores, and a multi-threaded BLAS
 in each would oversubscribe them.  BLAS reads these variables when numpy
-loads, so they take effect only when gram is imported before numpy.
+loads, so they take effect only when gram is imported before numpy; a
+RuntimeWarning says so when numpy came first and none of them is set.
 """
 import os
+import sys
+import warnings
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" in sys.modules and not any(var in os.environ for var in _BLAS_VARS):
+    warnings.warn("numpy was imported before gram and none of " + ", ".join(_BLAS_VARS)
+                  + " is set, so BLAS may run several threads in each of training's two "
+                  "processes and oversubscribe the cores; import gram before numpy, or "
+                  "set OPENBLAS_NUM_THREADS=1", RuntimeWarning)
+for _var in _BLAS_VARS:
     os.environ.setdefault(_var, "1")
 del _var
 

@@ -335,6 +335,7 @@ def _cmd_eval(args, cfg_file):
     for key in EVAL_TABLE_ORDER:
         val = getattr(report, key)
         print(f"{key:>16}: " + ("-" if val is None else f"{val:.6f}"))
+    print("timing: " + json.dumps({k: round(s, 6) for k, s in report.timing.items()}))
     if args.out:
         Path(args.out).write_text(json.dumps(report.to_json_obj(), sort_keys=True) + "\n")
         print(f"report json: {args.out}")

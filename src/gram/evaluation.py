@@ -17,7 +17,9 @@ featurizes each graph once and computes that, with no kernel pair.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import time
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -46,9 +48,12 @@ def _mix(x) -> np.ndarray:
     """splitmix64 of each element as a uint64 array; the products wrap.  At
     least one-dimensional, because numpy scalar products warn on overflow."""
     z = np.atleast_1d(np.asarray(x, dtype=np.uint64)) + _GOLDEN
-    z = (z ^ (z >> np.uint64(30))) * _MUL1
-    z = (z ^ (z >> np.uint64(27))) * _MUL2
-    return z ^ (z >> np.uint64(31))
+    z ^= z >> np.uint64(30)
+    z *= _MUL1
+    z ^= z >> np.uint64(27)
+    z *= _MUL2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _mix2(a, b) -> np.ndarray:
@@ -87,26 +92,35 @@ class FeatureMap:
     cells: dict  # (r', d') -> (sorted int64 keys, float64 counts, self dot)
 
 
-def _root_hashes(dist, node_labels, edges, rr) -> np.ndarray:
-    """Hash of every node's radius-rr neighborhood, all roots at once, by
-    label refinement inside each ball.  Members are the (root, node) pairs
-    within rr; a member's initial color carries its distance from the root,
-    so the root is distinguished, and each round mixes a color with the
-    multiset of (edge label, neighbor color) over the edges inside the ball."""
-    src, dst, elab = edges
-    inside = dist <= rr
-    root, node = np.nonzero(inside)  # grouped by root; every root is its own member
-    member = np.zeros(dist.shape, dtype=np.int64)
-    member[root, node] = np.arange(len(root))
-    ball, e = np.nonzero(inside[:, src] & inside[:, dst])
-    at, nbr, elab = member[ball, src[e]], member[ball, dst[e]], elab[e]
-    color = _mix2(dist[root, node], node_labels[node])
+def _root_hashes(dist, node_labels, edges, r_max) -> np.ndarray:
+    """Hash of every node's neighborhood at every radius r' <= r_max, as an
+    (r_max + 1, n) array, by label refinement inside each ball; the balls of
+    all radii and roots are refined together.  Members are the (r', root,
+    node) triples with node within r' of root, laid out radius-major; a
+    member's initial color carries its distance from the root, so the root
+    is distinguished, and each round mixes a color with the multiset of
+    (edge label, neighbor color) over the edges inside the ball, those whose
+    farther end lies within r'.  `edges` holds each edge once as a row
+    (source, target, label)."""
+    n = len(dist)
+    radii = np.arange(r_max + 1, dtype=dist.dtype)
+    flat = np.flatnonzero(dist <= radii[:, None, None])  # (r' * n + root) * n + node
+    member = np.empty(len(radii) * n * n, dtype=np.int32)
+    member[flat] = np.arange(len(flat), dtype=np.int32)
+    src, dst, elab = edges.T
+    reach = np.maximum(dist[:, src], dist[:, dst])  # (root, edge)
+    ball, e = np.divmod(np.flatnonzero(reach <= radii[:, None, None]), len(edges))
+    a, b = member[ball * n + src[e]], member[ball * n + dst[e]]
+    at, nbr = np.concatenate([a, b]), np.concatenate([b, a])
+    elab = np.tile(_mix(elab)[e], 2)  # _mix2(label, c) == _mix(_mix(label) ^ c)
+    pos = flat % (n * n)  # root * n + node
+    color = _mix2(dist.ravel()[pos], node_labels[pos % n])
     for _ in range(REFINEMENTS):
         ring = np.zeros(len(color), dtype=np.uint64)
-        np.add.at(ring, at, _mix2(elab, color[nbr]))
+        np.add.at(ring, at, _mix(elab ^ color[nbr]))
         color = _mix2(color, ring)
-    starts = np.searchsorted(root, np.arange(len(dist)))
-    return _mix2(rr, np.add.reduceat(color, starts))
+    starts = np.searchsorted(flat, np.arange(len(radii) * n) * n)  # each root is a member
+    return _mix2(np.repeat(radii, n), np.add.reduceat(color, starts)).reshape(len(radii), n)
 
 
 def nspdk_features(g: LabeledGraph, r_max: int = NSPDK_RADIUS,
@@ -118,22 +132,34 @@ def nspdk_features(g: LabeledGraph, r_max: int = NSPDK_RADIUS,
         raise EvalError("radius and distance bounds must be >= 0")
     if g.n == 0:
         return FeatureMap(r_max, d_max, {})
-    dist = kernels.capped_distances(g.adjacency_matrix(), max(r_max, d_max, 1))
-    node_labels = np.array(g.node_labels, dtype=np.uint64)
-    edges = _directed_edges(g)
-    u, v = np.nonzero(np.triu(dist <= d_max))
-    at_distance = [dist[u, v] == d for d in range(d_max + 1)]
-    cells = {}
-    for rr in range(r_max + 1):
-        hashes = _root_hashes(dist, node_labels, edges, rr)
-        hu, hv = hashes[u], hashes[v]
-        keys = _mix2(np.minimum(hu, hv), np.maximum(hu, hv)).view(np.int64)
-        for d, mask in enumerate(at_distance):
-            if not mask.any():
-                continue
-            uniq, counts = _unique_counts(keys[mask])
-            vals = counts.astype(np.float64)
-            cells[(rr, d)] = (uniq, vals, float((vals * vals).sum()))
+    n, cap = g.n, max(r_max, d_max, 1)
+    dist = kernels.capped_distances(g.adjacency_matrix(), cap).astype(
+        np.min_scalar_type(cap + 1))
+    hashes = _root_hashes(dist, np.array(g.node_labels, dtype=np.uint64),
+                          np.array(g.edges, dtype=np.int64).reshape(-1, 3), r_max)
+    # the pairs u <= v within d_max, grouped by their distance
+    upper = np.arange(n)[:, None] <= np.arange(n)
+    at_d = dist == np.arange(d_max + 1, dtype=dist.dtype)[:, None, None]
+    d, pair = np.divmod(np.flatnonzero(at_d & upper), n * n)
+    u, v = np.divmod(pair, n)
+    hu, hv = hashes[:, u], hashes[:, v]
+    keys = _mix2(np.minimum(hu, hv), np.maximum(hu, hv)).view(np.int64)
+    # sort within each cell (r', d'): one call per distance sorts every radius
+    bounds = np.searchsorted(d, np.arange(d_max + 2))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        keys[:, lo:hi].sort(axis=1)
+    keys = keys.ravel()
+    cell = (np.arange(r_max + 1)[:, None] * (d_max + 1) + d).ravel()
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (keys[1:] != keys[:-1]) | (cell[1:] != cell[:-1])
+    first = np.flatnonzero(new)
+    counts = np.diff(np.append(first, len(keys))).astype(np.float64)
+    keys, cell = keys[first], cell[first]
+    lo = np.flatnonzero(np.diff(cell, prepend=-1))
+    hi = np.append(lo[1:], len(cell))
+    dots = np.add.reduceat(counts * counts, lo)
+    cells = {divmod(c, d_max + 1): (keys[s:t], counts[s:t], dot)
+             for c, s, t, dot in zip(cell[lo].tolist(), lo.tolist(), hi.tolist(), dots.tolist())}
     return FeatureMap(r_max, d_max, cells)
 
 
@@ -348,6 +374,9 @@ class EvalReport:
     novel_ratio: Optional[float]
     n_generated: int
     n_reference: int
+    # seconds per metric: gk, degree, clustering, orbit, uniqueness_novelty.
+    # Outside FIELDS and equality, so reports of one seed stay identical.
+    timing: dict = field(default_factory=dict, compare=False)
 
     FIELDS = ("gk_mmd2", "degree_mmd2", "clustering_mmd2", "orbit_mmd2",
               "unique_ratio", "novel_ratio", "n_generated", "n_reference")
@@ -368,16 +397,27 @@ class EvalReport:
 
 def evaluate_corpora(generated, reference, train_set=None, seed: int = 0) -> EvalReport:
     """Full evaluation of a generated corpus against a reference corpus;
-    novelty needs the training corpus and is omitted without it."""
+    novelty needs the training corpus and is omitted without it.  The
+    report's `timing` holds the seconds each metric took."""
     if not generated or not reference:
         raise EvalError("corpora must be non-empty")
-    gk = float(gk_mmd2(generated, reference, seed=seed))
-    deg = float(statistic_mmd(generated, reference, "degree"))
-    clus = float(statistic_mmd(generated, reference, "clustering"))
-    orb = float(statistic_mmd(generated, reference, "orbit"))
-    if train_set is not None:
-        unique, novel = uniqueness_novelty(generated, train_set)
-    else:
-        unique, _ = uniqueness_novelty(generated, [])
+    timing = {}
+
+    @contextmanager
+    def timed(name):
+        start = time.perf_counter()
+        yield
+        timing[name] = time.perf_counter() - start
+
+    with timed("gk"):
+        gk = float(gk_mmd2(generated, reference, seed=seed))
+    stats = {}
+    for stat in STATISTICS:
+        with timed(stat):
+            stats[stat] = float(statistic_mmd(generated, reference, stat))
+    with timed("uniqueness_novelty"):
+        unique, novel = uniqueness_novelty(generated, train_set or [])
+    if train_set is None:
         novel = None
-    return EvalReport(gk, deg, clus, orb, unique, novel, len(generated), len(reference))
+    return EvalReport(gk, stats["degree"], stats["clustering"], stats["orbit"], unique,
+                      novel, len(generated), len(reference), timing)

@@ -443,7 +443,9 @@ CHECKPOINT_VERSION = 2
 def save_checkpoint(path, model: Model, epoch: int, rng=None):
     """Write a checkpoint atomically: the bytes go to a temporary file in the
     same directory, which then replaces path.  A failure part-way leaves
-    any previous file at path untouched and removes the temporary file."""
+    any previous file at path untouched and removes the temporary file.
+    The file is synced before the rename and its directory after it, so a
+    crash once this returns keeps the new checkpoint."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -455,6 +457,11 @@ def save_checkpoint(path, model: Model, epoch: int, rng=None):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _write_checkpoint(f, model: Model, epoch: int, rng):

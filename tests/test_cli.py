@@ -92,6 +92,25 @@ def test_eval_identical_corpora_zero(tmp_path, capsys):
     assert lines[0].startswith("gk_mmd2,") and len(lines) == 2
 
 
+def test_eval_prints_timing_and_keeps_reports_identical(tmp_path, capsys):
+    corpus = tmp_path / "c.jsonl"
+    run(["dataset", "--family", "grid", "--count", "6", "--nmin", "9", "--nmax",
+         "16", "--seed", "2", "--out", str(corpus), "--no-split"])
+    capsys.readouterr()
+    for i in (1, 2):
+        assert run(["eval", "--generated", str(corpus), "--reference", str(corpus),
+                    "--out", str(tmp_path / f"rep{i}.json"),
+                    "--csv", str(tmp_path / f"rep{i}.csv")]) == 0
+        timing = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("timing: ")]
+        assert len(timing) == 1
+        seconds = json.loads(timing[0][len("timing: "):])
+        assert len(seconds) == 5 and all(s >= 0.0 for s in seconds.values())
+    assert (tmp_path / "rep1.json").read_bytes() == (tmp_path / "rep2.json").read_bytes()
+    assert (tmp_path / "rep1.csv").read_bytes() == (tmp_path / "rep2.csv").read_bytes()
+    assert "timing" not in (tmp_path / "rep1.json").read_text()
+
+
 def test_stats_reports_frontier_columns(tmp_path, capsys):
     corpus = tmp_path / "c.jsonl"
     run(["dataset", "--family", "lobster", "--count", "15", "--nmin", "30",

@@ -271,6 +271,104 @@ def test_feature_keys_are_pinned():
     assert E.graph_fingerprint(g) == 5872166033545908019
 
 
+# -- the all-radii pass vs the per-radius featurizer it replaced ----------------------
+
+def _per_radius_root_hashes(dist, node_labels, edges, rr):
+    """Hash of every node's radius-rr neighborhood, one radius per call."""
+    src, dst, elab = edges
+    inside = dist <= rr
+    root, node = np.nonzero(inside)
+    member = np.zeros(dist.shape, dtype=np.int64)
+    member[root, node] = np.arange(len(root))
+    ball, e = np.nonzero(inside[:, src] & inside[:, dst])
+    at, nbr, elab = member[ball, src[e]], member[ball, dst[e]], elab[e]
+    color = E._mix2(dist[root, node], node_labels[node])
+    for _ in range(E.REFINEMENTS):
+        ring = np.zeros(len(color), dtype=np.uint64)
+        np.add.at(ring, at, E._mix2(elab, color[nbr]))
+        color = E._mix2(color, ring)
+    starts = np.searchsorted(root, np.arange(len(dist)))
+    return E._mix2(rr, np.add.reduceat(color, starts))
+
+
+def per_radius_features(g, r_max=E.NSPDK_RADIUS, d_max=E.NSPDK_DISTANCE):
+    """The featurizer that refined the balls of one radius at a time and
+    counted each cell (r', d') with its own sort."""
+    if g.n == 0:
+        return E.FeatureMap(r_max, d_max, {})
+    dist = kernels.capped_distances(g.adjacency_matrix(), max(r_max, d_max, 1))
+    node_labels = np.array(g.node_labels, dtype=np.uint64)
+    edges = E._directed_edges(g)
+    u, v = np.nonzero(np.triu(dist <= d_max))
+    at_distance = [dist[u, v] == d for d in range(d_max + 1)]
+    cells = {}
+    for rr in range(r_max + 1):
+        hashes = _per_radius_root_hashes(dist, node_labels, edges, rr)
+        hu, hv = hashes[u], hashes[v]
+        keys = E._mix2(np.minimum(hu, hv), np.maximum(hu, hv)).view(np.int64)
+        for d, mask in enumerate(at_distance):
+            if not mask.any():
+                continue
+            uniq, counts = E._unique_counts(keys[mask])
+            vals = counts.astype(np.float64)
+            cells[(rr, d)] = (uniq, vals, float((vals * vals).sum()))
+    return E.FeatureMap(r_max, d_max, cells)
+
+
+def assert_same_feature_map(got, want):
+    assert (got.r_max, got.d_max) == (want.r_max, want.d_max)
+    assert list(got.cells) == list(want.cells)  # same cells, inserted in the same order
+    for cd, (keys, counts, self_dot) in got.cells.items():
+        want_keys, want_counts, want_dot = want.cells[cd]
+        assert keys.dtype == want_keys.dtype == np.int64, cd
+        assert counts.dtype == want_counts.dtype == np.float64, cd
+        assert np.array_equal(keys, want_keys) and np.array_equal(counts, want_counts), cd
+        assert type(self_dot) is float and self_dot == want_dot, cd
+
+
+EQUIVALENCE_BOUNDS = [(0, 0), (0, 4), (3, 0), (1, 2), (3, 4)]
+
+
+@pytest.fixture(scope="module")
+def equivalence_graphs():
+    rng = np.random.default_rng(41)
+    graphs = [g for i, fam in enumerate(("grid", "lobster", "community", "ba"))
+              for g in generate_corpus(CorpusSpec(fam, 3, 30, 60, seed=50 + i))]
+    graphs += labelled_graphs(rng, 20)
+    graphs += [LabeledGraph.create(0, [], [], 1, 1), LabeledGraph.create(1, [1], [], 2, 1),
+               LabeledGraph.create(4, [0, 1, 1, 0], [(0, 1, 1)], 2, 2)]  # n = 0, 1, disconnected
+    return graphs
+
+
+@pytest.mark.parametrize("r_max, d_max", EQUIVALENCE_BOUNDS)
+def test_all_radii_pass_matches_per_radius_features(equivalence_graphs, r_max, d_max):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for g in equivalence_graphs:
+            assert_same_feature_map(E.nspdk_features(g, r_max, d_max),
+                                    per_radius_features(g, r_max, d_max))
+
+
+def test_mix_calls_do_not_grow_with_radius(monkeypatch):
+    """The balls of every radius are hashed in one pass, so the number of
+    vectorised _mix calls per graph is the same for every r_max; the
+    per-radius featurizer's grows."""
+    calls = []
+    real = E._mix
+    monkeypatch.setattr(E, "_mix", lambda x: calls.append(1) or real(x))
+    g = generate_corpus(CorpusSpec("grid", 1, 30, 60, seed=3))[0]
+
+    def mix_calls(featurize, r_max):
+        calls.clear()
+        featurize(g, r_max, 4)
+        return len(calls)
+
+    new = [mix_calls(E.nspdk_features, r) for r in range(6)]
+    old = [mix_calls(per_radius_features, r) for r in range(6)]
+    assert len(set(new)) == 1, new
+    assert old[5] > old[0] and new[0] <= old[0]
+
+
 def test_hashing_raises_no_overflow_warning(rng):
     g = random_connected_graph(rng, 9)
     with warnings.catch_warnings():
@@ -477,3 +575,17 @@ def test_evaluate_corpora_report(rng):
     assert len(row.split(",")) == len(report.FIELDS)
     obj = report.to_json_obj()
     assert set(obj) == set(report.FIELDS)
+
+
+def test_evaluate_corpora_times_each_metric_outside_the_report(rng):
+    gen = [random_connected_graph(rng, int(rng.integers(4, 12))) for _ in range(6)]
+    ref = [random_connected_graph(rng, int(rng.integers(4, 12))) for _ in range(6)]
+    r1 = E.evaluate_corpora(gen, ref, train_set=ref[:2], seed=1)
+    r2 = E.evaluate_corpora(gen, ref, train_set=ref[:2], seed=1)
+    assert r1 == r2
+    assert r1.to_json_obj() == r2.to_json_obj() and r1.csv_row() == r2.csv_row()
+    assert "timing" not in r1.to_json_obj() and "timing" not in r1.csv_header()
+    for report in (r1, r2):
+        assert list(report.timing) == ["gk", "degree", "clustering", "orbit",
+                                       "uniqueness_novelty"]
+        assert all(isinstance(s, float) and s >= 0.0 for s in report.timing.values())

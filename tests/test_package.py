@@ -45,17 +45,25 @@ def test_test_only_setter_default_and_import_are_gone():
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def blas_settings_after_import(**env_vars) -> dict:
-    """The BLAS thread variables that a fresh interpreter sees after
-    `import gram`, started with env_vars set and the others unset."""
+def fresh_import(first: str, **env_vars):
+    """(stderr, BLAS thread variables) of a fresh interpreter that imports
+    `first` (gram or numpy) and then the other, started with env_vars set
+    and the other BLAS variables unset."""
     env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
     env.update(env_vars)
     env["PYTHONPATH"] = str(Path(gram.__file__).resolve().parent.parent)
-    code = ("import json, os, gram, numpy; "
+    second = "numpy" if first == "gram" else "gram"
+    code = (f"import json, os, {first}, {second}; "
             f"print(json.dumps({{v: os.environ.get(v) for v in {BLAS_VARS!r}}}))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    return json.loads(out.stdout)
+    return out.stderr, json.loads(out.stdout)
+
+
+def blas_settings_after_import(**env_vars) -> dict:
+    """The BLAS thread variables that a fresh interpreter sees after
+    `import gram`, started with env_vars set and the others unset."""
+    return fresh_import("gram", **env_vars)[1]
 
 
 def test_import_limits_blas_to_one_thread_when_unset():
@@ -65,3 +73,17 @@ def test_import_limits_blas_to_one_thread_when_unset():
 def test_import_keeps_user_blas_settings():
     got = blas_settings_after_import(OPENBLAS_NUM_THREADS="2", MKL_NUM_THREADS="4")
     assert got == {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "4"}
+
+
+def test_numpy_first_with_blas_unset_warns():
+    stderr, _ = fresh_import("numpy")
+    assert stderr.count("RuntimeWarning") == 1
+    assert "import gram before numpy" in stderr and "OPENBLAS_NUM_THREADS=1" in stderr
+
+
+def test_numpy_first_with_blas_set_is_silent():
+    assert fresh_import("numpy", OPENBLAS_NUM_THREADS="1")[0] == ""
+
+
+def test_gram_first_is_silent():
+    assert fresh_import("gram")[0] == ""

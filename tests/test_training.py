@@ -1,4 +1,5 @@
 import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -439,6 +440,23 @@ def test_checkpoint_write_failure_keeps_previous_file(tmp_path):
         save_checkpoint(path, model, epoch=2, rng=BrokenRng())
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.bin"]
+
+
+def test_checkpoint_syncs_file_then_directory(tmp_path, monkeypatch):
+    """The file is synced before the rename and its directory after it, so
+    the rename itself survives a crash once save_checkpoint returns."""
+    synced = []
+    real_fsync = os.fsync
+
+    def recording_fsync(fd):
+        st = os.fstat(fd)
+        synced.append((stat.S_ISDIR(st.st_mode), st.st_ino))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(path, tiny_model(), epoch=1)
+    assert synced == [(False, path.stat().st_ino), (True, tmp_path.stat().st_ino)]
 
 
 def test_checkpoint_round_trip(tmp_path, rng, monkeypatch):
