@@ -100,59 +100,32 @@ class Segments:
         return out
 
 
-@dataclass
 class AttentionContext:
-    """Distance bucket indices and attend mask of K attention problems side
-    by side, each padded to nq queries and nk keys: arrays (K, nq, nk), or
-    (nq, nk) for one problem.  queries and keys place the packed query and
-    key rows in those grids (None: every place holds a row, no padding).
+    """Distance bucket indices dist_idx (values in [0, cap + 1]) and attend
+    mask allowed of K attention problems side by side, each padded to nq
+    queries and nk keys: arrays (K, nq, nk), or (nq, nk) for one problem.
 
-    The arrays that attention derives from the context (the row layouts,
-    the additive mask and the empty query rows) are built on first use and
-    kept, so the calls that share a context (the feature blocks of a step)
-    build them once; the context's arrays must not change after that."""
-    dist_idx: np.ndarray   # (K, nq, nk) or (nq, nk) int, values in [0, cap + 1]
-    allowed: np.ndarray    # same shape, bool
-    queries: Segments | None = None
-    keys: Segments | None = None
+    What attention reads of them is derived once, here: dist, dist_idx as
+    (K, nq, nk); queries and keys, the packed query and key rows' places in
+    those grids (one full run per problem when None); addmask, the additive
+    softmax mask (None when every pair is allowed), in which a query row
+    that admits no key gets a placeholder key (its first) so that its
+    softmax is well defined; and empty, None when every real query row has
+    a key and otherwise (N_q, 1), 0 on the real query rows without one and
+    1 elsewhere, in packed row order."""
 
-    def __post_init__(self):
-        self._derived = None
-
-    def grids(self) -> tuple:
-        """dist_idx and allowed as (K, nq, nk) arrays."""
-        shape = (-1,) + self.dist_idx.shape[-2:]
-        return self.dist_idx.reshape(shape), self.allowed.reshape(shape)
-
-    def query_rows(self) -> Segments:
-        return self.derived().queries
-
-    def key_rows(self) -> Segments:
-        return self.derived().keys
-
-    def derived(self) -> "_Derived":
-        """What attention reads of this context, built on the first call."""
-        if self._derived is None:
-            self._derived = _Derived(self)
-        return self._derived
-
-
-class _Derived:
-    """What attention reads of an AttentionContext besides its arrays.
-
-    queries, keys: the row layouts (one full run per problem when the
-    context gives none).  A query row whose mask admits no key gets a
-    placeholder key (its first), so that its softmax is well defined;
-    addmask is the additive softmax mask with the placeholders (None when
-    every pair is allowed).  empty is None when every real query row has a
-    key, and otherwise a (N_q, 1) array, 0 on the real query rows without
-    one and 1 elsewhere, in packed row order."""
-
-    def __init__(self, ctx: AttentionContext):
-        d, allowed = ctx.grids()
-        count, nq, nk = d.shape
-        self.queries = ctx.queries if ctx.queries is not None else Segments([nq] * count)
-        self.keys = ctx.keys if ctx.keys is not None else Segments([nk] * count)
+    def __init__(self, dist_idx: np.ndarray, allowed: np.ndarray,
+                 queries: Segments | None = None, keys: Segments | None = None):
+        self.dist_idx, self.allowed = dist_idx, allowed
+        self.dist = dist_idx.reshape((-1,) + dist_idx.shape[-2:])
+        count, nq, nk = self.dist.shape
+        self.queries = queries if queries is not None else Segments([nq] * count)
+        self.keys = keys if keys is not None else Segments([nk] * count)
+        if (allowed.shape != dist_idx.shape
+                or (self.queries.count, self.queries.width, self.keys.width) != self.dist.shape):
+            raise AttentionError(f"context shape {dist_idx.shape} does not match its mask "
+                                 f"{allowed.shape} or its row layouts")
+        allowed = allowed.reshape(self.dist.shape)
         has_key = allowed.any(axis=-1)
         self.empty = None
         if not has_key.all():
@@ -241,29 +214,26 @@ def attend(qh: Tensor, kh: Tensor, vh: Tensor, q_table, k_table,
 
     Query rows whose mask admits no key raise an AttentionError unless
     on_empty="zero", in which case those output rows are exactly zero.
-    Padding rows are dropped from the output.  The masks come from ctx,
-    built on its first call (AttentionContext.derived).
+    Padding rows are dropped from the output.
     """
-    d = ctx.grids()[0]
-    derived = ctx.derived()
-    if derived.empty is not None and on_empty != "zero":
+    if ctx.empty is not None and on_empty != "zero":
         raise AttentionError("query row with no attendable key")
     scores = T.matmul(qh, T.transpose(kh))
     if p.use_bias:
-        scores = T.add(T.add(scores, T.gather_last(q_table, d)),
-                       T.transpose(T.gather_last(k_table, np.swapaxes(d, -1, -2))))
-    weights = T.softmax(T.mul(scores, T.const(p.scale)), additive_mask=derived.addmask)
+        scores = T.add(T.add(scores, T.gather_last(q_table, ctx.dist)),
+                       T.transpose(T.gather_last(k_table, np.swapaxes(ctx.dist, -1, -2))))
+    weights = T.softmax(T.mul(scores, T.const(p.scale)), additive_mask=ctx.addmask)
     out = T.matmul(weights, vh)
     if p.use_bias:
         heads, buckets, d_s = p.bv.data.shape
-        out = T.add(out, T.matmul(T.bucket_sums(weights, d, buckets),
+        out = T.add(out, T.matmul(T.bucket_sums(weights, ctx.dist, buckets),
                                   T.reshape(p.bv, (heads, 1, buckets, d_s))))
     # (H, K, nq, d_S) -> (N_q, H * d_S), head h in columns h * d_S ... (h + 1) * d_S - 1
     heads, count, nq, d_s = out.data.shape
     out = T.transpose(T.reshape(out, (heads, count * nq, d_s)), 0, 1)
-    out = T.matmul(derived.queries.unpad(T.reshape(out, (count * nq, heads * d_s))), p.wo)
-    if derived.empty is not None:
-        out = T.mul(out, T.const(derived.empty))
+    out = T.matmul(ctx.queries.unpad(T.reshape(out, (count * nq, heads * d_s))), p.wo)
+    if ctx.empty is not None:
+        out = T.mul(out, T.const(ctx.empty))
     return out
 
 
@@ -282,11 +252,8 @@ def g_multi_head(q: Tensor, k: Tensor, v: Tensor, ctx: AttentionContext,
     """
     if k.data.shape[0] != v.data.shape[0]:
         raise AttentionError(f"key rows {k.data.shape[0]} != value rows {v.data.shape[0]}")
-    dist = ctx.grids()[0]
-    queries, keys = ctx.query_rows(), ctx.key_rows()
-    if (ctx.dist_idx.shape != ctx.allowed.shape
-            or (queries.count, queries.width, keys.width) != dist.shape
-            or (queries.total, keys.total) != (q.data.shape[0], k.data.shape[0])):
+    dist, queries, keys = ctx.dist, ctx.queries, ctx.keys
+    if (queries.total, keys.total) != (q.data.shape[0], k.data.shape[0]):
         raise AttentionError(f"context shape {ctx.dist_idx.shape} does not match "
                              f"({q.data.shape[0]}, {k.data.shape[0]}) rows")
     buckets = p.cap + 2

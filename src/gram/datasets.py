@@ -38,6 +38,16 @@ FAMILIES = ("grid", "lobster", "community", "ba")
 ALPHABETS = {"grid": (3, 2), "lobster": (3, 2), "community": (4, 2), "ba": (2, 3)}
 
 
+# the parameters each family reads from CorpusSpec.params: name -> (type,
+# least value, largest value); a float parameter takes an int too
+FAMILY_PARAMS = {
+    "grid": {"min_side": (int, 1, math.inf), "max_side": (int, 1, math.inf)},
+    "lobster": {"p1": (float, 0, 1), "p2": (float, 0, 1)},
+    "community": {"p_in": (float, 0, 1), "p_out": (float, 0, 1)},
+    "ba": {"m": (int, 2, math.inf)},  # a seed clique of one node has no degree to draw from
+}
+
+
 @dataclass
 class CorpusSpec:
     family: str
@@ -54,6 +64,18 @@ class CorpusSpec:
             raise CorpusSpecError("count must be >= 1")
         if not 0 < self.n_min <= self.n_max:
             raise CorpusSpecError("need 0 < n_min <= n_max")
+        known = FAMILY_PARAMS[self.family]
+        for key, value in self.params.items():
+            if key not in known:
+                raise CorpusSpecError(f"unknown {self.family} parameter {key!r} "
+                                      f"(known: {', '.join(known)})")
+            kind, low, high = known[key]
+            types = int if kind is int else (int, float)
+            if isinstance(value, bool) or not isinstance(value, types) \
+                    or not low <= value <= high:
+                what = "an integer" if kind is int else "a number"
+                raise CorpusSpecError(f"{self.family} parameter {key!r} must be {what} "
+                                      f"in [{low}, {high}], got {value!r}")
 
     def to_json_obj(self) -> dict:
         return {"family": self.family, "count": self.count, "n_min": self.n_min,
@@ -189,6 +211,8 @@ def gen_community(spec: CorpusSpec) -> list:
     rng = np.random.default_rng(spec.seed)
     p_in = float(spec.params.get("p_in", 0.23))
     p_out = float(spec.params.get("p_out", 0.023))
+    if p_out == 0:
+        raise CorpusSpecError("p_out = 0 never joins the four communities")
     k_lo = max(1, math.ceil(spec.n_min / 4))
     k_hi = spec.n_max // 4
     if k_hi < k_lo:

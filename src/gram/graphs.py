@@ -118,19 +118,30 @@ class LabeledGraph:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "LabeledGraph":
+        """The graph of a parsed JSON object {"a": int, "b": int, "nodes":
+        [label, ...], "edges": [[u, v, label], ...]} with u < v.  Every
+        number must be an integer (not a bool or a float)."""
         try:
-            a = int(obj["a"])
-            b = int(obj["b"])
-            nodes = obj["nodes"]
-            edges = obj["edges"]
+            a, b, nodes, edges = obj["a"], obj["b"], obj["nodes"], obj["edges"]
         except (KeyError, TypeError) as exc:
             raise GraphError(f"missing or malformed field: {exc}") from exc
+        if not isinstance(nodes, list) or not isinstance(edges, list):
+            raise GraphError("nodes and edges must be lists")
+        for what, value in (("field a", a), ("field b", b), *(("node label", x) for x in nodes)):
+            _check_int(what, value)
         for e in edges:
-            if len(e) != 3:
-                raise GraphError(f"edge entry {e} is not [u, v, label]")
+            if not isinstance(e, list) or len(e) != 3:
+                raise GraphError(f"edge entry {e!r} is not [u, v, label]")
+            for value in e:
+                _check_int("edge entry", value)
             if e[0] >= e[1]:
                 raise GraphError(f"edge {e} must satisfy u < v")
         return LabeledGraph.create(len(nodes), nodes, edges, a, b)
+
+
+def _check_int(what: str, value):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise GraphError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ and pooling lay the rows out per prefix, padded to the largest.
 """
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -164,35 +163,32 @@ class Prefixes:
 
 class OrderedGraph:
     """A training graph relabeled into generation order, with per-step
-    prefix construction and ground-truth lookups."""
+    prefix construction and ground-truth lookups.  edges holds its rows
+    (i, j, label), i < j, sorted by (j, i), so the edges of the prefix of s
+    nodes are the first rows, those with j < s."""
 
     def __init__(self, g: G.LabeledGraph, ordering: G.NodeOrdering, radius: int):
         self.graph = G.apply_ordering(g, ordering)
         self.radius = radius
         self.n = self.graph.n
         self.labels = np.asarray(self.graph.node_labels, dtype=np.int64)
-        # edges sorted by their later endpoint; a prefix of this list is the
-        # edge set of every generation prefix
-        edges = sorted(self.graph.edges, key=lambda e: (e[1], e[0]))
-        self._edges = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
-        self._later = [e[1] for e in edges]
-        # lower neighbors of each position with their edge labels
-        self.lower = [[] for _ in range(self.n)]
-        for u, v, lab in edges:
-            self.lower[v].append((int(u), int(lab)))
-        for lst in self.lower:
-            lst.sort()
+        edges = np.asarray(self.graph.edges, dtype=np.int64).reshape(-1, 3)
+        self.edges = edges[np.lexsort((edges[:, 0], edges[:, 1]))]
+        # ascending keys j * n + i of the rows, then n * n, above every pair's
+        self._keys = np.append(self.edges[:, 1] * self.n + self.edges[:, 0], self.n * self.n)
+        self._codes = np.append(self.edges[:, 2], self.graph.b)
 
     def prefix(self, s: int) -> Prefix:
-        k = bisect.bisect_left(self._later, s)
-        return build_prefix(self.labels[:s], self._edges[:k], self.radius)
+        k = int(self._keys.searchsorted(s * self.n))
+        return build_prefix(self.labels[:s], self.edges[:k], self.radius)
 
-    def edge_label_codes(self, s: int, positions) -> np.ndarray:
-        """Ground-truth edge codes between position s and the given earlier
-        positions: the edge label, or b for no edge."""
-        lookup = dict(self.lower[s])
-        b = self.graph.b
-        return np.array([lookup.get(int(t), b) for t in positions], dtype=np.int64)
+    def edge_codes(self, later, earlier) -> np.ndarray:
+        """Ground-truth edge codes of the position pairs (later, earlier),
+        earlier < later, broadcast against each other: the edge label, or b
+        for no edge."""
+        keys = np.asarray(later) * self.n + np.asarray(earlier)
+        at = self._keys.searchsorted(keys)
+        return np.where(self._keys[at] == keys, self._codes[at], self.graph.b)
 
 
 # ---------------------------------------------------------------------------
@@ -436,16 +432,14 @@ class Model:
         if not edge_steps:
             return TeacherForced(node_logits, counters=StepCounters(node_steps=len(steps)))
         step = EdgeStep(self, hv, hg, og.labels[edge_steps], batch)
-        runs = step.runs.offsets
-        codes = np.concatenate([og.edge_label_codes(s, step.candidates[runs[k]:runs[k + 1]])
-                                for k, s in enumerate(edge_steps)])
+        codes = og.edge_codes(np.asarray(edge_steps)[step.runs.owner], step.candidates)
         logits, pairs = step.edge_logits_teacher(codes)
         alpha = int((codes < self.config.b).sum())
         return TeacherForced(node_logits, step.candidates, codes, logits, StepCounters(
             node_steps=len(steps), edge_steps=len(edge_steps), edge_decisions=len(codes),
             key_pairs=pairs, alpha_sum=alpha,
             beta_sum=sum(s - p.frontier_lo for s, p in zip(edge_steps, batch.items)),
-            dropped_edges=sum(len(og.lower[s]) for s in edge_steps) - alpha))
+            dropped_edges=int(np.isin(og.edges[:, 1], edge_steps).sum()) - alpha))
 
 
 class EdgeStep:

@@ -27,10 +27,9 @@ class SeedBank:
         return len(self.seeds)
 
 
-def build_seed_bank(training_graphs, seed_size: int, rng: np.random.Generator,
-                    orderings_per_graph: int = 1) -> SeedBank:
-    """One seed per training graph per sampled ordering; graphs smaller than
-    the seed size are skipped with a warning."""
+def build_seed_bank(training_graphs, seed_size: int, rng: np.random.Generator) -> SeedBank:
+    """One seed per training graph, under a sampled ordering; graphs smaller
+    than the seed size are skipped with a warning."""
     if seed_size < 1:
         raise SamplerError("seed size must be >= 1")
     seeds = []
@@ -39,13 +38,11 @@ def build_seed_bank(training_graphs, seed_size: int, rng: np.random.Generator,
         if g.n < seed_size:
             skipped += 1
             continue
-        for _ in range(orderings_per_graph):
-            start = int(rng.integers(g.n))
-            ordering = G.bfs_ordering(g, start, rng)
-            ordered = G.apply_ordering(g, ordering)
-            edges = [(u, v, lab) for u, v, lab in ordered.edges if v < seed_size]
-            seeds.append(G.LabeledGraph.create(
-                seed_size, ordered.node_labels[:seed_size], edges, g.a, g.b))
+        start = int(rng.integers(g.n))
+        ordered = G.apply_ordering(g, G.bfs_ordering(g, start, rng))
+        edges = [(u, v, lab) for u, v, lab in ordered.edges if v < seed_size]
+        seeds.append(G.LabeledGraph.create(
+            seed_size, ordered.node_labels[:seed_size], edges, g.a, g.b))
     if skipped:
         warnings.warn(f"seed bank: skipped {skipped} graphs smaller than {seed_size} nodes")
     if not seeds:

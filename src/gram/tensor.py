@@ -439,7 +439,7 @@ def _bucket_index(idx, shape) -> np.ndarray:
 
 def _check_buckets(idx: np.ndarray, buckets: int):
     if idx.size and (idx.min() < 0 or idx.max() >= buckets):
-        raise ShapeError(f"bucket index out of range for {buckets} buckets")
+        raise ShapeError(f"index out of range [0, {buckets})")
 
 
 def _gather_last(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -527,19 +527,24 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _record(_result(xhat * gain.data + bias.data), (x, gain, bias), bw)
 
 
-def cross_entropy_logits(logits: Tensor, onehot) -> Tensor:
-    """Per-row negative log-likelihood of the one-hot target given logits."""
-    target = onehot.data if isinstance(onehot, Tensor) else np.asarray(onehot, dtype=np.float64)
-    if target.shape != logits.data.shape:
-        raise ShapeError(f"targets {target.shape} vs logits {logits.data.shape}")
-    z = logits.data - logits.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=-1)) + logits.data.max(axis=-1)
-    nll = lse - (logits.data * target).sum(axis=-1)
-    e = np.exp(z)
-    sm = e / e.sum(axis=-1, keepdims=True)
+def cross_entropy_logits(logits: Tensor, targets) -> Tensor:
+    """Per-row negative log-likelihood of the target classes: logits
+    (K, C) and integer class indices targets (K,) in [0, C)."""
+    x = logits.data
+    targets = np.asarray(targets, dtype=np.int64)
+    if x.ndim != 2 or targets.shape != x.shape[:1]:
+        raise ShapeError(f"targets {targets.shape} vs logits {x.shape}")
+    _check_buckets(targets, x.shape[1])
+    rows = np.arange(len(targets))
+    top = x.max(axis=-1, keepdims=True)
+    e = np.exp(x - top)
+    total = e.sum(axis=-1, keepdims=True)
+    nll = (np.log(total) + top)[:, 0] - x[rows, targets]
     ln = logits.node
 
     def bw(g):
-        _accum(ln, (sm - target) * g[..., None])
+        d = e / total  # the softmax, less 1 at the targets
+        d[rows, targets] -= 1.0
+        _accum(ln, d * g[:, None])
 
     return _record(_result(nll), (logits,), bw)

@@ -131,17 +131,11 @@ def chunk_loss(model: Model, og: OrderedGraph, steps):
     Returns (scalar loss tensor, StepCounters)."""
     c = model.config
     out = model.teacher_forced(og, steps)
-    targets = [int(og.labels[s]) if s < og.n else c.a for s in steps]
-    parts = [T.cross_entropy_logits(out.node_logits, _onehot(targets, c.a + 1))]
+    targets = np.append(og.labels, c.a)[list(steps)]  # the stop class at s == n
+    parts = [T.cross_entropy_logits(out.node_logits, targets)]
     if out.edge_logits is not None:
-        parts.append(T.cross_entropy_logits(out.edge_logits, _onehot(out.edge_codes, c.b + 1)))
+        parts.append(T.cross_entropy_logits(out.edge_logits, out.edge_codes))
     return T.sum_along(T.concat(parts, axis=0), 0), out.counters
-
-
-def _onehot(codes, width: int) -> np.ndarray:
-    out = np.zeros((len(codes), width))
-    out[np.arange(len(codes)), codes] = 1.0
-    return out
 
 
 def teacher_forced_loss(model: Model, og: OrderedGraph):

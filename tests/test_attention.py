@@ -153,6 +153,67 @@ def test_bias_lookup_rows_and_errors(rng):
             A.g_multi_head(q, k, k, A.AttentionContext(dist_bad, ctx.allowed), p)
 
 
+def lazy_derived(dist_idx, allowed, queries=None, keys=None):
+    """Reference: what attention read of a context when it derived it on
+    first use (the former attention._Derived), as (dist, queries, keys,
+    addmask, empty)."""
+    shape = (-1,) + dist_idx.shape[-2:]
+    d, allowed = dist_idx.reshape(shape), allowed.reshape(shape)
+    count, nq, nk = d.shape
+    queries = queries if queries is not None else A.Segments([nq] * count)
+    keys = keys if keys is not None else A.Segments([nk] * count)
+    has_key = allowed.any(axis=-1)
+    empty = None
+    if not has_key.all():
+        real_has_key = has_key[queries.real]
+        if not real_has_key.all():
+            empty = real_has_key.astype(np.float64)[:, None]
+        allowed = allowed.copy()
+        allowed[~has_key, 0] = True
+    addmask = None if allowed.all() else np.where(allowed, 0.0, T.MASK_NEG)
+    return d, queries, keys, addmask, empty
+
+
+def test_context_fields_match_lazy_reference(rng):
+    """The fields a context derives at construction equal those the lazy
+    reference derived: 2-D contexts and padded 3-D ones, every pair allowed,
+    some pairs masked, and empty real and padding query rows."""
+    cases = []
+    for nq, nk in ((3, 3), (1, 4), (4, 1)):
+        for p in (1.0, 0.6, 0.0):
+            cases.append((rng.integers(0, CAP + 2, size=(nq, nk)), rng.random((nq, nk)) < p,
+                          None, None))
+    for sizes, key_sizes in (([2, 3, 1], [2, 3, 1]), ([1, 2], [3, 1]), ([3], [2])):
+        queries, keys = A.Segments(sizes), A.Segments(key_sizes)
+        shape = (queries.count, queries.width, keys.width)
+        for p in (1.0, 0.5, 0.0):
+            allowed = (rng.random(shape) < p) & queries.real[:, :, None] & keys.real[:, None]
+            allowed[0, 0] = False  # a real query row with no key
+            cases.append((rng.integers(0, CAP + 2, size=shape), allowed, queries, keys))
+    empties = 0
+    for dist_idx, allowed, queries, keys in cases:
+        ctx = A.AttentionContext(dist_idx, allowed, queries, keys)
+        d, q_rows, k_rows, addmask, empty = lazy_derived(dist_idx, allowed, queries, keys)
+        assert ctx.dist.shape == d.shape and np.array_equal(ctx.dist, d)
+        for got, want in ((ctx.queries, q_rows), (ctx.keys, k_rows)):
+            assert (got.count, got.width, got.total) == (want.count, want.width, want.total)
+            assert np.array_equal(got.offsets, want.offsets)
+            assert np.array_equal(got.real, want.real)
+        for got, want in ((ctx.addmask, addmask), (ctx.empty, empty)):
+            assert (got is None) == (want is None)
+            assert want is None or (got.dtype == want.dtype and np.array_equal(got, want))
+        empties += empty is not None
+    assert 0 < empties < len(cases)
+
+
+def test_context_rejects_mismatched_shapes():
+    with pytest.raises(A.AttentionError, match="does not match"):
+        A.AttentionContext(np.zeros((2, 3), dtype=np.int64), np.ones((3, 2), dtype=bool))
+    with pytest.raises(A.AttentionError, match="does not match"):
+        A.AttentionContext(np.zeros((2, 2, 3), dtype=np.int64), np.ones((2, 2, 3), dtype=bool),
+                           A.Segments([2, 1]), A.Segments([2, 2]))
+
+
 def head(t, h):
     """Head h of a head-batched tensor, on the tape."""
     return T.reshape(T.slice_along(t, 0, h, h + 1), t.data.shape[1:])

@@ -330,3 +330,99 @@ def test_counts_below_one_are_usage_errors(command, flag, tmp_path, capsys):
     assert not out.exists()
     argv = args + (["1"] if command == "stats" else ["--count", "1"])
     assert run(argv) == 0
+
+
+@pytest.mark.parametrize("line", [
+    '{"a": 3, "b": 2, "nodes": 5, "edges": []}',
+    '{"a": "x", "b": 2, "nodes": [0, 1], "edges": [[0, 1, 0]]}',
+    '{"a": 3, "b": 2, "nodes": ["x"], "edges": []}',
+    '{"a": 3, "b": 2, "nodes": [0, 1], "edges": [5]}',
+    '{"a": 3, "b": 2, "nodes": [0, 1], "edges": [[0, 1.5, 0]]}',
+    '{"a": 3, "b": 2, "nodes": [0.7, 1], "edges": [[0, 1, 0]]}',
+    '{"a": 3, "b": true, "nodes": [0, 1], "edges": [[0, 1, 0]]}',
+])
+def test_wrongly_typed_corpus_field_is_data_error(line, tmp_path, capsys):
+    """A field of the wrong type, or a number that is not an integer, is
+    rejected with the line number, not truncated or left to crash."""
+    corpus = tmp_path / "bad.jsonl"
+    corpus.write_text(line + "\n")
+    assert run(["stats", "--corpus", str(corpus)]) == 2
+    assert f"{corpus}: line 1: " in capsys.readouterr().err
+
+
+def _dataset_args(tmp_path, family, *extra):
+    return ["dataset", "--family", family, "--count", "2", "--nmin", "9", "--nmax", "16",
+            "--out", str(tmp_path / "d.jsonl"), "--no-split", *extra]
+
+
+@pytest.mark.parametrize("family, params, key", [
+    ("lobster", ["--param", "p2=abc"], "p2"),
+    ("grid", ["--param", "p_in=0.5"], "p_in"),
+    ("grid", ["--param", "min_side=2.5"], "min_side"),
+    ("community", ["--param", "p_out=1.5"], "p_out"),
+    ("ba", ["--param", "m=true"], "m"),
+])
+def test_bad_family_parameter_is_data_error(family, params, key, tmp_path, capsys):
+    """An unknown or wrongly typed family parameter is a data error naming
+    the key; nothing is echoed as used and nothing is written."""
+    assert run(_dataset_args(tmp_path, family, *params)) == 2
+    captured = capsys.readouterr()
+    assert f"parameter {key!r}" in captured.err
+    assert "config:" not in captured.out and not (tmp_path / "d.jsonl").exists()
+
+
+def test_family_parameters_from_flags_and_config(tmp_path, capsys):
+    """--param KEY=VALUE reads the value as JSON, a config file's params
+    section is checked like the flags, and --param without = is a usage
+    error."""
+    assert run(_dataset_args(tmp_path, "grid", "--param", "min_side=3",
+                             "--param", "max_side=4")) == 0
+    assert '"params": {"max_side": 4, "min_side": 3}' in capsys.readouterr().out
+    assert {(g.n) for g in read_corpus(tmp_path / "d.jsonl")} <= {9, 12, 16}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dataset": {"params": {"p_in": 0.5}}}))
+    assert run(_dataset_args(tmp_path, "grid", "--config", str(cfg))) == 2
+    assert "unknown grid parameter 'p_in'" in capsys.readouterr().err
+    assert run(_dataset_args(tmp_path, "grid", "--param", "min_side")) == 1
+    assert "--param expects KEY=VALUE, got 'min_side'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "config file not found"),
+    ("{not json", "invalid JSON"),
+    ("[1, 2]", "top level must be an object"),
+])
+def test_bad_config_file_is_data_error(content, message, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content)
+    assert run(_dataset_args(tmp_path, "grid", "--config", str(cfg))) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_mixed_alphabets_in_one_corpus_is_data_error(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    corpus = tmp_path / "c.jsonl"
+    write_corpus(corpus, [random_connected_graph(rng, 8, a=3, b=2),
+                          random_connected_graph(rng, 8, a=4, b=2)])
+    out = tmp_path / "run"
+    assert run(["train", "--corpus", str(corpus), "--out", str(out), "--epochs", "1"]) == 2
+    assert "graph 1 has alphabets (4, 2), expected (3, 2)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_argmax_sampling_ignores_the_seed(tmp_path):
+    """Greedy decoding from a bank of one seed draws nothing at random.  The
+    corpus is one complete graph with one label, so every BFS ordering gives
+    the bank the same seed, and runs with different seeds write
+    byte-identical corpora."""
+    complete = LabeledGraph.create(5, [1] * 5, [(u, v, 0) for u in range(5)
+                                                for v in range(u + 1, 5)], 3, 2)
+    ckpt, corpus = _checkpoint_and_corpus(tmp_path, [complete])
+    outs = [tmp_path / f"s{seed}.jsonl" for seed in (1, 2)]
+    for seed, out in zip((1, 2), outs):
+        assert run(["sample", "--checkpoint", str(ckpt), "--corpus", str(corpus),
+                    "--count", "2", "--max-nodes", "10", "--seed", str(seed), "--argmax",
+                    "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert all(g.is_connected() for g in read_corpus(outs[0]))

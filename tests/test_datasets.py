@@ -23,6 +23,31 @@ def test_spec_validation():
         CorpusSpec("grid", 1, 10, 5)
 
 
+@pytest.mark.parametrize("family, params, match", [
+    ("grid", {"p1": 0.5}, "unknown grid parameter 'p1'"),
+    ("grid", {"min_side": 0}, "'min_side' must be an integer in \\[1, inf\\]"),
+    ("grid", {"max_side": 4.0}, "'max_side' must be an integer"),
+    ("lobster", {"p1": -0.1}, "'p1' must be a number in \\[0, 1\\]"),
+    ("lobster", {"p2": "0.3"}, "'p2' must be a number"),
+    ("community", {"p_in": float("nan")}, "'p_in' must be a number"),
+    ("community", {"p_out": True}, "'p_out' must be a number"),
+    ("ba", {"m": 1}, "'m' must be an integer in \\[2, inf\\]"),
+    ("ba", {"m": None}, "'m' must be an integer"),
+])
+def test_spec_rejects_bad_family_parameters(family, params, match):
+    with pytest.raises(CorpusSpecError, match=match):
+        CorpusSpec(family, 1, 9, 16, params=params)
+
+
+def test_spec_accepts_family_parameters_in_range():
+    for family, params in (("grid", {"min_side": 3, "max_side": 4}),
+                           ("lobster", {"p1": 1, "p2": 0.0}),
+                           ("community", {"p_in": 0.5, "p_out": 1.0}), ("ba", {"m": 2})):
+        assert generate_corpus(CorpusSpec(family, 2, 9, 16, params=params))
+    with pytest.raises(CorpusSpecError, match="p_out = 0"):
+        generate_corpus(CorpusSpec("community", 1, 8, 8, params={"p_out": 0}))
+
+
 # -- grid -------------------------------------------------------------------
 
 def test_grid_3x3_label_counts():

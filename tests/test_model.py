@@ -1,11 +1,14 @@
+import bisect
+
 import numpy as np
 import pytest
 
 from gram import attention as A
 from gram import graphs as G
 from gram import tensor as T
+from gram.datasets import CorpusSpec, generate_corpus
 from gram.model import (VARIANTS, EdgeStep, Model, ModelConfig, ModelError,
-                        OrderedGraph, Prefixes, build_prefix)
+                        OrderedGraph, Prefixes, StepCounters, build_prefix)
 from gram.optim import Parameter
 from gram.sampler import _draw_edges, _edge_dists
 from gram.tensor import Tape, Tensor
@@ -568,3 +571,89 @@ def test_counter_ordering_across_variants(rng):
             pairs[variant] = model.teacher_forced(og, [s]).counters.key_pairs
         assert pairs["AB"] <= pairs["A"]
         assert pairs["B"] <= pairs["plain"]
+
+
+class BisectOrderedGraph:
+    """Reference: OrderedGraph's ground-truth lookups before its edges were
+    one sorted array: a bisect over the later endpoints for a prefix's edges
+    and, for edge codes, each position's lower neighbours read through a
+    dict."""
+
+    def __init__(self, og):
+        edges = sorted(og.graph.edges, key=lambda e: (e[1], e[0]))
+        self.edges = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
+        self.later = [e[1] for e in edges]
+        self.lower = [[] for _ in range(og.n)]
+        for u, v, lab in edges:
+            self.lower[v].append((int(u), int(lab)))
+        for lst in self.lower:
+            lst.sort()
+        self.b = og.graph.b
+
+    def prefix_edges(self, s):
+        return self.edges[:bisect.bisect_left(self.later, s)]
+
+    def edge_label_codes(self, s, positions):
+        lookup = dict(self.lower[s])
+        return np.array([lookup.get(int(t), self.b) for t in positions], dtype=np.int64)
+
+
+def ordered_graph_cases(rng):
+    """(graph, ordering): BFS-ordered graphs of every corpus family, a
+    one-node graph, and a path ordered so that the first three positions
+    share no edge."""
+    cases = []
+    for family, lo, hi in (("grid", 9, 16), ("lobster", 8, 14), ("community", 8, 16),
+                           ("ba", 6, 12)):
+        for g in generate_corpus(CorpusSpec(family, 2, lo, hi, seed=int(rng.integers(99)))):
+            cases.append((g, G.bfs_ordering(g, int(rng.integers(g.n)), rng)))
+    cases.append((G.LabeledGraph.create(1, [0], [], 3, 2), G.NodeOrdering.create([0])))
+    path = G.LabeledGraph.create(6, [0] * 6, [(i, i + 1, i % 2) for i in range(5)], 3, 2)
+    cases.append((path, G.NodeOrdering.create([0, 2, 4, 1, 3, 5])))
+    return cases
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_ordered_graph_matches_bisect_reference(variant, rng):
+    """Prefixes, edge codes (pair by pair and broadcast) and the
+    teacher-forced codes and counters from the sorted edge array equal the
+    bisect/dict reference's."""
+    dropped = 0
+    for g, ordering in ordered_graph_cases(rng):
+        og = OrderedGraph(g, ordering, 2)
+        ref = BisectOrderedGraph(og)
+        for s in range(og.n + 1):
+            want = build_prefix(og.labels[:s], ref.prefix_edges(s), 2)
+            got = og.prefix(s)
+            assert got.edge_array.dtype == np.int64
+            assert np.array_equal(got.edge_array, want.edge_array)
+            assert np.array_equal(got.dist_idx, want.dist_idx)
+            assert got.frontier_lo == want.frontier_lo
+        rows = np.arange(og.n)
+        table = og.edge_codes(rows[:, None], rows[None])
+        for s in range(og.n):
+            want = ref.edge_label_codes(s, range(s))
+            assert np.array_equal(og.edge_codes(s, range(s)), want)
+            assert np.array_equal(table[s, :s], want)
+        seed = 3 if og.n > 3 else 1
+        model = tiny_model(g.a, g.b, variant, d_model=8, heads=2, seed_size=seed)
+        steps = range(seed, og.n + 1)
+        out = model.teacher_forced(og, steps)
+        edge_steps = [s for s in steps if s < og.n]
+        starts = [og.prefix(s).frontier_lo if variant in ("B", "AB") else 0 for s in edge_steps]
+        codes = [ref.edge_label_codes(s, range(lo, s)) for s, lo in zip(edge_steps, starts)]
+        if not edge_steps:
+            assert out.edge_codes is None
+            continue
+        want = np.concatenate(codes)
+        candidates = [np.arange(lo, s) for s, lo in zip(edge_steps, starts)]
+        assert np.array_equal(out.candidates, np.concatenate(candidates))
+        assert out.edge_codes.dtype == np.int64 and np.array_equal(out.edge_codes, want)
+        alpha = int((want < g.b).sum())
+        assert out.counters == StepCounters(
+            node_steps=len(steps), edge_steps=len(edge_steps), edge_decisions=len(want),
+            key_pairs=out.counters.key_pairs, alpha_sum=alpha,
+            beta_sum=sum(s - og.prefix(s).frontier_lo for s in edge_steps),
+            dropped_edges=sum(len(ref.lower[s]) for s in edge_steps) - alpha)
+        dropped += out.counters.dropped_edges
+    assert dropped > 0 if variant in ("B", "AB") else dropped == 0

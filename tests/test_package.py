@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import gram
-from gram import attention, evaluation, graphs, model, optim, tensor
+from gram import attention, evaluation, graphs, model, optim, sampler, tensor, training
 
 GONE = [
     (tensor, "finite_difference_check"), (tensor, "FiniteDifferenceReport"),
@@ -20,6 +20,10 @@ GONE = [
     (graphs, "shortest_paths"), (graphs, "graph_statistics"), (graphs, "GraphStats"),
     (graphs.LabeledGraph, "edge_label_map"),
     (evaluation, "_featurize_all"),
+    (attention, "_Derived"), (attention.AttentionContext, "derived"),
+    (attention.AttentionContext, "grids"), (attention.AttentionContext, "query_rows"),
+    (attention.AttentionContext, "key_rows"), (model.OrderedGraph, "edge_label_codes"),
+    (training, "_onehot"),
 ]
 
 
@@ -40,6 +44,13 @@ def test_test_only_setter_default_and_import_are_gone():
     assert tensor.Tensor.requires_grad.fset is None
     max_attend = inspect.signature(attention.context_from_distances).parameters["max_attend"]
     assert max_attend.default is inspect.Parameter.empty
+    assert "orderings_per_graph" not in inspect.signature(sampler.build_seed_bank).parameters
+
+
+def test_ordered_graph_keeps_no_per_step_lists():
+    g = graphs.LabeledGraph.create(3, [0, 0, 0], [(0, 1, 0), (1, 2, 0)], 1, 1)
+    og = model.OrderedGraph(g, graphs.NodeOrdering.create([0, 1, 2]), 2)
+    assert not hasattr(og, "lower") and not hasattr(og, "_later")
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

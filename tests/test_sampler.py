@@ -15,7 +15,7 @@ from test_model import randomize_edge_estimator
 from test_training import randomize_bias_tables
 
 
-def reference_generate(model, bank, max_nodes, rng):
+def reference_generate(model, bank, max_nodes, rng, argmax=False):
     """The sampling loop with every edge distribution from the per-candidate
     oracle, which rebuilds the attention history for each candidate.
     Returns (graph, truncated, retries, forced)."""
@@ -28,14 +28,14 @@ def reference_generate(model, bank, max_nodes, rng):
         prefix = build_prefix(labels, edges, c.radius)
         hv = model.extract_features(prefix)
         hg = model.graph_pool(hv)
-        lab = _sample(rng, model.node_distribution(hg), False)
+        lab = _sample(rng, model.node_distribution(hg), argmax)
         if lab == c.a:
             return G.LabeledGraph.create(s, labels, edges, c.a, c.b), False, retries, forced
         lo = 0
         if c.variant in ("B", "AB"):
             lo = min([u for u, v, _ in edges if v == s - 1], default=s - 1)
         attempts = 0
-        while attempts < 6:
+        while attempts < (1 if argmax else 6):
             attempts += 1
             decided, dists = [], []
             for t in range(lo, s):
@@ -43,7 +43,7 @@ def reference_generate(model, bank, max_nodes, rng):
                     model, hv, hg, lab, t, decided, c.variant in ("A", "AB"),
                     prefix.dist_idx)).data[0]
                 dists.append(dist)
-                decided.append((t, _sample(rng, dist, False)))
+                decided.append((t, _sample(rng, dist, argmax)))
             if any(code < c.b for _, code in decided):
                 break
         retries += attempts - 1
@@ -82,7 +82,7 @@ def test_seed_bank_single_node_seeds_match_label_distribution(rng):
     """seed_size=1 banks collect start-node labels; the histogram must match
     an independently sampled start-label histogram within noise."""
     graphs = [random_connected_graph(rng, 8, a=3) for _ in range(30)]
-    bank = build_seed_bank(graphs, 1, np.random.default_rng(0), orderings_per_graph=40)
+    bank = build_seed_bank([g for g in graphs for _ in range(40)], 1, np.random.default_rng(0))
     got = collections.Counter(seed.node_labels[0] for seed in bank.seeds)
     # oracle: the start node is uniform over nodes, so expected frequencies
     # follow the pooled label histogram of the corpus
@@ -225,6 +225,26 @@ def test_generation_matches_per_candidate_reference(variant, rng):
         res = generate_graph(model, bank, 12, np.random.default_rng(i))
         ref = reference_generate(model, bank, 12, np.random.default_rng(i))
         assert (res.graph, res.truncated, res.retries, res.forced) == ref
+
+
+@pytest.mark.parametrize("variant", ["plain", "B"])
+def test_argmax_generation_is_greedy_and_ignores_the_rng(variant, rng):
+    """An argmax draw takes the likeliest index and no random number.  With
+    argmax and a bank of one seed, rngs of different seeds give the same
+    graph and counters, the per-candidate reference's greedy graph."""
+    dist = np.array([0.2, 0.3, 0.5])
+    state = rng.bit_generator.state
+    assert _sample(rng, dist, True) == 2 and rng.bit_generator.state == state
+    model = tiny_model(variant=variant, seed=4)
+    randomize_edge_estimator(model, rng)
+    bank = build_seed_bank([random_connected_graph(rng, 8)], model.config.seed_size, rng)
+    results = [generate_graph(model, bank, 12, np.random.default_rng(seed), argmax=True)
+               for seed in (1, 2)]
+    first = results[0]
+    assert results[1] == first
+    assert first.retries == 0
+    ref = reference_generate(model, bank, 12, np.random.default_rng(3), argmax=True)
+    assert (first.graph, first.truncated, first.retries, first.forced) == ref
 
 
 def test_generation_counts_retries_and_forced_attachments(rng):

@@ -37,8 +37,52 @@ def test_matmul_shape_error_reports_both_shapes():
 
 
 def test_cross_entropy_uniform_logits():
-    nll = T.cross_entropy_logits(Tensor(np.zeros((1, 2))), np.array([[1.0, 0.0]]))
+    nll = T.cross_entropy_logits(Tensor(np.zeros((1, 2))), [0])
     assert nll.data[0] == pytest.approx(np.log(2), abs=1e-12)
+
+
+def onehot_cross_entropy(x, targets, g):
+    """Reference: the one-hot formula of cross_entropy_logits before it took
+    class indices.  Returns the NLLs of logits x and the gradient of
+    sum(g * NLL) with respect to x."""
+    onehot = np.zeros(x.shape)
+    onehot[np.arange(len(targets)), targets] = 1.0
+    z = x - x.max(axis=-1, keepdims=True)
+    nll = np.log(np.exp(z).sum(axis=-1)) + x.max(axis=-1) - (x * onehot).sum(axis=-1)
+    e = np.exp(z)
+    return nll, (e / e.sum(axis=-1, keepdims=True) - onehot) * g[..., None]
+
+
+def test_cross_entropy_matches_onehot_reference(rng):
+    """Integer targets give the one-hot formula's NLLs and gradients bit for
+    bit, under a random upstream gradient: K = 1 included, and zero,
+    negative, small and large logits."""
+    for trial in range(200):
+        k, c = (1, int(rng.integers(1, 6))) if trial % 4 == 0 else rng.integers(1, 7, size=2)
+        kind = trial % 5
+        x = rng.normal(size=(k, c)) * (0.1, 1.0, 30.0, 1.0, 300.0)[kind]
+        if kind == 1:
+            x[:] = 0.0
+        elif kind == 3:
+            x = -np.abs(x) - 5.0
+        targets = rng.integers(0, c, size=k)
+        g = rng.normal(size=k)
+        leaf = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            nll = T.cross_entropy_logits(leaf, targets)
+            tape.backward(T.sum_along(T.mul(nll, T.const(g)), 0))
+        want_nll, want_grad = onehot_cross_entropy(x, targets, g)
+        assert np.array_equal(nll.data, want_nll), trial
+        assert np.array_equal(leaf.grad, want_grad), trial
+
+
+def test_cross_entropy_rejects_bad_targets():
+    logits = Tensor(np.zeros((2, 3)))
+    for targets in ([0, 3], [-1, 0], [0], [[0], [1]]):
+        with pytest.raises(ShapeError):
+            T.cross_entropy_logits(logits, targets)
+    with pytest.raises(ShapeError):
+        T.cross_entropy_logits(Tensor(np.zeros(3)), [0, 1, 2])
 
 
 def test_backward_rejects_non_scalar(rng):
@@ -218,9 +262,7 @@ def _c_ln(p, q, c1, c2):
 
 @_case("cross_entropy")
 def _c_ce(p, q, c1, c2):
-    onehot = np.zeros(p.data.shape)
-    onehot[np.arange(p.data.shape[0]), np.arange(p.data.shape[0]) % p.data.shape[1]] = 1
-    return T.cross_entropy_logits(p, onehot)
+    return T.cross_entropy_logits(p, np.arange(p.data.shape[0]) % p.data.shape[1])
 
 
 def test_gather_last_and_bucket_sums_are_adjoint(rng):

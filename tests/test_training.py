@@ -44,21 +44,17 @@ def sequential_loss(model, og):
         hv = model.extract_features(prefix)
         hg = model.graph_pool(hv)
         target = int(og.labels[s]) if s < og.n else c.a
-        onehot = np.zeros((1, c.a + 1))
-        onehot[0, target] = 1.0
-        total += float(T.cross_entropy_logits(model.node_logits(hg), onehot).data[0])
+        total += float(T.cross_entropy_logits(model.node_logits(hg), [target]).data[0])
         if s == og.n:
             continue
         lo = min([u for u, v, _ in og.graph.edges if v == s - 1], default=s - 1)
         candidates = range(lo if c.variant in ("B", "AB") else 0, s)
-        codes = og.edge_label_codes(s, candidates)
+        codes = og.edge_codes(s, candidates)
         decided = []
         for t, code in zip(candidates, codes):
-            onehot = np.zeros((1, c.b + 1))
-            onehot[0, code] = 1.0
             logits = edge_distribution_step(model, hv, hg, int(og.labels[s]), int(t), decided,
                                             c.variant in ("A", "AB"), prefix.dist_idx)
-            total += float(T.cross_entropy_logits(logits, onehot).data[0])
+            total += float(T.cross_entropy_logits(logits, [code]).data[0])
             decided.append((int(t), int(code)))
     return total
 
@@ -114,7 +110,7 @@ def per_step_teacher_forced(model, og, s):
     if s == og.n:
         return node_logits, None, None
     step = EdgeStep(model, hv, hg, int(og.labels[s]), prefix)
-    codes = og.edge_label_codes(s, step.candidates)
+    codes = og.edge_codes(s, step.candidates)
     return node_logits, codes, step.edge_logits_teacher(codes)[0]
 
 
@@ -123,9 +119,9 @@ def per_step_loss(model, og, s):
     c = model.config
     node_logits, codes, edge_logits = per_step_teacher_forced(model, og, s)
     target = int(og.labels[s]) if s < og.n else c.a
-    parts = [T.cross_entropy_logits(node_logits, training._onehot([target], c.a + 1))]
+    parts = [T.cross_entropy_logits(node_logits, [target])]
     if edge_logits is not None:
-        parts.append(T.cross_entropy_logits(edge_logits, training._onehot(codes, c.b + 1)))
+        parts.append(T.cross_entropy_logits(edge_logits, codes))
     return T.sum_along(T.concat(parts, axis=0), 0)
 
 
