@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import GraphError, LabeledGraph, apply_ordering, bfs_ordering, frontier_starts
+from .graphs import (GraphError, LabeledGraph, apply_ordering, bfs_ordering, connects,
+                     frontier_starts)
 
 
 class CorpusSpecError(ValueError):
@@ -33,6 +34,13 @@ class CorpusFormatError(ValueError):
 
 
 FAMILIES = ("grid", "lobster", "community", "ba")
+
+# Draws of one lobster or community graph before the generator gives up with
+# a CorpusSpecError.  The most a working spec needs on average is about
+# 15,000: community graphs of 8 nodes at the default parameters, which thus
+# fail about once in 800 graphs.  A spec that no draw can meet fails after
+# about 1 s (lobster, 10 nodes) to 7 s (community, 40 nodes) on a 2-core VM.
+MAX_DRAWS = 100_000
 
 # node/edge label alphabet sizes per family
 ALPHABETS = {"grid": (3, 2), "lobster": (3, 2), "community": (4, 2), "ba": (2, 3)}
@@ -151,7 +159,8 @@ LOBSTER_BACKBONE, LOBSTER_BRANCH, LOBSTER_LEAF = 0, 1, 2
 def gen_lobster(spec: CorpusSpec) -> list:
     """Backbone path; each backbone node grows a branch node with
     probability p1, each branch node grows a leaf with probability p2;
-    whole graphs are resampled until the size lands in range."""
+    whole graphs are resampled, up to MAX_DRAWS times, until the size lands
+    in range."""
     rng = np.random.default_rng(spec.seed)
     p1 = float(spec.params.get("p1", 0.7))
     p2 = float(spec.params.get("p2", 0.3))
@@ -161,7 +170,7 @@ def gen_lobster(spec: CorpusSpec) -> list:
     b_hi = max(b_lo, int(round(spec.n_max / factor)))
     out = []
     for _ in range(spec.count):
-        while True:
+        for _ in range(MAX_DRAWS):
             backbone = int(rng.integers(b_lo, b_hi + 1))
             labels = [LOBSTER_BACKBONE] * backbone
             edges = [(i, i + 1, 0) for i in range(backbone - 1)]
@@ -178,6 +187,9 @@ def gen_lobster(spec: CorpusSpec) -> list:
                         nxt += 1
             if spec.n_min <= nxt <= spec.n_max:
                 break
+        else:
+            raise CorpusSpecError(f"lobster (p1={p1}, p2={p2}): none of {MAX_DRAWS} draws "
+                                  f"has {spec.n_min} <= n <= {spec.n_max} nodes")
         edges = [(u, v, 1 if max(labels[u], labels[v]) == LOBSTER_LEAF else 0)
                  for u, v, _ in edges]
         out.append(LabeledGraph.create(nxt, labels, edges, a, b))
@@ -191,23 +203,29 @@ def gen_lobster(spec: CorpusSpec) -> list:
 COMM_INTRA, COMM_INTER = 0, 1
 
 
+def _community_edges(rng, k: int, p_in: float, p_out: float) -> np.ndarray:
+    """The (m, 3) edges of one raw four-block draw on 4k nodes: one
+    rng.random() per node pair u < v, drawn in row-major order."""
+    u, v = np.triu_indices(4 * k, 1)
+    same = u // k == v // k
+    keep = rng.random(len(u)) < np.where(same, p_in, p_out)
+    return np.stack([u, v, np.where(same, COMM_INTRA, COMM_INTER)], axis=1)[keep]
+
+
+def _community(k: int, edges: np.ndarray) -> LabeledGraph:
+    a, b = ALPHABETS["community"]
+    return LabeledGraph.create(4 * k, np.arange(4 * k) // k, edges, a, b)
+
+
 def community_graph(rng, k: int, p_in: float, p_out: float) -> LabeledGraph:
     """One raw four-block draw (connectivity not enforced)."""
-    a, b = ALPHABETS["community"]
-    n = 4 * k
-    labels = [i // k for i in range(n)]
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            same = labels[u] == labels[v]
-            if rng.random() < (p_in if same else p_out):
-                edges.append((u, v, COMM_INTRA if same else COMM_INTER))
-    return LabeledGraph.create(n, labels, edges, a, b)
+    return _community(k, _community_edges(rng, k, p_in, p_out))
 
 
 def gen_community(spec: CorpusSpec) -> list:
     """Four equal communities; intra edges with p_in, inter with p_out,
-    resampled until connected."""
+    resampled, up to MAX_DRAWS times, until connected.  A draw stays an edge
+    array until it connects: only the kept one becomes a LabeledGraph."""
     rng = np.random.default_rng(spec.seed)
     p_in = float(spec.params.get("p_in", 0.23))
     p_out = float(spec.params.get("p_out", 0.023))
@@ -219,12 +237,15 @@ def gen_community(spec: CorpusSpec) -> list:
         raise CorpusSpecError(f"no multiple of 4 in [{spec.n_min}, {spec.n_max}]")
     out = []
     for _ in range(spec.count):
-        while True:
+        for _ in range(MAX_DRAWS):
             k = int(rng.integers(k_lo, k_hi + 1))
-            g = community_graph(rng, k, p_in, p_out)
-            if g.is_connected():
-                out.append(g)
+            edges = _community_edges(rng, k, p_in, p_out)
+            if connects(4 * k, edges[:, :2]):
+                out.append(_community(k, edges))
                 break
+        else:
+            raise CorpusSpecError(f"community (p_in={p_in}, p_out={p_out}): none of {MAX_DRAWS} "
+                                  f"draws of {spec.n_min} to {spec.n_max} nodes is connected")
     return out
 
 

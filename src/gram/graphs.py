@@ -92,21 +92,7 @@ class LabeledGraph:
         return np.bincount(ends, minlength=self.n).astype(np.int64, copy=False)
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        adj = self.adjacency()
-        seen = np.zeros(self.n, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        count = 1
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    stack.append(v)
-        return count == self.n
+        return connects(self.n, np.array(self.edges, dtype=np.int64).reshape(-1, 3)[:, :2])
 
     def to_json_obj(self) -> dict:
         return {
@@ -137,6 +123,16 @@ class LabeledGraph:
             if e[0] >= e[1]:
                 raise GraphError(f"edge {e} must satisfy u < v")
         return LabeledGraph.create(len(nodes), nodes, edges, a, b)
+
+
+def connects(n: int, ends: np.ndarray) -> bool:
+    """Whether edges with these (m, 2) end pairs join all n nodes: a
+    breadth-first search from node 0, one numpy pass over the edges per
+    level."""
+    seen = np.arange(n) == 0
+    while (grow := seen[ends[:, 0]] != seen[ends[:, 1]]).any():
+        seen[ends[grow]] = True
+    return bool(seen.all())
 
 
 def _check_int(what: str, value):

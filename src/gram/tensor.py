@@ -369,32 +369,27 @@ def _row_index(idx, n: int) -> np.ndarray:
     return idx
 
 
-# Up to this many output rows a scatter is a one-hot product; above it one
-# np.bincount, whose cost per scattered element is about that of 64 one-hot
-# rows (measured at widths 128 and 384).
-ONEHOT_ROWS = 64
-
-
 def _scatter_rows(x: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
-    """out[i] = sum of x[k] over the k with idx[k] == i, for n output rows.
-    Distinct indices are a plain assignment.  Repeated ones are an (n, k)
-    one-hot product for a few output rows and otherwise one np.bincount
-    over (row, column) cells, which costs the size of x and not n times it."""
-    k = len(idx)
-    if k == 0:
-        return np.zeros((n,) + x.shape[1:])
-    if np.bincount(idx, minlength=n).max() == 1:
-        out = np.zeros((n,) + x.shape[1:])
-        out[idx] = x
-        return out
-    width = x.size // k
-    if n <= ONEHOT_ROWS:
-        onehot = np.zeros((n, k))
-        onehot[idx, np.arange(k)] = 1.0
-        return (onehot @ x.reshape(k, width)).reshape((n,) + x.shape[1:])
-    cells = (idx[:, None] * width + np.arange(width)).reshape(-1)
-    return np.bincount(cells, weights=x.reshape(-1),
-                       minlength=n * width).reshape((n,) + x.shape[1:])
+    """out[i] = 0 + the sum of the x[k] with idx[k] == i, added in ascending
+    k as np.bincount adds them, for n output rows, in x's dtype.  The output
+    rows are put in order of their number of terms, most first, and row r of
+    the index table holds each row's r-th term: the rows that have one are
+    then the first widths[r], summed with one gather and one add."""
+    if len(idx) == 0:  # as in most graph_convolution calls: skip the table's 20 numpy calls
+        return np.zeros((n,) + x.shape[1:], x.dtype)
+    counts = np.bincount(idx, minlength=n)
+    slot = np.empty(n, np.int64)  # each output row's place, most terms first
+    slot[np.argsort(-counts, kind="stable")] = np.arange(n)
+    order = np.argsort(idx, kind="stable")
+    sorted_idx = idx[order]
+    rank = np.arange(len(idx)) - (np.cumsum(counts) - counts)[sorted_idx]
+    widths = np.bincount(rank)
+    table = np.empty((len(widths), n), np.int64)
+    table[rank, slot[sorted_idx]] = order
+    out = np.zeros((n,) + x.shape[1:], x.dtype)
+    for terms, width in zip(table, widths.tolist()):
+        out[:width] += x.take(terms[:width], axis=0)
+    return out.take(slot, axis=0)
 
 
 def rows(table: Tensor, idx) -> Tensor:
@@ -412,8 +407,7 @@ def rows(table: Tensor, idx) -> Tensor:
 
 def scatter_rows(x: Tensor, idx, n: int) -> Tensor:
     """The adjoint of rows: n rows, row i the sum of the rows x[k] with
-    idx[k] == i (zero when there is none).  With distinct indices this
-    places rows into a zero-padded array."""
+    idx[k] == i (zero when there is none)."""
     if x.data.ndim < 1 or np.shape(idx) != x.data.shape[:1]:
         raise ShapeError(f"scatter of rows {x.data.shape} by index {np.shape(idx)}")
     idx = _row_index(idx, n)

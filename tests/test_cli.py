@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from gram import datasets
 from gram.cli import main
 from gram.datasets import read_corpus, write_corpus
 from gram.graphs import LabeledGraph
@@ -369,6 +370,27 @@ def test_bad_family_parameter_is_data_error(family, params, key, tmp_path, capsy
     captured = capsys.readouterr()
     assert f"parameter {key!r}" in captured.err
     assert "config:" not in captured.out and not (tmp_path / "d.jsonl").exists()
+
+
+@pytest.mark.parametrize("family, n, params, bound", [
+    ("community", 40, ["--param", "p_out=1e-9"], 200),
+    ("lobster", 10, ["--param", "p1=1", "--param", "p2=1"], 200),
+    ("lobster", 3, ["--param", "p1=1"], None),  # the real bound: about 1 s
+])
+def test_unmeetable_family_spec_is_data_error(family, n, params, bound, tmp_path, capsys,
+                                              monkeypatch):
+    """A size and parameters that no draw meets (lobster: every draw of
+    p1 = p2 = 1 has 9 nodes, and of p1 = 1 at least 4) or almost none
+    (community: p_out = 1e-9 joins no blocks) end in a data error naming the
+    family once the draws run out; nothing is written."""
+    if bound is not None:
+        monkeypatch.setattr(datasets, "MAX_DRAWS", bound)
+    args = ["dataset", "--family", family, "--count", "1", "--nmin", str(n), "--nmax", str(n),
+            "--out", str(tmp_path / "d.jsonl"), "--no-split", *params]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {family} (" in err and f"{datasets.MAX_DRAWS} draws" in err
+    assert not (tmp_path / "d.jsonl").exists()
 
 
 def test_family_parameters_from_flags_and_config(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import collections
+import re
 
 import numpy as np
 import pytest
@@ -144,6 +145,73 @@ def test_community_extreme_parameters_give_four_cliques():
     hist = collections.Counter(g.node_labels)
     assert all(hist[c] == 5 for c in range(4))
     assert g.m == 4 * (5 * 4 // 2)
+
+
+def _community_loop_reference(spec):
+    """gen_community as it was before the per-draw arrays: one rng.random()
+    per node pair in a Python loop, a LabeledGraph per draw, no bound."""
+    rng = np.random.default_rng(spec.seed)
+    p_in = float(spec.params.get("p_in", 0.23))
+    p_out = float(spec.params.get("p_out", 0.023))
+    k_lo, k_hi = max(1, -(-spec.n_min // 4)), spec.n_max // 4
+    out = []
+    for _ in range(spec.count):
+        while True:
+            k = int(rng.integers(k_lo, k_hi + 1))
+            labels = [i // k for i in range(4 * k)]
+            edges = []
+            for u in range(4 * k):
+                for v in range(u + 1, 4 * k):
+                    same = labels[u] == labels[v]
+                    if rng.random() < (p_in if same else p_out):
+                        edges.append((u, v, D.COMM_INTRA if same else D.COMM_INTER))
+            g = LabeledGraph.create(4 * k, labels, edges, 4, 2)
+            if g.is_connected():
+                out.append(g)
+                break
+    return out
+
+
+@pytest.mark.parametrize("count, n_min, n_max, params", [
+    (3, 16, 24, {}), (20, 20, 60, {}), (10, 20, 40, {"p_in": 0.5, "p_out": 0.05}),
+    (3, 100, 120, {"p_in": 0.9, "p_out": 1.0}), (10, 4, 40, {"p_in": 0.0, "p_out": 0.6}),
+])
+def test_community_corpus_matches_the_loop_reference(count, n_min, n_max, params):
+    """One uniform per node pair drawn as one array is the same stream as
+    one rng.random() call per pair: the same graphs for the same seed."""
+    for seed in range(3):
+        spec = CorpusSpec("community", count, n_min, n_max, seed=seed, params=params)
+        assert generate_corpus(spec) == _community_loop_reference(spec)
+
+
+@pytest.mark.parametrize("family, n, params, what", [
+    ("community", 8, {"p_out": 1e-9}, "community (p_in=0.23, p_out=1e-09)"),
+    ("lobster", 10, {"p1": 1, "p2": 1}, "lobster (p1=1.0, p2=1.0)"),
+    ("lobster", 3, {"p1": 1}, "lobster (p1=1.0, p2=0.3)"),
+])
+def test_generators_give_up_after_max_draws(family, n, params, what, monkeypatch):
+    """A spec that no draw can meet, or almost none, raises after exactly
+    MAX_DRAWS draws of the graph, naming the family and its parameters."""
+    monkeypatch.setattr(D, "MAX_DRAWS", 300)
+    rngs = []
+
+    class CountingRng:  # each draw of either generator starts with one integers() call
+        def __init__(self, seed):
+            self.rng, self.draws = real(seed), 0
+            rngs.append(self)
+
+        def integers(self, *args):
+            self.draws += 1
+            return self.rng.integers(*args)
+
+        def random(self, *args):
+            return self.rng.random(*args)
+
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", CountingRng)
+    with pytest.raises(CorpusSpecError, match=re.escape(what) + ".*300 draws"):
+        generate_corpus(CorpusSpec(family, 2, n, n, seed=1, params=params))
+    assert [r.draws for r in rngs] == [300]
 
 
 def test_community_label_histogram_equal_blocks():

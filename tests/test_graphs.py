@@ -175,3 +175,36 @@ def test_adjacency_and_degrees_match_edge_loops(rng):
         adj = g.adjacency_matrix()
         assert adj.dtype == np.uint8 and np.array_equal(adj, mat)
         assert g.degrees().dtype == np.int64 and np.array_equal(g.degrees(), deg)
+
+
+def _is_connected_dfs(g):
+    """LabeledGraph.is_connected as it was before the edge-array search: a
+    depth-first search over the neighbour lists."""
+    if g.n <= 1:
+        return True
+    adj, seen, stack = g.adjacency(), {0}, [0]
+    while stack:
+        for v in adj[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == g.n
+
+
+def test_is_connected_matches_depth_first_search(rng):
+    """The level-by-level search over the edge array agrees with a
+    depth-first search: random connected graphs, the same with edges
+    removed, long paths, edgeless graphs and n = 0, 1, 2."""
+    cases = [LabeledGraph.create(n, [0] * n, [], 1, 1) for n in range(4)]
+    cases += [LabeledGraph.create(n, [0] * n, [(i, i + 1, 0) for i in range(n - 1)], 1, 1)
+              for n in (2, 50, 300)]
+    for _ in range(40):
+        g = random_connected_graph(rng, int(rng.integers(2, 40)), extra_edge_prob=0.05)
+        cases.append(g)
+        kept = [e for e in g.edges if rng.random() < 0.8]
+        cases.append(LabeledGraph.create(g.n, g.node_labels, kept, g.a, g.b))
+    results = [g.is_connected() for g in cases]
+    assert results == [_is_connected_dfs(g) for g in cases]
+    assert True in results and False in results
+    ends = np.array([(0, 1), (2, 3)])
+    assert not G.connects(4, ends) and G.connects(4, np.vstack([ends, [(3, 0)]]))

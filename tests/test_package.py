@@ -23,7 +23,7 @@ GONE = [
     (attention, "_Derived"), (attention.AttentionContext, "derived"),
     (attention.AttentionContext, "grids"), (attention.AttentionContext, "query_rows"),
     (attention.AttentionContext, "key_rows"), (model.OrderedGraph, "edge_label_codes"),
-    (training, "_onehot"),
+    (training, "_onehot"), (tensor, "ONEHOT_ROWS"),
 ]
 
 

@@ -305,17 +305,92 @@ def test_step_indexed_gather_and_bucket_sums(rng):
 
 def test_scatter_rows_is_the_adjoint_of_rows(rng):
     """<rows(A, idx), X> == <A, scatter_rows(X, idx, n)>, with repeated and
-    with distinct indices, and distinct indices place rows exactly."""
-    for idx in ([4, 0, 4, 4, 2, 0, 5], [5, 2, 0, 3]):
-        a = rng.normal(size=(6, 3))
+    with distinct indices, for a few and for many output rows, and distinct
+    indices place rows exactly."""
+    for n, idx in ((100, rng.integers(0, 100, size=300)), (6, [4, 0, 4, 4, 2, 0, 5]),
+                   (6, [5, 2, 0, 3])):
+        a = rng.normal(size=(n, 3))
         x = rng.normal(size=(len(idx), 3))
         gathered = T.rows(Tensor(a), idx).data
-        scattered = T.scatter_rows(Tensor(x), idx, 6).data
+        scattered = T.scatter_rows(Tensor(x), idx, n).data
         assert abs((gathered * x).sum() - (a * scattered).sum()) < 1e-12
     assert np.array_equal(scattered[[5, 2, 0, 3]], x)
     assert not scattered[[1, 4]].any()
     with pytest.raises(ShapeError, match="out of range"):
         T.scatter_rows(Tensor(x), [5, 2, 0, 6], 6)
+
+
+def _scatter_rows_reference(x, idx, n, onehot_rows=64):
+    """tensor._scatter_rows as it was before the index table: distinct
+    indices are a plain assignment; repeated ones an (n, k) one-hot product
+    up to onehot_rows output rows, above them one np.bincount over (row,
+    column) cells, which adds each row's terms in ascending k."""
+    k = len(idx)
+    if k == 0:
+        return np.zeros((n,) + x.shape[1:])
+    if np.bincount(idx, minlength=n).max() == 1:
+        out = np.zeros((n,) + x.shape[1:])
+        out[idx] = x
+        return out
+    width = x.size // k
+    if n <= onehot_rows:
+        onehot = np.zeros((n, k))
+        onehot[idx, np.arange(k)] = 1.0
+        return (onehot @ x.reshape(k, width)).reshape((n,) + x.shape[1:])
+    cells = (idx[:, None] * width + np.arange(width)).reshape(-1)
+    return np.bincount(cells, weights=x.reshape(-1),
+                       minlength=n * width).reshape((n,) + x.shape[1:])
+
+
+def _scatter_rows_loop(x, idx, n):
+    """The definition, one term at a time in ascending k, in x's dtype."""
+    out = np.zeros((n,) + x.shape[1:], x.dtype)
+    for k, i in enumerate(idx):
+        out[i] += x[k]
+    return out
+
+
+def _scatter_cases(rng):
+    """(label, idx, n): empty, distinct and repeated indices, a few and many
+    output rows, and one row that takes most of 500 terms."""
+    yield "empty", np.zeros(0, np.int64), 6
+    yield "empty", np.zeros(0, np.int64), 100
+    for n in (6, 64, 65, 300):
+        yield "distinct", rng.permutation(n)[: (2 * n) // 3], n
+        yield "repeated", rng.integers(0, n, size=3 * n + 1), n
+    yield "skewed", rng.choice(3, size=500, p=[0.9, 0.08, 0.02]), 3
+    yield "one row", np.full(40, 2), 5
+
+
+def test_scatter_rows_matches_the_reference_bit_for_bit(rng):
+    """The index table adds each row's terms in ascending k, as the old
+    np.bincount path did: bit for bit equal to the reference in that order
+    for every case, width 1 and 384, rank 2 and 3.  The old one-hot product
+    summed in BLAS order, which matches only to rounding."""
+    for label, idx, n in _scatter_cases(rng):
+        for rest in ((1,), (384,), (2, 192), (3, 1, 4)):
+            x = rng.normal(size=(len(idx),) + rest)
+            got = T._scatter_rows(x, idx, n)
+            want = _scatter_rows_reference(x, idx, n, onehot_rows=0)
+            assert got.dtype == want.dtype and got.shape == want.shape, (label, n, rest)
+            assert got.tobytes() == want.tobytes(), (label, n, rest)
+            assert got.tobytes() == _scatter_rows_loop(x, idx, n).tobytes(), (label, n, rest)
+            dispatched = _scatter_rows_reference(x, idx, n)
+            if n > 64 or label in ("empty", "distinct"):
+                assert got.tobytes() == dispatched.tobytes(), (label, n, rest)
+            assert np.allclose(got, dispatched, rtol=1e-12, atol=1e-12), (label, n, rest)
+
+
+def test_scatter_rows_keeps_the_dtype_and_sums_from_zero(rng):
+    """A float32 scatter stays float32 and adds in float32, in ascending k;
+    every row is 0 + its terms, so a row of -0.0 terms comes out +0.0."""
+    for label, idx, n in _scatter_cases(rng):
+        x = rng.normal(size=(len(idx), 5)).astype(np.float32)
+        got = T._scatter_rows(x, idx, n)
+        assert got.dtype == np.float32
+        assert got.tobytes() == _scatter_rows_loop(x, idx, n).tobytes(), (label, n)
+    zeros = T._scatter_rows(np.full((4, 2), -0.0), np.array([1, 1, 0, 3]), 4)
+    assert not np.signbit(zeros).any()
 
 
 def _gather_last_reference(table, idx):
