@@ -13,6 +13,7 @@ from gram.datasets import (CorpusFormatError, CorpusSpec, CorpusSpecError,
 from gram.graphs import LabeledGraph, apply_ordering, bfs_ordering
 
 from conftest import random_connected_graph
+from test_graphs import _is_connected_dfs
 
 
 def test_spec_validation():
@@ -149,7 +150,8 @@ def test_community_extreme_parameters_give_four_cliques():
 
 def _community_loop_reference(spec):
     """gen_community as it was before the per-draw arrays: one rng.random()
-    per node pair in a Python loop, a LabeledGraph per draw, no bound."""
+    per node pair in a Python loop, a LabeledGraph per draw checked by a
+    depth-first search, no bound."""
     rng = np.random.default_rng(spec.seed)
     p_in = float(spec.params.get("p_in", 0.23))
     p_out = float(spec.params.get("p_out", 0.023))
@@ -166,7 +168,7 @@ def _community_loop_reference(spec):
                     if rng.random() < (p_in if same else p_out):
                         edges.append((u, v, D.COMM_INTRA if same else D.COMM_INTER))
             g = LabeledGraph.create(4 * k, labels, edges, 4, 2)
-            if g.is_connected():
+            if _is_connected_dfs(g):
                 out.append(g)
                 break
     return out
