@@ -212,21 +212,12 @@ def _community_edges(rng, k: int, p_in: float, p_out: float) -> np.ndarray:
     return np.stack([u, v, np.where(same, COMM_INTRA, COMM_INTER)], axis=1)[keep]
 
 
-def _community(k: int, edges: np.ndarray) -> LabeledGraph:
-    a, b = ALPHABETS["community"]
-    return LabeledGraph.create(4 * k, np.arange(4 * k) // k, edges, a, b)
-
-
-def community_graph(rng, k: int, p_in: float, p_out: float) -> LabeledGraph:
-    """One raw four-block draw (connectivity not enforced)."""
-    return _community(k, _community_edges(rng, k, p_in, p_out))
-
-
 def gen_community(spec: CorpusSpec) -> list:
     """Four equal communities; intra edges with p_in, inter with p_out,
     resampled, up to MAX_DRAWS times, until connected.  A draw stays an edge
     array until it connects: only the kept one becomes a LabeledGraph."""
     rng = np.random.default_rng(spec.seed)
+    a, b = ALPHABETS["community"]
     p_in = float(spec.params.get("p_in", 0.23))
     p_out = float(spec.params.get("p_out", 0.023))
     if p_out == 0:
@@ -241,7 +232,7 @@ def gen_community(spec: CorpusSpec) -> list:
             k = int(rng.integers(k_lo, k_hi + 1))
             edges = _community_edges(rng, k, p_in, p_out)
             if connects(4 * k, edges[:, :2]):
-                out.append(_community(k, edges))
+                out.append(LabeledGraph.create(4 * k, np.arange(4 * k) // k, edges, a, b))
                 break
         else:
             raise CorpusSpecError(f"community (p_in={p_in}, p_out={p_out}): none of {MAX_DRAWS} "

@@ -7,7 +7,7 @@ import pytest
 from gram import datasets as D
 from gram import kernels
 from gram.datasets import (CorpusFormatError, CorpusSpec, CorpusSpecError,
-                           community_graph, corpus_stats, default_split_counts,
+                           corpus_stats, default_split_counts,
                            generate_corpus, read_corpus, split_corpus,
                            write_corpus)
 from gram.graphs import LabeledGraph, apply_ordering, bfs_ordering
@@ -136,6 +136,13 @@ def test_lobster_is_tree_and_connected():
 
 
 # -- community --------------------------------------------------------------
+
+def community_graph(rng, k, p_in, p_out):
+    """One raw four-block draw (connectivity not enforced), as gen_community
+    draws it."""
+    return LabeledGraph.create(4 * k, np.arange(4 * k) // k,
+                               D._community_edges(rng, k, p_in, p_out), 4, 2)
+
 
 def test_community_extreme_parameters_give_four_cliques():
     rng = np.random.default_rng(0)

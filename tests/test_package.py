@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import gram
-from gram import attention, evaluation, graphs, model, optim, sampler, tensor, training
+from gram import attention, datasets, evaluation, graphs, model, optim, sampler, tensor, training
 
 GONE = [
     (tensor, "finite_difference_check"), (tensor, "FiniteDifferenceReport"),
@@ -23,7 +23,7 @@ GONE = [
     (attention, "_Derived"), (attention.AttentionContext, "derived"),
     (attention.AttentionContext, "grids"), (attention.AttentionContext, "query_rows"),
     (attention.AttentionContext, "key_rows"), (model.OrderedGraph, "edge_label_codes"),
-    (training, "_onehot"), (tensor, "ONEHOT_ROWS"),
+    (training, "_onehot"), (tensor, "ONEHOT_ROWS"), (datasets, "community_graph"),
 ]
 
 
