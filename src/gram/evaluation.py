@@ -20,7 +20,7 @@ import itertools
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -72,11 +72,25 @@ def _unique_counts(a: np.ndarray):
     return a[first], np.diff(np.append(first, len(a)))
 
 
-def _directed_edges(g: LabeledGraph):
-    """(source, target, edge label) arrays holding each edge both ways."""
-    e = np.array(g.edges, dtype=np.int64).reshape(-1, 3)
-    return (np.concatenate([e[:, 0], e[:, 1]]), np.concatenate([e[:, 1], e[:, 0]]),
-            np.concatenate([e[:, 2], e[:, 2]]))
+class _GraphArrays(NamedTuple):
+    """The arrays of one graph that its metrics read, built once per graph
+    and evaluation call."""
+    labels: np.ndarray  # (n,) uint64 node labels
+    edges: np.ndarray  # (m, 3) int64 rows (u, v, edge label), u < v
+    adj: Optional[np.ndarray] = None  # (n, n) float64 0/1 adjacency
+    deg: Optional[np.ndarray] = None  # (n,) int64 degrees
+
+
+def _graph_arrays(g: LabeledGraph, dense: bool = True) -> _GraphArrays:
+    """g's labels and edge rows, with its adjacency and degrees if dense."""
+    labels = np.array(g.node_labels, dtype=np.uint64)
+    edges = np.array(g.edges, dtype=np.int64).reshape(-1, 3)
+    if not dense:
+        return _GraphArrays(labels, edges)
+    adj = np.zeros((g.n, g.n))
+    adj[edges[:, 0], edges[:, 1]] = 1.0
+    adj[edges[:, 1], edges[:, 0]] = 1.0
+    return _GraphArrays(labels, edges, adj, np.bincount(edges[:, :2].ravel(), minlength=g.n))
 
 
 # ---------------------------------------------------------------------------
@@ -130,13 +144,16 @@ def nspdk_features(g: LabeledGraph, r_max: int = NSPDK_RADIUS,
     subgraphs (node and edge labels included)."""
     if r_max < 0 or d_max < 0:
         raise EvalError("radius and distance bounds must be >= 0")
-    if g.n == 0:
+    return _features(_graph_arrays(g), r_max, d_max)
+
+
+def _features(arrays: _GraphArrays, r_max: int, d_max: int) -> FeatureMap:
+    """nspdk_features of the graph with these arrays."""
+    n, cap = len(arrays.labels), max(r_max, d_max, 1)
+    if n == 0:
         return FeatureMap(r_max, d_max, {})
-    n, cap = g.n, max(r_max, d_max, 1)
-    dist = kernels.capped_distances(g.adjacency_matrix(), cap).astype(
-        np.min_scalar_type(cap + 1))
-    hashes = _root_hashes(dist, np.array(g.node_labels, dtype=np.uint64),
-                          np.array(g.edges, dtype=np.int64).reshape(-1, 3), r_max)
+    dist = kernels.capped_distances(arrays.adj, cap).astype(np.min_scalar_type(cap + 1))
+    hashes = _root_hashes(dist, arrays.labels, arrays.edges, r_max)
     # the pairs u <= v within d_max, grouped by their distance
     upper = np.arange(n)[:, None] <= np.arange(n)
     at_d = dist == np.arange(d_max + 1, dtype=dist.dtype)[:, None, None]
@@ -239,6 +256,33 @@ def feature_mmd2(feats_p, feats_q) -> float:
     return total
 
 
+def _subsample_draws(n_p: int, n_q: int, seed: int):
+    """The seeded (picks of P, picks of Q) draws that gk_mmd2 averages over
+    when a corpus has more than SUBSAMPLE_LIMIT graphs; None otherwise."""
+    if max(n_p, n_q) <= SUBSAMPLE_LIMIT:
+        return None
+    rng = np.random.default_rng(seed)
+    return [(rng.choice(n_p, min(SUBSAMPLE_SIZE, n_p), replace=False),
+             rng.choice(n_q, min(SUBSAMPLE_SIZE, n_q), replace=False))
+            for _ in range(SUBSAMPLE_DRAWS)]
+
+
+def _drawn(draws, side: int, size: int):
+    """Indices of the graphs of one side (0 for P, 1 for Q) that the draws
+    use, ascending: all of them on the direct path."""
+    if draws is None:
+        return range(size)
+    return sorted(set(np.concatenate([d[side] for d in draws]).tolist()))
+
+
+def _gk_value(feats_p: dict, feats_q: dict, draws) -> float:
+    """gk_mmd2 from the feature maps of the drawn graphs, keyed by index."""
+    if draws is None:
+        return feature_mmd2(list(feats_p.values()), list(feats_q.values()))
+    return float(np.mean([feature_mmd2([feats_p[i] for i in p], [feats_q[i] for i in q])
+                          for p, q in draws]))
+
+
 def gk_mmd2(set_p, set_q, r_max: int = NSPDK_RADIUS, d_max: int = NSPDK_DISTANCE,
             seed: int = 0) -> float:
     """Squared MMD under the graph kernel.  Corpora larger than
@@ -248,22 +292,10 @@ def gk_mmd2(set_p, set_q, r_max: int = NSPDK_RADIUS, d_max: int = NSPDK_DISTANCE
     corpora come out exactly 0 only on the direct path)."""
     if not set_p or not set_q:
         raise EvalError("MMD needs non-empty sample sets")
-    if max(len(set_p), len(set_q)) <= SUBSAMPLE_LIMIT:
-        return feature_mmd2([nspdk_features(g, r_max, d_max) for g in set_p],
-                            [nspdk_features(g, r_max, d_max) for g in set_q])
-    rng = np.random.default_rng(seed)
-    draws = [(rng.choice(len(set_p), min(SUBSAMPLE_SIZE, len(set_p)), replace=False),
-              rng.choice(len(set_q), min(SUBSAMPLE_SIZE, len(set_q)), replace=False))
-             for _ in range(SUBSAMPLE_DRAWS)]
-
-    def featurized(graphs, picks):
-        used = sorted(set(np.concatenate(picks).tolist()))
-        return {i: nspdk_features(graphs[i], r_max, d_max) for i in used}
-
-    feats_p = featurized(set_p, [p for p, _ in draws])
-    feats_q = featurized(set_q, [q for _, q in draws])
-    return float(np.mean([feature_mmd2([feats_p[i] for i in p], [feats_q[i] for i in q])
-                          for p, q in draws]))
+    draws = _subsample_draws(len(set_p), len(set_q), seed)
+    feats = [{i: nspdk_features(graphs[i], r_max, d_max) for i in _drawn(draws, side, len(graphs))}
+             for side, graphs in enumerate((set_p, set_q))]
+    return _gk_value(*feats, draws)
 
 
 # ---------------------------------------------------------------------------
@@ -278,29 +310,38 @@ STAT_SIGMA = 1.0
 def orbit_counts(g: LabeledGraph) -> np.ndarray:
     """Per-node counts over the 11 orbits of the connected 4-node graphlets
     (labels ignored); all zero for graphs with fewer than 4 nodes."""
-    return kernels.orbit_counts_matrix(g.adjacency_matrix())
+    return kernels.orbit_counts_matrix(_graph_arrays(g).adj)
+
+
+def _degree_hists(degs) -> list:
+    """Degree histograms of a list of degree vectors, on a shared range."""
+    top = max(int(d.max()) if len(d) else 0 for d in degs)
+    return [np.bincount(d, minlength=top + 1) / max(len(d), 1) for d in degs]
+
+
+def _clustering_hist(clus: np.ndarray) -> np.ndarray:
+    hist, _ = np.histogram(clus, bins=CLUSTERING_BINS, range=(0.0, 1.0))
+    return hist / max(len(clus), 1)
+
+
+def _orbit_hist(counts: np.ndarray) -> np.ndarray:
+    """The mean orbit counts of a graph's nodes, normalised to sum to 1."""
+    mean = counts.mean(axis=0) if len(counts) else np.zeros(11)
+    total = mean.sum()
+    return mean / total if total > 0 else mean
 
 
 def _stat_histograms(set_p, set_q, statistic):
+    graphs = list(set_p) + list(set_q)
     if statistic == "degree":
-        degs_p = [g.degrees() for g in set_p]
-        degs_q = [g.degrees() for g in set_q]
-        top = max(int(d.max()) if len(d) else 0 for d in degs_p + degs_q)
-        mk = lambda d: np.bincount(d, minlength=top + 1) / max(len(d), 1)
-        return [mk(d) for d in degs_p], [mk(d) for d in degs_q]
-    if statistic == "clustering":
-        def mk(g):
-            clus = kernels.clustering(g.adjacency_matrix())
-            hist, _ = np.histogram(clus, bins=CLUSTERING_BINS, range=(0.0, 1.0))
-            return hist / max(len(clus), 1)
-        return [mk(g) for g in set_p], [mk(g) for g in set_q]
-    if statistic == "orbit":
-        def mk(g):
-            mean = orbit_counts(g).mean(axis=0) if g.n else np.zeros(11)
-            total = mean.sum()
-            return mean / total if total > 0 else mean
-        return [mk(g) for g in set_p], [mk(g) for g in set_q]
-    raise EvalError(f"unknown statistic {statistic!r}; choose from {STATISTICS}")
+        hists = _degree_hists([g.degrees() for g in graphs])
+    elif statistic == "clustering":
+        hists = [_clustering_hist(kernels.clustering(_graph_arrays(g).adj)) for g in graphs]
+    elif statistic == "orbit":
+        hists = [_orbit_hist(orbit_counts(g)) for g in graphs]
+    else:
+        raise EvalError(f"unknown statistic {statistic!r}; choose from {STATISTICS}")
+    return hists[:len(set_p)], hists[len(set_p):]
 
 
 def _gaussian_emd_gram(hists: np.ndarray) -> np.ndarray:
@@ -312,16 +353,19 @@ def _gaussian_emd_gram(hists: np.ndarray) -> np.ndarray:
     return np.exp(-w * w / (2.0 * STAT_SIGMA * STAT_SIGMA))
 
 
+def _hist_mmd(hp: list, hq: list) -> float:
+    gram = _gaussian_emd_gram(np.vstack(hp + hq))
+    n = len(hp)
+    val = gram[:n, :n].mean() - 2.0 * gram[:n, n:].mean() + gram[n:, n:].mean()
+    return max(0.0, float(val))  # numerical floor; identical sets cancel exactly
+
+
 def statistic_mmd(set_p, set_q, statistic: str) -> float:
     """Squared MMD between per-graph histograms of a topology statistic,
     with a Gaussian kernel over the first Wasserstein distance."""
     if not set_p or not set_q:
         raise EvalError("MMD needs non-empty sample sets")
-    hp, hq = _stat_histograms(set_p, set_q, statistic)
-    gram = _gaussian_emd_gram(np.vstack(hp + hq))
-    n = len(hp)
-    val = gram[:n, :n].mean() - 2.0 * gram[:n, n:].mean() + gram[n:, n:].mean()
-    return max(0.0, float(val))  # numerical floor; identical sets cancel exactly
+    return _hist_mmd(*_stat_histograms(set_p, set_q, statistic))
 
 
 # ---------------------------------------------------------------------------
@@ -330,20 +374,64 @@ def statistic_mmd(set_p, set_q, statistic: str) -> float:
 
 def graph_fingerprint(g: LabeledGraph) -> int:
     """Whole-graph hash by iterative neighborhood-label refinement, with
-    node and edge labels folded in."""
-    src, dst, elab = _directed_edges(g)
-    colors = _mix(np.array(g.node_labels, dtype=np.uint64))
-    distinct = len(_unique_counts(colors)[0])
-    for _ in range(max(1, g.n)):
-        ring = np.zeros(g.n, dtype=np.uint64)
-        np.add.at(ring, src, _mix2(elab, colors[dst]))
-        colors = _mix2(colors, ring)
-        now = len(_unique_counts(colors)[0])
-        if now == distinct:
-            break
-        distinct = now
-    head = _mix2(_mix2(g.n, g.a), g.b)
-    return int(_mix2(head, colors.sum(dtype=np.uint64)).view(np.int64)[0])
+    node and edge labels folded in: graph_fingerprints of one graph."""
+    return graph_fingerprints([g])[0]
+
+
+def graph_fingerprints(graphs) -> list:
+    """graph_fingerprint of each graph, refined all together."""
+    return _fingerprints(graphs, [_graph_arrays(g, dense=False) for g in graphs])
+
+
+def _fingerprints(graphs, arrays) -> list:
+    """The fingerprints of graphs with these arrays.  Each round mixes every
+    node's color with the multiset of (edge label, neighbor color) around
+    it, and a graph stops after the round that leaves its number of
+    distinct colors unchanged, or after max(1, n) rounds.  The graphs still
+    refining share each round; a graph's colors are counted by sorting its
+    row of a padded (graphs, largest n) table, whose padding repeats the
+    graph's last node."""
+    sizes = np.array([g.n for g in graphs], dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    node_graph = np.repeat(np.arange(len(graphs)), sizes)
+    colors = _mix(np.concatenate([a.labels for a in arrays] + [np.empty(0, np.uint64)]))
+    m = [len(a.edges) for a in arrays]
+    edges = np.concatenate([a.edges for a in arrays] + [np.empty((0, 3), np.int64)])
+    ends = edges[:, :2] + np.repeat(starts, m)[:, None]
+    src, dst = np.concatenate([ends[:, 0], ends[:, 1]]), np.concatenate([ends[:, 1], ends[:, 0]])
+    elab = np.tile(edges[:, 2], 2)
+    edge_graph = node_graph[src]
+    width = int(sizes.max(initial=0))
+    padded = starts[:, None] + np.minimum(np.arange(width), sizes[:, None] - 1)
+
+    def distinct(rows):
+        table = np.sort(colors[padded[rows]], axis=1)
+        return 1 + np.count_nonzero(table[:, 1:] != table[:, :-1], axis=1)
+
+    active = np.flatnonzero(sizes > 0)  # an empty graph has nothing to refine
+    counts = distinct(active)
+    rounds = 0
+    while len(active):
+        rounds += 1
+        live = np.zeros(len(graphs), dtype=bool)
+        live[active] = True
+        nodes, on = np.flatnonzero(live[node_graph]), live[edge_graph]
+        ring = np.zeros(len(colors), dtype=np.uint64)
+        np.add.at(ring, src[on], _mix2(elab[on], colors[dst[on]]))
+        colors[nodes] = _mix2(colors[nodes], ring[nodes])
+        now = distinct(active)
+        going = (now != counts) & (rounds < sizes[active])
+        active, counts = active[going], now[going]
+    sums = np.zeros(len(graphs), dtype=np.uint64)
+    np.add.at(sums, node_graph, colors)
+    heads = _mix2(_mix2(sizes, [g.a for g in graphs]), [g.b for g in graphs])
+    return _mix2(heads, sums).view(np.int64).tolist()
+
+
+def _ratios(fps: list, train_fps: list):
+    """(unique, novel) of the samples' fingerprints, as uniqueness_novelty."""
+    distinct = set(fps)
+    return len(distinct) / len(fps), len(distinct - set(train_fps)) / len(fps)
 
 
 def uniqueness_novelty(samples, train_set):
@@ -352,12 +440,8 @@ def uniqueness_novelty(samples, train_set):
     from the training set."""
     if not samples:
         raise EvalError("no samples")
-    fps = [graph_fingerprint(g) for g in samples]
-    train_fps = {graph_fingerprint(g) for g in train_set}
-    distinct = set(fps)
-    unique = len(distinct) / len(samples)
-    novel = len(distinct - train_fps) / len(samples)
-    return unique, novel
+    fps = graph_fingerprints(list(samples) + list(train_set))
+    return _ratios(fps[:len(samples)], fps[len(samples):])
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +458,9 @@ class EvalReport:
     novel_ratio: Optional[float]
     n_generated: int
     n_reference: int
-    # seconds per metric: gk, degree, clustering, orbit, uniqueness_novelty.
-    # Outside FIELDS and equality, so reports of one seed stay identical.
+    # seconds of the shared pass over the graphs, then of each metric: graphs,
+    # gk, degree, clustering, orbit, uniqueness_novelty.  Outside FIELDS and
+    # equality, so reports of one seed stay identical.
     timing: dict = field(default_factory=dict, compare=False)
 
     FIELDS = ("gk_mmd2", "degree_mmd2", "clustering_mmd2", "orbit_mmd2",
@@ -395,10 +480,39 @@ class EvalReport:
         return ",".join(vals)
 
 
+@dataclass
+class _Summaries:
+    """What the metrics of evaluate_corpora read of one corpus."""
+    features: dict = field(default_factory=dict)  # index -> FeatureMap of the drawn graphs
+    degrees: list = field(default_factory=list)  # int64 degree vectors
+    clustering: list = field(default_factory=list)  # clustering histograms
+    orbits: list = field(default_factory=list)  # orbit histograms
+    arrays: list = field(default_factory=list)  # labels and edge rows, for fingerprints
+
+
+def _summarize(graphs, drawn) -> _Summaries:
+    """One pass over a corpus: each graph's arrays are built once and feed
+    its NSPDK features (for the indices in `drawn`) and its topology
+    summaries; only one graph's (n, n) arrays are alive at a time."""
+    out, drawn = _Summaries(), set(drawn)
+    for i, g in enumerate(graphs):
+        arrays = _graph_arrays(g)
+        if i in drawn:
+            out.features[i] = _features(arrays, NSPDK_RADIUS, NSPDK_DISTANCE)
+        orbits, clus = kernels.orbits_and_clustering(arrays.adj, arrays.deg)
+        out.degrees.append(arrays.deg)
+        out.clustering.append(_clustering_hist(clus))
+        out.orbits.append(_orbit_hist(orbits))
+        out.arrays.append(arrays._replace(adj=None))
+    return out
+
+
 def evaluate_corpora(generated, reference, train_set=None, seed: int = 0) -> EvalReport:
     """Full evaluation of a generated corpus against a reference corpus;
-    novelty needs the training corpus and is omitted without it.  The
-    report's `timing` holds the seconds each metric took."""
+    novelty needs the training corpus and is omitted without it.  One pass
+    over the graphs ("graphs" in the report's `timing`) builds what every
+    metric reads; `timing` also holds the seconds of each metric after it,
+    so its values add up to the call."""
     if not generated or not reference:
         raise EvalError("corpora must be non-empty")
     timing = {}
@@ -409,15 +523,25 @@ def evaluate_corpora(generated, reference, train_set=None, seed: int = 0) -> Eva
         yield
         timing[name] = time.perf_counter() - start
 
+    draws = _subsample_draws(len(generated), len(reference), seed)
+    with timed("graphs"):
+        gen, ref = (_summarize(graphs, _drawn(draws, side, len(graphs)))
+                    for side, graphs in enumerate((generated, reference)))
     with timed("gk"):
-        gk = float(gk_mmd2(generated, reference, seed=seed))
-    stats = {}
-    for stat in STATISTICS:
-        with timed(stat):
-            stats[stat] = float(statistic_mmd(generated, reference, stat))
+        gk = _gk_value(gen.features, ref.features, draws)
+    with timed("degree"):
+        hists = _degree_hists(gen.degrees + ref.degrees)
+        degree = _hist_mmd(hists[:len(generated)], hists[len(generated):])
+    with timed("clustering"):
+        clustering = _hist_mmd(gen.clustering, ref.clustering)
+    with timed("orbit"):
+        orbit = _hist_mmd(gen.orbits, ref.orbits)
     with timed("uniqueness_novelty"):
-        unique, novel = uniqueness_novelty(generated, train_set or [])
+        train = list(train_set or [])
+        fps = _fingerprints(list(generated) + train, gen.arrays + [
+            _graph_arrays(g, dense=False) for g in train])
+        unique, novel = _ratios(fps[:len(generated)], fps[len(generated):])
     if train_set is None:
         novel = None
-    return EvalReport(gk, stats["degree"], stats["clustering"], stats["orbit"], unique,
-                      novel, len(generated), len(reference), timing)
+    return EvalReport(gk, degree, clustering, orbit, unique, novel,
+                      len(generated), len(reference), timing)

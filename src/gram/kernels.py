@@ -1,7 +1,8 @@
 """Dense graph kernels whose hot loops are float64 matrix products: all-pairs
 capped BFS distances, per-node clustering, and per-node counts of the 11
 orbits of the connected 4-node graphlets.  Every kernel takes a dense 0/1
-adjacency matrix.
+adjacency matrix; `orbits_and_clustering` also takes its degree vector and
+computes A² once for both statistics.
 
 Counts are held in float64 while they are computed.  Each product of 0/1
 matrices and integer vectors here is an integer below 2**53, so it is exact
@@ -66,29 +67,36 @@ def capped_distances(adj, cap: int) -> np.ndarray:
     return dist
 
 
+def _triangles(adj):
+    """(A², the triangles on each edge T = A² ∘ A, the triangles at each
+    node t = T 1 / 2) of a float64 adjacency matrix."""
+    a2 = adj @ adj
+    tri = a2 * adj
+    return a2, tri, tri.sum(axis=1) / 2
+
+
+def _clustering(d, t) -> np.ndarray:
+    """2 t / (d (d - 1)) at every node of degree d >= 2, else 0."""
+    clus = np.zeros(len(d))
+    ok = d >= 2
+    clus[ok] = 2.0 * t[ok] / (d[ok] * (d[ok] - 1))
+    return clus
+
+
 def clustering(adj) -> np.ndarray:
     """Local clustering coefficient 2 L / (d (d - 1)) of every node, where
-    L = (A² ∘ A) 1 / 2 counts the links among its d neighbours; 0 where
-    d < 2."""
+    L = t counts the links among its d neighbours; 0 where d < 2."""
     adj = np.asarray(adj, dtype=np.float64)
-    deg = adj.sum(axis=1)
-    links = (((adj @ adj) * adj).sum(axis=1) // 2).astype(np.int64)
-    clus = np.zeros(len(adj))
-    ok = deg >= 2
-    clus[ok] = 2.0 * links[ok] / (deg[ok] * (deg[ok] - 1))
-    return clus
+    return _clustering(adj.sum(axis=1), _triangles(adj)[2])
 
 
 def _c2(x):
     return x * (x - 1) / 2
 
 
-def _noninduced_orbits(adj: np.ndarray) -> np.ndarray:
-    """(n, 11) int64 non-induced orbit counts N (module docstring)."""
-    d = adj.sum(axis=1)
-    a2 = adj @ adj
-    tri = a2 * adj
-    t = tri.sum(axis=1) / 2
+def _noninduced_orbits(adj, d, a2, tri, t) -> np.ndarray:
+    """(n, 11) int64 non-induced orbit counts N (module docstring) from A,
+    its degrees and _triangles(A)."""
     k4 = np.zeros(len(adj))
     for v in np.flatnonzero(t >= 3):  # a K4 puts 3 triangles on each of its nodes
         nbrs = np.flatnonzero(adj[v])
@@ -134,7 +142,9 @@ def _orbit_matrix() -> np.ndarray:
     graphlet alone."""
     m = np.zeros((11, 11), dtype=np.int64)
     for _, edges, orbits in GRAPHLETS:
-        for orbit, counts in zip(orbits, _noninduced_orbits(graphlet_adjacency(edges))):
+        adj = graphlet_adjacency(edges)
+        for orbit, counts in zip(orbits, _noninduced_orbits(adj, adj.sum(axis=1),
+                                                            *_triangles(adj))):
             m[:, orbit] = counts
     return m
 
@@ -142,11 +152,23 @@ def _orbit_matrix() -> np.ndarray:
 ORBIT_MATRIX = _orbit_matrix()
 
 
-def orbit_counts_matrix(adj) -> np.ndarray:
-    """(n, 11) int64 per-node counts of the induced connected 4-node
-    graphlets by orbit, from a dense 0/1 adjacency matrix."""
-    noninduced = _noninduced_orbits(np.asarray(adj, dtype=np.float64))
+def _induced(noninduced: np.ndarray) -> np.ndarray:
+    """Induced counts O from N = M O by back substitution."""
     counts = np.zeros_like(noninduced)
     for k in range(10, -1, -1):
         counts[:, k] = noninduced[:, k] - counts[:, k + 1:] @ ORBIT_MATRIX[k, k + 1:]
     return counts
+
+
+def orbit_counts_matrix(adj) -> np.ndarray:
+    """(n, 11) int64 per-node counts of the induced connected 4-node
+    graphlets by orbit, from a dense 0/1 adjacency matrix."""
+    adj = np.asarray(adj, dtype=np.float64)
+    return orbits_and_clustering(adj, adj.sum(axis=1))[0]
+
+
+def orbits_and_clustering(adj: np.ndarray, deg: np.ndarray):
+    """(orbit_counts_matrix(adj), clustering(adj)) of a float64 adjacency
+    matrix and its degree vector, sharing one A² and its triangle counts."""
+    a2, tri, t = _triangles(adj)
+    return _induced(_noninduced_orbits(adj, deg, a2, tri, t)), _clustering(deg, t)

@@ -374,10 +374,15 @@ def _scatter_rows(x: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
     k as np.bincount adds them, for n output rows, in x's dtype.  The output
     rows are put in order of their number of terms, most first, and row r of
     the index table holds each row's r-th term: the rows that have one are
-    then the first widths[r], summed with one gather and one add."""
+    then the first widths[r], summed with one gather and one add.  Indices
+    that never repeat need no table: one row assignment."""
     if len(idx) == 0:  # as in most graph_convolution calls: skip the table's 20 numpy calls
         return np.zeros((n,) + x.shape[1:], x.dtype)
     counts = np.bincount(idx, minlength=n)
+    out = np.zeros((n,) + x.shape[1:], x.dtype)
+    if counts.max() == 1:  # no index repeats, as in Segments.pad: one assignment
+        out[idx] = x + 0.0  # 0 + x, so that a -0.0 term gives +0.0
+        return out
     slot = np.empty(n, np.int64)  # each output row's place, most terms first
     slot[np.argsort(-counts, kind="stable")] = np.arange(n)
     order = np.argsort(idx, kind="stable")
@@ -386,7 +391,6 @@ def _scatter_rows(x: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
     widths = np.bincount(rank)
     table = np.empty((len(widths), n), np.int64)
     table[rank, slot[sorted_idx]] = order
-    out = np.zeros((n,) + x.shape[1:], x.dtype)
     for terms, width in zip(table, widths.tolist()):
         out[:width] += x.take(terms[:width], axis=0)
     return out.take(slot, axis=0)

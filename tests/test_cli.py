@@ -90,7 +90,7 @@ def test_eval_identical_corpora_zero(tmp_path, capsys):
                   if line.startswith("timing: ")]
         assert len(timing) == 1
         seconds = json.loads(timing[0][len("timing: "):])
-        assert len(seconds) == 5 and all(t >= 0.0 for t in seconds.values())
+        assert len(seconds) == 6 and all(t >= 0.0 for t in seconds.values())
     report = tmp_path / "rep1.json"
     obj = json.loads(report.read_text())
     assert obj["gk_mmd2"] == 0.0

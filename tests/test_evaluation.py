@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import warnings
@@ -291,6 +292,13 @@ def _per_radius_root_hashes(dist, node_labels, edges, rr):
     return E._mix2(rr, np.add.reduceat(color, starts))
 
 
+def directed_edges(g):
+    """(source, target, edge label) arrays holding each edge both ways."""
+    e = np.array(g.edges, dtype=np.int64).reshape(-1, 3)
+    return (np.concatenate([e[:, 0], e[:, 1]]), np.concatenate([e[:, 1], e[:, 0]]),
+            np.concatenate([e[:, 2], e[:, 2]]))
+
+
 def per_radius_features(g, r_max=E.NSPDK_RADIUS, d_max=E.NSPDK_DISTANCE):
     """The featurizer that refined the balls of one radius at a time and
     counted each cell (r', d') with its own sort."""
@@ -298,7 +306,7 @@ def per_radius_features(g, r_max=E.NSPDK_RADIUS, d_max=E.NSPDK_DISTANCE):
         return E.FeatureMap(r_max, d_max, {})
     dist = kernels.capped_distances(g.adjacency_matrix(), max(r_max, d_max, 1))
     node_labels = np.array(g.node_labels, dtype=np.uint64)
-    edges = E._directed_edges(g)
+    edges = directed_edges(g)
     u, v = np.nonzero(np.triu(dist <= d_max))
     at_distance = [dist[u, v] == d for d in range(d_max + 1)]
     cells = {}
@@ -367,6 +375,46 @@ def test_mix_calls_do_not_grow_with_radius(monkeypatch):
     old = [mix_calls(per_radius_features, r) for r in range(6)]
     assert len(set(new)) == 1, new
     assert old[5] > old[0] and new[0] <= old[0]
+
+
+# -- corpus-wide fingerprints vs the per-graph refinement they replaced ---------------
+
+def per_graph_refinement(g):
+    """(fingerprint, rounds) of g, refined alone: the graph_fingerprint
+    that ran one round at a time per graph."""
+    src, dst, elab = directed_edges(g)
+    colors = E._mix(np.array(g.node_labels, dtype=np.uint64))
+    distinct = len(E._unique_counts(colors)[0])
+    rounds = 0
+    for _ in range(max(1, g.n)):
+        rounds += 1
+        ring = np.zeros(g.n, dtype=np.uint64)
+        np.add.at(ring, src, E._mix2(elab, colors[dst]))
+        colors = E._mix2(colors, ring)
+        now = len(E._unique_counts(colors)[0])
+        if now == distinct:
+            break
+        distinct = now
+    head = E._mix2(E._mix2(g.n, g.a), g.b)
+    return int(E._mix2(head, colors.sum(dtype=np.uint64)).view(np.int64)[0]), rounds
+
+
+def test_graph_fingerprints_match_the_per_graph_reference(equivalence_graphs):
+    """Refining a whole corpus together gives each graph the fingerprint
+    that refining it alone gave, whatever round its neighbours stop at:
+    family corpora, random labelled graphs, n = 0, n = 1, a disconnected
+    graph, paths that stop after 1 to 6 rounds, and one-graph corpora."""
+    paths = [path_graph(n) for n in range(1, 13)]
+    corpus = equivalence_graphs + paths
+    want = [per_graph_refinement(g) for g in corpus]
+    assert len({rounds for _, rounds in want[-len(paths):]}) >= 6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert E.graph_fingerprints(corpus) == [fp for fp, _ in want]
+        assert E.graph_fingerprints(corpus[::-1]) == [fp for fp, _ in want[::-1]]
+        for g, (fp, _) in zip(corpus, want):
+            assert E.graph_fingerprints([g]) == [fp] and E.graph_fingerprint(g) == fp
+    assert E.graph_fingerprints([]) == []
 
 
 def test_hashing_raises_no_overflow_warning(rng):
@@ -578,5 +626,71 @@ def test_evaluate_corpora_report(rng):
     again = E.evaluate_corpora(gen, list(gen), train_set=gen[:3])
     assert again == report and again.csv_row() == row and again.to_json_obj() == obj
     for r in (report, again):  # seconds per metric, outside FIELDS and equality
-        assert list(r.timing) == ["gk", "degree", "clustering", "orbit", "uniqueness_novelty"]
+        assert list(r.timing) == ["graphs", "gk", "degree", "clustering", "orbit",
+                                  "uniqueness_novelty"]
         assert all(isinstance(t, float) and t >= 0.0 for t in r.timing.values())
+
+
+def metrics_one_by_one(gen, ref, train_set, seed):
+    """The report that the public metric functions give one at a time."""
+    unique, novel = E.uniqueness_novelty(gen, train_set or [])
+    return E.EvalReport(E.gk_mmd2(gen, ref, seed=seed),
+                        *(E.statistic_mmd(gen, ref, stat) for stat in E.STATISTICS),
+                        unique, None if train_set is None else novel, len(gen), len(ref))
+
+
+@pytest.mark.parametrize("subsampled", [False, True])
+def test_evaluate_corpora_equals_the_metrics_one_by_one(rng, monkeypatch, subsampled):
+    if subsampled:
+        monkeypatch.setattr(E, "SUBSAMPLE_LIMIT", 12)
+        monkeypatch.setattr(E, "SUBSAMPLE_SIZE", 8)
+        monkeypatch.setattr(E, "SUBSAMPLE_DRAWS", 3)
+    graphs = labelled_graphs(rng, 30) + generate_corpus(CorpusSpec("lobster", 6, 10, 30, seed=4))
+    gen, ref = graphs[:16] + graphs[31:], graphs[16:31]
+    for train_set in (None, [], graphs[10:20] + graphs[:2]):
+        got = E.evaluate_corpora(gen, ref, train_set, seed=7)
+        want = metrics_one_by_one(gen, ref, train_set, seed=7)
+        assert got == want and got.to_json_obj() == want.to_json_obj()
+        assert got.csv_row() == want.csv_row()
+    assert got.gk_mmd2 > 0.0 and 0.0 < got.novel_ratio < 1.0
+
+
+@pytest.mark.parametrize("subsampled", [False, True])
+def test_evaluate_corpora_builds_each_graphs_arrays_once(rng, monkeypatch, subsampled):
+    """One pass per call: every graph's arrays are built once (training
+    graphs without the dense ones), the drawn graphs are featurised once,
+    and no LabeledGraph matrix or degree method runs."""
+    if subsampled:
+        monkeypatch.setattr(E, "SUBSAMPLE_LIMIT", 6)
+        monkeypatch.setattr(E, "SUBSAMPLE_SIZE", 3)
+        monkeypatch.setattr(E, "SUBSAMPLE_DRAWS", 2)
+    gen, ref, train = (labelled_graphs(rng, k) for k in (8, 7, 4))
+    built, featurised, owner = collections.Counter(), collections.Counter(), {}
+    arrays, features = E._graph_arrays, E._features
+
+    def counted_arrays(g, dense=True):
+        built[id(g), dense] += 1
+        out = arrays(g, dense)
+        owner[id(out.adj)] = out.adj, g  # the array is kept, so its id stays unique
+        return out
+
+    def counted_features(a, r_max, d_max):
+        featurised[id(owner[id(a.adj)][1])] += 1
+        return features(a, r_max, d_max)
+
+    def forbidden(self):
+        raise AssertionError("evaluate_corpora rebuilt a graph array")
+
+    monkeypatch.setattr(E, "_graph_arrays", counted_arrays)
+    monkeypatch.setattr(E, "_features", counted_features)
+    monkeypatch.setattr(LabeledGraph, "adjacency_matrix", forbidden)
+    monkeypatch.setattr(LabeledGraph, "degrees", forbidden)
+    for _ in range(2):
+        built.clear()
+        featurised.clear()
+        E.evaluate_corpora(gen, ref, train, seed=1)
+        assert built == collections.Counter({(id(g), dense): 1 for gs, dense in
+                                             ((gen, True), (ref, True), (train, False))
+                                             for g in gs})
+        assert set(featurised.values()) == {1}
+        assert (len(featurised) < len(gen) + len(ref)) == subsampled

@@ -157,3 +157,18 @@ def test_orbit_small_graphs_zero():
     g = LabeledGraph.create(3, [0] * 3, [(0, 1, 0), (1, 2, 0)], a=1, b=1)
     assert not kernels.orbit_counts_matrix(g.adjacency_matrix()).any()
     assert kernels.orbit_counts_matrix(np.zeros((0, 0))).shape == (0, 11)
+
+
+def test_orbits_and_clustering_equal_the_separate_kernels(rng):
+    """One A² for both statistics, with the int64 degree vector of the
+    edges: bit for bit the counts and coefficients of the two kernels."""
+    graphs = [random_connected_graph(rng, int(rng.integers(1, 30)),
+                                     extra_edge_prob=float(rng.uniform(0.0, 0.5)))
+              for _ in range(30)]
+    graphs.append(LabeledGraph.create(0, [], [], 1, 1))
+    for g in graphs:
+        adj = g.adjacency_matrix().astype(np.float64)
+        counts, clus = kernels.orbits_and_clustering(adj, g.degrees())
+        assert counts.dtype == np.int64 and clus.dtype == np.float64
+        assert np.array_equal(counts, kernels.orbit_counts_matrix(adj))
+        assert clus.tobytes() == kernels.clustering(adj).tobytes()

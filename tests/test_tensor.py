@@ -389,8 +389,9 @@ def test_scatter_rows_keeps_the_dtype_and_sums_from_zero(rng):
         got = T._scatter_rows(x, idx, n)
         assert got.dtype == np.float32
         assert got.tobytes() == _scatter_rows_loop(x, idx, n).tobytes(), (label, n)
-    zeros = T._scatter_rows(np.full((4, 2), -0.0), np.array([1, 1, 0, 3]), 4)
-    assert not np.signbit(zeros).any()
+    for idx in ([1, 1, 0, 3], [2, 0, 3, 1]):  # repeated and distinct indices
+        zeros = T._scatter_rows(np.full((4, 2), -0.0), np.array(idx), 4)
+        assert not np.signbit(zeros).any()
 
 
 def _gather_last_reference(table, idx):
