@@ -484,10 +484,9 @@ class EvalReport:
 class _Summaries:
     """What the metrics of evaluate_corpora read of one corpus."""
     features: dict = field(default_factory=dict)  # index -> FeatureMap of the drawn graphs
-    degrees: list = field(default_factory=list)  # int64 degree vectors
     clustering: list = field(default_factory=list)  # clustering histograms
     orbits: list = field(default_factory=list)  # orbit histograms
-    arrays: list = field(default_factory=list)  # labels and edge rows, for fingerprints
+    arrays: list = field(default_factory=list)  # labels, edge rows and degrees
 
 
 def _summarize(graphs, drawn) -> _Summaries:
@@ -500,7 +499,6 @@ def _summarize(graphs, drawn) -> _Summaries:
         if i in drawn:
             out.features[i] = _features(arrays, NSPDK_RADIUS, NSPDK_DISTANCE)
         orbits, clus = kernels.orbits_and_clustering(arrays.adj, arrays.deg)
-        out.degrees.append(arrays.deg)
         out.clustering.append(_clustering_hist(clus))
         out.orbits.append(_orbit_hist(orbits))
         out.arrays.append(arrays._replace(adj=None))
@@ -529,8 +527,9 @@ def evaluate_corpora(generated, reference, train_set=None, seed: int = 0) -> Eva
                     for side, graphs in enumerate((generated, reference)))
     with timed("gk"):
         gk = _gk_value(gen.features, ref.features, draws)
+        gen.features = ref.features = None  # the largest summaries: not held to the end
     with timed("degree"):
-        hists = _degree_hists(gen.degrees + ref.degrees)
+        hists = _degree_hists([a.deg for a in gen.arrays + ref.arrays])
         degree = _hist_mmd(hists[:len(generated)], hists[len(generated):])
     with timed("clustering"):
         clustering = _hist_mmd(gen.clustering, ref.clustering)
