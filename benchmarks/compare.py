@@ -62,6 +62,11 @@ def compare_metric(parent: list, change: list, better: str, bound: float) -> dic
             "within_bound": worse <= bound}
 
 
+def _summary(q) -> str:
+    """The median and [q1, q3] of quartiles()."""
+    return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
+
+
 def failed_share(runs: dict, seeds, workload: str) -> tuple:
     """(failed, attempted) operations over the paired runs."""
     results = [runs[s][workload] for s in seeds if workload in runs[s]]
@@ -90,10 +95,9 @@ def compare(parent: dict, change: dict, benchmark: dict) -> tuple:
                 continue
             r = compare_metric(pv, cv, m["better"], m["bound"])
             ok &= r["within_bound"]
-            fmt = lambda q: f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
             lines.append(
                 f"  {m['name']} ({m['unit']}, {m['better']} is better): "
-                f"{fmt(r['parent'])} -> {fmt(r['change'])}, {r['relative']:+.1%}; "
+                f"{_summary(r['parent'])} -> {_summary(r['change'])}, {r['relative']:+.1%}; "
                 f"better in {r['wins']}/{r['pairs']} pairs; "
                 f"gain {'holds' if r['gain_holds'] else 'does not hold'}; "
                 f"{'within' if r['within_bound'] else 'OUTSIDE'} the {m['bound']:.0%} bound")

@@ -380,7 +380,7 @@ def _scatter_rows(x: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
         return np.zeros((n,) + x.shape[1:], x.dtype)
     counts = np.bincount(idx, minlength=n)
     out = np.zeros((n,) + x.shape[1:], x.dtype)
-    if counts.max() == 1:  # no index repeats, as in Segments.pad: one assignment
+    if counts.max() == 1:  # distinct, as in Segments.pad
         out[idx] = x + 0.0  # 0 + x, so that a -0.0 term gives +0.0
         return out
     slot = np.empty(n, np.int64)  # each output row's place, most terms first
