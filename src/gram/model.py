@@ -205,34 +205,35 @@ class Model:
 
     @classmethod
     def _unset(cls, config: ModelConfig) -> "Model":
-        """A model whose weight matrices are allocated but not drawn, for a
-        loader that overwrites every entry (training.load_checkpoint)."""
+        """A model whose weight matrices are allocated but not drawn and whose
+        optimizer moments are not allocated, for a loader that overwrites
+        every entry and defers the moments (training.load_checkpoint)."""
         model = cls.__new__(cls)
-        model._build(config, np.empty)
+        model._build(config, np.empty, moments=False)
         return model
 
-    def _build(self, config: ModelConfig, draw):
-        """Create every parameter; draw(shape) gives a weight matrix's values."""
+    def _build(self, config: ModelConfig, draw, moments=True):
+        """Create every parameter; draw(shape) gives a weight matrix's
+        values, and moments says whether the parameters allocate theirs."""
         self.config = config
         self.params: dict[str, Parameter] = {}
         c = config
         d, ds, h = c.d_model, c.d_s, c.heads
         buckets = c.radius + 2
 
-        def w(name, shape):
-            p = Parameter(name, draw(shape))
+        def add(name, value):
+            p = Parameter(name, value, moments)
             self.params[name] = p
             return p.tensor
+
+        def w(name, shape):
+            return add(name, draw(shape))
 
         def zeros(name, shape):
-            p = Parameter(name, np.zeros(shape))
-            self.params[name] = p
-            return p.tensor
+            return add(name, np.zeros(shape))
 
         def ones(name, shape):
-            p = Parameter(name, np.ones(shape))
-            self.params[name] = p
-            return p.tensor
+            return add(name, np.ones(shape))
 
         self.embed_node = w("embed.node", (c.a + 2, d))
         self.embed_edge = w("embed.edge", (c.b + 2, d))

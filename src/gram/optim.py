@@ -9,20 +9,51 @@ from .tensor import Tensor
 class Parameter:
     """A named weight tensor with a gradient accumulator and optimizer
     moments.  The wrapped Tensor is persistent: forward passes reference it
-    directly and gradients accumulate on it until the optimizer step."""
+    directly and gradients accumulate on it until the optimizer step.
 
-    __slots__ = ("name", "tensor", "m", "v", "step")
+    The moments m and v are read-only attributes that adam_step updates in
+    place.  A parameter made with moments=False holds no moment arrays
+    until m or v is first read, which allocates both, zero-filled, and,
+    when defer_moments gave a source (as training.load_checkpoint does),
+    fills them from it.  So a loaded model that only runs holds its weights
+    alone."""
 
-    def __init__(self, name: str, value: np.ndarray):
+    __slots__ = ("name", "tensor", "step", "_m", "_v", "_fetch")
+
+    def __init__(self, name: str, value: np.ndarray, moments: bool = True):
         self.name = name
         self.tensor = Tensor(np.asarray(value, dtype=np.float64), requires_grad=True)
-        # np.zeros, unlike np.zeros_like, leaves the pages unwritten until
-        # first use, so a model that is never trained, or whose moments a
-        # checkpoint overwrites, does not fill them
-        shape = self.tensor.data.shape
-        self.m = np.zeros(shape)
-        self.v = np.zeros(shape)
+        self._m = self._v = self._fetch = None
+        if moments:
+            # made now, before any tape has run, np.zeros gets large arrays
+            # pages of their own that stay unwritten until the first step;
+            # made at that step, they would land among the freed tape
+            # arrays and raise peak memory
+            self._moments()
         self.step = 0
+
+    def defer_moments(self, fetch):
+        """Drop the moments; their first read calls fetch(m, v) to fill
+        the new arrays.  If fetch raises, the moments stay deferred."""
+        self._m = self._v = None
+        self._fetch = fetch
+
+    def _moments(self):
+        if self._m is None:
+            shape = self.tensor.data.shape
+            m, v = np.zeros(shape), np.zeros(shape)
+            if self._fetch is not None:
+                self._fetch(m, v)
+            self._m, self._v, self._fetch = m, v, None
+        return self._m, self._v
+
+    @property
+    def m(self) -> np.ndarray:
+        return self._moments()[0]
+
+    @property
+    def v(self) -> np.ndarray:
+        return self._moments()[1]
 
     @property
     def data(self) -> np.ndarray:
@@ -58,16 +89,34 @@ def clip_global_norm(params, max_norm: float) -> float:
 
 
 def adam_step(params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8):
-    """Bias-corrected adaptive-moment update; clears gradients afterwards."""
+    """Bias-corrected adaptive-moment update of the moments and weights, in
+    place; consumes the gradients (each one is overwritten, then cleared).
+    A parameter without a gradient keeps its step and moments.  Each
+    element goes through the same operations, in the same order, as
+
+        m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * (g * g)
+        w -= lr * (m / (1 - b1 ** step)) / (sqrt(v / (1 - b2 ** step)) + eps)
+
+    so the results are bit-identical to it."""
     b1, b2 = betas
     for p in params:
         g = p.tensor.grad
         if g is None:
             continue
+        m, v = p._moments()
         p.step += 1
-        p.m = b1 * p.m + (1.0 - b1) * g
-        p.v = b2 * p.v + (1.0 - b2) * (g * g)
-        mhat = p.m / (1.0 - b1 ** p.step)
-        vhat = p.v / (1.0 - b2 ** p.step)
-        p.tensor.data -= lr * mhat / (np.sqrt(vhat) + eps)
+        t = np.multiply(g, 1.0 - b1)
+        m *= b1
+        m += t
+        np.multiply(g, g, out=t)
+        t *= 1.0 - b2
+        v *= b2
+        v += t
+        np.divide(v, 1.0 - b2 ** p.step, out=t)
+        np.sqrt(t, out=t)
+        t += eps
+        np.divide(m, 1.0 - b1 ** p.step, out=g)
+        g *= lr
+        g /= t
+        p.tensor.data -= g
         p.tensor.grad = None

@@ -22,6 +22,7 @@ the same rule, so the results do not depend on the number of CPUs.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import mmap
@@ -29,7 +30,9 @@ import os
 import pickle
 import signal
 import struct
+import sys
 import warnings
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -189,10 +192,15 @@ def run_shard(model: Model, work, weight: float):
     return nlls, counters
 
 
+# The parent frees shard 1's gradient pages as it adds them, a window of at
+# least this many bytes at a time.
+RELEASE_BYTES = 1 << 20
+
+
 class _SharedGradients:
     """One shared anonymous mapping, made once per train() call, with a
     view per parameter: a forked child writes its gradients into the views
-    and its parent adds them to its own."""
+    and its parent adds them to its own, freeing the pages as it goes."""
 
     def __init__(self, params):
         sizes = [p.data.size for p in params]
@@ -201,12 +209,24 @@ class _SharedGradients:
         offsets = np.cumsum([0] + sizes)
         self.views = [flat[lo:hi].reshape(p.data.shape)
                       for p, lo, hi in zip(params, offsets, offsets[1:])]
+        self.ends = [8 * int(hi) for hi in offsets[1:]]  # byte end of each view
+        self.freed = 0  # the pages below this byte are free
 
-    def release(self):
-        """Free the pages once the parent has added them; the next child
-        writes into fresh ones.  So between batches the buffer holds no
-        memory, in the parent or anywhere else."""
-        self.map.madvise(mmap.MADV_REMOVE)
+    def release(self, end=None):
+        """Free the whole pages below byte end, once they make at least
+        RELEASE_BYTES beyond those already freed; with no end, free every
+        page left.  The next child writes into fresh pages, so between
+        batches the buffer holds no memory, in the parent or anywhere else."""
+        last = end is None
+        if last:
+            end = len(self.map)
+        else:
+            end -= end % mmap.PAGESIZE
+            if end - self.freed < RELEASE_BYTES:
+                return
+        if end > self.freed:
+            self.map.madvise(mmap.MADV_REMOVE, self.freed, end - self.freed)
+        self.freed = 0 if last else end
 
 
 class _ShardChild:
@@ -311,13 +331,16 @@ def batch_backward(model: Model, work, weight: float, shared=None):
             tail_nlls, tail_counters, tail_grads = child.result(params, shared)
         finally:
             child.close()
-    for p, g in zip(params, tail_grads):
-        if g is None:
-            continue
-        if p.tensor.grad is None:
-            p.tensor.grad = np.array(g)
-        else:
-            p.tensor.grad += g
+    # one parameter at a time; the shared pages already added are freed as
+    # the merge goes, so the parent never maps all of shard 1's gradients
+    for k, (p, g) in enumerate(zip(params, tail_grads)):
+        if g is not None:
+            if p.tensor.grad is None:
+                p.tensor.grad = np.array(g)
+            else:
+                p.tensor.grad += g
+        if shared is not None:
+            shared.release(shared.ends[k])
     if shared is not None:
         shared.release()
     counters.add(tail_counters)
@@ -472,20 +495,34 @@ def _write_checkpoint(f, model: Model, epoch: int, rng):
         f.write(struct.pack("<B", arr.ndim))
         for ext in arr.shape:
             f.write(struct.pack("<I", ext))
-        f.write(arr.astype("<f8").tobytes())
+        _write_values(f, arr)
         f.write(struct.pack("<Q", p.step))
-        f.write(p.m.astype("<f8").tobytes())
-        f.write(p.v.astype("<f8").tobytes())
+        _write_values(f, p.m)
+        _write_values(f, p.v)
     f.write(struct.pack("<I", epoch))
     state = rng.bit_generator.state if rng is not None else None
     rj = json.dumps(state, sort_keys=True).encode("utf-8")
     f.write(struct.pack("<I", len(rj)) + rj)
 
 
+def _write_values(f, arr: np.ndarray):
+    """Write arr as little-endian float64 values in C order, from its own
+    buffer when it already is that, else from a converted copy."""
+    if arr.dtype != np.dtype("<f8") or not arr.flags.c_contiguous:
+        arr = np.ascontiguousarray(arr, dtype="<f8")
+    f.write(memoryview(arr))
+
+
+def _from_little_endian(arr: np.ndarray):
+    """Turn the little-endian float64 bytes read into arr into its values."""
+    if sys.byteorder == "big":
+        arr.byteswap(inplace=True)
+
+
 class _Reader:
     """Reads a checkpoint from an open file, as many bytes as each field
-    needs, so loading never holds more than one entry's bytes besides the
-    parameters."""
+    needs, straight into the parameters where it reads values, so loading
+    holds no copy of an entry's bytes."""
 
     def __init__(self, f):
         self.f = f
@@ -499,8 +536,42 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))[0]
 
+    def read_values(self, arr: np.ndarray):
+        """Fill arr (C-contiguous float64) with the next arr.size values."""
+        if self.f.readinto(memoryview(arr)) != arr.nbytes:
+            raise CheckpointError("truncated checkpoint file")
+        _from_little_endian(arr)
+
+    def skip(self, k: int) -> int:
+        """Step over the next k bytes; returns their offset.  A file that
+        ends before them fails the next read."""
+        at = self.f.tell()
+        self.f.seek(k, os.SEEK_CUR)
+        return at
+
     def at_end(self) -> bool:
         return not self.f.read(1)
+
+
+class _MomentFile:
+    """The open checkpoint file that holds a loaded model's unread moments.
+    Each parameter's two moment arrays, adjacent in the file, are fetched
+    on first use with one positioned read of the descriptor, never of the
+    path, so a file that later replaces the path is never read.  Only the
+    parameters' pending fetches refer to this object, so the file closes
+    once none is left: after the last fetch, or when the model is
+    dropped."""
+
+    def __init__(self, f):
+        self.fd = f.fileno()
+        weakref.finalize(self, f.close)
+
+    def fetch(self, name: str, offset: int, m: np.ndarray, v: np.ndarray):
+        if os.preadv(self.fd, [m, v], offset) != m.nbytes + v.nbytes:
+            raise CheckpointError(f"truncated checkpoint file: it ends before "
+                                  f"the moments of {name!r}")
+        _from_little_endian(m)
+        _from_little_endian(v)
 
 
 def load_checkpoint(path):
@@ -508,10 +579,26 @@ def load_checkpoint(path):
 
     The model configuration is embedded; stored tensor shapes must match the
     shapes that configuration implies.  The file is read one entry at a
-    time into the parameters.
+    time: each parameter's values and step go into the model, and its two
+    Adam moment arrays, two thirds of the file, are stepped over.  The
+    epoch and generator state after the last entry are read and nothing may
+    follow them, so a truncated file or trailing bytes fail here.
+
+    The moments stay on disk, and the file stays open, until they are
+    first read: the first read of a parameter's m or v, by adam_step or
+    save_checkpoint, fetches both from the open file.  So a model that only
+    runs (sampling, say) holds its weights alone.  The file closes once
+    every parameter's moments are read, or when the model is dropped.
+    Replacing or deleting the path after loading is safe, since the open
+    file is read and not the path; truncating the file in place is not, and
+    a moment read that finds it short raises CheckpointError.
     """
-    with open(path, "rb") as f:
+    f = open(path, "rb")
+    try:
         return _read_checkpoint(_Reader(f))
+    except BaseException:
+        f.close()
+        raise
 
 
 def _read_checkpoint(r: _Reader):
@@ -532,6 +619,7 @@ def _read_checkpoint(r: _Reader):
     if count != len(entries):
         raise CheckpointError(f"parameter count {count} does not match config "
                               f"({len(entries)} expected)")
+    moments = _MomentFile(r.f)
     for _ in range(count):
         name = r.take(r.unpack("<H")).decode("utf-8")
         rank = r.unpack("<B")
@@ -542,11 +630,9 @@ def _read_checkpoint(r: _Reader):
         if shape != p.data.shape:
             raise CheckpointError(f"parameter {name!r} has shape {shape}, "
                                   f"config implies {p.data.shape}")
-        size = int(np.prod(shape)) if shape else 1
-        p.tensor.data[...] = np.frombuffer(r.take(8 * size), dtype="<f8").reshape(shape)
+        r.read_values(p.tensor.data)
         p.step = r.unpack("<Q")
-        p.m[...] = np.frombuffer(r.take(8 * size), dtype="<f8").reshape(shape)
-        p.v[...] = np.frombuffer(r.take(8 * size), dtype="<f8").reshape(shape)
+        p.defer_moments(functools.partial(moments.fetch, name, r.skip(16 * p.data.size)))
     epoch = r.unpack("<I")
     state = json.loads(r.take(r.unpack("<I")).decode("utf-8"))
     if not r.at_end():

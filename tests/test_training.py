@@ -1,3 +1,5 @@
+import gc
+import mmap
 import os
 import stat
 import tracemalloc
@@ -12,7 +14,7 @@ from gram.model import VARIANTS, EdgeStep, Model, ModelConfig, OrderedGraph
 from gram.datasets import CorpusSpec, generate_corpus
 from gram.optim import Parameter, adam_step
 from gram.tensor import Tape
-from gram import training
+from gram import sampler, training
 from gram.training import (CheckpointError, CheckpointVersionError, NonFiniteError,
                            SkipGraph, TrainConfig, TrainError, batch_backward, chunk_loss,
                            load_checkpoint, run_shard, save_checkpoint, shard_cut,
@@ -491,9 +493,9 @@ def test_checkpoint_round_trip(tmp_path, rng, monkeypatch):
 
 
 def test_checkpoint_load_streams_its_entries(tmp_path):
-    """Loading reads one entry at a time into the parameters: at the default
-    model size its traced allocations peak at no more than 1.2 times the
-    parameter arrays (values and both moments) it fills."""
+    """Loading reads each entry's values straight into the parameters and
+    leaves the moments on disk: at the default model size its traced
+    allocations peak at no more than 1.1 times the parameter values."""
     path = tmp_path / "c.bin"
     save_checkpoint(path, Model(ModelConfig(a=3, b=2), init_seed=0), epoch=1)
     tracemalloc.start()
@@ -502,9 +504,9 @@ def test_checkpoint_load_streams_its_entries(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    live = sum(p.data.nbytes + p.m.nbytes + p.v.nbytes for p in model.parameters())
-    assert live > 30e6
-    assert peak <= 1.2 * live
+    live = sum(p.data.nbytes for p in model.parameters())
+    assert live > 10e6
+    assert peak <= 1.1 * live
 
 
 def test_checkpoint_truncation_and_version_and_magic(tmp_path):
@@ -565,6 +567,179 @@ def trained_model(rng, variant="plain"):
         run_shard(model, chunks_of(model, og), 1.0)
         adam_step(model.parameters())
     return model, og
+
+
+def old_adam_step(state, grads, lr, betas=(0.9, 0.999), eps=1e-8):
+    """optim.adam_step before it updated in place, on [weights, m, v, step]
+    lists: every expression makes new arrays."""
+    b1, b2 = betas
+    for s, g in zip(state, grads):
+        if g is None:
+            continue
+        w, m, v, step = s
+        step += 1
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * (g * g)
+        mhat = m / (1.0 - b1 ** step)
+        vhat = v / (1.0 - b2 ** step)
+        s[:] = [w - lr * mhat / (np.sqrt(vhat) + eps), m, v, step]
+
+
+def count_preads(monkeypatch):
+    """The offsets of every positioned read from now on."""
+    offsets, real = [], os.preadv
+
+    def counting(fd, buffers, offset):
+        offsets.append(offset)
+        return real(fd, buffers, offset)
+
+    monkeypatch.setattr(os, "preadv", counting)
+    return offsets
+
+
+def descriptors_on(path_stat):
+    """This process's descriptors open on the file that path_stat (an
+    os.stat result) describes, whatever path it now has, if any."""
+    fds = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            st = os.stat(f"/proc/self/fd/{fd}")
+        except OSError:  # the descriptor listdir itself used
+            continue
+        if (st.st_dev, st.st_ino) == (path_stat.st_dev, path_stat.st_ino):
+            fds.append(fd)
+    return fds
+
+
+def test_adam_step_in_place_matches_the_old_formula(tmp_path, rng, monkeypatch):
+    """Four in-place steps give bit for bit the weights, moments and step
+    counts of the old formula, on a loaded model whose moments the first
+    step fetches, one positioned read per parameter with a gradient.  A
+    parameter that never gets a gradient keeps its step and moments, and
+    its moments are never read."""
+    model, _ = trained_model(rng)
+    for p in model.parameters():  # also the parameters no chunk reaches
+        p.m[...] += rng.normal(scale=1e-3, size=p.data.shape)
+        p.v[...] += rng.random(size=p.data.shape) * 1e-6
+    path = tmp_path / "c.bin"
+    save_checkpoint(path, model, epoch=1)
+    loaded = load_checkpoint(path)[0]
+    reads = count_preads(monkeypatch)
+    params = loaded.parameters()
+    idle = params[3]
+    state = [[p.data.copy(), p.m.copy(), p.v.copy(), p.step] for p in model.parameters()]
+    for k in range(4):
+        grads = [None if p is idle else rng.normal(scale=10.0 ** -k, size=p.data.shape)
+                 for p in params]
+        for p, g in zip(params, grads):
+            p.tensor.grad = None if g is None else g.copy()
+        adam_step(params, lr=3e-3)
+        old_adam_step(state, grads, lr=3e-3)
+        assert len(reads) == len(params) - 1
+    for p, (w, m, v, step) in zip(params, state):
+        assert p.tensor.grad is None
+        assert p.step == step == model.params[p.name].step + (p is not idle) * 4, p.name
+        for a, b in ((p.data, w), (p.m, m), (p.v, v)):
+            assert np.array_equal(a, b), p.name
+    assert len(reads) == len(params)  # reading idle's moments above fetched them
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="lists open descriptors in /proc/self/fd")
+def test_loaded_moments_are_read_once_from_the_open_file(tmp_path, monkeypatch):
+    """Each parameter's moments are fetched with one positioned read, on
+    their first use; the file closes after the last parameter's read, and
+    also when a model with unread moments is collected."""
+    model = tiny_model(seed=3)
+    for p in model.parameters():
+        p.m[...] = np.random.default_rng(1).normal(size=p.data.shape)
+        p.v[...] = 2.0
+    path = tmp_path / "c.bin"
+    save_checkpoint(path, model, epoch=1)
+    st = os.stat(path)
+    reads = count_preads(monkeypatch)
+    loaded = load_checkpoint(path)[0]
+    params = loaded.parameters()
+    assert reads == [] and len(descriptors_on(st)) == 1
+    for k, p in enumerate(params):
+        assert len(descriptors_on(st)) == 1
+        q = model.params[p.name]
+        assert np.array_equal(p.v, q.v) and np.array_equal(p.m, q.m)
+        assert len(reads) == k + 1
+    assert descriptors_on(st) == []
+
+    unread = load_checkpoint(path)[0]
+    params[0].m  # noqa: B018 - read before, so no read now
+    unread.parameters()[0].v  # noqa: B018 - one of many: the file stays open
+    assert len(descriptors_on(st)) == 1 and len(reads) == len(params) + 1
+    del unread
+    gc.collect()
+    assert descriptors_on(st) == []
+
+
+def test_sampling_a_loaded_model_reads_no_moment(tmp_path, monkeypatch):
+    """load_checkpoint, build_seed_bank and generate_graph read no moment,
+    and still work once the file is deleted; the moments stay readable
+    from the open file."""
+    model, _ = trained_model(np.random.default_rng(4))
+    path = tmp_path / "c.bin"
+    save_checkpoint(path, model, epoch=1)
+    reads = count_preads(monkeypatch)
+    loaded = load_checkpoint(path)[0]
+    path.unlink()
+    corpus = small_grids()
+    results = []
+    for net in (loaded, model):
+        rng = np.random.default_rng(7)
+        bank = sampler.build_seed_bank(corpus, net.config.seed_size, rng)
+        results.append([sampler.generate_graph(net, bank, 12, rng).graph for _ in range(3)])
+    assert reads == []
+    for got, want in zip(*results):
+        assert got.n == want.n and np.array_equal(got.node_labels, want.node_labels)
+        assert sorted(got.edges) == sorted(want.edges)
+    p = loaded.parameters()[-1]
+    assert np.array_equal(p.m, model.params[p.name].m) and len(reads) == 1
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_training_a_loaded_model_reads_the_file_it_loaded(cpus, tmp_path, monkeypatch):
+    """A loaded model with non-zero moments, whose path another checkpoint
+    has replaced since, trains one epoch to the checkpoint and history of
+    the in-memory model, byte for byte."""
+    set_cpus(monkeypatch, cpus)
+    model, _ = trained_model(np.random.default_rng(5), variant="B")
+    run = tmp_path / "run"
+    run.mkdir()
+    save_checkpoint(run / "checkpoint.bin", model, epoch=1)
+    loaded = load_checkpoint(run / "checkpoint.bin")[0]
+    save_checkpoint(tmp_path / "other.bin", tiny_model(variant="B", seed=99), epoch=7)
+    os.replace(tmp_path / "other.bin", run / "checkpoint.bin")
+    tcfg = TrainConfig(epochs=1, batch_size=2, seed=6)
+    train(small_grids(), loaded, tcfg, checkpoint_dir=run, history_path=run / "history.csv")
+    mem = tmp_path / "mem"
+    train(small_grids(), model, tcfg, checkpoint_dir=mem, history_path=mem / "history.csv")
+    for name in ("checkpoint.bin", "history.csv"):
+        assert (run / name).read_bytes() == (mem / name).read_bytes()
+
+
+def test_truncating_a_loaded_checkpoint_fails_its_moment_read(tmp_path):
+    """A file truncated in place after loading makes the first read of a
+    moment it no longer holds raise CheckpointError, and the moment stays
+    unread, so the next read raises again; moments before the cut read."""
+    model, _ = trained_model(np.random.default_rng(6))
+    path = tmp_path / "c.bin"
+    save_checkpoint(path, model, epoch=1)
+    loaded = load_checkpoint(path)[0]
+    os.truncate(path, path.stat().st_size // 2)
+    first, last = loaded.parameters()[0], loaded.parameters()[-1]
+    assert np.array_equal(first.m, model.params[first.name].m)
+    for _ in range(2):
+        with pytest.raises(CheckpointError, match=f"truncated checkpoint file: .*{last.name!r}"):
+            last.v  # noqa: B018
+    last.tensor.grad = np.ones(last.data.shape)
+    with pytest.raises(CheckpointError, match="truncated"):
+        adam_step([last])
+    assert last.step == model.params[last.name].step
 
 
 def test_config_rejects_bad_optimiser_settings():
@@ -633,6 +808,53 @@ def test_sharded_batch_gradient_matches_sequential(variant, rng, monkeypatch):
     for name, ref in oracle.items():
         scale = max(np.abs(ref).max(), 1e-300)
         assert np.abs(grads[name] - ref).max() <= 1e-12 * scale, name
+
+
+def test_merge_frees_shard_1_pages_as_it_adds_them(rng, monkeypatch):
+    """With a _SharedGradients, batch_backward frees page-aligned,
+    ascending, adjoining ranges of the shared mapping that together cover
+    it, and frees each range only once every parameter in it holds its
+    merged gradient.  The window is cut to one page, so that the merge
+    frees many ranges."""
+    monkeypatch.setattr(training, "CHUNK_ROWS", 12)
+    monkeypatch.setattr(training, "RELEASE_BYTES", mmap.PAGESIZE)
+    model, _ = trained_model(rng, "B")
+    ogs = [make_og(random_connected_graph(rng, int(rng.integers(6, 11))), rng) for _ in range(3)]
+    work = [pair for og in ogs for pair in chunks_of(model, og)]
+    params = model.parameters()
+    _, want = loss_and_grads(model, lambda: batch_backward(model, work, 1 / 3))
+    shared = training._SharedGradients(params)
+    starts = np.cumsum([0] + [8 * p.data.size for p in params])
+    freed = []
+
+    class RecordingMap:
+        def __init__(self, real):
+            self.real = real
+
+        def __len__(self):
+            return len(self.real)
+
+        def madvise(self, option, start, length):
+            assert option == mmap.MADV_REMOVE
+            for p, lo, hi in zip(params, starts, starts[1:]):
+                if lo < start + length and start < hi:
+                    merged = p.tensor.grad
+                    merged = np.zeros_like(p.data) if merged is None else merged
+                    assert np.array_equal(merged, want[p.name]), p.name
+            freed.append((start, length))
+            self.real.madvise(option, start, length)
+
+    shared.map = RecordingMap(shared.map)
+    for _ in range(2):  # the second batch starts again from the first page
+        freed.clear()
+        _, grads = loss_and_grads(model, lambda: batch_backward(model, work, 1 / 3, shared))
+        assert all(np.array_equal(grads[name], want[name]) for name in want)
+        assert len(freed) > 3
+        assert all(start % mmap.PAGESIZE == 0 for start, _ in freed)
+        ends = [start + length for start, length in freed]
+        assert [start for start, _ in freed] == [0] + ends[:-1]
+        assert ends[-1] == len(shared.map) == starts[-1]
+        assert shared.freed == 0
 
 
 def small_grids():
