@@ -101,35 +101,28 @@ class Segments:
 
 
 class AttentionContext:
-    """Distance bucket indices dist_idx (values in [0, cap + 1]) and attend
-    mask allowed of K attention problems side by side, each padded to nq
-    queries and nk keys: arrays (K, nq, nk), or (nq, nk) for one problem.
+    """Distance bucket indices dist (values in [0, cap + 1]) and attend mask
+    allowed of K attention problems side by side, (K, nq, nk) arrays: the
+    packed query and key rows are laid out on those grids by the Segments
+    queries and keys, each problem padded to nq queries and nk keys.
 
-    What attention reads of them is derived once, here: dist, dist_idx as
-    (K, nq, nk); queries and keys, the packed query and key rows' places in
-    those grids (one full run per problem when None); addmask, the additive
-    softmax mask (None when every pair is allowed), in which a query row
-    that admits no key gets a placeholder key (its first) so that its
-    softmax is well defined; and empty, None when every real query row has
-    a key and otherwise (N_q, 1), 0 on the real query rows without one and
-    1 elsewhere, in packed row order."""
+    What attention reads of them besides is derived once, here: addmask,
+    the additive softmax mask (None when every pair is allowed), in which a
+    query row that admits no key gets a placeholder key (its first) so that
+    its softmax is well defined; and empty, None when every real query row
+    has a key and otherwise (N_q, 1), 0 on the real query rows without one
+    and 1 elsewhere, in packed row order."""
 
-    def __init__(self, dist_idx: np.ndarray, allowed: np.ndarray,
-                 queries: Segments | None = None, keys: Segments | None = None):
-        self.dist_idx, self.allowed = dist_idx, allowed
-        self.dist = dist_idx.reshape((-1,) + dist_idx.shape[-2:])
-        count, nq, nk = self.dist.shape
-        self.queries = queries if queries is not None else Segments([nq] * count)
-        self.keys = keys if keys is not None else Segments([nk] * count)
-        if (allowed.shape != dist_idx.shape
-                or (self.queries.count, self.queries.width, self.keys.width) != self.dist.shape):
-            raise AttentionError(f"context shape {dist_idx.shape} does not match its mask "
+    def __init__(self, dist: np.ndarray, allowed: np.ndarray,
+                 queries: Segments, keys: Segments):
+        self.dist, self.allowed, self.queries, self.keys = dist, allowed, queries, keys
+        if allowed.shape != dist.shape or (queries.count, queries.width, keys.width) != dist.shape:
+            raise AttentionError(f"context shape {dist.shape} does not match its mask "
                                  f"{allowed.shape} or its row layouts")
-        allowed = allowed.reshape(self.dist.shape)
         has_key = allowed.any(axis=-1)
         self.empty = None
         if not has_key.all():
-            real_has_key = has_key[self.queries.real]  # in packed row order
+            real_has_key = has_key[queries.real]  # in packed row order
             if not real_has_key.all():
                 self.empty = real_has_key.astype(np.float64)[:, None]
             allowed = allowed.copy()
@@ -138,10 +131,10 @@ class AttentionContext:
 
 
 def context_from_distances(dist_idx: np.ndarray, max_attend: int,
-                           rows: Segments | None = None) -> AttentionContext:
-    """Self-attention context: attend where the distance bucket does not
-    exceed max_attend.  With rows, dist_idx is the (K, n, n) grid of K
-    problems and its unused places hold a bucket above max_attend."""
+                           rows: Segments) -> AttentionContext:
+    """Self-attention context of the K runs of rows: attend where the
+    distance bucket does not exceed max_attend.  dist_idx is their (K, n, n)
+    grid, and its unused places hold a bucket above max_attend."""
     dist_idx = np.asarray(dist_idx, dtype=np.int64)
     return AttentionContext(dist_idx, dist_idx <= max_attend, rows, rows)
 
@@ -238,23 +231,22 @@ def attend(qh: Tensor, kh: Tensor, vh: Tensor, q_table, k_table,
 
 
 def g_multi_head(q: Tensor, k: Tensor, v: Tensor, ctx: AttentionContext,
-                 p: GraphAttentionParams, on_empty: str = "error") -> Tensor:
+                 p: GraphAttentionParams) -> Tensor:
     """Multi-head graph attention; heads are concatenated and projected.
 
     q, k and v hold packed rows, laid out by ctx: K problems whose queries
-    and keys are runs of those rows (one problem when ctx's arrays are
-    (nq, nk)).  The scale factor is d_K^(-1/2) with d_K the key input
-    width, applied exactly once per score.  Query rows whose mask admits
-    no key raise an AttentionError unless on_empty="zero", in which case
-    those output rows are exactly zero (the edge estimator's
-    empty-history convention).  Distance indices must lie in [0, cap + 1];
-    distances beyond the cap are clipped to the final bucket by the caller.
+    and keys are runs of those rows.  The scale factor is d_K^(-1/2) with
+    d_K the key input width, applied exactly once per score.  A query row
+    whose mask admits no key raises an AttentionError (the edge estimator,
+    whose empty history is zero, calls attend with on_empty="zero").
+    Distance indices must lie in [0, cap + 1]; distances beyond the cap are
+    clipped to the final bucket by the caller.
     """
     if k.data.shape[0] != v.data.shape[0]:
         raise AttentionError(f"key rows {k.data.shape[0]} != value rows {v.data.shape[0]}")
     dist, queries, keys = ctx.dist, ctx.queries, ctx.keys
     if (queries.total, keys.total) != (q.data.shape[0], k.data.shape[0]):
-        raise AttentionError(f"context shape {ctx.dist_idx.shape} does not match "
+        raise AttentionError(f"context shape {dist.shape} does not match "
                              f"({q.data.shape[0]}, {k.data.shape[0]}) rows")
     buckets = p.cap + 2
     if dist.size and dist.max() >= buckets:
@@ -264,7 +256,7 @@ def g_multi_head(q: Tensor, k: Tensor, v: Tensor, ctx: AttentionContext,
         raise AttentionError("negative distance index")
     qh, kh = project(q, p.wq, queries), project(k, p.wk, keys)
     return attend(qh, kh, project(v, p.wv, keys), p.query_table(qh), p.key_table(kh),
-                  ctx, p, on_empty)
+                  ctx, p)
 
 
 @dataclass

@@ -149,7 +149,7 @@ def _merge(defaults: dict, file_section: dict, flags: dict) -> dict:
     return out
 
 
-def _echo(args, payload: dict):
+def _echo(payload: dict):
     print("config: " + json.dumps(payload, sort_keys=True))
 
 
@@ -207,7 +207,7 @@ def _cmd_dataset(args, cfg_file):
         spec = D.CorpusSpec(merged["family"], merged["count"], merged["n_min"],
                             merged["n_max"], merged["seed"], params)
     except D.CorpusSpecError as exc:
-        raise DataError(str(exc)) from exc
+        raise DataError(f"bad configuration: {exc}") from exc
     counts = None
     if not args.no_split:
         # checked before anything is generated, so a bad split writes nothing
@@ -222,7 +222,7 @@ def _cmd_dataset(args, cfg_file):
             D.check_split_counts(counts, spec.count)
         except D.CorpusSpecError as exc:
             raise DataError(str(exc)) from exc
-    _echo(args, {"command": "dataset", "spec": spec.to_json_obj()})
+    _echo({"command": "dataset", "spec": spec.to_json_obj()})
     try:
         graphs = D.generate_corpus(spec)
     except D.CorpusSpecError as exc:
@@ -260,8 +260,8 @@ def _cmd_train(args, cfg_file):
         tcfg = TrainConfig.from_json_obj(tcfg_obj)
     except (ModelError, TrainError, TypeError) as exc:
         raise DataError(f"bad configuration: {exc}") from exc
-    _echo(args, {"command": "train", "model": mcfg.to_json_obj(),
-                 "train": tcfg.to_json_obj(), "corpus": str(args.corpus)})
+    _echo({"command": "train", "model": mcfg.to_json_obj(),
+           "train": tcfg.to_json_obj(), "corpus": str(args.corpus)})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model = Model(mcfg, init_seed=tcfg.seed)
@@ -295,9 +295,9 @@ def _cmd_sample(args, cfg_file):
                         f"checkpoint's ({model.config.a}, {model.config.b})")
     max_nodes = args.max_nodes if args.max_nodes is not None else \
         max(g.n for g in graphs) * 2
-    _echo(args, {"command": "sample", "model": model.config.to_json_obj(),
-                 "epoch": epoch, "count": args.count, "max_nodes": max_nodes,
-                 "seed": args.seed, "argmax": args.argmax})
+    _echo({"command": "sample", "model": model.config.to_json_obj(),
+           "epoch": epoch, "count": args.count, "max_nodes": max_nodes,
+           "seed": args.seed, "argmax": args.argmax})
     rng = np.random.default_rng(args.seed)
     try:
         bank = build_seed_bank(graphs, seed_size, rng)
@@ -318,21 +318,19 @@ def _cmd_sample(args, cfg_file):
     return 0
 
 
-EVAL_TABLE_ORDER = ("gk_mmd2", "degree_mmd2", "clustering_mmd2", "orbit_mmd2",
-                    "unique_ratio", "novel_ratio")
-
-
 def _cmd_eval(args, cfg_file):
     generated = _read_corpus(args.generated)
     reference = _read_corpus(args.reference)
     train_set = _read_corpus(args.train) if args.train else None
     if not generated or not reference:
         raise DataError("eval needs non-empty corpora")
-    _echo(args, {"command": "eval", "generated": str(args.generated),
-                 "reference": str(args.reference), "train": args.train,
-                 "seed": args.seed})
+    _echo({"command": "eval", "generated": str(args.generated),
+           "reference": str(args.reference), "train": args.train,
+           "seed": args.seed})
     report = E.evaluate_corpora(generated, reference, train_set, seed=args.seed)
-    for key in EVAL_TABLE_ORDER:
+    for key in report.FIELDS:
+        if key.startswith("n_"):  # n_generated and n_reference, the corpus sizes
+            continue
         val = getattr(report, key)
         print(f"{key:>16}: " + ("-" if val is None else f"{val:.6f}"))
     print("timing: " + json.dumps({k: round(s, 6) for k, s in report.timing.items()}))
@@ -347,8 +345,8 @@ def _cmd_eval(args, cfg_file):
 
 def _cmd_stats(args, cfg_file):
     graphs = _read_training_corpus(args.corpus)
-    _echo(args, {"command": "stats", "corpus": str(args.corpus),
-                 "seed": args.seed, "orderings": args.orderings})
+    _echo({"command": "stats", "corpus": str(args.corpus),
+           "seed": args.seed, "orderings": args.orderings})
     stats = D.corpus_stats(graphs, seed=args.seed, orderings_per_graph=args.orderings)
     for key in ("graphs", "mean_n", "mean_m", "mean_alpha", "mean_beta",
                 "mean_degree", "max_degree"):

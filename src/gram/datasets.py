@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import (GraphError, LabeledGraph, apply_ordering, bfs_ordering, connects,
-                     frontier_starts)
+                     field_type_errors, frontier_starts, is_int, is_number)
 
 
 class CorpusSpecError(ValueError):
@@ -47,7 +47,8 @@ ALPHABETS = {"grid": (3, 2), "lobster": (3, 2), "community": (4, 2), "ba": (2, 3
 
 
 # the parameters each family reads from CorpusSpec.params: name -> (type,
-# least value, largest value); a float parameter takes an int too
+# least value, largest value); a float parameter takes an int too, and
+# neither takes a bool, as for CorpusSpec's own fields (field_type_errors)
 FAMILY_PARAMS = {
     "grid": {"min_side": (int, 1, math.inf), "max_side": (int, 1, math.inf)},
     "lobster": {"p1": (float, 0, 1), "p2": (float, 0, 1)},
@@ -66,6 +67,9 @@ class CorpusSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        wrong = field_type_errors(self)
+        if wrong:
+            raise CorpusSpecError("; ".join(wrong))
         if self.family not in FAMILIES:
             raise CorpusSpecError(f"unknown family {self.family!r}; choose from {FAMILIES}")
         if self.count < 1:
@@ -78,8 +82,7 @@ class CorpusSpec:
                 raise CorpusSpecError(f"unknown {self.family} parameter {key!r} "
                                       f"(known: {', '.join(known)})")
             kind, low, high = known[key]
-            types = int if kind is int else (int, float)
-            if isinstance(value, bool) or not isinstance(value, types) \
+            if not (is_int(value) if kind is int else is_number(value)) \
                     or not low <= value <= high:
                 what = "an integer" if kind is int else "a number"
                 raise CorpusSpecError(f"{self.family} parameter {key!r} must be {what} "
@@ -327,7 +330,7 @@ def corpus_stats(graphs, seed: int = 0, orderings_per_graph: int = 1) -> dict:
     rng = np.random.default_rng(seed)
     alphas, betas = [], []
     for g in graphs:
-        for _ in range(orderings_per_graph):
+        for _ in range(orderings_per_graph if g.n else 0):  # no node, no step
             start = int(rng.integers(g.n))
             edges = np.asarray(apply_ordering(g, bfs_ordering(g, start, rng)).edges,
                                dtype=np.int64).reshape(-1, 3)

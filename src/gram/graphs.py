@@ -6,7 +6,8 @@ in [0, a), edge labels in [0, b).  All indexing is 0-based.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -136,8 +137,40 @@ def connects(n: int, ends: np.ndarray) -> bool:
 
 
 def _check_int(what: str, value):
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not is_int(value):
         raise GraphError(f"{what} must be an integer, got {value!r}")
+
+
+def is_int(value) -> bool:
+    """Whether value is an integer, Python's or numpy's, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """Whether value is an integer or a float, Python's or numpy's, and not a
+    bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# the check and its wording for each annotated type of a config field, by
+# the annotation's text (the config modules postpone their annotations)
+_FIELD_TYPES = {"int": (is_int, "an integer"), "float": (is_number, "a number"),
+                "bool": (lambda value: isinstance(value, bool), "true or false")}
+
+
+def field_type_errors(config) -> list:
+    """'name must be ..., got value' for each int, float or bool field of the
+    dataclass config whose value is not of that type: an int field takes an
+    integer, a float field an integer or a float, a bool field a bool, and
+    no field a bool in place of a number.  Fields of other types are not
+    checked."""
+    errors = []
+    for f in fields(config):
+        check, what = _FIELD_TYPES.get(f.type, (None, None))
+        value = getattr(config, f.name)
+        if check is not None and not check(value):
+            errors.append(f"{f.name} must be {what}, got {value!r}")
+    return errors
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,12 @@ Four variants control the edge estimation work per step:
   B     - candidates restricted to the BFS frontier
   AB    - both reductions combined
 
-Every forward computation takes a batch of prefixes (Prefixes): the
-teacher-forced steps of a chunk in training, one prefix in sampling.  Row
-work (every weight product, elementwise op, layer norm and the conv's
-gathers and scatters) runs on the prefixes' packed rows; only attention
-and pooling lay the rows out per prefix, padded to the largest.
+Every forward computation takes a batch of prefixes (Prefixes), and only
+that: the teacher-forced steps of a chunk in training, a batch of one
+prefix in sampling.  Row work (every weight product, elementwise op, layer
+norm and the conv's gathers and scatters) runs on the prefixes' packed
+rows; only attention and pooling lay the rows out per prefix, padded to the
+largest.
 """
 from __future__ import annotations
 
@@ -49,6 +50,9 @@ class ModelConfig:
     bias_in_ee: bool = True
 
     def __post_init__(self):
+        wrong = G.field_type_errors(self)
+        if wrong:
+            raise ModelError("; ".join(wrong))
         if self.a < 1 or self.b < 1:
             raise ModelError("label alphabets must be >= 1")
         sizes = ("d_model", "heads", "d_ff", "blocks", "radius", "seed_size")
@@ -152,13 +156,6 @@ class Prefixes:
         self.ends = (edges[:, 0] + shift, edges[:, 1] + shift)  # packed rows of the ends
         self.edge_labels = edges[:, 2]
         self.degrees = np.concatenate([p.degrees for p in self.items])
-
-    @staticmethod
-    def of(prefixes) -> "Prefixes":
-        """A Prefixes from itself, one Prefix or a sequence of them."""
-        if isinstance(prefixes, Prefixes):
-            return prefixes
-        return Prefixes([prefixes] if isinstance(prefixes, Prefix) else prefixes)
 
 
 class OrderedGraph:
@@ -308,7 +305,7 @@ class Model:
 
     # -- feature extraction -------------------------------------------------
 
-    def graph_convolution(self, hv: Tensor, he: Tensor, prefixes, conv,
+    def graph_convolution(self, hv: Tensor, he: Tensor, batch: Prefixes, conv,
                           update_edges: bool = True) -> tuple:
         """One conv layer over the packed node rows hv and edge rows he of a
         batch of prefixes.  Every edge (i, j) with features e reads its node
@@ -334,7 +331,6 @@ class Model:
         only join nodes of one prefix, so every product runs on the packed
         rows of the whole batch.  Without update_edges (the last block,
         whose edge features nothing reads) the edge output is None."""
-        batch = Prefixes.of(prefixes)
         degrees = batch.degrees
         s, d = hv.data.shape
         isolated = np.flatnonzero(degrees == 0)
@@ -367,14 +363,13 @@ class Model:
         agg = T.relu(T.mul(sums, T.const(recip[:, None])))
         return T.add(agg, T.scatter_rows(iso, isolated, s)), he_new
 
-    def extract_features(self, prefixes) -> Tensor:
-        """Node feature rows of a batch of prefixes (or of one), packed in
-        order: one-hot labels plus degree normalized within the prefix and
-        clustering, projected, then refined by parallel conv/attention
-        blocks combined per block by a linear projection.  Attention runs on
-        each prefix's rows padded to the batch's largest prefix."""
+    def extract_features(self, batch: Prefixes) -> Tensor:
+        """Node feature rows of a batch of prefixes, packed in order: one-hot
+        labels plus degree normalized within the prefix and clustering,
+        projected, then refined by parallel conv/attention blocks combined
+        per block by a linear projection.  Attention runs on each prefix's
+        rows padded to the batch's largest prefix."""
         c = self.config
-        batch = Prefixes.of(prefixes)
         nodes = batch.nodes
         x = np.zeros((nodes.total, c.a + 2))
         x[np.arange(nodes.total), np.concatenate([p.labels for p in batch.items])] = 1.0
@@ -395,11 +390,9 @@ class Model:
             hv = T.add(T.matmul(T.concat([conv_out, att_out], axis=-1), combine_w), combine_b)
         return hv
 
-    def graph_pool(self, hv: Tensor, nodes: A.Segments | None = None) -> Tensor:
+    def graph_pool(self, hv: Tensor, nodes: A.Segments) -> Tensor:
         """Gated sum of node features, sum_i sigmoid(gate(h_i)) * h_i, over
-        each run of nodes (all rows of hv as one run when None): (K, d)."""
-        if nodes is None:
-            nodes = A.Segments([hv.data.shape[0]])
+        each run of nodes (a batch's Prefixes.nodes): (K, d)."""
         hidden = T.relu(T.add(T.matmul(hv, self.pool_w1), self.pool_b1))
         gate = T.sigmoid(T.add(T.matmul(hidden, self.pool_w2), self.pool_b2))
         gated = nodes.pad(T.mul(gate, hv))
@@ -412,10 +405,6 @@ class Model:
         h = T.relu(T.add(T.matmul(hg, self.node_w1), self.node_b1))
         h = T.relu(T.add(T.matmul(h, self.node_w2), self.node_b2))
         return T.add(T.matmul(h, self.node_w3), self.node_b3)
-
-    def node_distribution(self, hg: Tensor) -> np.ndarray:
-        """Label distribution over a + 1 classes (last class = stop)."""
-        return T.softmax(self.node_logits(hg)).data[0]
 
     # -- teacher-forced steps ---------------------------------------------------
 
@@ -448,8 +437,8 @@ class EdgeStep:
     that maps the model's variant to its policy.
 
     Built from the packed node features hv and graph vectors hg (K, d) of
-    a batch of prefixes, and the new nodes' labels: K' labels for the
-    first K' prefixes (the sampler passes one label and one prefix).  A
+    a batch of prefixes, and the new nodes' labels: an array of K' labels
+    for the first K' prefixes (the sampler passes one of each).  A
     step's candidates are its prefix's frontier [prefix.frontier_lo, s)
     under B and AB and every earlier position otherwise; under A and AB
     only candidates that receive an edge become attention keys
@@ -474,11 +463,10 @@ class EdgeStep:
     (sampler.generate_graph).
     """
 
-    def __init__(self, model: Model, hv: Tensor, hg: Tensor, new_labels, prefixes):
+    def __init__(self, model: Model, hv: Tensor, hg: Tensor, new_labels, batch: Prefixes):
         c = model.config
         d = c.d_model
-        labels = np.asarray(new_labels, dtype=np.int64).reshape(-1)
-        batch = Prefixes.of(prefixes)
+        labels = np.asarray(new_labels, dtype=np.int64)
         items = batch.items[:len(labels)]
         starts = [p.frontier_lo if c.variant in ("B", "AB") else 0 for p in items]
         self.candidates = np.concatenate(

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import graphs as G
 from . import tensor as T
-from .model import EdgeStep, Model, build_prefix
+from .model import EdgeStep, Model, Prefixes, build_prefix
 
 
 class SamplerError(ValueError):
@@ -158,13 +158,14 @@ def generate_graph(model: Model, bank: SeedBank, max_nodes: int,
         if s >= max_nodes:
             truncated = True
             break
-        prefix = build_prefix(labels, edges, c.radius)
-        hv = model.extract_features(prefix)
-        hg = model.graph_pool(hv)
-        lab = _sample(rng, _finite(model.node_distribution(hg), "node", s), argmax)
+        batch = Prefixes([build_prefix(labels, edges, c.radius)])
+        hv = model.extract_features(batch)
+        hg = model.graph_pool(hv, batch.nodes)
+        node_dist = T.softmax(model.node_logits(hg)).data[0]
+        lab = _sample(rng, _finite(node_dist, "node", s), argmax)
         if lab == c.a:
             break
-        step = EdgeStep(model, hv, hg, lab, prefix)
+        step = EdgeStep(model, hv, hg, [lab], batch)
         draft = _edge_dists(step, np.full(len(step.candidates), c.b), s)
         edge_passes += 1
         for attempt in range(1 if argmax else 6):

@@ -325,15 +325,13 @@ def sigmoid(a: Tensor) -> Tensor:
     return _record(_result(y), (a,), bw)
 
 
-def sum_along(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
+def sum_along(a: Tensor, axis: int) -> Tensor:
     an = a.node
 
     def bw(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(an, np.broadcast_to(g, an.shape).copy())
+        _accum(an, np.broadcast_to(np.expand_dims(g, axis), an.shape).copy())
 
-    return _record(_result(a.data.sum(axis=axis, keepdims=keepdims)), (a,), bw)
+    return _record(_result(a.data.sum(axis=axis)), (a,), bw)
 
 
 def softmax(a: Tensor, additive_mask=None) -> Tensor:

@@ -75,6 +75,9 @@ class TrainConfig:
     grad_clip: float = 1.0
 
     def __post_init__(self):
+        wrong = G.field_type_errors(self)
+        if wrong:
+            raise TrainError("; ".join(wrong))
         if self.epochs < 1 or self.batch_size < 1:
             raise TrainError("epochs and batch_size must be >= 1")
         if not (math.isfinite(self.lr) and self.lr > 0):

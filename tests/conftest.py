@@ -53,8 +53,9 @@ def edge_distribution_step(model, hv, hg, new_label, t, decided, restrict, dist_
         tile = T.const(np.zeros((len(keys), c.d_model)))
         k = T.concat([T.rows(hv, taus), T.add(tile, hvs),
                       T.rows(model.embed_edge, [code for _, code in keys])], axis=-1)
-        ctx = A.AttentionContext(dist_idx[np.ix_([t], taus)],
-                                 np.ones((1, len(keys)), dtype=bool))
+        ctx = A.AttentionContext(dist_idx[np.ix_([t], taus)][None],
+                                 np.ones((1, 1, len(keys)), dtype=bool),
+                                 A.Segments([1]), A.Segments([len(keys)]))
         he_hist = A.g_multi_head(T.concat([ht, hvs], axis=-1), k, k, ctx, model.edge_attn)
     else:
         he_hist = T.const(np.zeros((1, c.d_model)))

@@ -16,7 +16,7 @@ from gram import evaluation as E
 from gram import graphs as G
 from gram import tensor as T
 from gram.datasets import CorpusSpec, corpus_stats, generate_corpus
-from gram.model import Model, ModelConfig, OrderedGraph
+from gram.model import Model, ModelConfig, OrderedGraph, Prefixes
 from gram.optim import adam_step
 from gram.sampler import build_seed_bank, generate_graph
 from gram.tensor import Tape, Tensor
@@ -184,7 +184,7 @@ def test_criterion_06_zero_bias_reduction():
         ctx = rand_ctx(rng, n)
         p = make_attn(trial, zero_bias=True)
         ours = A.g_multi_head(Tensor(x), Tensor(x), Tensor(x), ctx, p).data
-        ref = vanilla_multi_head(x, x, x, p, np.where(ctx.allowed, 0.0, T.MASK_NEG))
+        ref = vanilla_multi_head(x, x, x, p, np.where(ctx.allowed[0], 0.0, T.MASK_NEG))
         worst = max(worst, np.abs(ours - ref).max())
     report(6, worst <= 1e-12, f"(worst abs diff {worst:.2e})")
 
@@ -196,16 +196,17 @@ def test_criterion_07_permutation_properties():
     model = tiny_model(seed=5)
     g = random_connected_graph(rng, 8)
     og = OrderedGraph(g, G.NodeOrdering.create(range(8)), 2)
-    base = model.extract_features(og.prefix(8))
-    base_pool = model.graph_pool(base).data
+    base_batch = Prefixes([og.prefix(8)])
+    base = model.extract_features(base_batch)
+    base_pool = model.graph_pool(base, base_batch.nodes).data
     worst = 0.0
     for _ in range(100):
         perm = rng.permutation(8)
         relabeled = G.apply_ordering(g, G.NodeOrdering.create(perm))
-        out = model.extract_features(
-            OrderedGraph(relabeled, G.NodeOrdering.create(range(8)), 2).prefix(8))
+        batch = Prefixes([OrderedGraph(relabeled, G.NodeOrdering.create(range(8)), 2).prefix(8)])
+        out = model.extract_features(batch)
         worst = max(worst, np.abs(out.data - base.data[perm]).max())
-        worst = max(worst, np.abs(model.graph_pool(out).data - base_pool).max())
+        worst = max(worst, np.abs(model.graph_pool(out, batch.nodes).data - base_pool).max())
     report(7, worst <= 1e-9, f"(worst abs diff {worst:.2e})")
 
 

@@ -29,7 +29,27 @@ def rand_ctx(rng, n):
     dist = rng.integers(0, CAP + 2, size=(n, n))
     dist = np.minimum(dist, dist.T)
     np.fill_diagonal(dist, 0)
-    return A.context_from_distances(dist, CAP + 1)
+    return A.context_from_distances(dist[None], CAP + 1, A.Segments([n]))
+
+
+def one_problem(dist, allowed):
+    """The context of one attention problem with (nq, nk) arrays."""
+    nq, nk = dist.shape
+    return A.AttentionContext(dist[None], allowed[None], A.Segments([nq]), A.Segments([nk]))
+
+
+def permuted(ctx, perm):
+    """A one-problem self-attention context with its rows permuted."""
+    pick = np.ix_([0], perm, perm)
+    return A.AttentionContext(ctx.dist[pick], ctx.allowed[pick], ctx.queries, ctx.keys)
+
+
+def zeroing_multi_head(q, k, v, ctx, p):
+    """g_multi_head whose query rows without a key give zero rows: project,
+    then attend(on_empty="zero"), as the edge estimator calls it."""
+    qh, kh = A.project(q, p.wq, ctx.queries), A.project(k, p.wk, ctx.keys)
+    return A.attend(qh, kh, A.project(v, p.wv, ctx.keys), p.query_table(qh),
+                    p.key_table(kh), ctx, p, on_empty="zero")
 
 
 def vanilla_multi_head(q, k, v, p, addmask):
@@ -56,7 +76,7 @@ def test_zero_bias_reduces_to_vanilla(rng):
         ctx = rand_ctx(rng, n)
         p = make_attn(trial, zero_bias=True)
         ours = A.g_multi_head(Tensor(x), Tensor(x), Tensor(x), ctx, p).data
-        ref = vanilla_multi_head(x, x, x, p, np.where(ctx.allowed, 0.0, T.MASK_NEG))
+        ref = vanilla_multi_head(x, x, x, p, np.where(ctx.allowed[0], 0.0, T.MASK_NEG))
         assert np.abs(ours - ref).max() <= 1e-12
 
 
@@ -64,8 +84,7 @@ def test_single_key_weight_is_one(rng):
     p = make_attn(5)
     q = Tensor(rng.normal(size=(4, D)))
     k = Tensor(rng.normal(size=(1, D)))
-    ctx = A.AttentionContext(np.ones((4, 1), dtype=np.int64),
-                             np.ones((4, 1), dtype=bool))
+    ctx = one_problem(np.ones((4, 1), dtype=np.int64), np.ones((4, 1), dtype=bool))
     out = A.g_multi_head(q, k, k, ctx, p).data
     # softmax over a singleton is exactly 1, so the output is the projected
     # value plus its distance bias, identical for all queries sharing d_ij
@@ -82,8 +101,7 @@ def test_permutation_equivariance_100(rng):
     base = A.g_multi_head(Tensor(x), Tensor(x), Tensor(x), ctx, p).data
     for _ in range(100):
         perm = rng.permutation(n)
-        ctx_p = A.AttentionContext(ctx.dist_idx[np.ix_(perm, perm)],
-                                   ctx.allowed[np.ix_(perm, perm)])
+        ctx_p = permuted(ctx, perm)
         xp = Tensor(x[perm])
         out = A.g_multi_head(xp, xp, xp, ctx_p, p).data
         assert np.abs(out - base[perm]).max() <= 1e-9
@@ -92,11 +110,11 @@ def test_permutation_equivariance_100(rng):
 def test_all_masked_row_is_contract_violation(rng):
     p = make_attn(1)
     q = Tensor(rng.normal(size=(2, D)))
-    ctx = A.AttentionContext(np.zeros((2, 2), dtype=np.int64),
-                             np.array([[True, True], [False, False]]))
+    ctx = one_problem(np.zeros((2, 2), dtype=np.int64),
+                      np.array([[True, True], [False, False]]))
     with pytest.raises(A.AttentionError, match="no attendable key"):
         A.g_multi_head(q, q, q, ctx, p)
-    out = A.g_multi_head(q, q, q, ctx, p, on_empty="zero").data
+    out = zeroing_multi_head(q, q, q, ctx, p).data
     assert not out[1].any() and out[0].any()
 
 
@@ -108,7 +126,7 @@ def test_reused_context_keeps_the_empty_row_contract(rng):
     q = Tensor(rng.normal(size=(3, D)))
     dist = rng.integers(0, CAP + 2, size=(3, 3))
     allowed = np.array([[True, False, True], [False, False, False], [True, True, False]])
-    fresh = lambda: A.AttentionContext(dist, allowed)
+    fresh = lambda: one_problem(dist, allowed)
     for first in ("zero", "error"):
         ctx = fresh()
         for on_empty in (first, "error", "zero", "zero", "error"):
@@ -116,10 +134,9 @@ def test_reused_context_keeps_the_empty_row_contract(rng):
                 with pytest.raises(A.AttentionError, match="no attendable key"):
                     A.g_multi_head(q, q, q, ctx, p)
             else:
-                out = A.g_multi_head(q, q, q, ctx, p, on_empty="zero").data
+                out = zeroing_multi_head(q, q, q, ctx, p).data
                 assert not out[1].any() and out[0].any() and out[2].any()
-                assert np.array_equal(
-                    out, A.g_multi_head(q, q, q, fresh(), p, on_empty="zero").data)
+                assert np.array_equal(out, zeroing_multi_head(q, q, q, fresh(), p).data)
 
 
 def test_mismatched_rows_rejected(rng):
@@ -127,8 +144,7 @@ def test_mismatched_rows_rejected(rng):
     q = Tensor(rng.normal(size=(3, D)))
     k = Tensor(rng.normal(size=(2, D)))
     v = Tensor(rng.normal(size=(4, D)))
-    ctx = A.AttentionContext(np.zeros((3, 2), dtype=np.int64),
-                             np.ones((3, 2), dtype=bool))
+    ctx = one_problem(np.zeros((3, 2), dtype=np.int64), np.ones((3, 2), dtype=bool))
     with pytest.raises(A.AttentionError, match="rows"):
         A.g_multi_head(q, k, v, ctx, p)
 
@@ -141,7 +157,7 @@ def test_bias_lookup_rows_and_errors(rng):
     q = Tensor(rng.normal(size=(CAP + 2, D)))
     k = Tensor(rng.normal(size=(1, D)))
     dist = np.arange(CAP + 2)[:, None]
-    ctx = A.AttentionContext(dist, np.ones((CAP + 2, 1), dtype=bool))
+    ctx = one_problem(dist, np.ones((CAP + 2, 1), dtype=bool))
     out = A.g_multi_head(q, k, k, ctx, p).data
     for c in range(CAP + 2):
         heads = [k.data[0] @ p.wv.data[h].T + p.bv.data[h, c] for h in range(H)]
@@ -150,18 +166,13 @@ def test_bias_lookup_rows_and_errors(rng):
         dist_bad = dist.copy()
         dist_bad[1, 0] = bad
         with pytest.raises(A.AttentionError, match=match):
-            A.g_multi_head(q, k, k, A.AttentionContext(dist_bad, ctx.allowed), p)
+            A.g_multi_head(q, k, k, one_problem(dist_bad, ctx.allowed[0]), p)
 
 
-def lazy_derived(dist_idx, allowed, queries=None, keys=None):
+def lazy_derived(dist, allowed, queries, keys):
     """Reference: what attention read of a context when it derived it on
     first use (the former attention._Derived), as (dist, queries, keys,
     addmask, empty)."""
-    shape = (-1,) + dist_idx.shape[-2:]
-    d, allowed = dist_idx.reshape(shape), allowed.reshape(shape)
-    count, nq, nk = d.shape
-    queries = queries if queries is not None else A.Segments([nq] * count)
-    keys = keys if keys is not None else A.Segments([nk] * count)
     has_key = allowed.any(axis=-1)
     empty = None
     if not has_key.all():
@@ -171,18 +182,18 @@ def lazy_derived(dist_idx, allowed, queries=None, keys=None):
         allowed = allowed.copy()
         allowed[~has_key, 0] = True
     addmask = None if allowed.all() else np.where(allowed, 0.0, T.MASK_NEG)
-    return d, queries, keys, addmask, empty
+    return dist, queries, keys, addmask, empty
 
 
 def test_context_fields_match_lazy_reference(rng):
     """The fields a context derives at construction equal those the lazy
-    reference derived: 2-D contexts and padded 3-D ones, every pair allowed,
-    some pairs masked, and empty real and padding query rows."""
+    reference derived: one-problem contexts and padded ones, every pair
+    allowed, some pairs masked, and empty real and padding query rows."""
     cases = []
     for nq, nk in ((3, 3), (1, 4), (4, 1)):
         for p in (1.0, 0.6, 0.0):
-            cases.append((rng.integers(0, CAP + 2, size=(nq, nk)), rng.random((nq, nk)) < p,
-                          None, None))
+            cases.append((rng.integers(0, CAP + 2, size=(1, nq, nk)),
+                          rng.random((1, nq, nk)) < p, A.Segments([nq]), A.Segments([nk])))
     for sizes, key_sizes in (([2, 3, 1], [2, 3, 1]), ([1, 2], [3, 1]), ([3], [2])):
         queries, keys = A.Segments(sizes), A.Segments(key_sizes)
         shape = (queries.count, queries.width, keys.width)
@@ -208,7 +219,8 @@ def test_context_fields_match_lazy_reference(rng):
 
 def test_context_rejects_mismatched_shapes():
     with pytest.raises(A.AttentionError, match="does not match"):
-        A.AttentionContext(np.zeros((2, 3), dtype=np.int64), np.ones((3, 2), dtype=bool))
+        A.AttentionContext(np.zeros((1, 2, 3), dtype=np.int64), np.ones((1, 3, 2), dtype=bool),
+                           A.Segments([2]), A.Segments([3]))
     with pytest.raises(A.AttentionError, match="does not match"):
         A.AttentionContext(np.zeros((2, 2, 3), dtype=np.int64), np.ones((2, 2, 3), dtype=bool),
                            A.Segments([2, 1]), A.Segments([2, 2]))
@@ -219,16 +231,17 @@ def head(t, h):
     return T.reshape(T.slice_along(t, 0, h, h + 1), t.data.shape[1:])
 
 
-def gathered_multi_head(q, k, v, ctx, p, on_empty="error"):
-    """Reference graph attention that looks up one bias vector per (query,
-    key) pair, forming (nq, nk, d_S) arrays; tape-differentiable."""
-    nq, nk = ctx.dist_idx.shape
-    has_key = ctx.allowed.any(axis=1)
-    allowed = ctx.allowed.copy()
+def gathered_multi_head(q, k, v, ctx, p):
+    """Reference graph attention of a one-problem context that looks up one
+    bias vector per (query, key) pair, forming (nq, nk, d_S) arrays; query
+    rows without a key give zero rows; tape-differentiable."""
+    _, nq, nk = ctx.dist.shape
+    has_key = ctx.allowed[0].any(axis=1)
+    allowed = ctx.allowed[0].copy()
     allowed[~has_key, 0] = True
     addmask = np.where(allowed, 0.0, T.MASK_NEG)
     scale = 1.0 / np.sqrt(k.data.shape[1])
-    flat = ctx.dist_idx.reshape(-1)
+    flat = ctx.dist.reshape(-1)
     heads = []
     for h in range(p.heads):
         qh = T.matmul(q, T.transpose(head(p.wq, h)))
@@ -271,24 +284,24 @@ def test_factorised_bias_matches_gathered(shape, rng):
             q = k = x
             ctx = rand_ctx(rng, n)
             p = make_attn(trial, scale=1.0, requires_grad=True)
-            on_empty = "error"
+            multi_head = A.g_multi_head
         else:
             nq, nk = int(rng.integers(1, 7)), int(rng.integers(1, 9))
             q = Tensor(rng.normal(size=(nq, 2 * D)))
             k = Tensor(rng.normal(size=(nk, 3 * D)))
             allowed = rng.random((nq, nk)) < 0.5
             allowed[0] = False  # at least one empty row
-            ctx = A.AttentionContext(rng.integers(0, CAP + 2, size=(nq, nk)), allowed)
+            ctx = one_problem(rng.integers(0, CAP + 2, size=(nq, nk)), allowed)
             p = make_attn(trial, d_q=2 * D, d_k=3 * D, d_v=3 * D, scale=1.0,
                           requires_grad=True)
-            on_empty = "zero"
+            multi_head = zeroing_multi_head
         assert all(np.abs(t.data).min() > 0 for t in (p.bq, p.bk, p.bv))
         named = {name: getattr(p, name) for name in ("wq", "wk", "wv", "bq", "bk", "bv", "wo")}
         weight = rng.normal(size=(q.data.shape[0], D))
         ours, g_ours = _output_and_grads(
-            lambda: A.g_multi_head(q, k, k, ctx, p, on_empty=on_empty), named, weight)
+            lambda: multi_head(q, k, k, ctx, p), named, weight)
         ref, g_ref = _output_and_grads(
-            lambda: gathered_multi_head(q, k, k, ctx, p, on_empty=on_empty), named, weight)
+            lambda: gathered_multi_head(q, k, k, ctx, p), named, weight)
         assert np.abs(ours - ref).max() <= 1e-12
         for name in named:
             a, b = g_ours[name], g_ref[name]
@@ -361,8 +374,7 @@ def test_sublayer_permutation_equivariance(rng):
     base = A.attention_sublayer(Tensor(x), ctx, sub).data
     for _ in range(100):
         perm = rng.permutation(n)
-        ctx_p = A.AttentionContext(ctx.dist_idx[np.ix_(perm, perm)],
-                                   ctx.allowed[np.ix_(perm, perm)])
+        ctx_p = permuted(ctx, perm)
         out = A.attention_sublayer(Tensor(x[perm]), ctx_p, sub).data
         assert np.abs(out - base[perm]).max() <= 1e-9
 
@@ -373,8 +385,7 @@ def test_scale_factor_applied_once(rng):
     p = make_attn(4, zero_bias=True)
     n = 5
     x = rng.normal(size=(n, D))
-    ctx = A.AttentionContext(np.zeros((n, n), dtype=np.int64),
-                             np.ones((n, n), dtype=bool))
+    ctx = one_problem(np.zeros((n, n), dtype=np.int64), np.ones((n, n), dtype=bool))
     out = A.g_multi_head(Tensor(x), Tensor(x), Tensor(x), ctx, p).data
     # reference recomputation with explicit single scaling
     ref = vanilla_multi_head(x, x, x, p, np.zeros((n, n)))

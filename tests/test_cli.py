@@ -215,6 +215,52 @@ def test_bad_optimiser_settings_are_configuration_errors(tmp_path, capsys, flags
     assert "bad configuration" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, section, key, value", [
+    ("train", "model", "bias_in_fe", "no"), ("train", "train", "resample_orderings", "no"),
+    ("train", "train", "epochs", 1.5), ("train", "model", "d_model", 8.0),
+    ("train", "model", "heads", True), ("train", "model", "seed_size", 2.0),
+    ("train", "model", "radius", 1.5), ("train", "train", "seed", 1.5),
+    ("train", "train", "lr", True), ("train", "train", "grad_clip", False),
+    ("dataset", "dataset", "count", 2.5), ("dataset", "dataset", "n_min", 9.5),
+    ("dataset", "dataset", "seed", True)])
+def test_wrongly_typed_config_value_is_configuration_error(command, section, key, value,
+                                                           tmp_path, capsys):
+    """A config value of the wrong type (a float or a bool for an integer, a
+    bool for a float, anything but a bool for a flag) is a configuration
+    error naming the key, raised before the config is echoed; nothing is
+    written."""
+    out = tmp_path / "out"
+    if command == "train":
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, [random_connected_graph(np.random.default_rng(k), 6)
+                              for k in range(3)])
+        config = {"model": {"d_model": 16, "heads": 2, "blocks": 1, "d_ff": 32,
+                            "seed_size": 3}, "train": {"epochs": 1}}
+        args = ["train", "--corpus", str(corpus), "--out", str(out)]
+    else:
+        config = {"dataset": {"count": 2, "n_min": 9}}
+        args = ["dataset", "--family", "grid", "--nmax", "16", "--out", str(out), "--no-split"]
+    config[section][key] = value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run([*args, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert f"bad configuration: {key} must be" in captured.err
+    assert "config:" not in captured.out and not out.exists()
+
+
+def test_stats_counts_a_graph_without_nodes(tmp_path, capsys):
+    """A graph of no nodes is a valid, connected corpus line; stats counts
+    it and draws no ordering for it."""
+    corpus = tmp_path / "c.jsonl"
+    write_corpus(corpus, [random_connected_graph(np.random.default_rng(0), 6)])
+    with open(corpus, "a", encoding="utf-8") as fh:
+        fh.write('{"a":3,"b":2,"nodes":[],"edges":[]}\n')
+    out = tmp_path / "stats.json"
+    assert run(["stats", "--corpus", str(corpus), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["graphs"] == 2
+
+
 def test_training_child_failure_exits_with_runtime_failure(tmp_path, capsys, monkeypatch):
     """An error in the child process that computes half of each batch is a
     runtime failure (exit code 3) that carries the child's message."""

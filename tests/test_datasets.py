@@ -344,6 +344,22 @@ def test_corpus_stats_matches_loop_version(family, orderings):
     assert corpus_stats(single) == loop_corpus_stats(single)
 
 
+def test_corpus_stats_draws_no_ordering_for_a_graph_without_nodes():
+    """A graph of no nodes has no steps, so corpus_stats draws no ordering
+    for it: it adds no alpha, beta or degree, and the other graphs draw what
+    they draw without it."""
+    empty = LabeledGraph.create(0, [], [], 3, 2)
+    graphs = generate_corpus(CorpusSpec("lobster", 4, 10, 20, seed=2))
+    assert corpus_stats([empty]) == {"graphs": 1, "mean_n": 0.0, "mean_m": 0.0,
+                                     "mean_alpha": 0.0, "mean_beta": 0.0,
+                                     "mean_degree": 0.0, "max_degree": 0}
+    with_empty = corpus_stats([empty, *graphs, empty], seed=3, orderings_per_graph=2)
+    without = corpus_stats(graphs, seed=3, orderings_per_graph=2)
+    assert with_empty["graphs"] == len(graphs) + 2
+    for key in ("mean_alpha", "mean_beta", "mean_degree", "max_degree"):
+        assert with_empty[key] == without[key], key
+
+
 # -- splitting / io ------------------------------------------------------------
 
 def test_split_700_into_500_100_100(rng):

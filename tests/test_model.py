@@ -6,12 +6,13 @@ import pytest
 from gram import attention as A
 from gram import graphs as G
 from gram import tensor as T
-from gram.datasets import CorpusSpec, generate_corpus
+from gram.datasets import CorpusSpec, CorpusSpecError, generate_corpus
 from gram.model import (VARIANTS, EdgeStep, Model, ModelConfig, ModelError,
                         OrderedGraph, Prefixes, StepCounters, build_prefix)
 from gram.optim import Parameter
 from gram.sampler import _draw_edges, _edge_dists
 from gram.tensor import Tape, Tensor
+from gram.training import TrainConfig, TrainError
 
 from conftest import (edge_distribution_step, finite_difference_check, gradients,
                       random_connected_graph, teacher_forced_step, tiny_model)
@@ -38,6 +39,25 @@ def test_config_validation():
         ModelConfig(a=2, b=2, heads=0)
     with pytest.raises(ModelError, match="d_model -8, d_ff 0"):
         ModelConfig(a=2, b=2, d_model=-8, d_ff=0)
+
+
+def test_config_field_types():
+    """Integer fields take Python or numpy integers, float fields also
+    floats, flags only bools; no number field takes a bool.  A wrong type
+    is a ModelError, TrainError or CorpusSpecError naming every such field."""
+    ModelConfig(a=np.int64(2), b=2, d_model=np.int32(8), heads=2)
+    TrainConfig(epochs=np.int64(1), lr=np.float32(0.5), grad_clip=1)
+    CorpusSpec("grid", np.int64(2), 9, 16)
+    with pytest.raises(ModelError, match="bias_in_fe must be true or false, got 'no'"):
+        ModelConfig(a=2, b=2, bias_in_fe="no")
+    with pytest.raises(ModelError, match="d_model must be an integer, got 8.0; heads must be"):
+        ModelConfig(a=2, b=2, d_model=8.0, heads=True)
+    with pytest.raises(TrainError, match="lr must be a number, got True"):
+        TrainConfig(lr=True)
+    with pytest.raises(TrainError, match="resample_orderings must be true or false"):
+        TrainConfig(resample_orderings=1)
+    with pytest.raises(CorpusSpecError, match="count must be an integer, got 2.5"):
+        CorpusSpec("grid", 2.5, 9, 16)
 
 
 def per_head_init(model, init_seed):
@@ -136,7 +156,7 @@ def test_conv_single_isolated_node_uses_self_transform(rng):
     hv = Tensor(rng.normal(size=(1, model.config.d_model)))
     he = T.const(np.zeros((0, model.config.d_model)))
     conv = model.blocks[0][0]
-    out, he2 = model.graph_convolution(hv, he, prefix, conv)
+    out, he2 = model.graph_convolution(hv, he, Prefixes([prefix]), conv)
     expected = np.maximum(hv.data @ conv["wiso"].data + conv["biso"].data, 0.0)
     assert np.allclose(out.data, expected)
     assert he2.data.shape == (0, model.config.d_model)
@@ -149,7 +169,7 @@ def test_conv_symmetric_pair_gets_equal_outputs(rng):
     hv = Tensor(np.stack([row, row]))
     prefix = build_prefix([0, 0], [(0, 1, 1)], radius=2)
     he = T.rows(model.embed_edge, [1])
-    out, _ = model.graph_convolution(hv, he, prefix, model.blocks[0][0])
+    out, _ = model.graph_convolution(hv, he, Prefixes([prefix]), model.blocks[0][0])
     assert np.abs(out.data[0] - out.data[1]).max() < 1e-12
 
 
@@ -158,13 +178,14 @@ def test_conv_gradients(rng):
     g = random_connected_graph(rng, 5)
     og = identity_ordered(g)
     prefix = og.prefix(5)
+    batch = Prefixes([prefix])
     x = rng.normal(size=(5, 8))
     weight = rng.normal(size=(5 * 8,))
     conv_params = [model.params[k] for k in model.params if ".conv." in k and "block0" in k]
 
     def f():
         he = T.rows(model.embed_edge, prefix.edge_array[:, 2])
-        out, _ = model.graph_convolution(Tensor(x), he, prefix, model.blocks[0][0])
+        out, _ = model.graph_convolution(Tensor(x), he, batch, model.blocks[0][0])
         return T.sum_along(T.mul(T.reshape(out, (5 * 8,)), T.const(weight)), 0)
 
     report = finite_difference_check(f, conv_params, eps=1e-6, samples_per_param=6, rng=rng)
@@ -225,12 +246,13 @@ def test_conv_split_matches_reference(rng):
         e = rng.normal(size=(t, d))
         wv, we = rng.normal(size=(s, d)), rng.normal(size=(t, d))
         results = []
-        for conv_fn in (model.graph_convolution, reference_graph_convolution):
+        for conv_fn, layout in ((model.graph_convolution, Prefixes([prefix])),
+                                (reference_graph_convolution, prefix)):
             for p in params:
                 p.tensor.grad = None
             hv, he = Tensor(x, requires_grad=True), Tensor(e, requires_grad=True)
             with Tape() as tape:
-                out_v, out_e = conv_fn(hv, he, prefix, conv)
+                out_v, out_e = conv_fn(hv, he, layout, conv)
                 loss = T.add(T.sum_along(T.reshape(T.mul(out_v, T.const(wv)), (s * d,)), 0),
                              T.sum_along(T.reshape(T.mul(out_e, T.const(we)), (t * d,)), 0))
                 tape.backward(loss)
@@ -286,7 +308,7 @@ def test_extract_features_zeroed_branches_reduce_to_projection(rng):
     g = random_connected_graph(rng, 6)
     og = identity_ordered(g)
     prefix = og.prefix(6)
-    out = model.extract_features(prefix).data
+    out = model.extract_features(Prefixes([prefix])).data
 
     c = model.config
     x = np.zeros((6, c.a + 2))
@@ -311,29 +333,28 @@ def test_extract_features_twin_nodes_equal_rows():
     # two leaves of a star share label and neighborhood -> identical rows
     g = G.LabeledGraph.create(3, [0, 1, 1], [(0, 1, 0), (0, 2, 0)], a=2, b=1)
     model = tiny_model(a=2, b=1, seed=3)
-    out = model.extract_features(identity_ordered(g).prefix(3)).data
+    out = model.extract_features(Prefixes([identity_ordered(g).prefix(3)])).data
     assert np.abs(out[1] - out[2]).max() < 1e-12
 
 
 def test_extract_features_permutation_equivariance_and_pool_invariance(rng):
     model = tiny_model(seed=5)
     g = random_connected_graph(rng, 7)
-    base_prefix = identity_ordered(g).prefix(7)
-    base = model.extract_features(base_prefix)
-    base_pool = model.graph_pool(base).data
+    nodes = A.Segments([7])
+    base = model.extract_features(Prefixes([identity_ordered(g).prefix(7)]))
+    base_pool = model.graph_pool(base, nodes).data
     for _ in range(100):
         perm = rng.permutation(7)
         relabeled = G.apply_ordering(g, G.NodeOrdering.create(perm))
-        prefix = identity_ordered(relabeled).prefix(7)
-        out = model.extract_features(prefix)
+        out = model.extract_features(Prefixes([identity_ordered(relabeled).prefix(7)]))
         assert np.abs(out.data - base.data[perm]).max() <= 1e-9
-        assert np.abs(model.graph_pool(out).data - base_pool).max() <= 1e-9
+        assert np.abs(model.graph_pool(out, nodes).data - base_pool).max() <= 1e-9
 
 
 def test_graph_pool_single_node_and_closed_gate(rng):
     model = tiny_model()
     hv = Tensor(rng.normal(size=(1, model.config.d_model)))
-    pooled = model.graph_pool(hv).data
+    pooled = model.graph_pool(hv, A.Segments([1])).data
     hidden = np.maximum(hv.data @ model.pool_w1.data + model.pool_b1.data, 0.0)
     gate = 1.0 / (1.0 + np.exp(-(hidden @ model.pool_w2.data + model.pool_b2.data)))
     assert np.allclose(pooled, gate * hv.data)
@@ -341,14 +362,15 @@ def test_graph_pool_single_node_and_closed_gate(rng):
     model.pool_b2.data[:] = -1e9
     model.pool_w2.data[:] = 0.0
     hv2 = Tensor(rng.normal(size=(4, model.config.d_model)))
-    assert np.abs(model.graph_pool(hv2).data).max() == 0.0
+    assert np.abs(model.graph_pool(hv2, A.Segments([4])).data).max() == 0.0
 
 
 def test_node_distribution_uniform_with_zero_final_layer(rng):
     model = tiny_model(a=4)
     model.params["node_est.w3"].tensor.data[:] = 0.0
     model.params["node_est.b3"].tensor.data[:] = 0.0
-    dist = model.node_distribution(Tensor(rng.normal(size=(1, model.config.d_model))))
+    logits = model.node_logits(Tensor(rng.normal(size=(1, model.config.d_model))))
+    dist = T.softmax(logits).data[0]
     assert np.allclose(dist, 1.0 / 5)
     assert dist.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -359,10 +381,10 @@ def test_edge_distribution_uniform_with_zero_final_layer(rng):
     model.params["edge_est.b3"].tensor.data[:] = 0.0
     g = random_connected_graph(rng, 5, b=3)
     og = identity_ordered(g)
-    prefix = og.prefix(3)
-    hv = model.extract_features(prefix)
-    hg = model.graph_pool(hv)
-    step = EdgeStep(model, hv, hg, 0, prefix)
+    batch = Prefixes([og.prefix(3)])
+    hv = model.extract_features(batch)
+    hg = model.graph_pool(hv, batch.nodes)
+    step = EdgeStep(model, hv, hg, [0], batch)
     assert list(step.candidates) == [0, 1, 2]
     dist = T.softmax(step.edge_logits_teacher([1, 3, 3])[0]).data[2]
     assert np.allclose(dist, 0.25)
@@ -374,7 +396,8 @@ def test_edge_candidates_variants(rng):
     prefix = identity_ordered(g).prefix(3)
     hv = Tensor(rng.normal(size=(3, 16)))
     hg = Tensor(rng.normal(size=(1, 16)))
-    steps = {v: EdgeStep(tiny_model(a=1, b=1, variant=v), hv, hg, 0, prefix) for v in VARIANTS}
+    steps = {v: EdgeStep(tiny_model(a=1, b=1, variant=v), hv, hg, [0], Prefixes([prefix]))
+             for v in VARIANTS}
     assert list(steps["B"].candidates) == [1, 2] and 3 - prefix.frontier_lo == 2
     assert list(steps["plain"].candidates) == [0, 1, 2]
     assert not steps["plain"].restrict and not steps["B"].restrict
@@ -391,11 +414,11 @@ def test_variant_a_empty_key_set_gives_zero_history(rng):
     model = tiny_model(variant="A")
     g = random_connected_graph(rng, 5)
     og = identity_ordered(g)
-    prefix = og.prefix(3)
-    hv = model.extract_features(prefix)
-    hg = model.graph_pool(hv)
+    batch = Prefixes([og.prefix(3)])
+    hv = model.extract_features(batch)
+    hg = model.graph_pool(hv, batch.nodes)
     b = model.config.b
-    step = EdgeStep(model, hv, hg, 1, prefix)
+    step = EdgeStep(model, hv, hg, [1], batch)
     assert step.restrict and list(step.candidates) == [0, 1, 2]
     logits, pairs = step.edge_logits_teacher([b, b, 0])  # everything declined before 2
     assert pairs == 0
@@ -423,10 +446,11 @@ def test_edge_step_matches_per_candidate_oracle(variant, rng):
         og = OrderedGraph(g, G.bfs_ordering(g, int(rng.integers(g.n)), rng), 2)
         s = int(rng.integers(3, g.n))
         prefix = og.prefix(s)
-        hv = model.extract_features(prefix)
-        hg = model.graph_pool(hv)
+        batch = Prefixes([prefix])
+        hv = model.extract_features(batch)
+        hg = model.graph_pool(hv, batch.nodes)
         label = int(og.labels[s])
-        step = EdgeStep(model, hv, hg, label, prefix)
+        step = EdgeStep(model, hv, hg, [label], batch)
         candidates = step.candidates
 
         def oracle(i, codes):
@@ -463,9 +487,9 @@ def test_edge_logits_from_first_row_match_full_pass(variant, rng):
     og = OrderedGraph(g, G.bfs_ordering(g, 0, rng), 2)
     checked = 0
     for s in range(2, g.n):
-        prefix = og.prefix(s)
-        hv = model.extract_features(prefix)
-        step = EdgeStep(model, hv, model.graph_pool(hv), int(og.labels[s]), prefix)
+        batch = Prefixes([og.prefix(s)])
+        hv = model.extract_features(batch)
+        step = EdgeStep(model, hv, model.graph_pool(hv, batch.nodes), og.labels[[s]], batch)
         t = len(step.candidates)
         codes = rng.integers(0, b + 1, size=t)
         codes[rng.integers(t)] = 0  # at least one edge

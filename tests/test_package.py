@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gram
@@ -24,6 +25,7 @@ GONE = [
     (attention.AttentionContext, "grids"), (attention.AttentionContext, "query_rows"),
     (attention.AttentionContext, "key_rows"), (model.OrderedGraph, "edge_label_codes"),
     (training, "_onehot"), (tensor, "ONEHOT_ROWS"), (datasets, "community_graph"),
+    (model.Prefixes, "of"), (model.Model, "node_distribution"),
 ]
 
 
@@ -45,6 +47,25 @@ def test_test_only_setter_default_and_import_are_gone():
     max_attend = inspect.signature(attention.context_from_distances).parameters["max_attend"]
     assert max_attend.default is inspect.Parameter.empty
     assert "orderings_per_graph" not in inspect.signature(sampler.build_seed_bank).parameters
+
+
+def test_forward_path_takes_only_batches():
+    """The forward path has one calling convention: a Prefixes batch, its
+    Segments layouts and (K, nq, nk) attention contexts, with no default
+    layout, no single-prefix form and no option that only tests set."""
+    def params(fn):
+        return inspect.signature(fn).parameters
+
+    assert params(model.Model.graph_pool)["nodes"].default is inspect.Parameter.empty
+    assert params(attention.context_from_distances)["rows"].default is inspect.Parameter.empty
+    context = params(attention.AttentionContext)
+    assert all(context[name].default is inspect.Parameter.empty for name in ("queries", "keys"))
+    assert "on_empty" not in params(attention.g_multi_head)
+    assert "on_empty" in params(attention.attend)
+    assert "keepdims" not in params(tensor.sum_along)
+    ctx = attention.context_from_distances(
+        np.zeros((1, 2, 2), dtype=np.int64), 0, attention.Segments([2]))
+    assert not hasattr(ctx, "dist_idx") and ctx.dist.shape == ctx.allowed.shape == (1, 2, 2)
 
 
 def test_ordered_graph_keeps_no_per_step_lists():

@@ -6,7 +6,7 @@ import pytest
 from gram import graphs as G
 from gram import tensor as T
 from gram.datasets import CorpusSpec, generate_corpus
-from gram.model import build_prefix
+from gram.model import Prefixes, build_prefix
 from gram.sampler import (GenerationResult, SamplerError, _cdf, _sample, build_seed_bank,
                           generate_graph)
 
@@ -26,9 +26,10 @@ def reference_generate(model, bank, max_nodes, rng, argmax=False):
     while len(labels) < max_nodes:
         s = len(labels)
         prefix = build_prefix(labels, edges, c.radius)
-        hv = model.extract_features(prefix)
-        hg = model.graph_pool(hv)
-        lab = _sample(rng, model.node_distribution(hg), argmax)
+        batch = Prefixes([prefix])
+        hv = model.extract_features(batch)
+        hg = model.graph_pool(hv, batch.nodes)
+        lab = _sample(rng, T.softmax(model.node_logits(hg)).data[0], argmax)
         if lab == c.a:
             return G.LabeledGraph.create(s, labels, edges, c.a, c.b), False, retries, forced
         lo = 0
@@ -167,6 +168,29 @@ def test_generation_truncates_at_max_nodes(rng):
     res = generate_graph(model, bank, max_nodes=12, rng=np.random.default_rng(1))
     assert res.truncated
     assert res.graph.n == 12
+
+
+def test_generation_builds_one_prefixes_batch_per_step(rng, monkeypatch):
+    """A sampled step evaluates its prefix as one Prefixes batch, which
+    feature extraction, pooling and the edge estimator share: one batch per
+    step, the step that draws the stop class included."""
+    model = tiny_model(a=3, b=2, seed_size=3)
+    model.params["node_est.w3"].tensor.data[:] = 0.0  # stop with probability 1/4
+    bank = build_seed_bank([random_connected_graph(rng, 8) for _ in range(3)], 3, rng)
+    built, init = [], Prefixes.__init__
+
+    def counting_init(self, items):
+        built.append(len(items))
+        init(self, items)
+
+    monkeypatch.setattr(Prefixes, "__init__", counting_init)
+    outcomes = set()
+    for i in range(6):
+        built.clear()
+        res = generate_graph(model, bank, max_nodes=9, rng=np.random.default_rng(i))
+        assert built == [1] * (res.graph.n - 3 + (not res.truncated))
+        outcomes.add(res.truncated)
+    assert outcomes == {False, True}
 
 
 @pytest.mark.parametrize("variant", ["plain", "A", "B", "AB"])

@@ -173,7 +173,7 @@ def _c_relu(p, q, c1, c2):
 
 @_case("sum_axis0")
 def _c_sum(p, q, c1, c2):
-    return T.sum_along(p, 0, keepdims=True)
+    return T.sum_along(p, 0)
 
 
 @_case("rows_lookup")

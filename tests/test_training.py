@@ -10,7 +10,7 @@ import pytest
 import gram.model
 from gram import graphs as G
 from gram import tensor as T
-from gram.model import VARIANTS, EdgeStep, Model, ModelConfig, OrderedGraph
+from gram.model import VARIANTS, EdgeStep, Model, ModelConfig, OrderedGraph, Prefixes
 from gram.datasets import CorpusSpec, generate_corpus
 from gram.optim import Parameter, adam_step
 from gram.tensor import Tape
@@ -43,8 +43,9 @@ def sequential_loss(model, og):
     total = 0.0
     for s in range(c.seed_size, og.n + 1):
         prefix = og.prefix(s)
-        hv = model.extract_features(prefix)
-        hg = model.graph_pool(hv)
+        batch = Prefixes([prefix])
+        hv = model.extract_features(batch)
+        hg = model.graph_pool(hv, batch.nodes)
         target = int(og.labels[s]) if s < og.n else c.a
         total += float(T.cross_entropy_logits(model.node_logits(hg), [target]).data[0])
         if s == og.n:
@@ -105,13 +106,13 @@ def per_step_teacher_forced(model, og, s):
     """Model.teacher_forced before step batching: step s alone, its prefix
     through extract_features, graph_pool and an EdgeStep of its own.
     Returns (node logits, edge codes, edge logits); no edge part at s == n."""
-    prefix = og.prefix(s)
-    hv = model.extract_features(prefix)
-    hg = model.graph_pool(hv)
+    batch = Prefixes([og.prefix(s)])
+    hv = model.extract_features(batch)
+    hg = model.graph_pool(hv, batch.nodes)
     node_logits = model.node_logits(hg)
     if s == og.n:
         return node_logits, None, None
-    step = EdgeStep(model, hv, hg, int(og.labels[s]), prefix)
+    step = EdgeStep(model, hv, hg, og.labels[[s]], batch)
     codes = og.edge_codes(s, step.candidates)
     return node_logits, codes, step.edge_logits_teacher(codes)[0]
 
@@ -536,6 +537,18 @@ def test_checkpoint_truncation_and_version_and_magic(tmp_path):
     (tmp_path / "trail.bin").write_bytes(blob + b"x")
     with pytest.raises(CheckpointError, match="trailing"):
         load_checkpoint(tmp_path / "trail.bin")
+
+
+def test_checkpoint_with_a_wrongly_typed_config_value_fails(tmp_path):
+    """An embedded config whose flag is not a bool is a CheckpointError
+    naming the field, not a model whose biases the string turns on."""
+    path = tmp_path / "c.bin"
+    save_checkpoint(path, tiny_model(), epoch=1)
+    blob = path.read_bytes()
+    assert b'"bias_in_fe": true' in blob
+    path.write_bytes(blob.replace(b'"bias_in_fe": true', b'"bias_in_fe": "no"', 1))
+    with pytest.raises(CheckpointError, match="bad embedded config: bias_in_fe must be"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_parameter_table_checks(tmp_path, monkeypatch):
