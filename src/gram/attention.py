@@ -15,9 +15,10 @@ The heads run on one leading batch axis, and a layer's parameters are
 stored that way: GraphAttentionParams holds Wq, Wk and Wv as (H, d_S, d_in)
 tensors and the bias tables as (H, C, d_S) tensors, and attention reads them
 as they are, with no per-call copy.  A call runs K independent problems at
-once (the steps of a chunk in training, K = 1 in sampling): their query and
-key rows come packed, and a Segments lays each problem's rows out on a grid
-padded to the largest problem.  Attention is split in two halves:
+once (the prefixes of a model.Prefixes batch, built from a graph's labels,
+edges and steps: a chunk's steps in training, K = 1 in sampling): their
+query and key rows come packed, and a Segments lays each problem's rows out
+on a grid padded to the largest problem.  Attention is split in two halves:
 
   project  Q, K and V for all heads, one 2-D product each, laid out as
            (H, K, n, d_S) grids, plus the bias tables that depend only on Q
@@ -90,14 +91,6 @@ class Segments:
     def unpad(self, x: Tensor) -> Tensor:
         """The flattened grid (K * width, ...) -> the packed rows (N, ...)."""
         return x if self.index is None else T.rows(x, self.index)
-
-    def grid(self, blocks, fill) -> np.ndarray:
-        """Run k's (sizes[k], sizes[k]) array in the corner of a (K, width,
-        width) array filled with fill elsewhere."""
-        out = np.full((self.count, self.width, self.width), fill, dtype=np.int64)
-        for k, block in enumerate(blocks):
-            out[k, :len(block), :len(block)] = block
-        return out
 
 
 class AttentionContext:

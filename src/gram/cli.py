@@ -136,6 +136,17 @@ def _load_config_file(path):
     return obj
 
 
+def _section(cfg_file: dict, path: str) -> dict:
+    """The config file's object at a dotted path ("dataset.params"), {}
+    where absent."""
+    obj = cfg_file
+    for key in path.split("."):
+        obj = obj.get(key, {})
+        if not isinstance(obj, dict):
+            raise DataError(f"config section {path!r} must be an object, got {obj!r}")
+    return obj
+
+
 def _merge(defaults: dict, file_section: dict, flags: dict) -> dict:
     """defaults < config file < explicitly set flags."""
     out = dict(defaults)
@@ -188,8 +199,9 @@ def _alphabets(graphs, path):
 def _cmd_dataset(args, cfg_file):
     flags = {"family": args.family, "count": args.count, "n_min": args.nmin,
              "n_max": args.nmax, "seed": args.seed}
-    section = dict(cfg_file.get("dataset", {}))
-    params = dict(section.pop("params", {}))
+    section = dict(_section(cfg_file, "dataset"))
+    params = dict(_section(cfg_file, "dataset.params"))
+    section.pop("params", None)
     for kv in args.param:
         if "=" not in kv:
             raise UsageError(f"--param expects KEY=VALUE, got {kv!r}")
@@ -249,12 +261,12 @@ def _cmd_train(args, cfg_file):
                    "bias_in_ee": False if args.no_bias_ee else None}
     model_defaults = ModelConfig(a=1, b=1).to_json_obj()
     model_defaults.update({"a": a, "b": b})
-    mcfg_obj = _merge(model_defaults, cfg_file.get("model", {}), model_flags)
+    mcfg_obj = _merge(model_defaults, _section(cfg_file, "model"), model_flags)
     mcfg_obj["a"], mcfg_obj["b"] = a, b
     train_flags = {"epochs": args.epochs, "batch_size": args.batch_size, "lr": args.lr,
                    "seed": args.seed,
                    "resample_orderings": False if args.no_resample else None}
-    tcfg_obj = _merge(TrainConfig().to_json_obj(), cfg_file.get("train", {}), train_flags)
+    tcfg_obj = _merge(TrainConfig().to_json_obj(), _section(cfg_file, "train"), train_flags)
     try:
         mcfg = ModelConfig.from_json_obj(mcfg_obj)
         tcfg = TrainConfig.from_json_obj(tcfg_obj)

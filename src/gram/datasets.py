@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import (GraphError, LabeledGraph, apply_ordering, bfs_ordering, connects,
-                     field_type_errors, frontier_starts, is_int, is_number)
+from .graphs import (GraphError, LabeledGraph, apply_ordering, bfs_ordering, config_json,
+                     connects, field_type_errors, frontier_starts, is_int, is_number)
 
 
 class CorpusSpecError(ValueError):
@@ -89,8 +89,7 @@ class CorpusSpec:
                                       f"in [{low}, {high}], got {value!r}")
 
     def to_json_obj(self) -> dict:
-        return {"family": self.family, "count": self.count, "n_min": self.n_min,
-                "n_max": self.n_max, "seed": self.seed, "params": dict(self.params)}
+        return config_json(self)
 
     @staticmethod
     def from_json_obj(obj) -> "CorpusSpec":

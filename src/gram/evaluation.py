@@ -331,19 +331,6 @@ def _orbit_hist(counts: np.ndarray) -> np.ndarray:
     return mean / total if total > 0 else mean
 
 
-def _stat_histograms(set_p, set_q, statistic):
-    graphs = list(set_p) + list(set_q)
-    if statistic == "degree":
-        hists = _degree_hists([g.degrees() for g in graphs])
-    elif statistic == "clustering":
-        hists = [_clustering_hist(kernels.clustering(_graph_arrays(g).adj)) for g in graphs]
-    elif statistic == "orbit":
-        hists = [_orbit_hist(orbit_counts(g)) for g in graphs]
-    else:
-        raise EvalError(f"unknown statistic {statistic!r}; choose from {STATISTICS}")
-    return hists[:len(set_p)], hists[len(set_p):]
-
-
 def _gaussian_emd_gram(hists: np.ndarray) -> np.ndarray:
     """Gram matrix exp(-W1^2 / (2 sigma^2)) over the rows of `hists`, where
     W1 between two histograms is the L1 distance between their cumulative
@@ -365,7 +352,9 @@ def statistic_mmd(set_p, set_q, statistic: str) -> float:
     with a Gaussian kernel over the first Wasserstein distance."""
     if not set_p or not set_q:
         raise EvalError("MMD needs non-empty sample sets")
-    return _hist_mmd(*_stat_histograms(set_p, set_q, statistic))
+    if statistic not in STATISTICS:
+        raise EvalError(f"unknown statistic {statistic!r}; choose from {STATISTICS}")
+    return _stat_mmd(_summarize(set_p, ()), _summarize(set_q, ()), statistic)
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +494,17 @@ def _summarize(graphs, drawn) -> _Summaries:
     return out
 
 
+def _stat_mmd(gen: _Summaries, ref: _Summaries, statistic: str) -> float:
+    """statistic_mmd of two corpora from their summaries.  The degree
+    histograms of both share one range, so they are built here."""
+    if statistic == "degree":
+        hists = _degree_hists([a.deg for a in gen.arrays + ref.arrays])
+        return _hist_mmd(hists[:len(gen.arrays)], hists[len(gen.arrays):])
+    if statistic == "clustering":
+        return _hist_mmd(gen.clustering, ref.clustering)
+    return _hist_mmd(gen.orbits, ref.orbits)
+
+
 def evaluate_corpora(generated, reference, train_set=None, seed: int = 0) -> EvalReport:
     """Full evaluation of a generated corpus against a reference corpus;
     novelty needs the training corpus and is omitted without it.  One pass
@@ -528,13 +528,10 @@ def evaluate_corpora(generated, reference, train_set=None, seed: int = 0) -> Eva
     with timed("gk"):
         gk = _gk_value(gen.features, ref.features, draws)
         gen.features = ref.features = None  # the largest summaries: not held to the end
-    with timed("degree"):
-        hists = _degree_hists([a.deg for a in gen.arrays + ref.arrays])
-        degree = _hist_mmd(hists[:len(generated)], hists[len(generated):])
-    with timed("clustering"):
-        clustering = _hist_mmd(gen.clustering, ref.clustering)
-    with timed("orbit"):
-        orbit = _hist_mmd(gen.orbits, ref.orbits)
+    topology = []  # in STATISTICS order, as EvalReport's fields
+    for statistic in STATISTICS:
+        with timed(statistic):
+            topology.append(_stat_mmd(gen, ref, statistic))
     with timed("uniqueness_novelty"):
         train = list(train_set or [])
         fps = _fingerprints(list(generated) + train, gen.arrays + [
@@ -542,5 +539,5 @@ def evaluate_corpora(generated, reference, train_set=None, seed: int = 0) -> Eva
         unique, novel = _ratios(fps[:len(generated)], fps[len(generated):])
     if train_set is None:
         novel = None
-    return EvalReport(gk, degree, clustering, orbit, unique, novel,
+    return EvalReport(gk, *topology, unique, novel,
                       len(generated), len(reference), timing)

@@ -173,6 +173,18 @@ def field_type_errors(config) -> list:
     return errors
 
 
+def config_json(config) -> dict:
+    """The fields of the dataclass config by name, as json writes them: a
+    numpy number, which an int or float field may hold, becomes the Python
+    number of the same value, and a dict field a copy converted alike."""
+    def plain(value):
+        if isinstance(value, dict):
+            return {k: plain(v) for k, v in value.items()}
+        return value.item() if isinstance(value, np.generic) else value
+
+    return {f.name: plain(getattr(config, f.name)) for f in fields(config)}
+
+
 @dataclass(frozen=True)
 class NodeOrdering:
     """Permutation of {0..n-1}; perm[i] is the original index of the i-th

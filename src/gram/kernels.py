@@ -49,12 +49,13 @@ import numpy as np
 def capped_distances(adj, cap: int) -> np.ndarray:
     """All-pairs BFS distances as min(distance, cap + 1), one frontier
     product per level; cap + 1 is the shared bucket for "farther than cap
-    or unreachable", and the diagonal is 0."""
+    or unreachable", and the diagonal is 0.  adj is one (n, n) adjacency
+    matrix or a (K, n, n) stack of them, each searched on its own."""
     adj = np.asarray(adj, dtype=np.float64)
-    n = len(adj)
-    dist = np.full((n, n), cap + 1, dtype=np.int64)
-    np.fill_diagonal(dist, 0)
-    reached = np.eye(n, dtype=bool)
+    diagonal = np.arange(adj.shape[-1])
+    dist = np.full(adj.shape, cap + 1, dtype=np.int64)
+    dist[..., diagonal, diagonal] = 0
+    reached = dist == 0
     frontier = adj
     for d in range(1, cap + 1):
         new = (frontier > 0) & ~reached
@@ -72,12 +73,12 @@ def _triangles(adj):
     node t = T 1 / 2) of a float64 adjacency matrix."""
     a2 = adj @ adj
     tri = a2 * adj
-    return a2, tri, tri.sum(axis=1) / 2
+    return a2, tri, tri.sum(axis=-1) / 2
 
 
 def _clustering(d, t) -> np.ndarray:
     """2 t / (d (d - 1)) at every node of degree d >= 2, else 0."""
-    clus = np.zeros(len(d))
+    clus = np.zeros(d.shape)
     ok = d >= 2
     clus[ok] = 2.0 * t[ok] / (d[ok] * (d[ok] - 1))
     return clus
@@ -85,9 +86,10 @@ def _clustering(d, t) -> np.ndarray:
 
 def clustering(adj) -> np.ndarray:
     """Local clustering coefficient 2 L / (d (d - 1)) of every node, where
-    L = t counts the links among its d neighbours; 0 where d < 2."""
+    L = t counts the links among its d neighbours; 0 where d < 2.  Of one
+    (n, n) adjacency matrix, or (K, n) of a (K, n, n) stack."""
     adj = np.asarray(adj, dtype=np.float64)
-    return _clustering(adj.sum(axis=1), _triangles(adj)[2])
+    return _clustering(adj.sum(axis=-1), _triangles(adj)[2])
 
 
 def _c2(x):

@@ -8,12 +8,12 @@ Four variants control the edge estimation work per step:
   B     - candidates restricted to the BFS frontier
   AB    - both reductions combined
 
-Every forward computation takes a batch of prefixes (Prefixes), and only
-that: the teacher-forced steps of a chunk in training, a batch of one
-prefix in sampling.  Row work (every weight product, elementwise op, layer
-norm and the conv's gathers and scatters) runs on the prefixes' packed
-rows; only attention and pooling lay the rows out per prefix, padded to the
-largest.
+Every forward computation takes a batch of prefixes (Prefixes), built
+from a graph's labels, edges and steps, and only that: the teacher-forced
+steps of a chunk in training, a batch of one prefix in sampling.  Row work
+(every weight product, elementwise op, layer norm and the conv's gathers
+and scatters) runs on the prefixes' packed rows; only attention and
+pooling lay the rows out per prefix, padded to the largest.
 """
 from __future__ import annotations
 
@@ -69,12 +69,7 @@ class ModelConfig:
         return self.d_model // self.heads
 
     def to_json_obj(self) -> dict:
-        return {
-            "a": self.a, "b": self.b, "d_model": self.d_model, "heads": self.heads,
-            "blocks": self.blocks, "d_ff": self.d_ff, "radius": self.radius,
-            "seed_size": self.seed_size, "variant": self.variant,
-            "bias_in_fe": self.bias_in_fe, "bias_in_ee": self.bias_in_ee,
-        }
+        return G.config_json(self)
 
     @staticmethod
     def from_json_obj(obj: dict) -> "ModelConfig":
@@ -101,72 +96,56 @@ class StepCounters:
 class TeacherForced:
     """Teacher-forced steps evaluated in one pass: node logits (K, a + 1),
     one row per step, and, for the steps below n (all but a final step that
-    scores the stop class on the full graph), every step's candidate
-    positions in turn, their ground-truth edge codes (b = no edge) and their
-    edge logits (t, b + 1)."""
+    scores the stop class on the full graph), the ground-truth edge codes
+    (b = no edge) of every step's candidates in turn and their edge logits
+    (t, b + 1)."""
     node_logits: Tensor
-    candidates: np.ndarray | None = None
     edge_codes: np.ndarray | None = None
     edge_logits: Tensor | None = None
     counters: StepCounters = field(default_factory=StepCounters)
 
 
-@dataclass
-class Prefix:
-    """The already-generated part of a graph, in generation-order positions."""
-    labels: np.ndarray       # (s,) int
-    edge_array: np.ndarray   # (t, 3) int rows (i, j, label), i < j
-    dist_idx: np.ndarray     # (s, s) distance buckets, capped at radius + 1
-    degrees: np.ndarray      # (s,) within-prefix degree
-    clustering: np.ndarray   # (s,) within-prefix clustering coefficient
-    frontier_lo: int         # the next node's frontier is [frontier_lo, s)
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
-
-def build_prefix(labels, edges, radius: int) -> Prefix:
-    """Assemble a Prefix from position-space labels and edges (i, j, label),
-    i < j."""
-    labels = np.asarray(labels, dtype=np.int64)
-    s = len(labels)
-    edge_array = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
-    adj = np.zeros((s, s))
-    adj[edge_array[:, 0], edge_array[:, 1]] = 1.0
-    adj[edge_array[:, 1], edge_array[:, 0]] = 1.0
-    lo = int(G.frontier_starts(edge_array, s)[-1]) if s else 0
-    return Prefix(labels, edge_array, capped_distances(adj, radius),
-                  adj.sum(axis=1).astype(np.int64), clustering(adj), lo)
-
-
 class Prefixes:
-    """K prefixes side by side, the batch that one forward pass evaluates.
+    """The prefixes of one graph at K steps, the batch that one forward
+    pass evaluates.
 
-    Their nodes are packed rows in order (nodes, an attention.Segments):
-    prefix k owns rows nodes.offsets[k]:nodes.offsets[k + 1].  Their edges
-    are packed the same way, with endpoints as packed node rows."""
+    labels (n,) and edges, rows (i, j, label) with i < j, are a graph in
+    generation-order positions; prefix s, for each step s >= 1, is its
+    first s nodes and the edge rows with j < s, in their given order (the
+    conv scatters in that order).  The nodes are packed rows in order
+    (nodes, an attention.Segments): prefix k owns rows
+    nodes.offsets[k]:nodes.offsets[k + 1].  Its edges are packed the same
+    way, with endpoints as packed node rows.  One (K, width, width)
+    adjacency stack gives every prefix's degrees, clustering and distance
+    buckets dist, capped at radius + 1, the bucket that also fills the
+    unused places.  The node after prefix k can only receive edges from
+    its frontier [frontier_lo[k], s)."""
 
-    def __init__(self, items):
-        self.items = list(items)
-        self.nodes = A.Segments([p.n for p in self.items])
-        offsets = self.nodes.offsets
-        edges = np.concatenate([p.edge_array for p in self.items])
-        shift = np.repeat(offsets[:-1], [len(p.edge_array) for p in self.items])
-        self.ends = (edges[:, 0] + shift, edges[:, 1] + shift)  # packed rows of the ends
-        self.edge_labels = edges[:, 2]
-        self.degrees = np.concatenate([p.degrees for p in self.items])
+    def __init__(self, labels, edges, steps, radius: int):
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
+        steps = np.asarray(steps, dtype=np.int64)
+        nodes = self.nodes = A.Segments(steps)
+        owner, row = np.nonzero(edges[:, 1] < steps[:, None])  # by prefix, then row
+        i, j, self.edge_labels = edges[row].T
+        self.ends = (i + nodes.offsets[owner], j + nodes.offsets[owner])  # packed rows
+        self.labels = np.asarray(labels, dtype=np.int64)[np.nonzero(nodes.real)[1]]
+        adj = np.zeros((nodes.count, nodes.width, nodes.width))
+        adj[owner, i, j] = adj[owner, j, i] = 1.0
+        used = nodes.real[:, :, None] & nodes.real[:, None, :]
+        self.dist = np.where(used, capped_distances(adj, radius), radius + 1)
+        self.degrees = adj.sum(axis=-1)[nodes.real].astype(np.int64)
+        self.clustering = clustering(adj)[nodes.real]
+        self.frontier_lo = G.frontier_starts(edges, len(labels))[steps - 1]
 
 
 class OrderedGraph:
-    """A training graph relabeled into generation order, with per-step
-    prefix construction and ground-truth lookups.  edges holds its rows
-    (i, j, label), i < j, sorted by (j, i), so the edges of the prefix of s
-    nodes are the first rows, those with j < s."""
+    """A training graph relabeled into generation order, with its labels,
+    its edges and ground-truth lookups.  edges holds its rows (i, j,
+    label), i < j, sorted by (j, i), so the edges of the prefix of s nodes
+    are the first rows, those with j < s."""
 
-    def __init__(self, g: G.LabeledGraph, ordering: G.NodeOrdering, radius: int):
+    def __init__(self, g: G.LabeledGraph, ordering: G.NodeOrdering):
         self.graph = G.apply_ordering(g, ordering)
-        self.radius = radius
         self.n = self.graph.n
         self.labels = np.asarray(self.graph.node_labels, dtype=np.int64)
         edges = np.asarray(self.graph.edges, dtype=np.int64).reshape(-1, 3)
@@ -174,10 +153,6 @@ class OrderedGraph:
         # ascending keys j * n + i of the rows, then n * n, above every pair's
         self._keys = np.append(self.edges[:, 1] * self.n + self.edges[:, 0], self.n * self.n)
         self._codes = np.append(self.edges[:, 2], self.graph.b)
-
-    def prefix(self, s: int) -> Prefix:
-        k = int(self._keys.searchsorted(s * self.n))
-        return build_prefix(self.labels[:s], self.edges[:k], self.radius)
 
     def edge_codes(self, later, earlier) -> np.ndarray:
         """Ground-truth edge codes of the position pairs (later, earlier),
@@ -372,17 +347,15 @@ class Model:
         c = self.config
         nodes = batch.nodes
         x = np.zeros((nodes.total, c.a + 2))
-        x[np.arange(nodes.total), np.concatenate([p.labels for p in batch.items])] = 1.0
+        x[np.arange(nodes.total), batch.labels] = 1.0
         maxdeg = np.maximum.reduceat(batch.degrees, nodes.offsets[:-1])[nodes.owner] \
             if nodes.total else np.zeros(0, dtype=np.int64)
         np.divide(batch.degrees, maxdeg, out=x[:, c.a], where=maxdeg > 0)
-        x[:, c.a + 1] = np.concatenate([p.clustering for p in batch.items])
+        x[:, c.a + 1] = batch.clustering
         hv = T.add(T.matmul(T.const(x), self.input_w), self.input_b)
         he = T.rows(self.embed_edge, batch.edge_labels) if len(batch.edge_labels) \
             else T.const(np.zeros((0, c.d_model)))
-        # unused grid places get a bucket beyond the attended radius
-        dist = nodes.grid([p.dist_idx for p in batch.items], c.radius + 1)
-        ctx = A.context_from_distances(dist, max_attend=c.radius, rows=nodes)
+        ctx = A.context_from_distances(batch.dist, max_attend=c.radius, rows=nodes)
         for l, (conv, sub, combine_w, combine_b) in enumerate(self.blocks):
             conv_out, he = self.graph_convolution(hv, he, batch, conv,
                                                   update_edges=l + 1 < len(self.blocks))
@@ -414,7 +387,7 @@ class Model:
         pass: each step's next-node label (K rows) and, for the steps below
         n, the edges to its candidates, decided in order."""
         steps = [int(s) for s in steps]
-        batch = Prefixes([og.prefix(s) for s in steps])
+        batch = Prefixes(og.labels, og.edges, steps, self.config.radius)
         hv = self.extract_features(batch)
         hg = self.graph_pool(hv, batch.nodes)
         node_logits = self.node_logits(hg)
@@ -425,10 +398,10 @@ class Model:
         codes = og.edge_codes(np.asarray(edge_steps)[step.runs.owner], step.candidates)
         logits, pairs = step.edge_logits_teacher(codes)
         alpha = int((codes < self.config.b).sum())
-        return TeacherForced(node_logits, step.candidates, codes, logits, StepCounters(
+        return TeacherForced(node_logits, codes, logits, StepCounters(
             node_steps=len(steps), edge_steps=len(edge_steps), edge_decisions=len(codes),
             key_pairs=pairs, alpha_sum=alpha,
-            beta_sum=sum(s - p.frontier_lo for s, p in zip(edge_steps, batch.items)),
+            beta_sum=int((np.asarray(edge_steps) - batch.frontier_lo[:len(edge_steps)]).sum()),
             dropped_edges=int(np.isin(og.edges[:, 1], edge_steps).sum()) - alpha))
 
 
@@ -438,13 +411,14 @@ class EdgeStep:
 
     Built from the packed node features hv and graph vectors hg (K, d) of
     a batch of prefixes, and the new nodes' labels: an array of K' labels
-    for the first K' prefixes (the sampler passes one of each).  A
-    step's candidates are its prefix's frontier [prefix.frontier_lo, s)
-    under B and AB and every earlier position otherwise; under A and AB
-    only candidates that receive an edge become attention keys
-    (restrict).  candidates holds every step's positions in turn, and runs
-    (an attention.Segments) says which are whose.  Candidate j's key and
-    value input is [hv_j | embed_node(label) | embed_edge(code_j)], so the
+    for the first K' prefixes (the sampler passes one of each).  A step's
+    candidates are its prefix's frontier [frontier_lo, s) under B and AB
+    and every earlier position otherwise; under A and AB only candidates
+    that receive an edge become attention keys (restrict).  candidates
+    holds every step's positions in turn, runs (an attention.Segments) says
+    which are whose, and dist holds each step's distance buckets among its
+    candidates, gathered from the batch's.  Candidate j's key and value
+    input is [hv_j | embed_node(label) | embed_edge(code_j)], so the
     projections split by input part: a candidate row, the new node's row,
     and a table over all b + 2 edge codes.  These, the candidates' queries,
     the query side bias table and the constant part of the edge MLP's first
@@ -467,14 +441,18 @@ class EdgeStep:
         c = model.config
         d = c.d_model
         labels = np.asarray(new_labels, dtype=np.int64)
-        items = batch.items[:len(labels)]
-        starts = [p.frontier_lo if c.variant in ("B", "AB") else 0 for p in items]
-        self.candidates = np.concatenate(
-            [np.arange(lo, p.n, dtype=np.int64) for lo, p in zip(starts, items)])
-        runs = self.runs = A.Segments([p.n - lo for lo, p in zip(starts, items)])
+        count = len(labels)
+        sizes = np.diff(batch.nodes.offsets[:count + 1])
+        starts = batch.frontier_lo[:count] if c.variant in ("B", "AB") else np.zeros(count, int)
+        runs = self.runs = A.Segments(sizes - starts)
+        self.candidates = starts[runs.owner] + np.nonzero(runs.real)[1]
         self.model = model
         self.restrict = c.variant in ("A", "AB")
-        self.dist = runs.grid([p.dist_idx[lo:, lo:] for lo, p in zip(starts, items)], 0)
+        # each step's distances among its candidates, 0 in the unused places
+        at = starts[:, None] + np.where(runs.real, np.arange(runs.width), 0)
+        used = runs.real[:, :, None] & runs.real[:, None, :]
+        self.dist = np.where(used, batch.dist[np.arange(count)[:, None, None],
+                                              at[:, :, None], at[:, None, :]], 0)
         # candidate i attends over the candidates j < i of its own step
         self.causal = np.tril(np.ones((runs.width, runs.width), dtype=bool), k=-1) \
             & runs.real[:, :, None]

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import graphs as G
 from . import tensor as T
-from .model import EdgeStep, Model, Prefixes, build_prefix
+from .model import EdgeStep, Model, Prefixes
 
 
 class SamplerError(ValueError):
@@ -158,7 +158,7 @@ def generate_graph(model: Model, bank: SeedBank, max_nodes: int,
         if s >= max_nodes:
             truncated = True
             break
-        batch = Prefixes([build_prefix(labels, edges, c.radius)])
+        batch = Prefixes(labels, edges, [s], c.radius)
         hv = model.extract_features(batch)
         hg = model.graph_pool(hv, batch.nodes)
         node_dist = T.softmax(model.node_logits(hg)).data[0]

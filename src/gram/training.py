@@ -87,9 +87,7 @@ class TrainConfig:
                              f"got {self.grad_clip}")
 
     def to_json_obj(self) -> dict:
-        return {"epochs": self.epochs, "batch_size": self.batch_size, "lr": self.lr,
-                "seed": self.seed, "resample_orderings": self.resample_orderings,
-                "grad_clip": self.grad_clip}
+        return G.config_json(self)
 
     @staticmethod
     def from_json_obj(obj) -> "TrainConfig":
@@ -399,7 +397,7 @@ def train(dataset, model: Model, tconfig: TrainConfig, checkpoint_dir=None,
         for g in usable:
             start = int(rng.integers(g.n))
             ordering = G.bfs_ordering(g, start, rng)
-            ogs.append(OrderedGraph(g, ordering, c.radius))
+            ogs.append(OrderedGraph(g, ordering))
         return ogs
 
     ogs = sample_orderings()

@@ -1,5 +1,6 @@
 import os
 import signal
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import gram  # noqa: F401 - before numpy, so that its one-thread BLAS default holds
@@ -7,9 +8,11 @@ import numpy as np
 import pytest
 
 from gram import attention as A
+from gram import graphs as G
 from gram import tensor as T
 from gram import training
 from gram.graphs import LabeledGraph
+from gram.kernels import capped_distances, clustering
 from gram.model import Model, ModelConfig
 from gram.tensor import Tape
 
@@ -65,15 +68,52 @@ def edge_distribution_step(model, hv, hg, new_label, t, decided, restrict, dist_
     return T.add(T.matmul(h, model.edge_w3), model.edge_b3)
 
 
+@dataclass
+class Prefix:
+    """Reference: one prefix as the model built it step by step, before
+    model.Prefixes built a graph's prefixes as one batch."""
+    labels: np.ndarray       # (s,) int
+    edge_array: np.ndarray   # (t, 3) int rows (i, j, label), i < j
+    dist_idx: np.ndarray     # (s, s) distance buckets, capped at radius + 1
+    degrees: np.ndarray      # (s,) within-prefix degree
+    clustering: np.ndarray   # (s,) within-prefix clustering coefficient
+    frontier_lo: int         # the next node's frontier is [frontier_lo, s)
+
+    @property
+    def n(self) -> int:
+        return len(self.labels)
+
+
+def build_prefix(labels, edges, radius: int) -> Prefix:
+    """Reference: a Prefix from position-space labels and edges (i, j,
+    label), i < j, with its own adjacency, distances and clustering."""
+    labels = np.asarray(labels, dtype=np.int64)
+    s = len(labels)
+    edge_array = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
+    adj = np.zeros((s, s))
+    adj[edge_array[:, 0], edge_array[:, 1]] = 1.0
+    adj[edge_array[:, 1], edge_array[:, 0]] = 1.0
+    lo = int(G.frontier_starts(edge_array, s)[-1]) if s else 0
+    return Prefix(labels, edge_array, capped_distances(adj, radius),
+                  adj.sum(axis=1).astype(np.int64), clustering(adj), lo)
+
+
+def grid(blocks, fill) -> np.ndarray:
+    """Reference: block k, a square array, in the corner of a (K, width,
+    width) array filled with fill elsewhere, width the largest block's."""
+    width = max((len(block) for block in blocks), default=0)
+    out = np.full((len(blocks), width, width), fill, dtype=np.int64)
+    for k, block in enumerate(blocks):
+        out[k, :len(block), :len(block)] = block
+    return out
+
+
 def teacher_forced_step(model, og, s):
     """The distributions of model.teacher_forced(og, [s]): node_dist (a + 1,),
-    index a the stop class; edge_dists [(candidate, (b + 1,) array)], index
-    b no edge; and the step's counters."""
+    index a the stop class; edge_dists, a (b + 1,) array per candidate in
+    order, index b no edge; and the step's counters."""
     out = model.teacher_forced(og, [s])
-    edge_dists = []
-    if out.edge_logits is not None:
-        dists = T.softmax(out.edge_logits).data
-        edge_dists = [(int(t), dists[i]) for i, t in enumerate(out.candidates)]
+    edge_dists = [] if out.edge_logits is None else list(T.softmax(out.edge_logits).data)
     return SimpleNamespace(node_dist=T.softmax(out.node_logits).data[0],
                            edge_dists=edge_dists, counters=out.counters)
 

@@ -92,7 +92,7 @@ def test_criterion_03_alpha_bound_and_reproduction():
     for _ in range(60):
         n = int(rng.integers(4, 16))
         g = random_connected_graph(rng, n)
-        og = OrderedGraph(g, G.bfs_ordering(g, int(rng.integers(n)), rng), 2)
+        og = OrderedGraph(g, G.bfs_ordering(g, int(rng.integers(n)), rng))
         deg = og.graph.degrees()
         for s in range(2, n):
             if model.teacher_forced(og, [s]).counters.alpha_sum > deg[s]:
@@ -103,7 +103,7 @@ def test_criterion_03_alpha_bound_and_reproduction():
                            radius=2, seed_size=10), init_seed=0)
     alpha_sum = steps = 0
     for g in grid:
-        og = OrderedGraph(g, G.bfs_ordering(g, int(rng.integers(g.n)), rng), 2)
+        og = OrderedGraph(g, G.bfs_ordering(g, int(rng.integers(g.n)), rng))
         _, cnt = teacher_forced_loss(gm, og)
         alpha_sum += cnt.alpha_sum
         steps += cnt.edge_steps
@@ -120,7 +120,7 @@ def test_criterion_04_gradient_fidelity():
     g = random_connected_graph(rng, 6)
     model = Model(ModelConfig(a=3, b=2, d_model=8, heads=2, blocks=1, d_ff=16,
                               radius=2, seed_size=2), init_seed=3)
-    og = OrderedGraph(g, G.bfs_ordering(g, 0, rng), 2)
+    og = OrderedGraph(g, G.bfs_ordering(g, 0, rng))
 
     def f():
         loss, _ = teacher_forced_loss(model, og)
@@ -165,7 +165,7 @@ def test_criterion_05_parallel_sequential_equivalence():
         variant = ("plain", "A", "B", "AB")[i % 4]
         model = tiny_model(d_model=8, heads=2, variant=variant,
                            seed=int(rng.integers(10000)))
-        og = OrderedGraph(g, G.bfs_ordering(g, int(rng.integers(n)), rng), 2)
+        og = OrderedGraph(g, G.bfs_ordering(g, int(rng.integers(n)), rng))
         with Tape():
             batched, _ = teacher_forced_loss(model, og)
         seq = sequential_loss(model, og)
@@ -195,15 +195,16 @@ def test_criterion_07_permutation_properties():
     rng = np.random.default_rng(7)
     model = tiny_model(seed=5)
     g = random_connected_graph(rng, 8)
-    og = OrderedGraph(g, G.NodeOrdering.create(range(8)), 2)
-    base_batch = Prefixes([og.prefix(8)])
+    og = OrderedGraph(g, G.NodeOrdering.create(range(8)))
+    base_batch = Prefixes(og.labels, og.edges, [8], 2)
     base = model.extract_features(base_batch)
     base_pool = model.graph_pool(base, base_batch.nodes).data
     worst = 0.0
     for _ in range(100):
         perm = rng.permutation(8)
         relabeled = G.apply_ordering(g, G.NodeOrdering.create(perm))
-        batch = Prefixes([OrderedGraph(relabeled, G.NodeOrdering.create(range(8)), 2).prefix(8)])
+        og = OrderedGraph(relabeled, G.NodeOrdering.create(range(8)))
+        batch = Prefixes(og.labels, og.edges, [8], 2)
         out = model.extract_features(batch)
         worst = max(worst, np.abs(out.data - base.data[perm]).max())
         worst = max(worst, np.abs(model.graph_pool(out, batch.nodes).data - base_pool).max())
@@ -268,7 +269,7 @@ def test_criterion_10_uniform_logit_closed_form():
         model = tiny_model(a=3, b=2, variant=variant, seed_size=3)
         zero_final_layers(model)
         g = random_connected_graph(rng, 12)
-        og = OrderedGraph(g, G.bfs_ordering(g, 0, rng), 2)
+        og = OrderedGraph(g, G.bfs_ordering(g, 0, rng))
         loss, cnt = teacher_forced_loss(model, og)
         expected = (cnt.node_steps * np.log(4) + cnt.edge_decisions * np.log(3))
         worst = max(worst, abs(loss.item() - expected) / expected)
@@ -320,7 +321,7 @@ def test_criterion_12_variant_consistency():
     models = {v: tiny_model(a=3, b=2, variant=v, seed_size=3, seed=2)
               for v in ("plain", "A", "B", "AB")}
     for g in micro:
-        og = OrderedGraph(g, G.bfs_ordering(g, int(rng.integers(g.n)), rng), 2)
+        og = OrderedGraph(g, G.bfs_ordering(g, int(rng.integers(g.n)), rng))
         _, cnt_b = teacher_forced_loss(models["B"], og)
         dropped += cnt_b.dropped_edges
         for v in ("A", "AB"):
@@ -330,7 +331,7 @@ def test_criterion_12_variant_consistency():
     for _ in range(30):
         n = int(rng.integers(5, 14))
         g = random_connected_graph(rng, n)
-        og = OrderedGraph(g, G.bfs_ordering(g, int(rng.integers(n)), rng), 2)
+        og = OrderedGraph(g, G.bfs_ordering(g, int(rng.integers(n)), rng))
         s = int(rng.integers(2, n))
         pairs = {v: models[v].teacher_forced(og, [s]).counters.key_pairs
                  for v in models}

@@ -249,6 +249,33 @@ def test_wrongly_typed_config_value_is_configuration_error(command, section, key
     assert "config:" not in captured.out and not out.exists()
 
 
+@pytest.mark.parametrize("command, config, section", [
+    ("dataset", {"dataset": [1]}, "dataset"),
+    ("dataset", {"dataset": {"params": [1]}}, "dataset.params"),
+    ("train", {"model": [1]}, "model"),
+    ("train", {"train": "fast"}, "train")])
+def test_config_section_that_is_not_an_object_is_data_error(command, config, section,
+                                                            tmp_path, capsys):
+    """Each config file section, and a dataset's params, must be a JSON
+    object: anything else is a data error naming the section, and nothing
+    is written."""
+    out = tmp_path / "out"
+    if command == "train":
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, [random_connected_graph(np.random.default_rng(k), 6)
+                              for k in range(3)])
+        args = ["train", "--corpus", str(corpus), "--out", str(out)]
+    else:
+        args = _dataset_args(tmp_path, "grid")
+        out = tmp_path / "d.jsonl"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run([*args, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert f"data error: config section '{section}' must be an object" in captured.err
+    assert "config:" not in captured.out and not out.exists()
+
+
 def test_stats_counts_a_graph_without_nodes(tmp_path, capsys):
     """A graph of no nodes is a valid, connected corpus line; stats counts
     it and draws no ordering for it."""

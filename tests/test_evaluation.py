@@ -487,9 +487,12 @@ def test_statistic_mmd_matches_pairwise_kernel(rng):
     set_p = [random_connected_graph(rng, int(rng.integers(4, 12)), extra_edge_prob=0.3)
              for _ in range(7)]
     set_q = [random_connected_graph(rng, int(rng.integers(4, 12))) for _ in range(5)]
+    gen, ref = E._summarize(set_p, ()), E._summarize(set_q, ())
+    degrees = E._degree_hists([a.deg for a in gen.arrays + ref.arrays])
+    hists = {"degree": (degrees[:len(set_p)], degrees[len(set_p):]),
+             "clustering": (gen.clustering, ref.clustering), "orbit": (gen.orbits, ref.orbits)}
     for stat in E.STATISTICS:
-        hp, hq = E._stat_histograms(set_p, set_q, stat)
-        want = max(0.0, E.mmd_squared(hp, hq, pairwise_gaussian_emd))
+        want = max(0.0, E.mmd_squared(*hists[stat], pairwise_gaussian_emd))
         assert abs(E.statistic_mmd(set_p, set_q, stat) - want) <= 1e-12
         assert E.statistic_mmd(set_p, list(set_p), stat) == 0.0
 

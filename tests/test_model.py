@@ -8,19 +8,20 @@ from gram import graphs as G
 from gram import tensor as T
 from gram.datasets import CorpusSpec, CorpusSpecError, generate_corpus
 from gram.model import (VARIANTS, EdgeStep, Model, ModelConfig, ModelError,
-                        OrderedGraph, Prefixes, StepCounters, build_prefix)
+                        OrderedGraph, Prefixes, StepCounters)
 from gram.optim import Parameter
 from gram.sampler import _draw_edges, _edge_dists
 from gram.tensor import Tape, Tensor
 from gram.training import TrainConfig, TrainError
 
-from conftest import (edge_distribution_step, finite_difference_check, gradients,
-                      random_connected_graph, teacher_forced_step, tiny_model)
+from conftest import (build_prefix, edge_distribution_step, finite_difference_check,
+                      gradients, grid, random_connected_graph, teacher_forced_step,
+                      tiny_model)
 from test_training import randomize_bias_tables
 
 
-def identity_ordered(g, radius=2):
-    return OrderedGraph(g, G.NodeOrdering.create(range(g.n)), radius)
+def identity_ordered(g):
+    return OrderedGraph(g, G.NodeOrdering.create(range(g.n)))
 
 
 def randomize_edge_estimator(model, rng):
@@ -141,22 +142,96 @@ def test_build_prefix_matches_loop_version(rng):
         n = int(rng.integers(1, 25))
         g = random_connected_graph(rng, n, extra_edge_prob=float(rng.uniform(0.0, 0.8)))
         s = int(rng.integers(1, n + 1))
-        edges = [(u, v, lab) for u, v, lab in g.edges if v < s]
+        edges = np.array([(u, v, lab) for u, v, lab in g.edges if v < s]).reshape(-1, 3)
         radius = int(rng.integers(1, 5))
-        prefix = build_prefix(g.node_labels[:s], edges, radius)
-        dist, deg, clus = loop_prefix_stats(s, prefix.edge_array, radius)
-        assert np.array_equal(prefix.dist_idx, dist)
-        assert np.array_equal(prefix.degrees, deg) and prefix.degrees.dtype == np.int64
-        assert np.array_equal(prefix.clustering.view(np.int64), clus.view(np.int64))
+        batch = Prefixes(g.node_labels[:s], edges, [s], radius)
+        dist, deg, clus = loop_prefix_stats(s, edges, radius)
+        assert np.array_equal(batch.dist[0], dist)
+        assert np.array_equal(batch.degrees, deg) and batch.degrees.dtype == np.int64
+        assert np.array_equal(batch.clustering.view(np.int64), clus.view(np.int64))
+
+
+def reference_prefixes(labels, edges, steps, radius):
+    """The per-step Prefix of each step, built by the reference builder
+    from the edge rows with j < s in their given order."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
+    return [build_prefix(labels[:s], edges[edges[:, 1] < s], radius) for s in steps]
+
+
+def prefixes_cases(rng):
+    """(labels, edges, steps, radius): random BFS-ordered graphs at random
+    ascending steps that include 1 and n, with their edges sorted as
+    OrderedGraph sorts them or, as a seed's are before the sampler appends
+    to them, by (i, j); a graph whose last node is isolated, and one with no
+    edges at all."""
+    cases = []
+    for k in range(16):
+        n = int(rng.integers(1, 14))
+        g = random_connected_graph(rng, n, extra_edge_prob=float(rng.uniform(0.0, 0.6)))
+        og = OrderedGraph(g, G.bfs_ordering(g, int(rng.integers(n)), rng))
+        middle = rng.permutation(np.arange(2, n))[:int(rng.integers(0, 5))]
+        steps = sorted({1, n, *middle.tolist()})
+        edges = og.edges if k % 2 else np.array(og.graph.edges).reshape(-1, 3)
+        cases.append((og.labels, edges, steps, int(rng.integers(1, 5))))
+    g = random_connected_graph(rng, 7, extra_edge_prob=0.4)
+    cases.append((np.array([*g.node_labels, 0]), np.array(g.edges), [1, 4, 7, 8], 2))
+    cases.append((np.array([0, 1, 2, 1]), np.zeros((0, 3), dtype=np.int64), [1, 2, 4], 2))
+    return cases
+
+
+def test_prefixes_match_per_step_reference(rng):
+    """A Prefixes batch equals, bit for bit, the reference's per-step
+    prefixes packed and padded: labels, edge ends and labels, degrees,
+    clustering, distance buckets with radius + 1 in the unused places,
+    and each step's frontier start."""
+    for labels, edges, steps, radius in prefixes_cases(rng):
+        got = Prefixes(labels, edges, steps, radius)
+        items = reference_prefixes(labels, edges, steps, radius)
+        offsets = got.nodes.offsets
+        assert np.array_equal(offsets, np.cumsum([0] + [p.n for p in items]))
+        ref_edges = np.concatenate([p.edge_array for p in items])
+        shift = np.repeat(offsets[:-1], [len(p.edge_array) for p in items])
+        for name, value, want in (
+                ("labels", got.labels, np.concatenate([p.labels for p in items])),
+                ("first ends", got.ends[0], ref_edges[:, 0] + shift),
+                ("last ends", got.ends[1], ref_edges[:, 1] + shift),
+                ("edge labels", got.edge_labels, ref_edges[:, 2]),
+                ("degrees", got.degrees, np.concatenate([p.degrees for p in items])),
+                ("clustering", got.clustering, np.concatenate([p.clustering for p in items])),
+                ("dist", got.dist, grid([p.dist_idx for p in items], radius + 1)),
+                ("frontier_lo", got.frontier_lo, np.array([p.frontier_lo for p in items]))):
+            assert value.dtype == want.dtype and value.shape == want.shape, name
+            assert value.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_edge_step_gathers_the_reference_slices(variant, rng):
+    """EdgeStep's candidates and distance grid equal the reference's: each
+    step's frontier (B, AB) or every earlier position, and the block of the
+    step's prefix distances among them, 0 in the unused places."""
+    for labels, edges, steps, radius in prefixes_cases(rng):
+        edge_steps = [s for s in steps if s < len(labels)]
+        if not edge_steps:
+            continue
+        model = tiny_model(variant=variant, radius=radius)
+        d = model.config.d_model
+        batch = Prefixes(labels, edges, steps, radius)
+        step = EdgeStep(model, Tensor(rng.normal(size=(batch.nodes.total, d))),
+                        Tensor(rng.normal(size=(len(steps), d))), labels[edge_steps], batch)
+        items = reference_prefixes(labels, edges, edge_steps, radius)
+        starts = [p.frontier_lo if variant in ("B", "AB") else 0 for p in items]
+        want = np.concatenate([np.arange(lo, p.n) for lo, p in zip(starts, items)])
+        assert step.candidates.dtype == want.dtype and np.array_equal(step.candidates, want)
+        want = grid([p.dist_idx[lo:, lo:] for lo, p in zip(starts, items)], 0)
+        assert step.dist.dtype == want.dtype and np.array_equal(step.dist, want)
 
 
 def test_conv_single_isolated_node_uses_self_transform(rng):
     model = tiny_model()
-    prefix = build_prefix([1], [], radius=2)
     hv = Tensor(rng.normal(size=(1, model.config.d_model)))
     he = T.const(np.zeros((0, model.config.d_model)))
     conv = model.blocks[0][0]
-    out, he2 = model.graph_convolution(hv, he, Prefixes([prefix]), conv)
+    out, he2 = model.graph_convolution(hv, he, Prefixes([1], [], [1], 2), conv)
     expected = np.maximum(hv.data @ conv["wiso"].data + conv["biso"].data, 0.0)
     assert np.allclose(out.data, expected)
     assert he2.data.shape == (0, model.config.d_model)
@@ -167,9 +242,9 @@ def test_conv_symmetric_pair_gets_equal_outputs(rng):
     d = model.config.d_model
     row = rng.normal(size=d)
     hv = Tensor(np.stack([row, row]))
-    prefix = build_prefix([0, 0], [(0, 1, 1)], radius=2)
     he = T.rows(model.embed_edge, [1])
-    out, _ = model.graph_convolution(hv, he, Prefixes([prefix]), model.blocks[0][0])
+    out, _ = model.graph_convolution(hv, he, Prefixes([0, 0], [(0, 1, 1)], [2], 2),
+                                     model.blocks[0][0])
     assert np.abs(out.data[0] - out.data[1]).max() < 1e-12
 
 
@@ -177,14 +252,13 @@ def test_conv_gradients(rng):
     model = tiny_model(d_model=8, heads=2)
     g = random_connected_graph(rng, 5)
     og = identity_ordered(g)
-    prefix = og.prefix(5)
-    batch = Prefixes([prefix])
+    batch = Prefixes(og.labels, og.edges, [5], 2)
     x = rng.normal(size=(5, 8))
     weight = rng.normal(size=(5 * 8,))
     conv_params = [model.params[k] for k in model.params if ".conv." in k and "block0" in k]
 
     def f():
-        he = T.rows(model.embed_edge, prefix.edge_array[:, 2])
+        he = T.rows(model.embed_edge, batch.edge_labels)
         out, _ = model.graph_convolution(Tensor(x), he, batch, model.blocks[0][0])
         return T.sum_along(T.mul(T.reshape(out, (5 * 8,)), T.const(weight)), 0)
 
@@ -235,18 +309,19 @@ def test_conv_split_matches_reference(rng):
         if ".conv.b" in name:
             p.tensor.data[:] = rng.normal(size=p.tensor.data.shape)
     g = random_connected_graph(rng, 7, extra_edge_prob=0.4)
-    cases = [build_prefix(g.node_labels, g.edges, 2),
-             build_prefix(list(g.node_labels) + [0], g.edges, 2),  # node 7 isolated
-             build_prefix(g.node_labels[:3], [], 2),
-             build_prefix(g.node_labels[:1], [], 2)]
+    cases = [(g.node_labels, g.edges),
+             (list(g.node_labels) + [0], g.edges),  # node 7 isolated
+             (g.node_labels[:3], []),
+             (g.node_labels[:1], [])]
     params = [p for name, p in model.params.items() if name.startswith("block0.conv.")]
-    for prefix in cases:
+    for labels, edges in cases:
+        prefix = build_prefix(labels, edges, 2)
         s, t, d = prefix.n, len(prefix.edge_array), 8
         x = rng.normal(size=(s, d))
         e = rng.normal(size=(t, d))
         wv, we = rng.normal(size=(s, d)), rng.normal(size=(t, d))
         results = []
-        for conv_fn, layout in ((model.graph_convolution, Prefixes([prefix])),
+        for conv_fn, layout in ((model.graph_convolution, Prefixes(labels, edges, [s], 2)),
                                 (reference_graph_convolution, prefix)):
             for p in params:
                 p.tensor.grad = None
@@ -282,9 +357,10 @@ def test_conv_batch_matches_per_prefix_reference(rng):
         if ".conv.b" in name:
             p.tensor.data[:] = rng.normal(size=p.tensor.data.shape)
     g = random_connected_graph(rng, 8, extra_edge_prob=0.3)
-    og = OrderedGraph(g, G.bfs_ordering(g, 0, rng), 2)
-    items = [og.prefix(s) for s in (1, 2, 5, 8)]
-    batch = Prefixes(items)
+    og = OrderedGraph(g, G.bfs_ordering(g, 0, rng))
+    steps = (1, 2, 5, 8)
+    items = [build_prefix(og.labels[:s], og.edges[og.edges[:, 1] < s], 2) for s in steps]
+    batch = Prefixes(og.labels, og.edges, steps, 2)
     x = rng.normal(size=(batch.nodes.total, 8))
     e = rng.normal(size=(len(batch.edge_labels), 8))
     out_v, out_e = model.graph_convolution(Tensor(x), Tensor(e), batch, conv)
@@ -307,14 +383,14 @@ def test_extract_features_zeroed_branches_reduce_to_projection(rng):
             p.tensor.data[:] = 0.0
     g = random_connected_graph(rng, 6)
     og = identity_ordered(g)
-    prefix = og.prefix(6)
-    out = model.extract_features(Prefixes([prefix])).data
+    batch = Prefixes(og.labels, og.edges, [6], 2)
+    out = model.extract_features(batch).data
 
     c = model.config
     x = np.zeros((6, c.a + 2))
-    x[np.arange(6), prefix.labels] = 1.0
-    x[:, c.a] = prefix.degrees / prefix.degrees.max()
-    x[:, c.a + 1] = prefix.clustering
+    x[np.arange(6), batch.labels] = 1.0
+    x[:, c.a] = batch.degrees / batch.degrees.max()
+    x[:, c.a + 1] = batch.clustering
     h0 = x @ model.input_w.data + model.input_b.data
 
     def ln(v):
@@ -333,7 +409,8 @@ def test_extract_features_twin_nodes_equal_rows():
     # two leaves of a star share label and neighborhood -> identical rows
     g = G.LabeledGraph.create(3, [0, 1, 1], [(0, 1, 0), (0, 2, 0)], a=2, b=1)
     model = tiny_model(a=2, b=1, seed=3)
-    out = model.extract_features(Prefixes([identity_ordered(g).prefix(3)])).data
+    og = identity_ordered(g)
+    out = model.extract_features(Prefixes(og.labels, og.edges, [3], 2)).data
     assert np.abs(out[1] - out[2]).max() < 1e-12
 
 
@@ -341,12 +418,14 @@ def test_extract_features_permutation_equivariance_and_pool_invariance(rng):
     model = tiny_model(seed=5)
     g = random_connected_graph(rng, 7)
     nodes = A.Segments([7])
-    base = model.extract_features(Prefixes([identity_ordered(g).prefix(7)]))
+    og = identity_ordered(g)
+    base = model.extract_features(Prefixes(og.labels, og.edges, [7], 2))
     base_pool = model.graph_pool(base, nodes).data
     for _ in range(100):
         perm = rng.permutation(7)
         relabeled = G.apply_ordering(g, G.NodeOrdering.create(perm))
-        out = model.extract_features(Prefixes([identity_ordered(relabeled).prefix(7)]))
+        og = identity_ordered(relabeled)
+        out = model.extract_features(Prefixes(og.labels, og.edges, [7], 2))
         assert np.abs(out.data - base.data[perm]).max() <= 1e-9
         assert np.abs(model.graph_pool(out, nodes).data - base_pool).max() <= 1e-9
 
@@ -381,7 +460,7 @@ def test_edge_distribution_uniform_with_zero_final_layer(rng):
     model.params["edge_est.b3"].tensor.data[:] = 0.0
     g = random_connected_graph(rng, 5, b=3)
     og = identity_ordered(g)
-    batch = Prefixes([og.prefix(3)])
+    batch = Prefixes(og.labels, og.edges, [3], 2)
     hv = model.extract_features(batch)
     hg = model.graph_pool(hv, batch.nodes)
     step = EdgeStep(model, hv, hg, [0], batch)
@@ -393,12 +472,13 @@ def test_edge_distribution_uniform_with_zero_final_layer(rng):
 def test_edge_candidates_variants(rng):
     # path 0-1-2-3(-4...): at step s=3 the frontier is {1, 2}
     g = G.LabeledGraph.create(4, [0] * 4, [(0, 1, 0), (1, 2, 0), (2, 3, 0)], a=1, b=1)
-    prefix = identity_ordered(g).prefix(3)
+    og = identity_ordered(g)
+    batch = Prefixes(og.labels, og.edges, [3], 2)
     hv = Tensor(rng.normal(size=(3, 16)))
     hg = Tensor(rng.normal(size=(1, 16)))
-    steps = {v: EdgeStep(tiny_model(a=1, b=1, variant=v), hv, hg, [0], Prefixes([prefix]))
+    steps = {v: EdgeStep(tiny_model(a=1, b=1, variant=v), hv, hg, [0], batch)
              for v in VARIANTS}
-    assert list(steps["B"].candidates) == [1, 2] and 3 - prefix.frontier_lo == 2
+    assert list(steps["B"].candidates) == [1, 2] and 3 - batch.frontier_lo[0] == 2
     assert list(steps["plain"].candidates) == [0, 1, 2]
     assert not steps["plain"].restrict and not steps["B"].restrict
     assert steps["A"].restrict and list(steps["A"].candidates) == [0, 1, 2]
@@ -414,7 +494,7 @@ def test_variant_a_empty_key_set_gives_zero_history(rng):
     model = tiny_model(variant="A")
     g = random_connected_graph(rng, 5)
     og = identity_ordered(g)
-    batch = Prefixes([og.prefix(3)])
+    batch = Prefixes(og.labels, og.edges, [3], 2)
     hv = model.extract_features(batch)
     hg = model.graph_pool(hv, batch.nodes)
     b = model.config.b
@@ -443,10 +523,9 @@ def test_edge_step_matches_per_candidate_oracle(variant, rng):
         randomize_edge_estimator(model, rng)
         b = model.config.b
         g = random_connected_graph(rng, int(rng.integers(7, 12)))
-        og = OrderedGraph(g, G.bfs_ordering(g, int(rng.integers(g.n)), rng), 2)
+        og = OrderedGraph(g, G.bfs_ordering(g, int(rng.integers(g.n)), rng))
         s = int(rng.integers(3, g.n))
-        prefix = og.prefix(s)
-        batch = Prefixes([prefix])
+        batch = Prefixes(og.labels, og.edges, [s], 2)
         hv = model.extract_features(batch)
         hg = model.graph_pool(hv, batch.nodes)
         label = int(og.labels[s])
@@ -457,7 +536,7 @@ def test_edge_step_matches_per_candidate_oracle(variant, rng):
             decided = [(int(t), int(code)) for t, code in zip(candidates[:i], codes)]
             return T.softmax(edge_distribution_step(
                 model, hv, hg, label, int(candidates[i]), decided,
-                variant in ("A", "AB"), prefix.dist_idx)).data[0]
+                variant in ("A", "AB"), batch.dist[0])).data[0]
 
         t = len(candidates)
         draft = _edge_dists(step, np.full(t, b), s)
@@ -484,10 +563,10 @@ def test_edge_logits_from_first_row_match_full_pass(variant, rng):
     randomize_edge_estimator(model, rng)
     b = model.config.b
     g = random_connected_graph(rng, 12, extra_edge_prob=0.3)
-    og = OrderedGraph(g, G.bfs_ordering(g, 0, rng), 2)
+    og = OrderedGraph(g, G.bfs_ordering(g, 0, rng))
     checked = 0
     for s in range(2, g.n):
-        batch = Prefixes([og.prefix(s)])
+        batch = Prefixes(og.labels, og.edges, [s], 2)
         hv = model.extract_features(batch)
         step = EdgeStep(model, hv, model.graph_pool(hv, batch.nodes), og.labels[[s]], batch)
         t = len(step.candidates)
@@ -513,7 +592,7 @@ def test_edge_logits_from_first_row_match_full_pass(variant, rng):
 def test_edge_logits_first_row_needs_one_step(rng):
     model = tiny_model()
     og = identity_ordered(random_connected_graph(rng, 6))
-    batch = Prefixes([og.prefix(4), og.prefix(5)])
+    batch = Prefixes(og.labels, og.edges, [4, 5], 2)
     hv = model.extract_features(batch)
     step = EdgeStep(model, hv, model.graph_pool(hv, batch.nodes), og.labels[4:6], batch)
     b = model.config.b
@@ -529,8 +608,8 @@ def test_code_gathered_keys_equal_one_hot_product(variant, rng):
     model = tiny_model(variant=variant, b=3)
     randomize_bias_tables(model, rng)
     g = random_connected_graph(rng, 9, b=3, extra_edge_prob=0.3)
-    og = OrderedGraph(g, G.bfs_ordering(g, 0, rng), 2)
-    batch = Prefixes([og.prefix(s) for s in (3, 6, 8)])
+    og = OrderedGraph(g, G.bfs_ordering(g, 0, rng))
+    batch = Prefixes(og.labels, og.edges, [3, 6, 8], 2)
     hv = model.extract_features(batch)
     step = EdgeStep(model, hv, model.graph_pool(hv, batch.nodes), og.labels[[3, 6, 8]], batch)
     c, attn = model.config, model.edge_attn
@@ -554,13 +633,13 @@ def test_step_distributions_well_formed_1000_random_graphs(rng):
         n = int(rng.integers(3, 9))
         g = random_connected_graph(rng, n)
         ordering = G.bfs_ordering(g, int(rng.integers(n)), rng)
-        og = OrderedGraph(g, ordering, 2)
+        og = OrderedGraph(g, ordering)
         model = models[("plain", "A", "B", "AB")[i % 4]]
         s = int(rng.integers(2, n))
         step = teacher_forced_step(model, og, s)
         assert np.isfinite(step.node_dist).all()
         assert step.node_dist.sum() == pytest.approx(1.0, abs=1e-9)
-        for _, dist in step.edge_dists:
+        for dist in step.edge_dists:
             assert np.isfinite(dist).all()
             assert dist.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -570,7 +649,7 @@ def test_alpha_bounded_by_degree_and_counters(rng):
         n = int(rng.integers(4, 16))
         g = random_connected_graph(rng, n)
         ordering = G.bfs_ordering(g, int(rng.integers(n)), rng)
-        og = OrderedGraph(g, ordering, 2)
+        og = OrderedGraph(g, ordering)
         deg = og.graph.degrees()
         model = tiny_model(d_model=8, heads=2, variant="B")
         s = int(rng.integers(2, n))
@@ -587,7 +666,7 @@ def test_counter_ordering_across_variants(rng):
         n = int(rng.integers(5, 14))
         g = random_connected_graph(rng, n)
         ordering = G.bfs_ordering(g, int(rng.integers(n)), rng)
-        og = OrderedGraph(g, ordering, 2)
+        og = OrderedGraph(g, ordering)
         s = int(rng.integers(2, n))
         pairs = {}
         for variant in ("plain", "A", "B", "AB"):
@@ -644,15 +723,18 @@ def test_ordered_graph_matches_bisect_reference(variant, rng):
     bisect/dict reference's."""
     dropped = 0
     for g, ordering in ordered_graph_cases(rng):
-        og = OrderedGraph(g, ordering, 2)
+        og = OrderedGraph(g, ordering)
         ref = BisectOrderedGraph(og)
-        for s in range(og.n + 1):
+        frontier_lo = {}
+        for s in range(1, og.n + 1):
             want = build_prefix(og.labels[:s], ref.prefix_edges(s), 2)
-            got = og.prefix(s)
-            assert got.edge_array.dtype == np.int64
-            assert np.array_equal(got.edge_array, want.edge_array)
-            assert np.array_equal(got.dist_idx, want.dist_idx)
-            assert got.frontier_lo == want.frontier_lo
+            got = Prefixes(og.labels, og.edges, [s], 2)
+            edge_array = np.stack([*got.ends, got.edge_labels], axis=1)
+            assert edge_array.dtype == np.int64
+            assert np.array_equal(edge_array, want.edge_array)
+            assert np.array_equal(got.dist[0], want.dist_idx)
+            assert got.frontier_lo[0] == want.frontier_lo
+            frontier_lo[s] = want.frontier_lo
         rows = np.arange(og.n)
         table = og.edge_codes(rows[:, None], rows[None])
         for s in range(og.n):
@@ -664,20 +746,18 @@ def test_ordered_graph_matches_bisect_reference(variant, rng):
         steps = range(seed, og.n + 1)
         out = model.teacher_forced(og, steps)
         edge_steps = [s for s in steps if s < og.n]
-        starts = [og.prefix(s).frontier_lo if variant in ("B", "AB") else 0 for s in edge_steps]
+        starts = [frontier_lo[s] if variant in ("B", "AB") else 0 for s in edge_steps]
         codes = [ref.edge_label_codes(s, range(lo, s)) for s, lo in zip(edge_steps, starts)]
         if not edge_steps:
             assert out.edge_codes is None
             continue
         want = np.concatenate(codes)
-        candidates = [np.arange(lo, s) for s, lo in zip(edge_steps, starts)]
-        assert np.array_equal(out.candidates, np.concatenate(candidates))
         assert out.edge_codes.dtype == np.int64 and np.array_equal(out.edge_codes, want)
         alpha = int((want < g.b).sum())
         assert out.counters == StepCounters(
             node_steps=len(steps), edge_steps=len(edge_steps), edge_decisions=len(want),
             key_pairs=out.counters.key_pairs, alpha_sum=alpha,
-            beta_sum=sum(s - og.prefix(s).frontier_lo for s in edge_steps),
+            beta_sum=sum(s - frontier_lo[s] for s in edge_steps),
             dropped_edges=sum(len(ref.lower[s]) for s in edge_steps) - alpha)
         dropped += out.counters.dropped_edges
     assert dropped > 0 if variant in ("B", "AB") else dropped == 0

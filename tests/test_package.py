@@ -26,6 +26,9 @@ GONE = [
     (attention.AttentionContext, "key_rows"), (model.OrderedGraph, "edge_label_codes"),
     (training, "_onehot"), (tensor, "ONEHOT_ROWS"), (datasets, "community_graph"),
     (model.Prefixes, "of"), (model.Model, "node_distribution"),
+    (model, "Prefix"), (model, "build_prefix"), (model.OrderedGraph, "prefix"),
+    (attention.Segments, "grid"), (model.TeacherForced, "candidates"),
+    (evaluation, "_stat_histograms"),
 ]
 
 
@@ -70,8 +73,11 @@ def test_forward_path_takes_only_batches():
 
 def test_ordered_graph_keeps_no_per_step_lists():
     g = graphs.LabeledGraph.create(3, [0, 0, 0], [(0, 1, 0), (1, 2, 0)], 1, 1)
-    og = model.OrderedGraph(g, graphs.NodeOrdering.create([0, 1, 2]), 2)
+    og = model.OrderedGraph(g, graphs.NodeOrdering.create([0, 1, 2]))
     assert not hasattr(og, "lower") and not hasattr(og, "_later")
+    # the radius is the model config's alone, and a batch keeps no per-prefix objects
+    assert not hasattr(og, "radius")
+    assert not hasattr(model.Prefixes(og.labels, og.edges, [1, 3], 2), "items")
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

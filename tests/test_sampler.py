@@ -6,7 +6,7 @@ import pytest
 from gram import graphs as G
 from gram import tensor as T
 from gram.datasets import CorpusSpec, generate_corpus
-from gram.model import Prefixes, build_prefix
+from gram.model import Prefixes
 from gram.sampler import (GenerationResult, SamplerError, _cdf, _sample, build_seed_bank,
                           generate_graph)
 
@@ -25,8 +25,7 @@ def reference_generate(model, bank, max_nodes, rng, argmax=False):
     retries = forced = 0
     while len(labels) < max_nodes:
         s = len(labels)
-        prefix = build_prefix(labels, edges, c.radius)
-        batch = Prefixes([prefix])
+        batch = Prefixes(labels, edges, [s], c.radius)
         hv = model.extract_features(batch)
         hg = model.graph_pool(hv, batch.nodes)
         lab = _sample(rng, T.softmax(model.node_logits(hg)).data[0], argmax)
@@ -42,7 +41,7 @@ def reference_generate(model, bank, max_nodes, rng, argmax=False):
             for t in range(lo, s):
                 dist = T.softmax(edge_distribution_step(
                     model, hv, hg, lab, t, decided, c.variant in ("A", "AB"),
-                    prefix.dist_idx)).data[0]
+                    batch.dist[0])).data[0]
                 dists.append(dist)
                 decided.append((t, _sample(rng, dist, argmax)))
             if any(code < c.b for _, code in decided):
@@ -179,9 +178,9 @@ def test_generation_builds_one_prefixes_batch_per_step(rng, monkeypatch):
     bank = build_seed_bank([random_connected_graph(rng, 8) for _ in range(3)], 3, rng)
     built, init = [], Prefixes.__init__
 
-    def counting_init(self, items):
-        built.append(len(items))
-        init(self, items)
+    def counting_init(self, labels, edges, steps, radius):
+        built.append(len(steps))
+        init(self, labels, edges, steps, radius)
 
     monkeypatch.setattr(Prefixes, "__init__", counting_init)
     outcomes = set()

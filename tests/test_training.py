@@ -24,9 +24,8 @@ from conftest import (edge_distribution_step, fail_in_child, gradients,
                       random_connected_graph, set_cpus, teacher_forced_step, tiny_model)
 
 
-def make_og(g, rng, radius=2):
-    ordering = G.bfs_ordering(g, int(rng.integers(g.n)), rng)
-    return OrderedGraph(g, ordering, radius)
+def make_og(g, rng):
+    return OrderedGraph(g, G.bfs_ordering(g, int(rng.integers(g.n)), rng))
 
 
 def zero_final_layers(model):
@@ -42,8 +41,7 @@ def sequential_loss(model, og):
     c = model.config
     total = 0.0
     for s in range(c.seed_size, og.n + 1):
-        prefix = og.prefix(s)
-        batch = Prefixes([prefix])
+        batch = Prefixes(og.labels, og.edges, [s], c.radius)
         hv = model.extract_features(batch)
         hg = model.graph_pool(hv, batch.nodes)
         target = int(og.labels[s]) if s < og.n else c.a
@@ -56,7 +54,7 @@ def sequential_loss(model, og):
         decided = []
         for t, code in zip(candidates, codes):
             logits = edge_distribution_step(model, hv, hg, int(og.labels[s]), int(t), decided,
-                                            c.variant in ("A", "AB"), prefix.dist_idx)
+                                            c.variant in ("A", "AB"), batch.dist[0])
             total += float(T.cross_entropy_logits(logits, [code]).data[0])
             decided.append((int(t), int(code)))
     return total
@@ -106,7 +104,7 @@ def per_step_teacher_forced(model, og, s):
     """Model.teacher_forced before step batching: step s alone, its prefix
     through extract_features, graph_pool and an EdgeStep of its own.
     Returns (node logits, edge codes, edge logits); no edge part at s == n."""
-    batch = Prefixes([og.prefix(s)])
+    batch = Prefixes(og.labels, og.edges, [s], model.config.radius)
     hv = model.extract_features(batch)
     hg = model.graph_pool(hv, batch.nodes)
     node_logits = model.node_logits(hg)
@@ -318,7 +316,7 @@ def test_overfit_drives_node_class_probability(rng):
                                   resample_orderings=False))
     sample_rng = np.random.default_rng(1)
     start = int(sample_rng.integers(g.n))
-    og = OrderedGraph(g, G.bfs_ordering(g, start, sample_rng), 2)
+    og = OrderedGraph(g, G.bfs_ordering(g, start, sample_rng))
     for s in range(model.config.seed_size, og.n):
         step = teacher_forced_step(model, og, s)
         assert step.node_dist[int(og.labels[s])] > 0.9
@@ -549,6 +547,20 @@ def test_checkpoint_with_a_wrongly_typed_config_value_fails(tmp_path):
     path.write_bytes(blob.replace(b'"bias_in_fe": true', b'"bias_in_fe": "no"', 1))
     with pytest.raises(CheckpointError, match="bad embedded config: bias_in_fe must be"):
         load_checkpoint(path)
+
+
+def test_checkpoint_of_a_config_with_numpy_integers(tmp_path):
+    """A config may hold numpy integers; the checkpoint embeds them as
+    JSON numbers, and the loaded model has the same config and weights."""
+    config = ModelConfig(a=np.int64(3), b=np.int32(2), d_model=np.int64(8), heads=2,
+                         blocks=1, d_ff=16, seed_size=np.int64(3))
+    model = Model(config, init_seed=0)
+    path = tmp_path / "c.bin"
+    save_checkpoint(path, model, epoch=1)
+    loaded = load_checkpoint(path)[0]
+    assert loaded.config == config and type(loaded.config.a) is int
+    for name, p in model.params.items():
+        assert np.array_equal(p.data, loaded.params[name].data), name
 
 
 def test_checkpoint_parameter_table_checks(tmp_path, monkeypatch):
