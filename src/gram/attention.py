@@ -171,7 +171,7 @@ class GraphAttentionParams:
             return None
         heads, buckets = self.bq.data.shape[:2]
         c = T.reshape(T.sum_along(T.mul(self.bq, self.bk), 2), (heads, 1, 1, buckets))
-        return T.add(T.matmul(qh, self._per_step(self.bk)), c)
+        return T.linear(qh, self._per_step(self.bk), c)
 
     def key_table(self, kh: Tensor) -> Tensor | None:
         """(H, K, nk, C): K_j . bq[c]."""
@@ -204,11 +204,7 @@ def attend(qh: Tensor, kh: Tensor, vh: Tensor, q_table, k_table,
     """
     if ctx.empty is not None and on_empty != "zero":
         raise AttentionError("query row with no attendable key")
-    scores = T.matmul(qh, T.transpose(kh))
-    if p.use_bias:
-        scores = T.add(T.add(scores, T.gather_last(q_table, ctx.dist)),
-                       T.transpose(T.gather_last(k_table, np.swapaxes(ctx.dist, -1, -2))))
-    weights = T.softmax(T.mul(scores, T.const(p.scale)), additive_mask=ctx.addmask)
+    weights = T.attention_weights(qh, kh, q_table, k_table, ctx.dist, p.scale, ctx.addmask)
     out = T.matmul(weights, vh)
     if p.use_bias:
         heads, buckets, d_s = p.bv.data.shape
@@ -271,6 +267,5 @@ def attention_sublayer(h_in: Tensor, ctx: AttentionContext, p: SublayerParams) -
     """LayerNorm(x + SelfAttention(x)) followed by LayerNorm(y + FNN(y))."""
     att = g_multi_head(h_in, h_in, h_in, ctx, p.attn)
     x = T.layer_norm(T.add(h_in, att), p.ln1_gain, p.ln1_bias)
-    hidden = T.relu(T.add(T.matmul(x, p.fnn_w1), p.fnn_b1))
-    fnn = T.add(T.matmul(hidden, p.fnn_w2), p.fnn_b2)
+    fnn = T.linear(T.linear(x, p.fnn_w1, p.fnn_b1, relu=True), p.fnn_w2, p.fnn_b2)
     return T.layer_norm(T.add(x, fnn), p.ln2_gain, p.ln2_bias)

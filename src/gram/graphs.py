@@ -155,15 +155,16 @@ def is_number(value) -> bool:
 # the check and its wording for each annotated type of a config field, by
 # the annotation's text (the config modules postpone their annotations)
 _FIELD_TYPES = {"int": (is_int, "an integer"), "float": (is_number, "a number"),
-                "bool": (lambda value: isinstance(value, bool), "true or false")}
+                "bool": (lambda value: isinstance(value, bool), "true or false"),
+                "dict": (lambda value: isinstance(value, dict), "an object")}
 
 
 def field_type_errors(config) -> list:
-    """'name must be ..., got value' for each int, float or bool field of the
-    dataclass config whose value is not of that type: an int field takes an
-    integer, a float field an integer or a float, a bool field a bool, and
-    no field a bool in place of a number.  Fields of other types are not
-    checked."""
+    """'name must be ..., got value' for each int, float, bool or dict field
+    of the dataclass config whose value is not of that type: an int field
+    takes an integer, a float field an integer or a float, a bool field a
+    bool, a dict field a dict, and no field a bool in place of a number.
+    Fields of other types are not checked."""
     errors = []
     for f in fields(config):
         check, what = _FIELD_TYPES.get(f.type, (None, None))

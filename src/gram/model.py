@@ -310,7 +310,7 @@ class Model:
         s, d = hv.data.shape
         isolated = np.flatnonzero(degrees == 0)
         h_iso = T.rows(hv, isolated) if len(isolated) else T.const(np.zeros((0, d)))
-        iso = T.relu(T.add(T.matmul(h_iso, conv["wiso"]), conv["biso"]))
+        iso = T.linear(h_iso, conv["wiso"], conv["biso"], relu=True)
         t = len(batch.edge_labels)
         if t == 0:
             return iso, (he if update_edges else None)
@@ -318,18 +318,17 @@ class Model:
         w1 = conv["w1"]
         first = T.matmul(hv, T.slice_along(w1, 0, 0, d))              # (s, 3d)
         last = T.matmul(hv, T.slice_along(w1, 0, 2 * d, 3 * d))       # (s, 3d)
-        mid = T.add(T.matmul(he, T.slice_along(w1, 0, d, 2 * d)), conv["b1"])  # (t, 3d)
+        mid = T.linear(he, T.slice_along(w1, 0, d, 2 * d), conv["b1"])  # (t, 3d)
         # direction 0 reads (i, e, j), direction 1 reads (j, e, i)
         first_end, last_end = np.concatenate([ii, jj]), np.concatenate([jj, ii])
-        pre = T.add(T.rows(first, first_end), T.rows(last, last_end))  # (2t, 3d)
-        hid = T.relu(T.add(T.reshape(pre, (2, t, 3 * d)), mid))
+        hid = T.edge_hidden(first, last, mid, first_end, last_end)  # (2, t, 3d)
         he_new = None
         if update_edges:
-            he_new = T.add(T.matmul(T.mul(T.sum_along(hid, 0), T.const(0.5)), conv["wedge"]),
-                           conv["bedge"])
+            he_new = T.linear(T.mul(T.sum_along(hid, 0), T.const(0.5)), conv["wedge"],
+                              conv["bedge"])
         hid = T.reshape(hid, (2 * t, 3 * d))
-        sums = T.add(T.add(T.matmul(T.scatter_rows(hid, first_end, s), conv["wsrc"]),
-                           T.matmul(T.scatter_rows(hid, last_end, s), conv["wdst"])),
+        src = T.matmul(T.scatter_rows(hid, first_end, s), conv["wsrc"])
+        sums = T.add(T.linear(T.scatter_rows(hid, last_end, s), conv["wdst"], src),
                      T.mul(T.const(degrees[:, None]), T.add(conv["bsrc"], conv["bdst"])))
         counts = 2.0 * degrees
         recip = np.zeros(s)
@@ -352,7 +351,7 @@ class Model:
             if nodes.total else np.zeros(0, dtype=np.int64)
         np.divide(batch.degrees, maxdeg, out=x[:, c.a], where=maxdeg > 0)
         x[:, c.a + 1] = batch.clustering
-        hv = T.add(T.matmul(T.const(x), self.input_w), self.input_b)
+        hv = T.linear(T.const(x), self.input_w, self.input_b)
         he = T.rows(self.embed_edge, batch.edge_labels) if len(batch.edge_labels) \
             else T.const(np.zeros((0, c.d_model)))
         ctx = A.context_from_distances(batch.dist, max_attend=c.radius, rows=nodes)
@@ -360,14 +359,14 @@ class Model:
             conv_out, he = self.graph_convolution(hv, he, batch, conv,
                                                   update_edges=l + 1 < len(self.blocks))
             att_out = A.attention_sublayer(hv, ctx, sub)
-            hv = T.add(T.matmul(T.concat([conv_out, att_out], axis=-1), combine_w), combine_b)
+            hv = T.linear(T.concat([conv_out, att_out], axis=-1), combine_w, combine_b)
         return hv
 
     def graph_pool(self, hv: Tensor, nodes: A.Segments) -> Tensor:
         """Gated sum of node features, sum_i sigmoid(gate(h_i)) * h_i, over
         each run of nodes (a batch's Prefixes.nodes): (K, d)."""
-        hidden = T.relu(T.add(T.matmul(hv, self.pool_w1), self.pool_b1))
-        gate = T.sigmoid(T.add(T.matmul(hidden, self.pool_w2), self.pool_b2))
+        hidden = T.linear(hv, self.pool_w1, self.pool_b1, relu=True)
+        gate = T.sigmoid(T.linear(hidden, self.pool_w2, self.pool_b2))
         gated = nodes.pad(T.mul(gate, hv))
         return T.sum_along(T.reshape(gated, (nodes.count, nodes.width, hv.data.shape[1])), 1)
 
@@ -375,9 +374,9 @@ class Model:
 
     def node_logits(self, hg: Tensor) -> Tensor:
         """Node-label logits (K, a + 1) of K graph vectors hg (K, d)."""
-        h = T.relu(T.add(T.matmul(hg, self.node_w1), self.node_b1))
-        h = T.relu(T.add(T.matmul(h, self.node_w2), self.node_b2))
-        return T.add(T.matmul(h, self.node_w3), self.node_b3)
+        h = T.linear(hg, self.node_w1, self.node_b1, relu=True)
+        h = T.linear(h, self.node_w2, self.node_b2, relu=True)
+        return T.linear(h, self.node_w3, self.node_b3)
 
     # -- teacher-forced steps ---------------------------------------------------
 
@@ -477,9 +476,9 @@ class EdgeStep:
         self.ke, self.ve = code_table(wk[2]), code_table(wv[2])
         self.q_table = attn.query_table(self.q)
         w1 = [T.slice_along(model.edge_w1, 0, k * d, (k + 1) * d) for k in range(4)]
-        step_base = T.add(T.add(T.matmul(T.slice_along(hg, 0, 0, runs.count), w1[1]),
-                                T.matmul(hvs, w1[2])), model.edge_b1)   # (K', d)
-        self.base = T.add(T.matmul(hc, w1[0]), T.rows(step_base, runs.owner))  # (t, d)
+        hg_w1 = T.matmul(T.slice_along(hg, 0, 0, runs.count), w1[1])
+        step_base = T.add(T.linear(hvs, w1[2], hg_w1), model.edge_b1)  # (K', d)
+        self.base = T.linear(hc, w1[0], T.rows(step_base, runs.owner))  # (t, d)
         self.w1_hist = w1[3]
 
     def _by_code(self, table: Tensor, grid: np.ndarray) -> Tensor:
@@ -526,6 +525,6 @@ class EdgeStep:
         ctx = A.AttentionContext(self.dist[:, first:], allowed, queries, runs)
         he_hist = A.attend(q, k, v, q_table, m.edge_attn.key_table(k), ctx,
                            m.edge_attn, on_empty="zero")
-        h = T.relu(T.add(base, T.matmul(he_hist, self.w1_hist)))
-        h = T.relu(T.add(T.matmul(h, m.edge_w2), m.edge_b2))
-        return T.add(T.matmul(h, m.edge_w3), m.edge_b3), int(allowed.sum())
+        h = T.linear(he_hist, self.w1_hist, base, relu=True)
+        h = T.linear(h, m.edge_w2, m.edge_b2, relu=True)
+        return T.linear(h, m.edge_w3, m.edge_b3), int(allowed.sum())

@@ -1,9 +1,10 @@
 """Minimal dense-tensor engine with reverse-mode differentiation.
 
-Everything is float64.  Operations executed inside a ``with Tape():`` block
-are recorded; ``tape.backward(loss)`` replays the records in reverse and
-accumulates gradients additively on every reachable tensor.  Outside a tape,
-the same operations run eagerly without recording (used for inference).
+Tensor() and const() hold float64 arrays.  Operations executed inside a
+``with Tape():`` block are recorded; ``tape.backward(loss)`` replays the
+records in reverse and accumulates gradients additively on every reachable
+tensor.  Outside a tape, the same operations run eagerly without recording
+(used for inference).
 
 A tensor that requires a gradient has a *node*: its gradient buffer and
 backward closure.  The tape and the closures hold nodes, not tensors, and
@@ -24,6 +25,18 @@ zero-filled or written into, and ``Tape.backward`` drops it as soon as its
 closure has run.  The invariant that makes borrowing safe: a backward
 closure never writes into the array it was given, and it computes nothing
 for an operand that does not require a gradient.
+
+Three fused primitives run the forward path's hottest op chains in one
+output buffer: ``linear`` (matmul, add, relu), ``edge_hidden`` (the graph
+convolution's two row gathers, add, add and relu) and
+``attention_weights`` (scores, both distance-bias gathers, scale, additive
+mask and softmax).  Each performs the chain's numpy operations in the
+chain's order, in place where the chain made a new array, so its output
+and every operand's gradient are bit for bit those of the chain; its
+backward closure adds to its operands in the order the chain's closures
+did.  They keep their operands' dtype (float32 operands give a float32
+output): the output buffer is the first operation's result, and the later
+steps write into it.
 """
 from __future__ import annotations
 
@@ -167,6 +180,13 @@ def _record(out: Tensor, parents, bw):
     return out
 
 
+def _recording(parents) -> bool:
+    """Whether _record would give the output of these operands a node: a
+    primitive keeps what only its backward reads (a relu's sign mask, say)
+    only then."""
+    return bool(_ACTIVE) and any(p.node is not None for p in parents)
+
+
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     """Sum g down to the given operand shape (inverse of numpy broadcast)."""
     if g.shape == tuple(shape):
@@ -206,6 +226,40 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _accum(bn, _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bn.shape))
 
     return _record(_result(data), (a, b), bw)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """x @ w + b, and then relu when asked: the chain
+    relu(add(matmul(x, w), b)) in one output buffer.  The product
+    broadcasts as matmul does; b (a bias row, or any array that broadcasts
+    to the product's shape without enlarging it, another product say)
+    is added in place."""
+    if x.data.ndim < 2 or w.data.ndim < 2 or x.data.shape[-1] != w.data.shape[-2]:
+        raise ShapeError(f"linear shapes {x.data.shape} x {w.data.shape}")
+    try:
+        y = x.data @ w.data
+        y += b.data
+    except ValueError as exc:
+        raise ShapeError(f"linear shapes {x.data.shape} x {w.data.shape} + "
+                         f"{b.data.shape}") from exc
+    xn, wn, bn = x.node, w.node, b.node
+    pos = y > 0.0 if relu and _recording((x, w, b)) else None
+    if relu:
+        np.maximum(y, 0.0, out=y)
+    xd = x.data if wn is not None else None  # w's gradient reads x, and x's reads w
+    wd = w.data if xn is not None else None
+
+    def bw(g):
+        if pos is not None:
+            g = g * pos
+        if bn is not None:
+            _accum(bn, _unbroadcast(g, bn.shape))
+        if xn is not None:
+            _accum(xn, _unbroadcast(g @ np.swapaxes(wd, -1, -2), xn.shape))
+        if wn is not None:
+            _accum(wn, _unbroadcast(np.swapaxes(xd, -1, -2) @ g, wn.shape))
+
+    return _record(_result(y), (x, w, b), bw)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -421,6 +475,41 @@ def scatter_rows(x: Tensor, idx, n: int) -> Tensor:
     return _record(_result(_scatter_rows(x.data, idx, n)), (x,), bw)
 
 
+def edge_hidden(first: Tensor, last: Tensor, mid: Tensor, first_end, last_end) -> Tensor:
+    """relu(first[first_end] + last[last_end] + mid), (2, t, w): the chain
+    relu(add(reshape(add(rows(first, first_end), rows(last, last_end)),
+    (2, t, w)), mid)) in one output buffer.  first and last are node rows
+    (n, w) and mid is t edge rows (t, w); first_end and last_end hold 2t
+    node rows, the ends of t edges read in two directions, and direction r
+    of edge e adds mid[e].  The backward pass scatters with scatter_rows."""
+    t, width = mid.data.shape
+    n_first, n_last = first.data.shape[0], last.data.shape[0]
+    fe, le = _row_index(first_end, n_first), _row_index(last_end, n_last)
+    if fe.shape != (2 * t,) or le.shape != (2 * t,) \
+            or first.data.shape[1:] != (width,) or last.data.shape[1:] != (width,):
+        raise ShapeError(f"edge_hidden rows {first.data.shape}, {last.data.shape} by "
+                         f"{fe.shape}, {le.shape} ends, edge rows {mid.data.shape}")
+    y = first.data[fe]
+    y += last.data[le]
+    y = y.reshape(2, t, width)
+    y += mid.data
+    pos = y > 0.0 if _recording((first, last, mid)) else None
+    np.maximum(y, 0.0, out=y)
+    fn, ln, mn = first.node, last.node, mid.node
+
+    def bw(g):
+        g = g * pos
+        if mn is not None:
+            _accum(mn, _unbroadcast(g, mn.shape))
+        g = g.reshape(2 * t, width)
+        if ln is not None:
+            _accum(ln, _scatter_rows(g, le, n_last))
+        if fn is not None:
+            _accum(fn, _scatter_rows(g, fe, n_first))
+
+    return _record(_result(y), (first, last, mid), bw)
+
+
 def _bucket_index(idx, shape) -> np.ndarray:
     """idx as the index of gather_last / bucket_sums over a (..., n, C)
     table or (..., n, m) values of the given shape (its last axis skipped):
@@ -494,6 +583,64 @@ def bucket_sums(w: Tensor, idx, buckets: int) -> Tensor:
         _accum(wn, _gather_last(g, idx))
 
     return _record(_result(_bucket_sums(w.data, idx, buckets)), (w,), bw)
+
+
+def attention_weights(qh: Tensor, kh: Tensor, q_table, k_table, dist, scale: float,
+                      mask) -> Tensor:
+    """Attention weights of queries qh (..., nq, d) over keys kh (..., nk, d):
+    softmax(scale * (qh kh^T + gather_last(q_table, dist)
+    + gather_last(k_table, dist^T)^T) + mask) over the last axis, the chain
+    of matmul, transpose, gather_last, add, mul and softmax in one output
+    buffer.  q_table (..., nq, C) and k_table (..., nk, C) are the bias
+    tables indexed by the distance buckets dist (..., nq, nk), whose leading
+    axes are shared as gather_last shares them; both are None for
+    attention without distance bias (dist is then not read).  mask is
+    softmax's additive mask, or None."""
+    if qh.data.ndim < 2 or qh.data.shape[-1] != kh.data.shape[-1]:
+        raise ShapeError(f"attention_weights queries {qh.data.shape}, keys {kh.data.shape}")
+    try:
+        y = qh.data @ np.swapaxes(kh.data, -1, -2)
+    except ValueError as exc:
+        raise ShapeError(f"attention_weights queries {qh.data.shape}, "
+                         f"keys {kh.data.shape}") from exc
+    biased = q_table is not None
+    if biased:
+        q_buckets, k_buckets = q_table.data.shape[-1], k_table.data.shape[-1]
+        dist = _bucket_index(dist, q_table.data.shape)
+        dist_t = _bucket_index(np.swapaxes(dist, -1, -2), k_table.data.shape)
+        _check_buckets(dist, min(q_buckets, k_buckets))
+    try:
+        if biased:
+            y += _gather_last(q_table.data, dist)
+            y += np.swapaxes(_gather_last(k_table.data, dist_t), -1, -2)
+        y *= scale
+        if mask is not None:
+            y += mask
+    except ValueError as exc:
+        raise ShapeError(f"attention_weights scores {y.shape} vs bias or mask") from exc
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    qn, kn = qh.node, kh.node
+    qtn, ktn = (q_table.node, k_table.node) if biased else (None, None)
+    qd = qh.data if kn is not None else None  # kh's gradient reads qh, and qh's reads kh
+    kd = kh.data if qn is not None else None
+    parents = (qh, kh, q_table, k_table) if biased else (qh, kh)
+
+    def bw(g):
+        dot = (g * y).sum(axis=-1, keepdims=True)
+        g = (g - dot) * y * scale  # d(loss)/d(scores)
+        if ktn is not None:
+            _accum(ktn, _bucket_sums(np.swapaxes(g, -1, -2), dist_t, k_buckets))
+        if qtn is not None:
+            _accum(qtn, _bucket_sums(g, dist, q_buckets))
+        if qn is not None:
+            _accum(qn, _unbroadcast(g @ kd, qn.shape))
+        if kn is not None:
+            kt_shape = kn.shape[:-2] + (kn.shape[-1], kn.shape[-2])  # kh^T's
+            _accum(kn, np.swapaxes(_unbroadcast(np.swapaxes(qd, -1, -2) @ g, kt_shape), -2, -1))
+
+    return _record(_result(y), parents, bw)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

@@ -16,9 +16,10 @@ cuts the list once into SHARDS = 2 runs of consecutive chunks (shard_cut):
 shard 0 runs in the training process, shard 1 in a child process forked
 for the batch, which sees the current parameters by copy-on-write, writes
 its leaf gradients into a shared buffer and pipes back its chunk NLLs and
-counters.  The parent adds shard 1's gradients to its own.  With one CPU
-the parent computes shard 1 itself, from no gradient, and combines it by
-the same rule, so the results do not depend on the number of CPUs.
+counters.  The parent adds shard 1's gradients to its own.  With one CPU,
+or when shard 1 is too small to pay for a fork (FORK_MIN_COST), the parent
+computes shard 1 itself, from no gradient, and combines it by the same
+rule, so the results do not depend on the number of CPUs.
 """
 from __future__ import annotations
 
@@ -101,8 +102,16 @@ class TrainConfig:
 CHUNK_ROWS = 256
 
 # Shards a batch's chunks are cut into; shard 1 runs in a forked child when
-# the process may use more than one CPU.
+# the process may use more than one CPU and the shard is worth a fork.
 SHARDS = 2
+
+# The estimated cost of shard 1 (its prefix rows times d_model^2) from which
+# it runs in a forked child.  Timed on a 2-core VM, one BLAS thread: a fork
+# broke even near 1.3e5 (at d_model 16, 260 rows ran 15 % slower forked and
+# 710 rows 7-34 % faster; at d_model 32, 130 rows 4-11 % faster), so twice
+# that leaves room for a second CPU busy with other work.  A train-grid batch
+# (d_model 128, 25- and 49-node grids) costs about 1.2e7.
+FORK_MIN_COST = 1 << 18
 
 
 def _steps(model: Model, og: OrderedGraph) -> range:
@@ -308,13 +317,17 @@ class _ShardChild:
 def batch_backward(model: Model, work, weight: float, shared=None):
     """Accumulate the gradient of weight times the loss of every (graph,
     steps) pair of work, cut into two shards by shard_cut.  Shard 1 runs in
-    a forked child when shared (a _SharedGradients) is given, else here
-    after shard 0, from no gradient; either way its gradients are then added
-    to shard 0's.  Returns (the chunks' NLLs in work order, StepCounters)."""
-    cut = shard_cut([sum(steps) for _, steps in work])
+    a forked child when shared (a _SharedGradients) is given and its cost
+    reaches FORK_MIN_COST, else here after shard 0, from no gradient; either
+    way its gradients are then added to shard 0's.  Returns (the chunks'
+    NLLs in work order, StepCounters)."""
+    rows = [sum(steps) for _, steps in work]
+    cut = shard_cut(rows)
     head, tail = work[:cut], work[cut:]
     if not tail:
         return run_shard(model, head, weight)
+    if sum(rows[cut:]) * model.config.d_model ** 2 < FORK_MIN_COST:
+        shared = None
     params = model.parameters()
     if shared is None:
         nlls, counters = run_shard(model, head, weight)
@@ -373,10 +386,10 @@ def train(dataset, model: Model, tconfig: TrainConfig, checkpoint_dir=None,
     The model is updated in place.  Given the same seed, dataset, and
     configuration, two runs produce bit-identical parameters and history,
     whether a batch's second shard runs in a forked child (two or more
-    usable CPUs) or in this process.  A failed or killed child raises
-    RuntimeError.  A non-finite loss or gradient norm raises NonFiniteError
-    naming the epoch and the dataset index of the graph (or of the batch's
-    graphs).
+    usable CPUs and a shard that reaches FORK_MIN_COST) or in this process.
+    A failed or killed child raises RuntimeError.  A non-finite loss or
+    gradient norm raises NonFiniteError naming the epoch and the dataset
+    index of the graph (or of the batch's graphs).
     """
     if not dataset:
         raise TrainError("dataset is empty")

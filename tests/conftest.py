@@ -68,6 +68,39 @@ def edge_distribution_step(model, hv, hg, new_label, t, decided, restrict, dist_
     return T.add(T.matmul(h, model.edge_w3), model.edge_b3)
 
 
+def linear_chain(x, w, b, relu=False):
+    """Reference: tensor.linear as the chain of primitives it fuses."""
+    y = T.add(T.matmul(x, w), b)
+    return T.relu(y) if relu else y
+
+
+def edge_hidden_chain(first, last, mid, first_end, last_end):
+    """Reference: tensor.edge_hidden as the chain of primitives it fuses."""
+    t, width = mid.data.shape
+    pre = T.add(T.rows(first, first_end), T.rows(last, last_end))
+    return T.relu(T.add(T.reshape(pre, (2, t, width)), mid))
+
+
+def attention_weights_chain(qh, kh, q_table, k_table, dist, scale, mask):
+    """Reference: tensor.attention_weights as the chain of primitives it
+    fuses."""
+    scores = T.matmul(qh, T.transpose(kh))
+    if q_table is not None:
+        scores = T.add(T.add(scores, T.gather_last(q_table, dist)),
+                       T.transpose(T.gather_last(k_table, np.swapaxes(dist, -1, -2))))
+    return T.softmax(T.mul(scores, T.const(scale)), additive_mask=mask)
+
+
+FUSED_CHAINS = {"linear": linear_chain, "edge_hidden": edge_hidden_chain,
+                "attention_weights": attention_weights_chain}
+
+
+def compose_fused(monkeypatch):
+    """Run the model through the chains that the fused primitives replace."""
+    for name, chain in FUSED_CHAINS.items():
+        monkeypatch.setattr(T, name, chain)
+
+
 @dataclass
 class Prefix:
     """Reference: one prefix as the model built it step by step, before
@@ -183,8 +216,10 @@ def gradients(params):
 
 def set_cpus(monkeypatch, n):
     """Let training see n CPUs, so it computes shard 1 of a batch in a
-    forked child (n >= 2) or in the process itself (n == 1)."""
+    forked child (n >= 2, at any shard cost) or in the process itself
+    (n == 1)."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(training, "FORK_MIN_COST", 0)
 
 
 def fail_in_child(monkeypatch, how):

@@ -35,6 +35,7 @@ def test_spec_validation():
     ("community", {"p_out": True}, "'p_out' must be a number"),
     ("ba", {"m": 1}, "'m' must be an integer in \\[2, inf\\]"),
     ("ba", {"m": None}, "'m' must be an integer"),
+    ("grid", [1], "params must be an object, got \\[1\\]"),
 ])
 def test_spec_rejects_bad_family_parameters(family, params, match):
     with pytest.raises(CorpusSpecError, match=match):

@@ -10,13 +10,13 @@ from gram.datasets import CorpusSpec, CorpusSpecError, generate_corpus
 from gram.model import (VARIANTS, EdgeStep, Model, ModelConfig, ModelError,
                         OrderedGraph, Prefixes, StepCounters)
 from gram.optim import Parameter
-from gram.sampler import _draw_edges, _edge_dists
+from gram.sampler import _draw_edges, _edge_dists, build_seed_bank, generate_graph
 from gram.tensor import Tape, Tensor
-from gram.training import TrainConfig, TrainError
+from gram.training import TrainConfig, TrainError, chunk_loss
 
-from conftest import (build_prefix, edge_distribution_step, finite_difference_check,
-                      gradients, grid, random_connected_graph, teacher_forced_step,
-                      tiny_model)
+from conftest import (build_prefix, compose_fused, edge_distribution_step,
+                      finite_difference_check, gradients, grid, random_connected_graph,
+                      teacher_forced_step, tiny_model)
 from test_training import randomize_bias_tables
 
 
@@ -714,6 +714,42 @@ def ordered_graph_cases(rng):
     path = G.LabeledGraph.create(6, [0] * 6, [(i, i + 1, i % 2) for i in range(5)], 3, 2)
     cases.append((path, G.NodeOrdering.create([0, 2, 4, 1, 3, 5])))
     return cases
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fused_forward_path_matches_the_composed_chains(variant, rng, monkeypatch):
+    """Through the fused primitives the model gives the chunk NLLs, every
+    gradient and the sampled graphs of the chains they replace, bit for
+    bit: random non-zero bias tables, a chunk of several steps (a padded
+    batch), an ordering that is not breadth-first (prefixes with isolated
+    rows, a first step with no edge) and the edge estimator's first
+    candidate, a query row with no key (attend's on_empty="zero")."""
+    model = tiny_model(variant=variant, seed_size=2, blocks=2, seed=3)
+    randomize_bias_tables(model, rng)
+    randomize_edge_estimator(model, rng)
+    g = random_connected_graph(rng, 9)
+    order = [int(v) for v in rng.permutation(g.n)]
+    og = OrderedGraph(g, G.NodeOrdering.create(order))
+    params = model.parameters()
+
+    def run():
+        for p in params:
+            p.tensor.grad = None
+        nlls = []
+        for steps in ([2], range(3, og.n + 1)):
+            with Tape() as tape:
+                loss, _ = chunk_loss(model, og, steps)
+                tape.backward(loss)
+            nlls.append(loss.data.tobytes())
+        grads = {name: grad.tobytes() for name, grad in gradients(params).items()}
+        bank = build_seed_bank([g], 2, np.random.default_rng(0))
+        sampled = [generate_graph(model, bank, 12, np.random.default_rng(k)).graph.edges
+                   for k in range(3)]
+        return nlls, grads, sampled
+
+    fused = run()
+    compose_fused(monkeypatch)
+    assert run() == fused
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 from gram import graphs as G
+from gram import sampler
 from gram import tensor as T
 from gram.datasets import CorpusSpec, generate_corpus
-from gram.model import Prefixes
+from gram.model import OrderedGraph, Prefixes
 from gram.sampler import (GenerationResult, SamplerError, _cdf, _sample, build_seed_bank,
                           generate_graph)
 
 from conftest import edge_distribution_step, random_connected_graph, tiny_model
 from test_model import randomize_edge_estimator
+from gram.tensor import Tape
+from gram.training import chunk_loss, step_chunks
+
 from test_training import randomize_bias_tables
 
 
@@ -248,6 +252,56 @@ def test_generation_matches_per_candidate_reference(variant, rng):
         res = generate_graph(model, bank, 12, np.random.default_rng(i))
         ref = reference_generate(model, bank, 12, np.random.default_rng(i))
         assert (res.graph, res.truncated, res.retries, res.forced) == ref
+
+
+@pytest.mark.parametrize("variant", ["plain", "A", "B", "AB"])
+def test_sampled_log_likelihood_equals_the_teacher_forced_nll(variant, rng, monkeypatch):
+    """The sum of -log p over the draws generate_graph keeps (the node
+    labels and the edge codes of each step's accepted attempt) equals the
+    NLL that chunk_loss gives the sampled graph, to 1e-12 relative, with
+    random bias tables: the eager sampling path and the taped training path
+    score the same graph alike.  Results with a forced attachment, whose
+    edge was not drawn, are skipped."""
+    model = tiny_model(a=3, b=2, seed_size=3, variant=variant, seed=6)
+    randomize_bias_tables(model, rng)
+    randomize_edge_estimator(model, rng)
+    model.params["node_est.b3"].tensor.data[model.config.a] -= 1.0  # longer graphs
+    model.params["edge_est.w3"].tensor.data[:] *= 0.2
+    model.params["edge_est.b3"].tensor.data[model.config.b] += 2.5  # some retries
+    bank = build_seed_bank([random_connected_graph(rng, 8) for _ in range(4)], 3, rng)
+    draws = []  # -log p of every draw kept
+    real_sample, real_draw_edges = sampler._sample, sampler._draw_edges
+
+    def sample(rng, dist, argmax, cdf=None):
+        k = real_sample(rng, dist, argmax, cdf)
+        draws.append(-np.log(dist[k]))
+        return k
+
+    def draw_edges(step, draft, rng, argmax, s):
+        start = len(draws)
+        codes, dists, passes = real_draw_edges(step, draft, rng, argmax, s)
+        if not (codes < model.config.b).any():
+            del draws[start:]  # an attempt with no edge: the step draws again
+        return codes, dists, passes
+
+    monkeypatch.setattr(sampler, "_sample", sample)
+    monkeypatch.setattr(sampler, "_draw_edges", draw_edges)
+    checked = 0
+    for i in range(12):
+        draws.clear()
+        res = generate_graph(model, bank, 14, np.random.default_rng(i))
+        if res.forced:
+            continue
+        g = res.graph
+        og = OrderedGraph(g, G.NodeOrdering.create(range(g.n)))
+        last = g.n if res.truncated else g.n + 1
+        nll = 0.0
+        for steps in step_chunks(range(model.config.seed_size, last)):
+            with Tape():
+                nll += chunk_loss(model, og, steps)[0].item()
+        assert sum(draws) == pytest.approx(nll, rel=1e-12, abs=0.0), (variant, i)
+        checked += 1
+    assert checked >= 8
 
 
 @pytest.mark.parametrize("variant", ["plain", "B"])

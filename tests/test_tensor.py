@@ -1,14 +1,16 @@
 import gc
+import inspect
 import weakref
 
 import numpy as np
 import pytest
 
+from gram import attention as A
 from gram import tensor as T
 from gram.optim import Parameter, adam_step, clip_global_norm
 from gram.tensor import MASK_NEG, ShapeError, Tape, Tensor
 
-from conftest import finite_difference_check
+from conftest import FUSED_CHAINS, finite_difference_check
 
 
 def test_softmax_uniform():
@@ -263,6 +265,183 @@ def _c_ln(p, q, c1, c2):
 @_case("cross_entropy")
 def _c_ce(p, q, c1, c2):
     return T.cross_entropy_logits(p, np.arange(p.data.shape[0]) % p.data.shape[1])
+
+
+@_case("reshape")
+def _c_reshape(p, q, c1, c2):
+    return T.reshape(T.mul(p, p), (3, 8))
+
+
+@_case("linear")
+def _c_linear(p, q, c1, c2):
+    return T.linear(p, T.transpose(q), T.slice_along(c2[1], 0, 0, 5))
+
+
+@_case("linear_relu_batched")
+def _c_linear_relu(p, q, c1, c2):
+    # (2, 4, 3) rows through (2, 1, 3, 5) weights plus a (2, 1, 1, 5) bias
+    w = T.reshape(T.slice_along(q, -1, 0, 3), (1, 5, 3))
+    return T.linear(T.reshape(p, (2, 4, 3)), T.transpose(T.concat([w, T.mul(w, w)], axis=0)),
+                    T.reshape(T.slice_along(c2[1], 0, 0, 2), (2, 1, 1)), relu=True)
+
+
+@_case("edge_hidden")
+def _c_edge_hidden(p, q, c1, c2):
+    # t = 2 edges (0, 3) and (1, 3) over 4 node rows; mid is two rows of q
+    return T.edge_hidden(p, T.sigmoid(p), T.slice_along(q, 0, 1, 3), [0, 1, 3, 3], [3, 3, 0, 1])
+
+
+@_case("attention_weights")
+def _c_attention_weights(p, q, c1, c2):
+    # one head, one problem: 4 queries, 5 keys, 3 distance buckets
+    qh, kh = T.reshape(p, (1, 1, 4, 6)), T.reshape(q, (1, 1, 5, 6))
+    q_table = T.reshape(T.matmul(p, T.transpose(T.slice_along(q, 0, 0, 3))), (1, 1, 4, 3))
+    k_table = T.reshape(T.matmul(q, T.transpose(T.slice_along(p, 0, 1, 4))), (1, 1, 5, 3))
+    dist = np.arange(20).reshape(1, 4, 5) * 7 % 3
+    return T.attention_weights(qh, kh, q_table, k_table, dist, 0.4, c1)
+
+
+@_case("attention_weights_unbiased")
+def _c_attention_weights_unbiased(p, q, c1, c2):
+    return T.attention_weights(p, q, None, None, None, 0.4, None)
+
+
+def test_every_public_primitive_has_a_finite_difference_case():
+    """Each public function of gram.tensor that returns a Tensor, except
+    const, is the outermost primitive of some PRIMITIVE_CASES case: the
+    function that computes the case's output."""
+    public = {name for name, fn in vars(T).items()
+              if inspect.isfunction(fn) and fn.__module__ == T.__name__
+              and not name.startswith("_") and name != "const"
+              and inspect.signature(fn).return_annotation in ("Tensor", Tensor)}
+    assert {"linear", "edge_hidden", "attention_weights", "matmul"} <= public
+    made_by = {}
+    originals = {name: getattr(T, name) for name in public}
+
+    def recording(name, fn):
+        def call(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            made_by[id(out)] = name
+            return out
+        return call
+
+    rng = np.random.default_rng(0)
+    p, q = Tensor(rng.normal(size=(4, 6))), Tensor(rng.normal(size=(5, 6)))
+    mask = np.zeros((4, 5))
+    covered = set()
+    try:
+        for name, fn in originals.items():
+            setattr(T, name, recording(name, fn))
+        for case in PRIMITIVE_CASES.values():
+            made_by.clear()
+            out = case(p, q, mask, (Tensor(np.ones(6)), Tensor(np.zeros(6))))
+            covered.add(made_by[id(out)])
+    finally:
+        for name, fn in originals.items():
+            setattr(T, name, fn)
+    assert sorted(public - covered) == []
+
+
+def _run_fused(impl, arrays, call, through_sigmoid):
+    """Output bytes and every leaf's gradient bytes of call(impl, operands)
+    under a random upstream gradient.  Leaves start from a prior gradient,
+    so the order of accumulation shows; through_sigmoid makes each operand
+    an intermediate that the loss also reads directly, so it gathers two
+    contributions."""
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    for leaf in leaves:
+        leaf.grad = np.random.default_rng(len(leaf.data.shape)).normal(size=leaf.data.shape)
+    with Tape() as tape:
+        ops = [T.sigmoid(leaf) for leaf in leaves] if through_sigmoid else leaves
+        out = call(impl, ops)
+        terms = [out] + (ops if through_sigmoid else [])
+        loss = None
+        for k, term in enumerate(terms):
+            weight = np.random.default_rng(k).normal(size=term.data.shape)
+            part = T.sum_along(T.reshape(T.mul(term, T.const(weight)), (term.data.size,)), 0)
+            loss = part if loss is None else T.add(loss, part)
+        tape.backward(loss)
+    return out.data.dtype, out.data.tobytes(), [leaf.grad.tobytes() for leaf in leaves]
+
+
+def _fused_calls(rng):
+    """(primitive, label, operand arrays, call(impl, operands)): t = 0 edges,
+    node rows that no edge reads, no rows, padded multi-problem attention
+    with an all-masked query row, and non-zero bias tables."""
+    n = rng.normal
+    yield "linear", "bias row", [n(size=(5, 4)), n(size=(4, 3)), n(size=3)], \
+        lambda f, o: f(o[0], o[1], o[2])
+    yield "linear", "relu", [n(size=(5, 4)), n(size=(4, 3)), n(size=3)], \
+        lambda f, o: f(o[0], o[1], o[2], relu=True)
+    yield "linear", "no rows", [n(size=(0, 4)), n(size=(4, 3)), n(size=3)], \
+        lambda f, o: f(o[0], o[1], o[2], relu=True)
+    yield "linear", "full-shape addend", [n(size=(5, 4)), n(size=(4, 3)), n(size=(5, 3))], \
+        lambda f, o: f(o[0], o[1], o[2], relu=True)
+    yield "linear", "head-batched", [n(size=(2, 3, 5, 4)), n(size=(2, 1, 4, 3)),
+                                      n(size=(2, 1, 1, 3))], \
+        lambda f, o: f(o[0], o[1], o[2])
+    ends = (np.array([0, 2, 2, 4, 4, 0]), np.array([4, 4, 0, 0, 2, 2]))  # rows 1, 3 read by no edge
+    yield "edge_hidden", "isolated rows", [n(size=(5, 6)), n(size=(5, 6)), n(size=(3, 6))], \
+        lambda f, o: f(o[0], o[1], o[2], *ends)
+    empty = np.zeros(0, np.int64)
+    yield "edge_hidden", "t = 0", [n(size=(5, 6)), n(size=(5, 6)), n(size=(0, 6))], \
+        lambda f, o: f(o[0], o[1], o[2], empty, empty)
+    # three problems of 3, 1 and 2 rows padded to 3: row 1 of problem 0 admits no key
+    rows = A.Segments([3, 1, 2])
+    allowed = rows.real[:, :, None] & rows.real[:, None, :]
+    allowed[0, 1] = False
+    dist = rng.integers(0, 4, size=(3, 3, 3))
+    ctx = A.AttentionContext(dist, allowed, rows, rows)
+    heads = [n(size=(2, 3, 3, 5)), n(size=(2, 3, 3, 5)), n(size=(2, 3, 3, 4)),
+             n(size=(2, 3, 3, 4))]
+    yield "attention_weights", "biased, padded, masked row", heads, \
+        lambda f, o: f(o[0], o[1], o[2], o[3], ctx.dist, 0.3, ctx.addmask)
+    yield "attention_weights", "unbiased, no mask", heads[:2], \
+        lambda f, o: f(o[0], o[1], None, None, ctx.dist, 0.3, None)
+
+
+def test_fused_primitives_match_their_chains_bit_for_bit(rng):
+    """Each fused primitive gives its chain's output and every operand's
+    gradient bit for bit, in float64, with leaf and intermediate operands."""
+    for name, label, arrays, call in _fused_calls(rng):
+        for through_sigmoid in (False, True):
+            fused = _run_fused(getattr(T, name), arrays, call, through_sigmoid)
+            chain = _run_fused(FUSED_CHAINS[name], arrays, call, through_sigmoid)
+            assert fused == chain, (name, label, through_sigmoid)
+
+
+def test_fused_primitives_keep_the_operand_dtype(rng):
+    """float32 operands give a float32 output, within float32 rounding of
+    the float64 result."""
+    for name, label, arrays, call in _fused_calls(rng):
+        single = call(getattr(T, name), [T._result(a.astype(np.float32)) for a in arrays])
+        double = call(getattr(T, name), [Tensor(a) for a in arrays])
+        assert single.data.dtype == np.float32, (name, label)
+        assert np.allclose(single.data, double.data, rtol=1e-4, atol=1e-5), (name, label)
+
+
+def test_fused_primitive_shape_errors():
+    x, w = Tensor(np.zeros((3, 4))), Tensor(np.zeros((4, 2)))
+    with pytest.raises(ShapeError, match="linear"):
+        T.linear(x, Tensor(np.zeros((3, 2))), Tensor(np.zeros(2)))
+    with pytest.raises(ShapeError, match="linear"):
+        T.linear(x, w, Tensor(np.zeros((2, 3, 2))))  # would enlarge the product
+    rows, mid = Tensor(np.zeros((4, 5))), Tensor(np.zeros((2, 5)))
+    with pytest.raises(ShapeError, match="edge_hidden"):
+        T.edge_hidden(rows, rows, mid, [0, 1, 2], [1, 2, 3])
+    with pytest.raises(ShapeError, match="out of range"):
+        T.edge_hidden(rows, rows, mid, [0, 1, 2, 4], [1, 2, 3, 0])
+    q, k = Tensor(np.zeros((1, 1, 2, 3))), Tensor(np.zeros((1, 1, 4, 3)))
+    tq, tk = Tensor(np.zeros((1, 1, 2, 3))), Tensor(np.zeros((1, 1, 4, 3)))
+    dist = np.zeros((1, 2, 4), np.int64)
+    with pytest.raises(ShapeError, match="attention_weights"):
+        T.attention_weights(q, Tensor(np.zeros((1, 1, 4, 2))), None, None, None, 1.0, None)
+    with pytest.raises(ShapeError, match="out of range"):
+        T.attention_weights(q, k, tq, tk, dist + 3, 1.0, None)
+    with pytest.raises(ShapeError, match="bucket index"):
+        T.attention_weights(q, k, tq, tk, dist[:, :1], 1.0, None)
+    with pytest.raises(ShapeError, match="attention_weights"):
+        T.attention_weights(q, k, tq, tk, dist, 1.0, np.zeros((2, 2, 4)))
 
 
 def test_gather_last_and_bucket_sums_are_adjoint(rng):

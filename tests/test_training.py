@@ -812,6 +812,7 @@ def test_sharded_batch_gradient_matches_sequential(variant, rng, monkeypatch):
     forked child or in this process.  A parameter that no shard reaches
     (the last block's edge update) keeps no gradient."""
     monkeypatch.setattr(training, "CHUNK_ROWS", 12)
+    monkeypatch.setattr(training, "FORK_MIN_COST", 0)
     model, _ = trained_model(rng, variant)
     ogs = [make_og(random_connected_graph(rng, int(rng.integers(6, 11))), rng) for _ in range(3)]
     work = [pair for og in ogs for pair in chunks_of(model, og)]
@@ -843,6 +844,7 @@ def test_merge_frees_shard_1_pages_as_it_adds_them(rng, monkeypatch):
     frees many ranges."""
     monkeypatch.setattr(training, "CHUNK_ROWS", 12)
     monkeypatch.setattr(training, "RELEASE_BYTES", mmap.PAGESIZE)
+    monkeypatch.setattr(training, "FORK_MIN_COST", 0)
     model, _ = trained_model(rng, "B")
     ogs = [make_og(random_connected_graph(rng, int(rng.integers(6, 11))), rng) for _ in range(3)]
     work = [pair for og in ogs for pair in chunks_of(model, og)]
@@ -907,6 +909,38 @@ def test_one_and_two_workers_train_byte_identical(tmp_path, monkeypatch):
         assert len(forks) == (0 if cpus == 1 else 4)  # 2 epochs of batches of 3 and 2 graphs
     for name in ("history.csv", "checkpoint.bin"):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+def test_fork_only_when_shard_1_reaches_the_cost(rng, monkeypatch):
+    """At two CPUs, shard 1 runs in a forked child exactly when its prefix
+    rows times d_model^2 reach FORK_MIN_COST; a tiny model's batches never
+    do, and the gradient is the same either way."""
+    monkeypatch.setattr(training, "CHUNK_ROWS", 12)
+    model, _ = trained_model(rng, "B")
+    ogs = [make_og(random_connected_graph(rng, int(rng.integers(6, 11))), rng) for _ in range(3)]
+    work = [pair for og in ogs for pair in chunks_of(model, og)]
+    rows = [sum(steps) for _, steps in work]
+    cut = shard_cut(rows)
+    assert 0 < cut < len(work)
+    cost = sum(rows[cut:]) * model.config.d_model ** 2
+    assert cost < training.FORK_MIN_COST
+    real_fork, forks = os.fork, []
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    shared = training._SharedGradients(model.parameters())
+    results = []
+    for threshold, forked in ((training.FORK_MIN_COST, 0), (cost + 1, 0), (cost, 1)):
+        monkeypatch.setattr(training, "FORK_MIN_COST", threshold)
+        results.append(loss_and_grads(model, lambda: batch_backward(model, work, 1 / 3, shared)[0]))
+        assert len(forks) == forked
+        forks.clear()
+    for nlls, grads in results[1:]:
+        assert nlls == results[0][0]
+        assert all(np.array_equal(grads[name], results[0][1][name]) for name in grads)
 
 
 def test_no_fork_for_one_chunk_or_one_cpu(monkeypatch):
