@@ -306,7 +306,7 @@ def _c_attention_weights_unbiased(p, q, c1, c2):
     return T.attention_weights(p, q, None, None, None, 0.4, None)
 
 
-def test_every_public_primitive_has_a_finite_difference_case():
+def test_every_public_primitive_has_a_finite_difference_case(monkeypatch):
     """Each public function of gram.tensor that returns a Tensor, except
     const, is the outermost primitive of some PRIMITIVE_CASES case: the
     function that computes the case's output."""
@@ -316,7 +316,6 @@ def test_every_public_primitive_has_a_finite_difference_case():
               and inspect.signature(fn).return_annotation in ("Tensor", Tensor)}
     assert {"linear", "edge_hidden", "attention_weights", "matmul"} <= public
     made_by = {}
-    originals = {name: getattr(T, name) for name in public}
 
     def recording(name, fn):
         def call(*args, **kwargs):
@@ -325,20 +324,15 @@ def test_every_public_primitive_has_a_finite_difference_case():
             return out
         return call
 
+    for name in public:
+        monkeypatch.setattr(T, name, recording(name, getattr(T, name)))
     rng = np.random.default_rng(0)
     p, q = Tensor(rng.normal(size=(4, 6))), Tensor(rng.normal(size=(5, 6)))
-    mask = np.zeros((4, 5))
     covered = set()
-    try:
-        for name, fn in originals.items():
-            setattr(T, name, recording(name, fn))
-        for case in PRIMITIVE_CASES.values():
-            made_by.clear()
-            out = case(p, q, mask, (Tensor(np.ones(6)), Tensor(np.zeros(6))))
-            covered.add(made_by[id(out)])
-    finally:
-        for name, fn in originals.items():
-            setattr(T, name, fn)
+    for case in PRIMITIVE_CASES.values():
+        made_by.clear()
+        out = case(p, q, np.zeros((4, 5)), (Tensor(np.ones(6)), Tensor(np.zeros(6))))
+        covered.add(made_by[id(out)])
     assert sorted(public - covered) == []
 
 
