@@ -28,9 +28,7 @@ from .model import Model, ModelConfig, OrderedGraph
 from .training import TrainConfig, load_checkpoint, save_checkpoint, teacher_forced_loss, train
 from .sampler import SeedBank, build_seed_bank, generate_graph
 from .datasets import CorpusSpec, corpus_stats, generate_corpus, read_corpus, split_corpus, write_corpus
-from .evaluation import (EvalReport, evaluate_corpora, gk_mmd2, mmd_squared,
-                         nspdk_features, nspdk_kernel, orbit_counts,
-                         statistic_mmd, uniqueness_novelty)
+from .evaluation import EvalReport, evaluate_corpora, gk_mmd2, nspdk_features, statistic_mmd
 
 __version__ = "0.1.0"
 
@@ -42,7 +40,5 @@ __all__ = [
     "SeedBank", "build_seed_bank", "generate_graph",
     "CorpusSpec", "corpus_stats", "generate_corpus", "read_corpus",
     "split_corpus", "write_corpus",
-    "EvalReport", "evaluate_corpora", "gk_mmd2", "mmd_squared",
-    "nspdk_features", "nspdk_kernel", "orbit_counts", "statistic_mmd",
-    "uniqueness_novelty",
+    "EvalReport", "evaluate_corpora", "gk_mmd2", "nspdk_features", "statistic_mmd",
 ]

@@ -121,6 +121,12 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _unreadable(what: str, path, exc: OSError) -> DataError:
+    """The data error for an input file that exists but cannot be read (a
+    directory, say)."""
+    return DataError(f"cannot read {what} {path}: {exc.strerror or exc}")
+
+
 def _load_config_file(path):
     if path is None:
         return {}
@@ -131,6 +137,8 @@ def _load_config_file(path):
         raise DataError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"config file {path}: invalid JSON: {exc}") from exc
+    except OSError as exc:
+        raise _unreadable("config file", path, exc) from exc
     if not isinstance(obj, dict):
         raise DataError(f"config file {path}: top level must be an object")
     return obj
@@ -171,6 +179,8 @@ def _read_corpus(path):
         return D.read_corpus(path)
     except D.CorpusFormatError as exc:
         raise DataError(str(exc)) from exc
+    except OSError as exc:
+        raise _unreadable("corpus file", path, exc) from exc
 
 
 def _read_training_corpus(path):
@@ -296,6 +306,8 @@ def _cmd_sample(args, cfg_file):
         model, epoch, _ = load_checkpoint(args.checkpoint)
     except CheckpointError as exc:
         raise DataError(f"{args.checkpoint}: {exc}") from exc
+    except OSError as exc:
+        raise _unreadable("checkpoint", args.checkpoint, exc) from exc
     seed_size = model.config.seed_size
     if args.max_nodes is not None and args.max_nodes <= seed_size:
         raise UsageError(f"--max-nodes {args.max_nodes} must exceed the checkpoint's "

@@ -12,11 +12,11 @@ The NSPDK kernel is a dot product of per-cell-normalized count vectors
 phi(G), so the biased squared GK-MMD equals the squared distance between the
 two corpora's mean feature vectors (a kernel mean embedding):
 MMD^2 = sum over cells of ||mean_P phi_c - mean_Q phi_c||^2.  `gk_mmd2`
-featurizes each graph once and computes that, with no kernel pair.
+featurizes each graph once and computes that, with no kernel pair; the
+pairwise kernel and MMD it equals are the reference in tests/conftest.py.
 """
 from __future__ import annotations
 
-import itertools
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -180,45 +180,6 @@ def _features(arrays: _GraphArrays, r_max: int, d_max: int) -> FeatureMap:
     return FeatureMap(r_max, d_max, cells)
 
 
-def nspdk_kernel(f1: FeatureMap, f2: FeatureMap) -> float:
-    """Similarity in [0, 1]: per-cell-normalized dot products summed over
-    cells and normalized so that k(G, G) = 1 exactly."""
-    if (f1.r_max, f1.d_max) != (f2.r_max, f2.d_max):
-        raise EvalError(f"feature maps built with different bounds: "
-                        f"({f1.r_max}, {f1.d_max}) vs ({f2.r_max}, {f2.d_max})")
-    s12 = 0.0
-    for cd, (k1, v1, self1) in f1.cells.items():
-        other = f2.cells.get(cd)
-        if other is None:
-            continue
-        k2, v2, self2 = other
-        _, i1, i2 = np.intersect1d(k1, k2, assume_unique=True, return_indices=True)
-        if len(i1) == 0:
-            continue
-        s12 += float((v1[i1] * v2[i2]).sum()) / np.sqrt(self1 * self2)
-    s11 = float(len(f1.cells))
-    s22 = float(len(f2.cells))
-    if s12 == 0.0 or s11 == 0.0 or s22 == 0.0:
-        return 0.0
-    return s12 / np.sqrt(s11 * s22)
-
-
-def mmd_squared(set_p, set_q, kernel) -> float:
-    """Biased (V-statistic) squared MMD: diagonal terms included, so the
-    value is nonnegative for a positive-definite kernel.  The kernel must be
-    symmetric: each unordered pair within a set is evaluated once."""
-    if not set_p or not set_q:
-        raise EvalError("MMD needs non-empty sample sets")
-
-    def within(xs):
-        diag = sum(kernel(x, x) for x in xs)
-        off = sum(kernel(x, x2) for x, x2 in itertools.combinations(xs, 2))
-        return (diag + 2.0 * off) / (len(xs) * len(xs))
-
-    kxy = sum(kernel(x, y) for x in set_p for y in set_q) / (len(set_p) * len(set_q))
-    return within(set_p) - 2.0 * kxy + within(set_q)
-
-
 def _cell_entries(feats, cd):
     """(keys, phi values) of cell cd over a list of feature maps, where
     phi = counts / sqrt(self dot * number of cells of the graph)."""
@@ -234,9 +195,10 @@ def _cell_entries(feats, cd):
 
 
 def feature_mmd2(feats_p, feats_q) -> float:
-    """mmd_squared(feats_p, feats_q, nspdk_kernel) as the squared distance
-    between the mean embeddings, reduced one cell at a time over the union
-    of the cell's keys.  Identical lists give exactly 0."""
+    """mmd_squared(feats_p, feats_q, nspdk_kernel), the pairwise reference in
+    tests/conftest.py, as the squared distance between the mean embeddings,
+    reduced one cell at a time over the union of the cell's keys.
+    Identical lists give exactly 0."""
     if not feats_p or not feats_q:
         raise EvalError("MMD needs non-empty sample sets")
     bounds = {(f.r_max, f.d_max) for f in feats_p + feats_q}
@@ -307,12 +269,6 @@ CLUSTERING_BINS = 100
 STAT_SIGMA = 1.0
 
 
-def orbit_counts(g: LabeledGraph) -> np.ndarray:
-    """Per-node counts over the 11 orbits of the connected 4-node graphlets
-    (labels ignored); all zero for graphs with fewer than 4 nodes."""
-    return kernels.orbit_counts_matrix(_graph_arrays(g).adj)
-
-
 def _degree_hists(degs) -> list:
     """Degree histograms of a list of degree vectors, on a shared range."""
     top = max(int(d.max()) if len(d) else 0 for d in degs)
@@ -361,25 +317,16 @@ def statistic_mmd(set_p, set_q, statistic: str) -> float:
 # uniqueness / novelty
 # ---------------------------------------------------------------------------
 
-def graph_fingerprint(g: LabeledGraph) -> int:
-    """Whole-graph hash by iterative neighborhood-label refinement, with
-    node and edge labels folded in: graph_fingerprints of one graph."""
-    return graph_fingerprints([g])[0]
-
-
-def graph_fingerprints(graphs) -> list:
-    """graph_fingerprint of each graph, refined all together."""
-    return _fingerprints(graphs, [_graph_arrays(g, dense=False) for g in graphs])
-
-
 def _fingerprints(graphs, arrays) -> list:
-    """The fingerprints of graphs with these arrays.  Each round mixes every
-    node's color with the multiset of (edge label, neighbor color) around
-    it, and a graph stops after the round that leaves its number of
-    distinct colors unchanged, or after max(1, n) rounds.  The graphs still
-    refining share each round; a graph's colors are counted by sorting its
-    row of a padded (graphs, largest n) table, whose padding repeats the
-    graph's last node."""
+    """Whole-graph hashes of graphs with these arrays, by iterative
+    neighborhood-label refinement with node and edge labels folded in, all
+    graphs refined together.  Each round mixes every node's color with the
+    multiset of (edge label, neighbor color) around it, and a graph stops
+    after the round that leaves its number of distinct colors unchanged, or
+    after max(1, n) rounds, so its hash is the one it gets refined alone.
+    The graphs still refining share each round; a graph's colors are
+    counted by sorting its row of a padded (graphs, largest n) table, whose
+    padding repeats the graph's last node."""
     sizes = np.array([g.n for g in graphs], dtype=np.int64)
     starts = np.cumsum(sizes) - sizes
     node_graph = np.repeat(np.arange(len(graphs)), sizes)
@@ -418,19 +365,10 @@ def _fingerprints(graphs, arrays) -> list:
 
 
 def _ratios(fps: list, train_fps: list):
-    """(unique, novel) of the samples' fingerprints, as uniqueness_novelty."""
+    """(unique, novel) of the samples' fingerprints: the fractions of the
+    samples that are distinct, and distinct and absent from training."""
     distinct = set(fps)
     return len(distinct) / len(fps), len(distinct - set(train_fps)) / len(fps)
-
-
-def uniqueness_novelty(samples, train_set):
-    """unique = fraction of distinct fingerprints among the samples;
-    novel = fraction of samples whose fingerprint is distinct and absent
-    from the training set."""
-    if not samples:
-        raise EvalError("no samples")
-    fps = graph_fingerprints(list(samples) + list(train_set))
-    return _ratios(fps[:len(samples)], fps[len(samples):])
 
 
 # ---------------------------------------------------------------------------

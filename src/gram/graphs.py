@@ -81,13 +81,6 @@ class LabeledGraph:
             lst.sort()
         return adj
 
-    def adjacency_matrix(self) -> np.ndarray:
-        u, v, _ = np.array(self.edges, dtype=np.int64).reshape(-1, 3).T
-        mat = np.zeros((self.n, self.n), dtype=np.uint8)
-        mat[u, v] = 1
-        mat[v, u] = 1
-        return mat
-
     def degrees(self) -> np.ndarray:
         ends = np.array(self.edges, dtype=np.int64).reshape(-1, 3)[:, :2].reshape(-1)
         return np.bincount(ends, minlength=self.n).astype(np.int64, copy=False)

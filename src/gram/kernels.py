@@ -162,15 +162,9 @@ def _induced(noninduced: np.ndarray) -> np.ndarray:
     return counts
 
 
-def orbit_counts_matrix(adj) -> np.ndarray:
-    """(n, 11) int64 per-node counts of the induced connected 4-node
-    graphlets by orbit, from a dense 0/1 adjacency matrix."""
-    adj = np.asarray(adj, dtype=np.float64)
-    return orbits_and_clustering(adj, adj.sum(axis=1))[0]
-
-
 def orbits_and_clustering(adj: np.ndarray, deg: np.ndarray):
-    """(orbit_counts_matrix(adj), clustering(adj)) of a float64 adjacency
-    matrix and its degree vector, sharing one A² and its triangle counts."""
+    """((n, 11) int64 per-node counts of the induced connected 4-node
+    graphlets by orbit, clustering(adj)) of a float64 0/1 adjacency matrix
+    and its degree vector, sharing one A² and its triangle counts."""
     a2, tri, t = _triangles(adj)
     return _induced(_noninduced_orbits(adj, deg, a2, tri, t)), _clustering(deg, t)

@@ -1,3 +1,4 @@
+import itertools
 import os
 import signal
 from dataclasses import dataclass
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from gram import attention as A
+from gram import evaluation as E
 from gram import graphs as G
 from gram import tensor as T
 from gram import training
@@ -29,6 +31,57 @@ def random_connected_graph(rng, n, a=3, b=2, extra_edge_prob=0.15):
                 edges[(u, v)] = int(rng.integers(0, b))
     labels = rng.integers(0, a, size=n)
     return LabeledGraph.create(n, labels, [(u, v, l) for (u, v), l in edges.items()], a, b)
+
+
+def adjacency_matrix(g) -> np.ndarray:
+    """Reference: g's (n, n) uint8 0/1 adjacency matrix."""
+    u, v, _ = np.array(g.edges, dtype=np.int64).reshape(-1, 3).T
+    mat = np.zeros((g.n, g.n), dtype=np.uint8)
+    mat[u, v] = 1
+    mat[v, u] = 1
+    return mat
+
+
+def nspdk_kernel(f1: E.FeatureMap, f2: E.FeatureMap) -> float:
+    """Reference: the NSPDK similarity of two feature maps, in [0, 1]:
+    per-cell-normalized dot products summed over cells and normalized so
+    that k(G, G) = 1 exactly."""
+    if (f1.r_max, f1.d_max) != (f2.r_max, f2.d_max):
+        raise E.EvalError(f"feature maps built with different bounds: "
+                          f"({f1.r_max}, {f1.d_max}) vs ({f2.r_max}, {f2.d_max})")
+    s12 = 0.0
+    for cd, (k1, v1, self1) in f1.cells.items():
+        other = f2.cells.get(cd)
+        if other is None:
+            continue
+        k2, v2, self2 = other
+        _, i1, i2 = np.intersect1d(k1, k2, assume_unique=True, return_indices=True)
+        if len(i1) == 0:
+            continue
+        s12 += float((v1[i1] * v2[i2]).sum()) / np.sqrt(self1 * self2)
+    s11 = float(len(f1.cells))
+    s22 = float(len(f2.cells))
+    if s12 == 0.0 or s11 == 0.0 or s22 == 0.0:
+        return 0.0
+    return s12 / np.sqrt(s11 * s22)
+
+
+def mmd_squared(set_p, set_q, kernel) -> float:
+    """Reference: the biased (V-statistic) squared MMD from kernel pairs,
+    which evaluation.feature_mmd2 computes from mean embeddings.  Diagonal
+    terms are included, so the value is nonnegative for a positive-definite
+    kernel.  The kernel must be symmetric: each unordered pair within a set
+    is evaluated once."""
+    if not set_p or not set_q:
+        raise E.EvalError("MMD needs non-empty sample sets")
+
+    def within(xs):
+        diag = sum(kernel(x, x) for x in xs)
+        off = sum(kernel(x, x2) for x, x2 in itertools.combinations(xs, 2))
+        return (diag + 2.0 * off) / (len(xs) * len(xs))
+
+    kxy = sum(kernel(x, y) for x in set_p for y in set_q) / (len(set_p) * len(set_q))
+    return within(set_p) - 2.0 * kxy + within(set_q)
 
 
 def tiny_model(a=3, b=2, variant="plain", seed=0, **kw):

@@ -495,6 +495,28 @@ def test_bad_config_file_is_data_error(content, message, tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "sample", "eval", "config"])
+def test_directory_as_input_file_is_data_error(command, tmp_path, capsys):
+    """A directory given as a corpus, checkpoint or config file is a data
+    error naming the path, as a missing file is, and writes nothing."""
+    corpus = tmp_path / "c.jsonl"
+    write_corpus(corpus, [random_connected_graph(np.random.default_rng(0), 8)])
+    folder, out = tmp_path / "folder", tmp_path / "out"
+    folder.mkdir()
+    args, what = {
+        "train": (["train", "--corpus", str(folder), "--out", str(out)], "corpus file"),
+        "sample": (["sample", "--checkpoint", str(folder), "--corpus", str(corpus),
+                    "--count", "1", "--out", str(out)], "checkpoint"),
+        "eval": (["eval", "--generated", str(folder), "--reference", str(corpus),
+                  "--out", str(out)], "corpus file"),
+        "config": (["stats", "--corpus", str(corpus), "--config", str(folder),
+                    "--out", str(out)], "config file"),
+    }[command]
+    assert run(args) == 2
+    assert f"data error: cannot read {what} {folder}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mixed_alphabets_in_one_corpus_is_data_error(tmp_path, capsys):
     rng = np.random.default_rng(0)
     corpus = tmp_path / "c.jsonl"

@@ -12,7 +12,7 @@ from gram.datasets import (CorpusFormatError, CorpusSpec, CorpusSpecError,
                            write_corpus)
 from gram.graphs import LabeledGraph, apply_ordering, bfs_ordering
 
-from conftest import random_connected_graph
+from conftest import adjacency_matrix, random_connected_graph
 from test_graphs import _is_connected_dfs
 
 
@@ -117,7 +117,7 @@ def test_lobster_labels_match_bfs_from_backbone_oracle():
     for g in graphs:
         backbone = [v for v, lab in enumerate(g.node_labels) if lab == D.LOBSTER_BACKBONE]
         assert backbone
-        dist = kernels.capped_distances(g.adjacency_matrix(), 3)
+        dist = kernels.capped_distances(adjacency_matrix(g), 3)
         for v in range(g.n):
             d = min(int(dist[b, v]) for b in backbone)
             assert g.node_labels[v] == d

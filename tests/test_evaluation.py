@@ -13,7 +13,7 @@ from gram import kernels
 from gram.datasets import CorpusSpec, generate_corpus
 from gram.graphs import LabeledGraph, NodeOrdering
 
-from conftest import random_connected_graph
+from conftest import adjacency_matrix, mmd_squared, nspdk_kernel, random_connected_graph
 
 
 def to_nx(g):
@@ -29,6 +29,19 @@ def exactly_isomorphic(g1, g2):
     return nx.is_isomorphic(to_nx(g1), to_nx(g2),
                             node_match=lambda a, b: a["label"] == b["label"],
                             edge_match=lambda a, b: a["label"] == b["label"])
+
+
+def fingerprints(graphs) -> list:
+    """The fingerprints that evaluate_corpora gives graphs refined together,
+    from freshly built arrays."""
+    return E._fingerprints(graphs, [E._graph_arrays(g, dense=False) for g in graphs])
+
+
+def uniqueness_novelty(samples, train_set):
+    """(unique, novel) of samples against a training set, as
+    evaluate_corpora computes them, from freshly built arrays."""
+    fps = fingerprints(list(samples) + list(train_set))
+    return E._ratios(fps[:len(samples)], fps[len(samples):])
 
 
 # -- feature maps ---------------------------------------------------------------
@@ -73,14 +86,14 @@ def test_kernel_self_similarity_is_one(rng):
     for n in (1, 2, 5, 9):
         g = random_connected_graph(rng, n)
         f = E.nspdk_features(g)
-        assert E.nspdk_kernel(f, f) == pytest.approx(1.0, abs=1e-12)
+        assert nspdk_kernel(f, f) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_kernel_disjoint_label_alphabets_orthogonal(rng):
     g1 = random_connected_graph(rng, 6, a=2)
     labels = [lab + 2 for lab in g1.node_labels]
     g2 = LabeledGraph.create(g1.n, labels, g1.edges, 4, g1.b)
-    k = E.nspdk_kernel(E.nspdk_features(g1), E.nspdk_features(g2))
+    k = nspdk_kernel(E.nspdk_features(g1), E.nspdk_features(g2))
     assert k == 0.0
 
 
@@ -88,7 +101,7 @@ def test_kernel_symmetry_and_range(rng):
     graphs = [random_connected_graph(rng, int(rng.integers(3, 10))) for _ in range(10)]
     feats = [E.nspdk_features(g) for g in graphs]
     for f1, f2 in itertools.combinations(feats, 2):
-        k12, k21 = E.nspdk_kernel(f1, f2), E.nspdk_kernel(f2, f1)
+        k12, k21 = nspdk_kernel(f1, f2), nspdk_kernel(f2, f1)
         assert k12 == k21
         assert 0.0 <= k12 <= 1.0
 
@@ -98,7 +111,7 @@ def test_kernel_gram_psd_20x20(rng):
                                      a=int(rng.integers(1, 4)) if False else 3)
               for _ in range(20)]
     feats = [E.nspdk_features(g) for g in graphs]
-    gram = np.array([[E.nspdk_kernel(a, b) for b in feats] for a in feats])
+    gram = np.array([[nspdk_kernel(a, b) for b in feats] for a in feats])
     assert np.abs(gram - gram.T).max() == 0.0
     assert np.linalg.eigvalsh(gram).min() >= -1e-8
     assert np.allclose(np.diag(gram), 1.0)
@@ -107,7 +120,7 @@ def test_kernel_gram_psd_20x20(rng):
 def test_kernel_bounds_mismatch_rejected(rng):
     g = random_connected_graph(rng, 5)
     with pytest.raises(E.EvalError, match="bounds"):
-        E.nspdk_kernel(E.nspdk_features(g, 2, 3), E.nspdk_features(g, 3, 4))
+        nspdk_kernel(E.nspdk_features(g, 2, 3), E.nspdk_features(g, 3, 4))
 
 
 # -- mmd -------------------------------------------------------------------------
@@ -115,22 +128,22 @@ def test_kernel_bounds_mismatch_rejected(rng):
 def test_mmd_identical_multisets_zero(rng):
     graphs = [random_connected_graph(rng, 6) for _ in range(8)]
     feats = [E.nspdk_features(g) for g in graphs]
-    assert E.mmd_squared(feats, list(feats), E.nspdk_kernel) == pytest.approx(0.0, abs=1e-12)
+    assert mmd_squared(feats, list(feats), nspdk_kernel) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mmd_singletons_closed_form(rng):
     g1, g2 = random_connected_graph(rng, 5), random_connected_graph(rng, 7)
     f1, f2 = E.nspdk_features(g1), E.nspdk_features(g2)
-    got = E.mmd_squared([f1], [f2], E.nspdk_kernel)
-    expected = (E.nspdk_kernel(f1, f1) - 2 * E.nspdk_kernel(f1, f2)
-                + E.nspdk_kernel(f2, f2))
+    got = mmd_squared([f1], [f2], nspdk_kernel)
+    expected = (nspdk_kernel(f1, f1) - 2 * nspdk_kernel(f1, f2)
+                + nspdk_kernel(f2, f2))
     assert got == pytest.approx(expected, abs=1e-12)
 
 
 def test_mmd_empty_set_rejected(rng):
     f = E.nspdk_features(random_connected_graph(rng, 4))
     with pytest.raises(E.EvalError, match="non-empty"):
-        E.mmd_squared([], [f], E.nspdk_kernel)
+        mmd_squared([], [f], nspdk_kernel)
 
 
 def test_gk_mmd_same_family_beats_cross_family():
@@ -142,9 +155,9 @@ def test_gk_mmd_same_family_beats_cross_family():
                  generate_corpus(CorpusSpec(f, 12, 30, 60, seed=22))) for f in fams}
     feats = {(f, i): [E.nspdk_features(g) for g in draws[f][i]]
              for f in fams for i in (0, 1)}
-    same = {f: E.mmd_squared(feats[(f, 0)], feats[(f, 1)], E.nspdk_kernel) for f in fams}
+    same = {f: mmd_squared(feats[(f, 0)], feats[(f, 1)], nspdk_kernel) for f in fams}
     for f1, f2 in itertools.combinations(fams, 2):
-        cross = E.mmd_squared(feats[(f1, 0)], feats[(f2, 0)], E.nspdk_kernel)
+        cross = mmd_squared(feats[(f1, 0)], feats[(f2, 0)], nspdk_kernel)
         assert cross >= 2.0 * max(same[f1], same[f2]), (f1, f2, cross, same)
 
 
@@ -185,7 +198,7 @@ def _blake2b_ball_hash(adj, node_labels, edge_label, dist_row, rr):
 def blake2b_features(g, r_max=E.NSPDK_RADIUS, d_max=E.NSPDK_DISTANCE):
     """The per-root, per-radius featurizer with keyed-digest hashes and
     sorted-tuple multisets that the array featurizer replaced."""
-    dist = kernels.capped_distances(g.adjacency_matrix(), max(r_max, d_max, 1))
+    dist = kernels.capped_distances(adjacency_matrix(g), max(r_max, d_max, 1))
     adj, elab = g.adjacency(), {(u, v): lab for u, v, lab in g.edges}
     hashes = np.array([[_blake2b_ball_hash(adj, g.node_labels, elab, dist[u], rr)
                         for rr in range(r_max + 1)] for u in range(g.n)], dtype=np.int64)
@@ -238,7 +251,7 @@ def test_array_features_match_blake2b_features(rng):
         for cd, (_, counts, self_dot) in f_new.cells.items():
             assert np.array_equal(np.sort(counts), np.sort(f_old.cells[cd][1]))
             assert self_dot == f_old.cells[cd][2]
-    worst = max(abs(E.nspdk_kernel(new[i], new[j]) - E.nspdk_kernel(old[i], old[j]))
+    worst = max(abs(nspdk_kernel(new[i], new[j]) - nspdk_kernel(old[i], old[j]))
                 for i in range(len(graphs)) for j in range(len(graphs)))
     assert worst <= 1e-12
 
@@ -247,7 +260,7 @@ def test_fingerprint_partition_matches_blake2b(rng):
     graphs = labelled_graphs(rng, 40)
     graphs += [G.apply_ordering(g, NodeOrdering.create(rng.permutation(g.n)))
                for g in graphs[:10]]
-    new = [E.graph_fingerprint(g) for g in graphs]
+    new = fingerprints(graphs)
     old = [blake2b_fingerprint(g) for g in graphs]
     for i, j in itertools.combinations(range(len(graphs)), 2):
         assert (new[i] == new[j]) == (old[i] == old[j])
@@ -269,7 +282,7 @@ def test_feature_keys_are_pinned():
     for cd, (keys, counts) in expected.items():
         assert f.cells[cd][0].dtype == np.int64
         assert f.cells[cd][0].tolist() == keys and f.cells[cd][1].tolist() == counts
-    assert E.graph_fingerprint(g) == 5872166033545908019
+    assert fingerprints([g]) == [5872166033545908019]
 
 
 # -- the all-radii pass vs the per-radius featurizer it replaced ----------------------
@@ -304,7 +317,7 @@ def per_radius_features(g, r_max=E.NSPDK_RADIUS, d_max=E.NSPDK_DISTANCE):
     counted each cell (r', d') with its own sort."""
     if g.n == 0:
         return E.FeatureMap(r_max, d_max, {})
-    dist = kernels.capped_distances(g.adjacency_matrix(), max(r_max, d_max, 1))
+    dist = kernels.capped_distances(adjacency_matrix(g), max(r_max, d_max, 1))
     node_labels = np.array(g.node_labels, dtype=np.uint64)
     edges = directed_edges(g)
     u, v = np.nonzero(np.triu(dist <= d_max))
@@ -380,8 +393,8 @@ def test_mix_calls_do_not_grow_with_radius(monkeypatch):
 # -- corpus-wide fingerprints vs the per-graph refinement they replaced ---------------
 
 def per_graph_refinement(g):
-    """(fingerprint, rounds) of g, refined alone: the graph_fingerprint
-    that ran one round at a time per graph."""
+    """(fingerprint, rounds) of g, refined alone: the fingerprint that ran
+    one round at a time per graph."""
     src, dst, elab = directed_edges(g)
     colors = E._mix(np.array(g.node_labels, dtype=np.uint64))
     distinct = len(E._unique_counts(colors)[0])
@@ -410,11 +423,11 @@ def test_graph_fingerprints_match_the_per_graph_reference(equivalence_graphs):
     assert len({rounds for _, rounds in want[-len(paths):]}) >= 6
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert E.graph_fingerprints(corpus) == [fp for fp, _ in want]
-        assert E.graph_fingerprints(corpus[::-1]) == [fp for fp, _ in want[::-1]]
+        assert fingerprints(corpus) == [fp for fp, _ in want]
+        assert fingerprints(corpus[::-1]) == [fp for fp, _ in want[::-1]]
         for g, (fp, _) in zip(corpus, want):
-            assert E.graph_fingerprints([g]) == [fp] and E.graph_fingerprint(g) == fp
-    assert E.graph_fingerprints([]) == []
+            assert fingerprints([g]) == [fp]
+    assert fingerprints([]) == []
 
 
 def test_hashing_raises_no_overflow_warning(rng):
@@ -422,7 +435,7 @@ def test_hashing_raises_no_overflow_warning(rng):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         E.nspdk_features(g)
-        E.graph_fingerprint(g)
+        fingerprints([g])
 
 
 def test_gk_mmd_equals_pairwise_mmd_direct(rng):
@@ -430,7 +443,7 @@ def test_gk_mmd_equals_pairwise_mmd_direct(rng):
     set_p, set_q = graphs[:13], graphs[13:]
     feats_p = [E.nspdk_features(g) for g in set_p]
     feats_q = [E.nspdk_features(g) for g in set_q]
-    want = E.mmd_squared(feats_p, feats_q, E.nspdk_kernel)
+    want = mmd_squared(feats_p, feats_q, nspdk_kernel)
     assert want > 0.0
     assert abs(E.gk_mmd2(set_p, set_q) - want) <= 1e-12
     assert abs(E.feature_mmd2(feats_p, feats_q) - want) <= 1e-12
@@ -450,8 +463,8 @@ def test_gk_mmd_equals_pairwise_mmd_subsampled(rng, monkeypatch):
     for _ in range(3):
         p = draws.choice(len(set_p), 8, replace=False)
         q = draws.choice(len(set_q), 8, replace=False)
-        vals.append(E.mmd_squared([feats_p[i] for i in p], [feats_q[i] for i in q],
-                                  E.nspdk_kernel))
+        vals.append(mmd_squared([feats_p[i] for i in p], [feats_q[i] for i in q],
+                                nspdk_kernel))
     assert abs(E.gk_mmd2(set_p, set_q, seed=5) - float(np.mean(vals))) <= 1e-12
 
 
@@ -492,7 +505,7 @@ def test_statistic_mmd_matches_pairwise_kernel(rng):
     hists = {"degree": (degrees[:len(set_p)], degrees[len(set_p):]),
              "clustering": (gen.clustering, ref.clustering), "orbit": (gen.orbits, ref.orbits)}
     for stat in E.STATISTICS:
-        want = max(0.0, E.mmd_squared(*hists[stat], pairwise_gaussian_emd))
+        want = max(0.0, mmd_squared(*hists[stat], pairwise_gaussian_emd))
         assert abs(E.statistic_mmd(set_p, set_q, stat) - want) <= 1e-12
         assert E.statistic_mmd(set_p, list(set_p), stat) == 0.0
 
@@ -515,17 +528,24 @@ def test_statistic_mmd_unknown_statistic(rng):
 
 # -- orbit counts ----------------------------------------------------------------
 
+def orbit_counts(g):
+    """g's (n, 11) per-node orbit counts, from the arrays evaluate_corpora
+    builds."""
+    arrays = E._graph_arrays(g)
+    return kernels.orbits_and_clustering(arrays.adj, arrays.deg)[0]
+
+
 def test_orbit_counts_k4_single_clique():
     k4 = LabeledGraph.create(4, [0] * 4,
                              [(u, v, 0) for u in range(4) for v in range(u + 1, 4)], 1, 1)
-    counts = E.orbit_counts(k4)
+    counts = orbit_counts(k4)
     expected = np.zeros((4, 11), dtype=np.int64)
     expected[:, 10] = 1
     assert np.array_equal(counts, expected)
 
 
 def test_orbit_counts_p4_two_orbits():
-    counts = E.orbit_counts(path_graph(4))
+    counts = orbit_counts(path_graph(4))
     assert counts[0, 0] == 1 and counts[3, 0] == 1  # ends
     assert counts[1, 1] == 1 and counts[2, 1] == 1  # middles
     assert counts.sum() == 4
@@ -534,20 +554,20 @@ def test_orbit_counts_p4_two_orbits():
 def test_orbit_counts_c4_cycle_orbit():
     c4 = LabeledGraph.create(4, [0] * 4,
                              [(0, 1, 0), (1, 2, 0), (2, 3, 0), (0, 3, 0)], 1, 1)
-    counts = E.orbit_counts(c4)
+    counts = orbit_counts(c4)
     assert np.array_equal(counts[:, 4], np.ones(4, dtype=np.int64))
     assert counts.sum() == 4
 
 
 def test_orbit_counts_small_graph_zero():
-    assert not E.orbit_counts(path_graph(3)).any()
+    assert not orbit_counts(path_graph(3)).any()
 
 
 def test_orbit_counts_vs_independent_recount(rng):
     """Second enumeration: all 4-subsets via itertools + networkx degrees."""
     for _ in range(5):
         g = random_connected_graph(rng, 20, extra_edge_prob=0.25)
-        counts = E.orbit_counts(g)
+        counts = orbit_counts(g)
         nxg = to_nx(g)
         recount = np.zeros((g.n, 11), dtype=np.int64)
         for quad in itertools.combinations(range(g.n), 4):
@@ -575,7 +595,7 @@ def test_orbit_counts_vs_independent_recount(rng):
 
 def test_uniqueness_all_identical():
     g = path_graph(6)
-    unique, novel = E.uniqueness_novelty([g] * 10, [])
+    unique, novel = uniqueness_novelty([g] * 10, [])
     assert unique == pytest.approx(0.1)
     assert novel == pytest.approx(0.1)
 
@@ -586,7 +606,7 @@ def test_novelty_disjoint_alphabet_equals_unique(rng):
     for g in samples[:5]:
         train.append(LabeledGraph.create(
             g.n, [lab + 2 for lab in g.node_labels], g.edges, 4, g.b))
-    unique, novel = E.uniqueness_novelty(samples, train)
+    unique, novel = uniqueness_novelty(samples, train)
     assert novel == unique
 
 
@@ -601,7 +621,7 @@ def test_fingerprint_agrees_with_exact_isomorphism(rng):
     for i in range(10):
         g = graphs[i]
         graphs.append(G.apply_ordering(g, NodeOrdering.create(rng.permutation(g.n))))
-    fps = [E.graph_fingerprint(g) for g in graphs]
+    fps = fingerprints(graphs)
     agree = total = 0
     for i, j in itertools.combinations(range(len(graphs)), 2):
         same_fp = fps[i] == fps[j]
@@ -636,7 +656,7 @@ def test_evaluate_corpora_report(rng):
 
 def metrics_one_by_one(gen, ref, train_set, seed):
     """The report that the public metric functions give one at a time."""
-    unique, novel = E.uniqueness_novelty(gen, train_set or [])
+    unique, novel = uniqueness_novelty(gen, train_set or [])
     return E.EvalReport(E.gk_mmd2(gen, ref, seed=seed),
                         *(E.statistic_mmd(gen, ref, stat) for stat in E.STATISTICS),
                         unique, None if train_set is None else novel, len(gen), len(ref))
@@ -662,7 +682,7 @@ def test_evaluate_corpora_equals_the_metrics_one_by_one(rng, monkeypatch, subsam
 def test_evaluate_corpora_builds_each_graphs_arrays_once(rng, monkeypatch, subsampled):
     """One pass per call: every graph's arrays are built once (training
     graphs without the dense ones), the drawn graphs are featurised once,
-    and no LabeledGraph matrix or degree method runs."""
+    and no LabeledGraph degree method runs."""
     if subsampled:
         monkeypatch.setattr(E, "SUBSAMPLE_LIMIT", 6)
         monkeypatch.setattr(E, "SUBSAMPLE_SIZE", 3)
@@ -686,7 +706,6 @@ def test_evaluate_corpora_builds_each_graphs_arrays_once(rng, monkeypatch, subsa
 
     monkeypatch.setattr(E, "_graph_arrays", counted_arrays)
     monkeypatch.setattr(E, "_features", counted_features)
-    monkeypatch.setattr(LabeledGraph, "adjacency_matrix", forbidden)
     monkeypatch.setattr(LabeledGraph, "degrees", forbidden)
     for _ in range(2):
         built.clear()

@@ -3,11 +3,12 @@ import numpy as np
 import pytest
 import scipy.sparse.csgraph as csgraph
 
+from gram import evaluation
 from gram import graphs as G
 from gram import kernels
 from gram.graphs import GraphError, LabeledGraph, NodeOrdering
 
-from conftest import random_connected_graph
+from conftest import adjacency_matrix, random_connected_graph
 from test_evaluation import to_nx
 
 
@@ -112,13 +113,13 @@ def test_frontier_starts_matches_brute_force(rng):
 
 def test_shortest_paths_path_graph():
     g = LabeledGraph.create(4, [0] * 4, [(0, 1, 0), (1, 2, 0), (2, 3, 0)], a=1, b=1)
-    d = kernels.capped_distances(g.adjacency_matrix(), 10)
+    d = kernels.capped_distances(adjacency_matrix(g), 10)
     assert d[0, 3] == 3 and d[3, 0] == 3 and d[0, 0] == 0
 
 
 def test_shortest_paths_unreachable_bucket():
     g = LabeledGraph.create(2, [0, 0], [], a=1, b=1)
-    d = kernels.capped_distances(g.adjacency_matrix(), 5)
+    d = kernels.capped_distances(adjacency_matrix(g), 5)
     assert d[0, 1] == 6 and d[1, 0] == 6
 
 
@@ -127,9 +128,9 @@ def test_shortest_paths_vs_floyd_warshall(rng):
         n = int(rng.integers(2, 25))
         g = random_connected_graph(rng, n)
         cap = int(rng.integers(1, 6))
-        d = kernels.capped_distances(g.adjacency_matrix(), cap)
+        d = kernels.capped_distances(adjacency_matrix(g), cap)
         assert np.array_equal(d, d.T)
-        full = csgraph.floyd_warshall(g.adjacency_matrix(), unweighted=True)
+        full = csgraph.floyd_warshall(adjacency_matrix(g), unweighted=True)
         expected = np.minimum(full, cap + 1).astype(np.int64)
         assert np.array_equal(d, expected)
 
@@ -137,16 +138,16 @@ def test_shortest_paths_vs_floyd_warshall(rng):
 def test_graph_statistics_triangle_and_path():
     tri = LabeledGraph.create(3, [0] * 3, [(0, 1, 0), (0, 2, 0), (1, 2, 0)], a=1, b=1)
     assert list(tri.degrees()) == [2, 2, 2]
-    assert np.allclose(kernels.clustering(tri.adjacency_matrix()), 1.0)
+    assert np.allclose(kernels.clustering(adjacency_matrix(tri)), 1.0)
     path = LabeledGraph.create(3, [0] * 3, [(0, 1, 0), (1, 2, 0)], a=1, b=1)
-    assert np.allclose(kernels.clustering(path.adjacency_matrix()), 0.0)
+    assert np.allclose(kernels.clustering(adjacency_matrix(path)), 0.0)
 
 
 def test_graph_statistics_vs_triangle_enumeration(rng):
     for _ in range(40):
         n = int(rng.integers(3, 20))
         g = random_connected_graph(rng, n, extra_edge_prob=0.3)
-        mat = g.adjacency_matrix()
+        mat = adjacency_matrix(g)
         degrees, clustering = g.degrees(), kernels.clustering(mat)
         for v in range(n):
             nbrs = [u for u in range(n) if mat[v, u]]
@@ -162,7 +163,9 @@ def test_graph_statistics_vs_triangle_enumeration(rng):
 
 def test_adjacency_and_degrees_match_edge_loops(rng):
     """The array forms equal the per-edge loops, dtype included, for random
-    graphs, an edgeless graph and the empty graph."""
+    graphs, an edgeless graph and the empty graph: the test reference's
+    adjacency, evaluation's adjacency and degrees, and LabeledGraph's
+    degrees."""
     cases = [random_connected_graph(rng, int(rng.integers(1, 30))) for _ in range(20)]
     cases += [LabeledGraph.create(4, [0] * 4, [], 1, 1), LabeledGraph.create(0, [], [], 1, 1)]
     for g in cases:
@@ -172,8 +175,11 @@ def test_adjacency_and_degrees_match_edge_loops(rng):
             mat[u, v] = mat[v, u] = 1
             deg[u] += 1
             deg[v] += 1
-        adj = g.adjacency_matrix()
+        adj = adjacency_matrix(g)
         assert adj.dtype == np.uint8 and np.array_equal(adj, mat)
+        arrays = evaluation._graph_arrays(g)
+        assert arrays.adj.dtype == np.float64 and np.array_equal(arrays.adj, mat)
+        assert arrays.deg.dtype == np.int64 and np.array_equal(arrays.deg, deg)
         assert g.degrees().dtype == np.int64 and np.array_equal(g.degrees(), deg)
 
 

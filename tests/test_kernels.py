@@ -6,7 +6,7 @@ import numpy as np
 from gram import kernels
 from gram.graphs import LabeledGraph
 
-from conftest import random_connected_graph
+from conftest import adjacency_matrix, random_connected_graph
 from test_evaluation import to_nx
 
 
@@ -22,7 +22,7 @@ def test_backends_agree_on_distances(rng):
         for src in range(n):
             for dst, d in nx.single_source_shortest_path_length(nxg, src, cutoff=cap).items():
                 expect[src, dst] = d
-        assert np.array_equal(kernels.capped_distances(g.adjacency_matrix(), cap), expect)
+        assert np.array_equal(kernels.capped_distances(adjacency_matrix(g), cap), expect)
 
 
 def test_distances_count_past_255_common_neighbours():
@@ -36,6 +36,13 @@ def test_distances_count_past_255_common_neighbours():
     assert dist[0, 1] == dist[1, 0] == 2
     assert dist[hubs, hubs + 1] == 2
     assert (dist[:hubs, hubs:] == 1).all()
+
+
+def orbit_counts(adj):
+    """(n, 11) per-node orbit counts of a 0/1 adjacency matrix, with its
+    float64 row sums as the degree vector."""
+    adj = np.asarray(adj, dtype=np.float64)
+    return kernels.orbits_and_clustering(adj, adj.sum(axis=1))[0]
 
 
 def _orbit_of(e, degree, max_degree):
@@ -134,10 +141,10 @@ def test_orbit_backends_and_oracle(rng):
     for i in range(60):
         n = int(rng.integers(4, 15))
         g = random_connected_graph(rng, n, extra_edge_prob=0.9 * i / 59)
-        main = kernels.orbit_counts_matrix(g.adjacency_matrix())
+        main = orbit_counts(adjacency_matrix(g))
         assert main.dtype == np.int64
         assert np.array_equal(main, _orbit_via_networkx(g))
-        brute = _orbit_counts_dense(g.adjacency_matrix().astype(np.int64),
+        brute = _orbit_counts_dense(adjacency_matrix(g).astype(np.int64),
                                     np.zeros((n, 11), dtype=np.int64))
         assert np.array_equal(main, brute)
         seen |= main.any(axis=0)
@@ -148,27 +155,28 @@ def test_each_graphlet_counts_itself_once():
     """A graphlet alone puts each node once in its own orbit and nowhere
     else; the non-induced-to-induced matrix is unit upper-triangular."""
     for name, edges, orbits in kernels.GRAPHLETS:
-        counts = kernels.orbit_counts_matrix(kernels.graphlet_adjacency(edges))
+        counts = orbit_counts(kernels.graphlet_adjacency(edges))
         assert np.array_equal(counts, np.eye(11, dtype=np.int64)[list(orbits)]), name
     assert np.array_equal(np.tril(kernels.ORBIT_MATRIX), np.eye(11, dtype=np.int64))
 
 
 def test_orbit_small_graphs_zero():
     g = LabeledGraph.create(3, [0] * 3, [(0, 1, 0), (1, 2, 0)], a=1, b=1)
-    assert not kernels.orbit_counts_matrix(g.adjacency_matrix()).any()
-    assert kernels.orbit_counts_matrix(np.zeros((0, 0))).shape == (0, 11)
+    assert not orbit_counts(adjacency_matrix(g)).any()
+    assert orbit_counts(np.zeros((0, 0))).shape == (0, 11)
 
 
 def test_orbits_and_clustering_equal_the_separate_kernels(rng):
     """One A² for both statistics, with the int64 degree vector of the
-    edges: bit for bit the counts and coefficients of the two kernels."""
+    edges: bit for bit the counts with the float64 row sums as degrees, and
+    the coefficients of the clustering kernel."""
     graphs = [random_connected_graph(rng, int(rng.integers(1, 30)),
                                      extra_edge_prob=float(rng.uniform(0.0, 0.5)))
               for _ in range(30)]
     graphs.append(LabeledGraph.create(0, [], [], 1, 1))
     for g in graphs:
-        adj = g.adjacency_matrix().astype(np.float64)
+        adj = adjacency_matrix(g).astype(np.float64)
         counts, clus = kernels.orbits_and_clustering(adj, g.degrees())
         assert counts.dtype == np.int64 and clus.dtype == np.float64
-        assert np.array_equal(counts, kernels.orbit_counts_matrix(adj))
+        assert np.array_equal(counts, orbit_counts(adj))
         assert clus.tobytes() == kernels.clustering(adj).tobytes()

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import gram
-from gram import attention, datasets, evaluation, graphs, model, optim, sampler, tensor, training
+from gram import (attention, datasets, evaluation, graphs, kernels, model, optim, sampler, tensor,
+                  training)
 
 GONE = [
     (tensor, "finite_difference_check"), (tensor, "FiniteDifferenceReport"),
@@ -29,6 +30,10 @@ GONE = [
     (model, "Prefix"), (model, "build_prefix"), (model.OrderedGraph, "prefix"),
     (attention.Segments, "grid"), (model.TeacherForced, "candidates"),
     (evaluation, "_stat_histograms"),
+    (evaluation, "mmd_squared"), (evaluation, "nspdk_kernel"), (evaluation, "orbit_counts"),
+    (kernels, "orbit_counts_matrix"), (evaluation, "graph_fingerprint"),
+    (evaluation, "graph_fingerprints"), (evaluation, "uniqueness_novelty"),
+    (graphs.LabeledGraph, "adjacency_matrix"),
 ]
 
 
