@@ -30,9 +30,10 @@ on a grid padded to the largest problem.  Attention is split in two halves:
 `g_multi_head` is project-then-attend.  `attend` is the only attention
 kernel: the edge estimator (model.EdgeStep) projects once per batch of
 steps and then calls `attend` with every step's candidates as queries
-under a causal mask, in training and in sampling alike.
+under a causal mask, in training and in sampling alike.  A query row that
+admits no key (a first candidate's empty history) gets a zero output row.
 
-The bias tables have only C = cap + 2 rows, one per distance bucket, so no
+The bias tables have only C rows, one per distance bucket, so no
 (nq, nk, d_S) array of looked-up bias vectors is ever formed.  With
 Q = Wq q, K = Wk k and W = softmax(s) each bias term comes from a small
 table and a gather:
@@ -94,10 +95,11 @@ class Segments:
 
 
 class AttentionContext:
-    """Distance bucket indices dist (values in [0, cap + 1]) and attend mask
-    allowed of K attention problems side by side, (K, nq, nk) arrays: the
-    packed query and key rows are laid out on those grids by the Segments
-    queries and keys, each problem padded to nq queries and nk keys.
+    """Distance bucket indices dist (values in [0, C), C the rows of the
+    bias tables) and attend mask allowed of K attention problems side by
+    side, (K, nq, nk) arrays: the packed query and key rows are laid out on
+    those grids by the Segments queries and keys, each problem padded to nq
+    queries and nk keys.
 
     What attention reads of them besides is derived once, here: addmask,
     the additive softmax mask (None when every pair is allowed), in which a
@@ -123,21 +125,12 @@ class AttentionContext:
         self.addmask = None if allowed.all() else np.where(allowed, 0.0, T.MASK_NEG)
 
 
-def context_from_distances(dist_idx: np.ndarray, max_attend: int,
-                           rows: Segments) -> AttentionContext:
-    """Self-attention context of the K runs of rows: attend where the
-    distance bucket does not exceed max_attend.  dist_idx is their (K, n, n)
-    grid, and its unused places hold a bucket above max_attend."""
-    dist_idx = np.asarray(dist_idx, dtype=np.int64)
-    return AttentionContext(dist_idx, dist_idx <= max_attend, rows, rows)
-
-
 @dataclass
 class GraphAttentionParams:
     """One attention layer with its heads on a leading axis: projections
     (H, d_S, d_in), bias tables (H, C, d_S) indexed by distance bucket,
-    C = cap + 2, and the shared output projection (H * d_S, d_O).  Without
-    use_bias the bias tables are never read."""
+    and the shared output projection (H * d_S, d_O).  Without use_bias the
+    bias tables, and so the distance buckets, are never read."""
     wq: Tensor
     wk: Tensor
     wv: Tensor
@@ -150,10 +143,6 @@ class GraphAttentionParams:
     @property
     def heads(self) -> int:
         return self.wq.data.shape[0]
-
-    @property
-    def cap(self) -> int:
-        return self.bq.data.shape[1] - 2
 
     @property
     def scale(self) -> float:
@@ -192,18 +181,16 @@ def project(x: Tensor, w: Tensor, rows: Segments | None = None) -> Tensor:
 
 
 def attend(qh: Tensor, kh: Tensor, vh: Tensor, q_table, k_table,
-           ctx: AttentionContext, p: GraphAttentionParams, on_empty: str = "error") -> Tensor:
+           ctx: AttentionContext, p: GraphAttentionParams) -> Tensor:
     """Attention of projected queries qh (H, K, nq, d_S) over projected keys
     kh and values vh (H, K, nk, d_S), K problems padded to a common size as
     ctx lays them out, with the bias tables of p.query_table and
     p.key_table; returns the packed output rows (N_q, d_O).
 
-    Query rows whose mask admits no key raise an AttentionError unless
-    on_empty="zero", in which case those output rows are exactly zero.
-    Padding rows are dropped from the output.
+    Query rows whose mask admits no key give output rows that are exactly
+    zero.  Padding rows are dropped from the output.  With use_bias, a
+    distance bucket outside the bias tables raises tensor.ShapeError.
     """
-    if ctx.empty is not None and on_empty != "zero":
-        raise AttentionError("query row with no attendable key")
     weights = T.attention_weights(qh, kh, q_table, k_table, ctx.dist, p.scale, ctx.addmask)
     out = T.matmul(weights, vh)
     if p.use_bias:
@@ -225,11 +212,9 @@ def g_multi_head(q: Tensor, k: Tensor, v: Tensor, ctx: AttentionContext,
 
     q, k and v hold packed rows, laid out by ctx: K problems whose queries
     and keys are runs of those rows.  The scale factor is d_K^(-1/2) with
-    d_K the key input width, applied exactly once per score.  A query row
-    whose mask admits no key raises an AttentionError (the edge estimator,
-    whose empty history is zero, calls attend with on_empty="zero").
-    Distance indices must lie in [0, cap + 1]; distances beyond the cap are
-    clipped to the final bucket by the caller.
+    d_K the key input width, applied exactly once per score.  Empty query
+    rows and distance buckets are as in attend; distances beyond the radius
+    are clipped to the final bucket by the caller.
     """
     if k.data.shape[0] != v.data.shape[0]:
         raise AttentionError(f"key rows {k.data.shape[0]} != value rows {v.data.shape[0]}")
@@ -237,12 +222,6 @@ def g_multi_head(q: Tensor, k: Tensor, v: Tensor, ctx: AttentionContext,
     if (queries.total, keys.total) != (q.data.shape[0], k.data.shape[0]):
         raise AttentionError(f"context shape {dist.shape} does not match "
                              f"({q.data.shape[0]}, {k.data.shape[0]}) rows")
-    buckets = p.cap + 2
-    if dist.size and dist.max() >= buckets:
-        raise AttentionError(f"distance index {int(dist.max())} "
-                             f"exceeds bucket count {buckets}")
-    if dist.size and dist.min() < 0:
-        raise AttentionError("negative distance index")
     qh, kh = project(q, p.wq, queries), project(k, p.wk, keys)
     return attend(qh, kh, project(v, p.wv, keys), p.query_table(qh), p.key_table(kh),
                   ctx, p)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -36,15 +35,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive(text: str) -> int:
-    """An argparse type: an integer of at least 1 (a count)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(low: int):
+    """An argparse type: an integer of at least low (a count or a seed)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
 
 
 def _build_parser() -> _Parser:
@@ -65,7 +66,7 @@ def _build_parser() -> _Parser:
     d.add_argument("--count", type=int)
     d.add_argument("--nmin", type=int)
     d.add_argument("--nmax", type=int)
-    d.add_argument("--seed", type=int, default=None)
+    d.add_argument("--seed", type=_at_least(0), default=None)
     d.add_argument("--out", required=True)
     d.add_argument("--split", default=None,
                    help="train,test,val counts (default: count/7 rounded for test and val)")
@@ -79,7 +80,7 @@ def _build_parser() -> _Parser:
     t.add_argument("--epochs", type=int, default=None)
     t.add_argument("--batch-size", type=int, default=None)
     t.add_argument("--lr", type=float, default=None)
-    t.add_argument("--seed", type=int, default=None)
+    t.add_argument("--seed", type=_at_least(0), default=None)
     t.add_argument("--variant", choices=VARIANTS, default=None)
     t.add_argument("--dmodel", type=int, default=None)
     t.add_argument("--heads", type=int, default=None)
@@ -99,9 +100,9 @@ def _build_parser() -> _Parser:
     s = add("sample", help="generate graphs from a checkpoint")
     s.add_argument("--checkpoint", required=True)
     s.add_argument("--corpus", required=True, help="training corpus for the seed bank")
-    s.add_argument("--count", type=_positive, required=True)
+    s.add_argument("--count", type=_at_least(1), required=True)
     s.add_argument("--max-nodes", type=int, default=None)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_at_least(0), default=0)
     s.add_argument("--argmax", action="store_true", help="greedy decoding (debug)")
     s.add_argument("--out", required=True)
 
@@ -109,36 +110,49 @@ def _build_parser() -> _Parser:
     e.add_argument("--generated", required=True)
     e.add_argument("--reference", required=True)
     e.add_argument("--train", default=None, help="training corpus for novelty")
-    e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--seed", type=_at_least(0), default=0)
     e.add_argument("--out", default=None, help="report JSON path")
     e.add_argument("--csv", default=None, help="report CSV path")
 
     st = add("stats", help="corpus size/frontier instrumentation")
     st.add_argument("--corpus", required=True)
-    st.add_argument("--seed", type=int, default=0)
-    st.add_argument("--orderings", type=_positive, default=1)
+    st.add_argument("--seed", type=_at_least(0), default=0)
+    st.add_argument("--orderings", type=_at_least(1), default=1)
     st.add_argument("--out", default=None, help="stats JSON path")
     return p
 
 
-def _unreadable(what: str, path, exc: OSError) -> DataError:
-    """The data error for an input file that exists but cannot be read (a
-    directory, say)."""
-    return DataError(f"cannot read {what} {path}: {exc.strerror or exc}")
+def _read_input(what: str, path, read):
+    """read(path), with the faults of the input file as data errors that
+    name it: missing, unreadable (a directory, say), or not in its format."""
+    try:
+        return read(path)
+    except FileNotFoundError as exc:
+        raise DataError(f"{what} not found: {path}") from exc
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{what} {path}: invalid JSON: {exc}") from exc
+    except (UnicodeDecodeError, D.CorpusFormatError, CheckpointError) as exc:
+        raise DataError(f"{what} {path}: {exc}") from exc
+
+
+def _check_outputs(*paths, directory: bool = False):
+    """Fail before any work when an output path (None for none) cannot be
+    written: a file needs an existing directory and must not be one; a
+    directory, made with its parents, needs its nearest existing path to be one."""
+    for path in map(Path, filter(None, paths)):
+        if not directory and path.is_dir():
+            raise DataError(f"cannot write {path}: it is a directory")
+        base = next(p for p in (path, *path.parents) if p.exists()) if directory else path.parent
+        if not base.is_dir():
+            raise DataError(f"cannot write {path}: {base} is not an existing directory")
 
 
 def _load_config_file(path):
     if path is None:
         return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except FileNotFoundError as exc:
-        raise DataError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"config file {path}: invalid JSON: {exc}") from exc
-    except OSError as exc:
-        raise _unreadable("config file", path, exc) from exc
+    obj = _read_input("config file", path, lambda p: json.loads(Path(p).read_text("utf-8")))
     if not isinstance(obj, dict):
         raise DataError(f"config file {path}: top level must be an object")
     return obj
@@ -173,14 +187,7 @@ def _echo(payload: dict):
 
 
 def _read_corpus(path):
-    if not os.path.exists(path):
-        raise DataError(f"corpus file not found: {path}")
-    try:
-        return D.read_corpus(path)
-    except D.CorpusFormatError as exc:
-        raise DataError(str(exc)) from exc
-    except OSError as exc:
-        raise _unreadable("corpus file", path, exc) from exc
+    return _read_input("corpus file", path, D.read_corpus)
 
 
 def _read_training_corpus(path):
@@ -244,24 +251,27 @@ def _cmd_dataset(args, cfg_file):
             D.check_split_counts(counts, spec.count)
         except D.CorpusSpecError as exc:
             raise DataError(str(exc)) from exc
+    out = Path(args.out)
+    split_paths = [] if counts is None else [
+        out.with_suffix(f".{name}.jsonl") if out.suffix else Path(f"{out}.{name}.jsonl")
+        for name in ("train", "test", "val")]
+    _check_outputs(out, *split_paths)
     _echo({"command": "dataset", "spec": spec.to_json_obj()})
     try:
         graphs = D.generate_corpus(spec)
     except D.CorpusSpecError as exc:
         raise DataError(str(exc)) from exc
-    out = Path(args.out)
     D.write_corpus(out, graphs)
     print(f"wrote {len(graphs)} graphs to {out}")
     if counts is not None:
-        parts = D.split_corpus(graphs, counts, seed=spec.seed)
-        for name, part in zip(("train", "test", "val"), parts):
-            path = out.with_suffix(f".{name}.jsonl") if out.suffix else Path(f"{out}.{name}.jsonl")
+        for path, part in zip(split_paths, D.split_corpus(graphs, counts, seed=spec.seed)):
             D.write_corpus(path, part)
             print(f"wrote {len(part)} graphs to {path}")
     return 0
 
 
 def _cmd_train(args, cfg_file):
+    _check_outputs(args.out, directory=True)
     graphs = _read_training_corpus(args.corpus)
     a, b = _alphabets(graphs, args.corpus)
     model_flags = {"d_model": args.dmodel, "heads": args.heads, "blocks": args.blocks,
@@ -300,14 +310,8 @@ def _cmd_train(args, cfg_file):
 
 
 def _cmd_sample(args, cfg_file):
-    if not os.path.exists(args.checkpoint):
-        raise DataError(f"checkpoint not found: {args.checkpoint}")
-    try:
-        model, epoch, _ = load_checkpoint(args.checkpoint)
-    except CheckpointError as exc:
-        raise DataError(f"{args.checkpoint}: {exc}") from exc
-    except OSError as exc:
-        raise _unreadable("checkpoint", args.checkpoint, exc) from exc
+    _check_outputs(args.out)
+    model, epoch, _ = _read_input("checkpoint", args.checkpoint, load_checkpoint)
     seed_size = model.config.seed_size
     if args.max_nodes is not None and args.max_nodes <= seed_size:
         raise UsageError(f"--max-nodes {args.max_nodes} must exceed the checkpoint's "
@@ -343,6 +347,7 @@ def _cmd_sample(args, cfg_file):
 
 
 def _cmd_eval(args, cfg_file):
+    _check_outputs(args.out, args.csv)
     generated = _read_corpus(args.generated)
     reference = _read_corpus(args.reference)
     train_set = _read_corpus(args.train) if args.train else None
@@ -368,6 +373,7 @@ def _cmd_eval(args, cfg_file):
 
 
 def _cmd_stats(args, cfg_file):
+    _check_outputs(args.out)
     graphs = _read_training_corpus(args.corpus)
     _echo({"command": "stats", "corpus": str(args.corpus),
            "seed": args.seed, "orderings": args.orderings})

@@ -74,6 +74,8 @@ class CorpusSpec:
             raise CorpusSpecError(f"unknown family {self.family!r}; choose from {FAMILIES}")
         if self.count < 1:
             raise CorpusSpecError("count must be >= 1")
+        if self.seed < 0:
+            raise CorpusSpecError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.n_min <= self.n_max:
             raise CorpusSpecError("need 0 < n_min <= n_max")
         known = FAMILY_PARAMS[self.family]
@@ -359,18 +361,20 @@ def write_corpus(path, graphs):
 
 
 def read_corpus(path) -> list:
-    """Parse a JSON Lines corpus, rejecting malformed lines by number."""
+    """Parse a UTF-8 JSON Lines corpus, rejecting malformed lines by number."""
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:  # decoded line by line, so a bad byte has a line number
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
-                raise CorpusFormatError(f"{path}: line {lineno}: empty line")
+                raise CorpusFormatError(f"line {lineno}: empty line")
             try:
-                obj = json.loads(line)
+                obj = json.loads(line.decode("utf-8"))
             except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
+                raise CorpusFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
+            except UnicodeDecodeError as exc:
+                raise CorpusFormatError(f"line {lineno}: not UTF-8: {exc}") from exc
             try:
                 out.append(LabeledGraph.from_json_obj(obj))
             except GraphError as exc:
-                raise CorpusFormatError(f"{path}: line {lineno}: {exc}") from exc
+                raise CorpusFormatError(f"line {lineno}: {exc}") from exc
     return out

@@ -245,8 +245,7 @@ def _gk_value(feats_p: dict, feats_q: dict, draws) -> float:
                           for p, q in draws]))
 
 
-def gk_mmd2(set_p, set_q, r_max: int = NSPDK_RADIUS, d_max: int = NSPDK_DISTANCE,
-            seed: int = 0) -> float:
+def gk_mmd2(set_p, set_q, seed: int = 0) -> float:
     """Squared MMD under the graph kernel.  Corpora larger than
     SUBSAMPLE_LIMIT are evaluated on seeded subsamples of SUBSAMPLE_SIZE,
     averaged over SUBSAMPLE_DRAWS draws; each drawn graph is featurized
@@ -255,7 +254,7 @@ def gk_mmd2(set_p, set_q, r_max: int = NSPDK_RADIUS, d_max: int = NSPDK_DISTANCE
     if not set_p or not set_q:
         raise EvalError("MMD needs non-empty sample sets")
     draws = _subsample_draws(len(set_p), len(set_q), seed)
-    feats = [{i: nspdk_features(graphs[i], r_max, d_max) for i in _drawn(draws, side, len(graphs))}
+    feats = [{i: nspdk_features(graphs[i]) for i in _drawn(draws, side, len(graphs))}
              for side, graphs in enumerate((set_p, set_q))]
     return _gk_value(*feats, draws)
 

@@ -354,7 +354,7 @@ class Model:
         hv = T.linear(T.const(x), self.input_w, self.input_b)
         he = T.rows(self.embed_edge, batch.edge_labels) if len(batch.edge_labels) \
             else T.const(np.zeros((0, c.d_model)))
-        ctx = A.context_from_distances(batch.dist, max_attend=c.radius, rows=nodes)
+        ctx = A.AttentionContext(batch.dist, batch.dist <= c.radius, nodes, nodes)
         for l, (conv, sub, combine_w, combine_b) in enumerate(self.blocks):
             conv_out, he = self.graph_convolution(hv, he, batch, conv,
                                                   update_edges=l + 1 < len(self.blocks))
@@ -523,8 +523,7 @@ class EdgeStep:
             base = T.slice_along(base, 0, first, runs.total)
             queries = A.Segments([runs.total - first])
         ctx = A.AttentionContext(self.dist[:, first:], allowed, queries, runs)
-        he_hist = A.attend(q, k, v, q_table, m.edge_attn.key_table(k), ctx,
-                           m.edge_attn, on_empty="zero")
+        he_hist = A.attend(q, k, v, q_table, m.edge_attn.key_table(k), ctx, m.edge_attn)
         h = T.linear(he_hist, self.w1_hist, base, relu=True)
         h = T.linear(h, m.edge_w2, m.edge_b2, relu=True)
         return T.linear(h, m.edge_w3, m.edge_b3), int(allowed.sum())

@@ -88,17 +88,22 @@ def clip_global_norm(params, max_norm: float) -> float:
     return norm
 
 
-def adam_step(params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8):
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
+
+def adam_step(params, lr: float):
     """Bias-corrected adaptive-moment update of the moments and weights, in
     place; consumes the gradients (each one is overwritten, then cleared).
-    A parameter without a gradient keeps its step and moments.  Each
-    element goes through the same operations, in the same order, as
+    A parameter without a gradient keeps its step and moments.  With
+    (b1, b2) = ADAM_BETAS and eps = ADAM_EPS, each element goes through the
+    same operations, in the same order, as
 
         m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * (g * g)
         w -= lr * (m / (1 - b1 ** step)) / (sqrt(v / (1 - b2 ** step)) + eps)
 
     so the results are bit-identical to it."""
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     for p in params:
         g = p.tensor.grad
         if g is None:
@@ -114,7 +119,7 @@ def adam_step(params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8):
         v += t
         np.divide(v, 1.0 - b2 ** p.step, out=t)
         np.sqrt(t, out=t)
-        t += eps
+        t += ADAM_EPS
         np.divide(m, 1.0 - b1 ** p.step, out=g)
         g *= lr
         g /= t

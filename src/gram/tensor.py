@@ -110,10 +110,6 @@ def _result(data) -> Tensor:
     return t
 
 
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def const(x) -> Tensor:
     return Tensor(x)
 
@@ -297,7 +293,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def concat(parts, axis=-1) -> Tensor:
-    parts = [_wrap(p) for p in parts]
     try:
         data = np.concatenate([p.data for p in parts], axis=axis)
     except ValueError as exc:
@@ -388,19 +383,12 @@ def sum_along(a: Tensor, axis: int) -> Tensor:
     return _record(_result(a.data.sum(axis=axis)), (a,), bw)
 
 
-def softmax(a: Tensor, additive_mask=None) -> Tensor:
-    """Row-wise softmax over the last axis.
-
-    additive_mask, if given, is a constant array added to the scores first
-    (0 for allowed entries, MASK_NEG for disallowed ones); fully suppressed
-    entries come out exactly 0 in float64.  The shift by the row maximum,
-    the exponentials and the division run in place in one new array.
+def softmax(a: Tensor) -> Tensor:
+    """Row-wise softmax over the last axis.  The shift by the row maximum,
+    the exponentials and the division run in place in one new array; a
+    masked score (one with MASK_NEG added) comes out exactly 0 in float64.
     """
-    if additive_mask is None:
-        y = a.data - a.data.max(axis=-1, keepdims=True)
-    else:
-        y = a.data + additive_mask
-        y -= y.max(axis=-1, keepdims=True)
+    y = a.data - a.data.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
     an = a.node
@@ -511,7 +499,7 @@ def edge_hidden(first: Tensor, last: Tensor, mid: Tensor, first_end, last_end) -
 
 
 def _bucket_index(idx, shape) -> np.ndarray:
-    """idx as the index of gather_last / bucket_sums over a (..., n, C)
+    """idx as the index of _gather_last / bucket_sums over a (..., n, C)
     table or (..., n, m) values of the given shape (its last axis skipped):
     shape (..., n, m), the axes before n matching the trailing axes of
     shape before its last one."""
@@ -546,33 +534,11 @@ def _bucket_sums(w: np.ndarray, idx: np.ndarray, buckets: int) -> np.ndarray:
                        minlength=rows * buckets).reshape(lead + (buckets,))
 
 
-def gather_last(table: Tensor, idx) -> Tensor:
-    """Per-row gather along the last axis: out[..., i, j] = table[..., i, idx[..., i, j]].
-
-    table is (..., n, C) and idx an integer array (..., n, m) in [0, C)
-    whose axes before n match the trailing axes of table before n: one
-    (n, m) index shared by every leading axis (heads, say), or one per
-    step, (K, n, m), shared by the heads of an (H, K, n, C) table.  The
-    backward pass scatters with bucket_sums.
-    """
-    if table.data.ndim < 2:
-        raise ShapeError(f"gather_last table of rank {table.data.ndim}")
-    buckets = table.data.shape[-1]
-    idx = _bucket_index(idx, table.data.shape)
-    _check_buckets(idx, buckets)
-    tn = table.node
-
-    def bw(g):
-        _accum(tn, _bucket_sums(g, idx, buckets))
-
-    return _record(_result(_gather_last(table.data, idx)), (table,), bw)
-
-
 def bucket_sums(w: Tensor, idx, buckets: int) -> Tensor:
     """Per-row sums of w by bucket: out[..., i, c] = sum of w[..., i, j] over
     the j with idx[..., i, j] == c.  w is (..., n, m) and idx's shape is a
     trailing part of w's, shared by the axes in front of it.  The adjoint
-    of gather_last."""
+    of the per-row gather _gather_last."""
     if w.data.ndim < 2 or np.shape(idx) != w.data.shape[w.data.ndim - np.ndim(idx):]:
         raise ShapeError(f"bucket_sums values {w.data.shape} vs index {np.shape(idx)}")
     idx = _bucket_index(idx, w.data.shape)
@@ -588,14 +554,16 @@ def bucket_sums(w: Tensor, idx, buckets: int) -> Tensor:
 def attention_weights(qh: Tensor, kh: Tensor, q_table, k_table, dist, scale: float,
                       mask) -> Tensor:
     """Attention weights of queries qh (..., nq, d) over keys kh (..., nk, d):
-    softmax(scale * (qh kh^T + gather_last(q_table, dist)
-    + gather_last(k_table, dist^T)^T) + mask) over the last axis, the chain
-    of matmul, transpose, gather_last, add, mul and softmax in one output
-    buffer.  q_table (..., nq, C) and k_table (..., nk, C) are the bias
-    tables indexed by the distance buckets dist (..., nq, nk), whose leading
-    axes are shared as gather_last shares them; both are None for
-    attention without distance bias (dist is then not read).  mask is
-    softmax's additive mask, or None."""
+    softmax(scale * (qh kh^T + G(q_table, dist) + G(k_table, dist^T)^T)
+    + mask) over the last axis, where G(table, idx)[..., i, j] =
+    table[..., i, idx[..., i, j]] is the per-row gather of _gather_last: the
+    chain of matmul, transpose, that gather, add, mul, add and softmax in
+    one output buffer.  q_table (..., nq, C) and k_table (..., nk, C) are
+    the bias tables indexed by the distance buckets dist (..., nq, nk),
+    whose leading axes are shared as _gather_last shares them; both are
+    None for attention without distance bias (dist is then not read).
+    mask is an additive mask (0 for allowed pairs, MASK_NEG for the others),
+    or None."""
     if qh.data.ndim < 2 or qh.data.shape[-1] != kh.data.shape[-1]:
         raise ShapeError(f"attention_weights queries {qh.data.shape}, keys {kh.data.shape}")
     try:
@@ -643,8 +611,12 @@ def attention_weights(qh: Tensor, kh: Tensor, q_table, k_table, dist, scale: flo
     return _record(_result(y), parents, bw)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale."""
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, LAYER_NORM_EPS
+    added to the variance, then scale by gain and shift by bias."""
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError(f"layer_norm params {gain.data.shape}/{bias.data.shape} "
@@ -652,7 +624,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
     xn, gn, bn, gain_data = x.node, gain.node, bias.node, gain.data
 

@@ -81,6 +81,8 @@ class TrainConfig:
             raise TrainError("; ".join(wrong))
         if self.epochs < 1 or self.batch_size < 1:
             raise TrainError("epochs and batch_size must be >= 1")
+        if self.seed < 0:
+            raise TrainError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise TrainError(f"lr must be finite and > 0, got {self.lr}")
         if not (math.isfinite(self.grad_clip) and self.grad_clip >= 0):
@@ -635,7 +637,7 @@ def _read_checkpoint(r: _Reader):
                               f"({len(entries)} expected)")
     moments = _MomentFile(r.f)
     for _ in range(count):
-        name = r.take(r.unpack("<H")).decode("utf-8")
+        name = r.take(r.unpack("<H")).decode("utf-8", "replace")  # bad bytes: no such name
         rank = r.unpack("<B")
         shape = tuple(r.unpack("<I") for _ in range(rank))
         if name not in entries:
@@ -648,11 +650,15 @@ def _read_checkpoint(r: _Reader):
         p.step = r.unpack("<Q")
         p.defer_moments(functools.partial(moments.fetch, name, r.skip(16 * p.data.size)))
     epoch = r.unpack("<I")
-    state = json.loads(r.take(r.unpack("<I")).decode("utf-8"))
+    state = r.take(r.unpack("<I"))
     if not r.at_end():
         raise CheckpointError("trailing bytes after checkpoint payload")
     rng = None
-    if state is not None:
-        rng = np.random.default_rng(0)
-        rng.bit_generator.state = state
+    try:
+        state = json.loads(state.decode("utf-8"))
+        if state is not None:
+            rng = np.random.default_rng(0)
+            rng.bit_generator.state = state
+    except (ValueError, TypeError, KeyError) as exc:  # not UTF-8 or JSON, or no generator state
+        raise CheckpointError(f"bad generator state: {exc}") from exc
     return model, epoch, rng

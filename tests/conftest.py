@@ -134,14 +134,38 @@ def edge_hidden_chain(first, last, mid, first_end, last_end):
     return T.relu(T.add(T.reshape(pre, (2, t, width)), mid))
 
 
+def gather_last(table, idx):
+    """Reference primitive: the per-row gather along the last axis,
+    out[..., i, j] = table[..., i, idx[..., i, j]], which
+    tensor.attention_weights fuses.
+
+    table is (..., n, C) and idx an integer array (..., n, m) in [0, C)
+    whose axes before n match the trailing axes of table before n: one
+    (n, m) index shared by every leading axis (heads, say), or one per
+    step, (K, n, m), shared by the heads of an (H, K, n, C) table.  The
+    backward pass scatters with the tensor layer's bucket sums."""
+    if table.data.ndim < 2:
+        raise T.ShapeError(f"gather_last table of rank {table.data.ndim}")
+    buckets = table.data.shape[-1]
+    idx = T._bucket_index(idx, table.data.shape)
+    T._check_buckets(idx, buckets)
+    tn = table.node
+
+    def bw(g):
+        T._accum(tn, T._bucket_sums(g, idx, buckets))
+
+    return T._record(T._result(T._gather_last(table.data, idx)), (table,), bw)
+
+
 def attention_weights_chain(qh, kh, q_table, k_table, dist, scale, mask):
     """Reference: tensor.attention_weights as the chain of primitives it
     fuses."""
     scores = T.matmul(qh, T.transpose(kh))
     if q_table is not None:
-        scores = T.add(T.add(scores, T.gather_last(q_table, dist)),
-                       T.transpose(T.gather_last(k_table, np.swapaxes(dist, -1, -2))))
-    return T.softmax(T.mul(scores, T.const(scale)), additive_mask=mask)
+        scores = T.add(T.add(scores, gather_last(q_table, dist)),
+                       T.transpose(gather_last(k_table, np.swapaxes(dist, -1, -2))))
+    scores = T.mul(scores, T.const(scale))
+    return T.softmax(scores if mask is None else T.add(scores, T.const(mask)))
 
 
 FUSED_CHAINS = {"linear": linear_chain, "edge_hidden": edge_hidden_chain,

@@ -222,13 +222,14 @@ def test_bad_optimiser_settings_are_configuration_errors(tmp_path, capsys, flags
     ("train", "model", "radius", 1.5), ("train", "train", "seed", 1.5),
     ("train", "train", "lr", True), ("train", "train", "grad_clip", False),
     ("dataset", "dataset", "count", 2.5), ("dataset", "dataset", "n_min", 9.5),
-    ("dataset", "dataset", "seed", True)])
+    ("dataset", "dataset", "seed", True), ("train", "train", "seed", -1),
+    ("dataset", "dataset", "seed", -1)])
 def test_wrongly_typed_config_value_is_configuration_error(command, section, key, value,
                                                            tmp_path, capsys):
     """A config value of the wrong type (a float or a bool for an integer, a
-    bool for a float, anything but a bool for a flag) is a configuration
-    error naming the key, raised before the config is echoed; nothing is
-    written."""
+    bool for a float, anything but a bool for a flag) or a seed below 0 is a
+    configuration error naming the key, raised before the config is echoed;
+    nothing is written."""
     out = tmp_path / "out"
     if command == "train":
         corpus = tmp_path / "c.jsonl"
@@ -404,6 +405,88 @@ def test_counts_below_one_are_usage_errors(command, flag, tmp_path, capsys):
     assert not out.exists()
     argv = args + (["1"] if command == "stats" else ["--count", "1"])
     assert run(argv) == 0
+
+
+def _command_args(command, tmp_path, out):
+    """Arguments of a command that would run, with corpus, checkpoint and
+    outputs in tmp_path and out as its --out."""
+    ckpt, corpus = _checkpoint_and_corpus(tmp_path, [random_connected_graph(
+        np.random.default_rng(0), 8)])
+    return {"dataset": ["dataset", "--family", "grid", "--count", "7", "--nmin", "9",
+                        "--nmax", "16"],
+            "train": ["train", "--corpus", str(corpus), "--epochs", "1"],
+            "sample": ["sample", "--checkpoint", str(ckpt), "--corpus", str(corpus),
+                       "--count", "1"],
+            "eval": ["eval", "--generated", str(corpus), "--reference", str(corpus)],
+            "stats": ["stats", "--corpus", str(corpus)]}[command] + ["--out", str(out)]
+
+
+def _tree(folder):
+    return {path: path.read_bytes() if path.is_file() else None for path in folder.rglob("*")}
+
+
+@pytest.mark.parametrize("command", ["dataset", "train", "sample", "eval", "stats"])
+def test_negative_seed_is_usage_error(command, tmp_path, capsys):
+    """--seed below 0 is a usage error naming the flag, raised before any
+    work (numpy would reject it only once a generator is made); nothing is
+    written."""
+    args = _command_args(command, tmp_path, tmp_path / "out")
+    before = _tree(tmp_path)
+    assert run(args + ["--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "argument --seed: must be at least 0, got -1" in err
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("dataset", "--out"), ("train", "--out"), ("sample", "--out"), ("eval", "--out"),
+    ("eval", "--csv"), ("stats", "--out")])
+def test_unwritable_output_is_data_error_before_any_work(command, flag, tmp_path, capsys):
+    """An output file in a missing directory, or a train output directory
+    that is an existing file, is a data error naming the path, raised before
+    any graph is read, generated, trained or sampled: nothing is written
+    and no "wrote" line is printed."""
+    bad = tmp_path / "c.jsonl" if command == "train" else tmp_path / "nodir" / "x.jsonl"
+    args = _command_args(command, tmp_path, tmp_path / "out")
+    if flag == "--csv":
+        args += ["--csv", str(bad)]
+    else:
+        args[-1] = str(bad)
+    before = _tree(tmp_path)
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    assert f"data error: cannot write {bad}: " in captured.err
+    assert "wrote" not in captured.out and "config:" not in captured.out
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("case", ["corpus", "corpus line", "config", "checkpoint name",
+                                  "checkpoint state"])
+def test_undecodable_input_is_data_error(case, tmp_path, capsys):
+    """Bytes that are not UTF-8 in a corpus (its first line, or one line of
+    an otherwise valid corpus) or a config file, and a checkpoint whose
+    parameter name or generator state is corrupt, are data errors naming
+    the file, and the line of a corpus; nothing is written."""
+    out = tmp_path / "out.jsonl"
+    args = _command_args("sample", tmp_path, out)
+    ckpt, corpus, cfg = tmp_path / "model.bin", tmp_path / "c.jsonl", tmp_path / "cfg.json"
+    name = tiny_model().parameters()[0].name.encode()
+    blob = ckpt.read_bytes()
+    assert blob.count(name) == 1 and blob.endswith(b"null")
+    path, data, message = {
+        "corpus": (corpus, b"\xff" + corpus.read_bytes(), "line 1: not UTF-8"),
+        "corpus line": (corpus, corpus.read_bytes() * 2 + b'{"a": "\xff"}\n' + corpus.read_bytes(),
+                        "line 3: not UTF-8"),
+        "config": (cfg, b'{"train": {"seed": "\xff"}}', "'utf-8' codec can't decode"),
+        "checkpoint name": (ckpt, blob.replace(name, b"\xff" + name[1:]),
+                            "unknown or repeated parameter '\ufffd"),
+        "checkpoint state": (ckpt, blob[:-4] + b"nul!", "bad generator state"),
+    }[case]
+    path.write_bytes(data)
+    what = {corpus: "corpus file", cfg: "config file", ckpt: "checkpoint"}[path]
+    assert run(args + ["--config", str(cfg)] if path == cfg else args) == 2
+    assert f"data error: {what} {path}: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("line", [

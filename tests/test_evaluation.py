@@ -563,34 +563,6 @@ def test_orbit_counts_small_graph_zero():
     assert not orbit_counts(path_graph(3)).any()
 
 
-def test_orbit_counts_vs_independent_recount(rng):
-    """Second enumeration: all 4-subsets via itertools + networkx degrees."""
-    for _ in range(5):
-        g = random_connected_graph(rng, 20, extra_edge_prob=0.25)
-        counts = orbit_counts(g)
-        nxg = to_nx(g)
-        recount = np.zeros((g.n, 11), dtype=np.int64)
-        for quad in itertools.combinations(range(g.n), 4):
-            sub = nxg.subgraph(quad)
-            if not nx.is_connected(sub):
-                continue
-            e = sub.number_of_edges()
-            degs = dict(sub.degree())
-            mx = max(degs.values())
-            for v in quad:
-                d = degs[v]
-                if e == 3:
-                    orb = (0 if d == 1 else 1) if mx == 2 else (2 if d == 1 else 3)
-                elif e == 4:
-                    orb = 4 if mx == 2 else (5 if d == 1 else 6 if d == 2 else 7)
-                elif e == 5:
-                    orb = 8 if d == 2 else 9
-                else:
-                    orb = 10
-                recount[v, orb] += 1
-        assert np.array_equal(counts, recount)
-
-
 # -- uniqueness / novelty -------------------------------------------------------
 
 def test_uniqueness_all_identical():

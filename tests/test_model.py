@@ -723,7 +723,7 @@ def test_fused_forward_path_matches_the_composed_chains(variant, rng, monkeypatc
     bit: random non-zero bias tables, a chunk of several steps (a padded
     batch), an ordering that is not breadth-first (prefixes with isolated
     rows, a first step with no edge) and the edge estimator's first
-    candidate, a query row with no key (attend's on_empty="zero")."""
+    candidate, a query row with no key (a zero row of attend)."""
     model = tiny_model(variant=variant, seed_size=2, blocks=2, seed=3)
     randomize_bias_tables(model, rng)
     randomize_edge_estimator(model, rng)

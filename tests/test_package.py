@@ -34,6 +34,16 @@ GONE = [
     (kernels, "orbit_counts_matrix"), (evaluation, "graph_fingerprint"),
     (evaluation, "graph_fingerprints"), (evaluation, "uniqueness_novelty"),
     (graphs.LabeledGraph, "adjacency_matrix"),
+    (tensor, "gather_last"), (tensor, "_wrap"), (attention, "context_from_distances"),
+    (attention.GraphAttentionParams, "cap"),
+]
+
+# parameters that only one value ever reached, now constants or fixed behaviour
+REMOVED_PARAMETERS = [
+    (tensor.softmax, "additive_mask"), (tensor.layer_norm, "eps"),
+    (optim.adam_step, "betas"), (optim.adam_step, "eps"),
+    (evaluation.gk_mmd2, "r_max"), (evaluation.gk_mmd2, "d_max"),
+    (attention.attend, "on_empty"), (attention.g_multi_head, "on_empty"),
 ]
 
 
@@ -49,11 +59,16 @@ def test_test_only_names_are_gone(owner, name):
     assert not hasattr(gram, name) and name not in gram.__all__
 
 
+@pytest.mark.parametrize("fn, name", REMOVED_PARAMETERS,
+                         ids=[f"{fn.__name__}.{name}" for fn, name in REMOVED_PARAMETERS])
+def test_single_value_parameters_are_gone(fn, name):
+    assert name not in inspect.signature(fn).parameters
+
+
 def test_test_only_setter_default_and_import_are_gone():
     assert not hasattr(graphs, "kernels")
     assert tensor.Tensor.requires_grad.fset is None
-    max_attend = inspect.signature(attention.context_from_distances).parameters["max_attend"]
-    assert max_attend.default is inspect.Parameter.empty
+    assert inspect.signature(optim.adam_step).parameters["lr"].default is inspect.Parameter.empty
     assert "orderings_per_graph" not in inspect.signature(sampler.build_seed_bank).parameters
 
 
@@ -65,14 +80,12 @@ def test_forward_path_takes_only_batches():
         return inspect.signature(fn).parameters
 
     assert params(model.Model.graph_pool)["nodes"].default is inspect.Parameter.empty
-    assert params(attention.context_from_distances)["rows"].default is inspect.Parameter.empty
     context = params(attention.AttentionContext)
     assert all(context[name].default is inspect.Parameter.empty for name in ("queries", "keys"))
-    assert "on_empty" not in params(attention.g_multi_head)
-    assert "on_empty" in params(attention.attend)
     assert "keepdims" not in params(tensor.sum_along)
-    ctx = attention.context_from_distances(
-        np.zeros((1, 2, 2), dtype=np.int64), 0, attention.Segments([2]))
+    rows = attention.Segments([2])
+    ctx = attention.AttentionContext(np.zeros((1, 2, 2), dtype=np.int64),
+                                     np.ones((1, 2, 2), dtype=bool), rows, rows)
     assert not hasattr(ctx, "dist_idx") and ctx.dist.shape == ctx.allowed.shape == (1, 2, 2)
 
 

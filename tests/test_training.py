@@ -464,7 +464,7 @@ def test_checkpoint_round_trip(tmp_path, rng, monkeypatch):
     with Tape() as tape:
         loss, _ = teacher_forced_loss(model, og)
         tape.backward(loss)
-    adam_step(model.parameters())
+    adam_step(model.parameters(), lr=1e-3)
     gen = np.random.default_rng(123)
     gen.integers(0, 10, size=5)
     path = tmp_path / "ckpt.bin"
@@ -536,6 +536,17 @@ def test_checkpoint_truncation_and_version_and_magic(tmp_path):
     with pytest.raises(CheckpointError, match="trailing"):
         load_checkpoint(tmp_path / "trail.bin")
 
+    name = model.parameters()[0].name.encode()
+    (tmp_path / "name.bin").write_bytes(blob.replace(name, b"\xff" + name[1:], 1))
+    with pytest.raises(CheckpointError, match="unknown or repeated parameter '\\ufffd"):
+        load_checkpoint(tmp_path / "name.bin")
+
+    assert blob.endswith(b"null")  # the generator state: none saved
+    for state in (b"nul\xff", b"nul!", b"1234"):  # not UTF-8, not JSON, not a state
+        (tmp_path / "state.bin").write_bytes(blob[:-4] + state)
+        with pytest.raises(CheckpointError, match="bad generator state"):
+            load_checkpoint(tmp_path / "state.bin")
+
 
 def test_checkpoint_with_a_wrongly_typed_config_value_fails(tmp_path):
     """An embedded config whose flag is not a bool is a CheckpointError
@@ -590,7 +601,7 @@ def trained_model(rng, variant="plain"):
     og = make_og(random_connected_graph(rng, 7), rng)
     for _ in range(2):
         run_shard(model, chunks_of(model, og), 1.0)
-        adam_step(model.parameters())
+        adam_step(model.parameters(), lr=1e-3)
     return model, og
 
 
@@ -763,7 +774,7 @@ def test_truncating_a_loaded_checkpoint_fails_its_moment_read(tmp_path):
             last.v  # noqa: B018
     last.tensor.grad = np.ones(last.data.shape)
     with pytest.raises(CheckpointError, match="truncated"):
-        adam_step([last])
+        adam_step([last], lr=1e-3)
     assert last.step == model.params[last.name].step
 
 
