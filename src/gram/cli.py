@@ -204,12 +204,15 @@ def _read_training_corpus(path):
     return graphs
 
 
-def _alphabets(graphs, path):
-    a, b = graphs[0].a, graphs[0].b
+def _alphabets(graphs, path, expected=None):
+    """The label alphabets (a, b) that every graph of a non-empty corpus
+    file shares: those of its first graph, or expected = ((a, b), the file
+    they come from).  A graph with others is a data error naming both."""
+    (a, b), source = expected or ((graphs[0].a, graphs[0].b), None)
     for i, g in enumerate(graphs):
         if (g.a, g.b) != (a, b):
-            raise DataError(f"{path}: graph {i} has alphabets ({g.a}, {g.b}), "
-                            f"expected ({a}, {b})")
+            raise DataError(f"{path}: graph {i} has alphabets ({g.a}, {g.b}), expected "
+                            f"({a}, {b})" + (f" as in {source}" if source else ""))
     return a, b
 
 
@@ -294,8 +297,7 @@ def _cmd_train(args, cfg_file):
         raise DataError(f"bad configuration: {exc}") from exc
     _echo({"command": "train", "model": mcfg.to_json_obj(),
            "train": tcfg.to_json_obj(), "corpus": str(args.corpus)})
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(args.out)  # made by train once the corpus passes its checks
     model = Model(mcfg, init_seed=tcfg.seed)
     log = print if args.verbose else None
     try:
@@ -351,8 +353,14 @@ def _cmd_eval(args, cfg_file):
     generated = _read_corpus(args.generated)
     reference = _read_corpus(args.reference)
     train_set = _read_corpus(args.train) if args.train else None
-    if not generated or not reference:
-        raise DataError("eval needs non-empty corpora")
+    corpora = [(args.generated, generated), (args.reference, reference)]
+    corpora += [] if train_set is None else [(args.train, train_set)]
+    for path, graphs in corpora:
+        if not graphs:
+            raise DataError(f"{path}: corpus is empty")
+    alphabets = _alphabets(generated, args.generated)
+    for path, graphs in corpora[1:]:
+        _alphabets(graphs, path, (alphabets, args.generated))
     _echo({"command": "eval", "generated": str(args.generated),
            "reference": str(args.reference), "train": args.train,
            "seed": args.seed})
@@ -363,6 +371,7 @@ def _cmd_eval(args, cfg_file):
         val = getattr(report, key)
         print(f"{key:>16}: " + ("-" if val is None else f"{val:.6f}"))
     print("timing: " + json.dumps({k: round(s, 6) for k, s in report.timing.items()}))
+    print("distinct: " + json.dumps(report.distinct))
     if args.out:
         Path(args.out).write_text(json.dumps(report.to_json_obj(), sort_keys=True) + "\n")
         print(f"report json: {args.out}")

@@ -309,7 +309,7 @@ def statistic_mmd(set_p, set_q, statistic: str) -> float:
         raise EvalError("MMD needs non-empty sample sets")
     if statistic not in STATISTICS:
         raise EvalError(f"unknown statistic {statistic!r}; choose from {STATISTICS}")
-    return _stat_mmd(_summarize(set_p, ()), _summarize(set_q, ()), statistic)
+    return _stat_mmd(_summarize(set_p, ())[0], _summarize(set_q, ())[0], statistic)
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +388,9 @@ class EvalReport:
     # gk, degree, clustering, orbit, uniqueness_novelty.  Outside FIELDS and
     # equality, so reports of one seed stay identical.
     timing: dict = field(default_factory=dict, compare=False)
+    # distinct graphs of each corpus (generated, reference, train), each
+    # summarised once; outside FIELDS and equality as timing is.
+    distinct: dict = field(default_factory=dict, compare=False)
 
     FIELDS = ("gk_mmd2", "degree_mmd2", "clustering_mmd2", "orbit_mmd2",
               "unique_ratio", "novel_ratio", "n_generated", "n_reference")
@@ -406,48 +409,60 @@ class EvalReport:
         return ",".join(vals)
 
 
-@dataclass
-class _Summaries:
-    """What the metrics of evaluate_corpora read of one corpus."""
-    features: dict = field(default_factory=dict)  # index -> FeatureMap of the drawn graphs
-    clustering: list = field(default_factory=list)  # clustering histograms
-    orbits: list = field(default_factory=list)  # orbit histograms
-    arrays: list = field(default_factory=list)  # labels, edge rows and degrees
+class _GraphSummary(NamedTuple):
+    """What the topology and uniqueness metrics of evaluate_corpora read of
+    one graph."""
+    arrays: _GraphArrays  # labels, edge rows and degrees; no adjacency
+    clustering: np.ndarray  # clustering histogram
+    orbit: np.ndarray  # orbit histogram
 
 
-def _summarize(graphs, drawn) -> _Summaries:
-    """One pass over a corpus: each graph's arrays are built once and feed
-    its NSPDK features (for the indices in `drawn`) and its topology
-    summaries; only one graph's (n, n) arrays are alive at a time."""
-    out, drawn = _Summaries(), set(drawn)
+def _numbered(corpora):
+    """(each corpus as the numbers of its graphs, the distinct graphs).
+    Equal graphs (as LabeledGraphs: n, node labels, sorted edges and
+    alphabets) get one number, in order of first appearance across the
+    corpora; each graph is hashed once."""
+    numbers = {}
+    index = [[numbers.setdefault(g, len(numbers)) for g in graphs] for graphs in corpora]
+    return index, list(numbers)
+
+
+def _summarize(graphs, drawn):
+    """One pass over graphs: each one's arrays are built once and feed its
+    topology summaries and, for the indices in `drawn`, its NSPDK features;
+    only one graph's (n, n) arrays are alive at a time.  Returns the list
+    of _GraphSummary and the {index: FeatureMap} of the drawn graphs."""
+    summaries, features, drawn = [], {}, set(drawn)
     for i, g in enumerate(graphs):
         arrays = _graph_arrays(g)
         if i in drawn:
-            out.features[i] = _features(arrays, NSPDK_RADIUS, NSPDK_DISTANCE)
+            features[i] = _features(arrays, NSPDK_RADIUS, NSPDK_DISTANCE)
         orbits, clus = kernels.orbits_and_clustering(arrays.adj, arrays.deg)
-        out.clustering.append(_clustering_hist(clus))
-        out.orbits.append(_orbit_hist(orbits))
-        out.arrays.append(arrays._replace(adj=None))
-    return out
+        summaries.append(_GraphSummary(arrays._replace(adj=None), _clustering_hist(clus),
+                                       _orbit_hist(orbits)))
+    return summaries, features
 
 
-def _stat_mmd(gen: _Summaries, ref: _Summaries, statistic: str) -> float:
+def _stat_mmd(gen: list, ref: list, statistic: str) -> float:
     """statistic_mmd of two corpora from their summaries.  The degree
     histograms of both share one range, so they are built here."""
     if statistic == "degree":
-        hists = _degree_hists([a.deg for a in gen.arrays + ref.arrays])
-        return _hist_mmd(hists[:len(gen.arrays)], hists[len(gen.arrays):])
-    if statistic == "clustering":
-        return _hist_mmd(gen.clustering, ref.clustering)
-    return _hist_mmd(gen.orbits, ref.orbits)
+        hists = _degree_hists([s.arrays.deg for s in gen + ref])
+        return _hist_mmd(hists[:len(gen)], hists[len(gen):])
+    return _hist_mmd([getattr(s, statistic) for s in gen], [getattr(s, statistic) for s in ref])
 
 
 def evaluate_corpora(generated, reference, train_set=None, seed: int = 0) -> EvalReport:
     """Full evaluation of a generated corpus against a reference corpus;
     novelty needs the training corpus and is omitted without it.  One pass
     over the graphs ("graphs" in the report's `timing`) builds what every
-    metric reads; `timing` also holds the seconds of each metric after it,
-    so its values add up to the call."""
+    metric reads, once for each distinct graph of the three corpora: the
+    copies of a graph, in one corpus or across them, share one summary, and
+    the generated and training graphs are fingerprinted once each.  The
+    metrics still run over every copy, in order, so the report is the one
+    that summarising each copy gives.  `timing` also holds the seconds of
+    each metric after the pass, so its values add up to the call;
+    `distinct` counts each corpus's distinct graphs."""
     if not generated or not reference:
         raise EvalError("corpora must be non-empty")
     timing = {}
@@ -458,23 +473,32 @@ def evaluate_corpora(generated, reference, train_set=None, seed: int = 0) -> Eva
         yield
         timing[name] = time.perf_counter() - start
 
+    train = list(train_set or [])
     draws = _subsample_draws(len(generated), len(reference), seed)
     with timed("graphs"):
-        gen, ref = (_summarize(graphs, _drawn(draws, side, len(graphs)))
-                    for side, graphs in enumerate((generated, reference)))
+        index, distinct = _numbered((generated, reference, train))
+        drawn = [_drawn(draws, side, len(index[side])) for side in (0, 1)]
+        dense = 1 + max(index[0] + index[1])  # the generated and reference graphs come first
+        summaries, features = _summarize(
+            distinct[:dense], {index[side][i] for side in (0, 1) for i in drawn[side]})
+        gen, ref = ([summaries[k] for k in index[side]] for side in (0, 1))
     with timed("gk"):
-        gk = _gk_value(gen.features, ref.features, draws)
-        gen.features = ref.features = None  # the largest summaries: not held to the end
+        gk = _gk_value(*({i: features[index[side][i]] for i in drawn[side]} for side in (0, 1)),
+                       draws)
+        del features  # the largest summaries: not held to the end
     topology = []  # in STATISTICS order, as EvalReport's fields
     for statistic in STATISTICS:
         with timed(statistic):
             topology.append(_stat_mmd(gen, ref, statistic))
     with timed("uniqueness_novelty"):
-        train = list(train_set or [])
-        fps = _fingerprints(list(generated) + train, gen.arrays + [
-            _graph_arrays(g, dense=False) for g in train])
-        unique, novel = _ratios(fps[:len(generated)], fps[len(generated):])
+        pool = list(dict.fromkeys(index[0] + index[2]))
+        fps = dict(zip(pool, _fingerprints([distinct[k] for k in pool], [
+            summaries[k].arrays if k < dense else _graph_arrays(distinct[k], dense=False)
+            for k in pool])))
+        unique, novel = _ratios([fps[k] for k in index[0]], [fps[k] for k in index[2]])
     if train_set is None:
         novel = None
+    counts = {name: len(set(numbers))
+              for name, numbers in zip(("generated", "reference", "train"), index)}
     return EvalReport(gk, *topology, unique, novel,
-                      len(generated), len(reference), timing)
+                      len(generated), len(reference), timing, counts)

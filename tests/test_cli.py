@@ -86,11 +86,14 @@ def test_eval_identical_corpora_zero(tmp_path, capsys):
                     "--train", str(corpus), "--out", str(tmp_path / f"rep{i}.json"),
                     "--csv", str(tmp_path / f"rep{i}.csv")])
         assert code == 0
-        timing = [line for line in capsys.readouterr().out.splitlines()
-                  if line.startswith("timing: ")]
+        out = capsys.readouterr().out.splitlines()
+        timing = [line for line in out if line.startswith("timing: ")]
         assert len(timing) == 1
         seconds = json.loads(timing[0][len("timing: "):])
         assert len(seconds) == 6 and all(t >= 0.0 for t in seconds.values())
+        distinct = [line for line in out if line.startswith("distinct: ")]
+        # 6 grids of 3 shapes
+        assert distinct == ['distinct: {"generated": 3, "reference": 3, "train": 3}']
     report = tmp_path / "rep1.json"
     obj = json.loads(report.read_text())
     assert obj["gk_mmd2"] == 0.0
@@ -609,6 +612,67 @@ def test_mixed_alphabets_in_one_corpus_is_data_error(tmp_path, capsys):
     assert run(["train", "--corpus", str(corpus), "--out", str(out), "--epochs", "1"]) == 2
     assert "graph 1 has alphabets (4, 2), expected (3, 2)" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_failed_training_leaves_no_output_directory(tmp_path, capsys):
+    """A corpus whose graphs are all within the seed size fails training
+    before anything is written: not even the --out directory is made."""
+    corpus = tmp_path / "tiny.jsonl"
+    write_corpus(corpus, [LabeledGraph.create(2, [0, 0], [(0, 1, 0)], 1, 1)])
+    out = tmp_path / "run"
+    with pytest.warns(UserWarning, match="skipping 1 graphs"):
+        assert run(["train", "--corpus", str(corpus), "--out", str(out), "--epochs", "1"]) == 2
+    assert "no graph exceeds the seed size" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _eval_corpora(tmp_path, **alphabets):
+    """Corpus files gen, ref and train of three connected graphs each, with
+    the (a, b) given per name (default (3, 2)) for all their graphs, or for
+    graph 1 alone when the name ends in _1."""
+    rng = np.random.default_rng(0)
+    paths = {}
+    for name in ("gen", "ref", "train"):
+        graphs = [random_connected_graph(rng, 8, *alphabets.get(name, (3, 2))) for _ in range(3)]
+        if f"{name}_1" in alphabets:
+            graphs[1] = random_connected_graph(rng, 8, *alphabets[f"{name}_1"])
+        paths[name] = tmp_path / f"{name}.jsonl"
+        write_corpus(paths[name], graphs)
+    return paths
+
+
+@pytest.mark.parametrize("alphabets, bad, message", [
+    ({"ref": (4, 2)}, "ref", "graph 0 has alphabets (4, 2), expected (3, 2) as in {gen}"),
+    ({"train": (3, 1)}, "train", "graph 0 has alphabets (3, 1), expected (3, 2) as in {gen}"),
+    ({"ref_1": (3, 3)}, "ref", "graph 1 has alphabets (3, 3), expected (3, 2) as in {gen}"),
+    ({"gen_1": (2, 2)}, "gen", "graph 1 has alphabets (2, 2), expected (3, 2)"),
+])
+def test_eval_rejects_corpora_with_other_alphabets(alphabets, bad, message, tmp_path, capsys):
+    """All graphs of the three eval corpora share one (a, b): another is a
+    data error naming the file and the graph, raised before any report."""
+    paths = _eval_corpora(tmp_path, **alphabets)
+    out = tmp_path / "rep.json"
+    assert run(["eval", "--generated", str(paths["gen"]), "--reference", str(paths["ref"]),
+                "--train", str(paths["train"]), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"data error: {paths[bad]}: {message.format(gen=paths['gen'])}" in captured.err
+    assert "gk_mmd2" not in captured.out and not out.exists()
+
+
+@pytest.mark.parametrize("empty", ["gen", "ref", "train"])
+def test_eval_empty_corpus_is_data_error(empty, tmp_path, capsys):
+    """An empty generated, reference or training corpus is a data error
+    naming the file; without --train, novelty is simply not reported."""
+    paths = _eval_corpora(tmp_path)
+    write_corpus(paths[empty], [])
+    args = ["eval", "--generated", str(paths["gen"]), "--reference", str(paths["ref"])]
+    assert run(args + ["--train", str(paths["train"])]) == 2
+    captured = capsys.readouterr()
+    assert f"data error: {paths[empty]}: corpus is empty" in captured.err
+    assert "gk_mmd2" not in captured.out
+    if empty == "train":
+        assert run(args) == 0
+        assert "novel_ratio: -" in capsys.readouterr().out
 
 
 def test_argmax_sampling_ignores_the_seed(tmp_path):

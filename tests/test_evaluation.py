@@ -33,8 +33,10 @@ def exactly_isomorphic(g1, g2):
 
 def fingerprints(graphs) -> list:
     """The fingerprints that evaluate_corpora gives graphs refined together,
-    from freshly built arrays."""
-    return E._fingerprints(graphs, [E._graph_arrays(g, dense=False) for g in graphs])
+    each distinct graph once, from freshly built arrays."""
+    (index,), distinct = E._numbered([graphs])
+    fps = E._fingerprints(distinct, [E._graph_arrays(g, dense=False) for g in distinct])
+    return [fps[k] for k in index]
 
 
 def uniqueness_novelty(samples, train_set):
@@ -236,6 +238,11 @@ def blake2b_fingerprint(g):
     return _blake2b(g.n, g.a, g.b, tuple(sorted(colors)))
 
 
+def copy_of(g):
+    """A graph equal to g, built again."""
+    return LabeledGraph.create(g.n, g.node_labels, g.edges, g.a, g.b)
+
+
 def labelled_graphs(rng, count=30):
     return [random_connected_graph(rng, int(rng.integers(1, 13)), a=int(rng.integers(1, 4)),
                                    b=int(rng.integers(1, 4)), extra_edge_prob=0.2)
@@ -416,17 +423,23 @@ def test_graph_fingerprints_match_the_per_graph_reference(equivalence_graphs):
     """Refining a whole corpus together gives each graph the fingerprint
     that refining it alone gave, whatever round its neighbours stop at:
     family corpora, random labelled graphs, n = 0, n = 1, a disconnected
-    graph, paths that stop after 1 to 6 rounds, and one-graph corpora."""
+    graph, paths that stop after 1 to 6 rounds, and one-graph corpora.  A
+    corpus that repeats graphs (the same object, or an equal graph built
+    again) gives every copy its graph's fingerprint."""
     paths = [path_graph(n) for n in range(1, 13)]
     corpus = equivalence_graphs + paths
     want = [per_graph_refinement(g) for g in corpus]
     assert len({rounds for _, rounds in want[-len(paths):]}) >= 6
+    picks = [0, 3, len(corpus) - 1, 3]
+    repeats = [corpus[k] for k in picks] + [copy_of(g) for g in corpus[4::5]]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert fingerprints(corpus) == [fp for fp, _ in want]
         assert fingerprints(corpus[::-1]) == [fp for fp, _ in want[::-1]]
         for g, (fp, _) in zip(corpus, want):
             assert fingerprints([g]) == [fp]
+        assert fingerprints(repeats + corpus) == [per_graph_refinement(g)[0] for g in repeats] + [
+            fp for fp, _ in want]
     assert fingerprints([]) == []
 
 
@@ -500,10 +513,11 @@ def test_statistic_mmd_matches_pairwise_kernel(rng):
     set_p = [random_connected_graph(rng, int(rng.integers(4, 12)), extra_edge_prob=0.3)
              for _ in range(7)]
     set_q = [random_connected_graph(rng, int(rng.integers(4, 12))) for _ in range(5)]
-    gen, ref = E._summarize(set_p, ()), E._summarize(set_q, ())
-    degrees = E._degree_hists([a.deg for a in gen.arrays + ref.arrays])
+    (gen, _), (ref, _) = E._summarize(set_p, ()), E._summarize(set_q, ())
+    degrees = E._degree_hists([s.arrays.deg for s in gen + ref])
     hists = {"degree": (degrees[:len(set_p)], degrees[len(set_p):]),
-             "clustering": (gen.clustering, ref.clustering), "orbit": (gen.orbits, ref.orbits)}
+             **{stat: ([getattr(s, stat) for s in gen], [getattr(s, stat) for s in ref])
+                for stat in ("clustering", "orbit")}}
     for stat in E.STATISTICS:
         want = max(0.0, mmd_squared(*hists[stat], pairwise_gaussian_emd))
         assert abs(E.statistic_mmd(set_p, set_q, stat) - want) <= 1e-12
@@ -641,8 +655,11 @@ def test_evaluate_corpora_equals_the_metrics_one_by_one(rng, monkeypatch, subsam
         monkeypatch.setattr(E, "SUBSAMPLE_SIZE", 8)
         monkeypatch.setattr(E, "SUBSAMPLE_DRAWS", 3)
     graphs = labelled_graphs(rng, 30) + generate_corpus(CorpusSpec("lobster", 6, 10, 30, seed=4))
-    gen, ref = graphs[:16] + graphs[31:], graphs[16:31]
-    for train_set in (None, [], graphs[10:20] + graphs[:2]):
+    # repeats: the same object twice, equal graphs built again, graphs in two corpora
+    gen = graphs[:16] + graphs[31:] + [graphs[0], copy_of(graphs[17]), graphs[33], graphs[5]]
+    ref = graphs[16:31] + [copy_of(graphs[2]), graphs[16], copy_of(graphs[31])]
+    assert len(set(gen)) < len(gen) and len(set(ref)) < len(ref)
+    for train_set in (None, [], graphs[10:20] + graphs[:2] + [copy_of(graphs[0]), graphs[12]]):
         got = E.evaluate_corpora(gen, ref, train_set, seed=7)
         want = metrics_one_by_one(gen, ref, train_set, seed=7)
         assert got == want and got.to_json_obj() == want.to_json_obj()
@@ -652,25 +669,39 @@ def test_evaluate_corpora_equals_the_metrics_one_by_one(rng, monkeypatch, subsam
 
 @pytest.mark.parametrize("subsampled", [False, True])
 def test_evaluate_corpora_builds_each_graphs_arrays_once(rng, monkeypatch, subsampled):
-    """One pass per call: every graph's arrays are built once (training
-    graphs without the dense ones), the drawn graphs are featurised once,
-    and no LabeledGraph degree method runs."""
+    """One pass per call: however many copies the corpora hold of a graph
+    (the same object twice, an equal graph built again, a graph in two
+    corpora), its arrays are built once (without the dense ones for a
+    graph only in training), it is featurised once if any copy is drawn,
+    even when its first copy is not, and no LabeledGraph degree method
+    runs.  A second call builds everything again."""
     if subsampled:
         monkeypatch.setattr(E, "SUBSAMPLE_LIMIT", 6)
         monkeypatch.setattr(E, "SUBSAMPLE_SIZE", 3)
         monkeypatch.setattr(E, "SUBSAMPLE_DRAWS", 2)
     gen, ref, train = (labelled_graphs(rng, k) for k in (8, 7, 4))
+    gen += [gen[0], copy_of(gen[1])]
+    ref += [copy_of(gen[2])]
+    train += [gen[3], copy_of(ref[0]), train[0]]
+    draws = E._subsample_draws(len(gen), len(ref), seed=1)
+    drawn = [E._drawn(draws, side, len(graphs)) for side, graphs in enumerate((gen, ref))]
+    if subsampled:  # a drawn copy whose first copy is not drawn
+        j = max(drawn[0])
+        i = min(set(range(j)) - set(drawn[0]))
+        gen[i] = copy_of(gen[j])
+    featured = {graphs[i] for graphs, picks in zip((gen, ref), drawn) for i in picks}
+    assert (len(featured) < len(set(gen + ref))) == subsampled
     built, featurised, owner = collections.Counter(), collections.Counter(), {}
     arrays, features = E._graph_arrays, E._features
 
     def counted_arrays(g, dense=True):
-        built[id(g), dense] += 1
+        built[g, dense] += 1
         out = arrays(g, dense)
         owner[id(out.adj)] = out.adj, g  # the array is kept, so its id stays unique
         return out
 
     def counted_features(a, r_max, d_max):
-        featurised[id(owner[id(a.adj)][1])] += 1
+        featurised[owner[id(a.adj)][1]] += 1
         return features(a, r_max, d_max)
 
     def forbidden(self):
@@ -682,9 +713,10 @@ def test_evaluate_corpora_builds_each_graphs_arrays_once(rng, monkeypatch, subsa
     for _ in range(2):
         built.clear()
         featurised.clear()
-        E.evaluate_corpora(gen, ref, train, seed=1)
-        assert built == collections.Counter({(id(g), dense): 1 for gs, dense in
-                                             ((gen, True), (ref, True), (train, False))
-                                             for g in gs})
-        assert set(featurised.values()) == {1}
-        assert (len(featurised) < len(gen) + len(ref)) == subsampled
+        report = E.evaluate_corpora(gen, ref, train, seed=1)
+        assert built == collections.Counter(
+            [(g, True) for g in set(gen + ref)] + [(g, False) for g in set(train) - set(gen + ref)])
+        assert featurised == collections.Counter(featured)
+        assert report.distinct == {"generated": len(set(gen)), "reference": len(ref),
+                                   "train": len(train) - 1}
+        assert len(set(gen)) < len(gen)
