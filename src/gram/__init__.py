@@ -22,9 +22,8 @@ for _var in _BLAS_VARS:
     os.environ.setdefault(_var, "1")
 del _var
 
-from .graphs import (GraphError, LabeledGraph, NodeOrdering, apply_ordering,
-                     bfs_ordering, frontier_starts)
-from .model import Model, ModelConfig, OrderedGraph
+from .graphs import GraphError, LabeledGraph, OrderedGraph, bfs_ordering, frontier_starts
+from .model import Model, ModelConfig
 from .training import TrainConfig, load_checkpoint, save_checkpoint, teacher_forced_loss, train
 from .sampler import SeedBank, build_seed_bank, generate_graph
 from .datasets import CorpusSpec, corpus_stats, generate_corpus, read_corpus, split_corpus, write_corpus
@@ -33,9 +32,8 @@ from .evaluation import EvalReport, evaluate_corpora, gk_mmd2, nspdk_features, s
 __version__ = "0.1.0"
 
 __all__ = [
-    "GraphError", "LabeledGraph", "NodeOrdering",
-    "apply_ordering", "bfs_ordering", "frontier_starts",
-    "Model", "ModelConfig", "OrderedGraph",
+    "GraphError", "LabeledGraph", "OrderedGraph", "bfs_ordering", "frontier_starts",
+    "Model", "ModelConfig",
     "TrainConfig", "load_checkpoint", "save_checkpoint", "teacher_forced_loss", "train",
     "SeedBank", "build_seed_bank", "generate_graph",
     "CorpusSpec", "corpus_stats", "generate_corpus", "read_corpus",

@@ -137,16 +137,26 @@ def _read_input(what: str, path, read):
         raise DataError(f"{what} {path}: {exc}") from exc
 
 
-def _check_outputs(*paths, directory: bool = False):
+def _check_outputs(*paths, inputs=(), directory: bool = False):
     """Fail before any work when an output path (None for none) cannot be
     written: a file needs an existing directory and must not be one; a
-    directory, made with its parents, needs its nearest existing path to be one."""
+    directory, made with its parents, needs its nearest existing path to be
+    one.  No output may resolve to another output or to one of the
+    command's input paths (None for none), which writing it would replace."""
+    written = {}
     for path in map(Path, filter(None, paths)):
         if not directory and path.is_dir():
             raise DataError(f"cannot write {path}: it is a directory")
         base = next(p for p in (path, *path.parents) if p.exists()) if directory else path.parent
         if not base.is_dir():
             raise DataError(f"cannot write {path}: {base} is not an existing directory")
+        key = path.resolve()
+        if key in written:
+            raise DataError(f"cannot write {path}: it is also the output {written[key]}")
+        written[key] = path
+    for source in map(Path, filter(None, inputs)):
+        if (key := source.resolve()) in written:
+            raise DataError(f"cannot write {written[key]}: it is the input {source}")
 
 
 def _load_config_file(path):
@@ -312,7 +322,7 @@ def _cmd_train(args, cfg_file):
 
 
 def _cmd_sample(args, cfg_file):
-    _check_outputs(args.out)
+    _check_outputs(args.out, inputs=(args.checkpoint, args.corpus))
     model, epoch, _ = _read_input("checkpoint", args.checkpoint, load_checkpoint)
     seed_size = model.config.seed_size
     if args.max_nodes is not None and args.max_nodes <= seed_size:
@@ -349,7 +359,7 @@ def _cmd_sample(args, cfg_file):
 
 
 def _cmd_eval(args, cfg_file):
-    _check_outputs(args.out, args.csv)
+    _check_outputs(args.out, args.csv, inputs=(args.generated, args.reference, args.train))
     generated = _read_corpus(args.generated)
     reference = _read_corpus(args.reference)
     train_set = _read_corpus(args.train) if args.train else None
@@ -382,7 +392,7 @@ def _cmd_eval(args, cfg_file):
 
 
 def _cmd_stats(args, cfg_file):
-    _check_outputs(args.out)
+    _check_outputs(args.out, inputs=(args.corpus,))
     graphs = _read_training_corpus(args.corpus)
     _echo({"command": "stats", "corpus": str(args.corpus),
            "seed": args.seed, "orderings": args.orderings})

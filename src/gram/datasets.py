@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import (GraphError, LabeledGraph, apply_ordering, bfs_ordering, config_json,
+from .graphs import (GraphError, LabeledGraph, OrderedGraph, bfs_ordering, config_json,
                      connects, field_type_errors, frontier_starts, is_int, is_number)
 
 
@@ -333,8 +333,7 @@ def corpus_stats(graphs, seed: int = 0, orderings_per_graph: int = 1) -> dict:
     for g in graphs:
         for _ in range(orderings_per_graph if g.n else 0):  # no node, no step
             start = int(rng.integers(g.n))
-            edges = np.asarray(apply_ordering(g, bfs_ordering(g, start, rng)).edges,
-                               dtype=np.int64).reshape(-1, 3)
+            edges = OrderedGraph(g, bfs_ordering(g, start, rng)).edges
             alphas += np.bincount(edges[:, 1], minlength=g.n)[1:].tolist()
             betas += (np.arange(1, g.n) - frontier_starts(edges, g.n)[:-1]).tolist()
     degs = np.concatenate([g.degrees() for g in graphs])

@@ -219,28 +219,25 @@ def feature_mmd2(feats_p, feats_q) -> float:
 
 
 def _subsample_draws(n_p: int, n_q: int, seed: int):
-    """The seeded (picks of P, picks of Q) draws that gk_mmd2 averages over
-    when a corpus has more than SUBSAMPLE_LIMIT graphs; None otherwise."""
+    """The (picks of P, picks of Q) draws that gk_mmd2 averages over: one
+    draw of every graph when no corpus has more than SUBSAMPLE_LIMIT graphs,
+    the direct path, else SUBSAMPLE_DRAWS seeded subsamples."""
     if max(n_p, n_q) <= SUBSAMPLE_LIMIT:
-        return None
+        return [(np.arange(n_p), np.arange(n_q))]
     rng = np.random.default_rng(seed)
     return [(rng.choice(n_p, min(SUBSAMPLE_SIZE, n_p), replace=False),
              rng.choice(n_q, min(SUBSAMPLE_SIZE, n_q), replace=False))
             for _ in range(SUBSAMPLE_DRAWS)]
 
 
-def _drawn(draws, side: int, size: int):
+def _drawn(draws, side: int):
     """Indices of the graphs of one side (0 for P, 1 for Q) that the draws
-    use, ascending: all of them on the direct path."""
-    if draws is None:
-        return range(size)
+    use, ascending."""
     return sorted(set(np.concatenate([d[side] for d in draws]).tolist()))
 
 
 def _gk_value(feats_p: dict, feats_q: dict, draws) -> float:
     """gk_mmd2 from the feature maps of the drawn graphs, keyed by index."""
-    if draws is None:
-        return feature_mmd2(list(feats_p.values()), list(feats_q.values()))
     return float(np.mean([feature_mmd2([feats_p[i] for i in p], [feats_q[i] for i in q])
                           for p, q in draws]))
 
@@ -254,7 +251,7 @@ def gk_mmd2(set_p, set_q, seed: int = 0) -> float:
     if not set_p or not set_q:
         raise EvalError("MMD needs non-empty sample sets")
     draws = _subsample_draws(len(set_p), len(set_q), seed)
-    feats = [{i: nspdk_features(graphs[i]) for i in _drawn(draws, side, len(graphs))}
+    feats = [{i: nspdk_features(graphs[i]) for i in _drawn(draws, side)}
              for side, graphs in enumerate((set_p, set_q))]
     return _gk_value(*feats, draws)
 
@@ -477,7 +474,7 @@ def evaluate_corpora(generated, reference, train_set=None, seed: int = 0) -> Eva
     draws = _subsample_draws(len(generated), len(reference), seed)
     with timed("graphs"):
         index, distinct = _numbered((generated, reference, train))
-        drawn = [_drawn(draws, side, len(index[side])) for side in (0, 1)]
+        drawn = [_drawn(draws, side) for side in (0, 1)]
         dense = 1 + max(index[0] + index[1])  # the generated and reference graphs come first
         summaries, features = _summarize(
             distinct[:dense], {index[side][i] for side in (0, 1) for i in drawn[side]})

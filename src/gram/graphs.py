@@ -1,5 +1,6 @@
 """Core labeled-graph machinery: representation, validation, JSON form,
-BFS orderings and frontier computation.
+BFS orderings, the generation-order graph (OrderedGraph) that training,
+the seed bank and the corpus statistics read, and frontier computation.
 
 Graphs are undirected, without self-loops or multi-edges.  Node labels live
 in [0, a), edge labels in [0, b).  All indexing is 0-based.
@@ -179,41 +180,9 @@ def config_json(config) -> dict:
     return {f.name: plain(getattr(config, f.name)) for f in fields(config)}
 
 
-@dataclass(frozen=True)
-class NodeOrdering:
-    """Permutation of {0..n-1}; perm[i] is the original index of the i-th
-    generated node."""
-    perm: tuple
-
-    @staticmethod
-    def create(perm) -> "NodeOrdering":
-        perm = tuple(int(x) for x in perm)
-        if sorted(perm) != list(range(len(perm))):
-            raise GraphError("ordering is not a permutation of 0..n-1")
-        return NodeOrdering(perm)
-
-    def __len__(self):
-        return len(self.perm)
-
-    def inverse(self) -> np.ndarray:
-        inv = np.empty(len(self.perm), dtype=np.int64)
-        for pos, orig in enumerate(self.perm):
-            inv[orig] = pos
-        return inv
-
-
-def apply_ordering(g: LabeledGraph, ordering: NodeOrdering) -> LabeledGraph:
-    """Relabel nodes so that position i under the ordering becomes node i."""
-    if len(ordering) != g.n:
-        raise GraphError("ordering length differs from node count")
-    inv = ordering.inverse()
-    labels = [g.node_labels[orig] for orig in ordering.perm]
-    edges = [(int(inv[u]), int(inv[v]), lab) for u, v, lab in g.edges]
-    return LabeledGraph.create(g.n, labels, edges, g.a, g.b)
-
-
-def bfs_ordering(g: LabeledGraph, start: int, rng: np.random.Generator) -> NodeOrdering:
-    """Breadth-first visit order from start; each dequeued node appends its
+def bfs_ordering(g: LabeledGraph, start: int, rng: np.random.Generator) -> np.ndarray:
+    """Breadth-first visit order from start, as an int64 permutation:
+    position i holds node perm[i].  Each dequeued node appends its
     not-yet-seen neighbors in a uniformly shuffled order drawn from rng.
 
     Shuffling per parent (rather than pooling a whole level) keeps children
@@ -237,7 +206,39 @@ def bfs_ordering(g: LabeledGraph, start: int, rng: np.random.Generator) -> NodeO
             perm.extend(int(x) for x in rng.permutation(fresh))
     if len(perm) != g.n:
         raise GraphError("graph is disconnected; BFS ordering undefined")
-    return NodeOrdering.create(perm)
+    return np.array(perm, dtype=np.int64)
+
+
+class OrderedGraph:
+    """A graph in generation order: position i holds node perm[i] of g.
+    labels (n,) are the positions' node labels; edges holds the rows (i, j,
+    label), i < j, sorted by (j, i), so the edges of the prefix of s nodes
+    are the first rows, those with j < s.  A perm that is not a permutation
+    of 0..n-1 is a GraphError."""
+
+    def __init__(self, g: LabeledGraph, perm):
+        perm = np.asarray(perm, dtype=np.int64)
+        if perm.shape != (g.n,) or not np.array_equal(np.sort(perm), np.arange(g.n)):
+            raise GraphError("ordering is not a permutation of 0..n-1")
+        self.n, self.b = g.n, g.b
+        self.labels = np.asarray(g.node_labels, dtype=np.int64)[perm]
+        position = np.empty_like(perm)
+        position[perm] = np.arange(g.n)
+        edges = np.array(g.edges, dtype=np.int64).reshape(-1, 3)
+        ends = np.sort(position[edges[:, :2]], axis=1)
+        order = np.lexsort((ends[:, 0], ends[:, 1]))
+        self.edges = np.column_stack((ends, edges[:, 2]))[order]
+        # ascending keys j * n + i of the rows, then n * n, above every pair's
+        self._keys = np.append(self.edges[:, 1] * self.n + self.edges[:, 0], self.n * self.n)
+        self._codes = np.append(self.edges[:, 2], self.b)
+
+    def edge_codes(self, later, earlier) -> np.ndarray:
+        """Ground-truth edge codes of the position pairs (later, earlier),
+        earlier < later, broadcast against each other: the edge label, or b
+        for no edge."""
+        keys = np.asarray(later) * self.n + np.asarray(earlier)
+        at = self._keys.searchsorted(keys)
+        return np.where(self._keys[at] == keys, self._codes[at], self.b)
 
 
 def frontier_starts(edges, n: int) -> np.ndarray:

@@ -10,7 +10,8 @@ Four variants control the edge estimation work per step:
 
 Every forward computation takes a batch of prefixes (Prefixes), built
 from a graph's labels, edges and steps, and only that: the teacher-forced
-steps of a chunk in training, a batch of one prefix in sampling.  Row work
+steps of a chunk in training, whose graph is a graphs.OrderedGraph, or a
+batch of one prefix in sampling.  Row work
 (every weight product, elementwise op, layer norm and the conv's gathers
 and scatters) runs on the prefixes' packed rows; only attention and
 pooling lay the rows out per prefix, padded to the largest.
@@ -136,31 +137,6 @@ class Prefixes:
         self.degrees = adj.sum(axis=-1)[nodes.real].astype(np.int64)
         self.clustering = clustering(adj)[nodes.real]
         self.frontier_lo = G.frontier_starts(edges, len(labels))[steps - 1]
-
-
-class OrderedGraph:
-    """A training graph relabeled into generation order, with its labels,
-    its edges and ground-truth lookups.  edges holds its rows (i, j,
-    label), i < j, sorted by (j, i), so the edges of the prefix of s nodes
-    are the first rows, those with j < s."""
-
-    def __init__(self, g: G.LabeledGraph, ordering: G.NodeOrdering):
-        self.graph = G.apply_ordering(g, ordering)
-        self.n = self.graph.n
-        self.labels = np.asarray(self.graph.node_labels, dtype=np.int64)
-        edges = np.asarray(self.graph.edges, dtype=np.int64).reshape(-1, 3)
-        self.edges = edges[np.lexsort((edges[:, 0], edges[:, 1]))]
-        # ascending keys j * n + i of the rows, then n * n, above every pair's
-        self._keys = np.append(self.edges[:, 1] * self.n + self.edges[:, 0], self.n * self.n)
-        self._codes = np.append(self.edges[:, 2], self.graph.b)
-
-    def edge_codes(self, later, earlier) -> np.ndarray:
-        """Ground-truth edge codes of the position pairs (later, earlier),
-        earlier < later, broadcast against each other: the edge label, or b
-        for no edge."""
-        keys = np.asarray(later) * self.n + np.asarray(earlier)
-        at = self._keys.searchsorted(keys)
-        return np.where(self._keys[at] == keys, self._codes[at], self.graph.b)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +356,7 @@ class Model:
 
     # -- teacher-forced steps ---------------------------------------------------
 
-    def teacher_forced(self, og: OrderedGraph, steps) -> TeacherForced:
+    def teacher_forced(self, og: G.OrderedGraph, steps) -> TeacherForced:
         """The logits the model assigns at the given ascending steps when
         conditioned on the ground truth (no sampled feedback), all in one
         pass: each step's next-node label (K rows) and, for the steps below

@@ -39,10 +39,9 @@ def build_seed_bank(training_graphs, seed_size: int, rng: np.random.Generator) -
             skipped += 1
             continue
         start = int(rng.integers(g.n))
-        ordered = G.apply_ordering(g, G.bfs_ordering(g, start, rng))
-        edges = [(u, v, lab) for u, v, lab in ordered.edges if v < seed_size]
-        seeds.append(G.LabeledGraph.create(
-            seed_size, ordered.node_labels[:seed_size], edges, g.a, g.b))
+        og = G.OrderedGraph(g, G.bfs_ordering(g, start, rng))
+        seeds.append(G.LabeledGraph.create(seed_size, og.labels[:seed_size],
+                                           og.edges[og.edges[:, 1] < seed_size], g.a, g.b))
     if skipped:
         warnings.warn(f"seed bank: skipped {skipped} graphs smaller than {seed_size} nodes")
     if not seeds:

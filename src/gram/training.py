@@ -41,7 +41,7 @@ import numpy as np
 
 from . import tensor as T
 from . import graphs as G
-from .model import Model, ModelConfig, OrderedGraph, StepCounters
+from .model import Model, ModelConfig, StepCounters
 from .optim import adam_step, clip_global_norm
 from .tensor import Tape
 
@@ -116,7 +116,7 @@ SHARDS = 2
 FORK_MIN_COST = 1 << 18
 
 
-def _steps(model: Model, og: OrderedGraph) -> range:
+def _steps(model: Model, og: G.OrderedGraph) -> range:
     seed = model.config.seed_size
     if og.n <= seed:
         raise SkipGraph(f"graph with {og.n} nodes <= seed size {seed}")
@@ -139,7 +139,7 @@ def step_chunks(steps: range) -> list:
     return chunks
 
 
-def chunk_loss(model: Model, og: OrderedGraph, steps):
+def chunk_loss(model: Model, og: G.OrderedGraph, steps):
     """Negative log-likelihood of the given steps of one graph, in one
     batched pass: each step's label of the node at position s (the stop
     class when s == n) and, below n, its edges to the candidate positions.
@@ -153,7 +153,7 @@ def chunk_loss(model: Model, og: OrderedGraph, steps):
     return T.sum_along(T.concat(parts, axis=0), 0), out.counters
 
 
-def teacher_forced_loss(model: Model, og: OrderedGraph):
+def teacher_forced_loss(model: Model, og: G.OrderedGraph):
     """Summed negative log-likelihood of all post-seed steps of one graph.
 
     Returns (scalar loss tensor, StepCounters).  Steps before the seed size
@@ -169,7 +169,7 @@ def teacher_forced_loss(model: Model, og: OrderedGraph):
     return T.sum_along(T.concat(losses, axis=0), 0), counters
 
 
-def _backward_chunk(model: Model, og: OrderedGraph, steps, weight: float):
+def _backward_chunk(model: Model, og: G.OrderedGraph, steps, weight: float):
     # the chunk's tape and loss tensor go out of scope on return
     with Tape() as tape:
         loss, cnt = chunk_loss(model, og, steps)
@@ -411,8 +411,7 @@ def train(dataset, model: Model, tconfig: TrainConfig, checkpoint_dir=None,
         ogs = []
         for g in usable:
             start = int(rng.integers(g.n))
-            ordering = G.bfs_ordering(g, start, rng)
-            ogs.append(OrderedGraph(g, ordering))
+            ogs.append(G.OrderedGraph(g, G.bfs_ordering(g, start, rng)))
         return ogs
 
     ogs = sample_orderings()

@@ -33,6 +33,19 @@ def random_connected_graph(rng, n, a=3, b=2, extra_edge_prob=0.15):
     return LabeledGraph.create(n, labels, [(u, v, l) for (u, v), l in edges.items()], a, b)
 
 
+def apply_ordering(g: LabeledGraph, perm) -> LabeledGraph:
+    """Reference: g relabelled so that position i under the permutation
+    perm (position i holds node perm[i]) becomes node i."""
+    if len(perm) != g.n:
+        raise G.GraphError("ordering length differs from node count")
+    inv = np.empty(len(perm), dtype=np.int64)
+    for pos, orig in enumerate(perm):
+        inv[orig] = pos
+    labels = [g.node_labels[orig] for orig in perm]
+    edges = [(int(inv[u]), int(inv[v]), lab) for u, v, lab in g.edges]
+    return LabeledGraph.create(g.n, labels, edges, g.a, g.b)
+
+
 def adjacency_matrix(g) -> np.ndarray:
     """Reference: g's (n, n) uint8 0/1 adjacency matrix."""
     u, v, _ = np.array(g.edges, dtype=np.int64).reshape(-1, 3).T

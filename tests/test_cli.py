@@ -463,6 +463,41 @@ def test_unwritable_output_is_data_error_before_any_work(command, flag, tmp_path
     assert _tree(tmp_path) == before
 
 
+@pytest.mark.parametrize("command, flags, message", [
+    ("eval", ["--out", "r.txt", "--csv", "r.txt"],
+     "cannot write r.txt: it is also the output r.txt"),
+    ("eval", ["--out", "{tmp}/r.txt", "--csv", "r.txt"],
+     "cannot write r.txt: it is also the output {tmp}/r.txt"),
+    ("eval", ["--out", "c.jsonl"], "cannot write c.jsonl: it is the input {tmp}/c.jsonl"),
+    ("eval", ["--csv", "{tmp}/t.jsonl"],
+     "cannot write {tmp}/t.jsonl: it is the input {tmp}/t.jsonl"),
+    ("sample", ["--out", "c.jsonl"], "cannot write c.jsonl: it is the input {tmp}/c.jsonl"),
+    ("sample", ["--out", "model.bin"], "cannot write model.bin: it is the input {tmp}/model.bin"),
+    ("stats", ["--out", "c.jsonl"], "cannot write c.jsonl: it is the input {tmp}/c.jsonl"),
+], ids=["out-is-csv", "out-is-csv-spelt-otherwise", "out-is-generated", "csv-is-train",
+        "sample-out-is-corpus", "sample-out-is-checkpoint", "stats-out-is-corpus"])
+def test_output_that_is_another_output_or_an_input_is_data_error(command, flags, message,
+                                                                 tmp_path, capsys, monkeypatch):
+    """An output that resolves to another output of the command, or to one
+    of its inputs, is a data error naming both paths, raised before any
+    work: every file is left byte for byte as it was."""
+    ckpt, corpus = _checkpoint_and_corpus(tmp_path, [random_connected_graph(
+        np.random.default_rng(0), 8)])
+    write_corpus(tmp_path / "t.jsonl", read_corpus(corpus))
+    monkeypatch.chdir(tmp_path)
+    args = {"sample": ["sample", "--checkpoint", str(ckpt), "--corpus", str(corpus),
+                       "--count", "1"],
+            "eval": ["eval", "--generated", str(corpus), "--reference", str(corpus),
+                     "--train", str(tmp_path / "t.jsonl")],
+            "stats": ["stats", "--corpus", str(corpus)]}[command]
+    before = _tree(tmp_path)
+    assert run(args + [flag.format(tmp=tmp_path) for flag in flags]) == 2
+    captured = capsys.readouterr()
+    assert f"data error: {message.format(tmp=tmp_path)}" in captured.err
+    assert "config:" not in captured.out
+    assert _tree(tmp_path) == before
+
+
 @pytest.mark.parametrize("case", ["corpus", "corpus line", "config", "checkpoint name",
                                   "checkpoint state"])
 def test_undecodable_input_is_data_error(case, tmp_path, capsys):

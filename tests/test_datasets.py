@@ -10,9 +10,9 @@ from gram.datasets import (CorpusFormatError, CorpusSpec, CorpusSpecError,
                            corpus_stats, default_split_counts,
                            generate_corpus, read_corpus, split_corpus,
                            write_corpus)
-from gram.graphs import LabeledGraph, apply_ordering, bfs_ordering
+from gram.graphs import LabeledGraph, bfs_ordering
 
-from conftest import adjacency_matrix, random_connected_graph
+from conftest import adjacency_matrix, apply_ordering, random_connected_graph
 from test_graphs import _is_connected_dfs
 
 

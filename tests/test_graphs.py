@@ -6,9 +6,10 @@ import scipy.sparse.csgraph as csgraph
 from gram import evaluation
 from gram import graphs as G
 from gram import kernels
-from gram.graphs import GraphError, LabeledGraph, NodeOrdering
+from gram.datasets import CorpusSpec, generate_corpus
+from gram.graphs import GraphError, LabeledGraph, OrderedGraph
 
-from conftest import adjacency_matrix, random_connected_graph
+from conftest import adjacency_matrix, apply_ordering, random_connected_graph
 from test_evaluation import to_nx
 
 
@@ -29,14 +30,14 @@ def test_graph_invariants_rejected():
 def test_bfs_path_from_endpoint(rng):
     g = LabeledGraph.create(4, [0] * 4, [(0, 1, 0), (1, 2, 0), (2, 3, 0)], a=1, b=1)
     ordering = G.bfs_ordering(g, 0, rng)
-    assert ordering.perm == (0, 1, 2, 3)
+    assert tuple(ordering) == (0, 1, 2, 3)
 
 
 def test_bfs_star_levels(rng):
     g = LabeledGraph.create(4, [0] * 4, [(0, 1, 0), (0, 2, 0), (0, 3, 0)], a=1, b=1)
     ordering = G.bfs_ordering(g, 0, rng)
-    assert ordering.perm[0] == 0
-    assert sorted(ordering.perm[1:]) == [1, 2, 3]
+    assert ordering[0] == 0
+    assert sorted(ordering[1:]) == [1, 2, 3]
 
 
 def test_bfs_rejects_disconnected(rng):
@@ -51,7 +52,7 @@ def test_bfs_prefix_connectivity_1000(rng):
         n = int(rng.integers(2, 12))
         g = random_connected_graph(rng, n)
         ordering = G.bfs_ordering(g, int(rng.integers(n)), rng)
-        og = G.apply_ordering(g, ordering)
+        og = apply_ordering(g, ordering)
         for s in range(1, n + 1):
             edges = [(u, v) for u, v, _ in og.edges if v < s]
             seen = {0}
@@ -66,6 +67,52 @@ def test_bfs_prefix_connectivity_1000(rng):
                         seen.add(x)
                         frontier.append(x)
             assert len(seen) == s, f"prefix {s} disconnected"
+
+
+def ordering_cases(rng):
+    """(graph, perm): a BFS and a random, mostly not breadth-first,
+    permutation of graphs of every corpus family, a one-node graph and an
+    edgeless graph."""
+    cases = []
+    for family, lo, hi in (("grid", 9, 30), ("lobster", 8, 30), ("community", 20, 28),
+                           ("ba", 6, 30)):
+        for g in generate_corpus(CorpusSpec(family, 3, lo, hi, seed=int(rng.integers(99)))):
+            cases.append((g, G.bfs_ordering(g, int(rng.integers(g.n)), rng)))
+            cases.append((g, rng.permutation(g.n)))
+    cases.append((LabeledGraph.create(1, [2], [], 3, 2), np.array([0])))
+    cases.append((LabeledGraph.create(5, [0, 1, 2, 1, 0], [], 3, 2), rng.permutation(5)))
+    return cases
+
+
+def test_ordered_graph_matches_the_relabelled_graph(rng):
+    """OrderedGraph gives the labels, the edge rows in (j, i) order and the
+    edge codes of the reference relabelling followed by a sort by (j, i)."""
+    for g, perm in ordering_cases(rng):
+        og = OrderedGraph(g, perm)
+        ref = apply_ordering(g, perm)
+        edges = np.array(sorted(ref.edges, key=lambda e: (e[1], e[0])),
+                         dtype=np.int64).reshape(-1, 3)
+        assert og.n == g.n and og.b == g.b
+        assert og.labels.dtype == og.edges.dtype == np.int64
+        assert og.labels.tolist() == list(ref.node_labels)
+        assert np.array_equal(og.edges, edges)
+        codes = np.full((g.n, g.n), g.b)
+        for u, v, lab in ref.edges:
+            codes[v, u] = lab
+        later, earlier = np.tril_indices(g.n, -1)
+        assert og.edge_codes(later, earlier).tolist() == codes[later, earlier].tolist()
+        broadcast = og.edge_codes(np.arange(g.n)[:, None], np.arange(g.n))
+        assert np.array_equal(broadcast[later, earlier], codes[later, earlier])
+
+
+@pytest.mark.parametrize("perm", [[0, 1, 2], [0, 1, 2, 3, 4], [0, 1, 1, 3], [0, 1, 2, 4],
+                                  [-1, 1, 2, 3], [[0, 1], [2, 3]], []])
+def test_ordered_graph_rejects_a_non_permutation(perm):
+    """A perm that is short, long, repeats a node or holds one out of range
+    is not a permutation of 0..n-1."""
+    g = LabeledGraph.create(4, [0, 1, 0, 1], [(0, 1, 0), (1, 2, 1), (2, 3, 0)], 2, 2)
+    with pytest.raises(GraphError, match="not a permutation"):
+        OrderedGraph(g, perm)
 
 
 def test_frontier_path_example():
@@ -88,7 +135,7 @@ def test_frontier_is_contiguous_and_sound(rng):
         n = int(rng.integers(3, 31))
         g = random_connected_graph(rng, n)
         ordering = G.bfs_ordering(g, int(rng.integers(n)), rng)
-        og = G.apply_ordering(g, ordering)
+        og = apply_ordering(g, ordering)
         starts = G.frontier_starts(og.edges, n)
         for s in range(1, n):
             f = set(range(starts[s - 1], s))
@@ -105,7 +152,7 @@ def test_frontier_starts_matches_brute_force(rng):
     for _ in range(300):
         n = int(rng.integers(1, 31))
         g = random_connected_graph(rng, n, extra_edge_prob=float(rng.uniform(0.0, 0.5)))
-        og = G.apply_ordering(g, G.bfs_ordering(g, int(rng.integers(n)), rng))
+        og = apply_ordering(g, G.bfs_ordering(g, int(rng.integers(n)), rng))
         starts = G.frontier_starts(og.edges, n)
         brute = [min([u for u, w, _ in og.edges if w == v], default=v) for v in range(n)]
         assert starts.dtype == np.int64 and starts.tolist() == brute

@@ -7,21 +7,21 @@ from gram import attention as A
 from gram import graphs as G
 from gram import tensor as T
 from gram.datasets import CorpusSpec, CorpusSpecError, generate_corpus
-from gram.model import (VARIANTS, EdgeStep, Model, ModelConfig, ModelError,
-                        OrderedGraph, Prefixes, StepCounters)
+from gram.graphs import OrderedGraph
+from gram.model import VARIANTS, EdgeStep, Model, ModelConfig, ModelError, Prefixes, StepCounters
 from gram.optim import Parameter
 from gram.sampler import _draw_edges, _edge_dists, build_seed_bank, generate_graph
 from gram.tensor import Tape, Tensor
 from gram.training import TrainConfig, TrainError, chunk_loss
 
-from conftest import (build_prefix, compose_fused, edge_distribution_step,
+from conftest import (apply_ordering, build_prefix, compose_fused, edge_distribution_step,
                       finite_difference_check, gradients, grid, random_connected_graph,
                       teacher_forced_step, tiny_model)
 from test_training import randomize_bias_tables
 
 
 def identity_ordered(g):
-    return OrderedGraph(g, G.NodeOrdering.create(range(g.n)))
+    return OrderedGraph(g, range(g.n))
 
 
 def randomize_edge_estimator(model, rng):
@@ -168,10 +168,11 @@ def prefixes_cases(rng):
     for k in range(16):
         n = int(rng.integers(1, 14))
         g = random_connected_graph(rng, n, extra_edge_prob=float(rng.uniform(0.0, 0.6)))
-        og = OrderedGraph(g, G.bfs_ordering(g, int(rng.integers(n)), rng))
+        perm = G.bfs_ordering(g, int(rng.integers(n)), rng)
+        og = OrderedGraph(g, perm)
         middle = rng.permutation(np.arange(2, n))[:int(rng.integers(0, 5))]
         steps = sorted({1, n, *middle.tolist()})
-        edges = og.edges if k % 2 else np.array(og.graph.edges).reshape(-1, 3)
+        edges = og.edges if k % 2 else np.array(apply_ordering(g, perm).edges).reshape(-1, 3)
         cases.append((og.labels, edges, steps, int(rng.integers(1, 5))))
     g = random_connected_graph(rng, 7, extra_edge_prob=0.4)
     cases.append((np.array([*g.node_labels, 0]), np.array(g.edges), [1, 4, 7, 8], 2))
@@ -423,7 +424,7 @@ def test_extract_features_permutation_equivariance_and_pool_invariance(rng):
     base_pool = model.graph_pool(base, nodes).data
     for _ in range(100):
         perm = rng.permutation(7)
-        relabeled = G.apply_ordering(g, G.NodeOrdering.create(perm))
+        relabeled = apply_ordering(g, perm)
         og = identity_ordered(relabeled)
         out = model.extract_features(Prefixes(og.labels, og.edges, [7], 2))
         assert np.abs(out.data - base.data[perm]).max() <= 1e-9
@@ -650,13 +651,14 @@ def test_alpha_bounded_by_degree_and_counters(rng):
         g = random_connected_graph(rng, n)
         ordering = G.bfs_ordering(g, int(rng.integers(n)), rng)
         og = OrderedGraph(g, ordering)
-        deg = og.graph.degrees()
+        relabeled = apply_ordering(g, ordering)
+        deg = relabeled.degrees()
         model = tiny_model(d_model=8, heads=2, variant="B")
         s = int(rng.integers(2, n))
         counters = model.teacher_forced(og, [s]).counters
         assert counters.alpha_sum <= deg[s]
         assert counters.dropped_edges == 0
-        lo = min([u for u, v, _ in og.graph.edges if v == s - 1], default=s - 1)
+        lo = min([u for u, v, _ in relabeled.edges if v == s - 1], default=s - 1)
         assert counters.beta_sum == s - lo
 
 
@@ -682,16 +684,16 @@ class BisectOrderedGraph:
     and, for edge codes, each position's lower neighbours read through a
     dict."""
 
-    def __init__(self, og):
-        edges = sorted(og.graph.edges, key=lambda e: (e[1], e[0]))
+    def __init__(self, g, ordering):
+        edges = sorted(apply_ordering(g, ordering).edges, key=lambda e: (e[1], e[0]))
         self.edges = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
         self.later = [e[1] for e in edges]
-        self.lower = [[] for _ in range(og.n)]
+        self.lower = [[] for _ in range(g.n)]
         for u, v, lab in edges:
             self.lower[v].append((int(u), int(lab)))
         for lst in self.lower:
             lst.sort()
-        self.b = og.graph.b
+        self.b = g.b
 
     def prefix_edges(self, s):
         return self.edges[:bisect.bisect_left(self.later, s)]
@@ -710,9 +712,9 @@ def ordered_graph_cases(rng):
                            ("ba", 6, 12)):
         for g in generate_corpus(CorpusSpec(family, 2, lo, hi, seed=int(rng.integers(99)))):
             cases.append((g, G.bfs_ordering(g, int(rng.integers(g.n)), rng)))
-    cases.append((G.LabeledGraph.create(1, [0], [], 3, 2), G.NodeOrdering.create([0])))
+    cases.append((G.LabeledGraph.create(1, [0], [], 3, 2), [0]))
     path = G.LabeledGraph.create(6, [0] * 6, [(i, i + 1, i % 2) for i in range(5)], 3, 2)
-    cases.append((path, G.NodeOrdering.create([0, 2, 4, 1, 3, 5])))
+    cases.append((path, [0, 2, 4, 1, 3, 5]))
     return cases
 
 
@@ -729,7 +731,7 @@ def test_fused_forward_path_matches_the_composed_chains(variant, rng, monkeypatc
     randomize_edge_estimator(model, rng)
     g = random_connected_graph(rng, 9)
     order = [int(v) for v in rng.permutation(g.n)]
-    og = OrderedGraph(g, G.NodeOrdering.create(order))
+    og = OrderedGraph(g, order)
     params = model.parameters()
 
     def run():
@@ -760,7 +762,7 @@ def test_ordered_graph_matches_bisect_reference(variant, rng):
     dropped = 0
     for g, ordering in ordered_graph_cases(rng):
         og = OrderedGraph(g, ordering)
-        ref = BisectOrderedGraph(og)
+        ref = BisectOrderedGraph(g, ordering)
         frontier_lo = {}
         for s in range(1, og.n + 1):
             want = build_prefix(og.labels[:s], ref.prefix_edges(s), 2)

@@ -1,3 +1,4 @@
+import ast
 import inspect
 import json
 import os
@@ -24,10 +25,10 @@ GONE = [
     (evaluation, "_featurize_all"),
     (attention, "_Derived"), (attention.AttentionContext, "derived"),
     (attention.AttentionContext, "grids"), (attention.AttentionContext, "query_rows"),
-    (attention.AttentionContext, "key_rows"), (model.OrderedGraph, "edge_label_codes"),
+    (attention.AttentionContext, "key_rows"), (graphs.OrderedGraph, "edge_label_codes"),
     (training, "_onehot"), (tensor, "ONEHOT_ROWS"), (datasets, "community_graph"),
     (model.Prefixes, "of"), (model.Model, "node_distribution"),
-    (model, "Prefix"), (model, "build_prefix"), (model.OrderedGraph, "prefix"),
+    (model, "Prefix"), (model, "build_prefix"), (graphs.OrderedGraph, "prefix"),
     (attention.Segments, "grid"), (model.TeacherForced, "candidates"),
     (evaluation, "_stat_histograms"),
     (evaluation, "mmd_squared"), (evaluation, "nspdk_kernel"), (evaluation, "orbit_counts"),
@@ -36,6 +37,7 @@ GONE = [
     (graphs.LabeledGraph, "adjacency_matrix"),
     (tensor, "gather_last"), (tensor, "_wrap"), (attention, "context_from_distances"),
     (attention.GraphAttentionParams, "cap"),
+    (graphs, "NodeOrdering"), (graphs, "apply_ordering"),
 ]
 
 # parameters that only one value ever reached, now constants or fixed behaviour
@@ -91,11 +93,34 @@ def test_forward_path_takes_only_batches():
 
 def test_ordered_graph_keeps_no_per_step_lists():
     g = graphs.LabeledGraph.create(3, [0, 0, 0], [(0, 1, 0), (1, 2, 0)], 1, 1)
-    og = model.OrderedGraph(g, graphs.NodeOrdering.create([0, 1, 2]))
+    og = graphs.OrderedGraph(g, [0, 1, 2])
     assert not hasattr(og, "lower") and not hasattr(og, "_later")
+    assert not hasattr(og, "graph")  # the arrays alone, no LabeledGraph copy
     # the radius is the model config's alone, and a batch keeps no per-prefix objects
     assert not hasattr(og, "radius")
     assert not hasattr(model.Prefixes(og.labels, og.edges, [1, 3], 2), "items")
+
+
+def gram_imports(module) -> set:
+    """The gram modules that a gram module imports: a relative import by
+    its module name, an absolute one of gram by its full name."""
+    names = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text("utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:  # from . import x, from .x import y
+            names |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "gram":
+            names.add(node.module)
+        elif isinstance(node, ast.Import):
+            names |= {a.name for a in node.names if a.name.split(".")[0] == "gram"}
+    return names
+
+
+def test_graph_and_dataset_layers_need_no_model_stack():
+    """graphs.py imports nothing of gram and datasets.py only graphs, so the
+    dataset and stats paths relabel graphs without the model stack."""
+    assert gram_imports(graphs) == set()
+    assert gram_imports(datasets) == {"graphs"}
+    assert gram_imports(model) >= {"graphs", "tensor"}  # both import forms are seen
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -1,4 +1,5 @@
 import collections
+import warnings
 
 import numpy as np
 import pytest
@@ -7,11 +8,12 @@ from gram import graphs as G
 from gram import sampler
 from gram import tensor as T
 from gram.datasets import CorpusSpec, generate_corpus
-from gram.model import OrderedGraph, Prefixes
+from gram.graphs import OrderedGraph
+from gram.model import Prefixes
 from gram.sampler import (GenerationResult, SamplerError, _cdf, _sample, build_seed_bank,
                           generate_graph)
 
-from conftest import edge_distribution_step, random_connected_graph, tiny_model
+from conftest import apply_ordering, edge_distribution_step, random_connected_graph, tiny_model
 from test_model import randomize_edge_estimator
 from gram.tensor import Tape
 from gram.training import chunk_loss, step_chunks
@@ -67,6 +69,29 @@ def test_seed_bank_invariants(rng):
     for seed in bank.seeds:
         assert seed.n == 5
         assert seed.is_connected()
+
+
+def test_seed_bank_matches_the_relabelled_graphs(rng):
+    """Each seed is the first seed_size positions of the reference
+    relabelling under the same BFS draws, with the edges among them; a
+    graph below the seed size draws nothing."""
+    graphs = [random_connected_graph(rng, int(rng.integers(3, 15)),
+                                     extra_edge_prob=float(rng.uniform(0.0, 0.5)))
+              for _ in range(30)]
+    for seed_size in (1, 4, 9):
+        want, draws = [], np.random.default_rng(seed_size)
+        for g in graphs:
+            if g.n < seed_size:
+                continue
+            start = int(draws.integers(g.n))
+            ordered = apply_ordering(g, G.bfs_ordering(g, start, draws))
+            edges = [(u, v, lab) for u, v, lab in ordered.edges if v < seed_size]
+            want.append(G.LabeledGraph.create(seed_size, ordered.node_labels[:seed_size],
+                                              edges, g.a, g.b))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            bank = build_seed_bank(graphs, seed_size, np.random.default_rng(seed_size))
+        assert bank.seeds == want
 
 
 def test_seed_bank_skips_small_graphs(rng):
@@ -293,7 +318,7 @@ def test_sampled_log_likelihood_equals_the_teacher_forced_nll(variant, rng, monk
         if res.forced:
             continue
         g = res.graph
-        og = OrderedGraph(g, G.NodeOrdering.create(range(g.n)))
+        og = OrderedGraph(g, range(g.n))
         last = g.n if res.truncated else g.n + 1
         nll = 0.0
         for steps in step_chunks(range(model.config.seed_size, last)):

@@ -10,7 +10,8 @@ import pytest
 import gram.model
 from gram import graphs as G
 from gram import tensor as T
-from gram.model import VARIANTS, EdgeStep, Model, ModelConfig, OrderedGraph, Prefixes
+from gram.graphs import OrderedGraph
+from gram.model import VARIANTS, EdgeStep, Model, ModelConfig, Prefixes
 from gram.datasets import CorpusSpec, generate_corpus
 from gram.optim import Parameter, adam_step
 from gram.tensor import Tape
@@ -48,7 +49,7 @@ def sequential_loss(model, og):
         total += float(T.cross_entropy_logits(model.node_logits(hg), [target]).data[0])
         if s == og.n:
             continue
-        lo = min([u for u, v, _ in og.graph.edges if v == s - 1], default=s - 1)
+        lo = min([u for u, v, _ in og.edges if v == s - 1], default=s - 1)
         candidates = range(lo if c.variant in ("B", "AB") else 0, s)
         codes = og.edge_codes(s, candidates)
         decided = []
