@@ -120,7 +120,7 @@ def test_graph_and_dataset_layers_need_no_model_stack():
     dataset and stats paths relabel graphs without the model stack."""
     assert gram_imports(graphs) == set()
     assert gram_imports(datasets) == {"graphs"}
-    assert gram_imports(model) >= {"graphs", "tensor"}  # both import forms are seen
+    assert gram_imports(model) >= {"graphs", "kernels"}  # both relative forms are seen
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
