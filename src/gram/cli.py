@@ -254,10 +254,11 @@ def _cmd_dataset(args, cfg_file):
     if not args.no_split:
         # checked before anything is generated, so a bad split writes nothing
         if args.split is not None:
-            try:
-                counts = tuple(int(x) for x in args.split.split(","))
+            try:  # a count that is no integer, and too few or too many counts
+                n_train, n_test, n_val = map(int, args.split.split(","))
             except ValueError as exc:
                 raise UsageError(f"--split expects three integers, got {args.split!r}") from exc
+            counts = (n_train, n_test, n_val)
         else:
             counts = D.default_split_counts(spec.count)
         try:
@@ -292,9 +293,8 @@ def _cmd_train(args, cfg_file):
                    "variant": args.variant,
                    "bias_in_fe": False if args.no_bias_fe else None,
                    "bias_in_ee": False if args.no_bias_ee else None}
-    model_defaults = ModelConfig(a=1, b=1).to_json_obj()
-    model_defaults.update({"a": a, "b": b})
-    mcfg_obj = _merge(model_defaults, _section(cfg_file, "model"), model_flags)
+    mcfg_obj = _merge(ModelConfig(a=1, b=1).to_json_obj(), _section(cfg_file, "model"),
+                      model_flags)
     mcfg_obj["a"], mcfg_obj["b"] = a, b
     train_flags = {"epochs": args.epochs, "batch_size": args.batch_size, "lr": args.lr,
                    "seed": args.seed,
@@ -312,8 +312,7 @@ def _cmd_train(args, cfg_file):
     log = print if args.verbose else None
     try:
         history = train(graphs, model, tcfg, checkpoint_dir=out,
-                        keep_all_checkpoints=args.keep_checkpoints,
-                        history_path=out / "history.csv", log=log)
+                        keep_all_checkpoints=args.keep_checkpoints, log=log)
     except TrainError as exc:
         raise DataError(str(exc)) from exc
     print(f"trained {tcfg.epochs} epochs; final mean nll {history[-1].mean_nll:.4f}")

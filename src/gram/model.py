@@ -266,9 +266,10 @@ class Model:
         its incident edges and both directions, the candidate of the end it
         reads: hid wsrc + bsrc where it comes first, hid wdst + bdst where it
         comes last.  Isolated nodes (degree 0) take a learned
-        self-transform, computed for those rows only.  A connected prefix
-        has none; the transform then runs on no rows, so wiso and biso
-        still get a gradient, zero, and the optimizer steps them as before.
+        self-transform, computed for those rows only.  BFS-order prefixes
+        are connected, so only a one-node prefix has one; in a batch without
+        one the transform does not run, wiso and biso get no gradient, and
+        the optimizer leaves them, their moments and step alone.
 
         The work is split so that only gathers and scatters are per edge.
         By input part, x1 W1 = h_i W1[:d] + e W1[d:2d] + h_j W1[2d:], so the
@@ -284,12 +285,7 @@ class Model:
         whose edge features nothing reads) the edge output is None."""
         degrees = batch.degrees
         s, d = hv.data.shape
-        isolated = np.flatnonzero(degrees == 0)
-        h_iso = T.rows(hv, isolated) if len(isolated) else T.const(np.zeros((0, d)))
-        iso = T.linear(h_iso, conv["wiso"], conv["biso"], relu=True)
         t = len(batch.edge_labels)
-        if t == 0:
-            return iso, (he if update_edges else None)
         ii, jj = batch.ends
         w1 = conv["w1"]
         first = T.matmul(hv, T.slice_along(w1, 0, 0, d))              # (s, 3d)
@@ -311,7 +307,11 @@ class Model:
         np.divide(1.0, counts, out=recip, where=counts > 0)
         # zero on the isolated rows, which take the self-transform instead
         agg = T.relu(T.mul(sums, T.const(recip[:, None])))
-        return T.add(agg, T.scatter_rows(iso, isolated, s)), he_new
+        isolated = np.flatnonzero(degrees == 0)
+        if len(isolated):
+            iso = T.linear(T.rows(hv, isolated), conv["wiso"], conv["biso"], relu=True)
+            agg = T.add(agg, T.scatter_rows(iso, isolated, s))
+        return agg, he_new
 
     def extract_features(self, batch: Prefixes) -> Tensor:
         """Node feature rows of a batch of prefixes, packed in order: one-hot
@@ -323,13 +323,11 @@ class Model:
         nodes = batch.nodes
         x = np.zeros((nodes.total, c.a + 2))
         x[np.arange(nodes.total), batch.labels] = 1.0
-        maxdeg = np.maximum.reduceat(batch.degrees, nodes.offsets[:-1])[nodes.owner] \
-            if nodes.total else np.zeros(0, dtype=np.int64)
+        maxdeg = np.maximum.reduceat(batch.degrees, nodes.offsets[:-1])[nodes.owner]
         np.divide(batch.degrees, maxdeg, out=x[:, c.a], where=maxdeg > 0)
         x[:, c.a + 1] = batch.clustering
         hv = T.linear(T.const(x), self.input_w, self.input_b)
-        he = T.rows(self.embed_edge, batch.edge_labels) if len(batch.edge_labels) \
-            else T.const(np.zeros((0, c.d_model)))
+        he = T.rows(self.embed_edge, batch.edge_labels)
         ctx = A.AttentionContext(batch.dist, batch.dist <= c.radius, nodes, nodes)
         for l, (conv, sub, combine_w, combine_b) in enumerate(self.blocks):
             conv_out, he = self.graph_convolution(hv, he, batch, conv,

@@ -416,8 +416,6 @@ def _scatter_rows(x: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
     the index table holds each row's r-th term: the rows that have one are
     then the first widths[r], summed with one gather and one add.  Indices
     that never repeat need no table: one row assignment."""
-    if len(idx) == 0:  # as in most graph_convolution calls: skip the table's 20 numpy calls
-        return np.zeros((n,) + x.shape[1:], x.dtype)
     counts = np.bincount(idx, minlength=n)
     out = np.zeros((n,) + x.shape[1:], x.dtype)
     if counts.max() == 1:  # distinct, as in Segments.pad

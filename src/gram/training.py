@@ -12,7 +12,7 @@ chunk of a graph, not the sum of its steps.
 
 Because the steps are independent, a batch's gradient is a sum of chunk
 gradients.  train() lists a batch's (graph, chunk) pairs in batch order and
-cuts the list once into SHARDS = 2 runs of consecutive chunks (shard_cut):
+cuts the list once into two runs of consecutive chunks (shard_cut):
 shard 0 runs in the training process, shard 1 in a child process forked
 for the batch, which sees the current parameters by copy-on-write, writes
 its leaf gradients into a shared buffer and pipes back its chunk NLLs and
@@ -102,10 +102,6 @@ class TrainConfig:
 # prefix node, the arrays that backward reads: about 23 MB for a full chunk
 # of a 49-node grid.
 CHUNK_ROWS = 256
-
-# Shards a batch's chunks are cut into; shard 1 runs in a forked child when
-# the process may use more than one CPU and the shard is worth a fork.
-SHARDS = 2
 
 # The estimated cost of shard 1 (its prefix rows times d_model^2) from which
 # it runs in a forked child.  Timed on a 2-core VM, one BLAS thread: a fork
@@ -204,11 +200,6 @@ def run_shard(model: Model, work, weight: float):
     return nlls, counters
 
 
-# The parent frees shard 1's gradient pages as it adds them, a window of at
-# least this many bytes at a time.
-RELEASE_BYTES = 1 << 20
-
-
 class _SharedGradients:
     """One shared anonymous mapping, made once per train() call, with a
     view per parameter: a forked child writes its gradients into the views
@@ -225,17 +216,12 @@ class _SharedGradients:
         self.freed = 0  # the pages below this byte are free
 
     def release(self, end=None):
-        """Free the whole pages below byte end, once they make at least
-        RELEASE_BYTES beyond those already freed; with no end, free every
-        page left.  The next child writes into fresh pages, so between
-        batches the buffer holds no memory, in the parent or anywhere else."""
+        """Free the whole pages below byte end not yet freed; with no end,
+        free every page left.  The next child writes into fresh pages, so
+        between batches the buffer holds no memory, in the parent or
+        anywhere else."""
         last = end is None
-        if last:
-            end = len(self.map)
-        else:
-            end -= end % mmap.PAGESIZE
-            if end - self.freed < RELEASE_BYTES:
-                return
+        end = len(self.map) if last else end - end % mmap.PAGESIZE
         if end > self.freed:
             self.map.madvise(mmap.MADV_REMOVE, self.freed, end - self.freed)
         self.freed = 0 if last else end
@@ -382,13 +368,15 @@ def history_to_csv(history) -> str:
 
 
 def train(dataset, model: Model, tconfig: TrainConfig, checkpoint_dir=None,
-          keep_all_checkpoints=False, history_path=None, log=None):
+          keep_all_checkpoints=False, log=None):
     """Run the full training loop; returns the per-epoch history.
 
-    The model is updated in place.  Given the same seed, dataset, and
-    configuration, two runs produce bit-identical parameters and history,
-    whether a batch's second shard runs in a forked child (two or more
-    usable CPUs and a shard that reaches FORK_MIN_COST) or in this process.
+    The model is updated in place.  With a checkpoint_dir, every epoch
+    writes its checkpoint there and rewrites history.csv, the history so
+    far, beside it.  Given the same seed, dataset, and configuration, two
+    runs produce bit-identical parameters and history, whether a batch's
+    second shard runs in a forked child (two or more usable CPUs and a
+    shard that reaches FORK_MIN_COST) or in this process.
     A failed or killed child raises RuntimeError.  A non-finite loss or
     gradient norm raises NonFiniteError naming the epoch and the dataset
     index of the graph (or of the batch's graphs).
@@ -415,8 +403,7 @@ def train(dataset, model: Model, tconfig: TrainConfig, checkpoint_dir=None,
         return ogs
 
     ogs = sample_orderings()
-    workers = min(SHARDS, len(os.sched_getaffinity(0)))
-    shared = _SharedGradients(params) if workers > 1 else None
+    shared = _SharedGradients(params) if len(os.sched_getaffinity(0)) > 1 else None
     ckpt_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
     if ckpt_dir is not None:
         ckpt_dir.mkdir(parents=True, exist_ok=True)
@@ -455,8 +442,7 @@ def train(dataset, model: Model, tconfig: TrainConfig, checkpoint_dir=None,
         if ckpt_dir is not None:
             name = f"checkpoint_epoch{epoch:04d}.bin" if keep_all_checkpoints else "checkpoint.bin"
             save_checkpoint(ckpt_dir / name, model, epoch, rng)
-        if history_path is not None:
-            Path(history_path).write_text(history_to_csv(history))
+            (ckpt_dir / "history.csv").write_text(history_to_csv(history))
     return history
 
 

@@ -10,7 +10,6 @@ import zlib
 
 import networkx as nx
 import numpy as np
-import pytest
 
 from gram import attention as A
 from gram import evaluation as E
@@ -19,7 +18,6 @@ from gram import tensor as T
 from gram.datasets import CorpusSpec, corpus_stats, generate_corpus
 from gram.graphs import OrderedGraph
 from gram.model import Model, ModelConfig, Prefixes
-from gram.optim import adam_step
 from gram.sampler import build_seed_bank, generate_graph
 from gram.tensor import Tape, Tensor
 from gram.training import TrainConfig, teacher_forced_loss, train

@@ -7,7 +7,7 @@ from gram import datasets
 from gram.cli import main
 from gram.datasets import read_corpus, write_corpus
 from gram.graphs import LabeledGraph
-from gram.training import save_checkpoint
+from gram.training import TrainConfig, save_checkpoint, train
 
 from conftest import fail_in_child, random_connected_graph, set_cpus, tiny_model
 
@@ -36,6 +36,17 @@ def test_dataset_negative_split_is_data_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "split (9, -1, -1) has a negative count" in captured.err
     # the split is checked before the corpus is generated: nothing is written
+    assert "wrote" not in captured.out
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("split", ["5,5", "5,5,5,5", "a,b,c"])
+def test_dataset_split_of_other_than_three_integers_is_usage_error(split, tmp_path, capsys):
+    out = tmp_path / "grid.jsonl"
+    assert run(["dataset", "--family", "grid", "--count", "15", "--nmin", "9", "--nmax", "16",
+                "--out", str(out), "--split", split]) == 1
+    captured = capsys.readouterr()
+    assert f"usage error: --split expects three integers, got {split!r}" in captured.err
     assert "wrote" not in captured.out
     assert list(tmp_path.iterdir()) == []
 
@@ -74,6 +85,22 @@ def test_full_pipeline_and_artifact_determinism(tmp_path, capsys):
     assert s1.read_bytes() == s2.read_bytes()
     for g in read_corpus(s1):
         assert g.is_connected()
+
+
+def test_train_writes_the_history_of_gram_train(tmp_path):
+    """train() with a checkpoint_dir writes history.csv there, byte for byte
+    the file `gram train` writes for the same corpus and settings."""
+    graphs = datasets.generate_corpus(datasets.CorpusSpec("grid", 5, 9, 16, seed=1))
+    corpus = tmp_path / "c.jsonl"
+    write_corpus(corpus, graphs)
+    assert run(["train", "--corpus", str(corpus), "--out", str(tmp_path / "cli"),
+                "--epochs", "2", "--batch-size", "3", "--dmodel", "16", "--heads", "2",
+                "--blocks", "1", "--dff", "32", "--seed-size", "4", "--seed", "5"]) == 0
+    model = tiny_model(graphs[0].a, graphs[0].b, seed=5, seed_size=4)
+    train(graphs, model, TrainConfig(epochs=2, batch_size=3, seed=5),
+          checkpoint_dir=tmp_path / "lib")
+    for name in ("history.csv", "checkpoint.bin"):
+        assert (tmp_path / "lib" / name).read_bytes() == (tmp_path / "cli" / name).read_bytes()
 
 
 def test_eval_identical_corpora_zero(tmp_path, capsys):

@@ -8,8 +8,7 @@ from gram import graphs as G
 from gram import tensor as T
 from gram.datasets import CorpusSpec, CorpusSpecError, generate_corpus
 from gram.graphs import OrderedGraph
-from gram.model import VARIANTS, EdgeStep, Model, ModelConfig, ModelError, Prefixes, StepCounters
-from gram.optim import Parameter
+from gram.model import VARIANTS, EdgeStep, ModelConfig, ModelError, Prefixes, StepCounters
 from gram.sampler import _draw_edges, _edge_dists, build_seed_bank, generate_graph
 from gram.tensor import Tape, Tensor
 from gram.training import TrainConfig, TrainError, chunk_loss
@@ -302,8 +301,9 @@ def test_conv_split_matches_reference(rng):
     the gradients of every conv parameter and both inputs, to 1e-12
     relative, with random non-zero biases, on a connected prefix, on
     prefixes with an isolated node, with no edge at all and of one node
-    (seed size 1).  The self-transform runs on the isolated rows only, and
-    on a connected prefix wiso and biso get an exactly zero gradient."""
+    (seed size 1).  The self-transform runs on the isolated rows only:
+    wiso and biso get a gradient exactly when the prefix has an isolated
+    node, so on a connected prefix the optimizer does not step them."""
     model = tiny_model(d_model=8, heads=2)
     conv = model.blocks[0][0]
     for name, p in model.params.items():
@@ -344,9 +344,8 @@ def test_conv_split_matches_reference(rng):
         for key, ref in g_ref.items():
             scale = max(np.abs(ref).max(initial=0.0), 1e-300)
             assert np.abs(g_new[key] - ref).max(initial=0.0) <= 1e-12 * scale, key
-        if prefix.degrees.min() > 0:  # a zero gradient, not none: Adam still steps
-            for name in ("block0.conv.wiso", "block0.conv.biso"):
-                assert name not in missing and not g_new[name].any(), name
+        iso = {"block0.conv.wiso", "block0.conv.biso"}
+        assert missing & iso == (set() if prefix.degrees.min() == 0 else iso)
 
 
 def test_conv_batch_matches_per_prefix_reference(rng):

@@ -38,6 +38,7 @@ GONE = [
     (tensor, "gather_last"), (tensor, "_wrap"), (attention, "context_from_distances"),
     (attention.GraphAttentionParams, "cap"),
     (graphs, "NodeOrdering"), (graphs, "apply_ordering"),
+    (training, "SHARDS"), (training, "RELEASE_BYTES"),
 ]
 
 # parameters that only one value ever reached, now constants or fixed behaviour
@@ -46,6 +47,7 @@ REMOVED_PARAMETERS = [
     (optim.adam_step, "betas"), (optim.adam_step, "eps"),
     (evaluation.gk_mmd2, "r_max"), (evaluation.gk_mmd2, "d_max"),
     (attention.attend, "on_empty"), (attention.g_multi_head, "on_empty"),
+    (training.train, "history_path"),
 ]
 
 
@@ -121,6 +123,38 @@ def test_graph_and_dataset_layers_need_no_model_stack():
     assert gram_imports(graphs) == set()
     assert gram_imports(datasets) == {"graphs"}
     assert gram_imports(model) >= {"graphs", "kernels"}  # both relative forms are seen
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def unread_imports(path: Path) -> list:
+    """The names a module imports and never reads, as (line, name).  A
+    `from __future__` import, an import marked `noqa: F401` (one made for
+    its side effect) and, in gram's __init__, the names of gram.__all__
+    are exempt."""
+    source = path.read_text("utf-8")
+    lines, tree = source.splitlines(), ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                and getattr(node, "module", None) != "__future__" \
+                and "noqa: F401" not in lines[node.lineno - 1]:
+            bound.update((alias.asname or alias.name.split(".")[0], node.lineno)
+                         for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    if path.resolve() == Path(gram.__file__).resolve():
+        read |= set(gram.__all__)
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    """Checked over every module of src/gram, tests and benchmarks."""
+    modules = [p for d in ("src/gram", "tests", "benchmarks")
+               for p in sorted((ROOT / d).glob("*.py"))]
+    assert len(modules) > 25
+    unread = {str(p.relative_to(ROOT)): unread_imports(p) for p in modules}
+    assert {path: names for path, names in unread.items() if names} == {}
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

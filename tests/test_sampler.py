@@ -7,11 +7,9 @@ import pytest
 from gram import graphs as G
 from gram import sampler
 from gram import tensor as T
-from gram.datasets import CorpusSpec, generate_corpus
 from gram.graphs import OrderedGraph
 from gram.model import Prefixes
-from gram.sampler import (GenerationResult, SamplerError, _cdf, _sample, build_seed_bank,
-                          generate_graph)
+from gram.sampler import SamplerError, _cdf, _sample, build_seed_bank, generate_graph
 
 from conftest import apply_ordering, edge_distribution_step, random_connected_graph, tiny_model
 from test_model import randomize_edge_estimator

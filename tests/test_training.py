@@ -330,8 +330,7 @@ def test_train_determinism_and_history(tmp_path, rng):
 
     def run(outdir):
         model = tiny_model(a=3, b=2, seed_size=3, seed=4)
-        hist = train(graphs, model, tcfg, checkpoint_dir=outdir,
-                     history_path=outdir / "history.csv")
+        hist = train(graphs, model, tcfg, checkpoint_dir=outdir)
         return model, hist
 
     m1, h1 = run(tmp_path / "r1")
@@ -752,9 +751,9 @@ def test_training_a_loaded_model_reads_the_file_it_loaded(cpus, tmp_path, monkey
     save_checkpoint(tmp_path / "other.bin", tiny_model(variant="B", seed=99), epoch=7)
     os.replace(tmp_path / "other.bin", run / "checkpoint.bin")
     tcfg = TrainConfig(epochs=1, batch_size=2, seed=6)
-    train(small_grids(), loaded, tcfg, checkpoint_dir=run, history_path=run / "history.csv")
+    train(small_grids(), loaded, tcfg, checkpoint_dir=run)
     mem = tmp_path / "mem"
-    train(small_grids(), model, tcfg, checkpoint_dir=mem, history_path=mem / "history.csv")
+    train(small_grids(), model, tcfg, checkpoint_dir=mem)
     for name in ("checkpoint.bin", "history.csv"):
         assert (run / name).read_bytes() == (mem / name).read_bytes()
 
@@ -852,10 +851,8 @@ def test_merge_frees_shard_1_pages_as_it_adds_them(rng, monkeypatch):
     """With a _SharedGradients, batch_backward frees page-aligned,
     ascending, adjoining ranges of the shared mapping that together cover
     it, and frees each range only once every parameter in it holds its
-    merged gradient.  The window is cut to one page, so that the merge
-    frees many ranges."""
+    merged gradient."""
     monkeypatch.setattr(training, "CHUNK_ROWS", 12)
-    monkeypatch.setattr(training, "RELEASE_BYTES", mmap.PAGESIZE)
     monkeypatch.setattr(training, "FORK_MIN_COST", 0)
     model, _ = trained_model(rng, "B")
     ogs = [make_og(random_connected_graph(rng, int(rng.integers(6, 11))), rng) for _ in range(3)]
@@ -917,10 +914,29 @@ def test_one_and_two_workers_train_byte_identical(tmp_path, monkeypatch):
         randomize_bias_tables(model, np.random.default_rng(11))
         out = tmp_path / str(cpus)
         train(small_grids(), model, TrainConfig(epochs=2, batch_size=3, seed=9),
-              checkpoint_dir=out, history_path=out / "history.csv")
+              checkpoint_dir=out)
         assert len(forks) == (0 if cpus == 1 else 4)  # 2 epochs of batches of 3 and 2 graphs
     for name in ("history.csv", "checkpoint.bin"):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+@pytest.mark.parametrize("seed_size", [1, 3])
+def test_isolated_row_transform_steps_only_with_one_node_prefixes(seed_size):
+    """A BFS-order prefix of two or more nodes is connected, so at seed size
+    3 wiso and biso never get a gradient and keep their values, zero
+    moments and step 0; at seed size 1 every batch holds one-node prefixes,
+    and the optimizer steps them at each of the 4 batches."""
+    model = tiny_model(a=3, b=2, seed_size=seed_size, seed=4, blocks=2)
+    iso = [p for name, p in model.params.items() if name.endswith((".wiso", ".biso"))]
+    before = [p.data.copy() for p in iso]
+    train(small_grids(), model, TrainConfig(epochs=2, batch_size=3, seed=9))
+    assert len(iso) == 4
+    for p, values in zip(iso, before):
+        if seed_size == 1:
+            assert p.step == 4 and not np.array_equal(p.data, values), p.name
+        else:
+            assert p.step == 0 and np.array_equal(p.data, values), p.name
+            assert not p.m.any() and not p.v.any(), p.name
 
 
 def test_fork_only_when_shard_1_reaches_the_cost(rng, monkeypatch):
