@@ -2,7 +2,10 @@
 evaluation, and corpus instrumentation.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 runtime failure.
-Configuration precedence: built-in defaults < JSON config file < flags.
+Configuration precedence: built-in defaults < JSON config file < flags <
+the values a command derives itself (a model's label alphabets, read from
+its corpus, which are no config key).  A config key is the name of the
+field it sets: d_model for --dmodel.
 Every run echoes its resolved configuration and seed.
 """
 from __future__ import annotations
@@ -10,13 +13,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import datasets as D
 from . import evaluation as E
-from .model import VARIANTS, Model, ModelConfig, ModelError
+from .model import VARIANTS, Model, ModelConfig
 from .sampler import SamplerError, build_seed_bank, generate_graph
 from .training import (CheckpointError, TrainConfig, TrainError,
                        load_checkpoint, train)
@@ -61,12 +65,14 @@ def _build_parser() -> _Parser:
     def add(name, **kw):
         return sub.add_parser(name, parents=[shared], **kw)
 
+    # a flag that sets a field of its command's config dataclass stores it
+    # under the field's name, which is all _resolve reads
     d = add("dataset", help="generate a synthetic corpus and split files")
     d.add_argument("--family", choices=D.FAMILIES)
     d.add_argument("--count", type=int)
-    d.add_argument("--nmin", type=int)
-    d.add_argument("--nmax", type=int)
-    d.add_argument("--seed", type=_at_least(0), default=None)
+    d.add_argument("--nmin", dest="n_min", type=int, metavar="NMIN")
+    d.add_argument("--nmax", dest="n_max", type=int, metavar="NMAX")
+    d.add_argument("--seed", type=_at_least(0))
     d.add_argument("--out", required=True)
     d.add_argument("--split", default=None,
                    help="train,test,val counts (default: count/7 rounded for test and val)")
@@ -77,22 +83,22 @@ def _build_parser() -> _Parser:
     t = add("train", help="train a model on a corpus")
     t.add_argument("--corpus", required=True)
     t.add_argument("--out", required=True, help="output directory")
-    t.add_argument("--epochs", type=int, default=None)
-    t.add_argument("--batch-size", type=int, default=None)
-    t.add_argument("--lr", type=float, default=None)
-    t.add_argument("--seed", type=_at_least(0), default=None)
-    t.add_argument("--variant", choices=VARIANTS, default=None)
-    t.add_argument("--dmodel", type=int, default=None)
-    t.add_argument("--heads", type=int, default=None)
-    t.add_argument("--blocks", type=int, default=None)
-    t.add_argument("--dff", type=int, default=None)
-    t.add_argument("--radius", type=int, default=None)
-    t.add_argument("--seed-size", type=int, default=None)
-    t.add_argument("--no-resample", action="store_true",
-                   help="keep one BFS ordering per graph for all epochs")
-    t.add_argument("--no-bias-fe", action="store_true",
+    t.add_argument("--epochs", type=int)
+    t.add_argument("--batch-size", type=int)
+    t.add_argument("--lr", type=float)
+    t.add_argument("--seed", type=_at_least(0))
+    t.add_argument("--variant", choices=VARIANTS)
+    t.add_argument("--dmodel", dest="d_model", type=int, metavar="DMODEL")
+    t.add_argument("--heads", type=int)
+    t.add_argument("--blocks", type=int)
+    t.add_argument("--dff", dest="d_ff", type=int, metavar="DFF")
+    t.add_argument("--radius", type=int)
+    t.add_argument("--seed-size", type=int)
+    t.add_argument("--no-resample", dest="resample_orderings", action="store_const",
+                   const=False, help="keep one BFS ordering per graph for all epochs")
+    t.add_argument("--no-bias-fe", dest="bias_in_fe", action="store_const", const=False,
                    help="disable distance biases in feature extraction")
-    t.add_argument("--no-bias-ee", action="store_true",
+    t.add_argument("--no-bias-ee", dest="bias_in_ee", action="store_const", const=False,
                    help="disable distance biases in edge estimation")
     t.add_argument("--keep-checkpoints", action="store_true",
                    help="keep one checkpoint per epoch instead of the latest")
@@ -179,17 +185,26 @@ def _section(cfg_file: dict, path: str) -> dict:
     return obj
 
 
-def _merge(defaults: dict, file_section: dict, flags: dict) -> dict:
-    """defaults < config file < explicitly set flags."""
-    out = dict(defaults)
-    for k, v in file_section.items():
-        if k not in out:
-            raise DataError(f"config key {k!r} not recognized (known: {sorted(out)})")
-        out[k] = v
-    for k, v in flags.items():
-        if v is not None:
-            out[k] = v
-    return out
+def _resolve(args, cls, section: dict, derived=None):
+    """The config dataclass cls of the command args.command: its own
+    defaults < the config file's section < the flags whose dest is a field
+    and that are set (not None) < derived, the fields the command sets
+    itself, which the file may not name."""
+    derived = derived or {}
+    known = sorted(f.name for f in fields(cls) if f.name not in derived)
+    for key in section:
+        if key not in known:
+            raise DataError(f"config key {key!r} not recognized (known: {known})")
+    flags = {name: getattr(args, name) for name in known
+             if getattr(args, name, None) is not None}
+    values = {**section, **flags, **derived}
+    for f in fields(cls):
+        if values.get(f.name) is None and f.default is MISSING and f.default_factory is MISSING:
+            raise UsageError(f"{args.command} requires --{f.name.replace('_', '')}")
+    try:
+        return cls(**values)
+    except ValueError as exc:  # each dataclass's own error is a ValueError
+        raise DataError(f"bad configuration: {exc}") from exc
 
 
 def _echo(payload: dict):
@@ -227,11 +242,8 @@ def _alphabets(graphs, path, expected=None):
 
 
 def _cmd_dataset(args, cfg_file):
-    flags = {"family": args.family, "count": args.count, "n_min": args.nmin,
-             "n_max": args.nmax, "seed": args.seed}
-    section = dict(_section(cfg_file, "dataset"))
+    section = _section(cfg_file, "dataset")
     params = dict(_section(cfg_file, "dataset.params"))
-    section.pop("params", None)
     for kv in args.param:
         if "=" not in kv:
             raise UsageError(f"--param expects KEY=VALUE, got {kv!r}")
@@ -240,16 +252,7 @@ def _cmd_dataset(args, cfg_file):
             params[k] = json.loads(v)
         except json.JSONDecodeError:
             params[k] = v
-    defaults = {"family": None, "count": None, "n_min": None, "n_max": None, "seed": 0}
-    merged = _merge(defaults, section, flags)
-    for key in ("family", "count", "n_min", "n_max"):
-        if merged[key] is None:
-            raise UsageError(f"dataset requires --{key.replace('_', '')}")
-    try:
-        spec = D.CorpusSpec(merged["family"], merged["count"], merged["n_min"],
-                            merged["n_max"], merged["seed"], params)
-    except D.CorpusSpecError as exc:
-        raise DataError(f"bad configuration: {exc}") from exc
+    spec = _resolve(args, D.CorpusSpec, {**section, "params": params})
     counts = None
     if not args.no_split:
         # checked before anything is generated, so a bad split writes nothing
@@ -288,23 +291,8 @@ def _cmd_train(args, cfg_file):
     _check_outputs(args.out, directory=True)
     graphs = _read_training_corpus(args.corpus)
     a, b = _alphabets(graphs, args.corpus)
-    model_flags = {"d_model": args.dmodel, "heads": args.heads, "blocks": args.blocks,
-                   "d_ff": args.dff, "radius": args.radius, "seed_size": args.seed_size,
-                   "variant": args.variant,
-                   "bias_in_fe": False if args.no_bias_fe else None,
-                   "bias_in_ee": False if args.no_bias_ee else None}
-    mcfg_obj = _merge(ModelConfig(a=1, b=1).to_json_obj(), _section(cfg_file, "model"),
-                      model_flags)
-    mcfg_obj["a"], mcfg_obj["b"] = a, b
-    train_flags = {"epochs": args.epochs, "batch_size": args.batch_size, "lr": args.lr,
-                   "seed": args.seed,
-                   "resample_orderings": False if args.no_resample else None}
-    tcfg_obj = _merge(TrainConfig().to_json_obj(), _section(cfg_file, "train"), train_flags)
-    try:
-        mcfg = ModelConfig.from_json_obj(mcfg_obj)
-        tcfg = TrainConfig.from_json_obj(tcfg_obj)
-    except (ModelError, TrainError, TypeError) as exc:
-        raise DataError(f"bad configuration: {exc}") from exc
+    mcfg = _resolve(args, ModelConfig, _section(cfg_file, "model"), {"a": a, "b": b})
+    tcfg = _resolve(args, TrainConfig, _section(cfg_file, "train"))
     _echo({"command": "train", "model": mcfg.to_json_obj(),
            "train": tcfg.to_json_obj(), "corpus": str(args.corpus)})
     out = Path(args.out)  # made by train once the corpus passes its checks

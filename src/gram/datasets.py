@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import (GraphError, LabeledGraph, OrderedGraph, bfs_ordering, config_json,
-                     connects, field_type_errors, frontier_starts, is_int, is_number)
+from .graphs import (GraphError, LabeledGraph, config_json, connects, field_type_errors,
+                     frontier_starts, is_int, is_number, random_ordering)
 
 
 class CorpusSpecError(ValueError):
@@ -92,10 +92,6 @@ class CorpusSpec:
 
     def to_json_obj(self) -> dict:
         return config_json(self)
-
-    @staticmethod
-    def from_json_obj(obj) -> "CorpusSpec":
-        return CorpusSpec(**obj)
 
 
 def generate_corpus(spec: CorpusSpec) -> list:
@@ -332,8 +328,7 @@ def corpus_stats(graphs, seed: int = 0, orderings_per_graph: int = 1) -> dict:
     alphas, betas = [], []
     for g in graphs:
         for _ in range(orderings_per_graph if g.n else 0):  # no node, no step
-            start = int(rng.integers(g.n))
-            edges = OrderedGraph(g, bfs_ordering(g, start, rng)).edges
+            edges = random_ordering(g, rng).edges
             alphas += np.bincount(edges[:, 1], minlength=g.n)[1:].tolist()
             betas += (np.arange(1, g.n) - frontier_starts(edges, g.n)[:-1]).tolist()
     degs = np.concatenate([g.degrees() for g in graphs])

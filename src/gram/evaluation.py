@@ -61,17 +61,6 @@ def _mix2(a, b) -> np.ndarray:
     return _mix(_mix(a) ^ np.asarray(b, dtype=np.uint64))
 
 
-def _unique_counts(a: np.ndarray):
-    """(sorted distinct values, their counts) of a 1-d array.  Spelled out
-    with a sort because np.unique imports numpy.ma, a few MB of resident
-    memory that nothing else here needs."""
-    a = np.sort(a)
-    new = np.ones(len(a), dtype=bool)
-    new[1:] = a[1:] != a[:-1]
-    first = np.flatnonzero(new)
-    return a[first], np.diff(np.append(first, len(a)))
-
-
 class _GraphArrays(NamedTuple):
     """The arrays of one graph that its metrics read, built once per graph
     and evaluation call."""
@@ -208,7 +197,9 @@ def feature_mmd2(feats_p, feats_q) -> float:
     for cd in sorted(set().union(*(f.cells for f in feats_p + feats_q))):
         keys_p, phi_p = _cell_entries(feats_p, cd)
         keys_q, phi_q = _cell_entries(feats_q, cd)
-        vocab, _ = _unique_counts(np.concatenate([keys_p, keys_q]))
+        # return_counts keeps np.unique on its sort path: its hash path (numpy
+        # 2.3+) takes about twice as long on these keys and imports numpy.ma (~1 MB)
+        vocab = np.unique(np.concatenate([keys_p, keys_q]), return_counts=True)[0]
         mean_p = np.bincount(np.searchsorted(vocab, keys_p), phi_p,
                              minlength=len(vocab)) / len(feats_p)
         mean_q = np.bincount(np.searchsorted(vocab, keys_q), phi_q,

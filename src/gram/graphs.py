@@ -241,6 +241,13 @@ class OrderedGraph:
         return np.where(self._keys[at] == keys, self._codes[at], self.b)
 
 
+def random_ordering(g: LabeledGraph, rng: np.random.Generator) -> OrderedGraph:
+    """g in a BFS ordering from a start node drawn uniformly from rng: the
+    one ordering draw of training, the seed bank and the corpus statistics.
+    Requires a connected graph of at least one node."""
+    return OrderedGraph(g, bfs_ordering(g, int(rng.integers(g.n)), rng))
+
+
 def frontier_starts(edges, n: int) -> np.ndarray:
     """Entry v is the smallest position adjacent to position v among the
     positions before it, or v itself if none is.

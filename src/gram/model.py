@@ -72,10 +72,6 @@ class ModelConfig:
     def to_json_obj(self) -> dict:
         return G.config_json(self)
 
-    @staticmethod
-    def from_json_obj(obj: dict) -> "ModelConfig":
-        return ModelConfig(**obj)
-
 
 @dataclass
 class StepCounters:

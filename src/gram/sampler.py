@@ -38,8 +38,7 @@ def build_seed_bank(training_graphs, seed_size: int, rng: np.random.Generator) -
         if g.n < seed_size:
             skipped += 1
             continue
-        start = int(rng.integers(g.n))
-        og = G.OrderedGraph(g, G.bfs_ordering(g, start, rng))
+        og = G.random_ordering(g, rng)
         seeds.append(G.LabeledGraph.create(seed_size, og.labels[:seed_size],
                                            og.edges[og.edges[:, 1] < seed_size], g.a, g.b))
     if skipped:

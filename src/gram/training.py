@@ -92,10 +92,6 @@ class TrainConfig:
     def to_json_obj(self) -> dict:
         return G.config_json(self)
 
-    @staticmethod
-    def from_json_obj(obj) -> "TrainConfig":
-        return TrainConfig(**obj)
-
 
 # Prefix nodes (the sum of s over a chunk's steps) that one batched pass
 # evaluates.  At the default model size a chunk's tape keeps about 90 KB per
@@ -396,11 +392,7 @@ def train(dataset, model: Model, tconfig: TrainConfig, checkpoint_dir=None,
     history = []
 
     def sample_orderings():
-        ogs = []
-        for g in usable:
-            start = int(rng.integers(g.n))
-            ogs.append(G.OrderedGraph(g, G.bfs_ordering(g, start, rng)))
-        return ogs
+        return [G.random_ordering(g, rng) for g in usable]
 
     ogs = sample_orderings()
     shared = _SharedGradients(params) if len(os.sched_getaffinity(0)) > 1 else None
@@ -611,7 +603,7 @@ def _read_checkpoint(r: _Reader):
             f"checkpoint format version {version}, expected {CHECKPOINT_VERSION}")
     try:
         cfg_obj = json.loads(r.take(r.unpack("<I")).decode("utf-8"))
-        config = ModelConfig.from_json_obj(cfg_obj)
+        config = ModelConfig(**cfg_obj)
     except (ValueError, TypeError) as exc:
         raise CheckpointError(f"bad embedded config: {exc}") from exc
     model = Model._unset(config)  # the count and name checks below see every entry written

@@ -1,12 +1,15 @@
+import argparse
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from gram import datasets
+from gram import cli, datasets
 from gram.cli import main
 from gram.datasets import read_corpus, write_corpus
 from gram.graphs import LabeledGraph
+from gram.model import ModelConfig
 from gram.training import TrainConfig, save_checkpoint, train
 
 from conftest import fail_in_child, random_connected_graph, set_cpus, tiny_model
@@ -341,6 +344,145 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg.write_text(json.dumps({"model": {"d_modell": 32}}))
     assert run(["train", "--corpus", str(corpus), "--out", str(tmp_path / "r"),
                 "--config", str(cfg)]) == 2
+
+
+MODEL_KEYS = sorted({f.name for f in fields(ModelConfig)} - {"a", "b"})
+
+
+@pytest.mark.parametrize("key", ["a", "b"])
+def test_config_cannot_set_the_corpus_alphabets(key, tmp_path, capsys):
+    """a and b come from the corpus, so a model section that names either is
+    an unknown key: a data error listing the keys a model section takes,
+    which are neither, raised before the config is echoed; nothing is
+    written."""
+    corpus = tmp_path / "c.jsonl"
+    write_corpus(corpus, [random_connected_graph(np.random.default_rng(k), 6)
+                          for k in range(3)])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"d_model": 8, "heads": 2, "blocks": 1, "d_ff": 8,
+                                         "seed_size": 3, key: 7},
+                               "train": {"epochs": 1}}))
+    out = tmp_path / "run"
+    assert run(["train", "--corpus", str(corpus), "--out", str(out),
+                "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert f"data error: config key {key!r} not recognized (known: {MODEL_KEYS})" \
+        in captured.err
+    assert "config:" not in captured.out and not out.exists()
+
+
+def _echoed(out: str) -> dict:
+    (line,) = [line for line in out.splitlines() if line.startswith("config: ")]
+    return json.loads(line[len("config: "):])
+
+
+def test_every_config_field_is_read_from_its_section(tmp_path, capsys):
+    """Each field of TrainConfig and CorpusSpec, and each of ModelConfig but
+    the corpus's a and b, is taken from its config section: a field added
+    to a dataclass fails here until this test sets it."""
+    model_cfg = {"d_model": 8, "heads": 2, "blocks": 1, "d_ff": 8, "radius": 1,
+                 "seed_size": 3, "variant": "AB", "bias_in_fe": False, "bias_in_ee": False}
+    train_cfg = {"epochs": 1, "batch_size": 2, "lr": 0.01, "seed": 4,
+                 "resample_orderings": False, "grad_clip": 0.5}
+    dataset_cfg = {"family": "grid", "count": 2, "n_min": 9, "n_max": 12, "seed": 5,
+                   "params": {"min_side": 3}}
+    assert sorted(model_cfg) == MODEL_KEYS
+    assert sorted(train_cfg) == sorted(f.name for f in fields(TrainConfig))
+    assert sorted(dataset_cfg) == sorted(f.name for f in fields(datasets.CorpusSpec))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": model_cfg, "train": train_cfg,
+                               "dataset": dataset_cfg}))
+    corpus = tmp_path / "c.jsonl"
+    assert run(["dataset", "--config", str(cfg), "--out", str(corpus), "--no-split"]) == 0
+    assert _echoed(capsys.readouterr().out)["spec"] == dataset_cfg
+    assert run(["train", "--config", str(cfg), "--corpus", str(corpus),
+                "--out", str(tmp_path / "run")]) == 0
+    echoed = _echoed(capsys.readouterr().out)
+    assert echoed["model"] == {**model_cfg, "a": 3, "b": 2}
+    assert echoed["train"] == train_cfg
+
+
+# the flags of train and dataset that set no config field: paths and switches
+# of the command's own behaviour, and the shared --config, --verbose and --help
+NOT_CONFIG_FLAGS = {"--out", "--corpus", "--split", "--no-split", "--param",
+                    "--keep-checkpoints", "--config", "--verbose", "--help"}
+
+
+def test_every_setting_flag_is_named_after_its_config_field():
+    """Each train and dataset flag that is not a path or a behaviour switch
+    has a dest that is a field of the config it feeds, which is all the
+    resolver reads: a flag named otherwise fails here, not silently."""
+    parser = cli._build_parser()
+    (commands,) = [a.choices for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    for command, feeds in (("train", (ModelConfig, TrainConfig)),
+                           ("dataset", (datasets.CorpusSpec,))):
+        names = {f.name for cls in feeds for f in fields(cls)} - {"a", "b"}
+        dests = {a.dest for a in commands[command]._actions
+                 if not NOT_CONFIG_FLAGS & set(a.option_strings)}
+        assert dests and dests <= names, command
+
+
+HELP = {"train": """\
+usage: gram train [-h] [--config CONFIG] [--verbose] --corpus CORPUS --out OUT
+                  [--epochs EPOCHS] [--batch-size BATCH_SIZE] [--lr LR]
+                  [--seed SEED] [--variant {plain,A,B,AB}] [--dmodel DMODEL]
+                  [--heads HEADS] [--blocks BLOCKS] [--dff DFF]
+                  [--radius RADIUS] [--seed-size SEED_SIZE] [--no-resample]
+                  [--no-bias-fe] [--no-bias-ee] [--keep-checkpoints]
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       JSON config file (sections: model, train, dataset)
+  --verbose, -v
+  --corpus CORPUS
+  --out OUT             output directory
+  --epochs EPOCHS
+  --batch-size BATCH_SIZE
+  --lr LR
+  --seed SEED
+  --variant {plain,A,B,AB}
+  --dmodel DMODEL
+  --heads HEADS
+  --blocks BLOCKS
+  --dff DFF
+  --radius RADIUS
+  --seed-size SEED_SIZE
+  --no-resample         keep one BFS ordering per graph for all epochs
+  --no-bias-fe          disable distance biases in feature extraction
+  --no-bias-ee          disable distance biases in edge estimation
+  --keep-checkpoints    keep one checkpoint per epoch instead of the latest
+""", "dataset": """\
+usage: gram dataset [-h] [--config CONFIG] [--verbose]
+                    [--family {grid,lobster,community,ba}] [--count COUNT]
+                    [--nmin NMIN] [--nmax NMAX] [--seed SEED] --out OUT
+                    [--split SPLIT] [--no-split] [--param KEY=VALUE]
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       JSON config file (sections: model, train, dataset)
+  --verbose, -v
+  --family {grid,lobster,community,ba}
+  --count COUNT
+  --nmin NMIN
+  --nmax NMAX
+  --seed SEED
+  --out OUT
+  --split SPLIT         train,test,val counts (default: count/7 rounded for
+                        test and val)
+  --no-split
+  --param KEY=VALUE     family parameter override (repeatable)
+"""}
+
+
+@pytest.mark.parametrize("command", sorted(HELP))
+def test_help_names_the_flags_not_their_fields(command, capsys, monkeypatch):
+    """A flag whose dest is its field's name keeps its spelling and
+    metavar in --help (--nmin NMIN, --dmodel DMODEL, --no-resample)."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        run([command, "--help"])
+    assert capsys.readouterr().out == HELP[command]
 
 
 def _checkpoint_and_corpus(tmp_path, graphs):

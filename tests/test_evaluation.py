@@ -337,7 +337,7 @@ def per_radius_features(g, r_max=E.NSPDK_RADIUS, d_max=E.NSPDK_DISTANCE):
         for d, mask in enumerate(at_distance):
             if not mask.any():
                 continue
-            uniq, counts = E._unique_counts(keys[mask])
+            uniq, counts = np.unique(keys[mask], return_counts=True)
             vals = counts.astype(np.float64)
             cells[(rr, d)] = (uniq, vals, float((vals * vals).sum()))
     return E.FeatureMap(r_max, d_max, cells)
@@ -404,14 +404,14 @@ def per_graph_refinement(g):
     one round at a time per graph."""
     src, dst, elab = directed_edges(g)
     colors = E._mix(np.array(g.node_labels, dtype=np.uint64))
-    distinct = len(E._unique_counts(colors)[0])
+    distinct = len(np.unique(colors))
     rounds = 0
     for _ in range(max(1, g.n)):
         rounds += 1
         ring = np.zeros(g.n, dtype=np.uint64)
         np.add.at(ring, src, E._mix2(elab, colors[dst]))
         colors = E._mix2(colors, ring)
-        now = len(E._unique_counts(colors)[0])
+        now = len(np.unique(colors))
         if now == distinct:
             break
         distinct = now

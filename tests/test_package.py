@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import gram
-from gram import (attention, datasets, evaluation, graphs, kernels, model, optim, sampler, tensor,
-                  training)
+from gram import (attention, cli, datasets, evaluation, graphs, kernels, model, optim, sampler,
+                  tensor, training)
 
 GONE = [
     (tensor, "finite_difference_check"), (tensor, "FiniteDifferenceReport"),
@@ -39,6 +39,8 @@ GONE = [
     (attention.GraphAttentionParams, "cap"),
     (graphs, "NodeOrdering"), (graphs, "apply_ordering"),
     (training, "SHARDS"), (training, "RELEASE_BYTES"),
+    (cli, "_merge"), (evaluation, "_unique_counts"), (model.ModelConfig, "from_json_obj"),
+    (training.TrainConfig, "from_json_obj"), (datasets.CorpusSpec, "from_json_obj"),
 ]
 
 # parameters that only one value ever reached, now constants or fixed behaviour
@@ -157,6 +159,28 @@ def test_no_module_imports_a_name_it_never_reads():
     assert {path: names for path, names in unread.items() if names} == {}
 
 
+def calls_of(node, name: str) -> int:
+    """The calls under an AST node of a function named name, called bare
+    or as an attribute (G.name)."""
+    return sum(isinstance(c, ast.Call) and name in (getattr(c.func, "id", None),
+                                                    getattr(c.func, "attr", None))
+               for c in ast.walk(node))
+
+
+def test_only_random_ordering_draws_a_bfs_ordering():
+    """Training, the seed bank and the corpus statistics draw an ordering
+    through graphs.random_ordering, the one caller of bfs_ordering in gram."""
+    trees = {path.stem: ast.parse(path.read_text("utf-8"))
+             for path in sorted((ROOT / "src/gram").glob("*.py"))}
+    callers = {module: calls_of(tree, "bfs_ordering") for module, tree in trees.items()}
+    assert {module: n for module, n in callers.items() if n} == {"graphs": 1}
+    (drawer,) = [fn for fn in ast.walk(trees["graphs"])
+                 if isinstance(fn, ast.FunctionDef) and fn.name == "random_ordering"]
+    assert calls_of(drawer, "bfs_ordering") == 1
+    for module in ("training", "sampler", "datasets"):
+        assert calls_of(trees[module], "random_ordering") == 1, module
+
+
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -202,3 +226,15 @@ def test_numpy_first_with_blas_set_is_silent():
 
 def test_gram_first_is_silent():
     assert fresh_import("gram")[0] == ""
+
+
+def test_evaluation_leaves_numpy_ma_unloaded():
+    """feature_mmd2 takes its distinct keys from np.unique's sort path
+    (return_counts), which, unlike the hash path, does not import numpy.ma."""
+    code = ("import sys, gram; from gram import datasets as D, evaluation as E; "
+            "gs = D.generate_corpus(D.CorpusSpec('grid', 4, 9, 16, 1)); "
+            "E.evaluate_corpora(gs, gs[::-1], None); print('numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(gram.__file__).resolve().parent.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout == "False\n"
