@@ -24,7 +24,7 @@ del _var
 
 from .graphs import GraphError, LabeledGraph, OrderedGraph, bfs_ordering, frontier_starts
 from .model import Model, ModelConfig
-from .training import TrainConfig, load_checkpoint, save_checkpoint, teacher_forced_loss, train
+from .training import TrainConfig, load_checkpoint, save_checkpoint, train
 from .sampler import SeedBank, build_seed_bank, generate_graph
 from .datasets import CorpusSpec, corpus_stats, generate_corpus, read_corpus, split_corpus, write_corpus
 from .evaluation import EvalReport, evaluate_corpora, gk_mmd2, nspdk_features, statistic_mmd
@@ -34,7 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "GraphError", "LabeledGraph", "OrderedGraph", "bfs_ordering", "frontier_starts",
     "Model", "ModelConfig",
-    "TrainConfig", "load_checkpoint", "save_checkpoint", "teacher_forced_loss", "train",
+    "TrainConfig", "load_checkpoint", "save_checkpoint", "train",
     "SeedBank", "build_seed_bank", "generate_graph",
     "CorpusSpec", "corpus_stats", "generate_corpus", "read_corpus",
     "split_corpus", "write_corpus",

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import datasets as D
 from . import evaluation as E
+from .graphs import config_json
 from .model import VARIANTS, Model, ModelConfig
 from .sampler import SamplerError, build_seed_bank, generate_graph
 from .training import (CheckpointError, TrainConfig, TrainError,
@@ -273,7 +274,7 @@ def _cmd_dataset(args, cfg_file):
         out.with_suffix(f".{name}.jsonl") if out.suffix else Path(f"{out}.{name}.jsonl")
         for name in ("train", "test", "val")]
     _check_outputs(out, *split_paths)
-    _echo({"command": "dataset", "spec": spec.to_json_obj()})
+    _echo({"command": "dataset", "spec": config_json(spec)})
     try:
         graphs = D.generate_corpus(spec)
     except D.CorpusSpecError as exc:
@@ -293,8 +294,8 @@ def _cmd_train(args, cfg_file):
     a, b = _alphabets(graphs, args.corpus)
     mcfg = _resolve(args, ModelConfig, _section(cfg_file, "model"), {"a": a, "b": b})
     tcfg = _resolve(args, TrainConfig, _section(cfg_file, "train"))
-    _echo({"command": "train", "model": mcfg.to_json_obj(),
-           "train": tcfg.to_json_obj(), "corpus": str(args.corpus)})
+    _echo({"command": "train", "model": config_json(mcfg),
+           "train": config_json(tcfg), "corpus": str(args.corpus)})
     out = Path(args.out)  # made by train once the corpus passes its checks
     model = Model(mcfg, init_seed=tcfg.seed)
     log = print if args.verbose else None
@@ -322,7 +323,7 @@ def _cmd_sample(args, cfg_file):
                         f"checkpoint's ({model.config.a}, {model.config.b})")
     max_nodes = args.max_nodes if args.max_nodes is not None else \
         max(g.n for g in graphs) * 2
-    _echo({"command": "sample", "model": model.config.to_json_obj(),
+    _echo({"command": "sample", "model": config_json(model.config),
            "epoch": epoch, "count": args.count, "max_nodes": max_nodes,
            "seed": args.seed, "argmax": args.argmax})
     rng = np.random.default_rng(args.seed)

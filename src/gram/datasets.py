@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import (GraphError, LabeledGraph, config_json, connects, field_type_errors,
-                     frontier_starts, is_int, is_number, random_ordering)
+from .graphs import (GraphError, LabeledGraph, connects, field_type_errors, frontier_starts,
+                     is_int, is_number, random_ordering)
 
 
 class CorpusSpecError(ValueError):
@@ -89,9 +89,6 @@ class CorpusSpec:
                 what = "an integer" if kind is int else "a number"
                 raise CorpusSpecError(f"{self.family} parameter {key!r} must be {what} "
                                       f"in [{low}, {high}], got {value!r}")
-
-    def to_json_obj(self) -> dict:
-        return config_json(self)
 
 
 def generate_corpus(spec: CorpusSpec) -> list:

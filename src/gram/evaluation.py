@@ -8,12 +8,12 @@ and a multiset is hashed as the wrapping sum of its mixed elements.  Hash
 collisions between non-isomorphic structures are accepted as an
 approximation.
 
-The NSPDK kernel is a dot product of per-cell-normalized count vectors
-phi(G), so the biased squared GK-MMD equals the squared distance between the
-two corpora's mean feature vectors (a kernel mean embedding):
-MMD^2 = sum over cells of ||mean_P phi_c - mean_Q phi_c||^2.  `gk_mmd2`
-featurizes each graph once and computes that, with no kernel pair; the
-pairwise kernel and MMD it equals are the reference in tests/conftest.py.
+Every MMD is the biased squared MMD of corpora P and Q over their distinct
+graphs G_k: with w_k P's share of G_k less Q's share, MMD^2 =
+||sum_k w_k phi(G_k)||^2 = sum_ij w_i w_j k(G_i, G_j), so equal multisets
+give exactly 0.  The NSPDK kernel is a dot product of per-cell-normalized
+count vectors phi(G), so `gk_mmd2` needs no kernel pair; the pairwise
+kernel and MMD it equals are the reference in tests/conftest.py.
 """
 from __future__ import annotations
 
@@ -169,82 +169,65 @@ def _features(arrays: _GraphArrays, r_max: int, d_max: int) -> FeatureMap:
     return FeatureMap(r_max, d_max, cells)
 
 
-def _cell_entries(feats, cd):
-    """(keys, phi values) of cell cd over a list of feature maps, where
-    phi = counts / sqrt(self dot * number of cells of the graph)."""
-    keys, vals = [], []
-    for f in feats:
-        cell = f.cells.get(cd)
-        if cell is not None:
-            keys.append(cell[0])
-            vals.append(cell[1] / np.sqrt(cell[2] * len(f.cells)))
-    if not keys:
-        return np.empty(0, dtype=np.int64), np.empty(0)
-    return np.concatenate(keys), np.concatenate(vals)
-
-
-def feature_mmd2(feats_p, feats_q) -> float:
-    """mmd_squared(feats_p, feats_q, nspdk_kernel), the pairwise reference in
-    tests/conftest.py, as the squared distance between the mean embeddings,
-    reduced one cell at a time over the union of the cell's keys.
-    Identical lists give exactly 0."""
-    if not feats_p or not feats_q:
-        raise EvalError("MMD needs non-empty sample sets")
-    bounds = {(f.r_max, f.d_max) for f in feats_p + feats_q}
+def feature_mmd2(feats, weights) -> float:
+    """||sum_k w_k phi(G_k)||^2 over the feature maps `feats` and `weights`,
+    phi = counts / sqrt(self dot * number of cells of the graph), one cell at
+    a time over the union of the cell's keys: with w_k P's share of G_k less
+    Q's, mmd_squared(P, Q, nspdk_kernel) of tests/conftest.py."""
+    bounds = {(f.r_max, f.d_max) for f in feats}
     if len(bounds) > 1:
         raise EvalError(f"feature maps built with different bounds: {sorted(bounds)}")
     total = 0.0
-    for cd in sorted(set().union(*(f.cells for f in feats_p + feats_q))):
-        keys_p, phi_p = _cell_entries(feats_p, cd)
-        keys_q, phi_q = _cell_entries(feats_q, cd)
-        # return_counts keeps np.unique on its sort path: its hash path (numpy
+    for cd in sorted(set().union(*(f.cells for f in feats))):
+        cells = [(f.cells[cd], w / np.sqrt(f.cells[cd][2] * len(f.cells)))
+                 for f, w in zip(feats, weights) if cd in f.cells]
+        # return_inverse keeps np.unique on its sort path: its hash path (numpy
         # 2.3+) takes about twice as long on these keys and imports numpy.ma (~1 MB)
-        vocab = np.unique(np.concatenate([keys_p, keys_q]), return_counts=True)[0]
-        mean_p = np.bincount(np.searchsorted(vocab, keys_p), phi_p,
-                             minlength=len(vocab)) / len(feats_p)
-        mean_q = np.bincount(np.searchsorted(vocab, keys_q), phi_q,
-                             minlength=len(vocab)) / len(feats_q)
-        diff = mean_p - mean_q
+        at = np.unique(np.concatenate([c[0] for c, _ in cells]), return_inverse=True)[1]
+        diff = np.bincount(at, np.concatenate([c[1] * scale for c, scale in cells]))
         total += float(diff @ diff)
     return total
 
 
-def _subsample_draws(n_p: int, n_q: int, seed: int):
-    """The (picks of P, picks of Q) draws that gk_mmd2 averages over: one
-    draw of every graph when no corpus has more than SUBSAMPLE_LIMIT graphs,
-    the direct path, else SUBSAMPLE_DRAWS seeded subsamples."""
-    if max(n_p, n_q) <= SUBSAMPLE_LIMIT:
-        return [(np.arange(n_p), np.arange(n_q))]
+def _shares(numbers, size: int) -> np.ndarray:
+    """The fraction of a corpus, given as the numbers of its graphs, that
+    the copies of each of `size` distinct graphs make up."""
+    return np.bincount(numbers, minlength=size) / len(numbers)
+
+
+def _gk_weights(index_p, index_q, size: int, seed: int) -> np.ndarray:
+    """The (draws, size) weight rows that gk_mmd2 averages over: of the
+    corpora numbered `index_p` and `index_q` when neither has more than
+    SUBSAMPLE_LIMIT graphs, else of SUBSAMPLE_DRAWS seeded subsamples of
+    SUBSAMPLE_SIZE graphs of each."""
+    if max(len(index_p), len(index_q)) <= SUBSAMPLE_LIMIT:
+        return (_shares(index_p, size) - _shares(index_q, size))[None]
     rng = np.random.default_rng(seed)
-    return [(rng.choice(n_p, min(SUBSAMPLE_SIZE, n_p), replace=False),
-             rng.choice(n_q, min(SUBSAMPLE_SIZE, n_q), replace=False))
-            for _ in range(SUBSAMPLE_DRAWS)]
+    return np.array([
+        _shares(rng.choice(index_p, min(SUBSAMPLE_SIZE, len(index_p)), replace=False), size)
+        - _shares(rng.choice(index_q, min(SUBSAMPLE_SIZE, len(index_q)), replace=False), size)
+        for _ in range(SUBSAMPLE_DRAWS)])
 
 
-def _drawn(draws, side: int):
-    """Indices of the graphs of one side (0 for P, 1 for Q) that the draws
-    use, ascending."""
-    return sorted(set(np.concatenate([d[side] for d in draws]).tolist()))
-
-
-def _gk_value(feats_p: dict, feats_q: dict, draws) -> float:
-    """gk_mmd2 from the feature maps of the drawn graphs, keyed by index."""
-    return float(np.mean([feature_mmd2([feats_p[i] for i in p], [feats_q[i] for i in q])
-                          for p, q in draws]))
+def _gk_value(features: dict, rows: np.ndarray) -> float:
+    """gk_mmd2 from its weight rows and the feature maps, keyed by distinct
+    number, of the graphs with a nonzero weight in some row."""
+    return float(np.mean([feature_mmd2([features[k] for k in np.flatnonzero(row).tolist()],
+                                       row[row != 0]) for row in rows]))
 
 
 def gk_mmd2(set_p, set_q, seed: int = 0) -> float:
     """Squared MMD under the graph kernel.  Corpora larger than
     SUBSAMPLE_LIMIT are evaluated on seeded subsamples of SUBSAMPLE_SIZE,
-    averaged over SUBSAMPLE_DRAWS draws; each drawn graph is featurized
-    once.  The subsampled estimate carries sampling noise (identical
-    corpora come out exactly 0 only on the direct path)."""
+    averaged over SUBSAMPLE_DRAWS draws; each distinct graph is featurized
+    once, if some draw weighs it.  The subsampled estimate carries sampling
+    noise (equal corpora come out exactly 0 only on the direct path)."""
     if not set_p or not set_q:
         raise EvalError("MMD needs non-empty sample sets")
-    draws = _subsample_draws(len(set_p), len(set_q), seed)
-    feats = [{i: nspdk_features(graphs[i]) for i in _drawn(draws, side)}
-             for side, graphs in enumerate((set_p, set_q))]
-    return _gk_value(*feats, draws)
+    (index_p, index_q), distinct = _numbered((set_p, set_q))
+    rows = _gk_weights(index_p, index_q, len(distinct), seed)
+    return _gk_value({k: nspdk_features(distinct[k])
+                      for k in np.flatnonzero(rows.any(axis=0)).tolist()}, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -274,20 +257,19 @@ def _orbit_hist(counts: np.ndarray) -> np.ndarray:
     return mean / total if total > 0 else mean
 
 
-def _gaussian_emd_gram(hists: np.ndarray) -> np.ndarray:
-    """Gram matrix exp(-W1^2 / (2 sigma^2)) over the rows of `hists`, where
-    W1 between two histograms is the L1 distance between their cumulative
-    sums.  One row at a time, so no (rows, rows, bins) temporary is held."""
+def _hist_mmd(hists: np.ndarray, weights: np.ndarray) -> float:
+    """sum_ij w_i w_j k(h_i, h_j) over the rows h of `hists`, with `weights`
+    w that sum to 0 and k = exp(-W1^2 / (2 sigma^2)), W1 the L1 distance of
+    cumulative sums.  It sums k - 1, so equal rows add no rounding residue;
+    one row at a time, through one reused difference buffer."""
     cum = np.cumsum(hists, axis=1)
-    w = np.array([np.abs(cum - row).sum(axis=1) for row in cum])
-    return np.exp(-w * w / (2.0 * STAT_SIGMA * STAT_SIGMA))
-
-
-def _hist_mmd(hp: list, hq: list) -> float:
-    gram = _gaussian_emd_gram(np.vstack(hp + hq))
-    n = len(hp)
-    val = gram[:n, :n].mean() - 2.0 * gram[:n, n:].mean() + gram[n:, n:].mean()
-    return max(0.0, float(val))  # numerical floor; identical sets cancel exactly
+    diff = np.empty_like(cum)
+    total = 0.0
+    for i in np.flatnonzero(weights).tolist():
+        np.abs(np.subtract(cum, cum[i], out=diff), out=diff)
+        w1 = diff.sum(axis=1)
+        total += weights[i] * float(weights @ np.expm1(-w1 * w1 / (2.0 * STAT_SIGMA * STAT_SIGMA)))
+    return max(0.0, float(total))  # numerical floor; equal shares give exactly 0
 
 
 def statistic_mmd(set_p, set_q, statistic: str) -> float:
@@ -297,7 +279,9 @@ def statistic_mmd(set_p, set_q, statistic: str) -> float:
         raise EvalError("MMD needs non-empty sample sets")
     if statistic not in STATISTICS:
         raise EvalError(f"unknown statistic {statistic!r}; choose from {STATISTICS}")
-    return _stat_mmd(_summarize(set_p, ())[0], _summarize(set_q, ())[0], statistic)
+    (index_p, index_q), distinct = _numbered((set_p, set_q))
+    weights = _shares(index_p, len(distinct)) - _shares(index_q, len(distinct))
+    return _stat_mmd(_summarize(distinct, ())[0], weights, statistic)
 
 
 # ---------------------------------------------------------------------------
@@ -415,15 +399,16 @@ def _numbered(corpora):
     return index, list(numbers)
 
 
-def _summarize(graphs, drawn):
+def _summarize(graphs, featurised):
     """One pass over graphs: each one's arrays are built once and feed its
-    topology summaries and, for the indices in `drawn`, its NSPDK features;
-    only one graph's (n, n) arrays are alive at a time.  Returns the list
-    of _GraphSummary and the {index: FeatureMap} of the drawn graphs."""
-    summaries, features, drawn = [], {}, set(drawn)
+    topology summaries and, for the indices in `featurised`, its NSPDK
+    features; only one graph's (n, n) arrays are alive at a time.  Returns
+    the list of _GraphSummary and the {index: FeatureMap} of the featurised
+    graphs."""
+    summaries, features, featurised = [], {}, set(featurised)
     for i, g in enumerate(graphs):
         arrays = _graph_arrays(g)
-        if i in drawn:
+        if i in featurised:
             features[i] = _features(arrays, NSPDK_RADIUS, NSPDK_DISTANCE)
         orbits, clus = kernels.orbits_and_clustering(arrays.adj, arrays.deg)
         summaries.append(_GraphSummary(arrays._replace(adj=None), _clustering_hist(clus),
@@ -431,13 +416,14 @@ def _summarize(graphs, drawn):
     return summaries, features
 
 
-def _stat_mmd(gen: list, ref: list, statistic: str) -> float:
-    """statistic_mmd of two corpora from their summaries.  The degree
-    histograms of both share one range, so they are built here."""
+def _stat_mmd(summaries: list, weights: np.ndarray, statistic: str) -> float:
+    """statistic_mmd from the summaries of two corpora's distinct graphs and
+    their weights; the degree histograms share one range."""
     if statistic == "degree":
-        hists = _degree_hists([s.arrays.deg for s in gen + ref])
-        return _hist_mmd(hists[:len(gen)], hists[len(gen):])
-    return _hist_mmd([getattr(s, statistic) for s in gen], [getattr(s, statistic) for s in ref])
+        hists = _degree_hists([s.arrays.deg for s in summaries])
+    else:
+        hists = [getattr(s, statistic) for s in summaries]
+    return _hist_mmd(np.vstack(hists), weights)
 
 
 def evaluate_corpora(generated, reference, train_set=None, seed: int = 0) -> EvalReport:
@@ -446,11 +432,10 @@ def evaluate_corpora(generated, reference, train_set=None, seed: int = 0) -> Eva
     over the graphs ("graphs" in the report's `timing`) builds what every
     metric reads, once for each distinct graph of the three corpora: the
     copies of a graph, in one corpus or across them, share one summary, and
-    the generated and training graphs are fingerprinted once each.  The
-    metrics still run over every copy, in order, so the report is the one
-    that summarising each copy gives.  `timing` also holds the seconds of
-    each metric after the pass, so its values add up to the call;
-    `distinct` counts each corpus's distinct graphs."""
+    the generated and training graphs are fingerprinted once each, and no
+    metric reads a copy.  `timing` also holds the seconds of each metric
+    after the pass, so its values add up to the call; `distinct` counts
+    each corpus's distinct graphs."""
     if not generated or not reference:
         raise EvalError("corpora must be non-empty")
     timing = {}
@@ -462,22 +447,20 @@ def evaluate_corpora(generated, reference, train_set=None, seed: int = 0) -> Eva
         timing[name] = time.perf_counter() - start
 
     train = list(train_set or [])
-    draws = _subsample_draws(len(generated), len(reference), seed)
     with timed("graphs"):
         index, distinct = _numbered((generated, reference, train))
-        drawn = [_drawn(draws, side) for side in (0, 1)]
         dense = 1 + max(index[0] + index[1])  # the generated and reference graphs come first
-        summaries, features = _summarize(
-            distinct[:dense], {index[side][i] for side in (0, 1) for i in drawn[side]})
-        gen, ref = ([summaries[k] for k in index[side]] for side in (0, 1))
+        weights = _shares(index[0], dense) - _shares(index[1], dense)
+        rows = _gk_weights(index[0], index[1], dense, seed)
+        summaries, features = _summarize(distinct[:dense],
+                                         np.flatnonzero(rows.any(axis=0)).tolist())
     with timed("gk"):
-        gk = _gk_value(*({i: features[index[side][i]] for i in drawn[side]} for side in (0, 1)),
-                       draws)
+        gk = _gk_value(features, rows)
         del features  # the largest summaries: not held to the end
     topology = []  # in STATISTICS order, as EvalReport's fields
     for statistic in STATISTICS:
         with timed(statistic):
-            topology.append(_stat_mmd(gen, ref, statistic))
+            topology.append(_stat_mmd(summaries, weights, statistic))
     with timed("uniqueness_novelty"):
         pool = list(dict.fromkeys(index[0] + index[2]))
         fps = dict(zip(pool, _fingerprints([distinct[k] for k in pool], [

@@ -69,9 +69,6 @@ class ModelConfig:
     def d_s(self) -> int:
         return self.d_model // self.heads
 
-    def to_json_obj(self) -> dict:
-        return G.config_json(self)
-
 
 @dataclass
 class StepCounters:

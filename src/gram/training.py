@@ -46,10 +46,6 @@ from .optim import adam_step, clip_global_norm
 from .tensor import Tape
 
 
-class SkipGraph(Exception):
-    """Graph has no steps beyond the seed region; contributes no loss."""
-
-
 class TrainError(ValueError):
     pass
 
@@ -89,9 +85,6 @@ class TrainConfig:
             raise TrainError(f"grad_clip must be finite and >= 0 (0 turns clipping off), "
                              f"got {self.grad_clip}")
 
-    def to_json_obj(self) -> dict:
-        return G.config_json(self)
-
 
 # Prefix nodes (the sum of s over a chunk's steps) that one batched pass
 # evaluates.  At the default model size a chunk's tape keeps about 90 KB per
@@ -106,13 +99,6 @@ CHUNK_ROWS = 256
 # that leaves room for a second CPU busy with other work.  A train-grid batch
 # (d_model 128, 25- and 49-node grids) costs about 1.2e7.
 FORK_MIN_COST = 1 << 18
-
-
-def _steps(model: Model, og: G.OrderedGraph) -> range:
-    seed = model.config.seed_size
-    if og.n <= seed:
-        raise SkipGraph(f"graph with {og.n} nodes <= seed size {seed}")
-    return range(seed, og.n + 1)
 
 
 def step_chunks(steps: range) -> list:
@@ -143,22 +129,6 @@ def chunk_loss(model: Model, og: G.OrderedGraph, steps):
     if out.edge_logits is not None:
         parts.append(T.cross_entropy_logits(out.edge_logits, out.edge_codes))
     return T.sum_along(T.concat(parts, axis=0), 0), out.counters
-
-
-def teacher_forced_loss(model: Model, og: G.OrderedGraph):
-    """Summed negative log-likelihood of all post-seed steps of one graph.
-
-    Returns (scalar loss tensor, StepCounters).  Steps before the seed size
-    contribute nothing; the final step scores the stop class on the full
-    graph.  Raises SkipGraph when the graph is not larger than the seed.
-    """
-    losses = []
-    counters = StepCounters()
-    for steps in step_chunks(_steps(model, og)):
-        loss, cnt = chunk_loss(model, og, steps)
-        losses.append(T.reshape(loss, (1,)))
-        counters.add(cnt)
-    return T.sum_along(T.concat(losses, axis=0), 0), counters
 
 
 def _backward_chunk(model: Model, og: G.OrderedGraph, steps, weight: float):
@@ -407,7 +377,8 @@ def train(dataset, model: Model, tconfig: TrainConfig, checkpoint_dir=None,
         agg = StepCounters()
         for lo in range(0, len(order), tconfig.batch_size):
             batch = order[lo:lo + tconfig.batch_size]
-            work = [(i, steps) for i in batch for steps in step_chunks(_steps(model, ogs[i]))]
+            work = [(i, steps) for i in batch
+                    for steps in step_chunks(range(c.seed_size, ogs[i].n + 1))]
             nlls, cnt = batch_backward(model, [(ogs[i], steps) for i, steps in work],
                                        1.0 / len(batch), shared)
             agg.add(cnt)
@@ -477,7 +448,7 @@ def save_checkpoint(path, model: Model, epoch: int, rng=None):
 def _write_checkpoint(f, model: Model, epoch: int, rng):
     f.write(CHECKPOINT_MAGIC)
     f.write(struct.pack("<I", CHECKPOINT_VERSION))
-    cfg = json.dumps(model.config.to_json_obj(), sort_keys=True).encode("utf-8")
+    cfg = json.dumps(G.config_json(model.config), sort_keys=True).encode("utf-8")
     f.write(struct.pack("<I", len(cfg)) + cfg)
     params = model.parameters()
     f.write(struct.pack("<I", len(params)))

@@ -15,8 +15,9 @@ from gram import tensor as T
 from gram import training
 from gram.graphs import LabeledGraph
 from gram.kernels import capped_distances, clustering
-from gram.model import Model, ModelConfig
+from gram.model import Model, ModelConfig, StepCounters
 from gram.tensor import Tape
+from gram.training import chunk_loss, step_chunks
 
 
 def random_connected_graph(rng, n, a=3, b=2, extra_edge_prob=0.15):
@@ -95,6 +96,14 @@ def mmd_squared(set_p, set_q, kernel) -> float:
 
     kxy = sum(kernel(x, y) for x in set_p for y in set_q) / (len(set_p) * len(set_q))
     return within(set_p) - 2.0 * kxy + within(set_q)
+
+
+def two_sided(feats_p, feats_q):
+    """feature_mmd2's arguments for the MMD between two lists of feature maps,
+    each map counted as a graph of its own: the maps of P and then of Q,
+    weighted 1/|P| and -1/|Q|."""
+    return (list(feats_p) + list(feats_q),
+            [1.0 / len(feats_p)] * len(feats_p) + [-1.0 / len(feats_q)] * len(feats_q))
 
 
 def tiny_model(a=3, b=2, variant="plain", seed=0, **kw):
@@ -229,6 +238,23 @@ def grid(blocks, fill) -> np.ndarray:
     for k, block in enumerate(blocks):
         out[k, :len(block), :len(block)] = block
     return out
+
+
+def teacher_forced_loss(model: Model, og: G.OrderedGraph):
+    """Reference: the summed negative log-likelihood of all post-seed steps
+    of one graph, in the chunks that training runs.
+
+    Returns (scalar loss tensor, StepCounters).  Steps before the seed size
+    contribute nothing; the final step scores the stop class on the full
+    graph.
+    """
+    losses = []
+    counters = StepCounters()
+    for steps in step_chunks(range(model.config.seed_size, og.n + 1)):
+        loss, cnt = chunk_loss(model, og, steps)
+        losses.append(T.reshape(loss, (1,)))
+        counters.add(cnt)
+    return T.sum_along(T.concat(losses, axis=0), 0), counters
 
 
 def teacher_forced_step(model, og, s):

@@ -20,10 +20,10 @@ from gram.graphs import OrderedGraph
 from gram.model import Model, ModelConfig, Prefixes
 from gram.sampler import build_seed_bank, generate_graph
 from gram.tensor import Tape, Tensor
-from gram.training import TrainConfig, teacher_forced_loss, train
+from gram.training import TrainConfig, train
 
 from conftest import (apply_ordering, finite_difference_check, nspdk_kernel,
-                      random_connected_graph, tiny_model)
+                      random_connected_graph, teacher_forced_loss, tiny_model, two_sided)
 from test_attention import make_attn, rand_ctx, vanilla_multi_head
 from test_tensor import PRIMITIVE_CASES
 from test_training import sequential_loss, zero_final_layers
@@ -250,11 +250,11 @@ def test_criterion_09_mmd_sanity_and_separation():
         for i, seed in enumerate((31, 87)):
             graphs = generate_corpus(CorpusSpec(f, 50, 50, 100, seed=seed))
             feats[(f, i)] = [E.nspdk_features(g) for g in graphs]
-    ident = E.feature_mmd2(feats[("grid", 0)], list(feats[("grid", 0)]))
-    same = {f: E.feature_mmd2(feats[(f, 0)], feats[(f, 1)]) for f in fams}
+    ident = E.feature_mmd2(*two_sided(feats[("grid", 0)], list(feats[("grid", 0)])))
+    same = {f: E.feature_mmd2(*two_sided(feats[(f, 0)], feats[(f, 1)])) for f in fams}
     min_factor = np.inf
     for f1, f2 in itertools.combinations(fams, 2):
-        cross = E.feature_mmd2(feats[(f1, 0)], feats[(f2, 0)])
+        cross = E.feature_mmd2(*two_sided(feats[(f1, 0)], feats[(f2, 0)]))
         min_factor = min(min_factor, cross / max(same[f1], same[f2]))
     elapsed = time.time() - t0
     ok = abs(ident) <= 1e-12 and min_factor >= 5.0 and elapsed < 300

@@ -10,7 +10,7 @@ from gram.cli import main
 from gram.datasets import read_corpus, write_corpus
 from gram.graphs import LabeledGraph
 from gram.model import ModelConfig
-from gram.training import TrainConfig, save_checkpoint, train
+from gram.training import TrainConfig, load_checkpoint, save_checkpoint, train
 
 from conftest import fail_in_child, random_connected_graph, set_cpus, tiny_model
 
@@ -104,6 +104,25 @@ def test_train_writes_the_history_of_gram_train(tmp_path):
           checkpoint_dir=tmp_path / "lib")
     for name in ("history.csv", "checkpoint.bin"):
         assert (tmp_path / "lib" / name).read_bytes() == (tmp_path / "cli" / name).read_bytes()
+
+
+def test_keep_checkpoints_writes_one_checkpoint_per_epoch(tmp_path):
+    """--keep-checkpoints writes checkpoint_epochNNNN.bin for each epoch
+    instead of checkpoint.bin; each loads with its own epoch, and the last
+    is the checkpoint.bin of the same run without the flag."""
+    corpus = tmp_path / "c.jsonl"
+    write_corpus(corpus, datasets.generate_corpus(datasets.CorpusSpec("grid", 5, 9, 16, seed=1)))
+    flags = ["train", "--corpus", str(corpus), "--epochs", "2", "--batch-size", "3",
+             "--dmodel", "16", "--heads", "2", "--blocks", "1", "--dff", "32",
+             "--seed-size", "4", "--seed", "5"]
+    assert run(flags + ["--out", str(tmp_path / "all"), "--keep-checkpoints"]) == 0
+    assert run(flags + ["--out", str(tmp_path / "last")]) == 0
+    names = ["checkpoint_epoch0001.bin", "checkpoint_epoch0002.bin"]
+    assert sorted(p.name for p in (tmp_path / "all").iterdir()) == names + ["history.csv"]
+    for epoch, name in enumerate(names, start=1):
+        assert load_checkpoint(tmp_path / "all" / name)[1] == epoch
+    assert ((tmp_path / "all" / names[1]).read_bytes()
+            == (tmp_path / "last" / "checkpoint.bin").read_bytes())
 
 
 def test_eval_identical_corpora_zero(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import collections
 import hashlib
 import itertools
+import tracemalloc
 import warnings
 
 import networkx as nx
@@ -13,7 +14,7 @@ from gram.datasets import CorpusSpec, generate_corpus
 from gram.graphs import LabeledGraph
 
 from conftest import (adjacency_matrix, apply_ordering, mmd_squared, nspdk_kernel,
-                      random_connected_graph)
+                      random_connected_graph, two_sided)
 
 
 def to_nx(g):
@@ -459,7 +460,7 @@ def test_gk_mmd_equals_pairwise_mmd_direct(rng):
     want = mmd_squared(feats_p, feats_q, nspdk_kernel)
     assert want > 0.0
     assert abs(E.gk_mmd2(set_p, set_q) - want) <= 1e-12
-    assert abs(E.feature_mmd2(feats_p, feats_q) - want) <= 1e-12
+    assert abs(E.feature_mmd2(*two_sided(feats_p, feats_q)) - want) <= 1e-12
     assert E.gk_mmd2(set_p, list(set_p)) == 0.0
 
 
@@ -484,7 +485,7 @@ def test_gk_mmd_equals_pairwise_mmd_subsampled(rng, monkeypatch):
 def test_feature_mmd_bounds_mismatch_rejected(rng):
     g = random_connected_graph(rng, 5)
     with pytest.raises(E.EvalError, match="bounds"):
-        E.feature_mmd2([E.nspdk_features(g, 2, 3)], [E.nspdk_features(g, 3, 4)])
+        E.feature_mmd2([E.nspdk_features(g, 2, 3), E.nspdk_features(g, 3, 4)], [1.0, -1.0])
 
 
 # -- statistic mmds -----------------------------------------------------------------
@@ -665,6 +666,8 @@ def test_evaluate_corpora_equals_the_metrics_one_by_one(rng, monkeypatch, subsam
         assert got == want and got.to_json_obj() == want.to_json_obj()
         assert got.csv_row() == want.csv_row()
     assert got.gk_mmd2 > 0.0 and 0.0 < got.novel_ratio < 1.0
+    # Python floats, so the CSV row holds plain reprs
+    assert {type(getattr(got, f)) for f in got.FIELDS[:6]} == {float}
 
 
 @pytest.mark.parametrize("subsampled", [False, True])
@@ -672,9 +675,10 @@ def test_evaluate_corpora_builds_each_graphs_arrays_once(rng, monkeypatch, subsa
     """One pass per call: however many copies the corpora hold of a graph
     (the same object twice, an equal graph built again, a graph in two
     corpora), its arrays are built once (without the dense ones for a
-    graph only in training), it is featurised once if any copy is drawn,
-    even when its first copy is not, and no LabeledGraph degree method
-    runs.  A second call builds everything again."""
+    graph only in training), it is featurised once if some draw gives it a
+    nonzero weight, even when its first copy is not drawn, and no
+    LabeledGraph degree method runs.  A second call builds everything
+    again."""
     if subsampled:
         monkeypatch.setattr(E, "SUBSAMPLE_LIMIT", 6)
         monkeypatch.setattr(E, "SUBSAMPLE_SIZE", 3)
@@ -683,13 +687,17 @@ def test_evaluate_corpora_builds_each_graphs_arrays_once(rng, monkeypatch, subsa
     gen += [gen[0], copy_of(gen[1])]
     ref += [copy_of(gen[2])]
     train += [gen[3], copy_of(ref[0]), train[0]]
-    draws = E._subsample_draws(len(gen), len(ref), seed=1)
-    drawn = [E._drawn(draws, side) for side in (0, 1)]
     if subsampled:  # a drawn copy whose first copy is not drawn
-        j = max(drawn[0])
-        i = min(set(range(j)) - set(drawn[0]))
+        # numbered each copy apart, the weighted columns are the drawn positions
+        rows = E._gk_weights(np.arange(len(gen)), len(gen) + np.arange(len(ref)),
+                             len(gen) + len(ref), seed=1)
+        drawn = np.flatnonzero(rows.any(axis=0)[:len(gen)]).tolist()
+        j = max(drawn)
+        i = min(set(range(j)) - set(drawn))
         gen[i] = copy_of(gen[j])
-    featured = {graphs[i] for graphs, picks in zip((gen, ref), drawn) for i in picks}
+    (index_g, index_r), distinct = E._numbered((gen, ref))
+    rows = E._gk_weights(index_g, index_r, len(distinct), seed=1)
+    featured = [distinct[k] for k in np.flatnonzero(rows.any(axis=0))]
     assert (len(featured) < len(set(gen + ref))) == subsampled
     built, featurised, owner = collections.Counter(), collections.Counter(), {}
     arrays, features = E._graph_arrays, E._features
@@ -720,3 +728,32 @@ def test_evaluate_corpora_builds_each_graphs_arrays_once(rng, monkeypatch, subsa
         assert report.distinct == {"generated": len(set(gen)), "reference": len(ref),
                                    "train": len(train) - 1}
         assert len(set(gen)) < len(gen)
+
+
+def test_a_corpus_against_its_reversal_scores_exactly_zero(rng):
+    """Equal multisets give every MMD exactly 0, whatever the order of their
+    graphs: in the report and from each one-metric function."""
+    gen = labelled_graphs(rng, 40) + generate_corpus(CorpusSpec("lobster", 20, 10, 30, seed=4))
+    gen += gen[:5]
+    report = E.evaluate_corpora(gen, gen[::-1], seed=3)
+    assert [report.gk_mmd2, report.degree_mmd2, report.clustering_mmd2,
+            report.orbit_mmd2] == [0.0] * 4
+    assert E.gk_mmd2(gen, gen[::-1]) == 0.0
+    for stat in E.STATISTICS:
+        assert E.statistic_mmd(gen, gen[::-1], stat) == 0.0
+
+
+def test_evaluate_corpora_memory_follows_the_distinct_graphs():
+    """600 vs 600 grids of 16-25 nodes, 4 distinct graphs in each corpus:
+    no metric holds an array per copy, so the call's allocations peak
+    under 2 MB."""
+    gen, ref = (generate_corpus(CorpusSpec("grid", 600, 16, 25, seed=seed)) for seed in (1, 2))
+    assert len(set(gen)) == len(set(ref)) == 4
+    tracemalloc.start()
+    try:
+        report = E.evaluate_corpora(gen, ref)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.distinct == {"generated": 4, "reference": 4, "train": 0}
+    assert peak < 2e6

@@ -17,12 +17,13 @@ from gram.optim import Parameter, adam_step
 from gram.tensor import Tape
 from gram import sampler, training
 from gram.training import (CheckpointError, CheckpointVersionError, NonFiniteError,
-                           SkipGraph, TrainConfig, TrainError, batch_backward, chunk_loss,
+                           TrainConfig, TrainError, batch_backward, chunk_loss,
                            load_checkpoint, run_shard, save_checkpoint, shard_cut,
-                           step_chunks, teacher_forced_loss, train)
+                           step_chunks, train)
 
 from conftest import (edge_distribution_step, fail_in_child, gradients,
-                      random_connected_graph, set_cpus, teacher_forced_step, tiny_model)
+                      random_connected_graph, set_cpus, teacher_forced_loss,
+                      teacher_forced_step, tiny_model)
 
 
 def make_og(g, rng):
@@ -268,13 +269,6 @@ def test_loss_finite_under_random_init(rng):
             with Tape():
                 loss, _ = teacher_forced_loss(model, make_og(g, rng))
             assert np.isfinite(loss.item())
-
-
-def test_skip_graph_signal(rng):
-    model = tiny_model(seed_size=6)
-    g = random_connected_graph(rng, 5)
-    with pytest.raises(SkipGraph):
-        teacher_forced_loss(model, make_og(g, rng))
 
 
 def test_variant_b_never_drops_a_true_edge(rng):
