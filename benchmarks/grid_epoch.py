@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Time one training epoch on a 100-node grid, the README walkthrough's
-largest graph, and report peak memory per process.
+"""Time one training epoch on a square grid, by default of 100 nodes, the
+README walkthrough's largest graph, and report peak memory per process.
 
     python3 benchmarks/grid_epoch.py --cpus 2
-    python3 benchmarks/grid_epoch.py --cpus 1 --checkout ../parent
+    python3 benchmarks/grid_epoch.py --cpus 1 --side 14 --checkout ../parent
 
 Trains the default model, variant B, for one untimed warm-up epoch and then
 --epochs timed ones, in a process whose CPU affinity holds --cpus CPUs (so
@@ -31,6 +31,8 @@ def main():
     ap.add_argument("--cpus", type=int, default=2)
     ap.add_argument("--epochs", type=int, default=3)
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--side", type=int, default=10,
+                    help="the grid's side: side x side nodes (default: 10)")
     ap.add_argument("--checkout", type=Path, default=ROOT,
                     help="the checkout whose src/ is imported (default: this repository)")
     args = ap.parse_args()
@@ -38,8 +40,9 @@ def main():
     sys.path.insert(0, str(args.checkout.resolve() / "src"))
     from gram import datasets, model, training
 
-    spec = datasets.CorpusSpec("grid", 1, 100, 100, seed=args.seed,
-                               params={"min_side": 10, "max_side": 10})
+    n = args.side * args.side
+    spec = datasets.CorpusSpec("grid", 1, n, n, seed=args.seed,
+                               params={"min_side": args.side, "max_side": args.side})
     corpus = datasets.generate_corpus(spec)
     a, b = datasets.ALPHABETS["grid"]
     net = model.Model(model.ModelConfig(a, b, variant="B"), init_seed=args.seed)
@@ -50,6 +53,7 @@ def main():
     seconds = (time.perf_counter() - t0) / args.epochs
     mb = 1.0 / 1024
     print(json.dumps({
+        "nodes": n,
         "cpus": len(os.sched_getaffinity(0)),
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
         "epoch_s": round(seconds, 3),

@@ -18,7 +18,10 @@ as they are, with no per-call copy.  A call runs K independent problems at
 once (the prefixes of a model.Prefixes batch, built from a graph's labels,
 edges and steps: a chunk's steps in training, K = 1 in sampling): their
 query and key rows come packed, and a Segments lays each problem's rows out
-on a grid padded to the largest problem.  Attention is split in two halves:
+on a grid padded to the largest problem.  In training a Segments may also
+take its rows from fewer input rows (its source): a prefix's queries are
+only the rows it must recompute, and a row that several prefixes share is
+projected once.  Attention is split in two halves:
 
   project  Q, K and V for all heads, one 2-D product each, laid out as
            (H, K, n, d_S) grids, plus the bias tables that depend only on Q
@@ -68,9 +71,15 @@ class Segments:
     first sizes[k] places of grid row k; width is the largest size.  The
     row-wise work of a batch of steps runs on the packed rows, and only
     work that pairs rows within a run (attention scores, pooling) runs on
-    the grid."""
+    the grid.
 
-    def __init__(self, sizes):
+    With a source (total,), packed row r is row source[r] of the input
+    rows, which may serve several packed rows or none (a forward pass that
+    reuses the rows of earlier prefixes, model.BlockRows); without one the
+    input rows are the packed rows."""
+
+    def __init__(self, sizes, source=None):
+        self.source = source
         sizes = [int(size) for size in sizes]
         self.count = len(sizes)
         self.width = max(sizes, default=0)
@@ -82,9 +91,14 @@ class Segments:
         self.index = None if self.total == self.count * self.width \
             else np.flatnonzero(self.real)
 
+    def take(self, x: Tensor) -> Tensor:
+        """Input rows -> the packed rows (N, ...)."""
+        return x if self.source is None else T.rows(x, self.source)
+
     def pad(self, x: Tensor) -> Tensor:
-        """Packed rows (N, ...) -> the flattened grid (K * width, ...), zero
-        in unused places."""
+        """Input rows -> the flattened grid (K * width, ...), zero in
+        unused places."""
+        x = self.take(x)
         if self.index is None:
             return x
         return T.scatter_rows(x, self.index, self.count * self.width)
@@ -169,9 +183,10 @@ class GraphAttentionParams:
 
 def project(x: Tensor, w: Tensor, rows: Segments | None = None) -> Tensor:
     """Rows x (N, d_in) through head-batched weights w (H, d_S, d_in):
-    (H, N, d_S), or with rows the (H, K, width, d_S) grid of those runs,
-    zero in unused places.  w is read as one (H * d_S, d_in) matrix, so
-    this is one 2-D product, whose columns are then split by head."""
+    (H, N, d_S), or with rows the (H, K, width, d_S) grid of the runs
+    that rows takes from them, zero in unused places.  w is read as one
+    (H * d_S, d_in) matrix, so this is one 2-D product, whose columns are
+    then split by head."""
     heads, d_s, d_in = w.data.shape
     y = T.matmul(x, T.transpose(T.reshape(w, (heads * d_s, d_in))))
     if rows is not None:
@@ -210,8 +225,9 @@ def g_multi_head(q: Tensor, k: Tensor, v: Tensor, ctx: AttentionContext,
                  p: GraphAttentionParams) -> Tensor:
     """Multi-head graph attention; heads are concatenated and projected.
 
-    q, k and v hold packed rows, laid out by ctx: K problems whose queries
-    and keys are runs of those rows.  The scale factor is d_K^(-1/2) with
+    q, k and v hold input rows, laid out by ctx: K problems whose queries
+    and keys are runs of the rows that its Segments take from them, each
+    projected once, before it is taken.  The scale factor is d_K^(-1/2) with
     d_K the key input width, applied exactly once per score.  Empty query
     rows and distance buckets are as in attend; distances beyond the radius
     are clipped to the final bucket by the caller.
@@ -219,7 +235,8 @@ def g_multi_head(q: Tensor, k: Tensor, v: Tensor, ctx: AttentionContext,
     if k.data.shape[0] != v.data.shape[0]:
         raise AttentionError(f"key rows {k.data.shape[0]} != value rows {v.data.shape[0]}")
     dist, queries, keys = ctx.dist, ctx.queries, ctx.keys
-    if (queries.total, keys.total) != (q.data.shape[0], k.data.shape[0]):
+    if any(rows.source is None and rows.total != x.data.shape[0]
+           for rows, x in ((queries, q), (keys, k))):
         raise AttentionError(f"context shape {dist.shape} does not match "
                              f"({q.data.shape[0]}, {k.data.shape[0]}) rows")
     qh, kh = project(q, p.wq, queries), project(k, p.wk, keys)
@@ -243,8 +260,10 @@ class SublayerParams:
 
 
 def attention_sublayer(h_in: Tensor, ctx: AttentionContext, p: SublayerParams) -> Tensor:
-    """LayerNorm(x + SelfAttention(x)) followed by LayerNorm(y + FNN(y))."""
+    """LayerNorm(x + SelfAttention(x)) followed by LayerNorm(y + FNN(y)),
+    one output row per query of ctx: the queries and keys are rows of h_in
+    as their Segments take them."""
     att = g_multi_head(h_in, h_in, h_in, ctx, p.attn)
-    x = T.layer_norm(T.add(h_in, att), p.ln1_gain, p.ln1_bias)
+    x = T.layer_norm(T.add(ctx.queries.take(h_in), att), p.ln1_gain, p.ln1_bias)
     fnn = T.linear(T.linear(x, p.fnn_w1, p.fnn_b1, relu=True), p.fnn_w2, p.fnn_b2)
     return T.layer_norm(T.add(x, fnn), p.ln2_gain, p.ln2_bias)

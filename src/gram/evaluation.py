@@ -377,7 +377,8 @@ class EvalReport:
         vals = []
         for k in self.FIELDS:
             v = getattr(self, k)
-            vals.append("" if v is None else repr(v) if isinstance(v, float) else str(v))
+            # float(v): the repr of a float subclass (np.float64) is not a number
+            vals.append("" if v is None else repr(float(v)) if isinstance(v, float) else str(v))
         return ",".join(vals)
 
 

@@ -15,6 +15,13 @@ batch of one prefix in sampling.  Row work
 (every weight product, elementwise op, layer norm and the conv's gathers
 and scatters) runs on the prefixes' packed rows; only attention and
 pooling lay the rows out per prefix, padded to the largest.
+
+Consecutive prefixes share most rows: a block's output row depends only on
+the rows within its conv's and its attention's reach.  So feature
+extraction computes, for each prefix after a batch's first, only the rows
+that Prefixes.dirty marks, and reads the others from the prefix that last
+computed them; a one-prefix batch computes every row, as it always did.
+Results equal those of encoding every prefix in full up to rounding.
 """
 from __future__ import annotations
 
@@ -100,8 +107,8 @@ class TeacherForced:
 
 
 class Prefixes:
-    """The prefixes of one graph at K steps, the batch that one forward
-    pass evaluates.
+    """The prefixes of one graph at K ascending steps, the batch that one
+    forward pass evaluates.
 
     labels (n,) and edges, rows (i, j, label) with i < j, are a graph in
     generation-order positions; prefix s, for each step s >= 1, is its
@@ -110,26 +117,178 @@ class Prefixes:
     (nodes, an attention.Segments): prefix k owns rows
     nodes.offsets[k]:nodes.offsets[k + 1].  Its edges are packed the same
     way, with endpoints as packed node rows.  One (K, width, width)
-    adjacency stack gives every prefix's degrees, clustering and distance
-    buckets dist, capped at radius + 1, the bucket that also fills the
-    unused places.  The node after prefix k can only receive edges from
-    its frontier [frontier_lo[k], s)."""
+    adjacency stack gives every prefix's degrees, each degree over its
+    prefix's largest (relative_degrees), clustering and distance buckets
+    dist, capped at radius + 1, the bucket that also fills the unused
+    places.  The node after prefix k can only receive edges from its
+    frontier [frontier_lo[k], s).
+
+    Prefix k - 1 holds the first nodes and edges of prefix k, and
+    previous (previous_edges) gives each packed node (edge) row the
+    packed row of the same node (edge) in prefix k - 1, or -1 for a row
+    that prefix k adds.  dirty() derives from these which rows each block
+    must recompute."""
 
     def __init__(self, labels, edges, steps, radius: int):
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
         steps = np.asarray(steps, dtype=np.int64)
+        if (np.diff(steps) <= 0).any():
+            raise ModelError(f"steps must ascend, got {steps.tolist()}")
+        self.radius = radius
         nodes = self.nodes = A.Segments(steps)
         owner, row = np.nonzero(edges[:, 1] < steps[:, None])  # by prefix, then row
         i, j, self.edge_labels = edges[row].T
         self.ends = (i + nodes.offsets[owner], j + nodes.offsets[owner])  # packed rows
-        self.labels = np.asarray(labels, dtype=np.int64)[np.nonzero(nodes.real)[1]]
+        position = np.nonzero(nodes.real)[1]
+        self.labels = np.asarray(labels, dtype=np.int64)[position]
         adj = np.zeros((nodes.count, nodes.width, nodes.width))
         adj[owner, i, j] = adj[owner, j, i] = 1.0
         used = nodes.real[:, :, None] & nodes.real[:, None, :]
         self.dist = np.where(used, capped_distances(adj, radius), radius + 1)
         self.degrees = adj.sum(axis=-1)[nodes.real].astype(np.int64)
+        maxdeg = np.maximum.reduceat(self.degrees, nodes.offsets[:-1])[nodes.owner]
+        self.relative_degrees = np.zeros(nodes.total)
+        np.divide(self.degrees, maxdeg, out=self.relative_degrees, where=maxdeg > 0)
         self.clustering = clustering(adj)[nodes.real]
         self.frontier_lo = G.frontier_starts(edges, len(labels))[steps - 1]
+        before = np.concatenate([[0], steps[:-1]])  # the size of prefix k - 1
+        self.previous = _previous_rows(position < before[nodes.owner])
+        self.previous_edges = _previous_rows(j < before[owner])
+
+    def dirty(self, blocks: int) -> "DirtyRows":
+        """The rows that a forward pass through the given number of blocks
+        computes, relative to the previous prefix; every row of the first.
+
+        A node row is dirty at the input (level 0) when the prefix adds it
+        or its input row (label, relative degree, clustering) changed; a
+        new largest degree changes every row.  An edge row is dirty at
+        level 0 when it is new.  Block l's conv reads a row's own input,
+        its incident edges and their ends, and its attention the rows
+        within radius and their distance buckets (the L-block receptive
+        field of GraphSAGE, Hamilton et al. 2017).  So a node row is dirty
+        at level l + 1, the output of block l, when a row dirty at level l
+        lies within radius of it, itself included, and an edge row when it
+        is new or has an end dirty at level l.  The node rule covers the
+        ends of a dirty edge (radius >= 1), and every old pair whose
+        capped distance changed: its new shortest path, of at most radius
+        edges, runs through a new node.  A clean row equals the previous
+        prefix's row, up to rounding."""
+        nodes = self.nodes
+        ii, jj = self.ends
+        prev = np.maximum(self.previous, 0)
+        node = (self.previous < 0) | (self.relative_degrees != self.relative_degrees[prev]) \
+            | (self.clustering != self.clustering[prev])
+        new_edges = self.previous_edges < 0
+        near = self.dist <= self.radius
+        node_masks, edge_masks = [node], [new_edges]
+        for _ in range(blocks):
+            edge_masks.append(new_edges | node[ii] | node[jj])
+            grid = np.zeros(nodes.real.shape, dtype=bool)
+            grid[nodes.real] = node
+            node = (near & grid[:, None, :]).any(axis=-1)[nodes.real]
+            node_masks.append(node)
+        return DirtyRows(self, node_masks, edge_masks)
+
+
+def _previous_rows(old: np.ndarray) -> np.ndarray:
+    """The packed row in prefix k - 1 of each packed row of prefix k that
+    old marks, -1 for the others: prefix k's old rows are prefix k - 1's
+    rows in their order, so in packed order they are rows 0, 1, ..."""
+    out = np.full(len(old), -1)
+    out[old] = np.arange(np.count_nonzero(old))
+    return out
+
+
+def _sources(mask: np.ndarray, previous: np.ndarray):
+    """Each packed row's index among the rows that mask sets: its own where
+    set, else that of its row in the previous prefix, in turn; None when
+    mask sets every row."""
+    if mask.all():
+        return None
+    at = np.where(mask, np.arange(len(mask)), previous)
+    while not mask[at].all():
+        at = at[at]
+    return (np.cumsum(mask) - 1)[at]
+
+
+class DirtyRows:
+    """The rows of a Prefixes batch that a forward pass computes
+    (Prefixes.dirty): masks over the packed node rows (nodes) and edge rows
+    (edges) at each level, level 0 the input and level l + 1 block l's
+    output; the index arrays of each block (blocks, BlockRows); and the
+    row among the last level's computed rows that each packed row takes,
+    None when it computes every row (output)."""
+
+    def __init__(self, batch: Prefixes, nodes: list, edges: list):
+        self.nodes, self.edges = nodes, edges
+        self.blocks = [BlockRows(batch, *masks) for masks in
+                       zip(nodes[:-1], edges[:-1], nodes[1:], edges[1:])]
+        self.output = _sources(nodes[-1], batch.previous)
+
+
+class BlockRows:
+    """What one feature block computes of a Prefixes batch, from the rows
+    that the level before it computed: the node rows node_in and edge rows
+    edge_in that the masks set (all when None), to the node rows node_out
+    and edge rows edge_out.
+
+    The conv's hidden edges are the output's edges, then every other edge
+    with an end in the output (its hidden rows feed that end's sum).  For
+    those h edges: mid, each one's row among the computed edge rows, or
+    None when that is the edge itself; first_in and last_in (2h,), the
+    computed rows of the first and last end of each hidden row, direction
+    0 then 1 as graph_convolution reads them; edges_out, the number of
+    leading hidden edges that the block outputs, or None when that is all;
+    first_out and last_out, the output row that each hidden row's first
+    and last end sums into, count (the output rows) for an end that the
+    block does not output, which needs a spare row.  degrees are the
+    output rows' degrees, and isolated_in and isolated_out the computed
+    and output rows of those of degree 0.  ctx is the attention of the
+    output rows, as queries, over every row of their prefixes, both taken
+    from the computed rows."""
+
+    def __init__(self, batch: Prefixes, node_in=None, edge_in=None, node_out=None,
+                 edge_out=None):
+        nodes, radius = batch.nodes, batch.radius
+        total, (ii, jj) = nodes.total, batch.ends
+        src = None if node_in is None else _sources(node_in, batch.previous)
+        take = (lambda rows: rows) if src is None else (lambda rows: src[rows])
+        out = None if node_out is None or node_out.all() else np.flatnonzero(node_out)
+        # masks that set every row give the arrays of no masks: no gather runs
+        self.count = total if out is None else len(out)
+        rank = np.arange(total) if out is None \
+            else np.where(node_out, np.cumsum(node_out) - 1, self.count)
+        hidden, self.edges_out = None, None
+        if edge_out is not None:
+            rest = np.flatnonzero((node_out[ii] | node_out[jj]) & ~edge_out)
+            if len(rest) or not edge_out.all():
+                kept = np.flatnonzero(edge_out)
+                hidden = np.concatenate([kept, rest])
+                self.edges_out = len(kept) if len(rest) else None
+        if hidden is not None:
+            ii, jj = ii[hidden], jj[hidden]
+        mid = None if edge_in is None else _sources(edge_in, batch.previous_edges)
+        self.mid = hidden if mid is None else mid if hidden is None else mid[hidden]
+        self.first_in = np.concatenate([take(ii), take(jj)])
+        self.last_in = np.concatenate([take(jj), take(ii)])
+        self.first_out = np.concatenate([rank[ii], rank[jj]])
+        self.last_out = np.concatenate([rank[jj], rank[ii]])
+        self.spare = out is not None and bool((self.first_out == self.count).any())
+        self.degrees = batch.degrees if out is None else batch.degrees[out]
+        self.isolated_out = np.flatnonzero(self.degrees == 0)
+        self.isolated_in = take(self.isolated_out if out is None else out[self.isolated_out])
+        sizes = np.diff(nodes.offsets)
+        keys = nodes if src is None else A.Segments(sizes, source=src)
+        if out is None:
+            queries, dist = keys, batch.dist
+        else:
+            queries = A.Segments(np.bincount(nodes.owner[out], minlength=nodes.count),
+                                 source=take(out))
+            at = np.zeros(queries.real.shape, dtype=np.int64)
+            at[queries.real] = np.nonzero(nodes.real)[1][out]
+            dist = batch.dist[np.arange(nodes.count)[:, None], at]
+            dist[~queries.real] = radius + 1
+        self.ctx = A.AttentionContext(dist, dist <= radius, queries, keys)
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +409,11 @@ class Model:
     # -- feature extraction -------------------------------------------------
 
     def graph_convolution(self, hv: Tensor, he: Tensor, batch: Prefixes, conv,
-                          update_edges: bool = True) -> tuple:
-        """One conv layer over the packed node rows hv and edge rows he of a
-        batch of prefixes.  Every edge (i, j) with features e reads its node
+                          update_edges: bool = True, rows: BlockRows | None = None) -> tuple:
+        """One conv layer over the node rows hv and edge rows he that the
+        level before it computed, by default every packed row of a batch of
+        prefixes; rows (a BlockRows) says which rows those are and which
+        rows to output.  Every edge (i, j) with features e reads its node
         triple in both directions, x1 = [h_i | e | h_j] and
         x2 = [h_j | e | h_i], as hid = relu(x W1 + b1).  The edge keeps the
         mean of its two candidates hid wedge + bedge.  A node averages, over
@@ -266,68 +427,88 @@ class Model:
 
         The work is split so that only gathers and scatters are per edge.
         By input part, x1 W1 = h_i W1[:d] + e W1[d:2d] + h_j W1[2d:], so the
-        node blocks are computed once per node and gathered into both
-        directions.  The edge candidate is (hid1 + hid2)/2 wedge + bedge.
+        node blocks are computed once per computed row and gathered into
+        both directions.  The edge candidate is (hid1 + hid2)/2 wedge + bedge.
         The output projections are linear, so they run after the scatter:
         with S and S' the (node, direction-edge) incidence of the first and
         the last end, a node's candidate sum is
         (S hid) wsrc + (S' hid) wdst + deg (bsrc + bdst), where
         S hid = S_i hid1 + S_j hid2 and S' hid = S_i hid2 + S_j hid1.  Edges
-        only join nodes of one prefix, so every product runs on the packed
-        rows of the whole batch.  Without update_edges (the last block,
-        whose edge features nothing reads) the edge output is None."""
-        degrees = batch.degrees
-        s, d = hv.data.shape
-        t = len(batch.edge_labels)
-        ii, jj = batch.ends
+        only join nodes of one prefix, so every product runs on the rows of
+        the whole batch.  Without update_edges (the last block, whose edge
+        features nothing reads) the edge output is None."""
+        r = rows or BlockRows(batch)
+        d = hv.data.shape[1]
         w1 = conv["w1"]
-        first = T.matmul(hv, T.slice_along(w1, 0, 0, d))              # (s, 3d)
-        last = T.matmul(hv, T.slice_along(w1, 0, 2 * d, 3 * d))       # (s, 3d)
-        mid = T.linear(he, T.slice_along(w1, 0, d, 2 * d), conv["b1"])  # (t, 3d)
+        first = T.matmul(hv, T.slice_along(w1, 0, 0, d))              # (rows, 3d)
+        last = T.matmul(hv, T.slice_along(w1, 0, 2 * d, 3 * d))       # (rows, 3d)
+        mid = T.linear(he, T.slice_along(w1, 0, d, 2 * d), conv["b1"])  # (edge rows, 3d)
+        if r.mid is not None:
+            mid = T.rows(mid, r.mid)
         # direction 0 reads (i, e, j), direction 1 reads (j, e, i)
-        first_end, last_end = np.concatenate([ii, jj]), np.concatenate([jj, ii])
-        hid = T.edge_hidden(first, last, mid, first_end, last_end)  # (2, t, 3d)
+        hid = T.edge_hidden(first, last, mid, r.first_in, r.last_in)  # (2, t, 3d)
         he_new = None
         if update_edges:
-            he_new = T.linear(T.mul(T.sum_along(hid, 0), T.const(0.5)), conv["wedge"],
+            kept = hid if r.edges_out is None else T.slice_along(hid, 1, 0, r.edges_out)
+            he_new = T.linear(T.mul(T.sum_along(kept, 0), T.const(0.5)), conv["wedge"],
                               conv["bedge"])
-        hid = T.reshape(hid, (2 * t, 3 * d))
-        src = T.matmul(T.scatter_rows(hid, first_end, s), conv["wsrc"])
-        sums = T.add(T.linear(T.scatter_rows(hid, last_end, s), conv["wdst"], src),
+        hid = T.reshape(hid, (2 * hid.data.shape[1], 3 * d))
+
+        def scatter(ends):  # the output rows' sums of the hidden rows by one end
+            out = T.scatter_rows(hid, ends, r.count + r.spare)
+            return T.slice_along(out, 0, 0, r.count) if r.spare else out
+
+        src = T.matmul(scatter(r.first_out), conv["wsrc"])
+        degrees = r.degrees
+        sums = T.add(T.linear(scatter(r.last_out), conv["wdst"], src),
                      T.mul(T.const(degrees[:, None]), T.add(conv["bsrc"], conv["bdst"])))
         counts = 2.0 * degrees
-        recip = np.zeros(s)
+        recip = np.zeros(r.count)
         np.divide(1.0, counts, out=recip, where=counts > 0)
         # zero on the isolated rows, which take the self-transform instead
         agg = T.relu(T.mul(sums, T.const(recip[:, None])))
-        isolated = np.flatnonzero(degrees == 0)
-        if len(isolated):
-            iso = T.linear(T.rows(hv, isolated), conv["wiso"], conv["biso"], relu=True)
-            agg = T.add(agg, T.scatter_rows(iso, isolated, s))
+        if len(r.isolated_out):
+            iso = T.linear(T.rows(hv, r.isolated_in), conv["wiso"], conv["biso"], relu=True)
+            agg = T.add(agg, T.scatter_rows(iso, r.isolated_out, r.count))
         return agg, he_new
 
     def extract_features(self, batch: Prefixes) -> Tensor:
         """Node feature rows of a batch of prefixes, packed in order: one-hot
-        labels plus degree normalized within the prefix and clustering,
-        projected, then refined by parallel conv/attention blocks combined
-        per block by a linear projection.  Attention runs on each prefix's
-        rows padded to the batch's largest prefix."""
+        labels plus relative degree and clustering, projected, then refined
+        by parallel conv/attention blocks combined per block by a linear
+        projection.  Attention runs on each prefix's rows padded to the
+        batch's largest prefix.
+
+        Each prefix after the first computes only its dirty rows
+        (Prefixes.dirty): input-side work (the input projection, the conv's
+        node and edge blocks, attention's queries, keys and values) on the
+        rows dirty at a block's input, output-side work (the conv's sums
+        and output projections, attention with those rows as queries over
+        all keys, wo, the feedforward, both layer norms and combine) on the
+        rows dirty at its output.  A clean row is read from the prefix
+        that last computed it, by a gather whose backward sums the gradient
+        of a row that several prefixes read; one final gather packs the
+        rows.  A one-prefix batch (the sampler's) computes every row and
+        runs no gather."""
         c = self.config
         nodes = batch.nodes
+        dirty = batch.dirty(len(self.blocks))
         x = np.zeros((nodes.total, c.a + 2))
         x[np.arange(nodes.total), batch.labels] = 1.0
-        maxdeg = np.maximum.reduceat(batch.degrees, nodes.offsets[:-1])[nodes.owner]
-        np.divide(batch.degrees, maxdeg, out=x[:, c.a], where=maxdeg > 0)
+        x[:, c.a] = batch.relative_degrees
         x[:, c.a + 1] = batch.clustering
-        hv = T.linear(T.const(x), self.input_w, self.input_b)
-        he = T.rows(self.embed_edge, batch.edge_labels)
-        ctx = A.AttentionContext(batch.dist, batch.dist <= c.radius, nodes, nodes)
+        inputs, edges = dirty.nodes[0], dirty.edges[0]
+        hv = T.linear(T.const(x if inputs.all() else x[inputs]), self.input_w, self.input_b)
+        he = T.rows(self.embed_edge,
+                    batch.edge_labels if edges.all() else batch.edge_labels[edges])
         for l, (conv, sub, combine_w, combine_b) in enumerate(self.blocks):
+            rows = dirty.blocks[l]
             conv_out, he = self.graph_convolution(hv, he, batch, conv,
-                                                  update_edges=l + 1 < len(self.blocks))
-            att_out = A.attention_sublayer(hv, ctx, sub)
+                                                  update_edges=l + 1 < len(self.blocks),
+                                                  rows=rows)
+            att_out = A.attention_sublayer(hv, rows.ctx, sub)
             hv = T.linear(T.concat([conv_out, att_out], axis=-1), combine_w, combine_b)
-        return hv
+        return hv if dirty.output is None else T.rows(hv, dirty.output)
 
     def graph_pool(self, hv: Tensor, nodes: A.Segments) -> Tensor:
         """Gated sum of node features, sum_i sigmoid(gate(h_i)) * h_i, over

@@ -240,6 +240,74 @@ def grid(blocks, fill) -> np.ndarray:
     return out
 
 
+def full_graph_convolution(hv, he, batch, conv, update_edges=True):
+    """Reference: Model.graph_convolution before rows were reused, every
+    packed row of the batch computed."""
+    degrees = batch.degrees
+    s, d = hv.data.shape
+    t = len(batch.edge_labels)
+    ii, jj = batch.ends
+    w1 = conv["w1"]
+    first = T.matmul(hv, T.slice_along(w1, 0, 0, d))              # (s, 3d)
+    last = T.matmul(hv, T.slice_along(w1, 0, 2 * d, 3 * d))       # (s, 3d)
+    mid = T.linear(he, T.slice_along(w1, 0, d, 2 * d), conv["b1"])  # (t, 3d)
+    # direction 0 reads (i, e, j), direction 1 reads (j, e, i)
+    first_end, last_end = np.concatenate([ii, jj]), np.concatenate([jj, ii])
+    hid = T.edge_hidden(first, last, mid, first_end, last_end)  # (2, t, 3d)
+    he_new = None
+    if update_edges:
+        he_new = T.linear(T.mul(T.sum_along(hid, 0), T.const(0.5)), conv["wedge"],
+                          conv["bedge"])
+    hid = T.reshape(hid, (2 * t, 3 * d))
+    src = T.matmul(T.scatter_rows(hid, first_end, s), conv["wsrc"])
+    sums = T.add(T.linear(T.scatter_rows(hid, last_end, s), conv["wdst"], src),
+                 T.mul(T.const(degrees[:, None]), T.add(conv["bsrc"], conv["bdst"])))
+    counts = 2.0 * degrees
+    recip = np.zeros(s)
+    np.divide(1.0, counts, out=recip, where=counts > 0)
+    # zero on the isolated rows, which take the self-transform instead
+    agg = T.relu(T.mul(sums, T.const(recip[:, None])))
+    isolated = np.flatnonzero(degrees == 0)
+    if len(isolated):
+        iso = T.linear(T.rows(hv, isolated), conv["wiso"], conv["biso"], relu=True)
+        agg = T.add(agg, T.scatter_rows(iso, isolated, s))
+    return agg, he_new
+
+
+def full_block_rows(model, batch):
+    """Reference: Model.extract_features before rows were reused, every
+    packed row of every prefix encoded in full.  Returns the packed rows of
+    every level: the projected input, then each block's output."""
+    c = model.config
+    nodes = batch.nodes
+    x = np.zeros((nodes.total, c.a + 2))
+    x[np.arange(nodes.total), batch.labels] = 1.0
+    maxdeg = np.maximum.reduceat(batch.degrees, nodes.offsets[:-1])[nodes.owner]
+    np.divide(batch.degrees, maxdeg, out=x[:, c.a], where=maxdeg > 0)
+    x[:, c.a + 1] = batch.clustering
+    hv = T.linear(T.const(x), model.input_w, model.input_b)
+    he = T.rows(model.embed_edge, batch.edge_labels)
+    ctx = A.AttentionContext(batch.dist, batch.dist <= c.radius, nodes, nodes)
+    levels = [hv]
+    for l, (conv, sub, combine_w, combine_b) in enumerate(model.blocks):
+        conv_out, he = full_graph_convolution(hv, he, batch, conv,
+                                              update_edges=l + 1 < len(model.blocks))
+        att_out = A.attention_sublayer(hv, ctx, sub)
+        hv = T.linear(T.concat([conv_out, att_out], axis=-1), combine_w, combine_b)
+        levels.append(hv)
+    return levels
+
+
+def full_extract_features(model, batch):
+    """Reference: the full re-encoding's feature rows."""
+    return full_block_rows(model, batch)[-1]
+
+
+def encode_in_full(monkeypatch):
+    """Run the model through the full re-encoding of every prefix."""
+    monkeypatch.setattr(Model, "extract_features", full_extract_features)
+
+
 def teacher_forced_loss(model: Model, og: G.OrderedGraph):
     """Reference: the summed negative log-likelihood of all post-seed steps
     of one graph, in the chunks that training runs.

@@ -622,6 +622,15 @@ def test_fingerprint_agrees_with_exact_isomorphism(rng):
 
 # -- report ----------------------------------------------------------------------
 
+def test_csv_row_of_numpy_scalars_is_numbers():
+    """A report whose fields are numpy scalars writes a row of numbers:
+    every cell parses with float() and gives the field's value."""
+    values = (np.float64(0.25), 0.1, np.float64(1e-17), 0.0, np.float64(0.5),
+              np.float64(1.0), np.int64(20), 20)
+    cells = E.EvalReport(*values).csv_row().split(",")
+    assert [float(cell) for cell in cells] == [float(v) for v in values]
+
+
 def test_evaluate_corpora_report(rng):
     gen = [random_connected_graph(rng, 7) for _ in range(6)]
     report = E.evaluate_corpora(gen, list(gen), train_set=gen[:3])

@@ -13,10 +13,12 @@ from gram.sampler import _draw_edges, _edge_dists, build_seed_bank, generate_gra
 from gram.tensor import Tape, Tensor
 from gram.training import TrainConfig, TrainError, chunk_loss
 
+from gram import training
 from conftest import (apply_ordering, build_prefix, compose_fused, edge_distribution_step,
-                      finite_difference_check, gradients, grid, random_connected_graph,
+                      encode_in_full, finite_difference_check, full_block_rows,
+                      full_extract_features, gradients, grid, random_connected_graph,
                       teacher_forced_step, tiny_model)
-from test_training import randomize_bias_tables
+from test_training import loss_and_grads, randomize_bias_tables
 
 
 def identity_ordered(g):
@@ -202,6 +204,113 @@ def test_prefixes_match_per_step_reference(rng):
                 ("frontier_lo", got.frontier_lo, np.array([p.frontier_lo for p in items]))):
             assert value.dtype == want.dtype and value.shape == want.shape, name
             assert value.tobytes() == want.tobytes(), name
+
+
+def test_prefixes_need_ascending_steps():
+    for steps in ([3, 3], [4, 2]):
+        with pytest.raises(ModelError, match="steps must ascend"):
+            Prefixes([0] * 5, [(0, 1, 0)], steps, 2)
+
+
+def family_orderings(rng):
+    """BFS orderings of grid, lobster and BA graphs: their prefixes leave
+    rows clean (grids, lobsters) or raise the largest degree often (BA)."""
+    for family, lo, hi in (("grid", 16, 20), ("lobster", 14, 20), ("ba", 12, 16)):
+        for g in generate_corpus(CorpusSpec(family, 2, lo, hi, seed=int(rng.integers(99)))):
+            yield g, OrderedGraph(g, G.bfs_ordering(g, int(rng.integers(g.n)), rng))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_reused_rows_match_the_full_reencoding(variant, rng, monkeypatch):
+    """Computing only the dirty rows of each prefix after a chunk's first
+    gives the full re-encoding's feature rows, chunk NLLs and every
+    parameter gradient to 1e-10 relative (a gradient's scale floored at
+    1e-3, as in finite_difference_check), with random non-zero bias
+    tables, on chunks of several prefixes of grid, lobster and BA
+    orderings, steps that raise the largest degree among them."""
+    monkeypatch.setattr(training, "CHUNK_ROWS", 80)
+    raised = chunks = 0
+    for g, og in family_orderings(rng):
+        model = tiny_model(g.a, g.b, variant, blocks=3, seed_size=2, seed=og.n)
+        randomize_bias_tables(model, rng)
+        for steps in training.step_chunks(range(2, og.n + 1)):
+            batch = Prefixes(og.labels, og.edges, steps, 2)
+            chunks += len(steps) > 1
+            largest = np.maximum.reduceat(batch.degrees, batch.nodes.offsets[:-1])
+            raised += int((np.diff(largest) > 0).sum())
+            want = full_extract_features(model, batch).data
+            got = model.extract_features(batch).data
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+            results = []
+            for full in (False, True):
+                with monkeypatch.context() as patch:
+                    if full:
+                        encode_in_full(patch)
+
+                    def backward():
+                        with Tape() as tape:
+                            loss, _ = chunk_loss(model, og, steps)
+                            tape.backward(loss)
+                        return loss.item()
+
+                    results.append(loss_and_grads(model, backward))
+            (nll, grads), (want_nll, want_grads) = results
+            assert nll == pytest.approx(want_nll, rel=1e-10)
+            for name, ref in want_grads.items():
+                scale = max(np.abs(ref).max(), 1e-3)
+                assert np.abs(grads[name] - ref).max() <= 1e-10 * scale, name
+    assert raised > 0 and chunks > 6
+
+
+def test_dirty_rows_cover_every_row_that_moves(rng):
+    """Every row whose value at a level (the projected input, then each
+    block's output) moves by more than 1e-12 from its value in the
+    previous prefix is dirty at that level, on random graphs in BFS and in
+    random orders (prefixes with isolated rows and far-apart parts), at
+    radius 1 and 2, with random bias tables; and rows that do not move are
+    left clean at every level."""
+    clean = [0] * 4
+    for trial in range(16):
+        n = int(rng.integers(6, 16))
+        g = random_connected_graph(rng, n, extra_edge_prob=float(rng.uniform(0.0, 0.3)))
+        order = rng.permutation(n) if trial % 4 == 0 else G.bfs_ordering(g, 0, rng)
+        og = OrderedGraph(g, [int(v) for v in order])
+        model = tiny_model(blocks=3, seed=trial, radius=1 + trial % 2)
+        randomize_bias_tables(model, rng)
+        batch = Prefixes(og.labels, og.edges, range(1, n + 1), model.config.radius)
+        dirty = batch.dirty(3)
+        old = np.flatnonzero(batch.previous >= 0)
+        for level, rows in enumerate(full_block_rows(model, batch)):
+            h = rows.data
+            moved = np.abs(h[old] - h[batch.previous[old]]).max(axis=1) > 1e-12 * np.abs(h).max()
+            assert not (moved & ~dirty.nodes[level][old]).any(), (trial, level)
+            clean[level] += int((~dirty.nodes[level][old]).sum())
+    assert min(clean) > 0
+
+
+def test_one_prefix_batch_computes_every_row_with_no_gather(rng, monkeypatch):
+    """A one-prefix batch, the sampler's, is dirty in every row and edge
+    at every level, and its forward runs the full re-encoding's gathers
+    and gives its rows bit for bit: no gather reads a reused row."""
+    model = tiny_model(blocks=3, seed=5)
+    randomize_bias_tables(model, rng)
+    calls = []
+    real_rows = T.rows
+    monkeypatch.setattr(T, "rows", lambda table, idx: calls.append(
+        (table.data.shape, np.asarray(idx).tolist())) or real_rows(table, idx))
+    for n in (1, 2, 6, 11, 14):
+        g = random_connected_graph(rng, n)
+        og = OrderedGraph(g, G.bfs_ordering(g, 0, rng))
+        batch = Prefixes(og.labels, og.edges, [n], 2)
+        dirty = batch.dirty(3)
+        assert all(mask.all() for mask in dirty.nodes + dirty.edges)
+        assert dirty.output is None
+        calls.clear()
+        got = model.extract_features(batch).data
+        gathers = list(calls)
+        calls.clear()
+        want = full_extract_features(model, batch).data
+        assert gathers == calls and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
