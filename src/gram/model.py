@@ -179,6 +179,9 @@ class Prefixes:
         node = (self.previous < 0) | (self.relative_degrees != self.relative_degrees[prev]) \
             | (self.clustering != self.clustering[prev])
         new_edges = self.previous_edges < 0
+        if node.all() and new_edges.all():  # one prefix, the sampler's: every row, no gather
+            return DirtyRows([node] * (blocks + 1), [new_edges] * (blocks + 1),
+                             [BlockRows(self)] * blocks, None)
         near = self.dist <= self.radius
         node_masks, edge_masks = [node], [new_edges]
         for _ in range(blocks):
@@ -187,7 +190,10 @@ class Prefixes:
             grid[nodes.real] = node
             node = (near & grid[:, None, :]).any(axis=-1)[nodes.real]
             node_masks.append(node)
-        return DirtyRows(self, node_masks, edge_masks)
+        return DirtyRows(node_masks, edge_masks,
+                         [BlockRows(self, *masks) for masks in zip(
+                             node_masks[:-1], edge_masks[:-1], node_masks[1:], edge_masks[1:])],
+                         _sources(node, self.previous))
 
 
 def _previous_rows(old: np.ndarray) -> np.ndarray:
@@ -211,6 +217,7 @@ def _sources(mask: np.ndarray, previous: np.ndarray):
     return (np.cumsum(mask) - 1)[at]
 
 
+@dataclass
 class DirtyRows:
     """The rows of a Prefixes batch that a forward pass computes
     (Prefixes.dirty): masks over the packed node rows (nodes) and edge rows
@@ -218,12 +225,10 @@ class DirtyRows:
     output; the index arrays of each block (blocks, BlockRows); and the
     row among the last level's computed rows that each packed row takes,
     None when it computes every row (output)."""
-
-    def __init__(self, batch: Prefixes, nodes: list, edges: list):
-        self.nodes, self.edges = nodes, edges
-        self.blocks = [BlockRows(batch, *masks) for masks in
-                       zip(nodes[:-1], edges[:-1], nodes[1:], edges[1:])]
-        self.output = _sources(nodes[-1], batch.previous)
+    nodes: list
+    edges: list
+    blocks: list
+    output: np.ndarray | None
 
 
 class BlockRows:
@@ -254,7 +259,6 @@ class BlockRows:
         src = None if node_in is None else _sources(node_in, batch.previous)
         take = (lambda rows: rows) if src is None else (lambda rows: src[rows])
         out = None if node_out is None or node_out.all() else np.flatnonzero(node_out)
-        # masks that set every row give the arrays of no masks: no gather runs
         self.count = total if out is None else len(out)
         rank = np.arange(total) if out is None \
             else np.where(node_out, np.cumsum(node_out) - 1, self.count)
