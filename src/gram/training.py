@@ -87,9 +87,11 @@ class TrainConfig:
 
 
 # Prefix nodes (the sum of s over a chunk's steps) that one batched pass
-# evaluates.  At the default model size a chunk's tape keeps about 90 KB per
-# prefix node, the arrays that backward reads: about 23 MB for a full chunk
-# of a 49-node grid.
+# evaluates.  The pass computes the chunk's first prefix in full and of each
+# later one only the rows the new node reaches (model.Prefixes.dirty), so at
+# the default model size a chunk's tape keeps about 65 KB per prefix node of
+# a BFS-ordered grid, the arrays that backward reads (90 KB when every row
+# was computed): about 16 MB for a full chunk of a 49-node grid.
 CHUNK_ROWS = 256
 
 # The estimated cost of shard 1 (its prefix rows times d_model^2) from which
