@@ -245,9 +245,19 @@ def _degree_hists(degs) -> list:
     return [np.bincount(d, minlength=top + 1) / max(len(d), 1) for d in degs]
 
 
-def _clustering_hist(clus: np.ndarray) -> np.ndarray:
-    hist, _ = np.histogram(clus, bins=CLUSTERING_BINS, range=(0.0, 1.0))
-    return hist / max(len(clus), 1)
+def _clustering_hists(clus: list) -> np.ndarray:
+    """The clustering histograms of several graphs, a row each, from each
+    graph's values (in [0, 1]) in one pass: the counts that
+    np.histogram(values, bins=CLUSTERING_BINS, range=(0, 1)) gives, by its
+    edge rule (a value falls in the last bin whose left edge it reaches, and
+    1 in the last bin), over the graph's node count."""
+    sizes = np.array([len(c) for c in clus], dtype=np.int64)
+    edges = np.linspace(0.0, 1.0, CLUSTERING_BINS + 1)  # np.histogram's edges
+    bins = np.minimum(np.searchsorted(edges, np.concatenate([*clus, []]), side="right") - 1,
+                      CLUSTERING_BINS - 1)
+    cells = np.repeat(np.arange(len(clus)), sizes) * CLUSTERING_BINS + bins
+    counts = np.bincount(cells, minlength=len(clus) * CLUSTERING_BINS)
+    return counts.reshape(len(clus), CLUSTERING_BINS) / np.maximum(sizes, 1)[:, None]
 
 
 def _orbit_hist(counts: np.ndarray) -> np.ndarray:
@@ -403,18 +413,20 @@ def _numbered(corpora):
 def _summarize(graphs, featurised):
     """One pass over graphs: each one's arrays are built once and feed its
     topology summaries and, for the indices in `featurised`, its NSPDK
-    features; only one graph's (n, n) arrays are alive at a time.  Returns
-    the list of _GraphSummary and the {index: FeatureMap} of the featurised
+    features; only one graph's (n, n) arrays are alive at a time, and the
+    clustering histograms are binned once, after the pass.  Returns the
+    list of _GraphSummary and the {index: FeatureMap} of the featurised
     graphs."""
-    summaries, features, featurised = [], {}, set(featurised)
+    kept, clus, orbit, features, featurised = [], [], [], {}, set(featurised)
     for i, g in enumerate(graphs):
         arrays = _graph_arrays(g)
         if i in featurised:
             features[i] = _features(arrays, NSPDK_RADIUS, NSPDK_DISTANCE)
-        orbits, clus = kernels.orbits_and_clustering(arrays.adj, arrays.deg)
-        summaries.append(_GraphSummary(arrays._replace(adj=None), _clustering_hist(clus),
-                                       _orbit_hist(orbits)))
-    return summaries, features
+        orbits, values = kernels.orbits_and_clustering(arrays.adj, arrays.deg)
+        kept.append(arrays._replace(adj=None))
+        clus.append(values)
+        orbit.append(_orbit_hist(orbits))
+    return list(map(_GraphSummary, kept, _clustering_hists(clus), orbit)), features
 
 
 def _stat_mmd(summaries: list, weights: np.ndarray, statistic: str) -> float:

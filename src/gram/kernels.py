@@ -96,14 +96,31 @@ def _c2(x):
     return x * (x - 1) / 2
 
 
+def _k4(adj, d, t) -> np.ndarray:
+    """N10: the triangles among each node's neighbours, of the nodes with
+    t >= 3 (a K4 puts 3 triangles on each of its nodes), 0 elsewhere.  Each
+    such node's neighbourhood S, padded with zero rows and columns to the
+    largest degree among them, is one slice of a stack, and the triangles
+    are trace(S^3) / 6 = sum((S S) * S) / 6 of every slice at once."""
+    k4 = np.zeros(len(adj))
+    rows = np.flatnonzero(t >= 3)
+    if len(rows):
+        deg = d[rows].astype(np.int64)
+        width = int(deg.max())
+        # row k: the neighbours of node rows[k], then the index of a zero row
+        # and column appended to adj
+        first = np.argsort(-adj[rows], axis=1, kind="stable")[:, :width]
+        nbrs = np.where(np.arange(width) < deg[:, None], first, len(adj))
+        padded = np.zeros((len(adj) + 1, len(adj) + 1))
+        padded[:-1, :-1] = adj
+        sub = padded[nbrs[:, :, None], nbrs[:, None, :]]
+        k4[rows] = ((sub @ sub) * sub).sum(axis=(1, 2)) / 6
+    return k4
+
+
 def _noninduced_orbits(adj, d, a2, tri, t) -> np.ndarray:
     """(n, 11) int64 non-induced orbit counts N (module docstring) from A,
     its degrees and _triangles(A)."""
-    k4 = np.zeros(len(adj))
-    for v in np.flatnonzero(t >= 3):  # a K4 puts 3 triangles on each of its nodes
-        nbrs = np.flatnonzero(adj[v])
-        sub = adj[np.ix_(nbrs, nbrs)]
-        k4[v] = ((sub @ sub) * sub).sum() / 6
     counts = np.stack([
         a2 @ (d - 1) - d * (d - 1) - 2 * t,
         (d - 1) * (adj @ (d - 1)) - 2 * t,
@@ -115,7 +132,7 @@ def _noninduced_orbits(adj, d, a2, tri, t) -> np.ndarray:
         t * (d - 2),
         (((tri - adj) @ adj) * adj).sum(axis=0) / 2,
         _c2(tri).sum(axis=1),
-        k4,
+        _k4(adj, d, t),
     ], axis=1)
     return counts.astype(np.int64)
 

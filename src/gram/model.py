@@ -476,7 +476,7 @@ class Model:
             agg = T.add(agg, T.scatter_rows(iso, r.isolated_out, r.count))
         return agg, he_new
 
-    def extract_features(self, batch: Prefixes) -> Tensor:
+    def extract_features(self, batch: Prefixes, helper=None) -> Tensor:
         """Node feature rows of a batch of prefixes, packed in order: one-hot
         labels plus relative degree and clustering, projected, then refined
         by parallel conv/attention blocks combined per block by a linear
@@ -493,7 +493,16 @@ class Model:
         that last computed it, by a gather whose backward sums the gradient
         of a row that several prefixes read; one final gather packs the
         rows.  A one-prefix batch (the sampler's) computes every row and
-        runs no gather."""
+        runs no gather.
+
+        With a helper (sampler.AttentionHelper), each block's attention
+        sublayer runs in another process while this one runs the block's
+        conv: helper.start(rows) hands over the block's input rows, and
+        helper.result() returns the sublayer's output rows, computed by the
+        same function from the same values.  Those rows are on no tape, so
+        only a one-prefix batch with no active tape takes a helper."""
+        if helper is not None and (batch.nodes.count != 1 or T.tape_active()):
+            raise ModelError("an attention helper serves one prefix with no active tape")
         c = self.config
         nodes = batch.nodes
         dirty = batch.dirty(len(self.blocks))
@@ -507,10 +516,13 @@ class Model:
                     batch.edge_labels if edges.all() else batch.edge_labels[edges])
         for l, (conv, sub, combine_w, combine_b) in enumerate(self.blocks):
             rows = dirty.blocks[l]
+            if helper is not None:
+                helper.start(hv.data)
             conv_out, he = self.graph_convolution(hv, he, batch, conv,
                                                   update_edges=l + 1 < len(self.blocks),
                                                   rows=rows)
-            att_out = A.attention_sublayer(hv, rows.ctx, sub)
+            att_out = A.attention_sublayer(hv, rows.ctx, sub) if helper is None \
+                else T.const(helper.result())
             hv = T.linear(T.concat([conv_out, att_out], axis=-1), combine_w, combine_b)
         return hv if dirty.output is None else T.rows(hv, dirty.output)
 

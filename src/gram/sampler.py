@@ -1,15 +1,38 @@
 """Autoregressive generation: seed prefixes drawn from training graphs, then
-node/edge sampling until the stop class (or a node budget) is reached."""
+node/edge sampling until the stop class (or a node budget) is reached.
+
+A sample uses two cores when the process may run on two CPUs and the sample
+is large enough to pay for a fork (HELPER_MIN_COST): a helper process
+forked for the sample runs each block's attention sublayer while the
+sampler runs the same block's graph convolution (_AttentionHelper).  The
+helper runs the same function on the same rows, so the samples are bit for
+bit those of one core.
+"""
 from __future__ import annotations
 
+import mmap
+import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import attention as A
 from . import graphs as G
 from . import tensor as T
-from .model import EdgeStep, Model, Prefixes
+from .model import BlockRows, EdgeStep, Model, Prefixes
+from .workers import Worker
+
+# The estimated cost of a sample (the prefix rows of its steps up to
+# max_nodes, times d_model^2 and the blocks) from which generate_graph forks
+# an attention helper.  Timed on a 2-core VM, one BLAS thread, with and
+# without a helper in turn: at 3.5e6 (d_model 64, 2 blocks, 30 nodes) the
+# helper ran 16 % slower, at 1.4e7 (d_model 128, 2 blocks, 30 nodes) 9 %
+# faster, and at 1.5e7 (d_model 32, 3 blocks, 100 nodes), where attention
+# outlasts the conv, even.  A fork costs 6-8 ms, and below d_model 128 the
+# helper's attention outlasts the conv it runs beside.  perfbench's
+# sample-grid (d_model 128, 3 blocks, 10 to 60 nodes) costs 8.5e7.
+HELPER_MIN_COST = 1 << 24
 
 
 class SamplerError(ValueError):
@@ -118,6 +141,75 @@ def _draw_edges(step: EdgeStep, draft: np.ndarray, rng: np.random.Generator,
     return codes, dists, passes
 
 
+class _AttentionHelper:
+    """A helper process forked for one sample, which runs each block's
+    attention sublayer (Model.extract_features with a helper).
+
+    At the fork the helper inherits the model and the seed prefix; after
+    each step the sampler sends it the new node's label and edges
+    (step), so it builds each step's Prefixes and attention context itself,
+    while the sampler builds its own.  A block's input and output rows pass
+    through one shared float64 mapping, made before the fork: start(rows)
+    writes the input rows and tells the helper, result() waits for its
+    reply and copies the output rows.  Worker reports a helper that failed
+    or died, and close() kills and reaps it."""
+
+    def __init__(self, model: Model, labels, edges, max_nodes: int):
+        self.map = mmap.mmap(-1, 2 * 8 * max_nodes * model.config.d_model)
+        self.inputs, self.outputs = np.frombuffer(self.map, dtype=np.float64).reshape(
+            2, max_nodes, model.config.d_model)
+        self.rows = 0
+        self.worker = Worker("sampling helper", _attend, model, labels, edges, self)
+
+    def start(self, rows: np.ndarray):
+        self.rows = len(rows)
+        self.inputs[:self.rows] = rows
+        self.worker.put(None)
+
+    def result(self) -> np.ndarray:
+        self.worker.get()
+        return self.outputs[:self.rows].copy()
+
+    def step(self, label: int, new_edges: list):
+        self.worker.put((label, new_edges))
+
+    def close(self):
+        self.worker.close()
+
+
+def _attend(worker: Worker, model: Model, labels: list, edges: list, helper):
+    """The helper's loop, in the forked process: at each step, the
+    attention sublayer of every block, on the rows that the sampler wrote,
+    then the step's new node and edges."""
+    subs = [sub for _, sub, _, _ in model.blocks]
+    while True:
+        s = len(labels)
+        ctx = BlockRows(Prefixes(labels, edges, [s], model.config.radius)).ctx
+        for sub in subs:
+            worker.get()
+            out = A.attention_sublayer(T.const(helper.inputs[:s]), ctx, sub)
+            helper.outputs[:s] = out.data
+            worker.put(None)
+        label, new_edges = worker.get()
+        labels.append(label)
+        edges += new_edges
+
+
+def _helper(model: Model, labels, edges, max_nodes: int):
+    """An attention helper for a sample, or None to sample in this process:
+    with one usable CPU, under an active tape, below HELPER_MIN_COST, or
+    when the fork fails."""
+    c = model.config
+    rows = (max_nodes * (max_nodes - 1) - c.seed_size * (c.seed_size - 1)) // 2
+    cost = rows * c.d_model ** 2 * c.blocks
+    if len(os.sched_getaffinity(0)) < 2 or T.tape_active() or cost < HELPER_MIN_COST:
+        return None
+    try:
+        return _AttentionHelper(model, labels, edges, max_nodes)
+    except OSError:
+        return None
+
+
 def generate_graph(model: Model, bank: SeedBank, max_nodes: int,
                    rng: np.random.Generator, argmax: bool = False) -> GenerationResult:
     """Sample one graph.
@@ -151,35 +243,43 @@ def generate_graph(model: Model, bank: SeedBank, max_nodes: int,
     edges = [tuple(e) for e in seed.edges]
     truncated = False
     retries = forced = edge_passes = 0
-    while True:
-        s = len(labels)
-        if s >= max_nodes:
-            truncated = True
-            break
-        batch = Prefixes(labels, edges, [s], c.radius)
-        hv = model.extract_features(batch)
-        hg = model.graph_pool(hv, batch.nodes)
-        node_dist = T.softmax(model.node_logits(hg)).data[0]
-        lab = _sample(rng, _finite(node_dist, "node", s), argmax)
-        if lab == c.a:
-            break
-        step = EdgeStep(model, hv, hg, [lab], batch)
-        draft = _edge_dists(step, np.full(len(step.candidates), c.b), s)
-        edge_passes += 1
-        for attempt in range(1 if argmax else 6):
-            codes, dists, passes = _draw_edges(step, draft, rng, argmax, s)
-            edge_passes += passes
-            if (codes < c.b).any():
+    helper = _helper(model, labels, edges, max_nodes)
+    try:
+        while True:
+            s = len(labels)
+            if s >= max_nodes:
+                truncated = True
                 break
-        retries += attempt
-        if not (codes < c.b).any():
-            # all candidates declined: attach the one most confident in
-            # having some edge, with its most likely edge label
-            forced += 1
-            best = int(np.argmax(1.0 - dists[:, c.b]))
-            codes[best] = int(np.argmax(dists[best, :c.b]))
-        hits = np.flatnonzero(codes < c.b)
-        edges += [(int(step.candidates[k]), s, int(codes[k])) for k in hits]
-        labels.append(lab)
+            batch = Prefixes(labels, edges, [s], c.radius)
+            hv = model.extract_features(batch, helper)
+            hg = model.graph_pool(hv, batch.nodes)
+            node_dist = T.softmax(model.node_logits(hg)).data[0]
+            lab = _sample(rng, _finite(node_dist, "node", s), argmax)
+            if lab == c.a:
+                break
+            step = EdgeStep(model, hv, hg, [lab], batch)
+            draft = _edge_dists(step, np.full(len(step.candidates), c.b), s)
+            edge_passes += 1
+            for attempt in range(1 if argmax else 6):
+                codes, dists, passes = _draw_edges(step, draft, rng, argmax, s)
+                edge_passes += passes
+                if (codes < c.b).any():
+                    break
+            retries += attempt
+            if not (codes < c.b).any():
+                # all candidates declined: attach the one most confident in
+                # having some edge, with its most likely edge label
+                forced += 1
+                best = int(np.argmax(1.0 - dists[:, c.b]))
+                codes[best] = int(np.argmax(dists[best, :c.b]))
+            hits = np.flatnonzero(codes < c.b)
+            new_edges = [(int(step.candidates[k]), s, int(codes[k])) for k in hits]
+            edges += new_edges
+            labels.append(lab)
+            if helper is not None:
+                helper.step(lab, new_edges)
+    finally:
+        if helper is not None:
+            helper.close()
     graph = G.LabeledGraph.create(len(labels), labels, edges, c.a, c.b)
     return GenerationResult(graph, truncated, retries, forced, edge_passes)

@@ -148,6 +148,12 @@ class Tape:
                 n.grad = None
 
 
+def tape_active() -> bool:
+    """Whether a tape is recording: a result computed elsewhere (another
+    process, say) would be missing from it."""
+    return bool(_ACTIVE)
+
+
 def _accum(n: _Node, g: np.ndarray):
     """Add g to a node's gradient under the ownership rules of the module
     docstring: a leaf copies its first gradient and adds in place, an

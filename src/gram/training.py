@@ -28,8 +28,6 @@ import json
 import math
 import mmap
 import os
-import pickle
-import signal
 import struct
 import sys
 import warnings
@@ -44,6 +42,7 @@ from . import graphs as G
 from .model import Model, ModelConfig, StepCounters
 from .optim import adam_step, clip_global_norm
 from .tensor import Tape
+from .workers import Worker
 
 
 class TrainError(ValueError):
@@ -195,79 +194,23 @@ class _SharedGradients:
         self.freed = 0 if last else end
 
 
-class _ShardChild:
-    """Shard 1 of a batch, run in a child process forked for it.  The child
-    starts from no gradient, writes each leaf gradient into its shared view
-    and pipes back (chunk NLLs, StepCounters, names of the parameters left
-    without a gradient), or the error it raised; no array is pickled."""
-
-    def __init__(self, model: Model, work, weight: float, shared):
-        read, write = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            os.close(read)
-            os.close(write)
-            raise
-        if self.pid == 0:
-            status = 1  # an interrupt ends the child with no result
-            try:
-                os.close(read)
-                with os.fdopen(write, "wb") as f:
-                    pickle.dump(self._compute(model, work, weight, shared), f)
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(write)
-        self.read = read
-
-    @staticmethod
-    def _compute(model, work, weight, shared):
-        try:
-            params = model.parameters()
-            for p in params:
-                p.tensor.grad = None
-            nlls, counters = run_shard(model, work, weight)
-            missing = []
-            for p, view in zip(params, shared.views):
-                if p.tensor.grad is None:
-                    missing.append(p.name)
-                else:
-                    view[...] = p.tensor.grad
-            return "done", nlls, counters, missing
-        except Exception as exc:  # noqa: BLE001 - reported to the parent, which raises
-            return "error", f"{type(exc).__name__}: {exc}"
-
-    def result(self, params, shared):
-        """Wait for the child; returns (NLLs, counters, gradients) with None
-        for a parameter left without one.  Raises RuntimeError when the
-        child failed or died."""
-        with os.fdopen(self.read, "rb") as f:
-            self.read = None
-            blob = f.read()
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        if not blob:
-            code = os.waitstatus_to_exitcode(status)
-            how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
-            raise RuntimeError(f"training shard 1: the child process ended without a result ({how})")
-        msg = pickle.loads(blob)
-        if msg[0] == "error":
-            raise RuntimeError(f"training shard 1 failed in the child process: {msg[1]}")
-        _, nlls, counters, missing = msg
-        missing = set(missing)
-        return nlls, counters, [None if p.name in missing else view
-                                for p, view in zip(params, shared.views)]
-
-    def close(self):
-        """Kill and reap a child whose result was not read."""
-        if self.read is not None:
-            os.close(self.read)
-            self.read = None
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
+def _shard_child(worker, model: Model, work, weight: float, shared):
+    """Shard 1 of a batch, run in a child process forked for it (a
+    workers.Worker).  The child starts from no gradient, writes each leaf
+    gradient into its shared view and sends back (chunk NLLs, StepCounters,
+    names of the parameters left without a gradient); no array is
+    pickled."""
+    params = model.parameters()
+    for p in params:
+        p.tensor.grad = None
+    nlls, counters = run_shard(model, work, weight)
+    missing = []
+    for p, view in zip(params, shared.views):
+        if p.tensor.grad is None:
+            missing.append(p.name)
+        else:
+            view[...] = p.tensor.grad
+    worker.put((nlls, counters, missing))
 
 
 def batch_backward(model: Model, work, weight: float, shared=None):
@@ -295,12 +238,15 @@ def batch_backward(model: Model, work, weight: float, shared=None):
         for p, g in zip(params, own):
             p.tensor.grad = g
     else:
-        child = _ShardChild(model, tail, weight, shared)
+        child = Worker("training shard 1", _shard_child, model, tail, weight, shared)
         try:
             nlls, counters = run_shard(model, head, weight)
-            tail_nlls, tail_counters, tail_grads = child.result(params, shared)
+            tail_nlls, tail_counters, missing = child.get()
         finally:
             child.close()
+        missing = set(missing)
+        tail_grads = [None if p.name in missing else view
+                      for p, view in zip(params, shared.views)]
     # one parameter at a time; the shared pages already added are freed as
     # the merge goes, so the parent never maps all of shard 1's gradients
     for k, (p, g) in enumerate(zip(params, tail_grads)):

@@ -525,6 +525,23 @@ def test_statistic_mmd_matches_pairwise_kernel(rng):
         assert E.statistic_mmd(set_p, list(set_p), stat) == 0.0
 
 
+def test_clustering_histograms_in_one_pass_match_np_histogram(rng):
+    """Each row of the one-pass binning equals np.histogram of that graph's
+    values over its node count: values at 0.0, on bin edges and exactly 1.0
+    included, with graphs of no node."""
+    edges = np.linspace(0.0, 1.0, E.CLUSTERING_BINS + 1)
+    clus = [np.array([0.0, 1.0, 1.0, 0.5]), np.array([]), edges, edges[1:-1] + 1e-17,
+            np.nextafter(edges[1:], 0.0), np.ones(3), np.zeros(2)]
+    clus += [rng.uniform(0.0, 1.0, int(rng.integers(1, 30))) for _ in range(20)]
+    clus += [rng.integers(0, 7, 12) / 6.0 for _ in range(5)]  # k / (d (d - 1) / 2)-like values
+    got = E._clustering_hists(clus)
+    assert got.shape == (len(clus), E.CLUSTERING_BINS)
+    for row, values in zip(got, clus):
+        hist, _ = np.histogram(values, bins=E.CLUSTERING_BINS, range=(0.0, 1.0))
+        assert np.array_equal(row, hist / max(len(values), 1))
+    assert E._clustering_hists([]).shape == (0, E.CLUSTERING_BINS)
+
+
 def test_statistic_mmd_paths_vs_stars():
     paths = [path_graph(n) for n in range(6, 12)]
     stars = [star_graph(n) for n in range(6, 12)]

@@ -180,3 +180,33 @@ def test_orbits_and_clustering_equal_the_separate_kernels(rng):
         assert counts.dtype == np.int64 and clus.dtype == np.float64
         assert np.array_equal(counts, orbit_counts(adj))
         assert clus.tobytes() == kernels.clustering(adj).tobytes()
+
+
+def looped_k4(adj, t):
+    """The K4 term as it was computed: one neighbourhood product per node
+    with t >= 3."""
+    k4 = np.zeros(len(adj))
+    for v in np.flatnonzero(t >= 3):
+        nbrs = np.flatnonzero(adj[v])
+        sub = adj[np.ix_(nbrs, nbrs)]
+        k4[v] = ((sub @ sub) * sub).sum() / 6
+    return k4
+
+
+def test_padded_k4_count_matches_the_per_node_loop():
+    """The padded neighbourhood product gives the loop's K4 counts on graphs
+    with K4s of every kind: K5, a wheel, BA graphs with hubs, and graphs
+    with no node of three triangles."""
+    graphs = [nx.complete_graph(5), nx.wheel_graph(9), nx.complete_graph(4),
+              nx.path_graph(6), nx.empty_graph(3)]
+    graphs += [nx.barabasi_albert_graph(n, 3, seed=n) for n in range(20, 41, 4)]
+    graphs += [nx.barabasi_albert_graph(30, 8, seed=1)]
+    kinds = set()
+    for g in graphs:
+        adj = nx.to_numpy_array(g)
+        d = adj.sum(axis=1)
+        _, _, t = kernels._triangles(adj)
+        want = looped_k4(adj, t)
+        assert np.array_equal(kernels._k4(adj, d, t), want), g
+        kinds.add(bool(want.any()))
+    assert kinds == {False, True}

@@ -1,14 +1,17 @@
 import collections
+import os
+import signal
 import warnings
 
 import numpy as np
 import pytest
 
+from gram import attention as A
 from gram import graphs as G
 from gram import sampler
 from gram import tensor as T
 from gram.graphs import OrderedGraph
-from gram.model import Prefixes
+from gram.model import ModelError, Prefixes
 from gram.sampler import SamplerError, _cdf, _sample, build_seed_bank, generate_graph
 
 from conftest import apply_ordering, edge_distribution_step, random_connected_graph, tiny_model
@@ -16,7 +19,7 @@ from test_model import randomize_edge_estimator
 from gram.tensor import Tape
 from gram.training import chunk_loss, step_chunks
 
-from test_training import randomize_bias_tables
+from test_training import assert_no_child_left, randomize_bias_tables
 
 
 def reference_generate(model, bank, max_nodes, rng, argmax=False):
@@ -402,3 +405,160 @@ def test_generation_argument_validation(rng):
     wrong_bank = build_seed_bank(graphs, 4, rng)
     with pytest.raises(SamplerError, match="seed size"):
         generate_graph(model, wrong_bank, 10, rng)
+
+
+# ---------------------------------------------------------------------------
+# the attention helper: a process forked per sample on two or more CPUs
+# ---------------------------------------------------------------------------
+
+def sample_on(monkeypatch, cpus, min_cost=0):
+    """Let the sampler see the given number of CPUs; with two or more it
+    forks a helper for every sample that costs at least min_cost.  Returns
+    the list that each fork appends its parent's pid to."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(sampler, "HELPER_MIN_COST", min_cost)
+    real_fork, forks = os.fork, []
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def helper_model(variant, **kw):
+    """A two-block tiny model with random bias tables that stops now and
+    then, and often declines every candidate of a step, so that some steps
+    force an attachment."""
+    model = tiny_model(a=3, b=2, seed_size=3, variant=variant, seed=5, blocks=2, **kw)
+    randomize_bias_tables(model, np.random.default_rng(2))
+    model.params["node_est.b3"].tensor.data[model.config.a] -= 2.0
+    model.params["edge_est.b3"].tensor.data[model.config.b] += 4.0
+    return model
+
+
+def outcome(res):
+    return res.graph, res.truncated, res.retries, res.forced, res.edge_passes
+
+
+@pytest.mark.parametrize("variant", ["plain", "A", "B", "AB"])
+def test_helper_samples_equal_one_cpu_samples(variant, monkeypatch):
+    """For several seeds, a sample with the helper equals the sample on one
+    CPU: the graph, truncated, retries, forced and edge_passes.  The seeds
+    give truncated and stopped samples, and steps that force an
+    attachment."""
+    model = helper_model(variant)
+    bank = build_seed_bank([random_connected_graph(np.random.default_rng(k), 9)
+                            for k in range(4)], 3, np.random.default_rng(1))
+    results = {}
+    for cpus in (1, 2):
+        forks = sample_on(monkeypatch, cpus)
+        results[cpus] = [outcome(generate_graph(model, bank, 16, np.random.default_rng(seed)))
+                         for seed in range(8)]
+        assert len(forks) == (0 if cpus == 1 else 8)
+    assert results[2] == results[1]
+    assert {r[1] for r in results[1]} == {False, True}
+    assert any(r[3] for r in results[1])
+
+
+@pytest.mark.parametrize("how, message", [
+    ("raise", "sampling helper failed in the child process: ValueError: attention failed$"),
+    ("kill", r"sampling helper: the child process ended without a result "
+             r"\(killed by signal 9\)$")])
+def test_helper_failure_raises(how, message, monkeypatch):
+    """A helper that raises mid-sample, or is killed, fails the sample with
+    RuntimeError, and leaves no child behind."""
+    forks = sample_on(monkeypatch, 2)
+    parent, real, calls = os.getpid(), A.attention_sublayer, []
+
+    def attention_sublayer(*args):
+        calls.append(1)
+        if os.getpid() != parent and len(calls) == 5:
+            if how == "raise":
+                raise ValueError("attention failed")
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args)
+
+    monkeypatch.setattr(A, "attention_sublayer", attention_sublayer)
+    model = helper_model("plain")
+    model.params["node_est.b3"].tensor.data[model.config.a] = -50.0  # never stop
+    bank = build_seed_bank([random_connected_graph(np.random.default_rng(0), 9)], 3,
+                           np.random.default_rng(1))
+    with pytest.raises(RuntimeError, match=message):
+        generate_graph(model, bank, 16, np.random.default_rng(0))
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("end", ["return", "sampler error", "interrupt"])
+def test_no_helper_outlives_the_sample(end, monkeypatch):
+    """After a normal return, an error of the sampler and an interrupt, no
+    child process is left."""
+    forks = sample_on(monkeypatch, 2)
+    model = helper_model("B")
+    bank = build_seed_bank([random_connected_graph(np.random.default_rng(0), 9)], 3,
+                           np.random.default_rng(1))
+    if end == "sampler error":
+        model.params["edge_est.b3"].tensor.data[0] = np.nan
+    if end == "interrupt":
+        def draw_edges(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(sampler, "_draw_edges", draw_edges)
+    error = {"return": None, "sampler error": SamplerError, "interrupt": KeyboardInterrupt}[end]
+    if error is None:
+        generate_graph(model, bank, 16, np.random.default_rng(0))
+    else:
+        with pytest.raises(error):
+            generate_graph(model, bank, 16, np.random.default_rng(0))
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_failed_fork_samples_in_process(monkeypatch):
+    """With os.fork raising OSError the sample runs in this process and is
+    the one the helper gives."""
+    model = helper_model("AB")
+    bank = build_seed_bank([random_connected_graph(np.random.default_rng(0), 9)], 3,
+                           np.random.default_rng(1))
+    forks = sample_on(monkeypatch, 2)
+    want = outcome(generate_graph(model, bank, 16, np.random.default_rng(3)))
+    assert len(forks) == 1
+
+    def no_fork():
+        raise OSError("no fork on purpose")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    calls = []
+    real = A.attention_sublayer
+    monkeypatch.setattr(A, "attention_sublayer", lambda *args: calls.append(1) or real(*args))
+    assert outcome(generate_graph(model, bank, 16, np.random.default_rng(3))) == want
+    assert calls  # the attention ran here
+    assert_no_child_left()
+
+
+def test_no_helper_for_a_tiny_model_one_cpu_or_a_tape(monkeypatch):
+    """At its default HELPER_MIN_COST a tiny model forks nothing; nor does a
+    sample at any cost on one CPU, or under an active tape."""
+    model = helper_model("plain")
+    bank = build_seed_bank([random_connected_graph(np.random.default_rng(0), 9)], 3,
+                           np.random.default_rng(1))
+    forks = sample_on(monkeypatch, 2, min_cost=sampler.HELPER_MIN_COST)
+    generate_graph(model, bank, 30, np.random.default_rng(0))
+    sample_on(monkeypatch, 1)
+    generate_graph(model, bank, 16, np.random.default_rng(0))
+    sample_on(monkeypatch, 2)
+    with Tape():
+        generate_graph(model, bank, 16, np.random.default_rng(0))
+    assert forks == []
+
+
+def test_extract_features_takes_a_helper_only_for_one_prefix_and_no_tape():
+    model = tiny_model()
+    og = OrderedGraph(random_connected_graph(np.random.default_rng(0), 6), range(6))
+    for steps in ([3, 4], [4]):
+        batch = Prefixes(og.labels, og.edges, steps, model.config.radius)
+        with Tape():
+            with pytest.raises(ModelError, match="one prefix with no active tape"):
+                model.extract_features(batch, helper=object())
