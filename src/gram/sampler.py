@@ -25,13 +25,13 @@ from .workers import Worker
 
 # The estimated cost of a sample (the prefix rows of its steps up to
 # max_nodes, times d_model^2 and the blocks) from which generate_graph forks
-# an attention helper.  Timed on a 2-core VM, one BLAS thread, with and
-# without a helper in turn: at 3.5e6 (d_model 64, 2 blocks, 30 nodes) the
-# helper ran 16 % slower, at 1.4e7 (d_model 128, 2 blocks, 30 nodes) 9 %
-# faster, and at 1.5e7 (d_model 32, 3 blocks, 100 nodes), where attention
-# outlasts the conv, even.  A fork costs 6-8 ms, and below d_model 128 the
-# helper's attention outlasts the conv it runs beside.  perfbench's
-# sample-grid (d_model 128, 3 blocks, 10 to 60 nodes) costs 8.5e7.
+# an attention helper.  A fork costs 6-8 ms, and at small d_model the
+# helper's attention outlasts the conv beside it.  Timed on a 2-core VM, one
+# BLAS thread, with and without a helper in turn: at 3.5e6 (d_model 64,
+# 2 blocks, 30 nodes) the helper ran 16 % slower, at 1.5e7 (d_model 32,
+# 3 blocks, 100 nodes) even, and at 1.4e7 (d_model 128, 2 blocks, 30 nodes)
+# 9 % faster.  perfbench's sample-grid (d_model 128, 3 blocks, 10 to 60
+# nodes) costs 8.5e7.
 HELPER_MIN_COST = 1 << 24
 
 
