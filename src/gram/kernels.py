@@ -96,12 +96,17 @@ def _c2(x):
     return x * (x - 1) / 2
 
 
+# The largest neighbourhood stack _k4 builds at once, in entries (8 MB).
+K4_STACK = 1 << 20
+
+
 def _k4(adj, d, t) -> np.ndarray:
     """N10: the triangles among each node's neighbours, of the nodes with
     t >= 3 (a K4 puts 3 triangles on each of its nodes), 0 elsewhere.  Each
     such node's neighbourhood S, padded with zero rows and columns to the
     largest degree among them, is one slice of a stack, and the triangles
-    are trace(S^3) / 6 = sum((S S) * S) / 6 of every slice at once."""
+    are trace(S^3) / 6 = sum((S S) * S) / 6 of every slice at once; a stack
+    holds at most K4_STACK entries, so a large dense graph takes several."""
     k4 = np.zeros(len(adj))
     rows = np.flatnonzero(t >= 3)
     if len(rows):
@@ -113,8 +118,11 @@ def _k4(adj, d, t) -> np.ndarray:
         nbrs = np.where(np.arange(width) < deg[:, None], first, len(adj))
         padded = np.zeros((len(adj) + 1, len(adj) + 1))
         padded[:-1, :-1] = adj
-        sub = padded[nbrs[:, :, None], nbrs[:, None, :]]
-        k4[rows] = ((sub @ sub) * sub).sum(axis=(1, 2)) / 6
+        step = max(1, K4_STACK // (width * width))
+        for lo in range(0, len(rows), step):
+            part = nbrs[lo:lo + step]
+            sub = padded[part[:, :, None], part[:, None, :]]
+            k4[rows[lo:lo + step]] = ((sub @ sub) * sub).sum(axis=(1, 2)) / 6
     return k4
 
 

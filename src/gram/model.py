@@ -495,7 +495,7 @@ class Model:
         rows.  A one-prefix batch (the sampler's) computes every row and
         runs no gather.
 
-        With a helper (sampler.AttentionHelper), each block's attention
+        With a helper (sampler._AttentionHelper), each block's attention
         sublayer runs in another process while this one runs the block's
         conv: helper.start(rows) hands over the block's input rows, and
         helper.result() returns the sublayer's output rows, computed by the

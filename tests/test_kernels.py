@@ -2,6 +2,7 @@ import itertools
 
 import networkx as nx
 import numpy as np
+import pytest
 
 from gram import kernels
 from gram.graphs import LabeledGraph
@@ -193,10 +194,13 @@ def looped_k4(adj, t):
     return k4
 
 
-def test_padded_k4_count_matches_the_per_node_loop():
+@pytest.mark.parametrize("stack", [kernels.K4_STACK, 40])
+def test_padded_k4_count_matches_the_per_node_loop(stack, monkeypatch):
     """The padded neighbourhood product gives the loop's K4 counts on graphs
     with K4s of every kind: K5, a wheel, BA graphs with hubs, and graphs
-    with no node of three triangles."""
+    with no node of three triangles; in one stack, and in stacks of a few
+    neighbourhoods each."""
+    monkeypatch.setattr(kernels, "K4_STACK", stack)
     graphs = [nx.complete_graph(5), nx.wheel_graph(9), nx.complete_graph(4),
               nx.path_graph(6), nx.empty_graph(3)]
     graphs += [nx.barabasi_albert_graph(n, 3, seed=n) for n in range(20, 41, 4)]
