@@ -10,7 +10,8 @@ Each case runs in a process whose CPU affinity holds --cpus CPUs and prints
 one JSON line.  BLAS threads follow the environment (OPENBLAS_NUM_THREADS);
 where it leaves them unset, `import gram` sets one.  Peak RSS is that of
 this process and of the largest child it waited for (RUSAGE_SELF,
-RUSAGE_CHILDREN).
+RUSAGE_CHILDREN); minor_faults_children sums the minor page faults of every
+child it waited for, a sampling helper's copy-on-write faults among them.
 
     epoch   one training epoch on a square grid, by default of 100 nodes,
             the walkthrough's largest graph: the default model, variant B,
@@ -141,12 +142,12 @@ def main():
     checkout = args.checkout.resolve()
     sys.path.insert(0, str(checkout / "src"))
     mb = 1.0 / 1024
-    result = {
-        **CASES[args.case](args),
-        "peak_rss_mb_self": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * mb, 1),
-        "peak_rss_mb_children": round(
-            resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * mb, 1),
-    }
+    result = CASES[args.case](args)
+    children = resource.getrusage(resource.RUSAGE_CHILDREN)
+    result.update(
+        peak_rss_mb_self=round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * mb, 1),
+        peak_rss_mb_children=round(children.ru_maxrss * mb, 1),
+        minor_faults_children=children.ru_minflt)
     print(json.dumps(result))
     if args.record:
         shown = {"cpus": args.cpus, "seed": args.seed}

@@ -497,10 +497,11 @@ class Model:
 
         With a helper (sampler._AttentionHelper), each block's attention
         sublayer runs in another process while this one runs the block's
-        conv: helper.start(rows) hands over the block's input rows, and
-        helper.result() returns the sublayer's output rows, computed by the
-        same function from the same values.  Those rows are on no tape, so
-        only a one-prefix batch with no active tape takes a helper."""
+        conv: helper.start(rows, dist) hands over the block's input rows and
+        the step's distance buckets, and helper.result() returns the
+        sublayer's output rows, computed by the same function from the same
+        values.  They are on no tape: only a one-prefix batch with no active
+        tape takes a helper."""
         if helper is not None and (batch.nodes.count != 1 or T.tape_active()):
             raise ModelError("an attention helper serves one prefix with no active tape")
         c = self.config
@@ -517,7 +518,7 @@ class Model:
         for l, (conv, sub, combine_w, combine_b) in enumerate(self.blocks):
             rows = dirty.blocks[l]
             if helper is not None:
-                helper.start(hv.data)
+                helper.start(hv.data, rows.ctx.dist)
             conv_out, he = self.graph_convolution(hv, he, batch, conv,
                                                   update_edges=l + 1 < len(self.blocks),
                                                   rows=rows)

@@ -4,12 +4,14 @@ node/edge sampling until the stop class (or a node budget) is reached.
 A sample uses two cores when the process may run on two CPUs and the sample
 is large enough to pay for a fork (HELPER_MIN_COST): a helper process
 forked for the sample runs each block's attention sublayer while the
-sampler runs the same block's graph convolution (_AttentionHelper).  The
-helper runs the same function on the same rows, so the samples are bit for
-bit those of one core.
+sampler runs the same block's graph convolution (_AttentionHelper), on the
+rows and distance buckets that the sampler shares with it.  It runs the
+same function on the same values, so the samples are bit for bit those of
+one core.
 """
 from __future__ import annotations
 
+import itertools
 import mmap
 import os
 import warnings
@@ -20,7 +22,7 @@ import numpy as np
 from . import attention as A
 from . import graphs as G
 from . import tensor as T
-from .model import BlockRows, EdgeStep, Model, Prefixes
+from .model import EdgeStep, Model, Prefixes
 from .workers import Worker
 
 # The estimated cost of a sample (the prefix rows of its steps up to
@@ -143,59 +145,53 @@ def _draw_edges(step: EdgeStep, draft: np.ndarray, rng: np.random.Generator,
 
 class _AttentionHelper:
     """A helper process forked for one sample, which runs each block's
-    attention sublayer (Model.extract_features with a helper).
+    attention sublayer (Model.extract_features with a helper) and keeps no
+    state of the sample.  One shared mapping, made before the fork, holds a
+    block's input rows, the step's distance buckets and the output rows:
+    start(rows, dist) writes the first two and sends the row count, and
+    result() waits for the reply and copies the output rows.  Worker
+    reports a helper that failed or died, and close() kills and reaps it."""
 
-    At the fork the helper inherits the model and the seed prefix; after
-    each step the sampler sends it the new node's label and edges
-    (step), so it builds each step's Prefixes and attention context itself,
-    while the sampler builds its own.  A block's input and output rows pass
-    through one shared float64 mapping, made before the fork: start(rows)
-    writes the input rows and tells the helper, result() waits for its
-    reply and copies the output rows.  Worker reports a helper that failed
-    or died, and close() kills and reaps it."""
-
-    def __init__(self, model: Model, labels, edges, max_nodes: int):
-        self.map = mmap.mmap(-1, 2 * 8 * max_nodes * model.config.d_model)
-        self.inputs, self.outputs = np.frombuffer(self.map, dtype=np.float64).reshape(
-            2, max_nodes, model.config.d_model)
+    def __init__(self, model: Model, max_nodes: int):
+        d = model.config.d_model
+        # rows and buckets go through the mapping, not the pipe: a helper
+        # sent each block's rows and context pickled sampled 5.5 % slower
+        self.map = mmap.mmap(-1, 8 * max_nodes * (2 * d + max_nodes))
+        flat = np.frombuffer(self.map, dtype=np.float64)
+        self.inputs, self.outputs = flat[:2 * max_nodes * d].reshape(2, max_nodes, d)
+        self.dist = flat[2 * max_nodes * d:].view(np.int64)
         self.rows = 0
-        self.worker = Worker("sampling helper", _attend, model, labels, edges, self)
+        self.worker = Worker("sampling helper", _attend, model, self)
 
-    def start(self, rows: np.ndarray):
+    def start(self, rows: np.ndarray, dist: np.ndarray):
         self.rows = len(rows)
         self.inputs[:self.rows] = rows
-        self.worker.put(None)
+        self.dist[:dist.size] = dist.ravel()
+        self.worker.put(self.rows)
 
     def result(self) -> np.ndarray:
         self.worker.get()
         return self.outputs[:self.rows].copy()
 
-    def step(self, label: int, new_edges: list):
-        self.worker.put((label, new_edges))
-
     def close(self):
         self.worker.close()
 
 
-def _attend(worker: Worker, model: Model, labels: list, edges: list, helper):
-    """The helper's loop, in the forked process: at each step, the
-    attention sublayer of every block, on the rows that the sampler wrote,
-    then the step's new node and edges."""
-    subs = [sub for _, sub, _, _ in model.blocks]
-    while True:
-        s = len(labels)
-        ctx = BlockRows(Prefixes(labels, edges, [s], model.config.radius)).ctx
-        for sub in subs:
-            worker.get()
-            out = A.attention_sublayer(T.const(helper.inputs[:s]), ctx, sub)
-            helper.outputs[:s] = out.data
-            worker.put(None)
-        label, new_edges = worker.get()
-        labels.append(label)
-        edges += new_edges
+def _attend(worker: Worker, model: Model, helper: _AttentionHelper):
+    """The helper's loop, in the forked process: the attention sublayer of
+    each block in turn, on the s rows and (1, s, s) distance buckets that
+    the sampler wrote, s the row count it sends."""
+    radius = model.config.radius
+    for _, sub, _, _ in itertools.cycle(model.blocks):
+        s = worker.get()
+        dist = helper.dist[:s * s].reshape(1, s, s)
+        nodes = A.Segments([s])
+        ctx = A.AttentionContext(dist, dist <= radius, nodes, nodes)
+        helper.outputs[:s] = A.attention_sublayer(T.const(helper.inputs[:s]), ctx, sub).data
+        worker.put(None)
 
 
-def _helper(model: Model, labels, edges, max_nodes: int):
+def _helper(model: Model, max_nodes: int):
     """An attention helper for a sample, or None to sample in this process:
     with one usable CPU, under an active tape, below HELPER_MIN_COST, or
     when the fork fails."""
@@ -205,7 +201,7 @@ def _helper(model: Model, labels, edges, max_nodes: int):
     if len(os.sched_getaffinity(0)) < 2 or T.tape_active() or cost < HELPER_MIN_COST:
         return None
     try:
-        return _AttentionHelper(model, labels, edges, max_nodes)
+        return _AttentionHelper(model, max_nodes)
     except OSError:
         return None
 
@@ -243,7 +239,7 @@ def generate_graph(model: Model, bank: SeedBank, max_nodes: int,
     edges = [tuple(e) for e in seed.edges]
     truncated = False
     retries = forced = edge_passes = 0
-    helper = _helper(model, labels, edges, max_nodes)
+    helper = _helper(model, max_nodes)
     try:
         while True:
             s = len(labels)
@@ -273,11 +269,8 @@ def generate_graph(model: Model, bank: SeedBank, max_nodes: int,
                 best = int(np.argmax(1.0 - dists[:, c.b]))
                 codes[best] = int(np.argmax(dists[best, :c.b]))
             hits = np.flatnonzero(codes < c.b)
-            new_edges = [(int(step.candidates[k]), s, int(codes[k])) for k in hits]
-            edges += new_edges
+            edges += [(int(step.candidates[k]), s, int(codes[k])) for k in hits]
             labels.append(lab)
-            if helper is not None:
-                helper.step(lab, new_edges)
     finally:
         if helper is not None:
             helper.close()

@@ -17,9 +17,9 @@ shard 0 runs in the training process, shard 1 in a child process forked
 for the batch, which sees the current parameters by copy-on-write, writes
 its leaf gradients into a shared buffer and pipes back its chunk NLLs and
 counters.  The parent adds shard 1's gradients to its own.  With one CPU,
-or when shard 1 is too small to pay for a fork (FORK_MIN_COST), the parent
-computes shard 1 itself, from no gradient, and combines it by the same
-rule, so the results do not depend on the number of CPUs.
+a shard 1 too small to pay for a fork (FORK_MIN_COST) or a failed fork,
+the parent computes shard 1 itself, from no gradient, and combines it by
+the same rule, so the results do not depend on the number of CPUs.
 """
 from __future__ import annotations
 
@@ -217,9 +217,9 @@ def batch_backward(model: Model, work, weight: float, shared=None):
     """Accumulate the gradient of weight times the loss of every (graph,
     steps) pair of work, cut into two shards by shard_cut.  Shard 1 runs in
     a forked child when shared (a _SharedGradients) is given and its cost
-    reaches FORK_MIN_COST, else here after shard 0, from no gradient; either
-    way its gradients are then added to shard 0's.  Returns (the chunks'
-    NLLs in work order, StepCounters)."""
+    reaches FORK_MIN_COST, else (or when the fork fails) here after shard
+    0, from no gradient; either way its gradients are then added to shard
+    0's.  Returns (the chunks' NLLs in work order, StepCounters)."""
     rows = [sum(steps) for _, steps in work]
     cut = shard_cut(rows)
     head, tail = work[:cut], work[cut:]
@@ -227,6 +227,11 @@ def batch_backward(model: Model, work, weight: float, shared=None):
         return run_shard(model, head, weight)
     if sum(rows[cut:]) * model.config.d_model ** 2 < FORK_MIN_COST:
         shared = None
+    if shared is not None:
+        try:
+            child = Worker("training shard 1", _shard_child, model, tail, weight, shared)
+        except OSError:  # no second process: shard 1 runs here
+            shared = None
     params = model.parameters()
     if shared is None:
         nlls, counters = run_shard(model, head, weight)
@@ -238,7 +243,6 @@ def batch_backward(model: Model, work, weight: float, shared=None):
         for p, g in zip(params, own):
             p.tensor.grad = g
     else:
-        child = Worker("training shard 1", _shard_child, model, tail, weight, shared)
         try:
             nlls, counters = run_shard(model, head, weight)
             tail_nlls, tail_counters, missing = child.get()

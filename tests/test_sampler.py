@@ -516,6 +516,26 @@ def test_no_helper_outlives_the_sample(end, monkeypatch):
     assert_no_child_left()
 
 
+def test_helper_builds_no_prefix(monkeypatch):
+    """The helper reads each step's rows and distance buckets from the
+    sampler and builds no Prefixes of its own."""
+    forks = sample_on(monkeypatch, 2)
+    parent, real = os.getpid(), Prefixes.__init__
+
+    def init(self, *args, **kw):
+        if os.getpid() != parent:
+            raise AssertionError("a Prefixes built in the helper")
+        real(self, *args, **kw)
+
+    monkeypatch.setattr(Prefixes, "__init__", init)
+    model = helper_model("B")
+    bank = build_seed_bank([random_connected_graph(np.random.default_rng(0), 9)], 3,
+                           np.random.default_rng(1))
+    generate_graph(model, bank, 16, np.random.default_rng(0))
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
 def test_failed_fork_samples_in_process(monkeypatch):
     """With os.fork raising OSError the sample runs in this process and is
     the one the helper gives."""

@@ -894,24 +894,33 @@ def small_grids():
 
 def test_one_and_two_workers_train_byte_identical(tmp_path, monkeypatch):
     """Every batch of two or more chunks forks once at two CPUs and never
-    at one, and both write byte-identical checkpoints and histories."""
+    at one, and both write byte-identical checkpoints and histories; so
+    does a run at two CPUs whose forks fail, which leaves no child."""
     real_fork, forks = os.fork, []
 
     def counting_fork():
         forks.append(os.getpid())
         return real_fork()
 
-    monkeypatch.setattr(os, "fork", counting_fork)
-    for cpus in (1, 2):
+    def failing_fork():
+        forks.append(os.getpid())
+        raise OSError("no fork on purpose")
+
+    runs = {"1": (1, counting_fork), "2": (2, counting_fork), "2-no-fork": (2, failing_fork)}
+    for run, (cpus, fork) in runs.items():
+        forks.clear()
+        monkeypatch.setattr(os, "fork", fork)
         set_cpus(monkeypatch, cpus)
         model = tiny_model(a=3, b=2, seed_size=3, seed=4)
         randomize_bias_tables(model, np.random.default_rng(11))
-        out = tmp_path / str(cpus)
         train(small_grids(), model, TrainConfig(epochs=2, batch_size=3, seed=9),
-              checkpoint_dir=out)
+              checkpoint_dir=tmp_path / run)
         assert len(forks) == (0 if cpus == 1 else 4)  # 2 epochs of batches of 3 and 2 graphs
+    assert_no_child_left()
     for name in ("history.csv", "checkpoint.bin"):
-        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+        want = (tmp_path / "1" / name).read_bytes()
+        assert (tmp_path / "2" / name).read_bytes() == want
+        assert (tmp_path / "2-no-fork" / name).read_bytes() == want
 
 
 @pytest.mark.parametrize("seed_size", [1, 3])
