@@ -154,8 +154,8 @@ class _AttentionHelper:
 
     def __init__(self, model: Model, max_nodes: int):
         d = model.config.d_model
-        # rows and buckets go through the mapping, not the pipe: a helper
-        # sent each block's rows and context pickled sampled 5.5 % slower
+        # rows and buckets go through the mapping, not the pipe: pickled per
+        # block, they made perfbench's sample-grid 5.5 % slower on a 2-core VM
         self.map = mmap.mmap(-1, 8 * max_nodes * (2 * d + max_nodes))
         flat = np.frombuffer(self.map, dtype=np.float64)
         self.inputs, self.outputs = flat[:2 * max_nodes * d].reshape(2, max_nodes, d)
