@@ -17,7 +17,8 @@ child it waited for, a sampling helper's copy-on-write faults among them.
             the walkthrough's largest graph: the default model, variant B,
             one untimed warm-up epoch and then --epochs timed ones.  Reports
             seconds per epoch and the final mean NLL.  With --cpus 1, `train`
-            computes both shards of a batch itself.
+            runs shard 1 of each batch itself, before shard 0, with the
+            function that a forked child runs on two CPUs.
     sample  sampling from a trained grid checkpoint: the default model,
             variant B, trained for EPOCHS epochs on GRAPHS grids of 25-49
             nodes, on one CPU so that no training child counts towards the
@@ -110,21 +111,6 @@ def sample(args) -> dict:
 CASES = {"epoch": epoch, "sample": sample}
 
 
-def record(checkout: Path, case: str, args: dict, result: dict):
-    from record import git
-
-    commit = git(checkout, "rev-parse", "HEAD")
-    dirty = bool(git(checkout, "status", "--porcelain", "--untracked-files=no"))
-    path = ROOT / f"BENCH_{commit[:7]}.json"
-    data = json.loads(path.read_text()) if path.is_file() else {"commit": commit, "runs": []}
-    if data["commit"] != commit:
-        sys.exit(f"{path.name} records commit {data['commit']}, not {commit}")
-    data.setdefault("cases", []).append({
-        "case": case, "args": args, "dirty": dirty,
-        "recorded": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()), "result": result})
-    path.write_text(json.dumps(data, indent=1) + "\n")
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("case", choices=sorted(CASES))
@@ -150,10 +136,12 @@ def main():
         minor_faults_children=children.ru_minflt)
     print(json.dumps(result))
     if args.record:
+        from record import add_entry
+
         shown = {"cpus": args.cpus, "seed": args.seed}
         if args.case == "epoch":
             shown.update(epochs=args.epochs, side=args.side)
-        record(checkout, args.case, shown, result)
+        add_entry(checkout, "cases", {"case": args.case, "args": shown, "result": result})
 
 
 if __name__ == "__main__":

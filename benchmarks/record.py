@@ -31,6 +31,24 @@ def git(checkout: Path, *args) -> str:
     return out.stdout.strip()
 
 
+def add_entry(checkout: Path, key: str, entry: dict, replaces=lambda old: False):
+    """Add entry to the list under key of BENCH_<short-commit>.json, the
+    file of the checkout's commit at the root of this repository, stamped
+    with whether the checkout's tracked files differ from that commit and
+    the time; the entries for which replaces(old) holds are dropped.  Exits
+    when the file records another commit."""
+    commit = git(checkout, "rev-parse", "HEAD")
+    dirty = bool(git(checkout, "status", "--porcelain", "--untracked-files=no"))
+    path = ROOT / f"BENCH_{commit[:7]}.json"
+    record = json.loads(path.read_text()) if path.is_file() else {"commit": commit, "runs": []}
+    if record["commit"] != commit:
+        sys.exit(f"{path.name} records commit {record['commit']}, not {commit}")
+    kept = [old for old in record.get(key, []) if not replaces(old)]
+    record[key] = kept + [{**entry, "dirty": dirty,
+                           "recorded": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}]
+    path.write_text(json.dumps(record, indent=1) + "\n")
+
+
 def run_once(checkout: Path, seed: int, trace: int) -> dict:
     """{workload: {"info": ..., "result": ...}} of one perfbench run."""
     proc = subprocess.run(
@@ -60,22 +78,12 @@ def main():
                     help="the checkout to measure (default: this repository)")
     args = ap.parse_args()
     checkout = args.checkout.resolve()
-    commit = git(checkout, "rev-parse", "HEAD")
-    dirty = bool(git(checkout, "status", "--porcelain", "--untracked-files=no"))
-    path = ROOT / f"BENCH_{commit[:7]}.json"
-    record = json.loads(path.read_text()) if path.is_file() else {"commit": commit, "runs": []}
-    if record["commit"] != commit:
-        sys.exit(f"{path.name} records commit {record['commit']}, not {commit}")
     ok = True
     for seed in args.seeds:
         workloads = run_once(checkout, seed, args.trace)
         ok &= all(w["result"]["correct"] for w in workloads.values())
-        record["runs"] = [r for r in record["runs"]
-                          if (r["seed"], r["trace"]) != (seed, args.trace)]
-        record["runs"].append({"seed": seed, "trace": args.trace, "dirty": dirty,
-                               "recorded": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-                               "workloads": workloads})
-        path.write_text(json.dumps(record, indent=1) + "\n")
+        add_entry(checkout, "runs", {"seed": seed, "trace": args.trace, "workloads": workloads},
+                  lambda old: (old["seed"], old["trace"]) == (seed, args.trace))
         print(f"seed {seed}: " + ", ".join(
             f"{name} {w['result']['metrics'].get('graphs_per_s', {}).get('value', '-')}"
             for name, w in workloads.items()), file=sys.stderr)

@@ -194,7 +194,8 @@ def _attend(worker: Worker, model: Model, helper: _AttentionHelper):
 def _helper(model: Model, max_nodes: int):
     """An attention helper for a sample, or None to sample in this process:
     with one usable CPU, under an active tape, below HELPER_MIN_COST, or
-    when the fork fails."""
+    when the shared mapping or the fork fails (a budget whose mapping
+    exceeds ssize_t raises OverflowError, a smaller one ENOMEM)."""
     c = model.config
     rows = (max_nodes * (max_nodes - 1) - c.seed_size * (c.seed_size - 1)) // 2
     cost = rows * c.d_model ** 2 * c.blocks
@@ -202,7 +203,7 @@ def _helper(model: Model, max_nodes: int):
         return None
     try:
         return _AttentionHelper(model, max_nodes)
-    except OSError:
+    except (OSError, OverflowError):
         return None
 
 

@@ -12,14 +12,16 @@ chunk of a graph, not the sum of its steps.
 
 Because the steps are independent, a batch's gradient is a sum of chunk
 gradients.  train() lists a batch's (graph, chunk) pairs in batch order and
-cuts the list once into two runs of consecutive chunks (shard_cut):
-shard 0 runs in the training process, shard 1 in a child process forked
-for the batch, which sees the current parameters by copy-on-write, writes
-its leaf gradients into a shared buffer and pipes back its chunk NLLs and
-counters.  The parent adds shard 1's gradients to its own.  With one CPU,
-a shard 1 too small to pay for a fork (FORK_MIN_COST) or a failed fork,
-the parent computes shard 1 itself, from no gradient, and combines it by
-the same rule, so the results do not depend on the number of CPUs.
+cuts the list once into two runs of consecutive chunks (shard_cut).
+Shard 1 is one function (_shard_1): from no gradient, it writes its leaf
+gradients into a shared buffer and returns its chunk NLLs and counters.
+It runs in a child process forked for the batch, which sees the current
+parameters by copy-on-write and pipes back what the function returns,
+while shard 0 runs in the training process.  With one CPU, a shard 1 too
+small to pay for a fork (FORK_MIN_COST) or a failed fork, the training
+process runs the same function itself, first.  Either way shard 1's
+gradients are then added to shard 0's by one rule, so the results do not
+depend on the number of CPUs.
 """
 from __future__ import annotations
 
@@ -169,8 +171,9 @@ def run_shard(model: Model, work, weight: float):
 
 class _SharedGradients:
     """One shared anonymous mapping, made once per train() call, with a
-    view per parameter: a forked child writes its gradients into the views
-    and its parent adds them to its own, freeing the pages as it goes."""
+    view per parameter: shard 1 writes its gradients into the views, in a
+    forked child or in this process, and batch_backward adds them to shard
+    0's, freeing the pages as it goes."""
 
     def __init__(self, params):
         sizes = [p.data.size for p in params]
@@ -184,7 +187,7 @@ class _SharedGradients:
 
     def release(self, end=None):
         """Free the whole pages below byte end not yet freed; with no end,
-        free every page left.  The next child writes into fresh pages, so
+        free every page left.  The next shard 1 writes into fresh pages, so
         between batches the buffer holds no memory, in the parent or
         anywhere else."""
         last = end is None
@@ -194,75 +197,68 @@ class _SharedGradients:
         self.freed = 0 if last else end
 
 
-def _shard_child(worker, model: Model, work, weight: float, shared):
-    """Shard 1 of a batch, run in a child process forked for it (a
-    workers.Worker).  The child starts from no gradient, writes each leaf
-    gradient into its shared view and sends back (chunk NLLs, StepCounters,
-    names of the parameters left without a gradient); no array is
-    pickled."""
-    params = model.parameters()
-    for p in params:
-        p.tensor.grad = None
+def _shard_1(model: Model, work, weight: float, views):
+    """Shard 1 of a batch, from no gradient: run work, move each leaf
+    gradient into its view of a _SharedGradients and clear it.  Returns
+    (chunk NLLs, StepCounters, names of the parameters left without a
+    gradient), which a forked child sends back with no array pickled."""
     nlls, counters = run_shard(model, work, weight)
     missing = []
-    for p, view in zip(params, shared.views):
+    for p, view in zip(model.parameters(), views):
         if p.tensor.grad is None:
             missing.append(p.name)
         else:
             view[...] = p.tensor.grad
-    worker.put((nlls, counters, missing))
+            p.tensor.grad = None
+    return nlls, counters, missing
 
 
-def batch_backward(model: Model, work, weight: float, shared=None):
+def batch_backward(model: Model, work, weight: float, shared):
     """Accumulate the gradient of weight times the loss of every (graph,
-    steps) pair of work, cut into two shards by shard_cut.  Shard 1 runs in
-    a forked child when shared (a _SharedGradients) is given and its cost
-    reaches FORK_MIN_COST, else (or when the fork fails) here after shard
-    0, from no gradient; either way its gradients are then added to shard
-    0's.  Returns (the chunks' NLLs in work order, StepCounters)."""
+    steps) pair of work, cut into two shards by shard_cut, starting from no
+    gradient (ValueError names a parameter that holds one).  Shard 1 runs
+    in a forked child when the process may run on two CPUs and its cost
+    reaches FORK_MIN_COST, else (or when the fork fails) here, first; either
+    way its gradients land in shared (a _SharedGradients) and are then
+    added to shard 0's.  Returns (the chunks' NLLs in work order,
+    StepCounters)."""
+    params = model.parameters()
+    for p in params:
+        if p.tensor.grad is not None:
+            raise ValueError(f"batch_backward: parameter {p.name!r} already holds a gradient")
     rows = [sum(steps) for _, steps in work]
     cut = shard_cut(rows)
     head, tail = work[:cut], work[cut:]
     if not tail:
         return run_shard(model, head, weight)
-    if sum(rows[cut:]) * model.config.d_model ** 2 < FORK_MIN_COST:
-        shared = None
-    if shared is not None:
+    cost = sum(rows[cut:]) * model.config.d_model ** 2
+    child = None
+    if len(os.sched_getaffinity(0)) > 1 and cost >= FORK_MIN_COST:
         try:
-            child = Worker("training shard 1", _shard_child, model, tail, weight, shared)
+            child = Worker("training shard 1", lambda worker: worker.put(
+                _shard_1(model, tail, weight, shared.views)))
         except OSError:  # no second process: shard 1 runs here
-            shared = None
-    params = model.parameters()
-    if shared is None:
+            pass
+    if child is None:
+        tail_nlls, tail_counters, missing = _shard_1(model, tail, weight, shared.views)
         nlls, counters = run_shard(model, head, weight)
-        own = [p.tensor.grad for p in params]
-        for p in params:
-            p.tensor.grad = None
-        tail_nlls, tail_counters = run_shard(model, tail, weight)
-        tail_grads = [p.tensor.grad for p in params]
-        for p, g in zip(params, own):
-            p.tensor.grad = g
     else:
         try:
             nlls, counters = run_shard(model, head, weight)
             tail_nlls, tail_counters, missing = child.get()
         finally:
             child.close()
-        missing = set(missing)
-        tail_grads = [None if p.name in missing else view
-                      for p, view in zip(params, shared.views)]
     # one parameter at a time; the shared pages already added are freed as
-    # the merge goes, so the parent never maps all of shard 1's gradients
-    for k, (p, g) in enumerate(zip(params, tail_grads)):
-        if g is not None:
+    # the merge goes, so it never holds a second copy of shard 1's gradients
+    missing = set(missing)
+    for p, view, end in zip(params, shared.views, shared.ends):
+        if p.name not in missing:
             if p.tensor.grad is None:
-                p.tensor.grad = np.array(g)
+                p.tensor.grad = np.array(view)
             else:
-                p.tensor.grad += g
-        if shared is not None:
-            shared.release(shared.ends[k])
-    if shared is not None:
-        shared.release()
+                p.tensor.grad += view
+        shared.release(end)
+    shared.release()
     counters.add(tail_counters)
     return nlls + tail_nlls, counters
 
@@ -317,7 +313,7 @@ def train(dataset, model: Model, tconfig: TrainConfig, checkpoint_dir=None,
         return [G.random_ordering(g, rng) for g in usable]
 
     ogs = sample_orderings()
-    shared = _SharedGradients(params) if len(os.sched_getaffinity(0)) > 1 else None
+    shared = _SharedGradients(params)
     ckpt_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
     if ckpt_dir is not None:
         ckpt_dir.mkdir(parents=True, exist_ok=True)

@@ -399,9 +399,9 @@ def gradients(params):
 
 
 def set_cpus(monkeypatch, n):
-    """Let training see n CPUs, so it computes shard 1 of a batch in a
-    forked child (n >= 2, at any shard cost) or in the process itself
-    (n == 1)."""
+    """Let training see n CPUs, so that training._shard_1 computes shard 1
+    of a batch in a forked child (n >= 2, at any shard cost) or in the
+    process itself, before shard 0 (n == 1)."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
     monkeypatch.setattr(training, "FORK_MIN_COST", 0)
 

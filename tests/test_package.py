@@ -83,6 +83,13 @@ def test_test_only_setter_default_and_import_are_gone():
     assert "orderings_per_graph" not in inspect.signature(sampler.build_seed_bank).parameters
 
 
+def test_batch_backward_always_takes_the_shared_buffer():
+    """Shard 1 writes into a _SharedGradients whether or not a child runs
+    it, so batch_backward has no form without one."""
+    shared = inspect.signature(training.batch_backward).parameters["shared"]
+    assert shared.default is inspect.Parameter.empty
+
+
 def test_forward_path_takes_only_batches():
     """The forward path has one calling convention: a Prefixes batch, its
     Segments layouts and (K, nq, nk) attention contexts, with no default

@@ -582,3 +582,18 @@ def test_extract_features_takes_a_helper_only_for_one_prefix_and_no_tape():
         with Tape():
             with pytest.raises(ModelError, match="one prefix with no active tape"):
                 model.extract_features(batch, helper=object())
+
+
+def test_budget_too_large_to_map_samples_in_process(monkeypatch):
+    """A node budget whose helper mapping exceeds ssize_t (mmap raises
+    OverflowError, not OSError) samples in this process on two CPUs, and
+    gives the graph of one CPU with no fork."""
+    model = helper_model("B")
+    bank = build_seed_bank([random_connected_graph(np.random.default_rng(0), 9)], 3,
+                           np.random.default_rng(1))
+    sample_on(monkeypatch, 1)
+    want = outcome(generate_graph(model, bank, 10**10, np.random.default_rng(2)))
+    forks = sample_on(monkeypatch, 2)
+    assert outcome(generate_graph(model, bank, 10**10, np.random.default_rng(2))) == want
+    assert forks == []
+    assert not want[1] and want[0].n > 16

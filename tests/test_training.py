@@ -813,11 +813,10 @@ def sequential_batch(model, ogs, weight):
 def test_sharded_batch_gradient_matches_sequential(variant, rng, monkeypatch):
     """A batch cut into two shards gives the gradient of the old sequential
     accumulation to 1e-12 relative, on a model with random non-zero bias
-    tables, and the same gradient bit for bit whether shard 1 runs in a
-    forked child or in this process.  A parameter that no shard reaches
-    (the last block's edge update) keeps no gradient."""
+    tables, and the same NLLs and gradient bit for bit on one CPU (shard 1
+    runs in this process) and on two (in a forked child).  A parameter that
+    no shard reaches (the last block's edge update) keeps no gradient."""
     monkeypatch.setattr(training, "CHUNK_ROWS", 12)
-    monkeypatch.setattr(training, "FORK_MIN_COST", 0)
     model, _ = trained_model(rng, variant)
     ogs = [make_og(random_connected_graph(rng, int(rng.integers(6, 11))), rng) for _ in range(3)]
     work = [pair for og in ogs for pair in chunks_of(model, og)]
@@ -826,7 +825,9 @@ def test_sharded_batch_gradient_matches_sequential(variant, rng, monkeypatch):
     want_nlls, oracle = loss_and_grads(model, lambda: sequential_batch(model, ogs, 1 / 3))
     last = f"block{model.config.blocks - 1}.conv"
     results = []
-    for shared in (None, training._SharedGradients(model.parameters())):
+    for cpus in (1, 2):
+        set_cpus(monkeypatch, cpus)
+        shared = training._SharedGradients(model.parameters())
         nlls, grads = loss_and_grads(model, lambda: batch_backward(model, work, 1 / 3, shared)[0])
         assert model.params[f"{last}.wedge"].tensor.grad is None
         assert model.params[f"{last}.bedge"].tensor.grad is None
@@ -841,18 +842,20 @@ def test_sharded_batch_gradient_matches_sequential(variant, rng, monkeypatch):
         assert np.abs(grads[name] - ref).max() <= 1e-12 * scale, name
 
 
-def test_merge_frees_shard_1_pages_as_it_adds_them(rng, monkeypatch):
-    """With a _SharedGradients, batch_backward frees page-aligned,
-    ascending, adjoining ranges of the shared mapping that together cover
-    it, and frees each range only once every parameter in it holds its
-    merged gradient."""
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_merge_frees_shard_1_pages_as_it_adds_them(cpus, rng, monkeypatch):
+    """Whether shard 1 runs in this process or in a forked child,
+    batch_backward frees page-aligned, ascending, adjoining ranges of the
+    shared mapping that together cover it, and frees each range only once
+    every parameter in it holds its merged gradient."""
     monkeypatch.setattr(training, "CHUNK_ROWS", 12)
-    monkeypatch.setattr(training, "FORK_MIN_COST", 0)
+    set_cpus(monkeypatch, cpus)
     model, _ = trained_model(rng, "B")
     ogs = [make_og(random_connected_graph(rng, int(rng.integers(6, 11))), rng) for _ in range(3)]
     work = [pair for og in ogs for pair in chunks_of(model, og)]
     params = model.parameters()
-    _, want = loss_and_grads(model, lambda: batch_backward(model, work, 1 / 3))
+    _, want = loss_and_grads(model, lambda: batch_backward(
+        model, work, 1 / 3, training._SharedGradients(params)))
     shared = training._SharedGradients(params)
     starts = np.cumsum([0] + [8 * p.data.size for p in params])
     freed = []
@@ -947,6 +950,7 @@ def test_fork_only_when_shard_1_reaches_the_cost(rng, monkeypatch):
     rows times d_model^2 reach FORK_MIN_COST; a tiny model's batches never
     do, and the gradient is the same either way."""
     monkeypatch.setattr(training, "CHUNK_ROWS", 12)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     model, _ = trained_model(rng, "B")
     ogs = [make_og(random_connected_graph(rng, int(rng.integers(6, 11))), rng) for _ in range(3)]
     work = [pair for og in ogs for pair in chunks_of(model, og)]
@@ -972,6 +976,19 @@ def test_fork_only_when_shard_1_reaches_the_cost(rng, monkeypatch):
     for nlls, grads in results[1:]:
         assert nlls == results[0][0]
         assert all(np.array_equal(grads[name], results[0][1][name]) for name in grads)
+
+
+def test_batch_backward_starts_from_no_gradient(rng):
+    """Shard 1 runs from no gradient, in a child or first in this process,
+    so a parameter that already holds one is an error that names it, raised
+    before any chunk runs."""
+    model, _ = trained_model(rng, "B")
+    og = make_og(random_connected_graph(rng, 8), rng)
+    params = model.parameters()  # adam_step left none with a gradient
+    params[3].tensor.grad = np.ones(params[3].data.shape)
+    with pytest.raises(ValueError, match=f"parameter {params[3].name!r} already holds a gradient"):
+        batch_backward(model, chunks_of(model, og), 1.0, training._SharedGradients(params))
+    assert all(p.tensor.grad is None for p in params if p is not params[3])
 
 
 def test_no_fork_for_one_chunk_or_one_cpu(monkeypatch):
